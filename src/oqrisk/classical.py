@@ -99,20 +99,16 @@ def invariant_classical_cov(model: OqhoModel) -> InvariantCov:
     )
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
-
-
 @dataclass(frozen=True)
 class AugmentedStepper:
     """Exact one-step discretization of the augmented linear SDE.
 
-    ``phi_aug = e^{h (I2 (x) A)}`` and ``noise_chol`` factors the exact
-    one-step noise covariance ``P_aug - phi_aug P_aug phi_aug'``, so the
-    chain has the invariant law as its exact stationary distribution for
-    any step size.
+    ``phi_aug = e^{h (I2 (x) A)}`` and ``noise_chol`` is the principal
+    square root of the exact one-step noise covariance
+    ``P_aug - phi_aug P_aug phi_aug'``, so the chain has the invariant law
+    as its exact stationary distribution for any step size.  Principal
+    roots do not depend on an eigenbasis, so sampled paths move
+    continuously with the model even where eigenvalues are degenerate.
     """
 
     h: float
@@ -135,6 +131,7 @@ class AugmentedStepper:
             q_aug = 0.5 * np.block([[bb, -bjb], [bjb, bb]])
             a_aug = np.kron(np.eye(2), model.a)
             p_aug = lyap_solve(a_aug, q_aug)
+            p_aug = 0.5 * (p_aug + p_aug.T)
             phi = np.kron(np.eye(2), expm(model.a, h))
             sigma = p_aug - phi @ p_aug @ phi.T
             sigma = 0.5 * (sigma + sigma.T)
@@ -143,7 +140,7 @@ class AugmentedStepper:
                 raise StepperConstructionFailure(
                     f"one-step noise covariance has eigenvalue {wmin:.3e}"
                 )
-            chol = _psd_factor(sigma)
+            chol = sqrt_psd(sigma)
         except NotHurwitz as exc:
             raise StepperConstructionFailure(str(exc)) from exc
         return cls(h=h, phi_aug=phi, noise_chol=chol, sigma_aug=sigma, p_aug=p_aug)
@@ -178,6 +175,25 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
     return states[..., :n] + 1j * states[..., n:]
 
 
+def _chain(model: OqhoModel, h, steps, paths, seed, initial="invariant"):
+    """Yield the ``steps + 1`` states, ``(paths, 2n)`` each, of the exact
+    chain: the seeded stream draws the initial state, then one noise per
+    step."""
+    stepper = AugmentedStepper.build(model, h)
+    rng = _rng(seed)
+    dim = 2 * model.n
+    if initial == "invariant":
+        state = rng.standard_normal((paths, dim)) @ sqrt_psd(stepper.p_aug).T
+    elif initial == "zero":
+        state = np.zeros((paths, dim))
+    else:
+        raise ValueError("initial must be 'invariant' or 'zero'")
+    yield state
+    for _ in range(steps):
+        state = state @ stepper.phi_aug.T + rng.standard_normal((paths, dim)) @ stepper.noise_chol.T
+        yield state
+
+
 def simulate(
     model: OqhoModel,
     h: float,
@@ -194,20 +210,9 @@ def simulate(
     ``(steps+1) * paths * 2n`` doubles; keep ``steps`` to the lags you
     need when running many paths.
     """
-    stepper = AugmentedStepper.build(model, h)
-    dim = 2 * model.n
-    rng = _rng(seed)
-    out = np.empty((steps + 1, paths, dim))
-    if initial == "invariant":
-        init_chol = _psd_factor(stepper.p_aug)
-        out[0] = rng.standard_normal((paths, dim)) @ init_chol.T
-    elif initial == "zero":
-        out[0] = 0.0
-    else:
-        raise ValueError("initial must be 'invariant' or 'zero'")
-    for k in range(steps):
-        noise = rng.standard_normal((paths, dim)) @ stepper.noise_chol.T
-        out[k + 1] = out[k] @ stepper.phi_aug.T + noise
+    out = np.empty((steps + 1, paths, 2 * model.n))
+    for k, state in enumerate(_chain(model, h, steps, paths, seed, initial)):
+        out[k] = state
     return SimBatch(thetas=out, h=h, seed=seed)
 
 
@@ -265,18 +270,31 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     return McEstimate(value=float(var), stderr=float(stderr), paths=batch.paths, seed=batch.seed)
 
 
+def _density_eigs(model: OqhoModel, pi: np.ndarray):
+    """``lam ->`` ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)``."""
+    root = model.weight_facts(pi).root
+    sd = SpectralDensity(model)
+    return lambda lam: np.linalg.eigvalsh(root @ sd.d(lam) @ root)
+
+
+def _density_integral(model: OqhoModel, pi: np.ndarray, g) -> float:
+    """integral over R of ``g`` of the weighted density's eigenvalues."""
+    eigs = _density_eigs(model, pi)
+    val, _ = quad(lambda lam: g(eigs(lam)), -np.inf, np.inf,
+                  epsabs=1e-11, epsrel=1e-11, limit=600)
+    return val
+
+
 def _weighted_density_max_eig(model: OqhoModel, pi: np.ndarray) -> float:
     """sup over frequency of the top eigenvalue of sqrt(Pi) D sqrt(Pi),
     estimated on a dense grid (guard for the theta domain)."""
-    root = sqrt_psd(pi)
-    sd = SpectralDensity(model)
+    eigs = _density_eigs(model, pi)
     scale = 1.0 + opnorm2(model.a)
     lams = np.concatenate([np.linspace(0.0, 10.0 * scale, 1201),
                            np.geomspace(10.0 * scale, 1e4 * scale, 120)])
     best = 0.0
     for lam in lams:
-        w = np.linalg.eigvalsh(root @ sd.d(lam) @ root)[-1]
-        best = max(best, float(w))
+        best = max(best, float(eigs(lam)[-1]))
     return best
 
 
@@ -298,15 +316,8 @@ def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
         raise ThetaOutOfRange(
             f"theta = {theta} outside the finiteness range (0, {1.0 / peak:.6e})"
         )
-    root = sqrt_psd(pi)
-    sd = SpectralDensity(model)
-
-    def integrand(lam: float) -> float:
-        w = np.linalg.eigvalsh(root @ sd.d(lam) @ root)
-        return float(np.log1p(-theta * w).sum())
-
-    val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-11, epsrel=1e-11, limit=600)
-    return prefactor * val
+    return prefactor * _density_integral(
+        model, pi, lambda w: float(np.log1p(-theta * w).sum()))
 
 
 def classical_rs_rate_paper(model: OqhoModel, pi, theta: float) -> float:
@@ -325,19 +336,10 @@ def classical_rs_rate_sde(model: OqhoModel, pi, theta: float) -> float:
 def classical_rate_series(model: OqhoModel, pi, theta: float, orders: int = 6) -> float:
     """Truncated series ``(1/4 pi) sum_r (theta^r / r) integral Tr((Pi D)^r)``
     for the printed variant; crosscheck within the geometric remainder."""
-    pi = _as_weight(pi)
-    root = sqrt_psd(pi)
-    sd = SpectralDensity(model)
-
-    def integrand(lam: float) -> float:
-        w = np.linalg.eigvalsh(root @ sd.d(lam) @ root)
-        acc = 0.0
-        for r in range(1, orders + 1):
-            acc += theta**r / r * float((w**r).sum())
-        return acc
-
-    val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-11, epsrel=1e-11, limit=600)
-    return val / (4.0 * np.pi)
+    return _density_integral(
+        model, _as_weight(pi),
+        lambda w: sum(theta**r / r * float((w**r).sum()) for r in range(1, orders + 1)),
+    ) / (4.0 * np.pi)
 
 
 def mc_rs_rate(
@@ -372,20 +374,14 @@ def mc_rs_rate(
         h = min(0.02, 0.1 / (1.0 + opnorm2(model.a)))
     steps = max(2, int(round(horizon / h)))
     h = horizon / steps
-    stepper = AugmentedStepper.build(model, h)
-    rng = _rng(seed)
-    dim = 2 * model.n
-    init_chol = _psd_factor(stepper.p_aug)
-    state = rng.standard_normal((paths, dim)) @ init_chol.T
 
     def quadform(states: np.ndarray) -> np.ndarray:
         z = zeta_view(states)
         return np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
 
-    acc = 0.5 * h * quadform(state)
-    for k in range(steps):
-        state = state @ stepper.phi_aug.T + rng.standard_normal((paths, dim)) @ stepper.noise_chol.T
-        acc += (h if k < steps - 1 else 0.5 * h) * quadform(state)
+    acc = 0.0
+    for k, state in enumerate(_chain(model, h, steps, paths, seed)):
+        acc += (0.5 * h if k in (0, steps) else h) * quadform(state)
     arg = theta * acc
     peak_arg = arg.max()
     weights = np.exp(arg - peak_arg)

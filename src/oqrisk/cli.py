@@ -13,11 +13,8 @@ import sys
 
 import numpy as np
 
-from . import classical, cumulants, report
+from . import report
 from .errors import ConfigError, OqriskError
-from .gaussian import gramian_steady
-from .matfun import expm
-from .model import pr_residual, stability_margin
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["bound", "delta", "cumulants"],
                    required=True)
     p.add_argument("--r", type=int, help="table order for --which delta")
+    # --which bound runs the bound command on the config's eps_grid
+    p.set_defaults(method="both", eps_min=None, eps_max=None, eps_steps=None)
 
     return parser
 
@@ -128,17 +127,8 @@ def _csv(header, rows) -> str:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    hurwitz, abscissa = stability_margin(cfg.model)
-    doc = {
-        "n": cfg.model.n,
-        "m": cfg.model.m,
-        "pr_residual": pr_residual(cfg.model),
-        "spectral_abscissa": abscissa,
-        "is_hurwitz": hurwitz,
-        "omega_eigs": sorted(
-            float(v) for v in np.linalg.eigvalsh(cfg.model.omega)
-        ),
-    }
+    doc = {k: v for k, v in report._model_block(cfg.model).items() if k not in ("a", "b")}
+    doc["omega_eigs"] = sorted(float(v) for v in np.linalg.eigvalsh(cfg.model.omega))
     _emit(report.render_json(doc) + "\n", args.out)
     return EXIT_OK
 
@@ -163,8 +153,7 @@ def _eps_values(args, cfg) -> list:
     if args.eps_min is not None and args.eps_max is not None and args.eps_steps is not None:
         return list(np.linspace(args.eps_min, args.eps_max, args.eps_steps))
     if cfg.eps_grid is not None:
-        lo, hi, steps = cfg.eps_grid
-        return list(np.linspace(lo, hi, steps)) if steps else []
+        return list(np.linspace(*cfg.eps_grid))
     raise ConfigError("supply --eps-min/--eps-max/--eps-steps or an eps_grid block")
 
 
@@ -179,44 +168,10 @@ def _cmd_bound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    mc = cfg.mc
-    if args.h is not None:
-        mc.h = args.h
-    if args.steps is not None:
-        mc.steps = args.steps
-    if args.paths is not None:
-        mc.paths = args.paths
-    if args.lag is not None:
-        mc.lag = args.lag
-    if args.theta is not None:
-        mc.theta = args.theta
-    batch = classical.simulate(cfg.model, mc.h, max(mc.steps, mc.lag), mc.paths, mc.seed)
-    cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
-    var_mc = classical.mc_quadform_variance(batch, cfg.pi)
-    steady = gramian_steady(cfg.model)
-    lag_target = expm(cfg.model.a, mc.lag * mc.h) @ steady.quantum_cov
-    doc = {
-        "cov0": {"re": cov0.value.real.tolist(), "im": cov0.value.imag.tolist()},
-        "covlag": {"re": covlag.value.real.tolist(), "im": covlag.value.imag.tolist()},
-        "quadform_var": {
-            "mc": float(var_mc.value),
-            "stderr": float(var_mc.stderr),
-            "analytic": classical.classical_quadform_variance(cfg.model, cfg.pi),
-        },
-        "targets": {
-            "cov0": {"re": steady.quantum_cov.real.tolist(),
-                     "im": steady.quantum_cov.imag.tolist()},
-            "covlag": {"re": lag_target.real.tolist(), "im": lag_target.imag.tolist()},
-        },
-        "stderr": {"cov0": cov0.stderr.tolist(), "covlag": covlag.stderr.tolist()},
-        "seed": mc.seed,
-        "paths": mc.paths,
-    }
-    if mc.theta is not None:
-        est = classical.mc_rs_rate(cfg.model, cfg.pi, mc.theta, mc.steps * mc.h,
-                                   mc.paths, mc.seed)
-        doc["rs_rate_mc"] = {"value": float(est.value), "stderr": float(est.stderr),
-                             "theta": mc.theta}
+    for name in ("h", "steps", "paths", "lag", "theta"):
+        if getattr(args, name) is not None:
+            setattr(cfg.mc, name, getattr(args, name))
+    doc = report._classical_block(cfg.model, cfg.pi, cfg.mc)
     _emit(report.render_json(doc) + "\n", args.out)
     return EXIT_OK
 
@@ -232,16 +187,9 @@ def _cmd_report(args) -> int:
         if args.r is None:
             raise ConfigError("--which delta needs --r")
         return _cmd_delta(args)
-    cfg = _load_config(args)
     if args.which == "bound":
-        eps = []
-        if cfg.eps_grid is not None:
-            lo, hi, steps = cfg.eps_grid
-            eps = list(np.linspace(lo, hi, steps)) if steps else []
-        rows = report.bound_rows(cfg.model, cfg.pi, eps, method="both", tol=cfg.tol)
-        _emit(_csv(["epsilon", "bound_closed", "bound_numeric", "theta_star"], rows),
-              args.out)
-        return EXIT_OK
+        return _cmd_bound(args)
+    cfg = _load_config(args)
     rows = report.cumulant_rows(cfg.model, cfg.pi, cfg.orders)
     _emit(_csv(["order", "rate"], rows), args.out)
     return EXIT_OK

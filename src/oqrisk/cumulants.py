@@ -21,6 +21,7 @@ validated end to end.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -29,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, NumericalDefect, OrderTooLarge
-from .gaussian import CovarianceKernel, SpectralDensity
+from .gaussian import CovarianceKernel, SpectralDensity, gramian_steady
 from .matfun import (
     QuadratureSpec,
     TailHint,
+    expm_ladder,
     integrate_realline,
     opnorm2,
-    sqrt_psd,
     trapezoid_weights,
 )
 from .model import OqhoModel
@@ -65,7 +66,7 @@ class WeightedKernel:
     """
 
     def __init__(self, model: OqhoModel, pi):
-        self.root = sqrt_psd(_as_weight(pi))
+        self.root = model.weight_facts(_as_weight(pi)).root
         self.kernel = CovarianceKernel(model)
 
     def k(self, tau: float) -> np.ndarray:
@@ -197,16 +198,9 @@ def cumulant_rate(
 def _kernel_tables(model: OqhoModel, count: int, step: float):
     """Kernel values on the lag ladder k*step, k = -(count-1) .. count-1,
     stacked with the lag index shifted by count-1."""
-    kern = CovarianceKernel(model)
-    quantum = kern.steady.quantum_cov
-    prop = np.eye(model.n)
-    estep = kern._propagator(step)
-    s_pos = []
-    for _ in range(count):
-        s_pos.append(prop @ quantum)
-        prop = estep @ prop
-    s_all = [s_pos[k].conj().T for k in range(count - 1, 0, -1)] + s_pos
-    return np.stack(s_all)
+    quantum = gramian_steady(model).quantum_cov
+    s_pos = expm_ladder(model.a, model.eig, step, count, right=quantum)
+    return np.concatenate([s_pos[:0:-1].conj().transpose(0, 2, 1), s_pos])
 
 
 def cumulant_finite_td(
@@ -282,12 +276,7 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     weights = np.asarray(weights, dtype=float)
     kern = CovarianceKernel(model)
     g = times.size
-    s_cache = {}
-
-    def s_of(i, j):
-        if (i, j) not in s_cache:
-            s_cache[(i, j)] = kern.s(times[i] - times[j])
-        return s_cache[(i, j)]
+    s_of = functools.cache(lambda i, j: kern.s(times[i] - times[j]))
 
     table = delta_table(r)
     total = 0.0 + 0.0j
@@ -341,12 +330,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
     weighted = WeightedKernel(model, pi)
-    k_cache = {}
-
-    def k_of(i, j):
-        if (i, j) not in k_cache:
-            k_cache[(i, j)] = weighted.k(times[i] - times[j])
-        return k_cache[(i, j)]
+    k_of = functools.cache(lambda i, j: weighted.k(times[i] - times[j]))
 
     prs = list(_pairings(list(range(2 * r))))
     letters = "abcdefgh"

@@ -40,7 +40,7 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .gaussian import gramian_steady
-from .matfun import expm, inv_sqrt_psd, lyap_solve, opnorm2, sqrt_psd
+from .matfun import expm, expm_ladder, inv_sqrt_psd, lyap_solve, opnorm2, sqrt_psd
 from .model import OqhoModel
 from .quartic import _as_weight
 
@@ -100,9 +100,8 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     pi = _as_weight(pi)
     a = model.a
     mu = -model.spectral_abscissa
-    lam, vecs = np.linalg.eig(a)
-    cond = np.linalg.cond(vecs)
-    if np.isfinite(cond) and cond < 1e8:
+    if model.eig.inverse is not None:
+        vecs = model.eig.vectors
         gamma_c = vecs @ vecs.conj().T
         if np.abs(gamma_c.imag).max() > 1e-10 * max(opnorm2(gamma_c.real), 1e-300):
             raise NumericalDefect("eigenvector Gram matrix has an imaginary part")
@@ -120,7 +119,7 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     wmax = np.linalg.eigvalsh(ali)[-1]
     if wmax > 1e-8 * opnorm2(gamma):
         raise NumericalDefect(f"Lyapunov inequality residual {wmax:.3e} too large")
-    root_pi = sqrt_psd(pi)
+    root_pi = model.weight_facts(pi).root
     quantum = gramian_steady(model).quantum_cov
     alpha = opnorm2(root_pi @ sqrt_psd(gamma)) * opnorm2(
         inv_sqrt_psd(gamma) @ quantum @ root_pi
@@ -168,50 +167,35 @@ def _one_minus(theta, fval):
     return arg
 
 
+def _tail_corrected_integral(ffun, g, coef, n0, lam_cut, tol):
+    """integral over R of g(F) for ``g(F) = coef[0] F + coef[1] F^2 +
+    coef[2] F^3 + ...``; the [lam_cut, inf) tail uses the exact identity
+    int_0^inf F = pi N(0) for the linear term and the F ~ c / lam^2
+    asymptote for the quadratic and cubic terms."""
+    for _ in range(7):
+        c_inf = ffun(lam_cut) * lam_cut**2
+        k3 = coef[2] * c_inf**3 / (5.0 * lam_cut**5)
+        if abs(k3) <= 0.1 * tol:
+            break
+        lam_cut *= 2.0
+    else:
+        raise NoConvergence("tail corrections did not settle")
+    core = _quad(lambda l: g(ffun(l)), 0.0, lam_cut, tol)
+    int_f = _quad(ffun, 0.0, lam_cut, tol)
+    c_inf = ffun(lam_cut) * lam_cut**2
+    tail = (
+        coef[0] * (math.pi * n0 - int_f)
+        + coef[1] * c_inf**2 / (3.0 * lam_cut**3)
+        + coef[2] * c_inf**3 / (5.0 * lam_cut**5)
+    )
+    return 2.0 * (core + tail)
+
+
 def _tail_corrected_log_integral(ffun, theta, n0, lam_cut, tol):
-    """integral over R of ln(1 - 2 theta F); the [lam_cut, inf) tail uses
-    the exact identity int_0^inf F = pi N(0) for the linear term and the
-    F ~ c / lam^2 asymptote for the quadratic and cubic terms."""
-    for _ in range(7):
-        c_inf = ffun(lam_cut) * lam_cut**2
-        k3 = (2.0 * theta) ** 3 / 3.0 * c_inf**3 / (5.0 * lam_cut**5)
-        if abs(k3) <= 0.1 * tol:
-            break
-        lam_cut *= 2.0
-    else:
-        raise NoConvergence("tail corrections did not settle")
-    core = _quad(lambda l: math.log1p(-_one_minus(theta, ffun(l))), 0.0, lam_cut, tol)
-    int_f = _quad(ffun, 0.0, lam_cut, tol)
-    c_inf = ffun(lam_cut) * lam_cut**2
-    tail = (
-        -2.0 * theta * (math.pi * n0 - int_f)
-        - (2.0 * theta) ** 2 / 2.0 * c_inf**2 / (3.0 * lam_cut**3)
-        - (2.0 * theta) ** 3 / 3.0 * c_inf**3 / (5.0 * lam_cut**5)
-    )
-    return 2.0 * (core + tail)
-
-
-def _tail_corrected_deriv_integral(ffun, theta, n0, lam_cut, tol):
-    """integral over R of F / (1 - 2 theta F), with the same tail policy."""
-    for _ in range(7):
-        c_inf = ffun(lam_cut) * lam_cut**2
-        k3 = (2.0 * theta) ** 2 * c_inf**3 / (5.0 * lam_cut**5)
-        if abs(k3) <= 0.1 * tol:
-            break
-        lam_cut *= 2.0
-    else:
-        raise NoConvergence("tail corrections did not settle")
-    core = _quad(
-        lambda l: ffun(l) / (1.0 - _one_minus(theta, ffun(l))), 0.0, lam_cut, tol
-    )
-    int_f = _quad(ffun, 0.0, lam_cut, tol)
-    c_inf = ffun(lam_cut) * lam_cut**2
-    tail = (
-        (math.pi * n0 - int_f)
-        + 2.0 * theta * c_inf**2 / (3.0 * lam_cut**3)
-        + (2.0 * theta) ** 2 * c_inf**3 / (5.0 * lam_cut**5)
-    )
-    return 2.0 * (core + tail)
+    """integral over R of ln(1 - 2 theta F)."""
+    s = 2.0 * theta
+    return _tail_corrected_integral(ffun, lambda f: math.log1p(-_one_minus(theta, f)),
+                                    (-s, -s**2 / 2.0, -s**3 / 3.0), n0, lam_cut, tol)
 
 
 class DeviationAnalysis:
@@ -229,16 +213,13 @@ class DeviationAnalysis:
         self.model = model
         self.pi = _as_weight(pi)
         self.tol = float(tol)
-        self.root_pi = sqrt_psd(self.pi)
-        steady = gramian_steady(model)
-        self.quantum = steady.quantum_cov
+        self.root_pi = model.weight_facts(self.pi).root
+        self.quantum = gramian_steady(model).quantum_cov
         self.n0 = float(opnorm2(self.root_pi @ self.quantum @ self.root_pi))
         self.degenerate = not np.any(self.pi)
         self.envelope = None if self.degenerate else envelope_params(model, self.pi)
         self._grid = None
-        self._nvals = None
         self._f_memo = {}
-        self._f0 = None
 
     # -- kernel -----------------------------------------------------------
 
@@ -263,25 +244,9 @@ class DeviationAnalysis:
             npts += 1
         grid = np.linspace(0.0, tau_star, npts)
         step = grid[1] - grid[0]
-        # batch-evaluate N on the ladder
-        lam, vecs = np.linalg.eig(self.model.a)
-        cond = np.linalg.cond(vecs)
-        nvals = np.empty(npts)
-        if np.isfinite(cond) and cond < 1e8:
-            vinv = np.linalg.inv(vecs)
-            right = vinv @ (self.quantum @ self.root_pi)
-            left = self.root_pi @ vecs
-            for lo in range(0, npts, 65536):
-                hi = min(lo + 65536, npts)
-                phases = np.exp(np.multiply.outer(grid[lo:hi], lam))
-                block = np.einsum("ij,kj,jl->kil", left, phases, right)
-                nvals[lo:hi] = np.linalg.svd(block, compute_uv=False)[:, 0]
-        else:
-            estep = expm(self.model.a, step)
-            prop = np.eye(self.model.n)
-            for k in range(npts):
-                nvals[k] = opnorm2(self.root_pi @ prop @ self.quantum @ self.root_pi)
-                prop = estep @ prop
+        nvals = expm_ladder(self.model.a, self.model.eig, step, npts, left=self.root_pi,
+                            right=self.quantum @ self.root_pi,
+                            reduce=lambda block: np.linalg.svd(block, compute_uv=False)[:, 0])
         self._grid = grid
         self._nvals = nvals
         self._step = step
@@ -303,9 +268,7 @@ class DeviationAnalysis:
 
     def f_infnorm(self) -> float:
         """``||F||_inf = F(0)`` (valid since ``N >= 0``)."""
-        if self._f0 is None:
-            self._f0 = self.f_transform(0.0)
-        return self._f0
+        return self.f_transform(0.0)
 
     # -- bounds ------------------------------------------------------------
 
@@ -332,8 +295,11 @@ class DeviationAnalysis:
         return -self.model.n / (4.0 * math.pi) * val
 
     def _deriv(self, theta: float) -> float:
-        val = _tail_corrected_deriv_integral(
-            self.f_transform, theta, self.n0, self._lam_base(), self.tol
+        # integral over R of F / (1 - 2 theta F)
+        s = 2.0 * theta
+        val = _tail_corrected_integral(
+            self.f_transform, lambda f: f / (1.0 - _one_minus(theta, f)),
+            (1.0, s, s**2), self.n0, self._lam_base(), self.tol
         )
         return self.model.n / (2.0 * math.pi) * val
 

@@ -57,10 +57,6 @@ class MissingTailBound(OqriskError, ValueError):
     truncation heuristic; supply an explicit tail hint."""
 
 
-class DimensionTooLarge(OqriskError, ValueError):
-    """Cubature dimension exceeds the supported range."""
-
-
 class NegativeTime(OqriskError, ValueError):
     """A time argument required to be nonnegative is negative."""
 

@@ -15,8 +15,6 @@ quasi-characteristic functions of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -26,8 +24,8 @@ from .errors import (
     NumericalDefect,
     UnsortedTimes,
 )
-from .matfun import QuadratureSpec, expm, lyap_solve
-from .model import OqhoModel
+from .matfun import QuadratureSpec, expm
+from .model import OqhoModel, SteadyState
 
 __all__ = [
     "SteadyState",
@@ -44,38 +42,11 @@ __all__ = [
 ]
 
 
-def _require_hurwitz(model: OqhoModel):
-    if not model.is_hurwitz:
-        raise NotHurwitz(
-            f"steady-state analysis needs a Hurwitz drift; abscissa = "
-            f"{model.spectral_abscissa:.3e}"
-        )
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta``."""
-
-    p: np.ndarray
-    quantum_cov: np.ndarray
-
-
 def gramian_steady(model: OqhoModel) -> SteadyState:
-    """Solve ``AP + PA' + BB' = 0`` and certify the uncertainty constraint
-    (the quantum covariance must be PSD up to a 1e-8 rounding band)."""
-    _require_hurwitz(model)
-    p = lyap_solve(model.a, model.b @ model.b.T)
-    p = 0.5 * (p + p.T)
-    quantum = p + 1j * model.theta
-    wmin = np.linalg.eigvalsh(quantum)[0]
-    scale = max(np.linalg.norm(p, 2), 1e-300)
-    if wmin < -1e-8 * scale:
-        raise NumericalDefect(
-            f"P + i*Theta has eigenvalue {wmin:.3e}; uncertainty constraint violated"
-        )
-    p.setflags(write=False)
-    quantum.setflags(write=False)
-    return SteadyState(p=p, quantum_cov=quantum)
+    """Steady Gramian solving ``AP + PA' + BB' = 0``, with the uncertainty
+    constraint certified (the quantum covariance must be PSD up to a 1e-8
+    rounding band); computed once per model and cached on it."""
+    return model.steady
 
 
 def gramian_finite(model: OqhoModel, t: float) -> np.ndarray:
@@ -100,26 +71,22 @@ class CovarianceKernel:
     """
 
     def __init__(self, model: OqhoModel):
-        _require_hurwitz(model)
         self.model = model
         self.steady = gramian_steady(model)
 
-    def _propagator(self, tau: float) -> np.ndarray:
-        return expm(self.model.a, tau)
-
     def v(self, tau: float) -> np.ndarray:
         if tau >= 0:
-            return self._propagator(tau) @ self.steady.p
+            return expm(self.model.a, tau) @ self.steady.p
         return self.v(-tau).T
 
     def lam(self, tau: float) -> np.ndarray:
         if tau >= 0:
-            return self._propagator(tau) @ self.model.theta
+            return expm(self.model.a, tau) @ self.model.theta
         return -self.lam(-tau).T
 
     def s(self, tau: float) -> np.ndarray:
         if tau >= 0:
-            return self._propagator(tau) @ self.steady.quantum_cov
+            return expm(self.model.a, tau) @ self.steady.quantum_cov
         return self.s(-tau).conj().T
 
     def sigma(self, t: float) -> np.ndarray:
@@ -131,7 +98,7 @@ class CovarianceKernel:
             raise NegativeTime("two-point covariance needs nonnegative times")
         if s < tau:
             return self.c(tau, s).T
-        return self._propagator(s - tau) @ self.sigma(tau)
+        return expm(self.model.a, s - tau) @ self.sigma(tau)
 
 
 def kernel(model: OqhoModel) -> CovarianceKernel:
@@ -157,7 +124,9 @@ class SpectralDensity:
     """
 
     def __init__(self, model: OqhoModel):
-        _require_hurwitz(model)
+        if not model.is_hurwitz:
+            raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
+                             f"{model.spectral_abscissa:.3e}")
         self.model = model
         self._eye = np.eye(model.n)
         self._omega = model.omega

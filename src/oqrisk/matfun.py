@@ -3,12 +3,13 @@
 All analysis modules go through these routines so accuracy policies live in
 one place.  Conventions:
 
-* Lyapunov equations are solved by Kronecker vectorization to a dense
-  ``n^2 x n^2`` linear system.  This costs O(n^6) flops and is the right
-  trade-off here: every system in this library has n <= ~20, and the dense
-  solve is trivially testable against the residual.
+* Lyapunov equations are solved by the Bartels-Stewart method (Schur forms
+  and a triangular Sylvester solve, O(n^3)) through SciPy, then certified:
+  Hurwitz drift, eigenvalue-sum gap and residual are checked on every call.
 * The matrix exponential delegates to SciPy's scaling-and-squaring Pade-13
-  implementation (backward stable).
+  implementation (backward stable).  Uniform lag ladders ``e^{k h A}`` go
+  through the eigendecomposition when ``A`` is comfortably diagonalizable
+  and step by one exponential otherwise (:func:`expm_ladder`).
 * Integrals over the whole real line are truncated symmetrically using an
   explicit tail-decay hint, or a sampled decay estimate when no hint is
   given, and then handed to adaptive quadrature.
@@ -24,7 +25,7 @@ import scipy.linalg
 from scipy.integrate import quad_vec
 
 from .errors import (
-    DimensionTooLarge,
+    EigenFailure,
     IllConditioned,
     MissingTailBound,
     NoConvergence,
@@ -37,14 +38,15 @@ __all__ = [
     "QuadratureSpec",
     "TailHint",
     "expm",
-    "expm_multi",
+    "EigBasis",
+    "eig_basis",
+    "expm_ladder",
     "lyap_solve",
     "opnorm2",
     "sqrt_psd",
     "inv_sqrt_psd",
     "integrate_line",
     "integrate_realline",
-    "integrate_cube",
     "trapezoid_weights",
 ]
 
@@ -104,38 +106,81 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def expm_multi(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Evaluate ``exp(t*a)`` for a batch of times ``ts``.
+#: Eigenvector condition number from which a drift counts as nearly
+#: defective: eigenvalue-based formulas lose accuracy there.
+DIAG_COND = 1e8
 
-    Uses the eigendecomposition of ``a`` when it is comfortably
-    diagonalizable and falls back to per-time scaling-and-squaring
-    otherwise.  Returns an array of shape ``(len(ts), n, n)``.
+#: Lags per block of :func:`expm_ladder`.
+LADDER_CHUNK = 65536
+
+
+@dataclass(frozen=True)
+class EigBasis:
+    """Eigendecomposition ``A = V diag(values) V^-1`` with the condition
+    number of ``V``; ``inverse`` is ``None`` when ``cond >= DIAG_COND``."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    cond: float
+    inverse: Optional[np.ndarray]
+
+
+def eig_basis(a: np.ndarray) -> EigBasis:
+    """Eigenvalues and eigenvectors of ``a`` with the eigenvector condition
+    number; raises :class:`EigenFailure` if LAPACK does not converge."""
+    try:
+        lam, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenFailure("eigenvalue iteration did not converge") from exc
+    cond = float(np.linalg.cond(vecs))
+    inverse = np.linalg.inv(vecs) if np.isfinite(cond) and cond < DIAG_COND else None
+    return EigBasis(values=lam, vectors=vecs, cond=cond, inverse=inverse)
+
+
+def expm_ladder(a, basis: EigBasis, step: float, count: int, left=None, right=None,
+                reduce=None) -> np.ndarray:
+    """``left @ exp(k*step*a) @ right`` for ``k = 0 .. count-1`` (count >= 1),
+    stacked along the first axis; missing factors are identities.
+
+    Lags are formed in blocks of at most ``LADDER_CHUNK``; ``reduce``, when
+    given, maps each block to its per-lag result before the next block is
+    formed, which bounds peak memory by one block.  Goes through
+    ``basis = eig_basis(a)`` when it is well conditioned, and otherwise
+    steps by ``exp(step*a)``.
     """
     a = np.asarray(a, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    n = a.shape[0]
-    try:
-        lam, w = np.linalg.eig(a)
-        cond = np.linalg.cond(w)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1e8:
-        winv = np.linalg.inv(w)
-        phases = np.exp(np.multiply.outer(ts, lam))  # (k, n)
-        out = np.einsum("ij,kj,jl->kil", w, phases, winv)
-        if np.iscomplexobj(a):
-            return out
-        return out.real
-    return np.stack([expm(a, t) for t in ts]).reshape(len(ts), n, n)
+    eye = np.eye(a.shape[0])
+    left = eye if left is None else np.asarray(left)
+    right = eye if right is None else np.asarray(right)
+    if basis.inverse is not None:
+        lv, wr = left @ basis.vectors, basis.inverse @ right
+        real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
+    else:
+        estep, prop = expm(a, step), eye
+    out = []
+    for lo in range(0, count, LADDER_CHUNK):
+        lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
+        if basis.inverse is not None:
+            phases = np.exp(np.multiply.outer(step * lags, basis.values))
+            block = np.einsum("ij,kj,jl->kil", lv, phases, wr)
+            block = block.real if real else block
+        else:
+            block = np.empty((lags.size, left.shape[0], right.shape[1]),
+                             dtype=np.result_type(left, right))
+            for k in range(lags.size):
+                block[k] = left @ prop @ right
+                prop = estep @ prop
+        out.append(block if reduce is None else reduce(block))
+    return np.concatenate(out)
 
 
 def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve the continuous algebraic Lyapunov equation ``AX + XA' + Q = 0``.
 
-    The solve vectorizes to ``(I (x) A + A (x) I) vec(X) = -vec(Q)`` with
-    column-major stacking; O(n^6) cost, which is fine for the matrix sizes
-    this library targets.  ``Q`` need not be symmetric; ``X`` inherits
-    symmetry exactly when ``Q`` is symmetric.
+    Bartels-Stewart (SciPy): Schur reduction of ``A`` and a triangular
+    Sylvester solve, O(n^3) flops.  ``Q`` need not be symmetric; for
+    symmetric ``Q`` the solution is symmetric up to rounding only, so
+    callers that need exact symmetry symmetrize.
 
     Raises
     ------
@@ -160,8 +205,7 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     gap = np.abs(lam[:, None] + lam[None, :]).min()
     if gap < 1e-12:
         raise IllConditioned(f"eigenvalue-sum gap {gap:.3e} below 1e-12")
-    kron = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
-    x = np.linalg.solve(kron, -q.flatten(order="F")).reshape((n, n), order="F")
+    x = scipy.linalg.solve_continuous_lyapunov(a, -q)
     res = np.linalg.norm(a @ x + x @ a.T + q)
     scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
     if res > 1e-10 * scale:
@@ -303,36 +347,3 @@ def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]
     w = np.full(count, h)
     w[0] = w[-1] = 0.5 * h
     return nodes, w
-
-
-def integrate_cube(f, t: float, r: int, grid: int):
-    """Composite tensor-trapezoid estimate of an integral over ``[0, t]^r``.
-
-    ``f`` is called with ``r`` scalar time arguments.  The error decreases
-    as O(grid^-2) for integrands that are smooth between the grid
-    hyperplanes (kinks along ``t_i = t_j`` are node-aligned and preserve
-    the order).  Practical only for small ``r``; refuses ``r > 4``.
-    """
-    if r > 4:
-        raise DimensionTooLarge("tensor-grid cubature supports r <= 4")
-    if r < 1:
-        raise ValueError("dimension must be positive")
-    if grid < 3:
-        raise ValueError("need at least 3 points per axis")
-    nodes, w = trapezoid_weights(grid, t)
-    total = None
-    idx = np.zeros(r, dtype=int)
-    # plain odometer loop; heavy callers precompute difference tables instead
-    while True:
-        val = np.asarray(f(*nodes[idx])) * np.prod(w[idx])
-        total = val if total is None else total + val
-        k = r - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < grid:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    return total if total.ndim else total.item()

@@ -16,23 +16,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import matfun
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    EigenFailure,
     NotAntisymmetric,
+    NotHurwitz,
     NotSymmetric,
+    NumericalDefect,
     SingularCcr,
 )
-from .matfun import HURWITZ_TOL
+from .matfun import HURWITZ_TOL, EigBasis, eig_basis, sqrt_psd
 
 __all__ = [
     "CcrMatrix",
     "PhysicalParams",
     "OqhoModel",
+    "SteadyState",
+    "WeightFacts",
     "block_j",
     "canonical_ccr",
     "build_model",
@@ -132,10 +137,51 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
+class SteadyState:
+    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta``."""
+
+    p: np.ndarray
+    quantum_cov: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class WeightFacts:
+    """Facts of one ``(model, Pi)`` pair, each computed on first use and
+    kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta`` and the
+    Lyapunov solutions ``t`` of ``AT + TA' + seed = 0`` and ``q`` of
+    ``A'Q + QA + Pi = 0``.  Obtain through :meth:`OqhoModel.weight_facts`."""
+
+    model: "OqhoModel"
+    pi: np.ndarray
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        return _freeze(sqrt_psd(self.pi))
+
+    @cached_property
+    def seed(self) -> np.ndarray:
+        p, theta = self.model.steady.p, self.model.theta
+        return _freeze(p @ self.pi @ p + theta @ self.pi @ theta)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return _freeze(matfun.lyap_solve(self.model.a, self.seed))
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return _freeze(matfun.lyap_solve(self.model.a.T, self.pi))
+
+
+@dataclass(frozen=True)
 class OqhoModel:
     """Validated oscillator model with derived state-space data.
 
     All arrays are read-only; instances are safe to share across tasks.
+    The model facts every analysis reads are computed once per instance
+    and cached on it: ``eig`` (eigendecomposition of ``A`` with its
+    eigenvector condition number; :func:`build_model` takes the spectral
+    abscissa from it), ``steady`` (``P`` and the certified ``P + i*Theta``)
+    and, per cost weight, :meth:`weight_facts` (``sqrt(Pi)``, ``T``, ``Q``).
     """
 
     ccr: CcrMatrix
@@ -145,6 +191,7 @@ class OqhoModel:
     j: np.ndarray
     omega: np.ndarray = field(repr=False)
     spectral_abscissa: float = 0.0
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -162,14 +209,49 @@ class OqhoModel:
     def is_hurwitz(self) -> bool:
         return self.spectral_abscissa < HURWITZ_TOL
 
+    @cached_property
+    def eig(self) -> EigBasis:
+        return eig_basis(self.a)
+
+    @cached_property
+    def steady(self) -> SteadyState:
+        """Solves ``AP + PA' + BB' = 0`` and certifies the uncertainty
+        constraint (``P + i*Theta`` PSD up to a 1e-8 rounding band)."""
+        if not self.is_hurwitz:
+            raise NotHurwitz(
+                f"steady-state analysis needs a Hurwitz drift; abscissa = "
+                f"{self.spectral_abscissa:.3e}"
+            )
+        p = matfun.lyap_solve(self.a, self.b @ self.b.T)
+        p = 0.5 * (p + p.T)
+        quantum = p + 1j * self.theta
+        wmin = np.linalg.eigvalsh(quantum)[0]
+        scale = max(np.linalg.norm(p, 2), 1e-300)
+        if wmin < -1e-8 * scale:
+            raise NumericalDefect(
+                f"P + i*Theta has eigenvalue {wmin:.3e}; uncertainty constraint violated"
+            )
+        p.setflags(write=False)
+        quantum.setflags(write=False)
+        return SteadyState(p=p, quantum_cov=quantum)
+
+    def weight_facts(self, pi: np.ndarray) -> WeightFacts:
+        """The cached :class:`WeightFacts` of a validated cost weight,
+        keyed by the weight's bytes."""
+        pi = np.asarray(pi, dtype=float)
+        key = (pi.shape, pi.tobytes())
+        if key not in self._weights:
+            self._weights[key] = WeightFacts(self, _freeze(pi))
+        return self._weights[key]
+
 
 def build_model(ccr: CcrMatrix, params: PhysicalParams) -> OqhoModel:
     """Assemble and certify the state-space model from physical parameters.
 
     Deterministic: identical inputs produce bitwise-identical ``A`` and
     ``B``.  Raises :class:`DimensionMismatch` when the commutation and
-    parameter dimensions disagree and :class:`EigenFailure` if the spectral
-    abscissa computation does not converge.
+    parameter dimensions disagree and :class:`EigenFailure` if the
+    eigendecomposition of ``A`` does not converge.
     """
     if params.n != ccr.n:
         raise DimensionMismatch(
@@ -181,19 +263,18 @@ def build_model(ccr: CcrMatrix, params: PhysicalParams) -> OqhoModel:
     b = 2.0 * theta @ params.m.T
     omega = np.eye(params.channels) + 1j * j
     omega.setflags(write=False)
-    try:
-        abscissa = float(np.linalg.eigvals(a).real.max())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailure("eigenvalue iteration for A did not converge") from exc
-    return OqhoModel(
+    basis = eig_basis(a)
+    model = OqhoModel(
         ccr=ccr,
         params=params,
         a=_freeze(a),
         b=_freeze(b),
         j=_freeze(j),
         omega=omega,
-        spectral_abscissa=abscissa,
+        spectral_abscissa=float(basis.values.real.max()),
     )
+    model.__dict__["eig"] = basis  # seed the cache with the same decomposition
+    return model
 
 
 def model_from_matrices(theta, r, m) -> OqhoModel:
@@ -273,8 +354,4 @@ def model_from_json(doc) -> tuple[OqhoModel, np.ndarray | None]:
     pi = None
     if "Pi" in doc or "pi" in doc:
         pi = _matrix_from_doc(doc, "Pi" if "Pi" in doc else "pi", n, n)
-    try:
-        model = model_from_matrices(theta, r, mat_m)
-    except (DimensionMismatch, NotAntisymmetric, NotSymmetric, SingularCcr):
-        raise
-    return model, pi
+    return model_from_matrices(theta, r, mat_m), pi

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NegativeTheta, NegativeTime, NotSymmetric, NumericalDefect
 from .gaussian import gramian_steady
-from .matfun import QuadratureSpec, expm, integrate_line, lyap_solve
+from .matfun import QuadratureSpec, expm, integrate_line
 from .model import OqhoModel
 
 __all__ = [
@@ -89,12 +89,6 @@ def mean_rate(model: OqhoModel, pi) -> float:
     return float(np.sum(pi * p))
 
 
-def _variance_seed(model: OqhoModel, pi: np.ndarray) -> np.ndarray:
-    p = gramian_steady(model).p
-    theta = model.theta
-    return p @ pi @ p + theta @ pi @ theta
-
-
 def variance_finite(
     model: OqhoModel, pi, t: float, spec: QuadratureSpec | None = None
 ) -> float:
@@ -105,7 +99,7 @@ def variance_finite(
     if t == 0:
         return 0.0
     pi = _as_weight(pi)
-    seed = _variance_seed(model, pi)
+    seed = model.weight_facts(pi).seed
 
     def integrand(tau):
         e = expm(model.a, tau)
@@ -120,12 +114,12 @@ def variance_rate(model: OqhoModel, pi) -> tuple[float, np.ndarray, np.ndarray]:
 
     Returns ``(rate, T, Q)`` where ``rate = 4 <Pi, T>``; the dual identity
     ``4 <Pi, T> = 4 <Q, C>`` is certified to 1e-9 relative before
-    returning.
+    returning.  ``T`` and ``Q`` are solved once per ``(model, Pi)`` and
+    cached on the model.
     """
     pi = _as_weight(pi)
-    seed = _variance_seed(model, pi)
-    t_mat = lyap_solve(model.a, seed)
-    q_mat = lyap_solve(model.a.T, pi)
+    facts = model.weight_facts(pi)
+    seed, t_mat, q_mat = facts.seed, facts.t, facts.q
     primal = 4.0 * float(np.sum(pi * t_mat))
     dual = 4.0 * float(np.sum(q_mat * seed))
     if abs(primal - dual) > 1e-9 * (1.0 + abs(primal)):

@@ -20,6 +20,7 @@ from . import classical, cumulants, deviations, quartic
 from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
 from .gaussian import gramian_steady
+from .matfun import expm
 from .model import OqhoModel, model_from_json, pr_residual, stability_margin
 
 __all__ = [
@@ -182,9 +183,7 @@ def _deviation_block(model, pi, eps_grid, tol) -> dict:
         "gamma": None if env is None else _matrix(env.gamma),
     }
     if eps_grid is not None:
-        lo, hi, steps = eps_grid
-        eps = np.linspace(lo, hi, steps) if steps else np.empty(0)
-        curves = analysis.bound_curve(eps)
+        curves = analysis.bound_curve(np.linspace(*eps_grid))
         out["curves"] = [
             {
                 "method": c.method,
@@ -202,9 +201,7 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
     cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
     var_mc = classical.mc_quadform_variance(batch, pi)
     steady = gramian_steady(model)
-    from .matfun import expm as _expm
-
-    target_lag = _expm(model.a, mc.lag * mc.h) @ steady.quantum_cov
+    target_lag = expm(model.a, mc.lag * mc.h) @ steady.quantum_cov
     out = {
         "quadform_var_analytic": classical.classical_quadform_variance(model, pi),
         "quadform_var_mc": {"value": float(var_mc.value), "stderr": float(var_mc.stderr)},

@@ -105,6 +105,15 @@ class TestSimulate:
         dev = np.abs(covlag.value - target) / covlag.stderr
         assert dev.max() < 5.0
 
+    def test_one_ulp_change_of_b_keeps_paths(self, paper):
+        # the augmented covariances have doubly degenerate eigenvalues; the
+        # principal square root, unlike an eigenbasis factor, moves with B
+        model = paper[0]
+        nudged = dataclasses.replace(model, b=model.b * (1 + 2**-52))
+        base = simulate(model, 0.05, 20, 200, seed=5).thetas
+        moved = simulate(nudged, 0.05, 20, 200, seed=5).thetas
+        assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
+
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
         with pytest.raises(InsufficientPaths):

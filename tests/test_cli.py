@@ -148,10 +148,13 @@ class TestSimulateCommand:
                                   _write_config(tmp_path, doc)])
         assert code == 0
         rep = json.loads(out)
-        for key in ("cov0", "covlag", "quadform_var", "targets", "stderr",
-                    "rs_rate_mc"):
+        # the same keys as analyze's classical block
+        for key in ("cov0_mc", "cov0_stderr", "cov0_target", "covlag_mc",
+                    "covlag_stderr", "covlag_target", "quadform_var_mc", "rs_rate"):
             assert key in rep
-        assert rep["quadform_var"]["analytic"] == pytest.approx(1.0)
+        assert rep["quadform_var_analytic"] == pytest.approx(1.0)
+        assert rep["rs_rate"]["theta"] == 0.05
+        assert rep["rs_rate"]["mc"]["stderr"] > 0.0
 
 
 class TestFixtureIntegrity:

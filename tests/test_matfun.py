@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oqrisk.errors import (
-    DimensionTooLarge,
     MissingTailBound,
     NotHurwitz,
     NotPsd,
@@ -10,9 +9,9 @@ from oqrisk.errors import (
 from oqrisk.matfun import (
     QuadratureSpec,
     TailHint,
+    eig_basis,
     expm,
-    expm_multi,
-    integrate_cube,
+    expm_ladder,
     integrate_line,
     integrate_realline,
     lyap_solve,
@@ -21,6 +20,18 @@ from oqrisk.matfun import (
 )
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def kron_lyap(a, q):
+    """Reference oracle: the Lyapunov equation as a dense n^2 x n^2 system."""
+    n = a.shape[0]
+    kron = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
+    return np.linalg.solve(kron, -q.flatten(order="F")).reshape((n, n), order="F")
+
+
+def random_hurwitz(rng, n):
+    a = rng.standard_normal((n, n))
+    return a - (np.linalg.eigvals(a).real.max() + rng.uniform(0.2, 2.0)) * np.eye(n)
 
 
 class TestExpm:
@@ -53,12 +64,32 @@ class TestExpm:
             expm(np.diag([1000.0, -1.0]), 1.0)
 
     def test_expm_multi_matches_pointwise(self):
+        # batched lag ladder against pointwise expm: a diagonalizable drift
+        # (eigenvector route) and a Jordan block (stepping fallback)
         rng = np.random.default_rng(3)
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        for a in (rng.standard_normal((3, 3)) - 2.0 * np.eye(3), jordan):
+            basis = eig_basis(a)
+            assert (basis.inverse is None) == (a is jordan)
+            batch = expm_ladder(a, basis, 0.3, 7)
+            assert batch.shape == (7, len(a), len(a)) and not np.iscomplexobj(batch)
+            for k in range(7):
+                assert np.abs(batch[k] - expm(a, 0.3 * k)).max() < 1e-11
+
+    def test_ladder_factors_and_chunks(self, monkeypatch):
+        import oqrisk.matfun as matfun
+
+        monkeypatch.setattr(matfun, "LADDER_CHUNK", 3)
+        rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
-        ts = np.array([0.0, 0.3, 1.7])
-        batch = expm_multi(a, ts)
-        for k, t in enumerate(ts):
-            assert np.abs(batch[k] - expm(a, t)).max() < 1e-11
+        left = rng.standard_normal((2, 3))
+        right = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sizes = []
+        batch = expm_ladder(a, eig_basis(a), 0.2, 8, left=left, right=right,
+                            reduce=lambda block: sizes.append(len(block)) or block)
+        assert sizes == [3, 3, 2]
+        for k in range(8):
+            assert np.abs(batch[k] - left @ expm(a, 0.2 * k) @ right).max() < 1e-11
 
 
 class TestLyap:
@@ -74,14 +105,31 @@ class TestLyap:
         rng = np.random.default_rng(7)
         for _ in range(500):
             n = int(rng.integers(2, 9))
-            a = rng.standard_normal((n, n))
-            a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.2, 2.0)) * np.eye(n)
+            a = random_hurwitz(rng, n)
             q = rng.standard_normal((n, n))
             q = q @ q.T
             x = lyap_solve(a, q)
             res = np.linalg.norm(a @ x + x @ a.T + q)
             scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
             assert res <= 1e-10 * scale
+
+    def test_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 4, 6, 8):
+            for _ in range(20):
+                a = random_hurwitz(rng, n)
+                q = rng.standard_normal((n, n))
+                x, ref = lyap_solve(a, q), kron_lyap(a, q)
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_residual_certified_at_n48(self):
+        rng = np.random.default_rng(13)
+        a = random_hurwitz(rng, 48)
+        q = rng.standard_normal((48, 48))
+        q = q @ q.T
+        x = lyap_solve(a, q)
+        res = np.linalg.norm(a @ x + x @ a.T + q)
+        assert res <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q))
 
     def test_symmetry_inherited(self):
         rng = np.random.default_rng(8)
@@ -172,24 +220,3 @@ class TestQuadrature:
                              0.0, np.pi / 2)
         assert np.allclose(out, np.eye(2), atol=1e-11)
 
-
-class TestCube:
-    def test_constant(self):
-        assert integrate_cube(lambda s, t: 1.0, 1.0, 2, 9) == pytest.approx(1.0, abs=1e-13)
-
-    def test_difference_kernel_reduces_to_line(self):
-        # int_{[0,1]^2} e^{-|s-t|} = 2 int_0^1 (1 - tau) e^{-tau} dtau
-        target = 2.0 * integrate_line(lambda u: (1.0 - u) * np.exp(-u), 0.0, 1.0)
-        val = integrate_cube(lambda s, t: np.exp(-abs(s - t)), 1.0, 2, 81)
-        assert val == pytest.approx(target, rel=2e-4)
-
-    def test_second_order_convergence(self):
-        f = lambda s, t: np.exp(s * t)  # smooth
-        exact = 1.3179021514544038  # int_{[0,1]^2} e^{st}, series-summed
-        e1 = abs(integrate_cube(f, 1.0, 2, 11) - exact)
-        e2 = abs(integrate_cube(f, 1.0, 2, 21) - exact)
-        assert 3.5 <= e1 / e2 <= 4.5
-
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            integrate_cube(lambda *a: 1.0, 1.0, 5, 5)

@@ -163,3 +163,20 @@ def test_weight_matrix_validation():
     WeightMatrix(np.eye(2), psd=True)
     with pytest.raises(NotSymmetric):
         WeightMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_lyapunov_solves_once_per_fact(monkeypatch):
+    # P, T and Q are each solved once for a fresh model, however many
+    # analyses read them
+    import oqrisk.matfun as matfun
+    from oqrisk import DeviationAnalysis, paper_example_model
+
+    calls = []
+    solve = matfun.lyap_solve
+    monkeypatch.setattr(matfun, "lyap_solve", lambda a, q: calls.append(1) or solve(a, q))
+    model, pi = paper_example_model()
+    quartic_report(model, pi, 0.01)
+    DeviationAnalysis(model, pi)
+    quartic_rate(model, pi, 0.005)
+    quartic_rate(model, pi, 0.01)
+    assert len(calls) <= 3
