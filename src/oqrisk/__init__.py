@@ -32,14 +32,8 @@ from .deviations import (
     DeviationAnalysis,
     EnvelopeParams,
     TailBoundCurve,
-    bound_curve,
     cramer_bound_closed,
-    cramer_bound_numeric,
     envelope_params,
-    f_infnorm,
-    f_transform,
-    n_kernel,
-    qef_upper_rate,
 )
 from .errors import OqriskError
 from .fixtures import paper_example_model
@@ -49,12 +43,8 @@ from .gaussian import (
     SteadyState,
     gramian_finite,
     gramian_steady,
-    kernel,
-    kernel_at,
     qcf_multipoint_steady,
     qcf_onepoint,
-    spectral_d,
-    two_point_c,
 )
 from .matfun import QuadratureSpec, TailHint
 from .model import (

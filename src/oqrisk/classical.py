@@ -35,6 +35,7 @@ from scipy.integrate import quad
 from .errors import (
     InsufficientPaths,
     NotHurwitz,
+    NumericalDefect,
     StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
@@ -316,8 +317,20 @@ def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
         raise ThetaOutOfRange(
             f"theta = {theta} outside the finiteness range (0, {1.0 / peak:.6e})"
         )
-    return prefactor * _density_integral(
-        model, pi, lambda w: float(np.log1p(-theta * w).sum()))
+
+    def log_det(w: np.ndarray) -> float:
+        # the peak scan above can miss the top of the density; every node
+        # the quadrature visits is checked as well
+        if theta * w[-1] >= 1.0:
+            raise ThetaOutOfRange(
+                f"theta = {theta} reaches theta * eig(Pi D) = {theta * w[-1]:.6f} >= 1"
+            )
+        return float(np.log1p(-theta * w).sum())
+
+    val = prefactor * _density_integral(model, pi, log_det)
+    if not math.isfinite(val):
+        raise NumericalDefect(f"log-det rate is not finite at theta = {theta}")
+    return val
 
 
 def classical_rs_rate_paper(model: OqhoModel, pi, theta: float) -> float:

@@ -49,14 +49,8 @@ __all__ = [
     "TailBoundCurve",
     "DeviationAnalysis",
     "envelope_params",
-    "n_kernel",
-    "f_transform",
-    "f_infnorm",
-    "qef_upper_rate",
-    "cramer_bound_numeric",
     "cramer_bound_closed",
     "closed_theta_star",
-    "bound_curve",
     "envelope_log_integral",
     "envelope_log_integral_closed",
 ]
@@ -413,29 +407,3 @@ def envelope_log_integral(alpha: float, mu: float, theta: float, tol=1e-10) -> f
 def envelope_log_integral_closed(alpha: float, mu: float, theta: float) -> float:
     return 2.0 * math.pi * (mu - math.sqrt(mu * mu - 4.0 * theta * alpha * mu))
 
-
-# -- one-shot wrappers ------------------------------------------------------
-
-
-def n_kernel(model: OqhoModel, pi, tau: float) -> float:
-    return DeviationAnalysis(model, pi).n_kernel(tau)
-
-
-def f_transform(model: OqhoModel, pi, lam: float) -> float:
-    return DeviationAnalysis(model, pi).f_transform(lam)
-
-
-def f_infnorm(model: OqhoModel, pi) -> float:
-    return DeviationAnalysis(model, pi).f_infnorm()
-
-
-def qef_upper_rate(model: OqhoModel, pi, theta: float) -> float:
-    return DeviationAnalysis(model, pi).qef_upper_rate(theta)
-
-
-def cramer_bound_numeric(model: OqhoModel, pi, epsilon: float) -> tuple[float, float]:
-    return DeviationAnalysis(model, pi).cramer_bound_numeric(epsilon)
-
-
-def bound_curve(model: OqhoModel, pi, eps_grid) -> list[TailBoundCurve]:
-    return DeviationAnalysis(model, pi).bound_curve(eps_grid)

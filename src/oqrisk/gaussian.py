@@ -33,10 +33,6 @@ __all__ = [
     "SpectralDensity",
     "gramian_steady",
     "gramian_finite",
-    "kernel",
-    "kernel_at",
-    "two_point_c",
-    "spectral_d",
     "qcf_onepoint",
     "qcf_multipoint_steady",
 ]
@@ -101,20 +97,6 @@ class CovarianceKernel:
         return expm(self.model.a, s - tau) @ self.sigma(tau)
 
 
-def kernel(model: OqhoModel) -> CovarianceKernel:
-    return CovarianceKernel(model)
-
-
-def kernel_at(model: OqhoModel, tau: float):
-    """``(V, Lambda, S)`` at a signed lag."""
-    k = CovarianceKernel(model)
-    return k.v(tau), k.lam(tau), k.s(tau)
-
-
-def two_point_c(model: OqhoModel, s: float, tau: float) -> np.ndarray:
-    return CovarianceKernel(model).c(s, tau)
-
-
 class SpectralDensity:
     """Transfer function and spectral density evaluators.
 
@@ -153,10 +135,6 @@ class SpectralDensity:
 
     def d_flip(self, lam: float) -> np.ndarray:
         return self.d_pair(lam)[1]
-
-
-def spectral_d(model: OqhoModel, lam: float) -> np.ndarray:
-    return SpectralDensity(model).d(lam)
 
 
 def _check_initial_cov(p0: np.ndarray, theta: np.ndarray):

@@ -201,6 +201,14 @@ class TestRateVariants:
         with pytest.raises(ThetaOutOfRange):
             classical_rs_rate_sde(tiny, np.eye(2), -0.01)
 
+    def test_raises_past_the_two_sided_peak(self, paper):
+        # the peak scan covers lam >= 0 only and finds 117.76; the density
+        # peaks at 132.96 near lam = -2.525, so theta = 1/125 passes the
+        # scan but makes 1 - theta * eig(Pi D) negative on the real line
+        for rate in (classical_rs_rate_paper, classical_rs_rate_sde):
+            with pytest.raises(ThetaOutOfRange):
+                rate(*paper, theta=1.0 / 125.0)
+
 
 class TestMcRate:
     def test_zero_cases(self, tiny):

@@ -1,9 +1,14 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import make_models, random_sym
 from oqrisk.cumulants import (
     WeightedKernel,
+    _gamma_sum,
     cumulant_finite_td,
     cumulant_rate,
     cumulant_td_discretized,
@@ -29,13 +34,26 @@ class TestDeltaTable:
 
     def test_structural_identities_to_r8(self):
         # full r <= 11 sweep (including timing) lives in the acceptance suite
-        import math
-
         for r in range(2, 9):
             table = delta_table(r)
             assert table.total() == math.factorial(r - 1)
             for bits, cnt in table.counts.items():
                 assert table.counts[tuple(1 - b for b in bits)] == cnt
+
+    def test_matches_permutation_enumeration(self):
+        # oracle: walk all (r-1)! permutations and record each one's
+        # consecutive-inversion pattern
+        for r in range(2, 10):
+            oracle = Counter(
+                tuple(int(a > b) for a, b in zip(p, p[1:]))
+                for p in itertools.permutations(range(r - 1))
+            )
+            assert delta_table(r).counts == dict(oracle)
+
+    def test_r12_certified(self):
+        table = delta_table(12)
+        assert len(table.counts) == 2**10
+        assert table.total() == math.factorial(11)
 
     def test_order_guard(self):
         with pytest.raises(OrderTooLarge):
@@ -74,13 +92,30 @@ class TestCumulantRate:
     def test_integrand_reality_sampled(self, paper):
         model, pi = paper
         sd = SpectralDensity(model)
-        table = delta_table(4)
-        from oqrisk.cumulants import _gamma_sum_trace
-
         for lam in (0.0, 0.9, 4.4, 17.0):
             d0, d1 = sd.d_pair(lam)
-            val = _gamma_sum_trace(pi, d0, d1, table)
+            val = _gamma_sum(pi, d0, d1, 4)
             assert abs(val.imag) <= 1e-10 * max(abs(val), 1.0)
+
+    def test_integrand_equals_pattern_sum(self, paper):
+        # oracle: sum over gamma of Delta_gamma times the explicit cyclic
+        # product Tr(Pi D prod_j Pi D^[gamma_j] Pi D^[1])
+        model8, rng = make_models(seed=5, count=1, sizes=(8,))[0]
+        cases = [paper, (model8, random_sym(rng, 8, psd=True))]
+        for model, pi in cases:
+            sd = SpectralDensity(model)
+            for lam in (0.0, 0.7, -2.525, 17.0):
+                d0, d1 = sd.d_pair(lam)
+                factor = (pi @ d0, pi @ d1)
+                for r in range(2, 9):
+                    want = 0.0 + 0.0j
+                    for bits, cnt in delta_table(r).counts.items():
+                        mat = factor[0]
+                        for b in bits:
+                            mat = mat @ factor[b]
+                        want += cnt * np.trace(mat @ factor[1])
+                    got = _gamma_sum(pi, d0, d1, r)
+                    assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_higher_order_runs(self, paper):
         assert np.isfinite(cumulant_rate(*paper, r=5))

@@ -4,13 +4,11 @@ import pytest
 from conftest import make_models, random_sym
 from oqrisk.deviations import (
     DeviationAnalysis,
-    bound_curve,
     closed_theta_star,
     cramer_bound_closed,
     envelope_log_integral,
     envelope_log_integral_closed,
     envelope_params,
-    n_kernel,
 )
 from oqrisk.errors import EpsilonTooSmall, NotPsd, ThetaOutOfRange
 
@@ -54,7 +52,7 @@ class TestNKernel:
 
     def test_indefinite_weight_rejected(self, tiny):
         with pytest.raises(NotPsd):
-            n_kernel(tiny, np.diag([1.0, -1.0]), 0.5)
+            DeviationAnalysis(tiny, np.diag([1.0, -1.0])).n_kernel(0.5)
 
 
 class TestFTransform:
@@ -215,7 +213,7 @@ class TestClosedBound:
 
 class TestBoundCurve:
     def test_tiny_three_points(self, tiny):
-        curves = bound_curve(tiny, np.eye(2), [2.0, 3.0, 4.0])
+        curves = DeviationAnalysis(tiny, np.eye(2)).bound_curve([2.0, 3.0, 4.0])
         closed = next(c for c in curves if c.method == "closed_form")
         # (n mu / 4)(2 - n a/eps - eps/(n a)) at eps = 2, 3, 4 with n = 2,
         # mu = alpha = 1
@@ -224,7 +222,7 @@ class TestBoundCurve:
         assert numeric.bound[2] == pytest.approx(-0.25, abs=1e-6)
 
     def test_empty_grid(self, tiny):
-        curves = bound_curve(tiny, np.eye(2), [])
+        curves = DeviationAnalysis(tiny, np.eye(2)).bound_curve([])
         assert all(c.epsilon.size == 0 for c in curves)
 
     def test_paper_zero_at_threshold(self, paper_deviation):

@@ -15,12 +15,9 @@ from oqrisk.gaussian import (
     SpectralDensity,
     gramian_finite,
     gramian_steady,
-    kernel_at,
     qcf_multipoint_steady,
     qcf_onepoint,
-    spectral_d,
     spectral_identity_residual,
-    two_point_c,
 )
 from oqrisk.matfun import expm, integrate_line
 
@@ -104,13 +101,14 @@ class TestKernels:
     def test_zero_lag(self, paper):
         model = paper[0]
         steady = gramian_steady(model)
-        v, lam, s = kernel_at(model, 0.0)
+        kern = CovarianceKernel(model)
+        v, lam, s = kern.v(0.0), kern.lam(0.0), kern.s(0.0)
         assert np.allclose(v, steady.p, atol=1e-12)
         assert np.allclose(lam, model.theta, atol=1e-12)
         assert np.allclose(s, steady.quantum_cov, atol=1e-12)
 
     def test_tiny_unit_lag(self, tiny):
-        _, _, s = kernel_at(tiny, 1.0)
+        s = CovarianceKernel(tiny).s(1.0)
         target = np.exp(-1.0) * 0.5 * (np.eye(2) + 1j * J2)
         assert np.abs(s - target).max() < 1e-13
 
@@ -138,24 +136,22 @@ class TestKernels:
 
 class TestTwoPoint:
     def test_zero_start(self, paper):
-        assert np.allclose(two_point_c(paper[0], 1.7, 0.0), 0.0, atol=1e-14)
+        assert np.allclose(CovarianceKernel(paper[0]).c(1.7, 0.0), 0.0, atol=1e-14)
 
     def test_diagonal_equals_sigma(self, paper):
         model = paper[0]
         assert np.allclose(
-            two_point_c(model, 1.2, 1.2), gramian_finite(model, 1.2), atol=1e-12
+            CovarianceKernel(model).c(1.2, 1.2), gramian_finite(model, 1.2), atol=1e-12
         )
 
     def test_tiny_closed_form(self, tiny):
-        val = two_point_c(tiny, 2.0, 1.0)
+        val = CovarianceKernel(tiny).c(2.0, 1.0)
         target = np.exp(-1.0) * 0.5 * (1.0 - np.exp(-2.0)) * np.eye(2)
         assert np.allclose(val, target, atol=1e-13)
 
     def test_transpose_dispatch(self, paper):
-        model = paper[0]
-        assert np.allclose(
-            two_point_c(model, 0.7, 1.9), two_point_c(model, 1.9, 0.7).T, atol=1e-14
-        )
+        kern = CovarianceKernel(paper[0])
+        assert np.allclose(kern.c(0.7, 1.9), kern.c(1.9, 0.7).T, atol=1e-14)
 
 
 class TestSpectralDensity:
@@ -163,7 +159,7 @@ class TestSpectralDensity:
         omega = np.eye(2) + 1j * J2
         for lam in (0.0, 0.7, 3.0):
             target = omega / (1.0 + lam * lam)
-            assert np.abs(spectral_d(tiny, lam) - target).max() < 1e-13
+            assert np.abs(SpectralDensity(tiny).d(lam) - target).max() < 1e-13
 
     def test_hermitian_psd(self):
         for model, rng in make_models(seed=31, count=10):
