@@ -40,7 +40,7 @@ from .errors import (
     ThetaOutOfRange,
     VarianceBlowup,
 )
-from .gaussian import SpectralDensity, gramian_steady
+from .gaussian import gramian_steady
 from .matfun import expm, lyap_solve, opnorm2, sqrt_psd
 from .model import OqhoModel
 from .quartic import _as_weight
@@ -86,7 +86,7 @@ class McEstimate:
 
 
 def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``[[P, -Theta], [Theta, P]] / 2`` for given stationary blocks."""
+    """``[[P, -Theta], [Theta, P]] / 2``, the augmented real form of ``P + i Theta``."""
     return 0.5 * np.block([[p, -theta], [theta, p]])
 
 
@@ -123,15 +123,11 @@ class AugmentedStepper:
         if h <= 0:
             raise StepperConstructionFailure("step size must be positive")
         try:
-            # stationary covariance straight from the augmented equation;
-            # for physically realizable models this equals
-            # [[P, -Theta], [Theta, P]] / 2
-            b, j = model.b, model.j
-            bb = b @ b.T
-            bjb = b @ j @ b.T
-            q_aug = 0.5 * np.block([[bb, -bjb], [bjb, bb]])
-            a_aug = np.kron(np.eye(2), model.a)
-            p_aug = lyap_solve(a_aug, q_aug)
+            # stationary covariance straight from the augmented equation; for
+            # physically realizable models it equals augmented_invariant_cov(P, Theta)
+            b = model.b
+            q_aug = augmented_invariant_cov(b @ b.T, b @ model.j @ b.T)
+            p_aug = lyap_solve(np.kron(np.eye(2), model.a), q_aug)
             p_aug = 0.5 * (p_aug + p_aug.T)
             phi = np.kron(np.eye(2), expm(model.a, h))
             sigma = p_aug - phi @ p_aug @ phi.T
@@ -166,8 +162,8 @@ class SimBatch:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    # counter-based generator: deterministic, cheap to split by block
-    return np.random.Generator(np.random.Philox(key=seed))
+    # SFC64 keyed by the seed: deterministic, and numpy's fastest normal draws
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def zeta_view(states: np.ndarray) -> np.ndarray:
@@ -177,21 +173,21 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
 
 
 def _chain(model: OqhoModel, h, steps, paths, seed, initial="invariant"):
-    """Yield the ``steps + 1`` states, ``(paths, 2n)`` each, of the exact
-    chain: the seeded stream draws the initial state, then one noise per
-    step."""
+    """Yield the ``steps + 1`` states of the exact chain (the seeded stream
+    draws the initial state, then one noise per step) in two ``(paths, 2n)``
+    buffers that later steps overwrite: a caller that keeps a state copies it."""
     stepper = AugmentedStepper.build(model, h)
     rng = _rng(seed)
-    dim = 2 * model.n
+    state, nxt, noise = (np.zeros((paths, 2 * model.n)) for _ in range(3))
     if initial == "invariant":
-        state = rng.standard_normal((paths, dim)) @ sqrt_psd(stepper.p_aug).T
-    elif initial == "zero":
-        state = np.zeros((paths, dim))
-    else:
+        np.matmul(rng.standard_normal(out=noise), sqrt_psd(stepper.p_aug).T, out=state)
+    elif initial != "zero":
         raise ValueError("initial must be 'invariant' or 'zero'")
     yield state
     for _ in range(steps):
-        state = state @ stepper.phi_aug.T + rng.standard_normal((paths, dim)) @ stepper.noise_chol.T
+        np.matmul(rng.standard_normal(out=noise), stepper.noise_chol.T, out=nxt)
+        nxt += np.matmul(state, stepper.phi_aug.T, out=noise)
+        state, nxt = nxt, state
         yield state
 
 
@@ -207,9 +203,9 @@ def simulate(
 
     Draws the initial states from the invariant Gaussian law (or zero with
     ``initial="zero"``) and iterates the exact one-step recursion; output
-    is bitwise-deterministic for a fixed seed.  Memory is
-    ``(steps+1) * paths * 2n`` doubles; keep ``steps`` to the lags you
-    need when running many paths.
+    is bitwise-deterministic for a fixed seed.  Memory is the
+    ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
+    from step 0, so lagged statistics need only ``steps = lag``.
     """
     out = np.empty((steps + 1, paths, 2 * model.n))
     for k, state in enumerate(_chain(model, h, steps, paths, seed, initial)):
@@ -261,9 +257,7 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     validator for :func:`classical_quadform_variance`."""
     if batch.paths < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
-    pi = _as_weight(pi)
-    z = zeta_view(batch.thetas[-1])
-    vals = np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
+    vals = _quadform(batch.thetas[-1], _as_weight(pi))
     var = vals.var(ddof=1)
     # stderr of a sample variance via the fourth central moment
     m4 = ((vals - vals.mean()) ** 4).mean()
@@ -271,32 +265,20 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     return McEstimate(value=float(var), stderr=float(stderr), paths=batch.paths, seed=batch.seed)
 
 
-def _density_eigs(model: OqhoModel, pi: np.ndarray):
-    """``lam ->`` ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)``."""
-    root = model.weight_facts(pi).root
-    sd = SpectralDensity(model)
-    return lambda lam: np.linalg.eigvalsh(root @ sd.d(lam) @ root)
+def _quadform(states: np.ndarray, pi: np.ndarray, scratch=None, out=None) -> np.ndarray:
+    """Rows of ``zeta* Pi zeta = xi' Pi xi + eta' Pi eta`` (exact for real
+    symmetric Pi) as ``((x (I2 (x) Pi)) * x) 1``, optionally into buffers."""
+    tmp = np.matmul(states, np.kron(np.eye(2), pi), out=scratch)
+    np.multiply(tmp, states, out=tmp)
+    return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
 def _density_integral(model: OqhoModel, pi: np.ndarray, g) -> float:
     """integral over R of ``g`` of the weighted density's eigenvalues."""
-    eigs = _density_eigs(model, pi)
+    eigs = model.weight_facts(pi).density_eigs
     val, _ = quad(lambda lam: g(eigs(lam)), -np.inf, np.inf,
                   epsabs=1e-11, epsrel=1e-11, limit=600)
     return val
-
-
-def _weighted_density_max_eig(model: OqhoModel, pi: np.ndarray) -> float:
-    """sup over frequency of the top eigenvalue of sqrt(Pi) D sqrt(Pi),
-    estimated on a dense grid (guard for the theta domain)."""
-    eigs = _density_eigs(model, pi)
-    scale = 1.0 + opnorm2(model.a)
-    lams = np.concatenate([np.linspace(0.0, 10.0 * scale, 1201),
-                           np.geomspace(10.0 * scale, 1e4 * scale, 120)])
-    best = 0.0
-    for lam in lams:
-        best = max(best, float(eigs(lam)[-1]))
-    return best
 
 
 def rs_theta_max(model: OqhoModel, pi) -> float:
@@ -305,14 +287,14 @@ def rs_theta_max(model: OqhoModel, pi) -> float:
     pi = _as_weight(pi)
     if not np.any(pi):
         return math.inf
-    return 1.0 / _weighted_density_max_eig(model, pi)
+    return 1.0 / model.weight_facts(pi).density_peak
 
 
 def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
     pi = _as_weight(pi)
     if theta == 0.0 or not np.any(pi):
         return 0.0
-    peak = _weighted_density_max_eig(model, pi)
+    peak = model.weight_facts(pi).density_peak
     if theta < 0 or theta * peak >= 1.0 - 1e-9:
         raise ThetaOutOfRange(
             f"theta = {theta} outside the finiteness range (0, {1.0 / peak:.6e})"
@@ -377,7 +359,7 @@ def mc_rs_rate(
     pi = _as_weight(pi)
     if theta == 0.0 or not np.any(pi):
         return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed)
-    peak = _weighted_density_max_eig(model, pi)
+    peak = model.weight_facts(pi).density_peak
     if theta < 0 or theta * peak > 0.3:
         raise ThetaOutOfRange(
             f"theta = {theta} beyond the low-variance envelope 0.3/peak = "
@@ -388,13 +370,9 @@ def mc_rs_rate(
     steps = max(2, int(round(horizon / h)))
     h = horizon / steps
 
-    def quadform(states: np.ndarray) -> np.ndarray:
-        z = zeta_view(states)
-        return np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
-
-    acc = 0.0
+    acc, vals, scratch = 0.0, np.empty(paths), np.empty((paths, 2 * model.n))
     for k, state in enumerate(_chain(model, h, steps, paths, seed)):
-        acc += (0.5 * h if k in (0, steps) else h) * quadform(state)
+        acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi, scratch, vals)
     arg = theta * acc
     peak_arg = arg.max()
     weights = np.exp(arg - peak_arg)

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="exact-discretization Monte Carlo")
     _add_common(p)
     p.add_argument("--h", type=float)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, help="horizon of the --theta rate, in steps of --h")
     p.add_argument("--paths", type=int)
     p.add_argument("--lag", type=int)
     p.add_argument("--theta", type=float)
@@ -96,6 +96,10 @@ def _load_config(args) -> report.AnalysisConfig:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     elif not args.fixture:
         raise ConfigError("supply --config or --fixture")
+    # simulate's flags override the config's mc block and are validated with it
+    for name in ("h", "steps", "paths", "lag", "theta"):
+        if getattr(args, name, None) is not None:
+            doc.setdefault("mc", {})[name] = getattr(args, name)
     return report.parse_config(
         doc,
         fixture=args.fixture,
@@ -168,9 +172,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    for name in ("h", "steps", "paths", "lag", "theta"):
-        if getattr(args, name) is not None:
-            setattr(cfg.mc, name, getattr(args, name))
     doc = report._classical_block(cfg.model, cfg.pi, cfg.mc)
     _emit(report.render_json(doc) + "\n", args.out)
     return EXIT_OK

@@ -147,9 +147,9 @@ class SteadyState:
 @dataclass(frozen=True, eq=False)
 class WeightFacts:
     """Facts of one ``(model, Pi)`` pair, each computed on first use and
-    kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta`` and the
+    kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta``, the
     Lyapunov solutions ``t`` of ``AT + TA' + seed = 0`` and ``q`` of
-    ``A'Q + QA + Pi = 0``.  Obtain through :meth:`OqhoModel.weight_facts`."""
+    ``A'Q + QA + Pi = 0``, and ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
 
     model: "OqhoModel"
     pi: np.ndarray
@@ -171,6 +171,25 @@ class WeightFacts:
     def q(self) -> np.ndarray:
         return _freeze(matfun.lyap_solve(self.model.a.T, self.pi))
 
+    def density_eigs(self, lam: float) -> np.ndarray:
+        """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)``, where
+        ``D = G Omega G*`` and ``G = (i lam - A)^{-1} B``."""
+        if not self.model.is_hurwitz:
+            raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
+                             f"{self.model.spectral_abscissa:.3e}")
+        # D is formed here: gaussian.SpectralDensity sits above this module
+        g = np.linalg.solve(1j * lam * np.eye(self.model.n) - self.model.a, self.model.b)
+        return np.linalg.eigvalsh(self.root @ (g @ self.model.omega @ g.conj().T) @ self.root)
+
+    @cached_property
+    def density_peak(self) -> float:
+        """Top of :meth:`density_eigs` on a fixed grid of ``lam >= 0``; the
+        grid is one-sided and can miss the true peak."""
+        scale = 1.0 + matfun.opnorm2(self.model.a)
+        lams = np.concatenate([np.linspace(0.0, 10.0 * scale, 1201),
+                               np.geomspace(10.0 * scale, 1e4 * scale, 120)])
+        return max(0.0, *(float(self.density_eigs(lam)[-1]) for lam in lams))
+
 
 @dataclass(frozen=True)
 class OqhoModel:
@@ -181,7 +200,7 @@ class OqhoModel:
     and cached on it: ``eig`` (eigendecomposition of ``A`` with its
     eigenvector condition number; :func:`build_model` takes the spectral
     abscissa from it), ``steady`` (``P`` and the certified ``P + i*Theta``)
-    and, per cost weight, :meth:`weight_facts` (``sqrt(Pi)``, ``T``, ``Q``).
+    and, per cost weight, :meth:`weight_facts` (``sqrt(Pi)``, ``T``, ``Q``, density peak).
     """
 
     ccr: CcrMatrix

@@ -99,18 +99,19 @@ def parse_config(doc, fixture: str | None = None, seed: int | None = None,
             raise ConfigError("eps_grid needs numeric 'min', 'max', 'steps'") from exc
         if cfg.eps_grid[2] < 0:
             raise ConfigError("eps_grid steps must be nonnegative")
-    if "mc" in doc:
-        m = doc["mc"]
-        cfg.mc = McSettings(
-            h=_positive(m.get("h", 0.05), "mc.h"),
-            steps=int(_positive(m.get("steps", 100), "mc.steps")),
-            paths=int(_positive(m.get("paths", 2000), "mc.paths")),
-            seed=int(m.get("seed", 1)),
-            lag=int(m.get("lag", 5)),
-            theta=None if m.get("theta") is None else float(m["theta"]),
-        )
+    m = {**vars(McSettings()), **doc.get("mc", {})}
+    cfg.mc = McSettings(
+        h=_positive(m["h"], "mc.h"),
+        steps=int(_positive(m["steps"], "mc.steps")),
+        paths=int(_positive(m["paths"], "mc.paths")),
+        seed=int(m["seed"]),
+        lag=int(m["lag"]),
+        theta=None if m["theta"] is None else float(m["theta"]),
+    )
     if seed is not None:
         cfg.mc.seed = int(seed)
+    if cfg.mc.seed < 0 or cfg.mc.lag < 0:
+        raise ConfigError(f"mc seed and lag must be nonnegative, got {cfg.mc.seed}, {cfg.mc.lag}")
     if tol is not None:
         cfg.tol = float(_positive(tol, "tol"))
     return cfg
@@ -197,7 +198,8 @@ def _deviation_block(model, pi, eps_grid, tol) -> dict:
 
 
 def _classical_block(model, pi, mc: McSettings) -> dict:
-    batch = classical.simulate(model, mc.h, max(mc.steps, mc.lag), mc.paths, mc.seed)
+    # the chain is stationary from step 0; mc.steps sets only the rate horizon
+    batch = classical.simulate(model, mc.h, mc.lag, mc.paths, mc.seed)
     cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
     var_mc = classical.mc_quadform_variance(batch, pi)
     steady = gramian_steady(model)

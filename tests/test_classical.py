@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import J2, random_sym
+from oqrisk import classical, report
 from oqrisk.classical import (
     AugmentedStepper,
     rs_theta_max,
@@ -21,7 +23,7 @@ from oqrisk.classical import (
 )
 from oqrisk.errors import InsufficientPaths, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
-from oqrisk.matfun import expm
+from oqrisk.matfun import expm, sqrt_psd
 from oqrisk.quartic import mean_rate
 
 
@@ -114,6 +116,38 @@ class TestSimulate:
         moved = simulate(nudged, 0.05, 20, 200, seed=5).thetas
         assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
 
+    def test_matches_reference_recursion(self, paper):
+        # the stepper reuses its buffers; a reference with fresh arrays every
+        # step must agree bit for bit, and no two slices may share memory
+        model = paper[0]
+        stepper = AugmentedStepper.build(model, 0.05)
+        rng = classical._rng(3)
+        state = rng.standard_normal((64, 8)) @ sqrt_psd(stepper.p_aug).T
+        ref = [state]
+        for _ in range(6):
+            state = (state @ stepper.phi_aug.T
+                     + rng.standard_normal((64, 8)) @ stepper.noise_chol.T)
+            ref.append(state)
+        slices = list(simulate(model, 0.05, 6, 64, seed=3).thetas)
+        assert np.array_equal(np.stack(slices), np.stack(ref))
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(slices) for b in slices[i + 1:])
+
+    def test_classical_block_memory_independent_of_steps(self, tiny):
+        # mc.steps sets only the rate horizon; the covariances need lag + 1
+        # slices of the stationary chain
+        def peak(steps):
+            mc = report.McSettings(h=0.01, steps=steps, paths=1000, seed=1, lag=5,
+                                   theta=0.01)
+            tracemalloc.start()
+            try:
+                report._classical_block(tiny, np.eye(2), mc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 1.1 * peak(100)
+
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
         with pytest.raises(InsufficientPaths):
@@ -140,6 +174,14 @@ class TestQuadformVariance:
 
     def test_zero_weight(self, paper):
         assert classical_quadform_variance(paper[0], np.zeros((4, 4))) == 0.0
+
+    def test_real_form_matches_complex_form(self, paper):
+        model, pi = paper
+        states = simulate(model, 0.05, 0, 50, seed=4).thetas[0]
+        z = zeta_view(states)
+        ref = np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
+        scale = np.linalg.norm(pi, 2) * (states**2).sum(axis=1).max()
+        assert np.abs(classical._quadform(states, pi) - ref).max() <= 1e-13 * scale
 
     def test_mc_validator(self, tiny):
         batch = simulate(tiny, 0.1, 3, 30_000, seed=13)

@@ -86,6 +86,19 @@ class TestAnalyze:
         assert "error" in rep["classical"]
         assert rep["quartic"]["mean_rate"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("command, mc, argv", [
+        ("analyze", {"seed": -3}, []),
+        ("analyze", {}, ["--seed", "-3"]),
+        ("analyze", {"lag": -2}, []),
+        ("simulate", {}, ["--lag", "-2"]),
+    ])
+    def test_bad_mc_settings_are_input_errors(self, capsys, tmp_path, command, mc, argv):
+        doc = dict(TINY_DOC, mc=dict(TINY_DOC["mc"], **mc))
+        code = main([command, "--config", _write_config(tmp_path, doc)] + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_byte_determinism(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, TINY_DOC)
         _, out1 = _run(capsys, ["analyze", "--config", cfg])
