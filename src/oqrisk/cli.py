@@ -97,14 +97,13 @@ def _load_config(args) -> report.AnalysisConfig:
     elif not args.fixture:
         raise ConfigError("supply --config or --fixture")
     # simulate's flags override the config's mc block and are validated with it
-    for name in ("h", "steps", "paths", "lag", "theta"):
-        if getattr(args, name, None) is not None:
-            doc.setdefault("mc", {})[name] = getattr(args, name)
     return report.parse_config(
         doc,
         fixture=args.fixture,
         seed=getattr(args, "seed", None),
         tol=getattr(args, "tol", None),
+        mc={name: getattr(args, name) for name in ("h", "steps", "paths", "lag", "theta")
+            if getattr(args, name, None) is not None},
     )
 
 

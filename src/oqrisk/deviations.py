@@ -11,9 +11,10 @@ and Legendre transformation of that bound yields a tail estimate for
 ``phi(t)/t`` above a scale ``eps``.  Two evaluation routes are provided:
 
 * numeric: ``F`` from high-order product (Filon) cosine quadrature of the
-  sampled kernel, the frequency integral with an analytically corrected
-  tail, and the optimal ``theta`` by bisection on the monotone derivative
-  equation;
+  sampled kernel, tabulated once on a graded composite Gauss-Legendre rule;
+  the frequency integrals are weighted sums over that table with an
+  analytically corrected tail, and the optimal ``theta`` comes from
+  bisection on the monotone derivative equation;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -25,11 +26,10 @@ and Legendre transformation of that bound yields a tail estimate for
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     DefectiveAndUnstableShift,
@@ -105,8 +105,7 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
         shifted = a + mu * np.eye(model.n)
         if np.linalg.eigvals(shifted).real.max() >= 0.0:
             raise DefectiveAndUnstableShift(
-                "shifted drift is not Hurwitz; no envelope certificate"
-            )
+                "shifted drift is not Hurwitz; no envelope certificate")
         gamma = lyap_solve(shifted, np.eye(model.n))
     gamma = 0.5 * (gamma + gamma.T)
     ali = a @ gamma + gamma @ a.T + 2.0 * mu * gamma
@@ -115,9 +114,7 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
         raise NumericalDefect(f"Lyapunov inequality residual {wmax:.3e} too large")
     root_pi = model.weight_facts(pi).root
     quantum = gramian_steady(model).quantum_cov
-    alpha = opnorm2(root_pi @ sqrt_psd(gamma)) * opnorm2(
-        inv_sqrt_psd(gamma) @ quantum @ root_pi
-    )
+    alpha = opnorm2(root_pi @ sqrt_psd(gamma)) * opnorm2(inv_sqrt_psd(gamma) @ quantum @ root_pi)
     return EnvelopeParams(mu=mu, gamma=gamma, alpha=float(alpha))
 
 
@@ -142,54 +139,84 @@ def _filon_cos(fvals: np.ndarray, h: float, lam: float, grid: np.ndarray) -> flo
     return float(h * (ends + beta * even + gamma * odd))
 
 
-def _quad(f, a, b, tol):
-    # tolerances sit at the transform's noise floor by design; QUADPACK's
-    # roundoff advisory is expected there and not actionable
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, epsabs=0.25 * tol, epsrel=1e-12, limit=400)
-    return val
+# 24 Gauss-Legendre nodes per panel: F has features of width ~ mu (kinks of
+# the norm N), which 16 nodes resolve only to ~1e-7 in the bounds.  Panels
+# halve toward lam = 0 down to lam_base 2^-GRADE_DEPTH, resolving the peak of
+# 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)) up to
+# theta = theta_max (1 - 1e-10).  The tail cut is lam_base 2^j, j <= MAX_CUT.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+GRADE_DEPTH = 40
+MAX_CUT = 6
 
 
-def _one_minus(theta, fval):
-    arg = 2.0 * theta * fval
-    if arg >= 1.0:
-        raise NoConvergence(
-            "1 - 2 theta F crossed zero inside the integration range; theta "
-            "is too close to the boundary for the numeric route"
-        )
+@dataclass(frozen=True)
+class _FTable:
+    """``F`` at the nodes of a composite Gauss-Legendre rule on [0, top], and
+    ``fcut[j] = F(base 2^j)`` at the cuts up to ``top``, all panel edges."""
+
+    base: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    fvals: np.ndarray
+    fcut: np.ndarray
+
+
+def _tail_cut(fcut, base, c3, tol):
+    """First ``j`` at which the cubic tail term ``c3 c^3 / (5 lam^5)`` of the
+    cut ``lam = base 2^j`` (``F ~ c / lam^2``) is below ``tol / 10``; ``None``
+    if there is none."""
+    lam = base * 2.0 ** np.arange(len(fcut))
+    small = np.abs(c3 * (fcut * lam**2) ** 3 / (5.0 * lam**5)) <= 0.1 * tol
+    return int(np.argmax(small)) if small.any() else None
+
+
+def _tabulate(ffun, base, tol) -> _FTable:
+    """Tabulate ``ffun`` (peak ``ffun(0)``) on [0, base 2^-GRADE_DEPTH],
+    dyadic panels up to ``base / 8``, then panels of width ``base / 8`` up to
+    the cut needed at ``theta_max``, which bounds the cut at every theta."""
+    fcut = np.array([ffun(base * 2.0**j) for j in range(MAX_CUT + 1)])
+    s = 1.0 / ffun(0.0)
+    top = _tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol)
+    top = MAX_CUT if top is None else top  # thetas past it raise when integrated
+    edges = np.concatenate(([0.0], base * 2.0 ** np.arange(-GRADE_DEPTH, -3),
+                            base / 8.0 * np.arange(1, 2 ** (top + 3) + 1)))
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
+    return _FTable(base=base, nodes=nodes, weights=(half * _GL_W).ravel(),
+                   fvals=np.array([ffun(lam) for lam in nodes]), fcut=fcut[:top + 1])
+
+
+def _two_theta_f(theta, fvals):
+    arg = 2.0 * theta * fvals
+    if arg.max() >= 1.0:
+        raise NoConvergence("1 - 2 theta F crossed zero inside the integration range; "
+                            "theta is too close to the boundary for the numeric route")
     return arg
 
 
-def _tail_corrected_integral(ffun, g, coef, n0, lam_cut, tol):
+def _tail_corrected_integral(table: _FTable, g, coef, n0, tol):
     """integral over R of g(F) for ``g(F) = coef[0] F + coef[1] F^2 +
-    coef[2] F^3 + ...``; the [lam_cut, inf) tail uses the exact identity
-    int_0^inf F = pi N(0) for the linear term and the F ~ c / lam^2
-    asymptote for the quadratic and cubic terms."""
-    for _ in range(7):
-        c_inf = ffun(lam_cut) * lam_cut**2
-        k3 = coef[2] * c_inf**3 / (5.0 * lam_cut**5)
-        if abs(k3) <= 0.1 * tol:
-            break
-        lam_cut *= 2.0
-    else:
+    coef[2] F^3 + ...``: weighted sums over the table up to the cut; the
+    [lam_cut, inf) tail uses the exact identity int_0^inf F = pi N(0) for
+    the linear term and the F ~ c / lam^2 asymptote for the quadratic and
+    cubic terms."""
+    j = _tail_cut(table.fcut, table.base, coef[2], tol)
+    if j is None:
         raise NoConvergence("tail corrections did not settle")
-    core = _quad(lambda l: g(ffun(l)), 0.0, lam_cut, tol)
-    int_f = _quad(ffun, 0.0, lam_cut, tol)
-    c_inf = ffun(lam_cut) * lam_cut**2
-    tail = (
-        coef[0] * (math.pi * n0 - int_f)
-        + coef[1] * c_inf**2 / (3.0 * lam_cut**3)
-        + coef[2] * c_inf**3 / (5.0 * lam_cut**5)
-    )
-    return 2.0 * (core + tail)
+    lam_cut = table.base * 2.0**j
+    k = np.searchsorted(table.nodes, lam_cut)
+    w, f = table.weights[:k], table.fvals[:k]
+    c_inf = table.fcut[j] * lam_cut**2
+    tail = (coef[0] * (math.pi * n0 - w @ f) + coef[1] * c_inf**2 / (3.0 * lam_cut**3)
+            + coef[2] * c_inf**3 / (5.0 * lam_cut**5))
+    return 2.0 * (w @ g(f) + tail)
 
 
-def _tail_corrected_log_integral(ffun, theta, n0, lam_cut, tol):
+def _tail_corrected_log_integral(table: _FTable, theta, n0, tol):
     """integral over R of ln(1 - 2 theta F)."""
     s = 2.0 * theta
-    return _tail_corrected_integral(ffun, lambda f: math.log1p(-_one_minus(theta, f)),
-                                    (-s, -s**2 / 2.0, -s**3 / 3.0), n0, lam_cut, tol)
+    return _tail_corrected_integral(table, lambda f: np.log1p(-_two_theta_f(theta, f)),
+                                    (-s, -s**2 / 2.0, -s**3 / 3.0), n0, tol)
 
 
 class DeviationAnalysis:
@@ -198,7 +225,8 @@ class DeviationAnalysis:
     Builds the kernel sampler lazily on first transform use: the kernel is
     tabulated on a uniform grid long enough for the certified envelope to
     push the truncation error below the working tolerance, and ``F`` is
-    then a pair of weighted dot products per frequency (memoized).
+    then a pair of weighted dot products per frequency (memoized).  The
+    bounds tabulate ``F`` once on the frequency rule of :func:`_tabulate`.
     """
 
     def __init__(self, model: OqhoModel, pi, tol: float = 1e-9):
@@ -214,8 +242,6 @@ class DeviationAnalysis:
         self.envelope = None if self.degenerate else envelope_params(model, self.pi)
         self._grid = None
         self._f_memo = {}
-
-    # -- kernel -----------------------------------------------------------
 
     def n_kernel(self, tau: float) -> float:
         """``N(tau)``; even in ``tau`` by construction."""
@@ -241,60 +267,48 @@ class DeviationAnalysis:
         nvals = expm_ladder(self.model.a, self.model.eig, step, npts, left=self.root_pi,
                             right=self.quantum @ self.root_pi,
                             reduce=lambda block: np.linalg.svd(block, compute_uv=False)[:, 0])
-        self._grid = grid
-        self._nvals = nvals
-        self._step = step
-
-    # -- transform ---------------------------------------------------------
+        self._grid, self._nvals, self._step = grid, nvals, step
 
     def f_transform(self, lam: float) -> float:
         """``F(lam) = 2 int_0^inf N(tau) cos(lam tau) dtau``."""
         if self.degenerate:
             return 0.0
         key = float(lam)
-        hit = self._f_memo.get(key)
-        if hit is not None:
-            return hit
-        self._build_grid()
-        val = 2.0 * _filon_cos(self._nvals, self._step, key, self._grid)
-        self._f_memo[key] = val
-        return val
+        if key not in self._f_memo:
+            self._build_grid()
+            self._f_memo[key] = 2.0 * _filon_cos(self._nvals, self._step, key, self._grid)
+        return self._f_memo[key]
 
     def f_infnorm(self) -> float:
         """``||F||_inf = F(0)`` (valid since ``N >= 0``)."""
         return self.f_transform(0.0)
 
-    # -- bounds ------------------------------------------------------------
-
     def _lam_base(self) -> float:
         return max(50.0, 20.0 * (opnorm2(self.model.a) + self.envelope.mu))
+
+    @cached_property
+    def _table(self) -> _FTable:
+        # F depends on neither theta nor eps: one table serves every bound
+        return _tabulate(self.f_transform, self._lam_base(), self.tol)
 
     def qef_upper_rate(self, theta: float) -> float:
         """Upper bound on the exponential-cost growth rate; zero at
         ``theta = 0`` and finite up to ``1 / (2 F(0))`` exclusive."""
         if theta < 0:
             raise ThetaOutOfRange("theta must be nonnegative")
-        if theta == 0.0:
+        if theta == 0.0 or self.degenerate:
             return 0.0
-        if self.degenerate:
-            return 0.0
-        f0 = self.f_infnorm()
-        if theta >= 1.0 / (2.0 * f0):
-            raise ThetaOutOfRange(
-                f"theta = {theta} outside [0, {1.0 / (2.0 * f0):.6e})"
-            )
-        val = _tail_corrected_log_integral(
-            self.f_transform, theta, self.n0, self._lam_base(), self.tol
-        )
+        theta_max = 1.0 / (2.0 * self.f_infnorm())
+        if theta >= theta_max:
+            raise ThetaOutOfRange(f"theta = {theta} outside [0, {theta_max:.6e})")
+        val = _tail_corrected_log_integral(self._table, theta, self.n0, self.tol)
         return -self.model.n / (4.0 * math.pi) * val
 
     def _deriv(self, theta: float) -> float:
         # integral over R of F / (1 - 2 theta F)
         s = 2.0 * theta
-        val = _tail_corrected_integral(
-            self.f_transform, lambda f: f / (1.0 - _one_minus(theta, f)),
-            (1.0, s, s**2), self.n0, self._lam_base(), self.tol
-        )
+        val = _tail_corrected_integral(self._table, lambda f: f / (1.0 - _two_theta_f(theta, f)),
+                                       (1.0, s, s**2), self.n0, self.tol)
         return self.model.n / (2.0 * math.pi) * val
 
     def cramer_bound_numeric(self, epsilon: float) -> tuple[float, float]:
@@ -308,14 +322,10 @@ class DeviationAnalysis:
         """
         n = self.model.n
         if self.degenerate or self.f_infnorm() == 0.0:
-            if epsilon == 0.0:
-                return 0.0, 0.0
-            return -math.inf, math.inf
+            return (0.0, 0.0) if epsilon == 0.0 else (-math.inf, math.inf)
         threshold = n * self.n0
         if epsilon < threshold * (1.0 - 1e-12):
-            raise EpsilonTooSmall(
-                f"epsilon = {epsilon} below the threshold n*N(0) = {threshold}"
-            )
+            raise EpsilonTooSmall(f"epsilon = {epsilon} below the threshold n*N(0) = {threshold}")
         if epsilon <= threshold * (1.0 + 1e-14):
             return 0.0, 0.0
         theta_max = 1.0 / (2.0 * self.f_infnorm())
@@ -326,10 +336,8 @@ class DeviationAnalysis:
         while self._deriv(hi) < epsilon:
             delta *= 1e-2
             if delta < 1e-9:
-                raise NoConvergence(
-                    "derivative equation has no bracketable root below the "
-                    "numerically safe end of the theta interval"
-                )
+                raise NoConvergence("derivative equation has no bracketable root below "
+                                    "the numerically safe end of the theta interval")
             hi = theta_max * (1.0 - delta)
         lo = 0.0
         while hi - lo > 1e-10 * theta_max:
@@ -346,30 +354,18 @@ class DeviationAnalysis:
         """Closed-form curve over the grid, plus the numeric curve whenever
         the transform admits one."""
         eps = np.asarray(eps_grid, dtype=float)
-        env = self.envelope
+        env, n = self.envelope, self.model.n
         curves = []
         if env is not None:
-            closed = np.array(
-                [cramer_bound_closed(env.mu, env.alpha, self.model.n, e) for e in eps]
-            )
-            stars = np.array(
-                [closed_theta_star(env.mu, env.alpha, self.model.n, e) for e in eps]
-            )
-            curves.append(
-                TailBoundCurve(
-                    epsilon=eps, bound=closed, theta_star=stars, method="closed_form"
-                )
-            )
+            curves.append(TailBoundCurve(
+                epsilon=eps,
+                bound=np.array([cramer_bound_closed(env.mu, env.alpha, n, e) for e in eps]),
+                theta_star=np.array([closed_theta_star(env.mu, env.alpha, n, e) for e in eps]),
+                method="closed_form"))
         if not self.degenerate and self.f_infnorm() > 0.0:
-            pairs = [self.cramer_bound_numeric(e) for e in eps]
-            curves.append(
-                TailBoundCurve(
-                    epsilon=eps,
-                    bound=np.array([p[0] for p in pairs]),
-                    theta_star=np.array([p[1] for p in pairs]),
-                    method="numeric",
-                )
-            )
+            pairs = np.array([self.cramer_bound_numeric(e) for e in eps]).reshape(-1, 2)
+            curves.append(TailBoundCurve(epsilon=eps, bound=pairs[:, 0],
+                                         theta_star=pairs[:, 1], method="numeric"))
         return curves
 
 
@@ -400,8 +396,8 @@ def envelope_log_integral(alpha: float, mu: float, theta: float, tol=1e-10) -> f
     def fhat(lam):
         return 2.0 * alpha * mu / (lam * lam + mu * mu)
 
-    val = _tail_corrected_log_integral(fhat, theta, alpha, max(50.0, 20.0 * mu), tol)
-    return -val
+    table = _tabulate(fhat, max(50.0, 20.0 * mu), tol)
+    return -_tail_corrected_log_integral(table, theta, alpha, tol)
 
 
 def envelope_log_integral_closed(alpha: float, mu: float, theta: float) -> float:

@@ -111,7 +111,7 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 DIAG_COND = 1e8
 
 #: Lags per block of :func:`expm_ladder`.
-LADDER_CHUNK = 65536
+LADDER_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left=None, right=No
         lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
         if basis.inverse is not None:
             phases = np.exp(np.multiply.outer(step * lags, basis.values))
-            block = np.einsum("ij,kj,jl->kil", lv, phases, wr)
+            block = (lv * phases[:, None, :]) @ wr
             block = block.real if real else block
         else:
             block = np.empty((lags.size, left.shape[0], right.shape[1]),

@@ -342,7 +342,10 @@ def _matrix_from_doc(doc, key, rows, cols):
         raw = doc[key]
     except KeyError as exc:
         raise ConfigError(f"missing field {key!r}") from exc
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r} must be an array of numbers") from exc
     if arr.shape != (rows, cols):
         raise ConfigError(f"field {key!r} must be {rows}x{cols}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

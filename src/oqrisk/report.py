@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
 from .gaussian import gramian_steady
 from .matfun import expm
-from .model import OqhoModel, model_from_json, pr_residual, stability_margin
+from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual, stability_margin
 
 __all__ = [
     "AnalysisConfig",
@@ -59,59 +60,84 @@ class AnalysisConfig:
     tol: float = 1e-9
 
 
-def _positive(value, name):
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigError(f"{name} must be positive, got {value!r}")
+def _number(value, name, what, ok):
+    """``value`` if it is a JSON number (not a boolean) with ``ok(value)``;
+    otherwise a :class:`ConfigError` saying ``name`` must be ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
 
 
+def _positive(value, name):
+    return _number(value, name, "positive and finite", lambda v: 0 < v < math.inf)
+
+
+def _integer(value, name, minimum=-math.inf):
+    """An integral JSON number (``2`` or ``2.0``); a fraction is an error,
+    never truncated."""
+    what = "an integer" + (f" >= {minimum}" if minimum > -math.inf else "")
+    return int(_number(value, name, what,
+                       lambda v: float(v).is_integer() and v >= minimum))
+
+
+def _list(doc, key):
+    if not isinstance(doc[key], list):
+        raise ConfigError(f"'{key}' must be a list, got {doc[key]!r}")
+    return doc[key]
+
+
 def parse_config(doc, fixture: str | None = None, seed: int | None = None,
-                 tol: float | None = None) -> AnalysisConfig:
+                 tol: float | None = None, mc: dict | None = None) -> AnalysisConfig:
     """Build a config from a parsed JSON document and/or a fixture name.
 
     The document follows the model-ingestion schema (n, m, theta, R, M,
     Pi) plus optional blocks ``pi``, ``theta_list``, ``orders``,
-    ``eps_grid`` {min,max,steps} and ``mc`` {h,steps,paths,seed,lag,theta}.
+    ``eps_grid`` {min,max,steps} and ``mc`` {h,steps,paths,seed,lag,theta};
+    ``mc`` entries given here override the document's.  Every malformed
+    value raises :class:`ConfigError`.
     """
+    if not isinstance(doc or {}, dict):
+        raise ConfigError("the config document must be a JSON object")
     doc = dict(doc or {})
     if fixture is not None:
         model, pi = fixture_model(fixture)
     else:
         model, pi = model_from_json(doc)
     if "pi" in doc and fixture is not None:
-        pi = np.asarray(doc["pi"], dtype=float)
+        pi = _matrix_from_doc(doc, "pi", model.n, model.n)
     if pi is None:
         raise ConfigError("no cost weight: supply 'Pi' (or use a fixture)")
-    if pi.shape != (model.n, model.n):
-        raise ConfigError(f"Pi must be {model.n}x{model.n}")
     cfg = AnalysisConfig(model=model, pi=pi)
     if "theta_list" in doc:
-        cfg.theta_list = [float(v) for v in doc["theta_list"]]
-        if any(v < 0 for v in cfg.theta_list):
-            raise ConfigError("theta_list entries must be nonnegative")
+        cfg.theta_list = [
+            float(_number(v, "theta_list entries", "nonnegative and finite",
+                          lambda v: 0 <= v < math.inf))
+            for v in _list(doc, "theta_list")
+        ]
     if "orders" in doc:
-        cfg.orders = [int(v) for v in doc["orders"]]
+        cfg.orders = [_integer(v, "orders entries") for v in _list(doc, "orders")]
     if "eps_grid" in doc:
         g = doc["eps_grid"]
-        try:
-            cfg.eps_grid = (float(g["min"]), float(g["max"]), int(g["steps"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("eps_grid needs numeric 'min', 'max', 'steps'") from exc
-        if cfg.eps_grid[2] < 0:
-            raise ConfigError("eps_grid steps must be nonnegative")
-    m = {**vars(McSettings()), **doc.get("mc", {})}
+        if not (isinstance(g, dict) and {"min", "max", "steps"} <= g.keys()):
+            raise ConfigError("eps_grid needs numeric 'min', 'max', 'steps'")
+        cfg.eps_grid = (float(_number(g["min"], "eps_grid.min", "finite", math.isfinite)),
+                        float(_number(g["max"], "eps_grid.max", "finite", math.isfinite)),
+                        _integer(g["steps"], "eps_grid.steps", 0))
+    block = doc.get("mc", {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'mc' must be a JSON object, got {block!r}")
+    m = {**vars(McSettings()), **block, **(mc or {})}
+    if seed is not None:
+        m["seed"] = seed
     cfg.mc = McSettings(
         h=_positive(m["h"], "mc.h"),
-        steps=int(_positive(m["steps"], "mc.steps")),
-        paths=int(_positive(m["paths"], "mc.paths")),
-        seed=int(m["seed"]),
-        lag=int(m["lag"]),
-        theta=None if m["theta"] is None else float(m["theta"]),
+        steps=_integer(m["steps"], "mc.steps", 1),
+        paths=_integer(m["paths"], "mc.paths", 1),
+        seed=_integer(m["seed"], "mc.seed", 0),
+        lag=_integer(m["lag"], "mc.lag", 0),
+        theta=None if m["theta"] is None else float(
+            _number(m["theta"], "mc.theta", "finite or null", math.isfinite)),
     )
-    if seed is not None:
-        cfg.mc.seed = int(seed)
-    if cfg.mc.seed < 0 or cfg.mc.lag < 0:
-        raise ConfigError(f"mc seed and lag must be nonnegative, got {cfg.mc.seed}, {cfg.mc.lag}")
     if tol is not None:
         cfg.tol = float(_positive(tol, "tol"))
     return cfg

@@ -91,6 +91,15 @@ class TestAnalyze:
         ("analyze", {}, ["--seed", "-3"]),
         ("analyze", {"lag": -2}, []),
         ("simulate", {}, ["--lag", "-2"]),
+        ("analyze", {"seed": "7"}, []),
+        ("analyze", {"lag": "x"}, []),
+        ("analyze", {"steps": None}, []),
+        ("analyze", {"paths": [500]}, []),
+        # fractions are errors, never truncated
+        ("analyze", {"seed": 3.5}, []),
+        ("analyze", {"lag": 1.5}, []),
+        ("analyze", {"steps": 20.5}, []),
+        ("simulate", {"paths": 499.5}, []),
     ])
     def test_bad_mc_settings_are_input_errors(self, capsys, tmp_path, command, mc, argv):
         doc = dict(TINY_DOC, mc=dict(TINY_DOC["mc"], **mc))
@@ -98,6 +107,29 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, update, argv", [
+        ("analyze", {"mc": [1]}, []),
+        ("simulate", {"mc": [1]}, ["--lag", "2"]),
+        ("analyze", {"orders": ["two"]}, []),
+        ("analyze", {"theta_list": [0.1, "x"]}, []),
+        ("analyze", {"R": [[0.0, "x"], [0.0, 0.0]]}, []),
+        ("analyze", {"pi": [[1.0, "x"], [0.0, 1.0]]}, ["--fixture", "paper-example"]),
+        ("analyze", {"eps_grid": {"min": "2", "max": 4.0, "steps": 3}}, []),
+        ("analyze", {"eps_grid": {"min": 2.0, "max": 4.0, "steps": 2.5}}, []),
+    ], ids=["mc-list", "mc-list-simulate-flag", "orders-text", "theta-list-text",
+            "matrix-text", "fixture-pi-text", "eps-min-text", "eps-steps-fraction"])
+    def test_malformed_config_is_input_error(self, capsys, tmp_path, command, update, argv):
+        code = main([command, "--config", _write_config(tmp_path, dict(TINY_DOC, **update))]
+                    + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_non_object_config_is_input_error(self, capsys, tmp_path):
+        code = main(["analyze", "--config", _write_config(tmp_path, [1])])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith("error: ")
 
     def test_byte_determinism(self, capsys, tmp_path):
         cfg = _write_config(tmp_path, TINY_DOC)

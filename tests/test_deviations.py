@@ -141,6 +141,24 @@ class TestCramerNumeric:
             closed = cramer_bound_closed(env.mu, env.alpha, n, eps)
             assert numeric <= closed + 1e-8
 
+    def test_deriv_increases_toward_theta_max(self, paper_deviation):
+        # the peak of 1 / (1 - 2 theta F) at lam = 0 narrows like
+        # sqrt(1 - theta / theta_max); a rule that misses it reads a
+        # derivative below its theta = 0 value n N(0)
+        theta_max = 1.0 / (2.0 * paper_deviation.f_infnorm())
+        derivs = [paper_deviation._deriv(theta_max * (1.0 - 10.0**-k)) for k in range(1, 10)]
+        assert np.all(np.diff(derivs) > 0)
+        assert derivs[0] > paper_deviation.model.n * paper_deviation.n0
+
+    def test_bound_near_theta_max(self, paper_deviation):
+        # eps = 1e6 puts theta* within 1e-6 of theta_max
+        eps = 1e6
+        n = paper_deviation.model.n
+        env = paper_deviation.envelope
+        bound, theta_star = paper_deviation.cramer_bound_numeric(eps)
+        assert theta_star * (n * paper_deviation.n0 - eps) <= bound
+        assert bound <= cramer_bound_closed(env.mu, env.alpha, n, eps) + 1e-8
+
 
 class TestEnvelopeParams:
     def test_paper_values(self, paper_deviation):
