@@ -16,7 +16,6 @@ from oqrisk import (
     model_from_matrices,
     paper_example_model,
     pr_residual,
-    stability_margin,
 )
 from oqrisk.gaussian import spectral_identity_residual
 
@@ -29,7 +28,7 @@ tiny = model_from_matrices(
 print("A =\n", tiny.a)
 print("B =\n", tiny.b)
 print("PR residual:", pr_residual(tiny))
-print("stability:", stability_margin(tiny))
+print("Hurwitz:", tiny.is_hurwitz, " spectral abscissa:", tiny.spectral_abscissa)
 
 steady = gramian_steady(tiny)
 print("P =\n", steady.p)

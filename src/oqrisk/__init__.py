@@ -46,7 +46,6 @@ from .gaussian import (
     qcf_multipoint_steady,
     qcf_onepoint,
 )
-from .matfun import QuadratureSpec, TailHint
 from .model import (
     CcrMatrix,
     OqhoModel,
@@ -57,7 +56,6 @@ from .model import (
     model_from_matrices,
     pr_residual,
     random_model,
-    stability_margin,
 )
 from .quartic import (
     QuarticReport,

@@ -20,6 +20,8 @@ statistical.  Two risk-sensitive rate normalizations ship side by side:
   which is the rate of the circular complex process actually defined by the
   SDE above (its small-theta slope is the true stationary mean ``<Pi, P>``).
 
+Both integrals and the series cross-check run on ``matfun.integrate_frequency``.
+
 The Monte Carlo estimator ``mc_rs_rate`` is the tiebreaker experiment; its
 verdict (it matches the sde variant) is recorded in analysis reports.
 """
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InsufficientPaths,
@@ -41,7 +42,7 @@ from .errors import (
     VarianceBlowup,
 )
 from .gaussian import gramian_steady
-from .matfun import expm, lyap_solve, opnorm2, sqrt_psd
+from .matfun import expm, integrate_frequency, lyap_solve, opnorm2, sqrt_psd
 from .model import OqhoModel
 from .quartic import _as_weight
 
@@ -274,11 +275,9 @@ def _quadform(states: np.ndarray, pi: np.ndarray, scratch=None, out=None) -> np.
 
 
 def _density_integral(model: OqhoModel, pi: np.ndarray, g) -> float:
-    """integral over R of ``g`` of the weighted density's eigenvalues."""
+    """integral over R of ``g`` (one value per row) of the density's eigenvalue rows."""
     eigs = model.weight_facts(pi).density_eigs
-    val, _ = quad(lambda lam: g(eigs(lam)), -np.inf, np.inf,
-                  epsabs=1e-11, epsrel=1e-11, limit=600)
-    return val
+    return float(integrate_frequency(lambda lams: g(eigs(lams)), model.eig.values))
 
 
 def rs_theta_max(model: OqhoModel, pi) -> float:
@@ -300,14 +299,15 @@ def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
             f"theta = {theta} outside the finiteness range (0, {1.0 / peak:.6e})"
         )
 
-    def log_det(w: np.ndarray) -> float:
+    def log_det(w: np.ndarray) -> np.ndarray:
         # the peak scan above can miss the top of the density; every node
-        # the quadrature visits is checked as well
-        if theta * w[-1] >= 1.0:
+        # the frequency rule visits is checked as well
+        top = theta * w[:, -1].max()
+        if top >= 1.0:
             raise ThetaOutOfRange(
-                f"theta = {theta} reaches theta * eig(Pi D) = {theta * w[-1]:.6f} >= 1"
+                f"theta = {theta} reaches theta * eig(Pi D) = {top:.6f} >= 1"
             )
-        return float(np.log1p(-theta * w).sum())
+        return np.log1p(-theta * w).sum(axis=-1)
 
     val = prefactor * _density_integral(model, pi, log_det)
     if not math.isfinite(val):
@@ -333,7 +333,7 @@ def classical_rate_series(model: OqhoModel, pi, theta: float, orders: int = 6) -
     for the printed variant; crosscheck within the geometric remainder."""
     return _density_integral(
         model, _as_weight(pi),
-        lambda w: sum(theta**r / r * float((w**r).sum()) for r in range(1, orders + 1)),
+        lambda w: sum(theta**r / r * (w**r).sum(axis=-1) for r in range(1, orders + 1)),
     ) / (4.0 * np.pi)
 
 

@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="plottable CSV streams")
     _add_common(p)
-    p.add_argument("--which", choices=["bound", "delta", "cumulants"],
-                   required=True)
+    p.add_argument("--which", choices=["bound", "delta"], required=True)
     p.add_argument("--r", type=int, help="table order for --which delta")
     # --which bound runs the bound command on the config's eps_grid
     p.set_defaults(method="both", eps_min=None, eps_max=None, eps_steps=None)
@@ -187,12 +186,7 @@ def _cmd_report(args) -> int:
         if args.r is None:
             raise ConfigError("--which delta needs --r")
         return _cmd_delta(args)
-    if args.which == "bound":
-        return _cmd_bound(args)
-    cfg = _load_config(args)
-    rows = report.cumulant_rows(cfg.model, cfg.pi, cfg.orders)
-    _emit(_csv(["order", "rate"], rows), args.out)
-    return EXIT_OK
+    return _cmd_bound(args)
 
 
 _HANDLERS = {

@@ -36,15 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, NumericalDefect, OrderTooLarge
-from .gaussian import CovarianceKernel, SpectralDensity, gramian_steady
-from .matfun import (
-    QuadratureSpec,
-    TailHint,
-    expm_ladder,
-    integrate_realline,
-    opnorm2,
-    trapezoid_weights,
-)
+from .gaussian import CovarianceKernel, gramian_steady
+from .matfun import RULE_TOL, expm_ladder, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 from .quartic import _as_weight
 
@@ -95,6 +88,8 @@ def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
     """Sum over all permutations ``p`` of ``{1..m}``, ``m = len(steps) + 1``,
     of ``first @ w_1 @ ... @ w_{m-1}``, where ``(up_i, down_i) = steps[i-1]``
     and ``w_i`` is ``up_i`` if ``p_i < p_{i+1}`` and ``down_i`` otherwise.
+    Operands may be stacks of matrices (leading axes broadcast); the sum is
+    taken for every stacked entry at once.
 
     Recursion over the relative rank of the last element (Niven 1968, de
     Bruijn 1970): with ``F_i[k]`` the sum over arrangements of ``i``
@@ -103,21 +98,20 @@ def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
         F_{i+1}[j] = (sum_{k<j} F_i[k]) up_i + (sum_{k>=j} F_i[k]) down_i.
 
     The prefix sums and the suffix sums are each stacked into one
-    ``(i rows) x cols`` operand, so a step is two 2-D matrix products:
-    ``O(m^2)`` block products in all, against ``(m-1)!`` terms for
-    enumeration.  (``np.cumsum`` along the stacking axis is slower than the
-    products themselves at n = 32, hence the list of blocks.)
+    ``(i rows) x cols`` operand, so a step is two matrix products per
+    stacked entry: ``O(m^2)`` block products in all, against ``(m-1)!``
+    terms for enumeration.  (``np.cumsum`` along the stacking axis is slower
+    than the products themselves at n = 32, hence the list of blocks.)
     """
-    rows, cols = first.shape
     f = [first]
     for up, down in steps:
         i = len(f)
         # below[j] = (sum_{k<=j} F[k]) up enters rank j+1 by an ascent,
         # above[j] = (sum_{k>=j} F[k]) down enters rank j by a descent
-        below = np.concatenate(list(itertools.accumulate(f))) @ up
-        above = np.concatenate(list(itertools.accumulate(f[::-1]))[::-1]) @ down
-        below = below.reshape(i, rows, cols)
-        above = above.reshape(i, rows, cols)
+        below = np.split(np.concatenate(list(itertools.accumulate(f)), axis=-2) @ up,
+                         i, axis=-2)
+        above = np.split(np.concatenate(list(itertools.accumulate(f[::-1]))[::-1],
+                                        axis=-2) @ down, i, axis=-2)
         f = [a + b for a, b in zip([*above, 0], [0, *below])]
     return sum(f)
 
@@ -151,18 +145,16 @@ def delta_table(r: int) -> DescentTable:
     return table
 
 
-def _gamma_sum(pi, d0, d1, r: int) -> complex:
+def _gamma_sum(pi, d0, d1, r: int):
     """``sum_gamma Delta_{r,gamma} Tr(Pi d0 [prod_j Pi d^{gamma_j}] Pi d1)``
-    with ``d^0 = d0``, ``d^1 = d1``, by the descent-rank recursion."""
-    up = pi @ d0
-    down = pi @ d1
+    with ``d^0 = d0``, ``d^1 = d1``, by the descent-rank recursion; ``d0`` and
+    ``d1`` may be stacks over frequencies, and so is the result."""
+    up, down = pi @ d0, pi @ d1
     head = _descent_recursion(up, [(up, down)] * (r - 2))
-    return complex(np.sum(head * down.T))
+    return np.sum(head * down.swapaxes(-1, -2), axis=(-2, -1))
 
 
-def cumulant_rate(
-    model: OqhoModel, pi, r: int, spec: QuadratureSpec | None = None
-) -> float:
+def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     """Asymptotic growth rate of the r-th cumulant, frequency domain:
 
         (2^{r-2} / pi) sum_gamma Delta_{r,gamma} *
@@ -170,48 +162,39 @@ def cumulant_rate(
 
     with ``D^{[1]}(lam) = D(-lam)'``.  The gamma sum is taken inside the
     descent-rank recursion with matrix weights ``Pi D`` (ascent) and
-    ``Pi D^{[1]}`` (descent), ``O(r^2)`` matrix products per frequency
-    node and no table.  The gamma-summed integrand is real up to rounding;
-    the imaginary residue is checked pointwise and the real part
-    integrated.  Capped at r = 10: the integrand scales like the r-th power
-    of ``||Pi D||`` and the quadrature tolerances and reality floor have
-    been checked against reference rates up to that order only.
-    """
+    ``Pi D^{[1]}`` (descent): ``O(r^2)`` matrix products for a block of
+    frequency nodes, no table.  The integral runs on
+    :func:`~oqrisk.matfun.integrate_frequency` with the eigenvalues of
+    ``A``, certified by its nested refinement.  The terms at a node are of
+    size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``; stacking
+    ``eps s / RULE_TOL`` with the integrand certifies a rate that vanishes
+    in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
+    ``Pi = I``) against the rounding of its terms, not against its own
+    rounding residue.  The gamma-summed integrand is real up to rounding:
+    its largest imaginary part must stay below 1e-10 of its largest modulus
+    or ``s`` over the nodes.  Capped at r = 10, the largest order the
+    certificates have been checked at against reference rates."""
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
     pi = _as_weight(pi)
     if not np.any(pi):
         return 0.0
-    sd = SpectralDensity(model)
-    # characteristic magnitude for the reality floor: an identically zero
-    # integrand still carries rounding noise at this scale times epsilon
-    char = (opnorm2(pi) * opnorm2(sd.d(0.0))) ** r
-    scale_probe = [char]
+    norm = opnorm2(pi)
+    top = np.zeros(2)  # largest modulus or term size, largest imaginary part
 
-    def integrand(lam: float) -> float:
-        d0, d1 = sd.d_pair(lam)
-        val = _gamma_sum(pi, d0, d1, r)
-        probe = max(scale_probe[0], abs(val))
-        scale_probe[0] = probe
-        if abs(val.imag) > 1e-10 * probe:
-            raise NumericalDefect(
-                f"gamma-summed integrand has imaginary part {val.imag:.3e} at "
-                f"lam={lam}"
-            )
-        return val.real
+    def integrand(lams):
+        d0, d1 = model.density_pair(lams)
+        vals = _gamma_sum(pi, d0, d1, r)
+        scale = (norm * (np.linalg.norm(d0, axis=(-2, -1))
+                         + np.linalg.norm(d1, axis=(-2, -1)))) ** r
+        np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
+                   out=top)
+        return np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)
 
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
-    if spec.tail_decay_hint is None:
-        # each density factor decays like 1/lam^2
-        lam0 = 10.0 * (1.0 + opnorm2(model.a))
-        c = abs(integrand(lam0)) * lam0 ** (2 * r) + spec.abs_tol
-        spec = QuadratureSpec(
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_subdivisions=spec.max_subdivisions,
-            tail_decay_hint=TailHint(c=c, rate=2.0 * r),
-        )
-    val = integrate_realline(integrand, spec)
+    val = integrate_frequency(integrand, model.eig.values)[0]
+    if top[1] > 1e-10 * top[0]:
+        raise NumericalDefect(f"gamma-summed integrand has imaginary part {top[1]:.3e} "
+                              f"against a largest modulus {top[0]:.3e}")
     return float(2 ** (r - 2) / np.pi * val)
 
 

@@ -40,7 +40,8 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .gaussian import gramian_steady
-from .matfun import expm, expm_ladder, inv_sqrt_psd, lyap_solve, opnorm2, sqrt_psd
+from .matfun import (expm, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve, opnorm2,
+                     sqrt_psd)
 from .model import OqhoModel
 from .quartic import _as_weight
 
@@ -144,7 +145,7 @@ def _filon_cos(fvals: np.ndarray, h: float, lam: float, grid: np.ndarray) -> flo
 # halve toward lam = 0 down to lam_base 2^-GRADE_DEPTH, resolving the peak of
 # 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)) up to
 # theta = theta_max (1 - 1e-10).  The tail cut is lam_base 2^j, j <= MAX_CUT.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+GL_ORDER = 24
 GRADE_DEPTH = 40
 MAX_CUT = 6
 
@@ -180,9 +181,8 @@ def _tabulate(ffun, base, tol) -> _FTable:
     top = MAX_CUT if top is None else top  # thetas past it raise when integrated
     edges = np.concatenate(([0.0], base * 2.0 ** np.arange(-GRADE_DEPTH, -3),
                             base / 8.0 * np.arange(1, 2 ** (top + 3) + 1)))
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
-    return _FTable(base=base, nodes=nodes, weights=(half * _GL_W).ravel(),
+    nodes, weights = gauss_panels(edges, GL_ORDER)
+    return _FTable(base=base, nodes=nodes, weights=weights,
                    fvals=np.array([ffun(lam) for lam in nodes]), fcut=fcut[:top + 1])
 
 

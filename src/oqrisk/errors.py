@@ -49,12 +49,7 @@ class NotPsd(OqriskError, ValueError):
 
 
 class NoConvergence(OqriskError, ArithmeticError):
-    """Adaptive quadrature or root bracketing did not reach tolerance."""
-
-
-class MissingTailBound(OqriskError, ValueError):
-    """A real-line integrand decays too slowly for the default
-    truncation heuristic; supply an explicit tail hint."""
+    """A quadrature certificate or root bracketing did not reach tolerance."""
 
 
 class NegativeTime(OqriskError, ValueError):

@@ -20,11 +20,10 @@ import numpy as np
 from .errors import (
     InvalidInitialState,
     NegativeTime,
-    NotHurwitz,
     NumericalDefect,
     UnsortedTimes,
 )
-from .matfun import QuadratureSpec, expm
+from .matfun import expm, integrate_frequency
 from .model import OqhoModel, SteadyState
 
 __all__ = [
@@ -98,37 +97,21 @@ class CovarianceKernel:
 
 
 class SpectralDensity:
-    """Transfer function and spectral density evaluators.
+    """Spectral density evaluators at one frequency.
 
     ``d(lam)`` is Hermitian PSD for every frequency; ``d_flip`` is the
-    lag-reversed transform ``D(-lam)'``, computed from the same resolvent
-    factorization as ``d`` (one linear solve per frequency).
+    lag-reversed transform ``D(-lam)'``; both come from
+    :meth:`OqhoModel.density_pair`, which shares one resolvent solve and
+    refuses a drift that is not Hurwitz.
     """
 
     def __init__(self, model: OqhoModel):
-        if not model.is_hurwitz:
-            raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
-                             f"{model.spectral_abscissa:.3e}")
         self.model = model
-        self._eye = np.eye(model.n)
-        self._omega = model.omega
-        self._omega_bar = model.omega.conj()
-
-    def g(self, lam: float) -> np.ndarray:
-        try:
-            return np.linalg.solve(1j * lam * self._eye - self.model.a, self.model.b)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - Hurwitz guard
-            raise NumericalDefect(f"resolvent solve failed at lam={lam}") from exc
 
     def d_pair(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(D(lam), D(-lam)')`` sharing one resolvent solve.
-
-        The flip obeys ``D(-lam)' = G(i lam) Omega-conjugate G(i lam)*``
-        because ``A`` and ``B`` are real and ``D`` is Hermitian.
-        """
-        g = self.g(lam)
-        gh = g.conj().T
-        return g @ self._omega @ gh, g @ self._omega_bar @ gh
+        """``(D(lam), D(-lam)')`` sharing one resolvent solve."""
+        d, flip = self.model.density_pair([lam])
+        return d[0], flip[0]
 
     def d(self, lam: float) -> np.ndarray:
         return self.d_pair(lam)[0]
@@ -198,25 +181,10 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     return complex(np.exp(-0.5 * exponent.real))
 
 
-def spectral_identity_residual(
-    model: OqhoModel, spec: QuadratureSpec | None = None
-) -> float:
+def spectral_identity_residual(model: OqhoModel) -> float:
     """Max-abs defect of ``(1/2pi) integral D(lam) dlam = P + i*Theta``.
 
-    Diagnostic used by tests and reports; integrates the density with the
-    resolvent evaluated exactly at every node, over the full line.
-    """
-    from scipy.integrate import quad_vec
-
-    spec = spec or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-10)
-    sd = SpectralDensity(model)
-    steady = gramian_steady(model)
-    val, _ = quad_vec(
-        sd.d,
-        -np.inf,
-        np.inf,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-    )
-    return float(np.abs(val / (2.0 * np.pi) - steady.quantum_cov).max())
+    Diagnostic used by tests and reports; integrates the density, with the
+    resolvent evaluated exactly at every node, on the frequency rule."""
+    val = integrate_frequency(lambda lams: model.density_pair(lams)[0], model.eig.values)
+    return float(np.abs(val / (2.0 * np.pi) - gramian_steady(model).quantum_cov).max())

@@ -10,9 +10,10 @@ one place.  Conventions:
   implementation (backward stable).  Uniform lag ladders ``e^{k h A}`` go
   through the eigendecomposition when ``A`` is comfortably diagonalizable
   and step by one exponential otherwise (:func:`expm_ladder`).
-* Integrals over the whole real line are truncated symmetrically using an
-  explicit tail-decay hint, or a sampled decay estimate when no hint is
-  given, and then handed to adaptive quadrature.
+* Frequency integrals over the whole real line go through one rule
+  (:func:`integrate_frequency`): composite Gauss-Legendre panels graded
+  toward the resonances of the integrand's poles, two algebraic tails, and
+  a nested-rule certificate from halving every panel.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import quad_vec
 
 from .errors import (
     EigenFailure,
     IllConditioned,
-    MissingTailBound,
     NoConvergence,
     NotHurwitz,
     NotPsd,
@@ -35,8 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureSpec",
-    "TailHint",
     "expm",
     "EigBasis",
     "eig_basis",
@@ -45,41 +42,14 @@ __all__ = [
     "opnorm2",
     "sqrt_psd",
     "inv_sqrt_psd",
-    "integrate_line",
-    "integrate_realline",
+    "gauss_panels",
+    "integrate_frequency",
     "trapezoid_weights",
 ]
 
 #: Drift eigenvalues must lie strictly left of this abscissa to count as
 #: Hurwitz; marginal systems are rejected by steady-state code paths.
 HURWITZ_TOL = -1e-10
-
-
-@dataclass(frozen=True)
-class TailHint:
-    """Decay model ``|f| <= c * lam**-rate`` (algebraic, default) or
-    ``|f| <= c * exp(-rate * lam)`` (exponential) used to truncate
-    real-line integrals."""
-
-    c: float
-    rate: float
-    kind: str = "algebraic"  # "algebraic" | "exponential"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for the adaptive quadrature routines."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    tail_decay_hint: Optional[TailHint] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < 1.0 and 0.0 < self.rel_tol < 1.0):
-            raise ValueError("quadrature tolerances must lie in (0, 1)")
-        if self.max_subdivisions < 16:
-            raise ValueError("max_subdivisions must be at least 16")
 
 
 def _require_finite(a, name):
@@ -251,91 +221,102 @@ def inv_sqrt_psd(k: np.ndarray) -> np.ndarray:
     return out.real if not np.iscomplexobj(np.asarray(k)) else out
 
 
-def integrate_line(
-    f: Callable[[float], object],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-    points=None,
-):
-    """Adaptive quadrature of a scalar- or matrix-valued integrand on [a, b].
-
-    The integrand may return real or complex scalars or arrays; the result
-    has the same shape.  ``points`` forces subdivision at interior
-    breakpoints (needed on very wide intervals whose mass concentrates in
-    a narrow region, where the initial rule would otherwise see zero).
-    Raises :class:`NoConvergence` when the error estimate exceeds the
-    requested tolerance by more than an order of magnitude.
-    """
-    spec = spec or QuadratureSpec()
-    probe = np.asarray(f(a + 0.5 * (b - a)))
-    scalar = probe.ndim == 0
-    val, err = quad_vec(
-        lambda x: np.asarray(f(x)),
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        points=points,
-    )
-    bound = max(spec.abs_tol, spec.rel_tol * float(np.linalg.norm(np.atleast_1d(val))))
-    if err > 10.0 * bound:
-        raise NoConvergence(f"quadrature error estimate {err:.3e} exceeds {bound:.3e}")
-    if scalar:
-        return complex(val) if np.iscomplexobj(val) else float(val)
-    return val
+#: Gauss-Legendre nodes per panel of the frequency rule.
+RULE_ORDER = 16
+#: Two successive levels of the frequency rule agree to this fraction of the
+#: integral of ``|f|`` before their finer value is returned.
+RULE_TOL = 1e-12
+#: Halvings of every panel after which the frequency rule gives up.
+RULE_DEPTH = 6
+#: Frequencies per integrand call: bounds the integrand's working memory.
+RULE_BLOCK = 256
 
 
-def _truncation_radius(hint: TailHint, abs_tol: float) -> float:
-    # choose L so that the hinted tail bound beyond L contributes < abs_tol/10
-    budget = 0.1 * abs_tol
-    if hint.kind == "exponential":
-        if hint.rate <= 0:
-            raise MissingTailBound("exponential tail hint needs a positive rate")
-        return max(10.0, np.log(max(hint.c, budget) / (budget * hint.rate)) / hint.rate)
-    if hint.rate <= 1.0:
-        raise MissingTailBound("algebraic tail hint needs a decay exponent > 1")
-    lam = (10.0 * hint.c / (abs_tol * (hint.rate - 1.0))) ** (1.0 / (hint.rate - 1.0))
-    return max(10.0, lam)
+def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite ``order``-point Gauss-Legendre rule
+    on the panels between consecutive ``edges``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
 
-def _estimate_tail(f, spec: QuadratureSpec) -> TailHint:
-    # sampled decay estimate: |f| at a dyadic ladder of frequencies
-    lams = 16.0 * 2.0 ** np.arange(6)
-    mags = np.array([np.linalg.norm(np.atleast_1d(np.asarray(f(l)))) for l in lams])
-    if mags.max() == 0.0:
-        return TailHint(c=0.0, rate=np.inf)
-    ratios = mags[:-1] / np.maximum(mags[1:], 1e-300)
-    p = np.log2(np.maximum(ratios, 1e-300)).mean()
-    if p < 1.5:
-        raise MissingTailBound(
-            f"sampled decay exponent {p:.2f} is slower than 1/lam^2; "
-            "pass an explicit tail_decay_hint"
-        )
-    c = float(mags[-1] * lams[-1] ** p)
-    return TailHint(c=c, rate=float(p))
+def _resonance_edges(poles) -> tuple[np.ndarray, float]:
+    """Panel edges on ``[-span, span]``, ``span = 2 max|mu| + 1``, for an
+    integrand with poles at ``lam = +-Im(mu) -+ i Re(mu)``: candidate edges
+    sit at each centre ``+-Im(mu)`` and at dyadic offsets ``|Re(mu)| 2^j / 8``
+    from it, and are merged greedily into the widest panels that stay no
+    wider than their distance to the nearest pole."""
+    poles = np.asarray(poles, dtype=complex).ravel()
+    if poles.size and poles.real.max() >= 0.0:
+        raise NotHurwitz("the frequency rule needs poles with negative real parts")
+    span = 2.0 * np.abs(poles).max(initial=0.0) + 1.0
+    centres = np.concatenate([poles.imag, -poles.imag])
+    depths = np.abs(np.concatenate([poles.real, poles.real]))
+    cands = [np.array([-span, span])]
+    for c, d in zip(centres, depths):
+        steps = d / 8.0 * 2.0 ** np.arange(int(np.ceil(np.log2(16.0 * span / d))) + 1)
+        cands.append(c + np.concatenate(([0.0], steps, -steps)))
+    cands = np.unique(np.concatenate(cands))
+    cands = cands[(cands >= -span) & (cands <= span)]
+
+    def fits(a, b):
+        gap = np.maximum(np.maximum(a - centres, centres - b), 0.0)
+        return b - a <= np.hypot(gap, depths).min(initial=np.inf)
+
+    picked = [0]
+    while picked[-1] < cands.size - 1:
+        # fits is monotone in b: bisect for the last candidate that fits
+        lo, hi = picked[-1] + 1, cands.size - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if fits(cands[picked[-1]], cands[mid]) else (lo, mid - 1)
+        picked.append(lo)
+    return cands[picked], span
 
 
-def integrate_realline(f, spec: QuadratureSpec | None = None):
-    """Integrate an absolutely integrable function over the whole real line.
+def _frequency_rule(edges, span, level):
+    """Nodes and weights at ``level``: every panel of ``edges`` and of the
+    tails ``lam = +-span / s``, ``s in (0, 1]``, cut into ``2^level`` parts."""
+    def split(e):
+        return np.interp(np.arange((e.size - 1) * 2**level + 1) / 2**level, np.arange(e.size), e)
 
-    Truncates to ``[-L, L]`` with ``L`` chosen so the hinted (or estimated)
-    tail bound contributes less than a tenth of the absolute tolerance,
-    then integrates adaptively.  Raises :class:`MissingTailBound` when no
-    hint is given and the sampled decay is slower than ``1/lam^2``.
-    """
-    spec = spec or QuadratureSpec()
-    hint = spec.tail_decay_hint or _estimate_tail(f, spec)
-    if hint.c == 0.0 and not np.isfinite(hint.rate):
-        lam = 16.0
-    else:
-        lam = _truncation_radius(hint, spec.abs_tol)
-    # force subdivision around the origin: on a wide truncation interval the
-    # initial quadrature rule would otherwise sample only the far tails
-    core = min(100.0, 0.01 * lam)
-    points = [-core, 0.0, core] if lam > 1e3 else None
-    return integrate_line(f, -lam, lam, spec, points=points)
+    mid, w_mid = gauss_panels(split(edges), RULE_ORDER)
+    s, w_s = gauss_panels(split(np.array([0.0, 1.0])), RULE_ORDER)
+    tail, w_tail = span / s, w_s * span / s**2
+    return (np.concatenate([-tail, mid, tail[::-1]]),
+            np.concatenate([w_tail, w_mid, w_tail[::-1]]))
+
+
+def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
+    """``integral over R of f(lam) dlam`` for an integrand that decays like
+    ``1/lam^2`` or faster, with poles ``lam = +-Im(mu) -+ i Re(mu)`` for
+    ``mu`` in ``poles`` (the eigenvalues of ``A`` for ``(i lam - A)^{-1}``).
+
+    ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
+    values (scalars or arrays) at them.  The rule is composite
+    ``RULE_ORDER``-point Gauss-Legendre on the panels of
+    :func:`_resonance_edges` plus two tails on ``lam = +-span / s``; every
+    panel is halved until two successive levels agree to ``RULE_TOL`` times
+    the integral of ``|f|``, and the finer value is returned.  Raises
+    :class:`NoConvergence` if they still disagree after ``RULE_DEPTH``
+    halvings."""
+    edges, span = _resonance_edges(poles)
+    prev = gap = None
+    for level in range(RULE_DEPTH + 1):
+        nodes, weights = _frequency_rule(edges, span, level)
+        total = mass = 0.0
+        for lo in range(0, nodes.size, RULE_BLOCK):
+            vals = np.asarray(f(nodes[lo:lo + RULE_BLOCK]))
+            total = total + np.tensordot(weights[lo:lo + RULE_BLOCK], vals, axes=1)
+            mass = mass + np.tensordot(weights[lo:lo + RULE_BLOCK], np.abs(vals), axes=1)
+        if prev is not None:
+            gap = np.abs(total - prev).max()
+            if gap <= RULE_TOL * np.max(mass):
+                return total
+        prev = total
+    raise NoConvergence(f"frequency rule levels {RULE_DEPTH - 1} and {RULE_DEPTH} differ by "
+                        f"{gap:.3e}, more than {RULE_TOL:g} of {np.max(mass):.3e}")
 
 
 def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]:

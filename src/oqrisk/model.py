@@ -44,7 +44,6 @@ __all__ = [
     "model_from_matrices",
     "model_from_json",
     "pr_residual",
-    "stability_margin",
     "random_model",
 ]
 
@@ -148,8 +147,9 @@ class SteadyState:
 class WeightFacts:
     """Facts of one ``(model, Pi)`` pair, each computed on first use and
     kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta``, the
-    Lyapunov solutions ``t`` of ``AT + TA' + seed = 0`` and ``q`` of
-    ``A'Q + QA + Pi = 0``, and ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
+    Lyapunov solutions ``t`` of ``AT + TA' + seed = 0``, ``u`` of
+    ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, and
+    ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
 
     model: "OqhoModel"
     pi: np.ndarray
@@ -168,18 +168,18 @@ class WeightFacts:
         return _freeze(matfun.lyap_solve(self.model.a, self.seed))
 
     @cached_property
+    def u(self) -> np.ndarray:
+        return _freeze(matfun.lyap_solve(self.model.a, self.t))
+
+    @cached_property
     def q(self) -> np.ndarray:
         return _freeze(matfun.lyap_solve(self.model.a.T, self.pi))
 
-    def density_eigs(self, lam: float) -> np.ndarray:
-        """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)``, where
-        ``D = G Omega G*`` and ``G = (i lam - A)^{-1} B``."""
-        if not self.model.is_hurwitz:
-            raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
-                             f"{self.model.spectral_abscissa:.3e}")
-        # D is formed here: gaussian.SpectralDensity sits above this module
-        g = np.linalg.solve(1j * lam * np.eye(self.model.n) - self.model.a, self.model.b)
-        return np.linalg.eigvalsh(self.root @ (g @ self.model.omega @ g.conj().T) @ self.root)
+    def density_eigs(self, lams) -> np.ndarray:
+        """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)`` stacked over
+        the frequencies ``lams``, ``D = G Omega G*``, ``G = (i lam - A)^{-1} B``."""
+        d, _ = self.model.density_pair(lams)
+        return np.linalg.eigvalsh(self.root @ d @ self.root)
 
     @cached_property
     def density_peak(self) -> float:
@@ -188,7 +188,9 @@ class WeightFacts:
         scale = 1.0 + matfun.opnorm2(self.model.a)
         lams = np.concatenate([np.linspace(0.0, 10.0 * scale, 1201),
                                np.geomspace(10.0 * scale, 1e4 * scale, 120)])
-        return max(0.0, *(float(self.density_eigs(lam)[-1]) for lam in lams))
+        step = matfun.RULE_BLOCK
+        return max(0.0, *(float(self.density_eigs(lams[lo:lo + step])[:, -1].max())
+                          for lo in range(0, lams.size, step)))
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,18 @@ class OqhoModel:
     @cached_property
     def eig(self) -> EigBasis:
         return eig_basis(self.a)
+
+    def density_pair(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """``(D(lam), D(-lam)')`` stacked over ``lams`` from one batched solve
+        ``G = (i lam - A)^{-1} B``: ``D = G Omega G*``, and ``D(-lam)' =
+        G Omega-conjugate G*`` as ``A``, ``B`` are real and ``D`` Hermitian."""
+        if not self.is_hurwitz:
+            raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
+                             f"{self.spectral_abscissa:.3e}")
+        lams = np.asarray(lams, dtype=float)
+        g = np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a, self.b)
+        gh = g.conj().swapaxes(-1, -2)
+        return g @ self.omega @ gh, g @ self.omega.conj() @ gh
 
     @cached_property
     def steady(self) -> SteadyState:
@@ -307,11 +321,6 @@ def pr_residual(model: OqhoModel) -> float:
     theta = model.theta
     res = model.a @ theta + theta @ model.a.T + model.b @ model.j @ model.b.T
     return float(np.linalg.norm(res))
-
-
-def stability_margin(model: OqhoModel) -> tuple[bool, float]:
-    """``(is_hurwitz, abscissa)`` with the Hurwitz test at the -1e-10 band."""
-    return model.is_hurwitz, model.spectral_abscissa
 
 
 def random_model(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NegativeTheta, NegativeTime, NotSymmetric, NumericalDefect
 from .gaussian import gramian_steady
-from .matfun import QuadratureSpec, expm, integrate_line
+from .matfun import expm
 from .model import OqhoModel
 
 __all__ = [
@@ -89,24 +89,21 @@ def mean_rate(model: OqhoModel, pi) -> float:
     return float(np.sum(pi * p))
 
 
-def variance_finite(
-    model: OqhoModel, pi, t: float, spec: QuadratureSpec | None = None
-) -> float:
-    """Variance of the cost over ``[0, t]`` by adaptive quadrature of
-    ``4 (t - tau) <Pi, e^{tau A} C e^{tau A'}>``."""
+def variance_finite(model: OqhoModel, pi, t: float) -> float:
+    """Variance of the cost over ``[0, t]`` in closed form,
+
+        4 integral_0^t (t - tau) <Pi, e^{tau A} C e^{tau A'}> dtau
+            = 4 <Pi, t T - U + e^{tA} U e^{tA'}>,
+
+    with ``AU + UA' + T = 0``: ``U`` is solved once per ``(model, Pi)``."""
     if t < 0:
         raise NegativeTime(f"horizon must be nonnegative, got {t}")
     if t == 0:
         return 0.0
     pi = _as_weight(pi)
-    seed = model.weight_facts(pi).seed
-
-    def integrand(tau):
-        e = expm(model.a, tau)
-        return 4.0 * (t - tau) * np.sum(pi * (e @ seed @ e.T))
-
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9)
-    return float(integrate_line(integrand, 0.0, t, spec))
+    facts = model.weight_facts(pi)
+    e = expm(model.a, t)
+    return 4.0 * float(np.sum(pi * (t * facts.t - facts.u + e @ facts.u @ e.T)))
 
 
 def variance_rate(model: OqhoModel, pi) -> tuple[float, np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
 from .gaussian import gramian_steady
 from .matfun import expm
-from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual, stability_margin
+from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual
 
 __all__ = [
     "AnalysisConfig",
@@ -153,13 +153,12 @@ def _cmatrix(a: np.ndarray):
 
 
 def _model_block(model: OqhoModel) -> dict:
-    hurwitz, abscissa = stability_margin(model)
     return {
         "n": model.n,
         "m": model.m,
         "pr_residual": pr_residual(model),
-        "spectral_abscissa": abscissa,
-        "is_hurwitz": hurwitz,
+        "spectral_abscissa": model.spectral_abscissa,
+        "is_hurwitz": model.is_hurwitz,
         "a": _matrix(model.a),
         "b": _matrix(model.b),
     }
@@ -191,13 +190,9 @@ def _quartic_block(model, pi, theta_list) -> dict:
 
 
 def _cumulant_block(model, pi, orders) -> dict:
-    out = {"orders": []}
-    for r in orders:
-        entry = {"order": r, "rate": cumulants.cumulant_rate(model, pi, r)}
-        table = cumulants.delta_table(r)
-        entry["delta_total"] = table.total()
-        out["orders"].append(entry)
-    return out
+    # delta_total is the descent-table total, (r-1)! for every order
+    return {"orders": [{"order": r, "rate": cumulants.cumulant_rate(model, pi, r),
+                        "delta_total": math.factorial(r - 1)} for r in orders]}
 
 
 def _deviation_block(model, pi, eps_grid, tol) -> dict:
@@ -327,11 +322,8 @@ def render_json(obj) -> str:
 
 def delta_rows(r: int):
     """Rows ``(gamma_bits, count)`` in lexicographic bit order."""
-    table = cumulants.delta_table(r)
-    rows = []
-    for bits in sorted(table.counts):
-        rows.append(("".join(str(b) for b in bits), table.counts[bits]))
-    return rows
+    counts = cumulants.delta_table(r).counts
+    return [("".join(str(b) for b in bits), counts[bits]) for bits in sorted(counts)]
 
 
 def cumulant_rows(model, pi, orders):

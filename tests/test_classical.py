@@ -237,6 +237,12 @@ class TestRateVariants:
         # remainder is geometric with ratio theta * peak = 0.05
         assert exact == pytest.approx(series, rel=1e-6)
 
+    def test_sde_rate_near_the_peak(self, paper):
+        # theta * peak = 0.997: 1 - theta eig(Pi D) nearly vanishes near
+        # lam = -2.525, which the rule resolves by halving its panels
+        assert classical_rs_rate_sde(*paper, theta=0.0075) == pytest.approx(
+            0.9521188359007796, rel=1e-10)
+
     def test_theta_guard(self, tiny):
         with pytest.raises(ThetaOutOfRange):
             classical_rs_rate_paper(tiny, np.eye(2), 0.51)

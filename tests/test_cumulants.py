@@ -16,9 +16,10 @@ from oqrisk.cumulants import (
     delta_table,
     wick_moment_oracle,
 )
-from oqrisk.errors import GridTooLarge, OrderTooLarge
+from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
 from oqrisk.gaussian import SpectralDensity
 from oqrisk.matfun import trapezoid_weights
+from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
 
 
@@ -123,6 +124,60 @@ class TestCumulantRate:
     def test_order_guard(self, paper):
         with pytest.raises(OrderTooLarge):
             cumulant_rate(*paper, r=11)
+
+    def test_refuses_marginal_drift(self):
+        marginal = model_from_matrices(canonical_ccr(2).theta, np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(NotHurwitz):
+            cumulant_rate(marginal, np.eye(2), 2)
+
+
+def _quad_rate(model, pi, r, resonance):
+    """Scalar ``quad`` oracle of the rate: the explicit pattern sum at each
+    frequency, with breakpoints at ``+-resonance +- 0.5``."""
+    from scipy.integrate import quad
+
+    sd = SpectralDensity(model)
+    counts = delta_table(r).counts
+
+    def integrand(lam):
+        d0, d1 = sd.d_pair(lam)
+        factor = (pi @ d0, pi @ d1)
+        total = 0.0
+        for bits, cnt in counts.items():
+            mat = factor[0]
+            for b in bits:
+                mat = mat @ factor[b]
+            total += cnt * np.trace(mat @ factor[1]).real
+        return total
+
+    cuts = [-np.inf, -resonance - 0.5, -resonance + 0.5, resonance - 0.5,
+            resonance + 0.5, np.inf]
+    val = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+              for a, b in zip(cuts[:-1], cuts[1:]))
+    return 2 ** (r - 2) / np.pi * val
+
+
+class TestDampedMode:
+    """A lightly damped mode: eigenvalues -0.003 +- 10i, resonances of
+    width 0.003 at lam = +-10."""
+
+    @pytest.fixture(scope="class")
+    def damped(self):
+        eye = np.eye(2)
+        return model_from_matrices(canonical_ccr(2).theta, 10.0 * eye, np.sqrt(0.003) * eye)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_breakpoint_quad(self, damped, r):
+        pi = np.diag([1.0, 2.0])
+        want = _quad_rate(damped, pi, r, 10.0)
+        assert cumulant_rate(damped, pi, r) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_unit_weight_rate_vanishes(self, damped, r):
+        # Pi D Pi D(-lam)' = 0 for this vacuum-like mode: the integrand is
+        # rounding residue and the rate is 0 to rounding
+        scale = cumulant_rate(damped, np.diag([1.0, 2.0]), r)
+        assert abs(cumulant_rate(damped, np.eye(2), r)) <= 1e-12 * scale
 
 
 class TestFiniteTimeDomain:

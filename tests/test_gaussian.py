@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from conftest import J2, make_models
 from oqrisk.errors import (
@@ -19,7 +20,7 @@ from oqrisk.gaussian import (
     qcf_onepoint,
     spectral_identity_residual,
 )
-from oqrisk.matfun import expm, integrate_line
+from oqrisk.matfun import expm
 
 PAPER_P = np.array([
     [3.7981, -2.5143, -3.8716, -1.6214],
@@ -93,7 +94,7 @@ class TestFiniteGramian:
             e = expm(model.a, s)
             return e @ model.b @ model.b.T @ e.T
 
-        direct = integrate_line(integrand, 0.0, t)
+        direct, _ = quad_vec(integrand, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=2000)
         assert np.abs(gramian_finite(model, t) - direct).max() < 1e-8
 
 

@@ -1,19 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oqrisk
+
 from oqrisk.errors import (
-    MissingTailBound,
+    NoConvergence,
     NotHurwitz,
     NotPsd,
 )
 from oqrisk.matfun import (
-    QuadratureSpec,
-    TailHint,
+    _resonance_edges,
     eig_basis,
     expm,
     expm_ladder,
-    integrate_line,
-    integrate_realline,
+    integrate_frequency,
     lyap_solve,
     opnorm2,
     sqrt_psd,
@@ -184,39 +189,65 @@ class TestSqrtPsd:
             sqrt_psd(np.diag([1.0, -0.5]))
 
 
-class TestQuadrature:
-    def test_unit_interval(self):
-        assert integrate_line(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+def lorentzian(lam, centre, width):
+    return width / np.pi / ((lam - centre) ** 2 + width**2)
 
-    def test_truncated_exponential(self):
-        val = integrate_line(np.exp, -40.0, 0.0)
-        assert val == pytest.approx(1.0, abs=1e-10)
+
+class TestQuadrature:
+    """The frequency rule, integrate_frequency."""
 
     def test_lorentzian_over_line(self):
-        spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
-                              tail_decay_hint=TailHint(c=1.0, rate=2.0))
-        val = integrate_realline(lambda x: 1.0 / (1.0 + x * x), spec)
-        assert val == pytest.approx(np.pi, abs=1e-10)
+        # widths 1 and 1e-3 at +-10, each of unit mass
+        def f(lam):
+            return sum(lorentzian(lam, c, w) for c in (-10.0, 10.0) for w in (1.0, 1e-3))
 
-    def test_lorentzian_heuristic_tail(self):
-        val = integrate_realline(lambda x: 2.0 / (1.0 + x * x))
-        assert val == pytest.approx(2.0 * np.pi, abs=1e-9)
-
-    def test_zero_integrand(self):
-        assert integrate_realline(lambda x: 0.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_even_integrand_halves(self):
-        spec = QuadratureSpec(tail_decay_hint=TailHint(c=2.0, rate=4.0))
-        full = integrate_realline(lambda x: 1.0 / (1.0 + x**4), spec)
-        half = integrate_line(lambda x: 1.0 / (1.0 + x**4), 0.0, 1e3)
-        assert full == pytest.approx(2.0 * half, rel=1e-9)
-
-    def test_slow_decay_rejected(self):
-        with pytest.raises(MissingTailBound):
-            integrate_realline(lambda x: 1.0 / (1.0 + abs(x)))
+        poles = [-1.0 + 10j, -1.0 - 10j, -1e-3 + 10j, -1e-3 - 10j]
+        assert integrate_frequency(f, poles) == pytest.approx(4.0, rel=1e-12)
 
     def test_matrix_valued(self):
-        out = integrate_line(lambda x: np.array([[np.cos(x), 0.0], [0.0, np.sin(x)]]),
-                             0.0, np.pi / 2)
-        assert np.allclose(out, np.eye(2), atol=1e-11)
+        def f(lam):
+            lam = lam[:, None, None]
+            one, two = 1.0 + lam**2, 4.0 + lam**2
+            return np.block([[1.0 / one, 1.0 / one**2], [lam**2 / one**2, 2.0 / two]])
 
+        out = integrate_frequency(f, [-1.0, -2.0])
+        assert out.shape == (2, 2)
+        assert np.abs(out - np.pi * np.array([[1.0, 0.5], [0.5, 1.0]])).max() < 1e-12
+
+    def test_zero_integrand(self):
+        assert integrate_frequency(np.zeros_like, [-1.0 + 3j, -1.0 - 3j]) == 0.0
+
+    def test_slow_decay_rejected(self):
+        # 1/|lam| tails are not integrable: the tail panels never settle
+        with pytest.raises(NoConvergence):
+            integrate_frequency(lambda lam: 1.0 / (1.0 + np.abs(lam)), [-1.0])
+
+    def test_missing_narrow_pole_is_refused(self):
+        # the rule is graded for width-1 resonances only: halving cannot
+        # resolve the width-1e-3 one within the fixed depth
+        def f(lam):
+            return lorentzian(lam, 10.0, 1.0) + lorentzian(lam, 10.0, 1e-3)
+
+        with pytest.raises(NoConvergence):
+            integrate_frequency(f, [-1.0 + 10j, -1.0 - 10j])
+
+    def test_panels_no_wider_than_pole_distance(self):
+        poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])
+        edges, span = _resonance_edges(poles)
+        assert edges[0] == -span and edges[-1] == span
+        assert span == pytest.approx(2.0 * 10.0 + 1.0, rel=1e-6)
+        centres = np.concatenate([poles.imag, -poles.imag])
+        depths = np.abs(np.concatenate([poles.real, poles.real]))
+        for a, b in zip(edges[:-1], edges[1:]):
+            gap = np.maximum(np.maximum(a - centres, centres - b), 0.0)
+            assert b - a <= np.hypot(gap, depths).min()
+
+
+def test_import_leaves_scipy_integrate_out():
+    # every frequency integral goes through integrate_frequency; a second
+    # integration path would pull scipy.integrate in
+    env = dict(os.environ, PYTHONPATH=str(Path(oqrisk.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, oqrisk; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -21,7 +21,6 @@ from oqrisk.model import (
     model_from_json,
     model_from_matrices,
     pr_residual,
-    stability_margin,
 )
 
 PAPER_EIGS = np.array([-4.2068, -1.3302, -0.5532 - 2.5929j, -0.5532 + 2.5929j])
@@ -107,20 +106,17 @@ class TestPrResidual:
 
 class TestStabilityMargin:
     def test_tiny(self, tiny):
-        hurwitz, abscissa = stability_margin(tiny)
-        assert hurwitz
-        assert abscissa == pytest.approx(-1.0, abs=1e-12)
+        assert tiny.is_hurwitz
+        assert tiny.spectral_abscissa == pytest.approx(-1.0, abs=1e-12)
 
     def test_paper(self, paper):
-        hurwitz, abscissa = stability_margin(paper[0])
-        assert hurwitz
-        assert abscissa == pytest.approx(-0.5532, abs=1e-3)
+        assert paper[0].is_hurwitz
+        assert paper[0].spectral_abscissa == pytest.approx(-0.5532, abs=1e-3)
 
     def test_marginal_zero_drift(self):
         model = model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.zeros((2, 2)))
-        hurwitz, abscissa = stability_margin(model)
-        assert not hurwitz
-        assert abscissa == pytest.approx(0.0, abs=1e-14)
+        assert not model.is_hurwitz
+        assert model.spectral_abscissa == pytest.approx(0.0, abs=1e-14)
 
 
 class TestJsonIngestion:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from conftest import make_models, random_sym
 from oqrisk.errors import NegativeTheta, NegativeTime, NotSymmetric
 from oqrisk.gaussian import gramian_steady
-from oqrisk.matfun import expm, integrate_line
+from oqrisk.matfun import expm
 from oqrisk.quartic import (
     WeightMatrix,
     mean_rate,
@@ -92,7 +93,7 @@ class TestVarianceRate:
             e = expm(model.a, tau)
             return 4.0 * np.sum(pi * (e @ seed @ e.T))
 
-        direct = integrate_line(integrand, 0.0, horizon)
+        direct, _ = quad_vec(integrand, 0.0, horizon, epsabs=1e-10, epsrel=1e-10, limit=2000)
         assert direct == pytest.approx(rate, rel=1e-6)
 
     def test_homogeneity(self, paper):
