@@ -10,8 +10,10 @@ quantum value ``2 <Pi, P Pi P + Theta Pi Theta>``.
 
 Simulation uses the exact one-step discretization of the augmented real
 process ``[Re zeta; Im zeta]``: stepping matrix ``e^{h (I2 (x) A)}`` and
-the exact one-step noise covariance, so Monte Carlo error is purely
-statistical.  Two risk-sensitive rate normalizations ship side by side:
+the exact one-step noise covariance, so the step enters a Monte Carlo rate
+only through the trapezoid sum of the cost, and ``finite_horizon_rate``
+gives the exact value that the estimate targets.  Two risk-sensitive rate
+normalizations ship side by side:
 
 * ``classical_rs_rate_paper``: ``-(1/4 pi) integral ln det(I - theta Pi D)``,
   the convention that treats ``D/2`` as the density of ``zeta`` (consistent
@@ -61,6 +63,7 @@ __all__ = [
     "classical_rs_rate_paper",
     "classical_rs_rate_sde",
     "classical_rate_series",
+    "finite_horizon_rate",
     "mc_rs_rate",
     "rs_theta_max",
 ]
@@ -78,12 +81,15 @@ class InvariantCov:
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo estimate with per-entry standard errors; deterministic
-    for a fixed seed."""
+    for a fixed seed.  A rate estimate also carries its step ``h`` and,
+    when ``mc_rs_rate`` chose that step, the exact ``target`` it estimates."""
 
     value: np.ndarray | float | complex
     stderr: np.ndarray | float
     paths: int
     seed: int
+    h: float | None = None
+    target: float | None = None
 
 
 def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -337,6 +343,80 @@ def classical_rate_series(model: OqhoModel, pi, theta: float, orders: int = 6) -
     ) / (4.0 * np.pi)
 
 
+def _rate_grid(horizon: float, h: float) -> tuple[int, float]:
+    """Step count and the step that divides the horizon exactly."""
+    steps = max(2, int(round(horizon / h)))
+    return steps, horizon / steps
+
+
+def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndarray]:
+    """For ``x = m + L z`` with ``z`` standard normal, ``log E exp(x' M x) =
+    -(1/2) log det(I - 2 L'ML) + m' K m``; returns the log-det term and
+    ``K``.  Raises ``ThetaOutOfRange`` when ``I - 2 L'ML`` fails its
+    Cholesky test: the exponential moment is infinite."""
+    ml = mat @ factor
+    try:
+        chol = np.linalg.cholesky(np.eye(len(factor)) - 2.0 * factor.T @ ml)
+    except np.linalg.LinAlgError:
+        raise ThetaOutOfRange(
+            "the exponential moment of the trapezoid cost is infinite"
+        ) from None
+    w = np.linalg.solve(chol, ml.T)
+    return -float(np.log(np.diag(chol)).sum()), mat + 2.0 * w.T @ w
+
+
+def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: float) -> float:
+    """Exact ``(1/T) log E exp(theta phi_h)`` that ``mc_rs_rate`` estimates
+    at step ``h``: ``phi_h`` is the trapezoid sum of ``zeta* Pi zeta`` over
+    the exactly discretized chain started in its invariant law.
+
+    A backward recursion on quadratic exponents over
+    ``AugmentedStepper.build(model, h)``, ``O(steps n^3)``.  Raises
+    ``ThetaOutOfRange`` when a step's ``I - 2 L'ML`` (or the initial law's)
+    is not positive definite, i.e. when the rate is infinite.
+    """
+    steps, h = _rate_grid(horizon, h)
+    stepper = AugmentedStepper.build(model, h)
+    phi = stepper.phi_aug
+    q = np.kron(np.eye(2), theta * _as_weight(pi))  # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
+    mat, total = 0.5 * h * q, 0.0
+    for k in range(steps - 1, -1, -1):
+        term, kmat = _gauss_exponent(mat, stepper.noise_chol)
+        total += term
+        mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
+    return (total + _gauss_exponent(mat, sqrt_psd(stepper.p_aug))[0]) / horizon
+
+
+def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[float, float]:
+    """The largest step on the ladder ``2^-k / (1 + ||A||_2)`` whose
+    Richardson bias ``|rho(h) - rho(h/2)|`` is at most a tenth of the
+    estimator's predicted stderr, never below ``min(0.02, 0.1 / (1 +
+    ||A||_2))``; returns ``(h, rho(h))``.
+
+    ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 = expm1(T (rho_{2 theta}
+    - 2 rho_theta))`` is the relative variance of one path's weight, so the
+    delta method predicts the stderr of the rate.  A ``2 theta`` recursion
+    that raises ``ThetaOutOfRange`` means that variance is infinite.
+    """
+    scale = 1.0 + opnorm2(model.a)
+    floor = min(0.02, 0.1 / scale)
+
+    def rate(h, th=theta):
+        return finite_horizon_rate(model, pi, th, horizon, h)
+
+    h = 1.0 / scale
+    rho = rate(h)
+    while h > floor:
+        with np.errstate(over="ignore"):  # an infinite stderr admits any step
+            rel_var = np.expm1(horizon * (rate(h, 2.0 * theta) - 2.0 * rho))
+        stderr = math.sqrt(rel_var / paths) / horizon
+        rho_half = rate(h / 2.0)
+        if abs(rho - rho_half) <= 0.1 * stderr:
+            return h, rho
+        h, rho = h / 2.0, rho_half
+    return floor, rate(floor)
+
+
 def mc_rs_rate(
     model: OqhoModel,
     pi,
@@ -349,26 +429,32 @@ def mc_rs_rate(
     """Monte Carlo estimate of the twin's risk-sensitive rate.
 
     Accumulates the running cost by trapezoid weights over the exactly
-    discretized chain (the stationary mean is then unbiased and the
-    remaining discretization bias is O(h^2)), applies log-mean-exp across
-    paths and divides by the horizon.  The standard error comes from a
-    delete-one jackknife; the estimator carries a positive bias of order
-    stderr^2.  Refuses parameter ranges where the exponential estimator
-    degenerates (effective sample size below 50).
+    discretized chain, applies log-mean-exp across paths and divides by the
+    horizon.  The step enters only through the trapezoid sum, whose exact
+    rate is ``finite_horizon_rate``.  With ``h=None`` the step is the
+    largest ``2^-k / (1 + ||A||_2)`` whose Richardson bias against ``h/2`` is
+    at most a tenth of the predicted stderr, never below ``min(0.02, 0.1 /
+    (1 + ||A||_2))``; the estimate carries it and its exact ``target``, and a
+    rate whose ``2 theta`` moment is infinite is refused with
+    ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` is used
+    as given, with no target.  The standard error comes from a delete-one
+    jackknife; the estimator carries a positive bias of order stderr^2.
+    Refuses parameter ranges where the exponential estimator degenerates
+    (effective sample size below 50).
     """
     pi = _as_weight(pi)
     if theta == 0.0 or not np.any(pi):
-        return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed)
+        return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed, target=0.0)
     peak = model.weight_facts(pi).density_peak
     if theta < 0 or theta * peak > 0.3:
         raise ThetaOutOfRange(
             f"theta = {theta} beyond the low-variance envelope 0.3/peak = "
             f"{0.3 / peak:.6e}"
         )
+    target = None
     if h is None:
-        h = min(0.02, 0.1 / (1.0 + opnorm2(model.a)))
-    steps = max(2, int(round(horizon / h)))
-    h = horizon / steps
+        h, target = _certified_step(model, pi, theta, horizon, paths)
+    steps, h = _rate_grid(horizon, h)
 
     acc, vals, scratch = 0.0, np.empty(paths), np.empty((paths, 2 * model.n))
     for k, state in enumerate(_chain(model, h, steps, paths, seed)):
@@ -383,4 +469,5 @@ def mc_rs_rate(
     rate = (np.log(total / paths) + peak_arg) / horizon
     loo = (np.log((total - weights) / (paths - 1)) + peak_arg) / horizon
     stderr = np.sqrt((paths - 1) / paths * ((loo - loo.mean()) ** 2).sum())
-    return McEstimate(value=float(rate), stderr=float(stderr), paths=paths, seed=seed)
+    return McEstimate(value=float(rate), stderr=float(stderr), paths=paths, seed=seed,
+                      h=h, target=target)

@@ -14,6 +14,7 @@ from oqrisk.classical import (
     classical_rate_series,
     classical_rs_rate_paper,
     classical_rs_rate_sde,
+    finite_horizon_rate,
     invariant_classical_cov,
     mc_quadform_variance,
     mc_rs_rate,
@@ -24,6 +25,7 @@ from oqrisk.classical import (
 from oqrisk.errors import InsufficientPaths, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm, sqrt_psd
+from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate
 
 
@@ -276,6 +278,85 @@ class TestMcRate:
         a = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9)
         b = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9)
         assert a.value == b.value and a.stderr == b.stderr
+
+    def test_explicit_step_is_unchanged(self, tiny):
+        # an explicit step runs no recursion and carries no target
+        est = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9, h=0.02)
+        assert est.value == 0.05048257511514791
+        assert est.stderr == 0.0009885769901698367
+        assert est.h == 0.02 and est.target is None
+
+    def test_certified_step_on_paper_fixture(self, paper):
+        model, pi = paper
+        theta, horizon, paths = 0.001, 20.0, 20_000
+        est = mc_rs_rate(model, pi, theta, horizon, paths, seed=7)
+        # 1 / (1 + ||A||_2), ten times the floor 0.1 / (1 + ||A||_2)
+        assert round(horizon / est.h) == 205
+        assert est.target == finite_horizon_rate(model, pi, theta, horizon, est.h)
+        assert abs(est.value - est.target) <= 4.0 * est.stderr
+        rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, est.h)
+        predicted = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * est.target)) / paths) / horizon
+        assert predicted == pytest.approx(est.stderr, rel=0.1)
+
+    def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
+        # the one-sided peak scan misses the damped mode's resonance, so the
+        # 0.3/peak guard passes; the 2 theta moment is infinite at T = 200
+        def no_paths(*args, **kwargs):
+            raise AssertionError("simulated a refused rate")
+
+        monkeypatch.setattr(classical, "_chain", no_paths)
+        with pytest.raises(ThetaOutOfRange):
+            mc_rs_rate(_damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 200, 1)
+
+
+def _damped_mode():
+    """Eigenvalues -0.003 +- 10i."""
+    eye = np.eye(2)
+    return model_from_matrices(canonical_ccr(2).theta, 10.0 * eye, np.sqrt(0.003) * eye)
+
+
+def _dense_rate(model, pi, theta, horizon, steps):
+    """``-(1/2T) log det(I - 2 theta S^1/2 K S^1/2)`` over the stacked path
+    ``(x_0 .. x_N)``: ``S`` has blocks ``phi^(j-k) P_aug`` and ``K`` the
+    trapezoid weights times ``I2 (x) Pi``."""
+    h = horizon / steps
+    stepper = AugmentedStepper.build(model, h)
+    d = stepper.p_aug.shape[0]
+    powers = [np.eye(d)]
+    for _ in range(steps):
+        powers.append(stepper.phi_aug @ powers[-1])
+    cov = np.zeros(((steps + 1) * d,) * 2)
+    for j in range(steps + 1):
+        for k in range(j + 1):
+            block = powers[j - k] @ stepper.p_aug
+            cov[j * d:(j + 1) * d, k * d:(k + 1) * d] = block
+            cov[k * d:(k + 1) * d, j * d:(j + 1) * d] = block.T
+    weights = np.full(steps + 1, h)
+    weights[[0, -1]] = 0.5 * h
+    kmat = np.kron(np.diag(weights), np.kron(np.eye(2), pi))
+    vals, vecs = np.linalg.eigh(cov)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    sign, logdet = np.linalg.slogdet(np.eye(len(cov)) - 2.0 * theta * root @ kmat @ root)
+    assert sign > 0
+    return -0.5 * logdet / horizon
+
+
+class TestFiniteHorizonRate:
+    @pytest.mark.parametrize("case", ["tiny", "paper", "damped"])
+    def test_matches_dense_oracle(self, case, tiny, paper):
+        model, pi, theta = {
+            "tiny": (tiny, np.eye(2), 0.2),
+            "paper": (*paper, 0.005),
+            "damped": (_damped_mode(), np.diag([1.0, 2.0]), 0.01),
+        }[case]
+        got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
+        assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12)
+
+    def test_damped_mode_long_horizon_is_refused(self):
+        # the resonance at lam = -10 puts theta = 0.01 past the two-sided
+        # peak; over T = 200 the exponential moment is infinite
+        with pytest.raises(ThetaOutOfRange):
+            finite_horizon_rate(_damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 0.05)
 
 
 def test_zeta_view_roundtrip():

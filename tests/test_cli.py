@@ -198,8 +198,14 @@ class TestSimulateCommand:
                     "covlag_stderr", "covlag_target", "quadform_var_mc", "rs_rate"):
             assert key in rep
         assert rep["quadform_var_analytic"] == pytest.approx(1.0)
-        assert rep["rs_rate"]["theta"] == 0.05
-        assert rep["rs_rate"]["mc"]["stderr"] > 0.0
+        rate = rep["rs_rate"]
+        assert rate["theta"] == 0.05
+        assert rate["mc"]["stderr"] > 0.0
+        # the exact rate at the step the estimate ran, over steps * h = 5
+        assert rate["h"] == 5.0 / round(5.0 / rate["h"])
+        z = (rate["mc"]["value"] - rate["mc_target_exact"]) / rate["mc"]["stderr"]
+        assert abs(z) < 4.0
+        assert rate["mc_matches"] == "sde"
 
 
 class TestFixtureIntegrity:
