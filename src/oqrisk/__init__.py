@@ -15,7 +15,6 @@ from .classical import (
     classical_quadform_variance,
     classical_rs_rate_paper,
     classical_rs_rate_sde,
-    invariant_classical_cov,
     mc_rs_rate,
     mc_stationary_stats,
     simulate,
@@ -39,7 +38,6 @@ from .errors import OqriskError
 from .fixtures import paper_example_model
 from .gaussian import (
     CovarianceKernel,
-    SpectralDensity,
     SteadyState,
     gramian_finite,
     gramian_steady,

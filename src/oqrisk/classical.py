@@ -45,16 +45,13 @@ from .errors import (
 )
 from .gaussian import gramian_steady
 from .matfun import expm, integrate_frequency, lyap_solve, opnorm2, sqrt_psd
-from .model import OqhoModel
-from .quartic import _as_weight
+from .model import OqhoModel, WeightFacts, WeightMatrix
 
 __all__ = [
-    "InvariantCov",
     "AugmentedStepper",
     "SimBatch",
     "McEstimate",
     "augmented_invariant_cov",
-    "invariant_classical_cov",
     "simulate",
     "zeta_view",
     "mc_stationary_stats",
@@ -67,15 +64,6 @@ __all__ = [
     "mc_rs_rate",
     "rs_theta_max",
 ]
-
-
-@dataclass(frozen=True)
-class InvariantCov:
-    """Invariant covariance of the augmented real process and its complex
-    reduction ``E(zeta zeta*)``."""
-
-    aug: np.ndarray
-    complex_cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,16 +83,6 @@ class McEstimate:
 def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``[[P, -Theta], [Theta, P]] / 2``, the augmented real form of ``P + i Theta``."""
     return 0.5 * np.block([[p, -theta], [theta, p]])
-
-
-def invariant_classical_cov(model: OqhoModel) -> InvariantCov:
-    """Invariant covariance of the twin; PSD with complex reduction
-    ``P + i Theta`` attached."""
-    steady = gramian_steady(model)
-    return InvariantCov(
-        aug=augmented_invariant_cov(steady.p, model.theta),
-        complex_cov=steady.quantum_cov,
-    )
 
 
 @dataclass(frozen=True)
@@ -179,17 +157,15 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
     return states[..., :n] + 1j * states[..., n:]
 
 
-def _chain(model: OqhoModel, h, steps, paths, seed, initial="invariant"):
+def _chain(model: OqhoModel, h, steps, paths, seed):
     """Yield the ``steps + 1`` states of the exact chain (the seeded stream
-    draws the initial state, then one noise per step) in two ``(paths, 2n)``
-    buffers that later steps overwrite: a caller that keeps a state copies it."""
+    draws the invariant initial state, then one noise per step) in two
+    ``(paths, 2n)`` buffers that later steps overwrite: a caller that keeps a
+    state copies it."""
     stepper = AugmentedStepper.build(model, h)
     rng = _rng(seed)
     state, nxt, noise = (np.zeros((paths, 2 * model.n)) for _ in range(3))
-    if initial == "invariant":
-        np.matmul(rng.standard_normal(out=noise), sqrt_psd(stepper.p_aug).T, out=state)
-    elif initial != "zero":
-        raise ValueError("initial must be 'invariant' or 'zero'")
+    np.matmul(rng.standard_normal(out=noise), sqrt_psd(stepper.p_aug).T, out=state)
     yield state
     for _ in range(steps):
         np.matmul(rng.standard_normal(out=noise), stepper.noise_chol.T, out=nxt)
@@ -204,18 +180,17 @@ def simulate(
     steps: int,
     paths: int,
     seed: int,
-    initial: str = "invariant",
 ) -> SimBatch:
     """Exact-discretization Monte Carlo of the augmented process.
 
-    Draws the initial states from the invariant Gaussian law (or zero with
-    ``initial="zero"``) and iterates the exact one-step recursion; output
-    is bitwise-deterministic for a fixed seed.  Memory is the
-    ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
-    from step 0, so lagged statistics need only ``steps = lag``.
+    Draws the initial states from the invariant Gaussian law and iterates
+    the exact one-step recursion; output is bitwise-deterministic for a
+    fixed seed.  Memory is the ``(steps+1) * paths * 2n`` doubles returned;
+    the chain is stationary from step 0, so lagged statistics need only
+    ``steps = lag``.
     """
     out = np.empty((steps + 1, paths, 2 * model.n))
-    for k, state in enumerate(_chain(model, h, steps, paths, seed, initial)):
+    for k, state in enumerate(_chain(model, h, steps, paths, seed)):
         out[k] = state
     return SimBatch(thetas=out, h=h, seed=seed)
 
@@ -253,7 +228,7 @@ def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, Mc
 def classical_quadform_variance(model: OqhoModel, pi) -> float:
     """Stationary variance of ``zeta* Pi zeta``:
     ``<Pi, P Pi P - Theta Pi Theta>``."""
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     p = gramian_steady(model).p
     theta = model.theta
     return float(np.sum(pi * (p @ pi @ p - theta @ pi @ theta)))
@@ -264,7 +239,7 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     validator for :func:`classical_quadform_variance`."""
     if batch.paths < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
-    vals = _quadform(batch.thetas[-1], _as_weight(pi))
+    vals = _quadform(batch.thetas[-1], WeightMatrix(pi).pi)
     var = vals.var(ddof=1)
     # stderr of a sample variance via the fourth central moment
     m4 = ((vals - vals.mean()) ** 4).mean()
@@ -280,26 +255,26 @@ def _quadform(states: np.ndarray, pi: np.ndarray, scratch=None, out=None) -> np.
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
-def _density_integral(model: OqhoModel, pi: np.ndarray, g) -> float:
+def _density_integral(facts: WeightFacts, g) -> float:
     """integral over R of ``g`` (one value per row) of the density's eigenvalue rows."""
-    eigs = model.weight_facts(pi).density_eigs
-    return float(integrate_frequency(lambda lams: g(eigs(lams)), model.eig.values))
+    return float(integrate_frequency(lambda lams: g(facts.density_eigs(lams)),
+                                     facts.model.eig.values))
 
 
 def rs_theta_max(model: OqhoModel, pi) -> float:
     """Upper end of the finiteness interval for the rate variants; equals
     ``2 / ||sqrt(Pi) G Omega||_inf^2`` since ``Omega^2 = 2 Omega``."""
-    pi = _as_weight(pi)
-    if not np.any(pi):
+    facts = model.weight_facts(pi)
+    if not np.any(facts.pi):
         return math.inf
-    return 1.0 / model.weight_facts(pi).density_peak
+    return 1.0 / facts.density_peak
 
 
 def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
-    pi = _as_weight(pi)
-    if theta == 0.0 or not np.any(pi):
+    facts = model.weight_facts(pi)
+    if theta == 0.0 or not np.any(facts.pi):
         return 0.0
-    peak = model.weight_facts(pi).density_peak
+    peak = facts.density_peak
     if theta < 0 or theta * peak >= 1.0 - 1e-9:
         raise ThetaOutOfRange(
             f"theta = {theta} outside the finiteness range (0, {1.0 / peak:.6e})"
@@ -315,7 +290,7 @@ def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
             )
         return np.log1p(-theta * w).sum(axis=-1)
 
-    val = prefactor * _density_integral(model, pi, log_det)
+    val = prefactor * _density_integral(facts, log_det)
     if not math.isfinite(val):
         raise NumericalDefect(f"log-det rate is not finite at theta = {theta}")
     return val
@@ -338,7 +313,7 @@ def classical_rate_series(model: OqhoModel, pi, theta: float, orders: int = 6) -
     """Truncated series ``(1/4 pi) sum_r (theta^r / r) integral Tr((Pi D)^r)``
     for the printed variant; crosscheck within the geometric remainder."""
     return _density_integral(
-        model, _as_weight(pi),
+        model.weight_facts(pi),
         lambda w: sum(theta**r / r * (w**r).sum(axis=-1) for r in range(1, orders + 1)),
     ) / (4.0 * np.pi)
 
@@ -378,7 +353,8 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     steps, h = _rate_grid(horizon, h)
     stepper = AugmentedStepper.build(model, h)
     phi = stepper.phi_aug
-    q = np.kron(np.eye(2), theta * _as_weight(pi))  # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
+    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
+    q = np.kron(np.eye(2), theta * model.weight_facts(pi).pi)
     mat, total = 0.5 * h * q, 0.0
     for k in range(steps - 1, -1, -1):
         term, kmat = _gauss_exponent(mat, stepper.noise_chol)
@@ -442,10 +418,11 @@ def mc_rs_rate(
     Refuses parameter ranges where the exponential estimator degenerates
     (effective sample size below 50).
     """
-    pi = _as_weight(pi)
+    facts = model.weight_facts(pi)
+    pi = facts.pi
     if theta == 0.0 or not np.any(pi):
         return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed, target=0.0)
-    peak = model.weight_facts(pi).density_peak
+    peak = facts.density_peak
     if theta < 0 or theta * peak > 0.3:
         raise ThetaOutOfRange(
             f"theta = {theta} beyond the low-variance envelope 0.3/peak = "

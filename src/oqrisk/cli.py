@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``validate``, ``analyze``, ``cumulants``, ``bound``,
-``simulate``, ``delta``, ``report``.  Exit codes: 0 success, 1 input
+``simulate``, ``delta``.  Exit codes: 0 success, 1 input
 error, 2 partial analysis failure, 3 internal numerical failure.
 """
 
@@ -27,7 +27,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--fixture", help="named fixture, e.g. paper-example")
     p.add_argument("--out", help="write output here instead of stdout")
     p.add_argument("--seed", type=int, help="override the Monte Carlo seed")
-    p.add_argument("--tol", type=float, help="quadrature tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="tail-bound curve as CSV")
     _add_common(p)
+    # all three together, or the config's eps_grid block
     p.add_argument("--eps-min", type=float)
     p.add_argument("--eps-max", type=float)
     p.add_argument("--eps-steps", type=int)
@@ -69,13 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="descent-pattern table as CSV")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out")
-
-    p = sub.add_parser("report", help="plottable CSV streams")
-    _add_common(p)
-    p.add_argument("--which", choices=["bound", "delta"], required=True)
-    p.add_argument("--r", type=int, help="table order for --which delta")
-    # --which bound runs the bound command on the config's eps_grid
-    p.set_defaults(method="both", eps_min=None, eps_max=None, eps_steps=None)
 
     return parser
 
@@ -95,15 +88,21 @@ def _load_config(args) -> report.AnalysisConfig:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     elif not args.fixture:
         raise ConfigError("supply --config or --fixture")
-    # simulate's flags override the config's mc block and are validated with it
+    # simulate's and bound's flags override the config's mc and eps_grid
+    # blocks and are validated with them
     return report.parse_config(
         doc,
         fixture=args.fixture,
         seed=getattr(args, "seed", None),
-        tol=getattr(args, "tol", None),
-        mc={name: getattr(args, name) for name in ("h", "steps", "paths", "lag", "theta")
-            if getattr(args, name, None) is not None},
+        mc=_given(args, {name: name for name in ("h", "steps", "paths", "lag", "theta")}),
+        eps_grid=_given(args, {"min": "eps_min", "max": "eps_max", "steps": "eps_steps"}),
     )
+
+
+def _given(args, flags: dict) -> dict:
+    """``{key: value}`` of the flags ``{key: attribute}`` set on the command line."""
+    return {key: getattr(args, attr) for key, attr in flags.items()
+            if getattr(args, attr, None) is not None}
 
 
 def _emit(text: str, out_path):
@@ -151,18 +150,11 @@ def _cmd_cumulants(args) -> int:
     return EXIT_OK
 
 
-def _eps_values(args, cfg) -> list:
-    if args.eps_min is not None and args.eps_max is not None and args.eps_steps is not None:
-        return list(np.linspace(args.eps_min, args.eps_max, args.eps_steps))
-    if cfg.eps_grid is not None:
-        return list(np.linspace(*cfg.eps_grid))
-    raise ConfigError("supply --eps-min/--eps-max/--eps-steps or an eps_grid block")
-
-
 def _cmd_bound(args) -> int:
     cfg = _load_config(args)
-    eps = _eps_values(args, cfg)
-    rows = report.bound_rows(cfg.model, cfg.pi, eps, method=args.method, tol=cfg.tol)
+    if cfg.eps_grid is None:
+        raise ConfigError("supply --eps-min/--eps-max/--eps-steps or an eps_grid block")
+    rows = report.bound_rows(cfg.model, cfg.pi, np.linspace(*cfg.eps_grid), method=args.method)
     _emit(_csv(["epsilon", "bound_closed", "bound_numeric", "theta_star"], rows),
           args.out)
     return EXIT_OK
@@ -181,14 +173,6 @@ def _cmd_delta(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    if args.which == "delta":
-        if args.r is None:
-            raise ConfigError("--which delta needs --r")
-        return _cmd_delta(args)
-    return _cmd_bound(args)
-
-
 _HANDLERS = {
     "validate": _cmd_validate,
     "analyze": _cmd_analyze,
@@ -196,7 +180,6 @@ _HANDLERS = {
     "bound": _cmd_bound,
     "simulate": _cmd_simulate,
     "delta": _cmd_delta,
-    "report": _cmd_report,
 }
 
 

@@ -39,11 +39,9 @@ from .errors import GridTooLarge, NumericalDefect, OrderTooLarge
 from .gaussian import CovarianceKernel, gramian_steady
 from .matfun import RULE_TOL, expm_ladder, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
-from .quartic import _as_weight
 
 __all__ = [
     "DescentTable",
-    "WeightedKernel",
     "delta_table",
     "cumulant_rate",
     "cumulant_finite_td",
@@ -54,22 +52,6 @@ __all__ = [
 
 MAX_TABLE_ORDER = 12
 MAX_RATE_ORDER = 10
-
-
-class WeightedKernel:
-    """Cost-weighted lag kernel ``K(tau) = sqrt(Pi) S(tau) sqrt(Pi)``.
-
-    Satisfies ``K(-tau) = K(tau)*``; this is the covariance function of
-    the weighted coordinate process whose squared entries accumulate the
-    running cost.
-    """
-
-    def __init__(self, model: OqhoModel, pi):
-        self.root = model.weight_facts(_as_weight(pi)).root
-        self.kernel = CovarianceKernel(model)
-
-    def k(self, tau: float) -> np.ndarray:
-        return self.root @ self.kernel.s(tau) @ self.root
 
 
 @dataclass(frozen=True)
@@ -176,7 +158,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     certificates have been checked at against reference rates."""
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     if not np.any(pi):
         return 0.0
     norm = opnorm2(pi)
@@ -222,7 +204,7 @@ def cumulant_finite_td(
         raise ValueError("horizon must be positive")
     if grid < 5:
         raise ValueError("need at least 5 points per axis")
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     _, w = trapezoid_weights(grid, t)
     step = t / (grid - 1)
     s_all = _kernel_tables(model, grid, step)
@@ -274,7 +256,7 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     """
     if r not in (2, 3):
         raise OrderTooLarge("discretized cumulants implemented for r in {2, 3}")
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     times = np.asarray(times, dtype=float)
     weights = np.asarray(weights, dtype=float)
     kern = CovarianceKernel(model)
@@ -332,8 +314,8 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
         raise GridTooLarge(
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
-    weighted = WeightedKernel(model, pi)
-    k_of = functools.cache(lambda i, j: weighted.k(times[i] - times[j]))
+    root, kern = model.weight_facts(pi).root, CovarianceKernel(model)
+    k_of = functools.cache(lambda i, j: root @ kern.s(times[i] - times[j]) @ root)
 
     prs = list(_pairings(list(range(2 * r))))
     letters = "abcdefgh"

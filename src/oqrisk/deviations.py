@@ -43,7 +43,6 @@ from .gaussian import gramian_steady
 from .matfun import (expm, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve, opnorm2,
                      sqrt_psd)
 from .model import OqhoModel
-from .quartic import _as_weight
 
 __all__ = [
     "EnvelopeParams",
@@ -92,7 +91,7 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     """
     if not model.is_hurwitz:
         raise NotHurwitz("the envelope needs a Hurwitz drift")
-    pi = _as_weight(pi)
+    root_pi = model.weight_facts(pi).root
     a = model.a
     mu = -model.spectral_abscissa
     if model.eig.inverse is not None:
@@ -113,7 +112,6 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     wmax = np.linalg.eigvalsh(ali)[-1]
     if wmax > 1e-8 * opnorm2(gamma):
         raise NumericalDefect(f"Lyapunov inequality residual {wmax:.3e} too large")
-    root_pi = model.weight_facts(pi).root
     quantum = gramian_steady(model).quantum_cov
     alpha = opnorm2(root_pi @ sqrt_psd(gamma)) * opnorm2(inv_sqrt_psd(gamma) @ quantum @ root_pi)
     return EnvelopeParams(mu=mu, gamma=gamma, alpha=float(alpha))
@@ -148,6 +146,8 @@ def _filon_cos(fvals: np.ndarray, h: float, lam: float, grid: np.ndarray) -> flo
 GL_ORDER = 24
 GRADE_DEPTH = 40
 MAX_CUT = 6
+# Working tolerance of the tail cut and its corrections in the bounds.
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -229,13 +229,12 @@ class DeviationAnalysis:
     bounds tabulate ``F`` once on the frequency rule of :func:`_tabulate`.
     """
 
-    def __init__(self, model: OqhoModel, pi, tol: float = 1e-9):
+    def __init__(self, model: OqhoModel, pi):
         if not model.is_hurwitz:
             raise NotHurwitz("deviation bounds need a Hurwitz drift")
         self.model = model
-        self.pi = _as_weight(pi)
-        self.tol = float(tol)
-        self.root_pi = model.weight_facts(self.pi).root
+        facts = model.weight_facts(pi)
+        self.pi, self.root_pi = facts.pi, facts.root
         self.quantum = gramian_steady(model).quantum_cov
         self.n0 = float(opnorm2(self.root_pi @ self.quantum @ self.root_pi))
         self.degenerate = not np.any(self.pi)
@@ -289,7 +288,7 @@ class DeviationAnalysis:
     @cached_property
     def _table(self) -> _FTable:
         # F depends on neither theta nor eps: one table serves every bound
-        return _tabulate(self.f_transform, self._lam_base(), self.tol)
+        return _tabulate(self.f_transform, self._lam_base(), TOL)
 
     def qef_upper_rate(self, theta: float) -> float:
         """Upper bound on the exponential-cost growth rate; zero at
@@ -301,14 +300,14 @@ class DeviationAnalysis:
         theta_max = 1.0 / (2.0 * self.f_infnorm())
         if theta >= theta_max:
             raise ThetaOutOfRange(f"theta = {theta} outside [0, {theta_max:.6e})")
-        val = _tail_corrected_log_integral(self._table, theta, self.n0, self.tol)
+        val = _tail_corrected_log_integral(self._table, theta, self.n0, TOL)
         return -self.model.n / (4.0 * math.pi) * val
 
     def _deriv(self, theta: float) -> float:
         # integral over R of F / (1 - 2 theta F)
         s = 2.0 * theta
         val = _tail_corrected_integral(self._table, lambda f: f / (1.0 - _two_theta_f(theta, f)),
-                                       (1.0, s, s**2), self.n0, self.tol)
+                                       (1.0, s, s**2), self.n0, TOL)
         return self.model.n / (2.0 * math.pi) * val
 
     def cramer_bound_numeric(self, epsilon: float) -> tuple[float, float]:
@@ -324,7 +323,7 @@ class DeviationAnalysis:
         if self.degenerate or self.f_infnorm() == 0.0:
             return (0.0, 0.0) if epsilon == 0.0 else (-math.inf, math.inf)
         threshold = n * self.n0
-        if epsilon < threshold * (1.0 - 1e-12):
+        if not epsilon >= threshold * (1.0 - 1e-12):  # NaN fails too
             raise EpsilonTooSmall(f"epsilon = {epsilon} below the threshold n*N(0) = {threshold}")
         if epsilon <= threshold * (1.0 + 1e-14):
             return 0.0, 0.0
@@ -373,7 +372,7 @@ def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon: float) -> floa
     """Envelope tail bound ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``,
     zero at ``eps = n alpha`` and decreasing beyond."""
     scale = n * alpha
-    if epsilon < scale * (1.0 - 1e-12):
+    if not epsilon >= scale * (1.0 - 1e-12):  # NaN fails too
         raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
     return 0.25 * n * mu * (2.0 - scale / epsilon - epsilon / scale)
 
@@ -381,12 +380,12 @@ def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon: float) -> floa
 def closed_theta_star(mu: float, alpha: float, n: int, epsilon: float) -> float:
     """Minimizer of the envelope bound, ``(mu/4 alpha)(1 - (n alpha/eps)^2)``."""
     scale = n * alpha
-    if epsilon < scale * (1.0 - 1e-12):
+    if not epsilon >= scale * (1.0 - 1e-12):  # NaN fails too
         raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
     return 0.25 * mu / alpha * (1.0 - (scale / epsilon) ** 2)
 
 
-def envelope_log_integral(alpha: float, mu: float, theta: float, tol=1e-10) -> float:
+def envelope_log_integral(alpha: float, mu: float, theta: float) -> float:
     """Numeric ``-integral ln(1 - 2 theta Fhat)`` for the analytic envelope
     transform ``Fhat = 2 alpha mu / (lam^2 + mu^2)``; crosscheck target for
     the closed form ``2 pi (mu - sqrt(mu^2 - 4 theta alpha mu))``."""
@@ -396,6 +395,7 @@ def envelope_log_integral(alpha: float, mu: float, theta: float, tol=1e-10) -> f
     def fhat(lam):
         return 2.0 * alpha * mu / (lam * lam + mu * mu)
 
+    tol = 1e-10  # tighter than TOL: this is the cross-check target
     table = _tabulate(fhat, max(50.0, 20.0 * mu), tol)
     return -_tail_corrected_log_integral(table, theta, alpha, tol)
 

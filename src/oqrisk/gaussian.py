@@ -8,8 +8,9 @@ stationary kernels
     S(tau) = V(tau) + i*Lambda(tau)          (tau >= 0, S(-tau) = S(tau)*),
 
 the two-point covariance ``C(s, tau) = e^{(s-tau)A} Sigma(tau)``, the
-spectral density ``D(lam) = G(i lam) Omega G(i lam)*`` of ``S`` with the
-transfer function ``G(s) = (sI - A)^{-1} B``, and one-/multi-point
+inverse-transform residual of the spectral density ``D(lam) = G(i lam)
+Omega G(i lam)*`` of ``S`` (transfer function ``G(s) = (sI - A)^{-1} B``,
+evaluated by :meth:`OqhoModel.density_pair`), and one-/multi-point
 quasi-characteristic functions of the state.
 """
 
@@ -29,7 +30,6 @@ from .model import OqhoModel, SteadyState
 __all__ = [
     "SteadyState",
     "CovarianceKernel",
-    "SpectralDensity",
     "gramian_steady",
     "gramian_finite",
     "qcf_onepoint",
@@ -94,30 +94,6 @@ class CovarianceKernel:
         if s < tau:
             return self.c(tau, s).T
         return expm(self.model.a, s - tau) @ self.sigma(tau)
-
-
-class SpectralDensity:
-    """Spectral density evaluators at one frequency.
-
-    ``d(lam)`` is Hermitian PSD for every frequency; ``d_flip`` is the
-    lag-reversed transform ``D(-lam)'``; both come from
-    :meth:`OqhoModel.density_pair`, which shares one resolvent solve and
-    refuses a drift that is not Hurwitz.
-    """
-
-    def __init__(self, model: OqhoModel):
-        self.model = model
-
-    def d_pair(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(D(lam), D(-lam)')`` sharing one resolvent solve."""
-        d, flip = self.model.density_pair([lam])
-        return d[0], flip[0]
-
-    def d(self, lam: float) -> np.ndarray:
-        return self.d_pair(lam)[0]
-
-    def d_flip(self, lam: float) -> np.ndarray:
-        return self.d_pair(lam)[1]
 
 
 def _check_initial_cov(p0: np.ndarray, theta: np.ndarray):

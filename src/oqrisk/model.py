@@ -8,8 +8,10 @@ field-coupling matrix ``M``.  The derived drift and dispersion matrices
 
 together with the field commutation matrix ``J`` and the noise Ito matrix
 ``Omega = I + iJ``, satisfy the physical-realizability identity
-``A Theta + Theta A' + B J B' = 0`` by construction; :func:`build_model`
-certifies it numerically and records the spectral abscissa of ``A``.
+``A Theta + Theta A' + B J B' = 0`` by construction.  :func:`build_model`
+records the spectral abscissa of ``A``; the identity's residual
+(:func:`pr_residual`) is reported by ``oqrisk validate`` and ``analyze``
+and checked by acceptance criterion 03.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "OqhoModel",
     "SteadyState",
     "WeightFacts",
+    "WeightMatrix",
     "block_j",
     "canonical_ccr",
     "build_model",
@@ -141,6 +144,27 @@ class SteadyState:
 
     p: np.ndarray
     quantum_cov: np.ndarray
+
+
+@dataclass(frozen=True)
+class WeightMatrix:
+    """Real symmetric cost weight; ``psd=True`` additionally certifies
+    nonnegativity up to a 1e-10 rounding band."""
+
+    pi: np.ndarray
+    psd: bool = False
+
+    def __post_init__(self):
+        pi = np.asarray(self.pi, dtype=float)
+        if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
+            raise DimensionMismatch(f"Pi must be square, got shape {pi.shape}")
+        if np.linalg.norm(pi - pi.T) != 0.0:
+            raise NotSymmetric("Pi - Pi' must vanish exactly")
+        if self.psd:
+            wmin = np.linalg.eigvalsh(pi)[0]
+            if wmin < -1e-10 * max(np.linalg.norm(pi, 2), 1e-300):
+                raise NotSymmetric(f"Pi flagged PSD has eigenvalue {wmin:.3e}")
+        object.__setattr__(self, "pi", _freeze(pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,18 +292,24 @@ class OqhoModel:
         quantum.setflags(write=False)
         return SteadyState(p=p, quantum_cov=quantum)
 
-    def weight_facts(self, pi: np.ndarray) -> WeightFacts:
-        """The cached :class:`WeightFacts` of a validated cost weight,
-        keyed by the weight's bytes."""
-        pi = np.asarray(pi, dtype=float)
+    def weight_facts(self, pi) -> WeightFacts:
+        """The cached :class:`WeightFacts` of a cost weight (an array or a
+        :class:`WeightMatrix`), keyed by the weight's bytes.  Every analysis
+        of a weight starts here: on first use the weight must pass
+        :class:`WeightMatrix` (square, exactly symmetric) and be ``n x n``,
+        else :class:`DimensionMismatch`."""
+        pi = np.asarray(pi.pi if isinstance(pi, WeightMatrix) else pi, dtype=float)
         key = (pi.shape, pi.tobytes())
         if key not in self._weights:
-            self._weights[key] = WeightFacts(self, _freeze(pi))
+            pi = WeightMatrix(pi).pi
+            if pi.shape != (self.n, self.n):
+                raise DimensionMismatch(f"Pi must be {self.n}x{self.n}, got shape {pi.shape}")
+            self._weights[key] = WeightFacts(self, pi)
         return self._weights[key]
 
 
 def build_model(ccr: CcrMatrix, params: PhysicalParams) -> OqhoModel:
-    """Assemble and certify the state-space model from physical parameters.
+    """Assemble the state-space model from physical parameters.
 
     Deterministic: identical inputs produce bitwise-identical ``A`` and
     ``B``.  Raises :class:`DimensionMismatch` when the commutation and

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTheta, NegativeTime, NotSymmetric, NumericalDefect
+from .errors import NegativeTheta, NegativeTime, NumericalDefect
 from .gaussian import gramian_steady
 from .matfun import expm
-from .model import OqhoModel
+from .model import OqhoModel, WeightMatrix
 
 __all__ = [
     "WeightMatrix",
@@ -35,33 +35,6 @@ __all__ = [
     "quartic_rate",
     "quartic_report",
 ]
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Real symmetric cost weight; ``psd=True`` additionally certifies
-    nonnegativity up to a 1e-10 rounding band."""
-
-    pi: np.ndarray
-    psd: bool = False
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        if np.linalg.norm(pi - pi.T) != 0.0:
-            raise NotSymmetric("Pi - Pi' must vanish exactly")
-        if self.psd:
-            wmin = np.linalg.eigvalsh(pi)[0]
-            if wmin < -1e-10 * max(np.linalg.norm(pi, 2), 1e-300):
-                raise NotSymmetric(f"Pi flagged PSD has eigenvalue {wmin:.3e}")
-        pi = pi.copy()
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
-
-
-def _as_weight(pi) -> np.ndarray:
-    if isinstance(pi, WeightMatrix):
-        return pi.pi
-    return WeightMatrix(np.asarray(pi, dtype=float)).pi
 
 
 @dataclass(frozen=True)
@@ -84,7 +57,7 @@ class QuarticReport:
 
 def mean_rate(model: OqhoModel, pi) -> float:
     """Growth rate of the mean cost, ``<Pi, P>``."""
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     p = gramian_steady(model).p
     return float(np.sum(pi * p))
 
@@ -100,10 +73,9 @@ def variance_finite(model: OqhoModel, pi, t: float) -> float:
         raise NegativeTime(f"horizon must be nonnegative, got {t}")
     if t == 0:
         return 0.0
-    pi = _as_weight(pi)
     facts = model.weight_facts(pi)
     e = expm(model.a, t)
-    return 4.0 * float(np.sum(pi * (t * facts.t - facts.u + e @ facts.u @ e.T)))
+    return 4.0 * float(np.sum(facts.pi * (t * facts.t - facts.u + e @ facts.u @ e.T)))
 
 
 def variance_rate(model: OqhoModel, pi) -> tuple[float, np.ndarray, np.ndarray]:
@@ -114,10 +86,9 @@ def variance_rate(model: OqhoModel, pi) -> tuple[float, np.ndarray, np.ndarray]:
     returning.  ``T`` and ``Q`` are solved once per ``(model, Pi)`` and
     cached on the model.
     """
-    pi = _as_weight(pi)
     facts = model.weight_facts(pi)
     seed, t_mat, q_mat = facts.seed, facts.t, facts.q
-    primal = 4.0 * float(np.sum(pi * t_mat))
+    primal = 4.0 * float(np.sum(facts.pi * t_mat))
     dual = 4.0 * float(np.sum(q_mat * seed))
     if abs(primal - dual) > 1e-9 * (1.0 + abs(primal)):
         raise NumericalDefect(
@@ -133,7 +104,7 @@ def theta_threshold(model: OqhoModel, pi) -> float:
     observable is deterministic in the invariant state, as for the
     vacuum-mode example), rather than failing.
     """
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     p = gramian_steady(model).p
     _, t_mat, _ = variance_rate(model, pi)
     denom = float(np.sum(pi * t_mat))
@@ -148,7 +119,7 @@ def quartic_rate(model: OqhoModel, pi, theta: float) -> float:
     ``theta * mean_rate + theta^2 / 2 * variance_rate``."""
     if theta < 0:
         raise NegativeTheta(f"risk parameter must be nonnegative, got {theta}")
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     p = gramian_steady(model).p
     _, t_mat, _ = variance_rate(model, pi)
     return theta * float(np.sum(pi * (p + 2.0 * theta * t_mat)))
@@ -156,7 +127,7 @@ def quartic_rate(model: OqhoModel, pi, theta: float) -> float:
 
 def quartic_report(model: OqhoModel, pi, theta: float) -> QuarticReport:
     """All quartic-approximation outputs for one risk parameter."""
-    pi = _as_weight(pi)
+    pi = model.weight_facts(pi).pi
     rate, t_mat, q_mat = variance_rate(model, pi)
     mean = mean_rate(model, pi)
     return QuarticReport(

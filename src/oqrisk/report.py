@@ -4,8 +4,9 @@ A configuration document selects the model (inline matrices or a named
 fixture) and the analysis blocks to run; :func:`analyze` produces a nested
 report dict, and :func:`render_json` serializes it deterministically:
 insertion-ordered keys, floats at 17 significant digits, infinities as
-tagged objects (never bare tokens).  Identical config and seed produce
-byte-identical output.
+tagged objects (never bare tokens).  Identical config, seed and BLAS
+thread count produce byte-identical output; a different thread count can
+change the last digits of the tail-bound curve.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class AnalysisConfig:
     orders: list = field(default_factory=lambda: [2, 3])
     eps_grid: tuple | None = None  # (min, max, steps)
     mc: McSettings = field(default_factory=McSettings)
-    tol: float = 1e-9
 
 
 def _number(value, name, what, ok):
@@ -87,14 +87,15 @@ def _list(doc, key):
 
 
 def parse_config(doc, fixture: str | None = None, seed: int | None = None,
-                 tol: float | None = None, mc: dict | None = None) -> AnalysisConfig:
+                 mc: dict | None = None, eps_grid: dict | None = None) -> AnalysisConfig:
     """Build a config from a parsed JSON document and/or a fixture name.
 
     The document follows the model-ingestion schema (n, m, theta, R, M,
     Pi) plus optional blocks ``pi``, ``theta_list``, ``orders``,
     ``eps_grid`` {min,max,steps} and ``mc`` {h,steps,paths,seed,lag,theta};
-    ``mc`` entries given here override the document's.  Every malformed
-    value raises :class:`ConfigError`.
+    ``mc`` entries given here override the document's, and a nonempty
+    ``eps_grid`` given here replaces the document's block, so it needs all
+    three keys.  Every malformed value raises :class:`ConfigError`.
     """
     if not isinstance(doc or {}, dict):
         raise ConfigError("the config document must be a JSON object")
@@ -116,10 +117,10 @@ def parse_config(doc, fixture: str | None = None, seed: int | None = None,
         ]
     if "orders" in doc:
         cfg.orders = [_integer(v, "orders entries") for v in _list(doc, "orders")]
-    if "eps_grid" in doc:
-        g = doc["eps_grid"]
+    if eps_grid or "eps_grid" in doc:
+        g = eps_grid or doc["eps_grid"]
         if not (isinstance(g, dict) and {"min", "max", "steps"} <= g.keys()):
-            raise ConfigError("eps_grid needs numeric 'min', 'max', 'steps'")
+            raise ConfigError(f"eps_grid needs numeric 'min', 'max', 'steps', got {g!r}")
         cfg.eps_grid = (float(_number(g["min"], "eps_grid.min", "finite", math.isfinite)),
                         float(_number(g["max"], "eps_grid.max", "finite", math.isfinite)),
                         _integer(g["steps"], "eps_grid.steps", 0))
@@ -138,8 +139,6 @@ def parse_config(doc, fixture: str | None = None, seed: int | None = None,
         theta=None if m["theta"] is None else float(
             _number(m["theta"], "mc.theta", "finite or null", math.isfinite)),
     )
-    if tol is not None:
-        cfg.tol = float(_positive(tol, "tol"))
     return cfg
 
 
@@ -195,8 +194,8 @@ def _cumulant_block(model, pi, orders) -> dict:
                         "delta_total": math.factorial(r - 1)} for r in orders]}
 
 
-def _deviation_block(model, pi, eps_grid, tol) -> dict:
-    analysis = deviations.DeviationAnalysis(model, pi, tol=tol)
+def _deviation_block(model, pi, eps_grid) -> dict:
+    analysis = deviations.DeviationAnalysis(model, pi)
     env = analysis.envelope
     out = {
         "n_zero": analysis.n0,
@@ -272,7 +271,7 @@ def analyze(cfg: AnalysisConfig) -> tuple[dict, int]:
         ("steady_state", lambda: _steady_block(cfg.model)),
         ("quartic", lambda: _quartic_block(cfg.model, cfg.pi, cfg.theta_list)),
         ("cumulants", lambda: _cumulant_block(cfg.model, cfg.pi, cfg.orders)),
-        ("deviations", lambda: _deviation_block(cfg.model, cfg.pi, cfg.eps_grid, cfg.tol)),
+        ("deviations", lambda: _deviation_block(cfg.model, cfg.pi, cfg.eps_grid)),
         ("classical", lambda: _classical_block(cfg.model, cfg.pi, cfg.mc)),
     ]
     for name, thunk in blocks:
@@ -335,10 +334,10 @@ def cumulant_rows(model, pi, orders):
     return [(r, cumulants.cumulant_rate(model, pi, r)) for r in orders]
 
 
-def bound_rows(model, pi, eps_values, method: str = "both", tol: float = 1e-9):
+def bound_rows(model, pi, eps_values, method: str = "both"):
     """Rows ``(epsilon, bound_closed, bound_numeric, theta_star)``; numeric
     fields empty when not requested."""
-    analysis = deviations.DeviationAnalysis(model, pi, tol=tol)
+    analysis = deviations.DeviationAnalysis(model, pi)
     env = analysis.envelope
     rows = []
     for eps in eps_values:

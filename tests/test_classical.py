@@ -15,7 +15,6 @@ from oqrisk.classical import (
     classical_rs_rate_paper,
     classical_rs_rate_sde,
     finite_horizon_rate,
-    invariant_classical_cov,
     mc_quadform_variance,
     mc_rs_rate,
     mc_stationary_stats,
@@ -29,20 +28,25 @@ from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate
 
 
+def _invariant_aug(model):
+    steady = gramian_steady(model)
+    return augmented_invariant_cov(steady.p, model.theta), steady.quantum_cov
+
+
 class TestInvariantCov:
     def test_tiny_blocks(self, tiny):
-        inv = invariant_classical_cov(tiny)
+        aug, complex_cov = _invariant_aug(tiny)
         target = 0.25 * np.block([[np.eye(2), -J2], [J2, np.eye(2)]])
-        assert np.allclose(inv.aug, target, atol=1e-13)
-        assert np.allclose(inv.complex_cov, 0.5 * (np.eye(2) + 1j * J2), atol=1e-13)
+        assert np.allclose(aug, target, atol=1e-13)
+        assert np.allclose(complex_cov, 0.5 * (np.eye(2) + 1j * J2), atol=1e-13)
 
     def test_paper_blocks(self, paper):
         model = paper[0]
         steady = gramian_steady(model)
-        inv = invariant_classical_cov(model)
-        assert np.allclose(inv.aug[:4, :4], 0.5 * steady.p, atol=1e-12)
-        assert np.allclose(inv.aug[:4, 4:], -0.5 * model.theta, atol=1e-12)
-        assert np.linalg.eigvalsh(inv.aug).min() >= -1e-12
+        aug, _ = _invariant_aug(model)
+        assert np.allclose(aug[:4, :4], 0.5 * steady.p, atol=1e-12)
+        assert np.allclose(aug[:4, 4:], -0.5 * model.theta, atol=1e-12)
+        assert np.linalg.eigvalsh(aug).min() >= -1e-12
 
     def test_commutative_limit_block_diagonal(self):
         # Theta -> 0 in the assembly formula: equal diagonal blocks, no
@@ -65,7 +69,7 @@ class TestStepper:
 
     def test_stationarity_preserved(self, tiny):
         stepper = AugmentedStepper.build(tiny, 0.4)
-        p_aug = invariant_classical_cov(tiny).aug
+        p_aug, _ = _invariant_aug(tiny)
         pushed = stepper.phi_aug @ p_aug @ stepper.phi_aug.T + stepper.sigma_aug
         assert np.abs(pushed - p_aug).max() < 1e-13
 
@@ -78,7 +82,7 @@ class TestSimulate:
 
     def test_zero_dispersion_decays_deterministically(self, tiny):
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
-        batch = simulate(silent, 0.5, 4, 200, seed=1, initial="zero")
+        batch = simulate(silent, 0.5, 4, 200, seed=1)
         assert not np.any(batch.thetas)
         cov0, covlag = mc_stationary_stats(batch, 2)
         assert not np.any(cov0.value) and not np.any(covlag.value)

@@ -146,15 +146,10 @@ class TestCsvCommands:
             "gamma_bits,count", "00,1", "01,2", "10,2", "11,1",
         ]
 
-    def test_report_delta_equivalent(self, capsys):
-        _, direct = _run(capsys, ["delta", "--r", "3"])
-        _, routed = _run(capsys, ["report", "--which", "delta", "--r", "3"])
-        assert direct == routed
-
     def test_bound_curve_zero_at_threshold(self, capsys, tmp_path):
         code, out = _run(
             capsys,
-            ["report", "--which", "bound", "--fixture", "paper-example",
+            ["bound", "--method", "both", "--fixture", "paper-example",
              "--config", _write_config(tmp_path, {
                  "eps_grid": {"min": 4 * 69.67835682940927, "max": 600.0,
                               "steps": 3}})],
@@ -174,6 +169,33 @@ class TestCsvCommands:
         )
         assert code == 0
         assert out == "epsilon,bound_closed,bound_numeric,theta_star\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--eps-min", "280", "--eps-max", "900", "--eps-steps", "-1"],
+        ["--eps-min", "nan", "--eps-max", "900", "--eps-steps", "3"],
+        ["--eps-min", "280", "--eps-max", "inf", "--eps-steps", "3"],
+        ["--eps-min", "500"],
+        ["--eps-max", "900", "--eps-steps", "3"],
+    ], ids=["negative-steps", "nan-min", "inf-max", "lone-min", "no-min"])
+    def test_bad_eps_flags_are_input_errors(self, capsys, tmp_path, flags):
+        # the flags replace the config's eps_grid block, all three or none,
+        # and are validated like it
+        grid = {"eps_grid": {"min": 300.0, "max": 400.0, "steps": 2}}
+        code = main(["bound", "--fixture", "paper-example",
+                     "--config", _write_config(tmp_path, grid)] + flags)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_eps_flags_override_config_grid(self, capsys, tmp_path):
+        code, out = _run(
+            capsys,
+            ["bound", "--fixture", "paper-example", "--eps-min", "500", "--eps-max", "600",
+             "--eps-steps", "2", "--config", _write_config(tmp_path, {
+                 "eps_grid": {"min": 300.0, "max": 400.0, "steps": 3}})],
+        )
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["500", "600"]
 
     def test_cumulants_json(self, capsys, tmp_path):
         code, out = _run(capsys, ["cumulants", "--order", "2", "--config",

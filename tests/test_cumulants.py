@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_models, random_sym
 from oqrisk.cumulants import (
-    WeightedKernel,
     _gamma_sum,
     cumulant_finite_td,
     cumulant_rate,
@@ -17,10 +16,15 @@ from oqrisk.cumulants import (
     wick_moment_oracle,
 )
 from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
-from oqrisk.gaussian import SpectralDensity
 from oqrisk.matfun import trapezoid_weights
 from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
+
+
+def _d_pair(model, lam):
+    """``(D(lam), D(-lam)')`` at one frequency."""
+    d0, d1 = model.density_pair([lam])
+    return d0[0], d1[0]
 
 
 class TestDeltaTable:
@@ -81,10 +85,9 @@ class TestCumulantRate:
         from scipy.integrate import quad
 
         model, pi = paper
-        sd = SpectralDensity(model)
 
         def single(lam):
-            d0, d1 = sd.d_pair(lam)
+            d0, d1 = _d_pair(model, lam)
             return np.trace(pi @ d0 @ pi @ d0 @ pi @ d1).real
 
         val, _ = quad(single, -np.inf, np.inf, epsabs=1e-10, epsrel=1e-9, limit=400)
@@ -92,9 +95,8 @@ class TestCumulantRate:
 
     def test_integrand_reality_sampled(self, paper):
         model, pi = paper
-        sd = SpectralDensity(model)
         for lam in (0.0, 0.9, 4.4, 17.0):
-            d0, d1 = sd.d_pair(lam)
+            d0, d1 = _d_pair(model, lam)
             val = _gamma_sum(pi, d0, d1, 4)
             assert abs(val.imag) <= 1e-10 * max(abs(val), 1.0)
 
@@ -104,9 +106,8 @@ class TestCumulantRate:
         model8, rng = make_models(seed=5, count=1, sizes=(8,))[0]
         cases = [paper, (model8, random_sym(rng, 8, psd=True))]
         for model, pi in cases:
-            sd = SpectralDensity(model)
             for lam in (0.0, 0.7, -2.525, 17.0):
-                d0, d1 = sd.d_pair(lam)
+                d0, d1 = _d_pair(model, lam)
                 factor = (pi @ d0, pi @ d1)
                 for r in range(2, 9):
                     want = 0.0 + 0.0j
@@ -136,11 +137,10 @@ def _quad_rate(model, pi, r, resonance):
     frequency, with breakpoints at ``+-resonance +- 0.5``."""
     from scipy.integrate import quad
 
-    sd = SpectralDensity(model)
     counts = delta_table(r).counts
 
     def integrand(lam):
-        d0, d1 = sd.d_pair(lam)
+        d0, d1 = _d_pair(model, lam)
         factor = (pi @ d0, pi @ d1)
         total = 0.0
         for bits, cnt in counts.items():
@@ -258,13 +258,6 @@ class TestWickOracle:
     def test_order_guard(self, paper):
         with pytest.raises(OrderTooLarge):
             wick_moment_oracle(*paper, r=4, times=np.zeros(2), weights=np.ones(2))
-
-
-def test_weighted_kernel_conjugation(paper):
-    model, pi = paper
-    weighted = WeightedKernel(model, pi)
-    for tau in (0.3, 1.1, 2.7):
-        assert np.abs(weighted.k(-tau) - weighted.k(tau).conj().T).max() < 1e-12
 
 
 class TestCumulantsFromMoments:

@@ -229,6 +229,17 @@ class TestClosedBound:
         assert np.all(np.diff(vals) < 0)  # decreasing past the zero
 
 
+@pytest.mark.parametrize("bound", [
+    lambda da, eps: da.cramer_bound_numeric(eps),
+    lambda da, eps: cramer_bound_closed(da.envelope.mu, da.envelope.alpha, 4, eps),
+    lambda da, eps: closed_theta_star(da.envelope.mu, da.envelope.alpha, 4, eps),
+], ids=["numeric", "closed", "closed-theta-star"])
+def test_nan_epsilon_raises(paper_deviation, bound):
+    # NaN fails every threshold comparison, so it must fail the guard too
+    with pytest.raises(EpsilonTooSmall):
+        bound(paper_deviation, float("nan"))
+
+
 class TestBoundCurve:
     def test_tiny_three_points(self, tiny):
         curves = DeviationAnalysis(tiny, np.eye(2)).bound_curve([2.0, 3.0, 4.0])

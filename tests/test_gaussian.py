@@ -13,7 +13,6 @@ from oqrisk.errors import (
 )
 from oqrisk.gaussian import (
     CovarianceKernel,
-    SpectralDensity,
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
@@ -156,29 +155,42 @@ class TestTwoPoint:
 
 
 class TestSpectralDensity:
+    """``OqhoModel.density_pair``: ``(D(lam), D(-lam)')`` stacked over
+    frequencies."""
+
     def test_tiny_closed_form(self, tiny):
         omega = np.eye(2) + 1j * J2
-        for lam in (0.0, 0.7, 3.0):
+        lams = (0.0, 0.7, 3.0)
+        for lam, d in zip(lams, tiny.density_pair(lams)[0]):
             target = omega / (1.0 + lam * lam)
-            assert np.abs(SpectralDensity(tiny).d(lam) - target).max() < 1e-13
+            assert np.abs(d - target).max() < 1e-13
 
     def test_hermitian_psd(self):
         for model, rng in make_models(seed=31, count=10):
-            sd = SpectralDensity(model)
-            for lam in rng.uniform(-20.0, 20.0, 4):
-                d = sd.d(lam)
+            for d in model.density_pair(rng.uniform(-20.0, 20.0, 4))[0]:
                 assert np.abs(d - d.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(d).min() >= -1e-10 * max(np.abs(d).max(), 1e-300)
 
     def test_resolvent_decay(self, paper):
-        sd = SpectralDensity(paper[0])
-        vals = [np.linalg.norm(sd.d(lam), 2) * lam**2 for lam in (1e2, 1e3, 1e4)]
+        lams = (1e2, 1e3, 1e4)
+        vals = [np.linalg.norm(d, 2) * lam**2
+                for lam, d in zip(lams, paper[0].density_pair(lams)[0])]
         assert max(vals) < 10.0 * np.linalg.norm(paper[0].b @ paper[0].b.T, 2)
 
     def test_flip_identity(self, paper):
-        sd = SpectralDensity(paper[0])
-        for lam in (0.4, 2.2):
-            assert np.abs(sd.d_flip(lam) - sd.d(-lam).T).max() < 1e-13
+        lams = np.array([0.4, 2.2])
+        _, flips = paper[0].density_pair(lams)
+        for flip, d in zip(flips, paper[0].density_pair(-lams)[0]):
+            assert np.abs(flip - d.T).max() < 1e-13
+
+    def test_stacked_matches_single_frequency(self, paper):
+        lams = np.array([-2.525, 0.0, 0.4, 17.0, 1e3])
+        d, flip = paper[0].density_pair(lams)
+        for k, lam in enumerate(lams):
+            d1, flip1 = paper[0].density_pair([lam])
+            scale = np.abs(d1).max()
+            assert np.abs(d[k] - d1[0]).max() <= 1e-14 * scale
+            assert np.abs(flip[k] - flip1[0]).max() <= 1e-14 * scale
 
     def test_inverse_transform_paper(self, paper):
         assert spectral_identity_residual(paper[0]) < 1e-6

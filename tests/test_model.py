@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import J2, make_models
+from oqrisk.classical import classical_rs_rate_sde
+from oqrisk.cumulants import cumulant_rate
+from oqrisk.deviations import DeviationAnalysis
 from oqrisk.errors import (
     ConfigError,
     DimensionMismatch,
@@ -16,12 +19,14 @@ from oqrisk.fixtures import PAPER_EXAMPLE, paper_example_model
 from oqrisk.model import (
     CcrMatrix,
     PhysicalParams,
+    WeightMatrix,
     build_model,
     canonical_ccr,
     model_from_json,
     model_from_matrices,
     pr_residual,
 )
+from oqrisk.quartic import mean_rate
 
 PAPER_EIGS = np.array([-4.2068, -1.3302, -0.5532 - 2.5929j, -0.5532 + 2.5929j])
 
@@ -85,6 +90,27 @@ class TestValidation:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(DimensionMismatch):
             build_model(canonical_ccr(2), PhysicalParams(r=np.zeros((4, 4)), m=np.eye(4)))
+
+    @pytest.mark.parametrize("analysis", [
+        lambda model, pi: model.weight_facts(pi),
+        mean_rate,
+        lambda model, pi: cumulant_rate(model, pi, 2),
+        lambda model, pi: classical_rs_rate_sde(model, pi, 1e-3),
+        DeviationAnalysis,
+    ], ids=["weight_facts", "mean_rate", "cumulant_rate", "classical_rs_rate_sde",
+            "DeviationAnalysis"])
+    def test_rejects_wrong_shape_weight(self, paper, analysis):
+        # the 4-dimensional paper fixture with a 3 x 3 cost weight
+        with pytest.raises(DimensionMismatch):
+            analysis(paper[0], np.eye(3))
+
+    def test_weight_facts_validates_once(self, paper):
+        model = paper[0]
+        with pytest.raises(NotSymmetric):
+            model.weight_facts(np.triu(np.ones((4, 4))))
+        facts = model.weight_facts(WeightMatrix(paper[1]))
+        assert model.weight_facts(paper[1]) is facts
+        assert not facts.pi.flags.writeable
 
 
 class TestPrResidual:
