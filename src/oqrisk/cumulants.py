@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLarge, NumericalDefect, OrderTooLarge
+from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
 from .gaussian import CovarianceKernel, gramian_steady
 from .matfun import RULE_TOL, expm_ladder, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
@@ -188,9 +188,7 @@ def _kernel_tables(model: OqhoModel, count: int, step: float):
     return np.concatenate([s_pos[:0:-1].conj().transpose(0, 2, 1), s_pos])
 
 
-def cumulant_finite_td(
-    model: OqhoModel, pi, r: int, t: float, grid: int
-) -> float:
+def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> float:
     """Finite-horizon r-th cumulant by tensor-grid trapezoid cubature.
 
     Supported for r in {2, 3} as the time-domain validation path; the
@@ -201,9 +199,9 @@ def cumulant_finite_td(
     if r not in (2, 3):
         raise OrderTooLarge("time-domain cumulants implemented for r in {2, 3}")
     if t <= 0:
-        raise ValueError("horizon must be positive")
+        raise NegativeTime("horizon must be positive")
     if grid < 5:
-        raise ValueError("need at least 5 points per axis")
+        raise InvalidArgument("need at least 5 points per axis")
     pi = model.weight_facts(pi).pi
     _, w = trapezoid_weights(grid, t)
     step = t / (grid - 1)

@@ -319,12 +319,11 @@ class DeviationAnalysis:
         objective is unbounded below and ``(-inf, inf)`` is returned as a
         documented sentinel.
         """
-        n = self.model.n
-        if self.degenerate or self.f_infnorm() == 0.0:
-            return (0.0, 0.0) if epsilon == 0.0 else (-math.inf, math.inf)
-        threshold = n * self.n0
+        threshold = self.model.n * self.n0
         if not epsilon >= threshold * (1.0 - 1e-12):  # NaN fails too
             raise EpsilonTooSmall(f"epsilon = {epsilon} below the threshold n*N(0) = {threshold}")
+        if self.degenerate or self.f_infnorm() == 0.0:
+            return (0.0, 0.0) if epsilon == 0.0 else (-math.inf, math.inf)
         if epsilon <= threshold * (1.0 + 1e-14):
             return 0.0, 0.0
         theta_max = 1.0 / (2.0 * self.f_infnorm())

@@ -15,6 +15,10 @@ class DimensionMismatch(OqriskError, ValueError):
     """Matrix dimensions are inconsistent with each other."""
 
 
+class InvalidArgument(OqriskError, ValueError):
+    """Non-finite entries, too few grid points or a lag beyond the horizon."""
+
+
 class NotAntisymmetric(OqriskError, ValueError):
     """A matrix required to be antisymmetric is not (exact check)."""
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidInitialState,
     NegativeTime,
     NumericalDefect,
@@ -141,7 +142,7 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     times = np.asarray(times, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     if times.ndim != 1 or vectors.shape != (times.size, model.n):
-        raise ValueError("need N times and an N x n array of vectors")
+        raise DimensionMismatch("need N times and an N x n array of vectors")
     if np.any(np.diff(times) < 0):
         raise UnsortedTimes("times must be nondecreasing")
     k = CovarianceKernel(model)

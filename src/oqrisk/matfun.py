@@ -25,11 +25,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatch,
     EigenFailure,
     IllConditioned,
+    InvalidArgument,
     NoConvergence,
     NotHurwitz,
     NotPsd,
+    NotSymmetric,
     Overflow,
 )
 
@@ -54,7 +57,7 @@ HURWITZ_TOL = -1e-10
 
 def _require_finite(a, name):
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InvalidArgument(f"{name} contains non-finite entries")
 
 
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -67,7 +70,7 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm expects a square matrix")
+        raise DimensionMismatch("expm expects a square matrix")
     _require_finite(a, "matrix")
     with np.errstate(over="ignore"):  # converted to an error below
         out = scipy.linalg.expm(t * a)
@@ -164,7 +167,7 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
-        raise ValueError("lyap_solve expects square matrices of equal size")
+        raise DimensionMismatch("lyap_solve expects square matrices of equal size")
     _require_finite(a, "A")
     _require_finite(q, "Q")
     lam = np.linalg.eigvals(a)
@@ -196,7 +199,7 @@ def _psd_eig(k: np.ndarray):
     k = np.asarray(k)
     herm_res = np.linalg.norm(k - k.conj().T)
     if herm_res > 1e-12 * max(1.0, np.linalg.norm(k)):
-        raise ValueError("sqrt_psd expects a symmetric/Hermitian matrix")
+        raise NotSymmetric("sqrt_psd expects a symmetric/Hermitian matrix")
     w, v = np.linalg.eigh(k)
     scale = max(abs(w[0]), abs(w[-1]), 0.0)
     if w[0] < -1e-10 * scale:
@@ -322,7 +325,7 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
 def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and composite-trapezoid weights on ``[0, upper]``."""
     if count < 2:
-        raise ValueError("need at least 2 nodes")
+        raise InvalidArgument("need at least 2 nodes")
     nodes = np.linspace(0.0, upper, count)
     h = upper / (count - 1)
     w = np.full(count, h)

@@ -26,6 +26,8 @@ from . import matfun
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    InvalidArgument,
+    NoConvergence,
     NotAntisymmetric,
     NotHurwitz,
     NotSymmetric,
@@ -89,7 +91,7 @@ class CcrMatrix:
         if n == 0 or n % 2:
             raise DimensionMismatch(f"theta order must be even and positive, got {n}")
         if not np.all(np.isfinite(theta)):
-            raise ValueError("theta contains non-finite entries")
+            raise InvalidArgument("theta contains non-finite entries")
         if np.linalg.norm(theta + theta.T) != 0.0:
             raise NotAntisymmetric("theta + theta' must vanish exactly")
         smin = np.linalg.svd(theta, compute_uv=False)[-1]
@@ -115,7 +117,7 @@ class PhysicalParams:
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatch("R must be square")
         if not np.all(np.isfinite(r)) or not np.all(np.isfinite(m)):
-            raise ValueError("R or M contains non-finite entries")
+            raise InvalidArgument("R or M contains non-finite entries")
         if np.linalg.norm(r - r.T) != 0.0:
             raise NotSymmetric("R - R' must vanish exactly")
         if m.ndim != 2 or m.shape[1] != r.shape[0]:
@@ -148,11 +150,10 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Real symmetric cost weight; ``psd=True`` additionally certifies
-    nonnegativity up to a 1e-10 rounding band."""
+    """Real symmetric cost weight.  Nonnegativity is checked where
+    ``sqrt(Pi)`` is formed (``WeightFacts.root`` raises :class:`NotPsd`)."""
 
     pi: np.ndarray
-    psd: bool = False
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -160,10 +161,6 @@ class WeightMatrix:
             raise DimensionMismatch(f"Pi must be square, got shape {pi.shape}")
         if np.linalg.norm(pi - pi.T) != 0.0:
             raise NotSymmetric("Pi - Pi' must vanish exactly")
-        if self.psd:
-            wmin = np.linalg.eigvalsh(pi)[0]
-            if wmin < -1e-10 * max(np.linalg.norm(pi, 2), 1e-300):
-                raise NotSymmetric(f"Pi flagged PSD has eigenvalue {wmin:.3e}")
         object.__setattr__(self, "pi", _freeze(pi))
 
 
@@ -172,8 +169,8 @@ class WeightFacts:
     """Facts of one ``(model, Pi)`` pair, each computed on first use and
     kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta``, the
     Lyapunov solutions ``t`` of ``AT + TA' + seed = 0``, ``u`` of
-    ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, and
-    ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
+    ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, and the
+    certified ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
 
     model: "OqhoModel"
     pi: np.ndarray
@@ -207,14 +204,29 @@ class WeightFacts:
 
     @cached_property
     def density_peak(self) -> float:
-        """Top of :meth:`density_eigs` on a fixed grid of ``lam >= 0``; the
-        grid is one-sided and can miss the true peak."""
-        scale = 1.0 + matfun.opnorm2(self.model.a)
-        lams = np.concatenate([np.linspace(0.0, 10.0 * scale, 1201),
-                               np.geomspace(10.0 * scale, 1e4 * scale, 120)])
-        step = matfun.RULE_BLOCK
-        return max(0.0, *(float(self.density_eigs(lams[lo:lo + step])[:, -1].max())
-                          for lo in range(0, lams.size, step)))
+        """``||sqrt(Pi) G Omega||_inf^2 / 2``, the top of :meth:`density_eigs`
+        over all real ``lam``, bounded from above to 1e-8 relative (Bruinsma-
+        Steinbuch): the top at trial frequencies (first ``0``, ``Im(eig A)``)
+        is a lower bound, and ``level = (1 + 1e-8) lower`` is certified when
+        ``[[A, B Omega B' / level], [-Pi, -A']]`` has no eigenvalue ``i lam``
+        (``|Re| <= 1e-10 max|eig|``); else the midpoints of those ``lam`` are
+        the next trials.  :class:`NoConvergence` after 30 tests."""
+        if not np.any(self.pi):
+            return 0.0
+        model = self.model
+        flow = model.b @ model.omega @ model.b.T
+        lams, lower = np.concatenate(([0.0], model.eig.values.imag)), 0.0
+        for _ in range(30):
+            lower = float(self.density_eigs(lams)[:, -1].max(initial=lower))
+            if lower == 0.0:
+                break
+            level = (1.0 + 1e-8) * lower
+            ev = np.linalg.eigvals(np.block([[model.a, flow / level], [-self.pi, -model.a.T]]))
+            axis = np.sort(ev.imag[np.abs(ev.real) <= 1e-10 * np.abs(ev).max()])
+            if axis.size == 0:
+                return level
+            lams = 0.5 * (axis[1:] + axis[:-1])
+        raise NoConvergence(f"no density level certified above {lower:.6e}")
 
 
 @dataclass(frozen=True)

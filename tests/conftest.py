@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oqrisk import DeviationAnalysis, model_from_matrices, paper_example_model, random_model
+from oqrisk.model import canonical_ccr
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -27,6 +28,12 @@ def tiny_deviation(tiny):
 def paper_deviation(paper):
     model, pi = paper
     return DeviationAnalysis(model, pi)
+
+
+def damped_mode():
+    """A lightly damped mode: eigenvalues -0.003 +- 10i."""
+    eye = np.eye(2)
+    return model_from_matrices(canonical_ccr(2).theta, 10.0 * eye, np.sqrt(0.003) * eye)
 
 
 def make_models(seed, count, sizes=(2, 4, 6)):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import J2, random_sym
+from conftest import J2, damped_mode, random_sym
 from oqrisk import classical, report
 from oqrisk.classical import (
     AugmentedStepper,
@@ -24,7 +24,6 @@ from oqrisk.classical import (
 from oqrisk.errors import InsufficientPaths, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm, sqrt_psd
-from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate
 
 
@@ -256,9 +255,9 @@ class TestRateVariants:
             classical_rs_rate_sde(tiny, np.eye(2), -0.01)
 
     def test_raises_past_the_two_sided_peak(self, paper):
-        # the peak scan covers lam >= 0 only and finds 117.76; the density
-        # peaks at 132.96 near lam = -2.525, so theta = 1/125 passes the
-        # scan but makes 1 - theta * eig(Pi D) negative on the real line
+        # the density peaks at 132.96 near lam = -2.526, on the negative
+        # side of the axis: theta = 1/125 makes 1 - theta * eig(Pi D)
+        # negative there, so the certified peak refuses it
         for rate in (classical_rs_rate_paper, classical_rs_rate_sde):
             with pytest.raises(ThetaOutOfRange):
                 rate(*paper, theta=1.0 / 125.0)
@@ -303,20 +302,22 @@ class TestMcRate:
         assert predicted == pytest.approx(est.stderr, rel=0.1)
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
-        # the one-sided peak scan misses the damped mode's resonance, so the
-        # 0.3/peak guard passes; the 2 theta moment is infinite at T = 200
+        # the damped mode's resonance at lam = -10 puts its density peak at
+        # 1000, so the 0.3/peak guard refuses theta = 0.01 before any path
+        # (the 2 theta refusal is covered by the finite-horizon tests)
         def no_paths(*args, **kwargs):
             raise AssertionError("simulated a refused rate")
 
         monkeypatch.setattr(classical, "_chain", no_paths)
         with pytest.raises(ThetaOutOfRange):
-            mc_rs_rate(_damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 200, 1)
+            mc_rs_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 200, 1)
 
-
-def _damped_mode():
-    """Eigenvalues -0.003 +- 10i."""
-    eye = np.eye(2)
-    return model_from_matrices(canonical_ccr(2).theta, 10.0 * eye, np.sqrt(0.003) * eye)
+    def test_short_horizon_past_the_peak_is_refused(self):
+        # over T = 2 every exponential moment is finite, so only the
+        # certified 0.3/peak guard stands between theta = 0.01 and a
+        # Monte Carlo estimate far outside the finiteness interval
+        with pytest.raises(ThetaOutOfRange, match="0.3/peak"):
+            mc_rs_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 2.0, 2000, 1)
 
 
 def _dense_rate(model, pi, theta, horizon, steps):
@@ -351,7 +352,7 @@ class TestFiniteHorizonRate:
         model, pi, theta = {
             "tiny": (tiny, np.eye(2), 0.2),
             "paper": (*paper, 0.005),
-            "damped": (_damped_mode(), np.diag([1.0, 2.0]), 0.01),
+            "damped": (damped_mode(), np.diag([1.0, 2.0]), 0.01),
         }[case]
         got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
         assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12)
@@ -360,7 +361,7 @@ class TestFiniteHorizonRate:
         # the resonance at lam = -10 puts theta = 0.01 past the two-sided
         # peak; over T = 200 the exponential moment is infinite
         with pytest.raises(ThetaOutOfRange):
-            finite_horizon_rate(_damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 0.05)
+            finite_horizon_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 0.05)
 
 
 def test_zeta_view_roundtrip():

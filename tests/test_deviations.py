@@ -233,7 +233,8 @@ class TestClosedBound:
     lambda da, eps: da.cramer_bound_numeric(eps),
     lambda da, eps: cramer_bound_closed(da.envelope.mu, da.envelope.alpha, 4, eps),
     lambda da, eps: closed_theta_star(da.envelope.mu, da.envelope.alpha, 4, eps),
-], ids=["numeric", "closed", "closed-theta-star"])
+    lambda da, eps: DeviationAnalysis(da.model, np.zeros((4, 4))).cramer_bound_numeric(eps),
+], ids=["numeric", "closed", "closed-theta-star", "numeric-zero-weight"])
 def test_nan_epsilon_raises(paper_deviation, bound):
     # NaN fails every threshold comparison, so it must fail the guard too
     with pytest.raises(EpsilonTooSmall):

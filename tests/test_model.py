@@ -3,15 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from conftest import J2, make_models
-from oqrisk.classical import classical_rs_rate_sde
+from conftest import J2, damped_mode, make_models, random_sym
+from oqrisk.classical import classical_rs_rate_sde, rs_theta_max
 from oqrisk.cumulants import cumulant_rate
 from oqrisk.deviations import DeviationAnalysis
 from oqrisk.errors import (
     ConfigError,
     DimensionMismatch,
     NotAntisymmetric,
+    NotPsd,
     NotSymmetric,
     SingularCcr,
 )
@@ -111,6 +113,55 @@ class TestValidation:
         facts = model.weight_facts(WeightMatrix(paper[1]))
         assert model.weight_facts(paper[1]) is facts
         assert not facts.pi.flags.writeable
+
+
+    def test_indefinite_weight_is_not_psd(self, paper):
+        model, pi = paper
+        with pytest.raises(NotPsd):
+            classical_rs_rate_sde(model, -pi, 1e-3)
+
+
+class TestDensityPeak:
+    """``density_peak`` bounds the top of ``density_eigs`` over the whole
+    real line from above, within a relative gap of 1e-8."""
+
+    GAP = 1.01e-8  # the certificate's 1e-8 plus rounding
+
+    def test_paper_fixture_peak_is_on_the_negative_side(self, paper):
+        facts = paper[0].weight_facts(paper[1])
+        peak = facts.density_peak
+        # 132.95716344785 is the top at its maximiser, refined by
+        # minimize_scalar; a scan of lam >= 0 finds 117.76
+        assert 132.95716344785 * (1 - 1e-12) <= peak <= 132.95716344785 * (1 + self.GAP)
+        top = facts.density_eigs([-2.5261743])[0, -1]
+        assert peak / (1 + self.GAP) <= top <= peak
+
+    def test_damped_mode_peak_at_its_resonance(self):
+        model, pi = damped_mode(), np.diag([1.0, 2.0])
+        facts = model.weight_facts(pi)
+        assert 1000.0 <= facts.density_peak <= 1000.0 * (1 + self.GAP)
+        top = facts.density_eigs([-10.0, 10.0])[:, -1]
+        assert top.max() == pytest.approx(1000.0, rel=1e-12)
+        assert 1e-3 / (1 + self.GAP) <= rs_theta_max(model, pi) <= 1e-3
+        assert rs_theta_max(model, np.zeros((2, 2))) == np.inf
+
+    def test_no_two_sided_sample_exceeds_the_peak(self):
+        for model, rng in make_models(seed=91, count=6):
+            facts = model.weight_facts(random_sym(rng, model.n, psd=True))
+            peak = facts.density_peak
+            mu = model.eig.values
+            # a resonance is about |Re(mu)| wide: sample it five times
+            step = 0.2 * np.abs(mu.real).min()
+            span = 2.0 * np.abs(mu).max() + 1.0
+            lams = np.concatenate([np.arange(-span, span, step), mu.imag, -mu.imag])
+            top = np.concatenate([facts.density_eigs(lams[k:k + 512])[:, -1]
+                                  for k in range(0, lams.size, 512)])
+            assert top.max() <= peak
+            best = lams[np.argmax(top)]
+            res = minimize_scalar(lambda x: -facts.density_eigs([x])[0, -1],
+                                  bounds=(best - step, best + step), method="bounded",
+                                  options={"xatol": 1e-10 * (1.0 + abs(best))})
+            assert peak <= max(top.max(), -res.fun) * (1 + 2e-8)
 
 
 class TestPrResidual:

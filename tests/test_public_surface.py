@@ -7,8 +7,13 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import oqrisk
+from oqrisk import classical, cumulants, gaussian, matfun, model
 from oqrisk.cli import build_parser
+from oqrisk.errors import DimensionMismatch, InvalidArgument, NegativeTime, NotSymmetric
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +38,31 @@ def test_readme_command_block_names_every_subcommand():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, -1.0, 10), NegativeTime),
+    (lambda m, pi: gaussian.qcf_multipoint_steady(m, [0, 1], np.zeros((2, 3))),
+     DimensionMismatch),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, 1.0, 3), InvalidArgument),
+    (lambda m, pi: classical.mc_stationary_stats(classical.simulate(m, 0.1, 2, 100, 1), 5),
+     InvalidArgument),
+    (lambda m, pi: model.CcrMatrix(np.full((2, 2), NAN)), InvalidArgument),
+    (lambda m, pi: model.PhysicalParams(r=np.eye(2), m=np.full((2, 2), NAN)),
+     InvalidArgument),
+    (lambda m, pi: matfun.opnorm2(np.full((2, 2), NAN)), InvalidArgument),
+    (lambda m, pi: matfun.expm(np.ones((2, 3))), DimensionMismatch),
+    (lambda m, pi: matfun.lyap_solve(m.a, np.eye(2)), DimensionMismatch),
+    (lambda m, pi: matfun.sqrt_psd(np.triu(np.ones((2, 2)))), NotSymmetric),
+    (lambda m, pi: matfun.trapezoid_weights(1, 1.0), InvalidArgument),
+], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
+        "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
+        "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node"])
+def test_input_checks_raise_typed_errors(paper, call, expected):
+    # the CLI turns an OqriskError into an exit code; a bare ValueError
+    # would escape it as a traceback
+    with pytest.raises(expected):
+        call(*paper)

@@ -161,7 +161,7 @@ def test_report_bundle(paper):
 
 
 def test_weight_matrix_validation():
-    WeightMatrix(np.eye(2), psd=True)
+    WeightMatrix(np.eye(2))
     with pytest.raises(NotSymmetric):
         WeightMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
