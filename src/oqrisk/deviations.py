@@ -11,10 +11,10 @@ and Legendre transformation of that bound yields a tail estimate for
 ``phi(t)/t`` above a scale ``eps``.  Two evaluation routes are provided:
 
 * numeric: ``F`` from high-order product (Filon) cosine quadrature of the
-  sampled kernel, tabulated once on a graded composite Gauss-Legendre rule;
-  the frequency integrals are weighted sums over that table with an
-  analytically corrected tail, and the optimal ``theta`` comes from
-  bisection on the monotone derivative equation;
+  sampled kernel, blocked over frequencies and tabulated once on a graded
+  composite Gauss-Legendre rule; the frequency integrals are weighted sums
+  over that table with an analytically corrected tail, and the optimal
+  ``theta`` comes from bisection on the monotone derivative equation;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -40,8 +40,8 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .gaussian import gramian_steady
-from .matfun import (expm, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve, opnorm2,
-                     sqrt_psd)
+from .matfun import (RULE_BLOCK, expm, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve,
+                     opnorm2, sqrt_psd)
 from .model import OqhoModel
 
 __all__ = [
@@ -117,25 +117,59 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     return EnvelopeParams(mu=mu, gamma=gamma, alpha=float(alpha))
 
 
-def _filon_cos(fvals: np.ndarray, h: float, lam: float, grid: np.ndarray) -> float:
-    """integral f(t) cos(lam t) dt over the uniform grid (odd point count),
-    exact for piecewise-quadratic f at any frequency."""
-    th = lam * h
-    if abs(th) > 1e-4:
-        s, c = math.sin(th), math.cos(th)
-        alpha = (th * th + th * s * c - 2.0 * s * s) / th**3
-        beta = 2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / th**3
-        gamma = 4.0 * (s - th * c) / th**3
-    else:
-        t2 = th * th
-        alpha = th * t2 * (2.0 / 45 - t2 * (2.0 / 315 - t2 * (2.0 / 4725)))
-        beta = 2.0 / 3 + t2 * (2.0 / 15 - t2 * (4.0 / 105 - t2 * (2.0 / 567)))
-        gamma = 4.0 / 3 - t2 * (2.0 / 15 - t2 * (1.0 / 210 - t2 / 11340))
-    ct = np.cos(lam * grid)
-    even = fvals[0::2] @ ct[0::2] - 0.5 * (fvals[0] * ct[0] + fvals[-1] * ct[-1])
-    odd = fvals[1::2] @ ct[1::2]
-    ends = alpha * (fvals[-1] * math.sin(lam * grid[-1]) - fvals[0] * math.sin(0.0))
-    return float(h * (ends + beta * even + gamma * odd))
+def _top_singular_value(block: np.ndarray) -> np.ndarray:
+    """Largest singular value of each stacked matrix, as the root of the top
+    eigenvalue of the Gram ``K* K`` of its columns: that eigenvalue carries
+    an error of ``eps ||K||^2``, so the value keeps ~``eps / 2`` relative
+    error, without the full SVD."""
+    gram = block.conj().swapaxes(-1, -2) @ block
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
+def _filon_cos(fvals: np.ndarray, h: float, lam) -> np.ndarray:
+    """integral f(t) cos(lam t) dt over the uniform grid ``t_k = k h`` (odd
+    point count) for an array of frequencies, exact for piecewise-quadratic f
+    at any frequency.
+
+    The even and odd sample sums ``sum_k f_k cos(lam h k)`` of a block of
+    frequencies come from two matrix products: with ``k = a W + j`` (``W ~
+    sqrt(npts)``, even) and ``f`` folded into ``F = f.reshape(A, W)``, they
+    are ``Re((E_a @ F) E_j)`` summed over the even or the odd ``j``, where
+    ``E_a = e^{i lam h W a}`` and ``E_j = e^{i lam h j}`` are short phase
+    tables, taken as their cosines and sines.  Memory is ``RULE_BLOCK (A +
+    W)`` per block, never a frequencies-by-grid table."""
+    lam = np.asarray(lam, dtype=float)
+    th = lam.ravel() * h
+    npts = fvals.size
+    width = 2 * math.ceil(math.sqrt(npts) / 2.0)
+    rows = -(-npts // width)
+    samples = np.zeros(rows * width)
+    samples[:npts] = fvals
+    samples = samples.reshape(rows, width)
+    sums = np.empty((2, th.size))
+    for lo in range(0, th.size, RULE_BLOCK):
+        blk = th[lo:lo + RULE_BLOCK]
+        coarse = np.multiply.outer(blk, width * np.arange(rows))
+        fine = np.multiply.outer(blk, np.arange(width))
+        terms = ((np.cos(coarse) @ samples) * np.cos(fine)
+                 - (np.sin(coarse) @ samples) * np.sin(fine))
+        sums[:, lo:lo + RULE_BLOCK] = terms[:, 0::2].sum(1), terms[:, 1::2].sum(1)
+    series = np.abs(th) <= 1e-4
+    # Filon's weights; below |lam h| = 1e-4 their Taylor series (the closed
+    # forms cancel there), evaluated where the closed form is not
+    t = np.where(series, 1.0, th)
+    s, c = np.sin(t), np.cos(t)
+    t2 = th * th
+    alpha = np.where(series, th * t2 * (2.0 / 45 - t2 * (2.0 / 315 - t2 * (2.0 / 4725))),
+                     (t * t + t * s * c - 2.0 * s * s) / t**3)
+    beta = np.where(series, 2.0 / 3 + t2 * (2.0 / 15 - t2 * (4.0 / 105 - t2 * (2.0 / 567))),
+                    2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
+    gamma = np.where(series, 4.0 / 3 - t2 * (2.0 / 15 - t2 * (1.0 / 210 - t2 / 11340)),
+                     4.0 * (s - t * c) / t**3)
+    end = th * (npts - 1)
+    even = sums[0] - 0.5 * (fvals[0] + fvals[-1] * np.cos(end))
+    out = h * (alpha * fvals[-1] * np.sin(end) + beta * even + gamma * sums[1])
+    return out.reshape(lam.shape)
 
 
 # 24 Gauss-Legendre nodes per panel: F has features of width ~ mu (kinks of
@@ -172,18 +206,19 @@ def _tail_cut(fcut, base, c3, tol):
 
 
 def _tabulate(ffun, base, tol) -> _FTable:
-    """Tabulate ``ffun`` (peak ``ffun(0)``) on [0, base 2^-GRADE_DEPTH],
-    dyadic panels up to ``base / 8``, then panels of width ``base / 8`` up to
-    the cut needed at ``theta_max``, which bounds the cut at every theta."""
-    fcut = np.array([ffun(base * 2.0**j) for j in range(MAX_CUT + 1)])
-    s = 1.0 / ffun(0.0)
+    """Tabulate ``ffun`` (peak ``ffun(0)``, vectorised over frequencies) on
+    [0, base 2^-GRADE_DEPTH], dyadic panels up to ``base / 8``, then panels
+    of width ``base / 8`` up to the cut needed at ``theta_max``, which bounds
+    the cut at every theta."""
+    peak_cuts = ffun(np.concatenate(([0.0], base * 2.0 ** np.arange(MAX_CUT + 1))))
+    s, fcut = 1.0 / peak_cuts[0], peak_cuts[1:]
     top = _tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol)
     top = MAX_CUT if top is None else top  # thetas past it raise when integrated
     edges = np.concatenate(([0.0], base * 2.0 ** np.arange(-GRADE_DEPTH, -3),
                             base / 8.0 * np.arange(1, 2 ** (top + 3) + 1)))
     nodes, weights = gauss_panels(edges, GL_ORDER)
     return _FTable(base=base, nodes=nodes, weights=weights,
-                   fvals=np.array([ffun(lam) for lam in nodes]), fcut=fcut[:top + 1])
+                   fvals=ffun(nodes), fcut=fcut[:top + 1])
 
 
 def _two_theta_f(theta, fvals):
@@ -224,9 +259,12 @@ class DeviationAnalysis:
 
     Builds the kernel sampler lazily on first transform use: the kernel is
     tabulated on a uniform grid long enough for the certified envelope to
-    push the truncation error below the working tolerance, and ``F`` is
-    then a pair of weighted dot products per frequency (memoized).  The
-    bounds tabulate ``F`` once on the frequency rule of :func:`_tabulate`.
+    push the truncation error below the working tolerance, its norm taken
+    per lag from the top eigenvalue of a Gram matrix ``rank(P + i Theta)``
+    wide (see :meth:`_build_grid`).  ``F`` at an array of frequencies is
+    then one blocked Filon sum (:func:`_filon_cos`).  The bounds tabulate
+    ``F`` once on the frequency rule of :func:`_tabulate`, in one call for
+    its nodes and one for its peak and cuts.
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -240,7 +278,6 @@ class DeviationAnalysis:
         self.degenerate = not np.any(self.pi)
         self.envelope = None if self.degenerate else envelope_params(model, self.pi)
         self._grid = None
-        self._f_memo = {}
 
     def n_kernel(self, tau: float) -> float:
         """``N(tau)``; even in ``tau`` by construction."""
@@ -261,26 +298,40 @@ class DeviationAnalysis:
         npts = int(np.clip(math.ceil(tau_star / h), 2001, 200_001))
         if npts % 2 == 0:
             npts += 1
-        grid = np.linspace(0.0, tau_star, npts)
-        step = grid[1] - grid[0]
-        nvals = expm_ladder(self.model.a, self.model.eig, step, npts, left=self.root_pi,
-                            right=self.quantum @ self.root_pi,
-                            reduce=lambda block: np.linalg.svd(block, compute_uv=False)[:, 0])
-        self._grid, self._nvals, self._step = grid, nvals, step
+        # Q = P + i Theta is PSD, of rank n/2 when the invariant state is pure
+        # (passive dynamics under vacuum input).  With a thin factor Q = V V*
+        # (the eigenvalues above the numerical-rank floor n eps max) and
+        # S = (V* Pi V)^{1/2}, K K* = (R E V S)(R E V S)* for K = R E Q R,
+        # R = sqrt(Pi), E = e^{tau A}: N is the top singular value of the
+        # n x rank(Q) matrix R E V S.
+        q, u = np.linalg.eigh(self.quantum)
+        keep = q > q.size * np.finfo(float).eps * q[-1]
+        thin = u[:, keep] * np.sqrt(q[keep])
+        self._step = tau_star / (npts - 1)
+        # N(k step) for k = 0 .. npts-1
+        self._grid = expm_ladder(self.model.a, self.model.eig, self._step, npts,
+                                 left=self.root_pi,
+                                 right=thin @ sqrt_psd(thin.conj().T @ self.pi @ thin),
+                                 reduce=_top_singular_value)
 
-    def f_transform(self, lam: float) -> float:
-        """``F(lam) = 2 int_0^inf N(tau) cos(lam tau) dtau``."""
+    def f_transform(self, lam):
+        """``F(lam) = 2 int_0^inf N(tau) cos(lam tau) dtau``: a float for a
+        scalar ``lam``, an array of its shape for an array."""
+        lam = np.asarray(lam, dtype=float)
         if self.degenerate:
-            return 0.0
-        key = float(lam)
-        if key not in self._f_memo:
+            out = np.zeros(lam.shape)
+        else:
             self._build_grid()
-            self._f_memo[key] = 2.0 * _filon_cos(self._nvals, self._step, key, self._grid)
-        return self._f_memo[key]
+            out = 2.0 * _filon_cos(self._grid, self._step, lam)
+        return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def _f_zero(self) -> float:
+        return self.f_transform(0.0)
 
     def f_infnorm(self) -> float:
         """``||F||_inf = F(0)`` (valid since ``N >= 0``)."""
-        return self.f_transform(0.0)
+        return self._f_zero
 
     def _lam_base(self) -> float:
         return max(50.0, 20.0 * (opnorm2(self.model.a) + self.envelope.mu))

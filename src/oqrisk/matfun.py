@@ -126,7 +126,11 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left=None, right=No
     left = eye if left is None else np.asarray(left)
     right = eye if right is None else np.asarray(right)
     if basis.inverse is not None:
+        # left V diag(e^{t mu}) V^-1 right = sum_j e^{t mu_j} (left V)[:, j] (V^-1 right)[j, :]:
+        # the rank-one terms are flattened into the rows of ``terms``, so a
+        # block of lags is one (lags x n) @ (n x rows cols) product
         lv, wr = left @ basis.vectors, basis.inverse @ right
+        terms = (lv.T[:, :, None] * wr[:, None, :]).reshape(a.shape[0], -1)
         real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
     else:
         estep, prop = expm(a, step), eye
@@ -135,7 +139,7 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left=None, right=No
         lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
         if basis.inverse is not None:
             phases = np.exp(np.multiply.outer(step * lags, basis.values))
-            block = (lv * phases[:, None, :]) @ wr
+            block = (phases @ terms).reshape(lags.size, lv.shape[0], wr.shape[1])
             block = block.real if real else block
         else:
             block = np.empty((lags.size, left.shape[0], right.shape[1]),
@@ -231,7 +235,8 @@ RULE_ORDER = 16
 RULE_TOL = 1e-12
 #: Halvings of every panel after which the frequency rule gives up.
 RULE_DEPTH = 6
-#: Frequencies per integrand call: bounds the integrand's working memory.
+#: Frequencies per integrand call (and per block of the deviation bounds' Filon
+#: sums): bounds their working memory.
 RULE_BLOCK = 256
 
 
