@@ -22,7 +22,7 @@ normalizations ship side by side:
   which is the rate of the circular complex process actually defined by the
   SDE above (its small-theta slope is the true stationary mean ``<Pi, P>``).
 
-Both integrals and the series cross-check run on ``matfun.integrate_frequency``.
+Both come from one stabilising Riccati solution, not quadrature (:func:`_riccati_rate`).
 
 The Monte Carlo estimator ``mc_rs_rate`` is the tiebreaker experiment; its
 verdict (it matches the sde variant) is recorded in analysis reports.
@@ -34,18 +34,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     InsufficientPaths,
     InvalidArgument,
     NotHurwitz,
+    NumericalDefect,
     StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
 )
 from .gaussian import gramian_steady
-from .matfun import expm, integrate_frequency, lyap_solve, opnorm2, sqrt_psd
-from .model import OqhoModel, WeightFacts, WeightMatrix
+from .matfun import expm, lyap_solve, opnorm2, sqrt_psd
+from .model import OqhoModel, WeightMatrix
 
 __all__ = [
     "AugmentedStepper",
@@ -59,7 +61,6 @@ __all__ = [
     "mc_quadform_variance",
     "classical_rs_rate_paper",
     "classical_rs_rate_sde",
-    "classical_rate_series",
     "finite_horizon_rate",
     "mc_rs_rate",
     "rs_theta_max",
@@ -255,12 +256,6 @@ def _quadform(states: np.ndarray, pi: np.ndarray, scratch=None, out=None) -> np.
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
-def _density_integral(facts: WeightFacts, g) -> float:
-    """integral over R of ``g`` (one value per row) of the density's eigenvalue rows."""
-    return float(integrate_frequency(lambda lams: g(facts.density_eigs(lams)),
-                                     facts.model.eig.values))
-
-
 def rs_theta_max(model: OqhoModel, pi) -> float:
     """Upper end of the finiteness interval for the rate variants,
     ``2 / ||sqrt(Pi) G Omega||_inf^2`` since ``Omega^2 = 2 Omega``: the
@@ -270,37 +265,45 @@ def rs_theta_max(model: OqhoModel, pi) -> float:
     return math.inf if peak == 0.0 else 1.0 / peak
 
 
-def _logdet_rate(model: OqhoModel, pi, theta: float, prefactor: float) -> float:
+def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
+    """The printed rate ``(1/2) tr(X F)``, ``F = theta B Omega B'``, ``X`` the stabilising
+    solution of ``A'X + XA + Pi + XFX = 0`` (Glover & Doyle 1988): the stable subspace of
+    the peak test's Hamiltonian (ordered Schur form, Laub 1979), then one Kleinman Newton
+    step, whose Lyapunov solve certifies the closed loop Hurwitz.  :class:`NumericalDefect`
+    unless the subspace has dimension n and the residual is at most 1e-12 of its terms' norms."""
     facts = model.weight_facts(pi)
     if theta == 0.0 or not np.any(facts.pi):
         return 0.0
     if theta < 0 or theta * facts.density_peak >= 1.0 - 1e-9:
         raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
                               f"(0, {1.0 / facts.density_peak:.6e})")
-    # below the certified peak every log1p argument exceeds -1 + 1e-9
-    return prefactor * _density_integral(facts, lambda w: np.log1p(-theta * w).sum(axis=-1))
+    n, a, pi = model.n, model.a, facts.pi
+    f = theta * (model.b @ model.omega @ model.b.T)
+    _, z, dim = scipy.linalg.schur(np.block([[a, f], [-pi, -a.T]]), output="complex", sort="lhp")
+    if dim != n:
+        raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
+    # X2 X1^-1; a singular X1 gives no solution and fails the residual test
+    x = np.linalg.lstsq(z[:n, :n].T, z[n:, :n].T, rcond=None)[0].T
+    x = 0.5 * (x + x.conj().T)
+    x = x + lyap_solve((a + f @ x).conj().T, a.T @ x + x @ a + pi + x @ f @ x)
+    terms = (a.T @ x, x @ a, pi, x @ f @ x)
+    res, scale = np.linalg.norm(sum(terms)), sum(np.linalg.norm(t) for t in terms)
+    if res > 1e-12 * scale:
+        raise NumericalDefect(f"Riccati residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
+    return 0.5 * float(np.trace(x @ f).real)
 
 
 def classical_rs_rate_paper(model: OqhoModel, pi, theta: float) -> float:
     """Risk-sensitive rate as printed: ``-(1/4 pi) integral ln det(I -
     theta Pi D(lam)) dlam``; small-theta slope ``<Pi, P> / 2``."""
-    return _logdet_rate(model, pi, theta, -1.0 / (4.0 * np.pi))
+    return _riccati_rate(model, pi, theta)
 
 
 def classical_rs_rate_sde(model: OqhoModel, pi, theta: float) -> float:
     """Rate of the twin as defined by its SDE: the same log-det integral
     with a ``1/2 pi`` prefactor; small-theta slope ``<Pi, P>``.  Exactly
-    twice the printed variant on the shared domain."""
-    return _logdet_rate(model, pi, theta, -1.0 / (2.0 * np.pi))
-
-
-def classical_rate_series(model: OqhoModel, pi, theta: float, orders: int = 6) -> float:
-    """Truncated series ``(1/4 pi) sum_r (theta^r / r) integral Tr((Pi D)^r)``
-    for the printed variant; crosscheck within the geometric remainder."""
-    return _density_integral(
-        model.weight_facts(pi),
-        lambda w: sum(theta**r / r * (w**r).sum(axis=-1) for r in range(1, orders + 1)),
-    ) / (4.0 * np.pi)
+    twice the printed variant."""
+    return 2.0 * _riccati_rate(model, pi, theta)
 
 
 def _rate_grid(horizon: float, h: float) -> tuple[int, float]:

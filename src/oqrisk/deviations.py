@@ -154,18 +154,13 @@ def _filon_cos(fvals: np.ndarray, h: float, lam) -> np.ndarray:
         terms = ((np.cos(coarse) @ samples) * np.cos(fine)
                  - (np.sin(coarse) @ samples) * np.sin(fine))
         sums[:, lo:lo + RULE_BLOCK] = terms[:, 0::2].sum(1), terms[:, 1::2].sum(1)
-    series = np.abs(th) <= 1e-4
-    # Filon's weights; below |lam h| = 1e-4 their Taylor series (the closed
-    # forms cancel there), evaluated where the closed form is not
+    series = np.abs(th) <= FILON_SERIES  # closed forms evaluated where the series is not
     t = np.where(series, 1.0, th)
     s, c = np.sin(t), np.cos(t)
-    t2 = th * th
-    alpha = np.where(series, th * t2 * (2.0 / 45 - t2 * (2.0 / 315 - t2 * (2.0 / 4725))),
-                     (t * t + t * s * c - 2.0 * s * s) / t**3)
-    beta = np.where(series, 2.0 / 3 + t2 * (2.0 / 15 - t2 * (4.0 / 105 - t2 * (2.0 / 567))),
-                    2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
-    gamma = np.where(series, 4.0 / 3 - t2 * (2.0 / 15 - t2 * (1.0 / 210 - t2 / 11340)),
-                     4.0 * (s - t * c) / t**3)
+    taylor = np.polynomial.polynomial.polyval(th * th, _FILON_TAYLOR)
+    alpha = np.where(series, th**3 * taylor[0], (t * t + t * s * c - 2.0 * s * s) / t**3)
+    beta = np.where(series, taylor[1], 2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
+    gamma = np.where(series, taylor[2], 4.0 * (s - t * c) / t**3)
     end = th * (npts - 1)
     even = sums[0] - 0.5 * (fvals[0] + fvals[-1] * np.cos(end))
     out = h * (alpha * fvals[-1] * np.sin(end) + beta * even + gamma * sums[1])
@@ -182,6 +177,13 @@ GRADE_DEPTH = 40
 MAX_CUT = 6
 # Working tolerance of the tail cut and its corrections in the bounds.
 TOL = 1e-9
+#: Below ``|lam h| = FILON_SERIES`` Filon's weights come from their Taylor series
+#: in ``t = lam h`` (row j: the ``t^(2j)`` coefficients of alpha / t^3, beta and
+#: gamma), good to ~2e-16; above, from closed forms that lose ~``eps / t^2``.
+FILON_SERIES = 0.5
+_FILON_TAYLOR = np.array([[2 * k * (-4) ** (k + 1) / math.factorial(2 * k + 4),
+                           (2 * k - 3) * (-4) ** k / math.factorial(2 * k + 1),
+                           -8 * k * (-1) ** k / math.factorial(2 * k + 1)] for k in range(1, 10)])
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import J2, damped_mode, random_sym
-from oqrisk import classical, report
+from conftest import J2, damped_mode, make_models, random_sym
+from oqrisk import classical, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
     rs_theta_max,
     augmented_invariant_cov,
     classical_quadform_variance,
-    classical_rate_series,
     classical_rs_rate_paper,
     classical_rs_rate_sde,
     finite_horizon_rate,
@@ -23,7 +22,7 @@ from oqrisk.classical import (
 )
 from oqrisk.errors import InsufficientPaths, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
-from oqrisk.matfun import expm, sqrt_psd
+from oqrisk.matfun import expm, integrate_frequency, sqrt_psd
 from oqrisk.quartic import mean_rate
 
 
@@ -217,7 +216,7 @@ class TestRateVariants:
                 theta = frac * theta_max
                 sde = classical_rs_rate_sde(model, pi, theta)
                 paper_v = classical_rs_rate_paper(model, pi, theta)
-                assert abs(sde - 2.0 * paper_v) <= 1e-10 * max(1.0, abs(sde))
+                assert sde == 2.0 * paper_v
 
     def test_small_theta_slopes(self, tiny, paper):
         # the quadratic series term enters the finite-difference slope at
@@ -234,17 +233,9 @@ class TestRateVariants:
         assert sde_slope == pytest.approx(mean, rel=1e-3)
         assert paper_slope == pytest.approx(0.5 * mean, rel=1e-3)
 
-    def test_series_crosscheck(self, paper):
-        model, pi = paper
-        theta = 0.05 * rs_theta_max(model, pi)
-        exact = classical_rs_rate_paper(model, pi, theta)
-        series = classical_rate_series(model, pi, theta, orders=6)
-        # remainder is geometric with ratio theta * peak = 0.05
-        assert exact == pytest.approx(series, rel=1e-6)
-
     def test_sde_rate_near_the_peak(self, paper):
         # theta * peak = 0.997: 1 - theta eig(Pi D) nearly vanishes near
-        # lam = -2.525, which the rule resolves by halving its panels
+        # lam = -2.525
         assert classical_rs_rate_sde(*paper, theta=0.0075) == pytest.approx(
             0.9521188359007796, rel=1e-10)
 
@@ -261,6 +252,49 @@ class TestRateVariants:
         for rate in (classical_rs_rate_paper, classical_rs_rate_sde):
             with pytest.raises(ThetaOutOfRange):
                 rate(*paper, theta=1.0 / 125.0)
+
+
+def _logdet_oracle(model, pi, theta):
+    """The printed rate by quadrature, ``-(1/4 pi) integral ln det(I - theta
+    Pi D) dlam`` on the frequency rule: independent of the Riccati route."""
+    facts = model.weight_facts(pi)
+    val = integrate_frequency(
+        lambda lams: np.log1p(-theta * facts.density_eigs(lams)).sum(axis=-1),
+        model.eig.values)
+    return -float(val) / (4.0 * np.pi)
+
+
+def _rate_models():
+    """The paper fixture, the damped mode and two random models, each with
+    the fractions of ``rs_theta_max`` to test at."""
+    random = [(mm, np.eye(mm.n)) for mm, _ in make_models(5, 2)]
+    return ([("paper", paper_example_model(), (0.13, 0.5, 0.9, 0.997)),
+             ("damped", (damped_mode(), np.diag([1.0, 2.0])), (0.1, 0.5, 0.9, 0.999))]
+            + [(f"random-n{mm.n}", (mm, pi), (0.3, 0.9)) for mm, pi in random])
+
+
+class TestRiccatiRate:
+    """The rates as ``(1/2) tr(X F)`` of the stabilising Riccati solution."""
+
+    @pytest.mark.parametrize("case, frac", [
+        pytest.param(case, frac, id=f"{name}-{frac}")
+        for name, case, fracs in _rate_models() for frac in fracs])
+    def test_matches_logdet_oracle(self, case, frac):
+        model, pi = case
+        theta = frac * rs_theta_max(model, pi)
+        oracle = _logdet_oracle(model, pi, theta)
+        assert classical_rs_rate_paper(model, pi, theta) == pytest.approx(oracle, rel=1e-12)
+        assert classical_rs_rate_sde(model, pi, theta) == pytest.approx(2.0 * oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [pytest.param(case, id=name)
+                                      for name, case, _ in _rate_models()[:2]])
+    def test_certified_up_to_the_guard(self, case):
+        # the rate grows with theta and stays finite up to theta * peak = 1 - 1e-8,
+        # where the log-det integrand is too sharp for the frequency rule
+        model, pi = case
+        rates = [classical_rs_rate_paper(model, pi, frac * rs_theta_max(model, pi))
+                 for frac in (0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-8)]
+        assert np.all(np.isfinite(rates)) and np.all(np.diff(rates) > 0.0)
 
 
 class TestMcRate:

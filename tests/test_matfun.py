@@ -8,6 +8,7 @@ import pytest
 
 import oqrisk
 
+from conftest import damped_mode
 from oqrisk.errors import (
     NoConvergence,
     NotHurwitz,
@@ -143,6 +144,22 @@ class TestLyap:
         qs = q + q.T
         x = lyap_solve(a, qs)
         assert np.abs(x - x.T).max() < 1e-12 * np.abs(x).max()
+
+    def test_complex_drift(self):
+        # the shape of the classical rates' closed loop A + F X: the damped
+        # mode (-0.003 +- 10i) with a complex Hermitian feedback F; the
+        # equation is AX + XA^H + Q = 0 and a Hermitian Q gives a Hermitian X
+        model = damped_mode()
+        a = model.a - model.b @ model.omega @ model.b.T @ np.diag([1.0, 2.0])
+        assert np.linalg.eigvals(a).real.max() < -1e-3
+        q = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        x = lyap_solve(a, q)
+        res = np.linalg.norm(a @ x + x @ a.conj().T + q)
+        assert res <= 1e-12 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q))
+        assert np.abs(x - x.conj().T).max() <= 1e-15 * np.abs(x).max()
+        kron = np.kron(np.eye(2), a) + np.kron(a.conj(), np.eye(2))
+        ref = np.linalg.solve(kron, -q.flatten(order="F")).reshape((2, 2), order="F")
+        assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_rejects_non_hurwitz(self):
         with pytest.raises(NotHurwitz):

@@ -4,6 +4,7 @@ blocked Filon transform against a direct cosine sum, the kernel grid against
 against Eulerian numbers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,25 +12,40 @@ import scipy.linalg
 
 from conftest import damped_mode, random_sym
 from oqrisk.cumulants import delta_table
-from oqrisk.deviations import DeviationAnalysis, _filon_cos
+from oqrisk.deviations import FILON_SERIES, DeviationAnalysis, _filon_cos
 from oqrisk.model import canonical_ccr, model_from_matrices
+
+
+def _filon_weights(th):
+    """Filon's ``alpha, beta, gamma`` at ``th = lam h``: below ``|th| = 1`` as
+    exact rational sums of 20 terms of the sine and cosine series of
+    ``alpha t^3 = t^2 + (t/2) sin 2t + cos 2t - 1``, ``beta t^3 = 3t + t cos 2t
+    - 2 sin 2t`` and ``gamma t^3 = 4 (sin t - t cos t)``; above, the closed forms."""
+    if abs(th) >= 1.0:
+        s, c = math.sin(th), math.cos(th)
+        return ((th * th + th * s * c - 2.0 * s * s) / th**3,
+                2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / th**3, 4.0 * (s - th * c) / th**3)
+    t = Fraction(th)
+
+    def term(k, c, power):  # (-1)^k c t^power, c an exact rational
+        return (-1) ** k * c * t**power
+
+    def inv(j):
+        return Fraction(1, math.factorial(j))
+
+    alpha = sum(term(k, 4**k * inv(2 * k) - 4 ** (k - 1) * inv(2 * k - 1), 2 * k - 3)
+                for k in range(3, 23))
+    beta = sum(term(k, 4**k * inv(2 * k) - 4 ** (k + 1) * inv(2 * k + 1), 2 * k - 2)
+               for k in range(1, 21))
+    gamma = sum(term(k, 4 * inv(2 * k + 1) - 4 * inv(2 * k), 2 * k - 2) for k in range(1, 21))
+    return float(alpha), float(beta), float(gamma)
 
 
 def _filon_direct(fvals, h, lam):
     """Filon's rule at one frequency, written out with ``np.cos`` over the
     whole grid ``t_k = k h``."""
     grid = h * np.arange(fvals.size)
-    th = lam * h
-    if abs(th) > 1e-4:
-        s, c = math.sin(th), math.cos(th)
-        alpha = (th * th + th * s * c - 2.0 * s * s) / th**3
-        beta = 2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / th**3
-        gamma = 4.0 * (s - th * c) / th**3
-    else:
-        t2 = th * th
-        alpha = th * t2 * (2.0 / 45 - t2 * (2.0 / 315 - t2 * (2.0 / 4725)))
-        beta = 2.0 / 3 + t2 * (2.0 / 15 - t2 * (4.0 / 105 - t2 * (2.0 / 567)))
-        gamma = 4.0 / 3 - t2 * (2.0 / 15 - t2 * (1.0 / 210 - t2 / 11340))
+    alpha, beta, gamma = _filon_weights(lam * h)
     ct = np.cos(lam * grid)
     even = fvals[0::2] @ ct[0::2] - 0.5 * (fvals[0] + fvals[-1] * ct[-1])
     odd = fvals[1::2] @ ct[1::2]
@@ -70,7 +86,8 @@ class TestBlockedFilon:
         h = da._step
         fvals = da._grid
         lams = np.concatenate((
-            [0.0, 1e-6 / h, 5e-5 / h, 1e-4 / h, 1.001e-4 / h],  # series branch and its edge
+            # the series branch and its edge
+            np.array([0.0, 1e-6, 1e-4, 0.01, 0.1, 1.0, 1.001]) * FILON_SERIES / h,
             table.base * 2.0 ** np.array([-40, -20, -4, -3]),  # dyadic panel edges
             table.base / 8.0 * np.array([1, 2, 5]),  # uniform panel edges
             table.nodes[[100, 300, 500, 700, 900]],  # interior nodes
@@ -82,13 +99,9 @@ class TestBlockedFilon:
         scale = h * np.abs(fvals).sum()  # int |f|
         assert np.abs(got - want).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("lam", [
-        0.0, 0.003, 0.01, 2.5, 40.0, 400.0,
-        # lam h = 1.5e-4, just above the series switch: the closed-form
-        # weights cancel there and lose ~eps / (lam h)^2 (1e-8 relative)
-        pytest.param(0.03, marks=pytest.mark.xfail(
-            strict=True, reason="closed-form Filon weights near the 1e-4 series switch")),
-    ])
+    # lam h = 1.5e-4 (lam = 0.03) is where closed-form weights would lose
+    # ~eps / (lam h)^2, 1e-8 relative; lam h = 0.5 (lam = 100) is the series edge
+    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 100.0, 100.02, 400.0])
     def test_exact_on_quadratic(self, lam):
         # Filon's rule interpolates f by a quadratic on each panel pair, so
         # f = t^2 is integrated exactly at any frequency
