@@ -41,7 +41,7 @@ small = random_model(rng, n=2)
 pi2 = rng.standard_normal((2, 2))
 pi2 = pi2 @ pi2.T
 horizon = 20.0 / -small.spectral_abscissa
-for r, grid in ((2, 401), (3, 161)):
+for r, grid in ((2, 401), (3, 161), (4, 161)):
     rate = cumulant_rate(small, pi2, r)
     td = cumulant_finite_td(small, pi2, r, horizon, grid)
     print(f"  order {r}: K_r(t)/t = {td / horizon:.6f} vs rate {rate:.6f}")

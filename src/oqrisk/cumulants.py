@@ -14,11 +14,13 @@ consecutive-inversion pattern equals ``gamma``.  The growth rate replaces
 the time integral with a frequency integral of spectral-density products.
 
 One recursion over the relative rank of the last element of a permutation
-(Niven 1968; de Bruijn 1970) serves both uses of ``Delta``: run once with
-0/1 scalar weights stacked over all patterns it gives the exact integer
-table (`delta_table`); run with the matrix weights ``Pi D`` and ``Pi D^{[1]}``
-it gives the whole gamma sum of the rate integrand at one frequency in
-``O(r^2)`` matrix products, without a table (`cumulant_rate`).
+(Niven 1968; de Bruijn 1970) serves all three uses of ``Delta``: run once
+with 0/1 scalar weights stacked over all patterns it gives the exact
+integer table (`delta_table`); run with the matrix weights ``Pi D`` and
+``Pi D^{[1]}`` it gives the whole gamma sum of the rate integrand at one
+frequency in ``O(r^2)`` matrix products, without a table
+(`cumulant_rate`); run with block matrices of the multi-point covariance
+it gives a discretized time integral as one cyclic trace (`_grid_cumulant`).
 
 A brute-force moment oracle (`wick_moment_oracle`) evaluates discretized
 moments by enumerating *all* regular pair partitions, with no reference to
@@ -28,7 +30,6 @@ validated end to end.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
-from .gaussian import CovarianceKernel, gramian_steady
+from .gaussian import _multipoint_cov, gramian_steady
 from .matfun import RULE_TOL, expm_ladder, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 
@@ -52,6 +53,7 @@ __all__ = [
 
 MAX_TABLE_ORDER = 12
 MAX_RATE_ORDER = 10
+MAX_GRID_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,10 @@ def delta_table(r: int) -> DescentTable:
     return table
 
 
-def _gamma_sum(pi, d0, d1, r: int):
-    """``sum_gamma Delta_{r,gamma} Tr(Pi d0 [prod_j Pi d^{gamma_j}] Pi d1)``
-    with ``d^0 = d0``, ``d^1 = d1``, by the descent-rank recursion; ``d0`` and
-    ``d1`` may be stacks over frequencies, and so is the result."""
-    up, down = pi @ d0, pi @ d1
+def _gamma_sum(up, down, r: int):
+    """``sum_gamma Delta_{r,gamma} Tr(up [prod_j w^{gamma_j}] down)`` with
+    ``w^0 = up``, ``w^1 = down``, by the descent-rank recursion; ``up`` and
+    ``down`` may be stacks (over frequencies), and so is the result."""
     head = _descent_recursion(up, [(up, down)] * (r - 2))
     return np.sum(head * down.swapaxes(-1, -2), axis=(-2, -1))
 
@@ -165,7 +166,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
 
     def integrand(lams):
         d0, d1 = model.density_pair(lams)
-        vals = _gamma_sum(pi, d0, d1, r)
+        vals = _gamma_sum(pi @ d0, pi @ d1, r)
         scale = (norm * (np.linalg.norm(d0, axis=(-2, -1))
                          + np.linalg.norm(d1, axis=(-2, -1)))) ** r
         np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
@@ -179,103 +180,64 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     return float(2 ** (r - 2) / np.pi * val)
 
 
-def _kernel_tables(model: OqhoModel, count: int, step: float):
-    """Kernel values on the lag ladder k*step, k = -(count-1) .. count-1,
-    stacked with the lag index shifted by count-1."""
-    quantum = gramian_steady(model).quantum_cov
-    s_pos = expm_ladder(model.a, model.eig, step, count, right=quantum)
-    return np.concatenate([s_pos[:0:-1].conj().transpose(0, 2, 1), s_pos])
+def _td_weight(model: OqhoModel, pi, r: int, points: int) -> np.ndarray:
+    """The validated cost weight of an order-``r`` time-domain cumulant on
+    ``points`` nodes, whose block matrices have ``points * n`` rows."""
+    if not 2 <= r <= MAX_RATE_ORDER:
+        raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
+    if points * model.n > MAX_GRID_ROWS:
+        raise GridTooLarge(f"{points} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
+    return model.weight_facts(pi).pi
+
+
+def _grid_cumulant(pi, weights, blocks, r: int) -> float:
+    """The r-th cumulant of ``sum_i w_i X(t_i)' Pi X(t_i)`` from the
+    multi-point covariance ``blocks[i, j] = S(t_i - t_j)``.
+
+    The sum over index tuples ``(i_1..i_r)`` of the cyclic products
+    ``Pi S(t_{i1} - t_{i2}) ... Pi S(t_{i1} - t_{ir})'`` is the trace of a
+    product of the block matrices ``U = [w_i Pi S(t_i - t_j)]`` (ascent)
+    and ``W = [w_i Pi S(t_j - t_i)']`` (descent), so the descent-rank
+    recursion takes the whole gamma sum in ``O(r^2)`` products of
+    ``N n``-row matrices (at most ``MAX_GRID_ROWS``).  The value is real up
+    to rounding: an imaginary part above 1e-8 of its modulus raises."""
+    rows = blocks.shape[0] * blocks.shape[-1]
+    up = np.einsum("i,ab,ijbc->iajc", weights, pi, blocks).reshape(rows, rows)
+    down = np.einsum("i,ab,jicb->iajc", weights, pi, blocks).reshape(rows, rows)
+    total = 2 ** (r - 1) * _gamma_sum(up, down, r)
+    if abs(total.imag) > 1e-8 * max(abs(total), 1e-300):
+        raise NumericalDefect(f"time-domain cumulant has imaginary residue {total.imag:.3e}")
+    return float(total.real)
 
 
 def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> float:
-    """Finite-horizon r-th cumulant by tensor-grid trapezoid cubature.
-
-    Supported for r in {2, 3} as the time-domain validation path; the
-    integrand depends only on pairwise lags, so kernel values are
-    precomputed on the lag ladder and the cubature reduces to weighted
-    gathers.  Error decreases as O(grid^-2).
+    """Finite-horizon r-th cumulant by tensor-grid trapezoid cubature, the
+    time-domain validation path: :func:`_grid_cumulant` on the trapezoid
+    nodes, whose multi-point covariance is indexed out of the lag ladder
+    ``S(k t / (grid - 1))``, ``|k| < grid``.  Error decreases as O(grid^-2).
     """
-    if r not in (2, 3):
-        raise OrderTooLarge("time-domain cumulants implemented for r in {2, 3}")
+    pi = _td_weight(model, pi, r, grid)
     if t <= 0:
         raise NegativeTime("horizon must be positive")
     if grid < 5:
         raise InvalidArgument("need at least 5 points per axis")
-    pi = model.weight_facts(pi).pi
     _, w = trapezoid_weights(grid, t)
-    step = t / (grid - 1)
-    s_all = _kernel_tables(model, grid, step)
-    ps = np.einsum("ij,kjl->kil", pi, s_all)  # Pi S(lag)
-    ps1 = np.einsum("ij,kjl->kil", pi, np.transpose(s_all[::-1], (0, 2, 1)))
-    pst = np.einsum("ij,kjl->kil", pi, np.transpose(s_all, (0, 2, 1)))
-    off = grid - 1
-    dsz = 2 * grid - 1
-    if r == 2:
-        # value(i,j) = Tr(Pi S(ti-tj) Pi S(ti-tj)'), a function of d = i-j;
-        # lag-count weights are the autocorrelation of the (palindromic)
-        # trapezoid weights
-        tr2 = np.einsum("kij,kji->k", ps, pst)
-        wcorr = np.correlate(w, w, mode="full")
-        total = 2.0 * np.dot(wcorr, tr2)
-    else:
-        # triple integrand depends on (a, b) = (ti-tj, tj-tk) only; the
-        # closing factor has lag a+b, zero-padded outside the reachable band
-        pad = np.zeros((2 * dsz - 1, *pst.shape[1:]), dtype=complex)
-        pad[off : off + dsz] = pst
-        wab = np.zeros((dsz, dsz))
-        a_span = np.arange(grid)
-        for j in range(grid):
-            rows = a_span - j + off  # a = i - j for i = 0..grid-1
-            cols = j - a_span[::-1] + off  # b = j - k for k = grid-1..0
-            wab[np.ix_(rows, cols)] += w[j] * np.outer(w, w[::-1])
-        table = delta_table(3)
-        total = 0.0 + 0.0j
-        for bits, cnt in table.counts.items():
-            mid = ps if bits[0] == 0 else ps1
-            for ai in range(dsz):
-                row = np.einsum("ij,bjk,bki->b", ps[ai], mid, pad[ai : ai + dsz])
-                total += cnt * np.dot(wab[ai], row)
-        total *= 4.0
-    scale = max(abs(total), 1e-300)
-    if abs(np.imag(total)) > 1e-8 * scale:
-        raise NumericalDefect(
-            f"time-domain cumulant has imaginary residue {np.imag(total):.3e}"
-        )
-    return float(np.real(total))
+    s_pos = expm_ladder(model.a, model.eig, t / (grid - 1), grid,
+                        right=gramian_steady(model).quantum_cov)
+    ladder = np.concatenate([s_pos[:0:-1].conj().transpose(0, 2, 1), s_pos])
+    lags = np.subtract.outer(np.arange(grid), np.arange(grid)) + grid - 1
+    return _grid_cumulant(pi, w, ladder[lags], r)
 
 
 def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> float:
-    """The descent-weighted cumulant formula on an arbitrary discretization.
-
-    Direct sums over index tuples; used to compare against the pairing
-    oracle on the *same* grid, where agreement is exact combinatorics and
-    not a quadrature statement.
-    """
-    if r not in (2, 3):
-        raise OrderTooLarge("discretized cumulants implemented for r in {2, 3}")
-    pi = model.weight_facts(pi).pi
+    """The descent-weighted cumulant formula on an arbitrary discretization,
+    :func:`_grid_cumulant` on the multi-point covariance at ``times``; used
+    to compare against the pairing oracle on the *same* grid, where
+    agreement is exact combinatorics and not a quadrature statement."""
     times = np.asarray(times, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    kern = CovarianceKernel(model)
-    g = times.size
-    s_of = functools.cache(lambda i, j: kern.s(times[i] - times[j]))
-
-    table = delta_table(r)
-    total = 0.0 + 0.0j
-    for idx in itertools.product(range(g), repeat=r):
-        wt = np.prod(weights[list(idx)])
-        lead = pi @ s_of(idx[0], idx[1])
-        for bits, cnt in table.counts.items():
-            mat = lead
-            for j in range(1, r - 1):
-                if bits[j - 1] == 0:
-                    mat = mat @ (pi @ s_of(idx[j], idx[j + 1]))
-                else:
-                    mat = mat @ (pi @ s_of(idx[j + 1], idx[j]).T)
-            mat = mat @ (pi @ s_of(idx[0], idx[r - 1]).T)
-            total += cnt * wt * np.trace(mat)
-    total *= 2 ** (r - 1)
-    return float(np.real(total))
+    pi = _td_weight(model, pi, r, times.size)
+    return _grid_cumulant(pi, np.asarray(weights, dtype=float),
+                          _multipoint_cov(model, times), r)
 
 
 def _pairings(elems):
@@ -311,8 +273,8 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
         raise GridTooLarge(
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
-    root, kern = model.weight_facts(pi).root, CovarianceKernel(model)
-    k_of = functools.cache(lambda i, j: root @ kern.s(times[i] - times[j]) @ root)
+    root = model.weight_facts(pi).root
+    kern = root @ _multipoint_cov(model, times) @ root
 
     prs = list(_pairings(list(range(2 * r))))
     letters = "abcdefgh"
@@ -325,7 +287,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
             subs = []
             for a, b in pr:  # slot order encodes operator order
                 fa, fb = a // 2, b // 2
-                operands.append(k_of(idx[fa], idx[fb]))
+                operands.append(kern[idx[fa], idx[fb]])
                 subs.append(letters[fa] + letters[fb])
             acc += np.einsum(",".join(subs) + "->", *operands)
         total += wt * acc

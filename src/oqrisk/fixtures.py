@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import OqhoModel, canonical_ccr, model_from_matrices
 
 __all__ = ["PAPER_EXAMPLE", "paper_example_model", "fixture_model"]
@@ -50,4 +51,4 @@ def paper_example_model() -> tuple[OqhoModel, np.ndarray]:
 def fixture_model(name: str) -> tuple[OqhoModel, np.ndarray]:
     if name == "paper-example":
         return paper_example_model()
-    raise KeyError(f"unknown fixture {name!r}")
+    raise ConfigError(f"unknown fixture {name!r}")

@@ -131,6 +131,14 @@ def qcf_onepoint(model: OqhoModel, p0, s: float, t: float, u) -> complex:
     return complex(np.exp(-exponent))
 
 
+def _multipoint_cov(model: OqhoModel, times) -> np.ndarray:
+    """The ``(N, N, n, n)`` stack of ``S(t_i - t_j)``: the quantum covariance
+    of the multi-point state ``(X(t_1), ..., X(t_N))`` in block form."""
+    kern = CovarianceKernel(model)
+    return np.array([[kern.s(a - b) for b in times] for a in times]).reshape(
+        len(times), len(times), model.n, model.n)
+
+
 def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     """Multi-point quasi-characteristic function in the invariant regime.
 
@@ -145,11 +153,9 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
         raise DimensionMismatch("need N times and an N x n array of vectors")
     if np.any(np.diff(times) < 0):
         raise UnsortedTimes("times must be nondecreasing")
-    k = CovarianceKernel(model)
-    exponent = 0.0 + 0.0j
-    for j in range(times.size):
-        for i in range(times.size):
-            exponent += vectors[j] @ k.s(times[j] - times[i]) @ vectors[i]
+    # the blocks v_j' S(t_j - t_i) v_i of vec' S vec, summed
+    exponent = (vectors[:, None, None, :] @ _multipoint_cov(model, times)
+                @ vectors[None, :, :, None]).sum()
     scale = max(abs(exponent), 1.0)
     if abs(exponent.imag) > 1e-12 * scale:
         raise NumericalDefect(

@@ -45,6 +45,13 @@ class TestValidate:
         assert doc["pr_residual"] < 1e-10
         assert doc["omega_eigs"] == pytest.approx([0, 0, 2, 2], abs=1e-12)
 
+    def test_unknown_fixture_is_input_error(self, capsys):
+        code = main(["validate", "--fixture", "nope"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: unknown fixture 'nope'\n"
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_fixture_regression_values(self, capsys, tmp_path):

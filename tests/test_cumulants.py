@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -16,6 +17,7 @@ from oqrisk.cumulants import (
     wick_moment_oracle,
 )
 from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
+from oqrisk.gaussian import CovarianceKernel
 from oqrisk.matfun import trapezoid_weights
 from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
@@ -97,7 +99,7 @@ class TestCumulantRate:
         model, pi = paper
         for lam in (0.0, 0.9, 4.4, 17.0):
             d0, d1 = _d_pair(model, lam)
-            val = _gamma_sum(pi, d0, d1, 4)
+            val = _gamma_sum(pi @ d0, pi @ d1, 4)
             assert abs(val.imag) <= 1e-10 * max(abs(val), 1.0)
 
     def test_integrand_equals_pattern_sum(self, paper):
@@ -116,7 +118,7 @@ class TestCumulantRate:
                         for b in bits:
                             mat = mat @ factor[b]
                         want += cnt * np.trace(mat @ factor[1])
-                    got = _gamma_sum(pi, d0, d1, r)
+                    got = _gamma_sum(pi @ d0, pi @ d1, r)
                     assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_higher_order_runs(self, paper):
@@ -196,11 +198,13 @@ class TestFiniteTimeDomain:
     def test_agrees_with_direct_sum_same_grid(self):
         model, rng = make_models(seed=67, count=1, sizes=(2,))[0]
         pi = random_sym(rng, 2)
-        nodes, wts = trapezoid_weights(9, 3.0)
-        for r in (2, 3):
-            fast = cumulant_finite_td(model, pi, r, 3.0, 9)
-            direct = cumulant_td_discretized(model, pi, r, nodes, wts)
+        for r, grid in ((2, 9), (3, 9), (4, 7)):
+            nodes, wts = trapezoid_weights(grid, 3.0)
+            direct = _tuple_sum(model, pi, r, nodes, wts)
+            fast = cumulant_finite_td(model, pi, r, 3.0, grid)
             assert fast == pytest.approx(direct, rel=1e-12)
+            assert cumulant_td_discretized(model, pi, r, nodes, wts) == pytest.approx(
+                direct, rel=1e-12)
 
     def test_grid_refinement_second_order(self):
         model, rng = make_models(seed=71, count=1, sizes=(2,))[0]
@@ -219,10 +223,47 @@ class TestFiniteTimeDomain:
             rate = cumulant_rate(model, pi, r)
             td = cumulant_finite_td(model, pi, r, t, grid)
             assert abs(td / t - rate) / abs(rate) < 0.05
+        # orders past the pairing oracle: the averaging gap is an O(1/t)
+        # edge effect, so doubling the horizon halves it
+        for r in (4, 5):
+            rate = cumulant_rate(model, pi, r)
+            near = cumulant_finite_td(model, pi, r, t, 161) / t / rate - 1.0
+            far = cumulant_finite_td(model, pi, r, 2.0 * t, 321) / (2.0 * t) / rate - 1.0
+            assert abs(far) < 0.05
+            assert 0.4 <= far / near <= 0.6
 
     def test_order_guard(self, paper):
         with pytest.raises(OrderTooLarge):
-            cumulant_finite_td(*paper, r=4, t=1.0, grid=9)
+            cumulant_finite_td(*paper, r=11, t=1.0, grid=9)
+
+    def test_grid_guard(self, paper):
+        # 257 nodes x n = 4 is 1028 rows, past MAX_GRID_ROWS
+        with pytest.raises(GridTooLarge):
+            cumulant_finite_td(*paper, r=2, t=1.0, grid=257)
+        with pytest.raises(GridTooLarge):
+            cumulant_td_discretized(*paper, r=2, times=np.linspace(0.0, 1.0, 257),
+                                    weights=np.ones(257))
+
+
+def _tuple_sum(model, pi, r, times, weights):
+    """Reference: the descent-weighted cumulant formula as a direct sum over
+    index tuples and ``delta_table`` patterns,
+
+        2^{r-1} sum_gamma Delta_gamma sum_idx w_idx Tr(Pi S(t_i1 - t_i2)
+            prod_j Pi S^{[gamma_j]}(t_ij - t_ij+1) Pi S(t_i1 - t_ir)')."""
+    kern = CovarianceKernel(model)
+    s_of = functools.cache(lambda i, j: kern.s(times[i] - times[j]))
+    counts = delta_table(r).counts
+    total = 0.0 + 0.0j
+    for idx in itertools.product(range(len(times)), repeat=r):
+        wt = np.prod(weights[list(idx)])
+        for bits, cnt in counts.items():
+            mat = pi @ s_of(idx[0], idx[1])
+            for j in range(1, r - 1):
+                step = s_of(idx[j], idx[j + 1]) if bits[j - 1] == 0 else s_of(idx[j + 1], idx[j]).T
+                mat = mat @ pi @ step
+            total += cnt * wt * np.trace(mat @ pi @ s_of(idx[0], idx[r - 1]).T)
+    return float(2 ** (r - 1) * total.real)
 
 
 class TestWickOracle:
