@@ -85,10 +85,18 @@ def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
     ``(i rows) x cols`` operand, so a step is two matrix products per
     stacked entry: ``O(m^2)`` block products in all, against ``(m-1)!``
     terms for enumeration.  (``np.cumsum`` along the stacking axis is slower
-    than the products themselves at n = 32, hence the list of blocks.)
+    than the products themselves at n = 32, hence the list of blocks.)  Only
+    the sum over ``j`` of the last step is needed, and ``F_i[k]`` enters it
+    ``i - k`` times by an ascent and ``k + 1`` times by a descent:
+
+        sum_j F_m[j] = (sum_k (i - k) F_i[k]) up + (sum_k (k + 1) F_i[k]) down,
+
+    two single-block products in place of two stacked ones.
     """
+    if not steps:
+        return first
     f = [first]
-    for up, down in steps:
+    for up, down in steps[:-1]:
         i = len(f)
         # below[j] = (sum_{k<=j} F[k]) up enters rank j+1 by an ascent,
         # above[j] = (sum_{k>=j} F[k]) down enters rank j by a descent
@@ -97,7 +105,10 @@ def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
         above = np.split(np.concatenate(list(itertools.accumulate(f[::-1]))[::-1],
                                         axis=-2) @ down, i, axis=-2)
         f = [a + b for a, b in zip([*above, 0], [0, *below])]
-    return sum(f)
+    up, down = steps[-1]
+    i = len(f)
+    return (sum((i - k) * fk for k, fk in enumerate(f)) @ up
+            + sum((k + 1) * fk for k, fk in enumerate(f)) @ down)
 
 
 def delta_table(r: int) -> DescentTable:
@@ -140,17 +151,23 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     """Asymptotic growth rate of the r-th cumulant, frequency domain:
 
         (2^{r-2} / pi) sum_gamma Delta_{r,gamma} *
-            integral Tr( Pi D  prod_j Pi D^{[gamma_j]}  Pi D^{[1]} ) dlam,
+            integral over R of Tr( Pi D  prod_j Pi D^{[gamma_j]}  Pi D^{[1]} ) dlam,
 
     with ``D^{[1]}(lam) = D(-lam)'``.  The gamma sum is taken inside the
     descent-rank recursion with matrix weights ``Pi D`` (ascent) and
     ``Pi D^{[1]}`` (descent): ``O(r^2)`` matrix products for a block of
-    frequency nodes, no table.  The integral runs on
-    :func:`~oqrisk.matfun.integrate_frequency` with the eigenvalues of
-    ``A``, certified by its nested refinement.  The terms at a node are of
-    size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``; stacking
-    ``eps s / RULE_TOL`` with the integrand certifies a rate that vanishes
-    in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
+    frequency nodes, no table.  The gamma-summed integrand is even in
+    ``lam``: at ``-lam`` the two weights trade places up to transposition
+    (``D(-lam) = D^{[1]}(lam)'``), so transposing the trace of pattern
+    ``gamma`` gives the trace of its reversed complement at ``lam``, and
+    reading a permutation backwards maps the one pattern's permutations
+    one-to-one onto the other's, ``Delta_{r,gamma} = Delta_{r,rev(1 -
+    gamma)}``.  So the rate is ``2^{r-1} / pi`` times the integral over
+    ``lam >= 0``, which runs on :func:`~oqrisk.matfun.integrate_frequency`
+    with the eigenvalues of ``A``, certified by its nested refinement.  The
+    terms at a node are of size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``
+    (even in ``lam`` too); stacking ``eps s / RULE_TOL`` with the integrand
+    certifies a rate that vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
     ``Pi = I``) against the rounding of its terms, not against its own
     rounding residue.  The gamma-summed integrand is real up to rounding:
     its largest imaginary part must stay below 1e-10 of its largest modulus
@@ -177,7 +194,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     if top[1] > 1e-10 * top[0]:
         raise NumericalDefect(f"gamma-summed integrand has imaginary part {top[1]:.3e} "
                               f"against a largest modulus {top[0]:.3e}")
-    return float(2 ** (r - 2) / np.pi * val)
+    return float(2 ** (r - 1) / np.pi * val)
 
 
 def _td_weight(model: OqhoModel, pi, r: int, points: int) -> np.ndarray:

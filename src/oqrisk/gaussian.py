@@ -133,10 +133,17 @@ def qcf_onepoint(model: OqhoModel, p0, s: float, t: float, u) -> complex:
 
 def _multipoint_cov(model: OqhoModel, times) -> np.ndarray:
     """The ``(N, N, n, n)`` stack of ``S(t_i - t_j)``: the quantum covariance
-    of the multi-point state ``(X(t_1), ..., X(t_N))`` in block form."""
+    of the multi-point state ``(X(t_1), ..., X(t_N))`` in block form.
+
+    ``S`` is evaluated once per distinct lag ``|t_i - t_j|``; a negative lag
+    takes the conjugate transpose, as :meth:`CovarianceKernel.s` does."""
+    times = np.asarray(times, dtype=float)
+    lags = np.subtract.outer(times, times)
     kern = CovarianceKernel(model)
-    return np.array([[kern.s(a - b) for b in times] for a in times]).reshape(
-        len(times), len(times), model.n, model.n)
+    distinct, index = np.unique(np.abs(lags), return_inverse=True)
+    blocks = np.array([kern.s(tau) for tau in distinct]).reshape(-1, model.n, model.n)
+    blocks = blocks[index.reshape(lags.shape)]
+    return np.where((lags < 0)[:, :, None, None], blocks.conj().swapaxes(-1, -2), blocks)
 
 
 def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
@@ -168,6 +175,12 @@ def spectral_identity_residual(model: OqhoModel) -> float:
     """Max-abs defect of ``(1/2pi) integral D(lam) dlam = P + i*Theta``.
 
     Diagnostic used by tests and reports; integrates the density, with the
-    resolvent evaluated exactly at every node, on the frequency rule."""
-    val = integrate_frequency(lambda lams: model.density_pair(lams)[0], model.eig.values)
+    resolvent evaluated exactly at every node, on the half-line frequency
+    rule folded as ``D(lam) + D(-lam)``, where ``D(-lam)`` is the conjugate
+    of the pair's ``D(-lam)'``."""
+    def folded(lams):
+        d0, d1 = model.density_pair(lams)
+        return d0 + d1.conj()
+
+    val = integrate_frequency(folded, model.eig.values)
     return float(np.abs(val / (2.0 * np.pi) - gramian_steady(model).quantum_cov).max())

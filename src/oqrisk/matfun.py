@@ -10,10 +10,12 @@ one place.  Conventions:
   implementation (backward stable).  Uniform lag ladders ``e^{k h A}`` go
   through the eigendecomposition when ``A`` is comfortably diagonalizable
   and step by one exponential otherwise (:func:`expm_ladder`).
-* Frequency integrals over the whole real line go through one rule
+* Frequency integrals go through one rule on the half line ``lam >= 0``
   (:func:`integrate_frequency`): composite Gauss-Legendre panels graded
-  toward the resonances of the integrand's poles, two algebraic tails, and
-  a nested-rule certificate from halving every panel.
+  toward the resonances of the integrand's poles, one algebraic tail, and
+  a nested-rule certificate from halving every panel.  An integral over the
+  whole line is the half-line integral of ``f(lam) + f(-lam)``; the callers
+  whose integrands are even in ``lam`` (the cumulant rates) need no fold.
 """
 
 from __future__ import annotations
@@ -245,23 +247,24 @@ def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resonance_edges(poles) -> tuple[np.ndarray, float]:
-    """Panel edges on ``[-span, span]``, ``span = 2 max|mu| + 1``, for an
+    """Panel edges on ``[0, span]``, ``span = 2 max|mu| + 1``, for an
     integrand with poles at ``lam = +-Im(mu) -+ i Re(mu)``: candidate edges
     sit at each centre ``+-Im(mu)`` and at dyadic offsets ``|Re(mu)| 2^j / 8``
     from it, and are merged greedily into the widest panels that stay no
-    wider than their distance to the nearest pole."""
+    wider than their distance to the nearest pole (of either centre, so a
+    resonance on the negative axis still grades the panels next to 0)."""
     poles = np.asarray(poles, dtype=complex).ravel()
     if poles.size and poles.real.max() >= 0.0:
         raise NotHurwitz("the frequency rule needs poles with negative real parts")
     span = 2.0 * np.abs(poles).max(initial=0.0) + 1.0
     centres = np.concatenate([poles.imag, -poles.imag])
     depths = np.abs(np.concatenate([poles.real, poles.real]))
-    cands = [np.array([-span, span])]
+    cands = [np.array([0.0, span])]
     for c, d in zip(centres, depths):
         steps = d / 8.0 * 2.0 ** np.arange(int(np.ceil(np.log2(16.0 * span / d))) + 1)
         cands.append(c + np.concatenate(([0.0], steps, -steps)))
     cands = np.unique(np.concatenate(cands))
-    cands = cands[(cands >= -span) & (cands <= span)]
+    cands = cands[(cands >= 0.0) & (cands <= span)]
 
     def fits(a, b):
         gap = np.maximum(np.maximum(a - centres, centres - b), 0.0)
@@ -280,28 +283,30 @@ def _resonance_edges(poles) -> tuple[np.ndarray, float]:
 
 def _frequency_rule(edges, span, level):
     """Nodes and weights at ``level``: every panel of ``edges`` and of the
-    tails ``lam = +-span / s``, ``s in (0, 1]``, cut into ``2^level`` parts."""
+    tail ``lam = span / s``, ``s in (0, 1]``, cut into ``2^level`` parts."""
     def split(e):
         return np.interp(np.arange((e.size - 1) * 2**level + 1) / 2**level, np.arange(e.size), e)
 
     mid, w_mid = gauss_panels(split(edges), RULE_ORDER)
     s, w_s = gauss_panels(split(np.array([0.0, 1.0])), RULE_ORDER)
     tail, w_tail = span / s, w_s * span / s**2
-    return (np.concatenate([-tail, mid, tail[::-1]]),
-            np.concatenate([w_tail, w_mid, w_tail[::-1]]))
+    return np.concatenate([mid, tail[::-1]]), np.concatenate([w_mid, w_tail[::-1]])
 
 
 def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
-    """``integral over R of f(lam) dlam`` for an integrand that decays like
-    ``1/lam^2`` or faster, with poles ``lam = +-Im(mu) -+ i Re(mu)`` for
+    """``integral over [0, inf) of f(lam) dlam`` for an integrand that decays
+    like ``1/lam^2`` or faster, with poles ``lam = +-Im(mu) -+ i Re(mu)`` for
     ``mu`` in ``poles`` (the eigenvalues of ``A`` for ``(i lam - A)^{-1}``).
+    The integral over the whole line is this one for ``f(lam) + f(-lam)``:
+    a caller whose integrand is not even folds it so; an even one is
+    integrated at half the nodes of a whole-line rule.
 
     ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
     values (scalars or arrays) at them.  The rule is composite
     ``RULE_ORDER``-point Gauss-Legendre on the panels of
-    :func:`_resonance_edges` plus two tails on ``lam = +-span / s``; every
-    panel is halved until two successive levels agree to ``RULE_TOL`` times
-    the integral of ``|f|``, and the finer value is returned.  Raises
+    :func:`_resonance_edges` plus a tail on ``lam = span / s``; every panel
+    is halved until two successive levels agree to ``RULE_TOL`` times the
+    integral of ``|f|``, and the finer value is returned.  Raises
     :class:`NoConvergence` if they still disagree after ``RULE_DEPTH``
     halvings."""
     edges, span = _resonance_edges(poles)

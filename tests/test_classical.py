@@ -256,11 +256,18 @@ class TestRateVariants:
 
 def _logdet_oracle(model, pi, theta):
     """The printed rate by quadrature, ``-(1/4 pi) integral ln det(I - theta
-    Pi D) dlam`` on the frequency rule: independent of the Riccati route."""
-    facts = model.weight_facts(pi)
-    val = integrate_frequency(
-        lambda lams: np.log1p(-theta * facts.density_eigs(lams)).sum(axis=-1),
-        model.eig.values)
+    Pi D) dlam`` on the frequency rule: independent of the Riccati route.
+    The integrand is not even in lam, so it is folded onto the half line as
+    ``f(lam) + f(-lam)``; ``sqrt(Pi) D(-lam) sqrt(Pi)`` is the conjugate of
+    ``sqrt(Pi) D(-lam)' sqrt(Pi)``, with the same eigenvalues, so one
+    ``density_pair`` call serves both signs."""
+    root = model.weight_facts(pi).root
+
+    def folded(lams):
+        return sum(np.log1p(-theta * np.linalg.eigvalsh(root @ d @ root)).sum(axis=-1)
+                   for d in model.density_pair(lams))
+
+    val = integrate_frequency(folded, model.eig.values)
     return -float(val) / (4.0 * np.pi)
 
 

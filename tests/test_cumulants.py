@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_models, random_sym
+from conftest import damped_mode, make_models, paper_example_model, random_sym
 from oqrisk.cumulants import (
+    _descent_recursion,
     _gamma_sum,
     cumulant_finite_td,
     cumulant_rate,
@@ -56,6 +57,14 @@ class TestDeltaTable:
                 for p in itertools.permutations(range(r - 1))
             )
             assert delta_table(r).counts == dict(oracle)
+
+    def test_reversed_complement_symmetry(self):
+        # reading a permutation backwards reverses and complements its
+        # pattern: the fact that makes the rate integrand even in lam
+        for r in range(2, 13):
+            counts = delta_table(r).counts
+            for bits, cnt in counts.items():
+                assert counts[tuple(1 - b for b in reversed(bits))] == cnt
 
     def test_r12_certified(self):
         table = delta_table(12)
@@ -121,6 +130,24 @@ class TestCumulantRate:
                     got = _gamma_sum(pi @ d0, pi @ d1, r)
                     assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, id=name) for name, case in [
+            ("paper", paper_example_model()),
+            ("damped", (damped_mode(), np.diag([1.0, 2.0]))),
+            *[(f"random-n{mm.n}", (mm, random_sym(rng, mm.n, psd=True)))
+              for mm, rng in make_models(seed=23, count=2, sizes=(4, 6))]]])
+    def test_integrand_even(self, case):
+        # the rate integrates the gamma sum on lam >= 0 only: it must take
+        # the same value at -lam, to rounding of its terms
+        model, pi = case
+        norm = np.linalg.norm(pi, 2)
+        for lam in (0.0, 0.3, 1.7, 9.99, 10.0, 55.0):
+            d0, d1 = model.density_pair([lam, -lam])
+            terms = norm * (np.linalg.norm(d0[0]) + np.linalg.norm(d1[0]))
+            for r in range(2, 11):
+                plus, minus = _gamma_sum(pi @ d0, pi @ d1, r)
+                assert abs(plus - minus) <= 1e-12 * terms**r
+
     def test_higher_order_runs(self, paper):
         assert np.isfinite(cumulant_rate(*paper, r=5))
 
@@ -132,6 +159,32 @@ class TestCumulantRate:
         marginal = model_from_matrices(canonical_ccr(2).theta, np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(NotHurwitz):
             cumulant_rate(marginal, np.eye(2), 2)
+
+
+def _unfolded_recursion(first, steps):
+    """The descent-rank recursion written out step by step, the last step
+    included: ``F_{i+1}[j] = (sum_{k<j} F_i[k]) up + (sum_{k>=j} F_i[k])
+    down``, then the sum over ``j``."""
+    f, zero = [first], np.zeros_like(first)
+    for up, down in steps:
+        f = [sum(f[:j], zero) @ up + sum(f[j:], zero) @ down for j in range(len(f) + 1)]
+    return sum(f)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_folded_recursion_matches_unfolded(m):
+    # stacks of 3 complex (2 x 4) heads and (4 x 4) step weights
+    rng = np.random.default_rng(m)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    first = cplx(3, 2, 4)
+    steps = [(cplx(3, 4, 4), cplx(3, 4, 4)) for _ in range(m - 1)]
+    want = _unfolded_recursion(first, steps)
+    got = _descent_recursion(first, steps)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _quad_rate(model, pi, r, resonance):

@@ -13,6 +13,7 @@ from oqrisk.errors import (
 )
 from oqrisk.gaussian import (
     CovarianceKernel,
+    _multipoint_cov,
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
@@ -229,6 +230,19 @@ class TestOnePointQcf:
     def test_heisenberg_guard(self, tiny):
         with pytest.raises(InvalidInitialState):
             qcf_onepoint(tiny, np.zeros((2, 2)), 0.0, 1.0, np.ones(2))
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param(np.linspace(0.0, 2.0, 9), id="sorted"),
+    pytest.param(np.array([1.3, 0.2, 2.9, 0.7, 0.0]), id="unsorted"),
+    pytest.param(np.array([0.5, 1.5, 1.5, 0.5, 2.25]), id="repeated"),
+])
+def test_multipoint_cov_matches_per_pair(paper, times):
+    # one S per distinct |t_i - t_j|, the other sign by conjugate
+    # transposition: bit for bit what the per-pair evaluation gives
+    kern = CovarianceKernel(paper[0])
+    want = np.array([[kern.s(a - b) for b in times] for a in times])
+    assert np.array_equal(_multipoint_cov(paper[0], times), want)
 
 
 class TestMultiPointQcf:
