@@ -88,13 +88,12 @@ def _load_config(args) -> report.AnalysisConfig:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     elif not args.fixture:
         raise ConfigError("supply --config or --fixture")
-    # simulate's and bound's flags override the config's mc and eps_grid
-    # blocks and are validated with them
+    # --seed and simulate's and bound's flags override the config's mc and
+    # eps_grid blocks and are validated with them
     return report.parse_config(
         doc,
         fixture=args.fixture,
-        seed=getattr(args, "seed", None),
-        mc=_given(args, {name: name for name in ("h", "steps", "paths", "lag", "theta")}),
+        mc=_given(args, {name: name for name in ("h", "steps", "paths", "seed", "lag", "theta")}),
         eps_grid=_given(args, {"min": "eps_min", "max": "eps_max", "steps": "eps_steps"}),
     )
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
-from .gaussian import _multipoint_cov, gramian_steady
-from .matfun import RULE_TOL, expm_ladder, integrate_frequency, opnorm2, trapezoid_weights
+from .gaussian import CovarianceKernel
+from .matfun import RULE_TOL, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 
 __all__ = [
@@ -197,16 +197,6 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     return float(2 ** (r - 1) / np.pi * val)
 
 
-def _td_weight(model: OqhoModel, pi, r: int, points: int) -> np.ndarray:
-    """The validated cost weight of an order-``r`` time-domain cumulant on
-    ``points`` nodes, whose block matrices have ``points * n`` rows."""
-    if not 2 <= r <= MAX_RATE_ORDER:
-        raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
-    if points * model.n > MAX_GRID_ROWS:
-        raise GridTooLarge(f"{points} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
-    return model.weight_facts(pi).pi
-
-
 def _grid_cumulant(pi, weights, blocks, r: int) -> float:
     """The r-th cumulant of ``sum_i w_i X(t_i)' Pi X(t_i)`` from the
     multi-point covariance ``blocks[i, j] = S(t_i - t_j)``.
@@ -229,21 +219,17 @@ def _grid_cumulant(pi, weights, blocks, r: int) -> float:
 
 def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> float:
     """Finite-horizon r-th cumulant by tensor-grid trapezoid cubature, the
-    time-domain validation path: :func:`_grid_cumulant` on the trapezoid
-    nodes, whose multi-point covariance is indexed out of the lag ladder
-    ``S(k t / (grid - 1))``, ``|k| < grid``.  Error decreases as O(grid^-2).
-    """
-    pi = _td_weight(model, pi, r, grid)
+    time-domain validation path: :func:`cumulant_td_discretized` on the
+    ``grid`` trapezoid nodes of ``[0, t]``, so its multi-point covariance
+    comes from :meth:`~oqrisk.gaussian.CovarianceKernel.s`, one ``expm``
+    per distinct lag.  Error decreases as O(grid^-2)."""
     if t <= 0:
         raise NegativeTime("horizon must be positive")
     if grid < 5:
         raise InvalidArgument("need at least 5 points per axis")
-    _, w = trapezoid_weights(grid, t)
-    s_pos = expm_ladder(model.a, model.eig, t / (grid - 1), grid,
-                        right=gramian_steady(model).quantum_cov)
-    ladder = np.concatenate([s_pos[:0:-1].conj().transpose(0, 2, 1), s_pos])
-    lags = np.subtract.outer(np.arange(grid), np.arange(grid)) + grid - 1
-    return _grid_cumulant(pi, w, ladder[lags], r)
+    if grid > MAX_GRID_ROWS:  # refused before the nodes are allocated
+        raise GridTooLarge(f"{grid} nodes exceed {MAX_GRID_ROWS} rows")
+    return cumulant_td_discretized(model, pi, r, *trapezoid_weights(grid, t))
 
 
 def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> float:
@@ -252,9 +238,12 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     to compare against the pairing oracle on the *same* grid, where
     agreement is exact combinatorics and not a quadrature statement."""
     times = np.asarray(times, dtype=float)
-    pi = _td_weight(model, pi, r, times.size)
-    return _grid_cumulant(pi, np.asarray(weights, dtype=float),
-                          _multipoint_cov(model, times), r)
+    if not 2 <= r <= MAX_RATE_ORDER:
+        raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
+    if times.size * model.n > MAX_GRID_ROWS:
+        raise GridTooLarge(f"{times.size} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
+    return _grid_cumulant(model.weight_facts(pi).pi, np.asarray(weights, dtype=float),
+                          CovarianceKernel(model).s(np.subtract.outer(times, times)), r)
 
 
 def _pairings(elems):
@@ -291,7 +280,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
     root = model.weight_facts(pi).root
-    kern = root @ _multipoint_cov(model, times) @ root
+    kern = root @ CovarianceKernel(model).s(np.subtract.outer(times, times)) @ root
 
     prs = list(_pairings(list(range(2 * r))))
     letters = "abcdefgh"

@@ -39,9 +39,9 @@ from .errors import (
     NumericalDefect,
     ThetaOutOfRange,
 )
-from .gaussian import gramian_steady
-from .matfun import (RULE_BLOCK, expm, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve,
-                     opnorm2, sqrt_psd)
+from .gaussian import CovarianceKernel, gramian_steady
+from .matfun import (RULE_BLOCK, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve, opnorm2,
+                     sqrt_psd)
 from .model import OqhoModel
 
 __all__ = [
@@ -283,8 +283,8 @@ class DeviationAnalysis:
 
     def n_kernel(self, tau: float) -> float:
         """``N(tau)``; even in ``tau`` by construction."""
-        e = expm(self.model.a, abs(tau))
-        return float(opnorm2(self.root_pi @ e @ self.quantum @ self.root_pi))
+        s = CovarianceKernel(self.model).s(abs(tau))
+        return float(opnorm2(self.root_pi @ s @ self.root_pi))
 
     def _build_grid(self):
         if self._grid is not None or self.degenerate:

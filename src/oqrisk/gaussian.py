@@ -2,12 +2,11 @@
 
 Provides the steady covariance ``P`` (with quantum covariance ``P + i*Theta``),
 the finite-horizon covariance ``Sigma(t) = P - e^{tA} P e^{tA'}``, the
-stationary kernels
-
-    V(tau) = e^{tau A} P,   Lambda(tau) = e^{tau A} Theta,
-    S(tau) = V(tau) + i*Lambda(tau)          (tau >= 0, S(-tau) = S(tau)*),
-
-the two-point covariance ``C(s, tau) = e^{(s-tau)A} Sigma(tau)``, the
+stationary kernel ``S(tau) = e^{tau A} (P + i*Theta)`` for ``tau >= 0``,
+``S(-tau) = S(tau)*``, with real and imaginary parts ``V`` and ``Lambda``
+(formed only by :meth:`CovarianceKernel.s`, which on the lag matrix
+``t_j - t_k`` gives the multi-point covariance ``[S(t_j - t_k)]``), the
+two-point covariance ``C(s, tau) = e^{(s-tau)A} Sigma(tau)``, the
 inverse-transform residual of the spectral density ``D(lam) = G(i lam)
 Omega G(i lam)*`` of ``S`` (transfer function ``G(s) = (sI - A)^{-1} B``,
 evaluated by :meth:`OqhoModel.density_pair`), and one-/multi-point
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidInitialState,
     NegativeTime,
     NumericalDefect,
@@ -70,20 +70,24 @@ class CovarianceKernel:
         self.model = model
         self.steady = gramian_steady(model)
 
-    def v(self, tau: float) -> np.ndarray:
-        if tau >= 0:
-            return expm(self.model.a, tau) @ self.steady.p
-        return self.v(-tau).T
+    def s(self, tau) -> np.ndarray:
+        """``S(tau)`` for a scalar lag, or stacked on the lag axes for an array
+        of lags: one ``e^{|tau| A} (P + i Theta)`` per distinct ``|tau|``,
+        conjugate-transposed where ``tau < 0``.  A non-finite lag raises
+        :class:`InvalidArgument`."""
+        tau = np.asarray(tau, dtype=float)
+        if not np.all(np.isfinite(tau)):
+            raise InvalidArgument("lags must be finite")
+        distinct, index = np.unique(np.abs(tau), return_inverse=True)
+        blocks = np.array([expm(self.model.a, t) @ self.steady.quantum_cov for t in distinct])
+        blocks = blocks.reshape(-1, *self.steady.p.shape)[index.reshape(tau.shape)]
+        return np.where((tau < 0)[..., None, None], blocks.conj().swapaxes(-1, -2), blocks)
 
-    def lam(self, tau: float) -> np.ndarray:
-        if tau >= 0:
-            return expm(self.model.a, tau) @ self.model.theta
-        return -self.lam(-tau).T
+    def v(self, tau) -> np.ndarray:
+        return self.s(tau).real
 
-    def s(self, tau: float) -> np.ndarray:
-        if tau >= 0:
-            return expm(self.model.a, tau) @ self.steady.quantum_cov
-        return self.s(-tau).conj().T
+    def lam(self, tau) -> np.ndarray:
+        return self.s(tau).imag
 
     def sigma(self, t: float) -> np.ndarray:
         return gramian_finite(self.model, t)
@@ -131,21 +135,6 @@ def qcf_onepoint(model: OqhoModel, p0, s: float, t: float, u) -> complex:
     return complex(np.exp(-exponent))
 
 
-def _multipoint_cov(model: OqhoModel, times) -> np.ndarray:
-    """The ``(N, N, n, n)`` stack of ``S(t_i - t_j)``: the quantum covariance
-    of the multi-point state ``(X(t_1), ..., X(t_N))`` in block form.
-
-    ``S`` is evaluated once per distinct lag ``|t_i - t_j|``; a negative lag
-    takes the conjugate transpose, as :meth:`CovarianceKernel.s` does."""
-    times = np.asarray(times, dtype=float)
-    lags = np.subtract.outer(times, times)
-    kern = CovarianceKernel(model)
-    distinct, index = np.unique(np.abs(lags), return_inverse=True)
-    blocks = np.array([kern.s(tau) for tau in distinct]).reshape(-1, model.n, model.n)
-    blocks = blocks[index.reshape(lags.shape)]
-    return np.where((lags < 0)[:, :, None, None], blocks.conj().swapaxes(-1, -2), blocks)
-
-
 def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     """Multi-point quasi-characteristic function in the invariant regime.
 
@@ -161,8 +150,8 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     if np.any(np.diff(times) < 0):
         raise UnsortedTimes("times must be nondecreasing")
     # the blocks v_j' S(t_j - t_i) v_i of vec' S vec, summed
-    exponent = (vectors[:, None, None, :] @ _multipoint_cov(model, times)
-                @ vectors[None, :, :, None]).sum()
+    blocks = CovarianceKernel(model).s(np.subtract.outer(times, times))
+    exponent = (vectors[:, None, None, :] @ blocks @ vectors[None, :, :, None]).sum()
     scale = max(abs(exponent), 1.0)
     if abs(exponent.imag) > 1e-12 * scale:
         raise NumericalDefect(

@@ -7,9 +7,10 @@ one place.  Conventions:
   and a triangular Sylvester solve, O(n^3)) through SciPy, then certified:
   Hurwitz drift and residual are checked on every call.
 * The matrix exponential delegates to SciPy's scaling-and-squaring Pade-13
-  implementation (backward stable).  Uniform lag ladders ``e^{k h A}`` go
-  through the eigendecomposition when ``A`` is comfortably diagonalizable
-  and step by one exponential otherwise (:func:`expm_ladder`).
+  implementation (backward stable).  The one uniform lag ladder, ``e^{k h A}``
+  of the tail-bound kernel grid, goes through the eigendecomposition when
+  ``A`` is comfortably diagonalizable and steps by one exponential
+  otherwise (:func:`expm_ladder`).
 * Frequency integrals go through one rule on the half line ``lam >= 0``
   (:func:`integrate_frequency`): composite Gauss-Legendre panels graded
   toward the resonances of the integrand's poles, one algebraic tail, and
@@ -67,6 +68,8 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     Raises
     ------
+    InvalidArgument
+        If ``a`` or ``t`` is not finite.
     Overflow
         If ``exp(t*a)`` leaves the double-precision range.
     """
@@ -74,6 +77,7 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expm expects a square matrix")
     _require_finite(a, "matrix")
+    _require_finite(t, "time")
     with np.errstate(over="ignore"):  # converted to an error below
         out = scipy.linalg.expm(t * a)
     if not np.all(np.isfinite(out)):
@@ -112,44 +116,38 @@ def eig_basis(a: np.ndarray) -> EigBasis:
     return EigBasis(values=lam, vectors=vecs, cond=cond, inverse=inverse)
 
 
-def expm_ladder(a, basis: EigBasis, step: float, count: int, left=None, right=None,
-                reduce=None) -> np.ndarray:
-    """``left @ exp(k*step*a) @ right`` for ``k = 0 .. count-1`` (count >= 1),
-    stacked along the first axis; missing factors are identities.
+def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce) -> np.ndarray:
+    """``reduce(left @ exp(k*step*a) @ right)`` for ``k = 0 .. count-1``
+    (count >= 1), stacked along the first axis.
 
-    Lags are formed in blocks of at most ``LADDER_CHUNK``; ``reduce``, when
-    given, maps each block to its per-lag result before the next block is
-    formed, which bounds peak memory by one block.  Goes through
-    ``basis = eig_basis(a)`` when it is well conditioned, and otherwise
-    steps by ``exp(step*a)``.
+    Lags are formed in blocks of at most ``LADDER_CHUNK``, and ``reduce``
+    maps each block to its per-lag result before the next block is formed,
+    which bounds peak memory by one block.  Goes through ``basis =
+    eig_basis(a)`` when it is well conditioned, and otherwise steps by
+    ``exp(step*a)``.
     """
     a = np.asarray(a, dtype=float)
-    eye = np.eye(a.shape[0])
-    left = eye if left is None else np.asarray(left)
-    right = eye if right is None else np.asarray(right)
     if basis.inverse is not None:
         # left V diag(e^{t mu}) V^-1 right = sum_j e^{t mu_j} (left V)[:, j] (V^-1 right)[j, :]:
         # the rank-one terms are flattened into the rows of ``terms``, so a
         # block of lags is one (lags x n) @ (n x rows cols) product
         lv, wr = left @ basis.vectors, basis.inverse @ right
         terms = (lv.T[:, :, None] * wr[:, None, :]).reshape(a.shape[0], -1)
-        real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
     else:
-        estep, prop = expm(a, step), eye
+        estep, prop = expm(a, step), np.eye(a.shape[0])
     out = []
     for lo in range(0, count, LADDER_CHUNK):
         lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
         if basis.inverse is not None:
             phases = np.exp(np.multiply.outer(step * lags, basis.values))
             block = (phases @ terms).reshape(lags.size, lv.shape[0], wr.shape[1])
-            block = block.real if real else block
         else:
             block = np.empty((lags.size, left.shape[0], right.shape[1]),
                              dtype=np.result_type(left, right))
             for k in range(lags.size):
                 block[k] = left @ prop @ right
                 prop = estep @ prop
-        out.append(block if reduce is None else reduce(block))
+        out.append(reduce(block))
     return np.concatenate(out)
 
 
@@ -331,6 +329,7 @@ def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]
     """Nodes and composite-trapezoid weights on ``[0, upper]``."""
     if count < 2:
         raise InvalidArgument("need at least 2 nodes")
+    _require_finite(upper, "upper limit")
     nodes = np.linspace(0.0, upper, count)
     h = upper / (count - 1)
     w = np.full(count, h)

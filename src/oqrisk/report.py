@@ -21,8 +21,7 @@ import numpy as np
 from . import classical, cumulants, deviations, quartic
 from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
-from .gaussian import gramian_steady
-from .matfun import expm
+from .gaussian import CovarianceKernel, gramian_steady
 from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual
 
 __all__ = [
@@ -86,8 +85,8 @@ def _list(doc, key):
     return doc[key]
 
 
-def parse_config(doc, fixture: str | None = None, seed: int | None = None,
-                 mc: dict | None = None, eps_grid: dict | None = None) -> AnalysisConfig:
+def parse_config(doc, fixture: str | None = None, mc: dict | None = None,
+                 eps_grid: dict | None = None) -> AnalysisConfig:
     """Build a config from a parsed JSON document and/or a fixture name.
 
     The document follows the model-ingestion schema (n, m, theta, R, M,
@@ -128,8 +127,6 @@ def parse_config(doc, fixture: str | None = None, seed: int | None = None,
     if not isinstance(block, dict):
         raise ConfigError(f"'mc' must be a JSON object, got {block!r}")
     m = {**vars(McSettings()), **block, **(mc or {})}
-    if seed is not None:
-        m["seed"] = seed
     cfg.mc = McSettings(
         h=_positive(m["h"], "mc.h"),
         steps=_integer(m["steps"], "mc.steps", 1),
@@ -223,7 +220,7 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
     cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
     var_mc = classical.mc_quadform_variance(batch, pi)
     steady = gramian_steady(model)
-    target_lag = expm(model.a, mc.lag * mc.h) @ steady.quantum_cov
+    target_lag = CovarianceKernel(model).s(mc.lag * mc.h)
     out = {
         "quadform_var_analytic": classical.classical_quadform_variance(model, pi),
         "quadform_var_mc": {"value": float(var_mc.value), "stderr": float(var_mc.stderr)},

@@ -13,7 +13,6 @@ from oqrisk.errors import (
 )
 from oqrisk.gaussian import (
     CovarianceKernel,
-    _multipoint_cov,
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
@@ -238,11 +237,18 @@ class TestOnePointQcf:
     pytest.param(np.array([0.5, 1.5, 1.5, 0.5, 2.25]), id="repeated"),
 ])
 def test_multipoint_cov_matches_per_pair(paper, times):
-    # one S per distinct |t_i - t_j|, the other sign by conjugate
-    # transposition: bit for bit what the per-pair evaluation gives
-    kern = CovarianceKernel(paper[0])
-    want = np.array([[kern.s(a - b) for b in times] for a in times])
-    assert np.array_equal(_multipoint_cov(paper[0], times), want)
+    # S on the lag matrix, one expm per distinct |t_i - t_j|: bit for bit
+    # the per-pair e^{|tau| A} (P + i Theta), conjugate-transposed below zero
+    model = paper[0]
+    quantum = gramian_steady(model).quantum_cov
+
+    def s_pair(tau):
+        s = expm(model.a, abs(tau)) @ quantum
+        return s.conj().T if tau < 0 else s
+
+    want = np.array([[s_pair(a - b) for b in times] for a in times])
+    got = CovarianceKernel(model).s(np.subtract.outer(times, times))
+    assert np.array_equal(got, want)
 
 
 class TestMultiPointQcf:

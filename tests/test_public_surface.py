@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oqrisk
-from oqrisk import classical, cumulants, gaussian, matfun, model
+from oqrisk import classical, cumulants, gaussian, matfun, model, quartic
 from oqrisk.cli import build_parser
 from oqrisk.errors import DimensionMismatch, InvalidArgument, NegativeTime, NotSymmetric
 
@@ -58,11 +58,51 @@ NAN = float("nan")
     (lambda m, pi: matfun.lyap_solve(m.a, np.eye(2)), DimensionMismatch),
     (lambda m, pi: matfun.sqrt_psd(np.triu(np.ones((2, 2)))), NotSymmetric),
     (lambda m, pi: matfun.trapezoid_weights(1, 1.0), InvalidArgument),
+    (lambda m, pi: gaussian.CovarianceKernel(m).v(NAN), InvalidArgument),
+    (lambda m, pi: gaussian.qcf_multipoint_steady(m, [0, NAN], np.ones((2, m.n))),
+     InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_td_discretized(m, pi, 2, [0, NAN], [1, 1]),
+     InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, float("inf"), 9), InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, NAN, 9), InvalidArgument),
+    (lambda m, pi: gaussian.gramian_finite(m, NAN), InvalidArgument),
+    (lambda m, pi: quartic.variance_finite(m, pi, NAN), InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
-        "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node"])
+        "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
+        "qcf-nan-time", "td-nan-time", "td-inf-horizon", "td-nan-horizon",
+        "gramian-nan-horizon", "variance-nan-horizon"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback
     with pytest.raises(expected):
         call(*paper)
+
+
+def test_no_unused_imports():
+    # a stand-in for pyflakes' unused-import check: every name a module
+    # imports is read somewhere in it, unless it is re-exported (the
+    # package __init__, or a name listed in the module's __all__)
+    unused = []
+    for path in sorted((ROOT / "src" / "oqrisk").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read | exported]
+    assert not unused, f"imported but never read: {unused}"
