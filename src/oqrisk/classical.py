@@ -31,6 +31,8 @@ verdict (it matches the sde variant) is recorded in analysis reports.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,9 @@ __all__ = [
     "mc_rs_rate",
     "rs_theta_max",
 ]
+
+#: Fixed blocks of Monte Carlo paths, each drawn from its own spawned stream.
+MC_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -147,32 +152,58 @@ class SimBatch:
         return self.thetas.shape[1]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # SFC64 keyed by the seed: deterministic, and numpy's fastest normal draws
-    return np.random.Generator(np.random.SFC64(seed))
-
-
 def zeta_view(states: np.ndarray) -> np.ndarray:
     """Complex state ``zeta = xi + i eta`` from stacked real coordinates."""
     n = states.shape[-1] // 2
     return states[..., :n] + 1j * states[..., n:]
 
 
-def _chain(model: OqhoModel, h, steps, paths, seed):
-    """Yield the ``steps + 1`` states of the exact chain (the seeded stream
-    draws the invariant initial state, then one noise per step) in two
-    ``(paths, 2n)`` buffers that later steps overwrite: a caller that keeps a
-    state copies it."""
-    stepper = AugmentedStepper.build(model, h)
-    rng = _rng(seed)
-    state, nxt, noise = (np.zeros((paths, 2 * model.n)) for _ in range(3))
-    np.matmul(rng.standard_normal(out=noise), sqrt_psd(stepper.p_aug).T, out=state)
+def _chain(stepper: AugmentedStepper, init: np.ndarray, steps, paths, rng):
+    """Yield the ``steps + 1`` states of the exact chain (``rng`` draws the
+    invariant initial state through its factor ``init``, then one noise per
+    step) in two ``(paths, 2n)`` buffers that later steps overwrite: a caller
+    that keeps a state copies it."""
+    state, nxt, noise = (np.zeros((paths, init.shape[0])) for _ in range(3))
+    np.matmul(rng.standard_normal(out=noise), init.T, out=state)
     yield state
     for _ in range(steps):
         np.matmul(rng.standard_normal(out=noise), stepper.noise_chol.T, out=nxt)
         nxt += np.matmul(state, stepper.phi_aug.T, out=noise)
         state, nxt = nxt, state
         yield state
+
+
+def _mc_workers() -> int:
+    """Threads for the path blocks: the CPUs this process may run on.  They
+    set the speed only; every value is fixed by the seed and ``MC_BLOCKS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(MC_BLOCKS, cpus)
+
+
+def _run_blocks(model: OqhoModel, h, steps, paths, seed, consume) -> list:
+    """``consume(lo, hi, chain)`` for each of ``MC_BLOCKS`` fixed blocks of
+    paths (``np.array_split``'s partition of ``range(paths)``), in block order.
+    Block ``i`` runs the exact chain on its own ``SFC64`` stream, the ``i``-th
+    spawn of ``SeedSequence(seed)``, so a value depends on the seed alone.
+    The blocks run on a thread pool, where numpy's normal draws and BLAS
+    release the GIL; the stepper and its factors are built first, on the
+    calling thread."""
+    stepper = AugmentedStepper.build(model, h)
+    init = sqrt_psd(stepper.p_aug)
+    seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
+    q, r = divmod(paths, MC_BLOCKS)
+    edges = [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
+
+    def block(i):
+        rng = np.random.Generator(np.random.SFC64(seeds[i]))
+        chain = _chain(stepper, init, steps, edges[i + 1] - edges[i], rng)
+        return consume(edges[i], edges[i + 1], chain)
+
+    with ThreadPoolExecutor(_mc_workers()) as pool:
+        return list(pool.map(block, range(MC_BLOCKS)))
 
 
 def simulate(
@@ -185,23 +216,33 @@ def simulate(
     """Exact-discretization Monte Carlo of the augmented process.
 
     Draws the initial states from the invariant Gaussian law and iterates
-    the exact one-step recursion; output is bitwise-deterministic for a
-    fixed seed.  Memory is the ``(steps+1) * paths * 2n`` doubles returned;
-    the chain is stationary from step 0, so lagged statistics need only
-    ``steps = lag``.
+    the exact one-step recursion, in ``MC_BLOCKS`` fixed blocks of paths
+    with one spawned stream each; output is bitwise-deterministic for a
+    fixed seed, whatever the number of CPUs that run the blocks.  Memory is
+    the ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
+    from step 0, so lagged statistics need only ``steps = lag``.
     """
     out = np.empty((steps + 1, paths, 2 * model.n))
-    for k, state in enumerate(_chain(model, h, steps, paths, seed)):
-        out[k] = state
+
+    def fill(lo, hi, chain):
+        for k, state in enumerate(chain):
+            out[k, lo:hi] = state
+
+    _run_blocks(model, h, steps, paths, seed, fill)
     return SimBatch(thetas=out, h=h, seed=seed)
 
 
-def _entrywise_estimate(samples: np.ndarray, paths: int, seed: int) -> McEstimate:
-    mean = samples.mean(axis=0)
-    dev = samples - mean
-    var = (dev.real**2).mean(axis=0) + (dev.imag**2).mean(axis=0)
-    stderr = np.sqrt(var / paths)
-    return McEstimate(value=mean, stderr=stderr, paths=paths, seed=seed)
+def _product_estimate(z: np.ndarray, w: np.ndarray, seed: int) -> McEstimate:
+    """Entries ``E(z_i w_j*)`` from rows of samples, with per-entry standard
+    errors: the mean ``Z' conj(W) / paths`` and the second moment
+    ``|Z|^2' |W|^2 / paths`` are two ``n x n`` products.  Their variance
+    ``second - |mean|^2`` is ``>= 0`` by Cauchy-Schwarz; only rounding can
+    push it below, and that band is clipped."""
+    paths = z.shape[0]
+    mean = z.T @ w.conj() / paths
+    second = (z.real**2 + z.imag**2).T @ (w.real**2 + w.imag**2) / paths
+    var = np.maximum(second - (mean.real**2 + mean.imag**2), 0.0)
+    return McEstimate(value=mean, stderr=np.sqrt(var / paths), paths=paths, seed=seed)
 
 
 def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, McEstimate]:
@@ -218,12 +259,7 @@ def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, Mc
         raise InvalidArgument("lag exceeds the simulated horizon")
     z_now = zeta_view(batch.thetas[-1])
     z_lag = zeta_view(batch.thetas[-1 - lag_steps])
-    cov0 = np.einsum("pi,pj->pij", z_now, z_now.conj())
-    covl = np.einsum("pi,pj->pij", z_now, z_lag.conj())
-    return (
-        _entrywise_estimate(cov0, batch.paths, batch.seed),
-        _entrywise_estimate(covl, batch.paths, batch.seed),
-    )
+    return _product_estimate(z_now, z_now, batch.seed), _product_estimate(z_now, z_lag, batch.seed)
 
 
 def classical_quadform_variance(model: OqhoModel, pi) -> float:
@@ -240,7 +276,7 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     validator for :func:`classical_quadform_variance`."""
     if batch.paths < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
-    vals = _quadform(batch.thetas[-1], WeightMatrix(pi).pi)
+    vals = _quadform(batch.thetas[-1], np.kron(np.eye(2), WeightMatrix(pi).pi))
     var = vals.var(ddof=1)
     # stderr of a sample variance via the fourth central moment
     m4 = ((vals - vals.mean()) ** 4).mean()
@@ -248,10 +284,11 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     return McEstimate(value=float(var), stderr=float(stderr), paths=batch.paths, seed=batch.seed)
 
 
-def _quadform(states: np.ndarray, pi: np.ndarray, scratch=None, out=None) -> np.ndarray:
+def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) -> np.ndarray:
     """Rows of ``zeta* Pi zeta = xi' Pi xi + eta' Pi eta`` (exact for real
-    symmetric Pi) as ``((x (I2 (x) Pi)) * x) 1``, optionally into buffers."""
-    tmp = np.matmul(states, np.kron(np.eye(2), pi), out=scratch)
+    symmetric Pi) as ``((x pi_aug) * x) 1``, ``pi_aug = I2 (x) Pi``,
+    optionally into buffers."""
+    tmp = np.matmul(states, pi_aug, out=scratch)
     np.multiply(tmp, states, out=tmp)
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
@@ -274,7 +311,7 @@ def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
     facts = model.weight_facts(pi)
     if theta == 0.0 or not np.any(facts.pi):
         return 0.0
-    if theta < 0 or theta * facts.density_peak >= 1.0 - 1e-9:
+    if not 0.0 <= theta * facts.density_peak < 1.0 - 1e-9:  # NaN fails too
         raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
                               f"(0, {1.0 / facts.density_peak:.6e})")
     n, a, pi = model.n, model.a, facts.pi
@@ -308,6 +345,8 @@ def classical_rs_rate_sde(model: OqhoModel, pi, theta: float) -> float:
 
 def _rate_grid(horizon: float, h: float) -> tuple[int, float]:
     """Step count and the step that divides the horizon exactly."""
+    if not (0.0 < horizon < math.inf and 0.0 < h < math.inf):
+        raise InvalidArgument(f"horizon {horizon} and step {h} must be positive and finite")
     steps = max(2, int(round(horizon / h)))
     return steps, horizon / steps
 
@@ -338,6 +377,8 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     ``ThetaOutOfRange`` when a step's ``I - 2 L'ML`` (or the initial law's)
     is not positive definite, i.e. when the rate is infinite.
     """
+    if not math.isfinite(theta):
+        raise ThetaOutOfRange(f"theta = {theta} is not finite")
     steps, h = _rate_grid(horizon, h)
     stepper = AugmentedStepper.build(model, h)
     phi = stepper.phi_aug
@@ -393,9 +434,11 @@ def mc_rs_rate(
     """Monte Carlo estimate of the twin's risk-sensitive rate.
 
     Accumulates the running cost by trapezoid weights over the exactly
-    discretized chain, applies log-mean-exp across paths and divides by the
-    horizon.  The step enters only through the trapezoid sum, whose exact
-    rate is ``finite_horizon_rate``.  With ``h=None`` the step is the
+    discretized chain, in ``MC_BLOCKS`` fixed blocks of paths with one
+    spawned stream each (as :func:`simulate`; the number of CPUs that run
+    them changes no value), applies log-mean-exp across the paths in block
+    order and divides by the horizon.  The step enters only through the
+    trapezoid sum, whose exact rate is ``finite_horizon_rate``.  With ``h=None`` the step is the
     largest ``2^-k / (1 + ||A||_2)`` whose Richardson bias against ``h/2`` is
     at most a tenth of the predicted stderr, never below ``min(0.02, 0.1 /
     (1 + ||A||_2))``; the estimate carries it and its exact ``target``, and a
@@ -410,7 +453,7 @@ def mc_rs_rate(
     pi = facts.pi
     if theta == 0.0 or not np.any(pi):
         return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed, target=0.0)
-    if theta < 0 or theta * facts.density_peak > 0.3:
+    if not 0.0 <= theta * facts.density_peak <= 0.3:  # NaN fails too
         raise ThetaOutOfRange(f"theta = {theta} beyond the low-variance envelope "
                               f"0.3/peak = {0.3 / facts.density_peak:.6e}")
     target = None
@@ -418,10 +461,15 @@ def mc_rs_rate(
         h, target = _certified_step(model, pi, theta, horizon, paths)
     steps, h = _rate_grid(horizon, h)
 
-    acc, vals, scratch = 0.0, np.empty(paths), np.empty((paths, 2 * model.n))
-    for k, state in enumerate(_chain(model, h, steps, paths, seed)):
-        acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi, scratch, vals)
-    arg = theta * acc
+    pi_aug = np.kron(np.eye(2), pi)
+
+    def cost(lo, hi, chain):
+        acc, vals, scratch = 0.0, np.empty(hi - lo), np.empty((hi - lo, 2 * model.n))
+        for k, state in enumerate(chain):
+            acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_aug, scratch, vals)
+        return acc
+
+    arg = theta * np.concatenate(_run_blocks(model, h, steps, paths, seed, cost))
     peak_arg = arg.max()
     weights = np.exp(arg - peak_arg)
     total = weights.sum()

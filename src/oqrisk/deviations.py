@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DefectiveAndUnstableShift,
     EpsilonTooSmall,
+    InvalidArgument,
     NoConvergence,
     NotHurwitz,
     NumericalDefect,
@@ -320,6 +321,8 @@ class DeviationAnalysis:
         """``F(lam) = 2 int_0^inf N(tau) cos(lam tau) dtau``: a float for a
         scalar ``lam``, an array of its shape for an array."""
         lam = np.asarray(lam, dtype=float)
+        if not np.all(np.isfinite(lam)):
+            raise InvalidArgument("frequencies must be finite")
         if self.degenerate:
             out = np.zeros(lam.shape)
         else:

@@ -21,6 +21,7 @@ one place.  Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -235,10 +236,19 @@ RULE_DEPTH = 6
 RULE_BLOCK = 256
 
 
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``, computed
+    once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite ``order``-point Gauss-Legendre rule
     on the panels between consecutive ``edges``."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()

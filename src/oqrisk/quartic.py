@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTheta, NegativeTime, NumericalDefect
+from .errors import NegativeTheta, NegativeTime, NumericalDefect, ThetaOutOfRange
 from .gaussian import gramian_steady
 from .matfun import expm
 from .model import OqhoModel, WeightMatrix
@@ -117,6 +117,8 @@ def theta_threshold(model: OqhoModel, pi) -> float:
 def quartic_rate(model: OqhoModel, pi, theta: float) -> float:
     """Quartic growth rate ``theta <Pi, P + 2 theta T>``; equals
     ``theta * mean_rate + theta^2 / 2 * variance_rate``."""
+    if math.isnan(theta):
+        raise ThetaOutOfRange("risk parameter is NaN")
     if theta < 0:
         raise NegativeTheta(f"risk parameter must be nonnegative, got {theta}")
     pi = model.weight_facts(pi).pi

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -121,21 +122,71 @@ class TestSimulate:
         assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
 
     def test_matches_reference_recursion(self, paper):
-        # the stepper reuses its buffers; a reference with fresh arrays every
+        # each of the MC_BLOCKS blocks of paths runs on its own spawned stream
+        # and reuses its buffers; per-block references with fresh arrays every
         # step must agree bit for bit, and no two slices may share memory
         model = paper[0]
+        steps, paths = 6, 67  # uneven blocks of 9 and 8 paths
         stepper = AugmentedStepper.build(model, 0.05)
-        rng = classical._rng(3)
-        state = rng.standard_normal((64, 8)) @ sqrt_psd(stepper.p_aug).T
-        ref = [state]
-        for _ in range(6):
-            state = (state @ stepper.phi_aug.T
-                     + rng.standard_normal((64, 8)) @ stepper.noise_chol.T)
-            ref.append(state)
-        slices = list(simulate(model, 0.05, 6, 64, seed=3).thetas)
-        assert np.array_equal(np.stack(slices), np.stack(ref))
+        init = sqrt_psd(stepper.p_aug)
+        blocks = []
+        for seq, rows in zip(np.random.SeedSequence(3).spawn(classical.MC_BLOCKS),
+                             np.array_split(np.arange(paths), classical.MC_BLOCKS)):
+            rng = np.random.Generator(np.random.SFC64(seq))
+            state = rng.standard_normal((rows.size, 8)) @ init.T
+            ref = [state]
+            for _ in range(steps):
+                state = (state @ stepper.phi_aug.T
+                         + rng.standard_normal((rows.size, 8)) @ stepper.noise_chol.T)
+                ref.append(state)
+            blocks.append(np.stack(ref))
+        slices = list(simulate(model, 0.05, steps, paths, seed=3).thetas)
+        assert np.array_equal(np.stack(slices), np.concatenate(blocks, axis=1))
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(slices) for b in slices[i + 1:])
+
+    def test_worker_count_changes_no_value(self, paper, monkeypatch):
+        # the blocks and their streams are fixed; the pool size sets the speed
+        # only.  Eight workers on a one-microsecond switch interval interleave
+        # as much as they can, so a block that wrote another block's rows or
+        # drew from another block's stream would change the output.
+        model, pi = paper
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, classical.MC_BLOCKS):
+                monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
+                runs.append((simulate(model, 0.05, 6, 1001, seed=3).thetas,
+                             mc_rs_rate(model, pi, 0.001, 2.0, 1001, seed=3, h=0.05)))
+        finally:
+            sys.setswitchinterval(interval)
+        (sim_one, est_one), (sim_all, est_all) = runs
+        assert np.array_equal(sim_one, sim_all)
+        assert est_one.value == est_all.value and est_one.stderr == est_all.stderr
+
+    def test_stats_match_einsum_oracle(self, paper):
+        batch = simulate(paper[0], 0.05, 4, 500, seed=8)
+        z_now = zeta_view(batch.thetas[-1])
+        for est, z_then in zip(mc_stationary_stats(batch, 4),
+                               (z_now, zeta_view(batch.thetas[0]))):
+            samples = np.einsum("pi,pj->pij", z_now, z_then.conj())
+            mean = samples.mean(axis=0)
+            stderr = np.sqrt((np.abs(samples - mean) ** 2).mean(axis=0) / batch.paths)
+            assert np.abs(est.value - mean).max() <= 1e-13 * np.abs(mean).max()
+            assert np.abs(est.stderr - stderr).max() <= 1e-13 * stderr.max()
+
+    def test_stats_memory_is_a_few_slices(self, paper):
+        # two n x n products: the working set is a few (paths, n) arrays, not
+        # (paths, n, n) stacks of per-path products
+        batch = simulate(paper[0], 0.05, 4, 4000, seed=8)
+        tracemalloc.start()
+        try:
+            mc_stationary_stats(batch, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * batch.thetas[-1].nbytes
 
     def test_classical_block_memory_independent_of_steps(self, tiny):
         # mc.steps sets only the rate horizon; the covariances need lag + 1
@@ -185,7 +236,8 @@ class TestQuadformVariance:
         z = zeta_view(states)
         ref = np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
         scale = np.linalg.norm(pi, 2) * (states**2).sum(axis=1).max()
-        assert np.abs(classical._quadform(states, pi) - ref).max() <= 1e-13 * scale
+        got = classical._quadform(states, np.kron(np.eye(2), pi))
+        assert np.abs(got - ref).max() <= 1e-13 * scale
 
     def test_mc_validator(self, tiny):
         batch = simulate(tiny, 0.1, 3, 30_000, seed=13)
@@ -326,8 +378,8 @@ class TestMcRate:
     def test_explicit_step_is_unchanged(self, tiny):
         # an explicit step runs no recursion and carries no target
         est = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9, h=0.02)
-        assert est.value == 0.05048257511514791
-        assert est.stderr == 0.0009885769901698367
+        assert est.value == 0.050574038279745805
+        assert est.stderr == 0.0010194074382059613
         assert est.h == 0.02 and est.target is None
 
     def test_certified_step_on_paper_fixture(self, paper):

@@ -15,10 +15,12 @@ from oqrisk.errors import (
     NotPsd,
 )
 from oqrisk.matfun import (
+    _legendre,
     _resonance_edges,
     eig_basis,
     expm,
     expm_ladder,
+    gauss_panels,
     integrate_frequency,
     lyap_solve,
     opnorm2,
@@ -249,6 +251,20 @@ class TestQuadrature:
 
         with pytest.raises(NoConvergence):
             integrate_frequency(f, [-1.0 + 10j, -1.0 - 10j])
+
+    def test_gauss_panels_reuse_bit_identical_nodes(self):
+        # the Legendre nodes are computed once per order and shared read-only
+        edges = np.array([0.0, 0.5, 2.0])
+        x, w = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * np.diff(edges)[:, None]
+        for _ in range(2):
+            nodes, weights = gauss_panels(edges, 16)
+            assert np.array_equal(nodes, (edges[:-1, None] + half * (1.0 + x)).ravel())
+            assert np.array_equal(weights, (half * w).ravel())
+        cached = _legendre(16)
+        assert _legendre(16) is cached
+        with pytest.raises(ValueError):
+            cached[0][0] = 0.0
 
     def test_panels_no_wider_than_pole_distance(self):
         poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])

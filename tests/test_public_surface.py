@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import oqrisk
-from oqrisk import classical, cumulants, gaussian, matfun, model, quartic
+from oqrisk import classical, cumulants, deviations, gaussian, matfun, model, quartic
 from oqrisk.cli import build_parser
-from oqrisk.errors import DimensionMismatch, InvalidArgument, NegativeTime, NotSymmetric
+from oqrisk.errors import (DimensionMismatch, InvalidArgument, NegativeTime, NotSymmetric,
+                           ThetaOutOfRange)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,11 +68,22 @@ NAN = float("nan")
     (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, NAN, 9), InvalidArgument),
     (lambda m, pi: gaussian.gramian_finite(m, NAN), InvalidArgument),
     (lambda m, pi: quartic.variance_finite(m, pi, NAN), InvalidArgument),
+    (lambda m, pi: classical.classical_rs_rate_paper(m, pi, NAN), ThetaOutOfRange),
+    (lambda m, pi: classical.finite_horizon_rate(m, pi, 0.001, NAN, 0.05), InvalidArgument),
+    (lambda m, pi: classical.finite_horizon_rate(m, pi, 0.001, 2.0, NAN), InvalidArgument),
+    (lambda m, pi: classical.finite_horizon_rate(m, pi, NAN, 2.0, 0.05), ThetaOutOfRange),
+    (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, NAN, 200, 1), InvalidArgument),
+    (lambda m, pi: classical.mc_rs_rate(m, pi, NAN, 2.0, 200, 1), ThetaOutOfRange),
+    (lambda m, pi: quartic.quartic_rate(m, pi, NAN), ThetaOutOfRange),
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).f_transform(NAN), InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
         "qcf-nan-time", "td-nan-time", "td-inf-horizon", "td-nan-horizon",
-        "gramian-nan-horizon", "variance-nan-horizon"])
+        "gramian-nan-horizon", "variance-nan-horizon", "rs-rate-nan-theta",
+        "finite-rate-nan-horizon", "finite-rate-nan-step", "finite-rate-nan-theta",
+        "mc-rate-nan-horizon", "mc-rate-nan-theta", "quartic-nan-theta",
+        "f-transform-nan"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback
