@@ -9,7 +9,6 @@ steady Gramian, lagged kernels, and the spectral-density inversion check.
 import numpy as np
 
 from oqrisk import (
-    CovarianceKernel,
     canonical_ccr,
     gramian_finite,
     gramian_steady,
@@ -34,8 +33,7 @@ steady = gramian_steady(tiny)
 print("P =\n", steady.p)
 print("eig(P + i Theta):", np.linalg.eigvalsh(steady.quantum_cov))
 
-kern = CovarianceKernel(tiny)
-print("S(1) =\n", kern.s(1.0))
+print("S(1) =\n", tiny.kernel(1.0))
 print("   (= e^{-1} (I + iJ)/2, decaying with the drift)")
 print("Sigma(1) =\n", gramian_finite(tiny, 1.0))
 

@@ -37,8 +37,6 @@ from .deviations import (
 from .errors import OqriskError
 from .fixtures import paper_example_model
 from .gaussian import (
-    CovarianceKernel,
-    SteadyState,
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
@@ -48,6 +46,8 @@ from .model import (
     CcrMatrix,
     OqhoModel,
     PhysicalParams,
+    SteadyState,
+    WeightMatrix,
     build_model,
     canonical_ccr,
     model_from_json,
@@ -57,7 +57,6 @@ from .model import (
 )
 from .quartic import (
     QuarticReport,
-    WeightMatrix,
     mean_rate,
     quartic_rate,
     quartic_report,

@@ -31,6 +31,7 @@ verdict (it matches the sde variant) is recorded in analysis reports.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ from .errors import (
     ThetaOutOfRange,
     VarianceBlowup,
 )
-from .gaussian import gramian_steady
 from .matfun import expm, lyap_solve, opnorm2, sqrt_psd
 from .model import OqhoModel, WeightMatrix
 
@@ -206,6 +206,13 @@ def _run_blocks(model: OqhoModel, h, steps, paths, seed, consume) -> list:
         return list(pool.map(block, range(MC_BLOCKS)))
 
 
+def _check_run(paths, steps, seed) -> None:
+    """:class:`InvalidArgument` unless integers ``paths >= 1``, ``steps, seed >= 0``."""
+    sizes = (paths, steps, seed)
+    if not all(isinstance(v, numbers.Integral) for v in sizes) or min(paths - 1, steps, seed) < 0:
+        raise InvalidArgument(f"need integers paths >= 1, steps >= 0, seed >= 0; got {sizes}")
+
+
 def simulate(
     model: OqhoModel,
     h: float,
@@ -222,6 +229,7 @@ def simulate(
     the ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
     from step 0, so lagged statistics need only ``steps = lag``.
     """
+    _check_run(paths, steps, seed)
     out = np.empty((steps + 1, paths, 2 * model.n))
 
     def fill(lo, hi, chain):
@@ -266,7 +274,7 @@ def classical_quadform_variance(model: OqhoModel, pi) -> float:
     """Stationary variance of ``zeta* Pi zeta``:
     ``<Pi, P Pi P - Theta Pi Theta>``."""
     pi = model.weight_facts(pi).pi
-    p = gramian_steady(model).p
+    p = model.steady.p
     theta = model.theta
     return float(np.sum(pi * (p @ pi @ p - theta @ pi @ theta)))
 
@@ -309,9 +317,11 @@ def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
     step, whose Lyapunov solve certifies the closed loop Hurwitz.  :class:`NumericalDefect`
     unless the subspace has dimension n and the residual is at most 1e-12 of its terms' norms."""
     facts = model.weight_facts(pi)
+    if not 0.0 <= theta < math.inf:  # NaN fails too
+        raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
     if theta == 0.0 or not np.any(facts.pi):
         return 0.0
-    if not 0.0 <= theta * facts.density_peak < 1.0 - 1e-9:  # NaN fails too
+    if not theta * facts.density_peak < 1.0 - 1e-9:
         raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
                               f"(0, {1.0 / facts.density_peak:.6e})")
     n, a, pi = model.n, model.a, facts.pi
@@ -449,11 +459,15 @@ def mc_rs_rate(
     Refuses parameter ranges where the exponential estimator degenerates
     (effective sample size below 50).
     """
+    _check_run(paths, 0, seed)
+    _rate_grid(horizon, horizon if h is None else h)  # refuses a bad horizon or step
+    if not 0.0 <= theta < math.inf:  # NaN fails too
+        raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
     facts = model.weight_facts(pi)
     pi = facts.pi
     if theta == 0.0 or not np.any(pi):
         return McEstimate(value=0.0, stderr=0.0, paths=paths, seed=seed, target=0.0)
-    if not 0.0 <= theta * facts.density_peak <= 0.3:  # NaN fails too
+    if not theta * facts.density_peak <= 0.3:
         raise ThetaOutOfRange(f"theta = {theta} beyond the low-variance envelope "
                               f"0.3/peak = {0.3 / facts.density_peak:.6e}")
     target = None

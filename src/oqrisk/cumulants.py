@@ -20,7 +20,8 @@ integer table (`delta_table`); run with the matrix weights ``Pi D`` and
 ``Pi D^{[1]}`` it gives the whole gamma sum of the rate integrand at one
 frequency in ``O(r^2)`` matrix products, without a table
 (`cumulant_rate`); run with block matrices of the multi-point covariance
-it gives a discretized time integral as one cyclic trace (`_grid_cumulant`).
+``[S(t_i - t_j)]`` from ``OqhoModel.kernel`` it gives a discretized time
+integral as one cyclic trace (`_grid_cumulant`).
 
 A brute-force moment oracle (`wick_moment_oracle`) evaluates discretized
 moments by enumerating *all* regular pair partitions, with no reference to
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
-from .gaussian import CovarianceKernel
 from .matfun import RULE_TOL, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 
@@ -221,8 +221,8 @@ def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> flo
     """Finite-horizon r-th cumulant by tensor-grid trapezoid cubature, the
     time-domain validation path: :func:`cumulant_td_discretized` on the
     ``grid`` trapezoid nodes of ``[0, t]``, so its multi-point covariance
-    comes from :meth:`~oqrisk.gaussian.CovarianceKernel.s`, one ``expm``
-    per distinct lag.  Error decreases as O(grid^-2)."""
+    comes from :meth:`~oqrisk.model.OqhoModel.kernel`, one ``expm`` per
+    distinct lag.  Error decreases as O(grid^-2)."""
     if t <= 0:
         raise NegativeTime("horizon must be positive")
     if grid < 5:
@@ -243,7 +243,7 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     if times.size * model.n > MAX_GRID_ROWS:
         raise GridTooLarge(f"{times.size} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
     return _grid_cumulant(model.weight_facts(pi).pi, np.asarray(weights, dtype=float),
-                          CovarianceKernel(model).s(np.subtract.outer(times, times)), r)
+                          model.kernel(np.subtract.outer(times, times)), r)
 
 
 def _pairings(elems):
@@ -280,7 +280,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
     root = model.weight_facts(pi).root
-    kern = root @ CovarianceKernel(model).s(np.subtract.outer(times, times)) @ root
+    kern = root @ model.kernel(np.subtract.outer(times, times)) @ root
 
     prs = list(_pairings(list(range(2 * r))))
     letters = "abcdefgh"

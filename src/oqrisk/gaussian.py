@@ -1,16 +1,15 @@
 """Second-moment structure of the oscillator in its invariant regime.
 
-Provides the steady covariance ``P`` (with quantum covariance ``P + i*Theta``),
-the finite-horizon covariance ``Sigma(t) = P - e^{tA} P e^{tA'}``, the
-stationary kernel ``S(tau) = e^{tau A} (P + i*Theta)`` for ``tau >= 0``,
-``S(-tau) = S(tau)*``, with real and imaginary parts ``V`` and ``Lambda``
-(formed only by :meth:`CovarianceKernel.s`, which on the lag matrix
-``t_j - t_k`` gives the multi-point covariance ``[S(t_j - t_k)]``), the
-two-point covariance ``C(s, tau) = e^{(s-tau)A} Sigma(tau)``, the
-inverse-transform residual of the spectral density ``D(lam) = G(i lam)
-Omega G(i lam)*`` of ``S`` (transfer function ``G(s) = (sI - A)^{-1} B``,
-evaluated by :meth:`OqhoModel.density_pair`), and one-/multi-point
-quasi-characteristic functions of the state.
+Provides the finite-horizon covariance ``Sigma(t) = P - e^{tA} P e^{tA'}``,
+one-/multi-point quasi-characteristic functions of the state, and the
+inverse-transform residual of the spectral density.  They read facts the
+model owns and caches: the steady covariance ``P`` with the quantum
+covariance ``P + i*Theta`` (``OqhoModel.steady``, also returned by
+:func:`gramian_steady`), the stationary kernel ``S(tau) = e^{tau A}
+(P + i*Theta)``, ``S(-tau) = S(tau)*`` (:meth:`OqhoModel.kernel`, which on
+the lag matrix ``t_j - t_k`` gives the multi-point covariance
+``[S(t_j - t_k)]``), and its Fourier transform ``D(lam) = G(i lam) Omega
+G(i lam)*``, ``G(s) = (sI - A)^{-1} B`` (:meth:`OqhoModel.density_pair`).
 """
 
 from __future__ import annotations
@@ -19,18 +18,15 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidArgument,
     InvalidInitialState,
     NegativeTime,
     NumericalDefect,
     UnsortedTimes,
 )
 from .matfun import expm, integrate_frequency
-from .model import OqhoModel, SteadyState
+from .model import OqhoModel
 
 __all__ = [
-    "SteadyState",
-    "CovarianceKernel",
     "gramian_steady",
     "gramian_finite",
     "qcf_onepoint",
@@ -38,10 +34,8 @@ __all__ = [
 ]
 
 
-def gramian_steady(model: OqhoModel) -> SteadyState:
-    """Steady Gramian solving ``AP + PA' + BB' = 0``, with the uncertainty
-    constraint certified (the quantum covariance must be PSD up to a 1e-8
-    rounding band); computed once per model and cached on it."""
+def gramian_steady(model: OqhoModel):
+    """``model.steady``: ``P`` solving ``AP + PA' + BB' = 0``, and ``P + i*Theta`` certified."""
     return model.steady
 
 
@@ -53,52 +47,10 @@ def gramian_finite(model: OqhoModel, t: float) -> np.ndarray:
     """
     if t < 0:
         raise NegativeTime(f"horizon must be nonnegative, got {t}")
-    p = gramian_steady(model).p
+    p = model.steady.p
     e = expm(model.a, t)
     sig = p - e @ p @ e.T
     return 0.5 * (sig + sig.T)
-
-
-class CovarianceKernel:
-    """Evaluator bundle for the stationary kernels of one model.
-
-    Holds the steady state and exposes ``v``, ``lam``, ``s``, ``sigma`` and
-    ``c``; immutable and cheap to share.
-    """
-
-    def __init__(self, model: OqhoModel):
-        self.model = model
-        self.steady = gramian_steady(model)
-
-    def s(self, tau) -> np.ndarray:
-        """``S(tau)`` for a scalar lag, or stacked on the lag axes for an array
-        of lags: one ``e^{|tau| A} (P + i Theta)`` per distinct ``|tau|``,
-        conjugate-transposed where ``tau < 0``.  A non-finite lag raises
-        :class:`InvalidArgument`."""
-        tau = np.asarray(tau, dtype=float)
-        if not np.all(np.isfinite(tau)):
-            raise InvalidArgument("lags must be finite")
-        distinct, index = np.unique(np.abs(tau), return_inverse=True)
-        blocks = np.array([expm(self.model.a, t) @ self.steady.quantum_cov for t in distinct])
-        blocks = blocks.reshape(-1, *self.steady.p.shape)[index.reshape(tau.shape)]
-        return np.where((tau < 0)[..., None, None], blocks.conj().swapaxes(-1, -2), blocks)
-
-    def v(self, tau) -> np.ndarray:
-        return self.s(tau).real
-
-    def lam(self, tau) -> np.ndarray:
-        return self.s(tau).imag
-
-    def sigma(self, t: float) -> np.ndarray:
-        return gramian_finite(self.model, t)
-
-    def c(self, s: float, tau: float) -> np.ndarray:
-        """Two-point covariance; transposition handles ``s < tau``."""
-        if s < 0 or tau < 0:
-            raise NegativeTime("two-point covariance needs nonnegative times")
-        if s < tau:
-            return self.c(tau, s).T
-        return expm(self.model.a, s - tau) @ self.sigma(tau)
 
 
 def _check_initial_cov(p0: np.ndarray, theta: np.ndarray):
@@ -150,7 +102,7 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     if np.any(np.diff(times) < 0):
         raise UnsortedTimes("times must be nondecreasing")
     # the blocks v_j' S(t_j - t_i) v_i of vec' S vec, summed
-    blocks = CovarianceKernel(model).s(np.subtract.outer(times, times))
+    blocks = model.kernel(np.subtract.outer(times, times))
     exponent = (vectors[:, None, None, :] @ blocks @ vectors[None, :, :, None]).sum()
     scale = max(abs(exponent), 1.0)
     if abs(exponent.imag) > 1e-12 * scale:
@@ -172,4 +124,4 @@ def spectral_identity_residual(model: OqhoModel) -> float:
         return d0 + d1.conj()
 
     val = integrate_frequency(folded, model.eig.values)
-    return float(np.abs(val / (2.0 * np.pi) - gramian_steady(model).quantum_cov).max())
+    return float(np.abs(val / (2.0 * np.pi) - model.steady.quantum_cov).max())

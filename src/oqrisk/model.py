@@ -11,7 +11,9 @@ together with the field commutation matrix ``J`` and the noise Ito matrix
 ``A Theta + Theta A' + B J B' = 0`` by construction.  :func:`build_model`
 records the spectral abscissa of ``A``; the identity's residual
 (:func:`pr_residual`) is reported by ``oqrisk validate`` and ``analyze``
-and checked by acceptance criterion 03.
+and checked by acceptance criterion 03.  The model owns its second-order
+facts: ``P`` (``steady``), the stationary kernel ``S(tau)`` (``kernel``)
+and its Fourier transform ``D(lam)`` (``density_pair``).
 """
 
 from __future__ import annotations
@@ -169,8 +171,8 @@ class WeightFacts:
     """Facts of one ``(model, Pi)`` pair, each computed on first use and
     kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta``, the
     Lyapunov solutions ``t`` of ``AT + TA' + seed = 0``, ``u`` of
-    ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, and the
-    certified ``density_peak``.  Obtain through :meth:`OqhoModel.weight_facts`."""
+    ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, the certified
+    ``variance_rate`` and ``density_peak``.  Via :meth:`OqhoModel.weight_facts`."""
 
     model: "OqhoModel"
     pi: np.ndarray
@@ -195,6 +197,16 @@ class WeightFacts:
     @cached_property
     def q(self) -> np.ndarray:
         return _freeze(matfun.lyap_solve(self.model.a.T, self.pi))
+
+    @cached_property
+    def variance_rate(self) -> float:
+        """``4 <Pi, T>``, certified against its Lyapunov dual ``4 <Q, seed>``
+        to 1e-9 relative, else :class:`NumericalDefect`."""
+        primal = 4.0 * float(np.sum(self.pi * self.t))
+        dual = 4.0 * float(np.sum(self.q * self.seed))
+        if abs(primal - dual) > 1e-9 * (1.0 + abs(primal)):
+            raise NumericalDefect(f"Lyapunov duality violated: {primal:.12e} vs {dual:.12e}")
+        return primal
 
     def density_eigs(self, lams) -> np.ndarray:
         """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)`` stacked over
@@ -237,8 +249,8 @@ class OqhoModel:
     The model facts every analysis reads are computed once per instance
     and cached on it: ``eig`` (eigendecomposition of ``A`` with its
     eigenvector condition number; :func:`build_model` takes the spectral
-    abscissa from it), ``steady`` (``P`` and the certified ``P + i*Theta``)
-    and, per cost weight, :meth:`weight_facts` (``sqrt(Pi)``, ``T``, ``Q``, density peak).
+    abscissa from it), ``steady`` (``P`` and the certified ``P + i*Theta``, read by
+    :meth:`kernel`) and, per weight, :meth:`weight_facts` (``T``, ``Q``, rates).
     """
 
     ccr: CcrMatrix
@@ -281,6 +293,19 @@ class OqhoModel:
         g = np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a, self.b)
         gh = g.conj().swapaxes(-1, -2)
         return g @ self.omega @ gh, g @ self.omega.conj() @ gh
+
+    def kernel(self, tau) -> np.ndarray:
+        """``S(tau) = e^{tau A} (P + i Theta)``, the transform of ``D(lam)``, for a
+        lag or stacked over an array of lags (on ``t_j - t_k``, the multi-point
+        covariance): one ``expm`` per distinct ``|tau|``, conjugate-transposed
+        where ``tau < 0``.  A non-finite lag raises :class:`InvalidArgument`."""
+        tau = np.asarray(tau, dtype=float)
+        if not np.all(np.isfinite(tau)):
+            raise InvalidArgument("lags must be finite")
+        distinct, index = np.unique(np.abs(tau), return_inverse=True)
+        blocks = np.array([matfun.expm(self.a, t) @ self.steady.quantum_cov for t in distinct])
+        blocks = blocks.reshape(-1, *self.steady.p.shape)[index.reshape(tau.shape)]
+        return np.where((tau < 0)[..., None, None], blocks.conj().swapaxes(-1, -2), blocks)
 
     @cached_property
     def steady(self) -> SteadyState:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTheta, NegativeTime, NumericalDefect, ThetaOutOfRange
-from .gaussian import gramian_steady
+from .errors import NegativeTheta, NegativeTime, ThetaOutOfRange
 from .matfun import expm
-from .model import OqhoModel, WeightMatrix
+from .model import OqhoModel
 
 __all__ = [
-    "WeightMatrix",
     "QuarticReport",
     "mean_rate",
     "variance_finite",
@@ -58,8 +56,7 @@ class QuarticReport:
 def mean_rate(model: OqhoModel, pi) -> float:
     """Growth rate of the mean cost, ``<Pi, P>``."""
     pi = model.weight_facts(pi).pi
-    p = gramian_steady(model).p
-    return float(np.sum(pi * p))
+    return float(np.sum(pi * model.steady.p))
 
 
 def variance_finite(model: OqhoModel, pi, t: float) -> float:
@@ -79,22 +76,11 @@ def variance_finite(model: OqhoModel, pi, t: float) -> float:
 
 
 def variance_rate(model: OqhoModel, pi) -> tuple[float, np.ndarray, np.ndarray]:
-    """Asymptotic variance growth rate with its two Lyapunov certificates.
-
-    Returns ``(rate, T, Q)`` where ``rate = 4 <Pi, T>``; the dual identity
-    ``4 <Pi, T> = 4 <Q, C>`` is certified to 1e-9 relative before
-    returning.  ``T`` and ``Q`` are solved once per ``(model, Pi)`` and
-    cached on the model.
-    """
+    """Asymptotic variance growth rate with its two Lyapunov certificates:
+    ``(rate, T, Q)``, ``rate = 4 <Pi, T>`` certified against the dual
+    ``4 <Q, C>`` (``WeightFacts.variance_rate``), cached per ``(model, Pi)``."""
     facts = model.weight_facts(pi)
-    seed, t_mat, q_mat = facts.seed, facts.t, facts.q
-    primal = 4.0 * float(np.sum(facts.pi * t_mat))
-    dual = 4.0 * float(np.sum(q_mat * seed))
-    if abs(primal - dual) > 1e-9 * (1.0 + abs(primal)):
-        raise NumericalDefect(
-            f"Lyapunov duality violated: {primal:.12e} vs {dual:.12e}"
-        )
-    return primal, t_mat, q_mat
+    return facts.variance_rate, facts.t, facts.q
 
 
 def theta_threshold(model: OqhoModel, pi) -> float:
@@ -104,32 +90,29 @@ def theta_threshold(model: OqhoModel, pi) -> float:
     observable is deterministic in the invariant state, as for the
     vacuum-mode example), rather than failing.
     """
-    pi = model.weight_facts(pi).pi
-    p = gramian_steady(model).p
-    _, t_mat, _ = variance_rate(model, pi)
-    denom = float(np.sum(pi * t_mat))
-    floor = 1e-12 * np.linalg.norm(pi) * np.linalg.norm(p) ** 2
+    facts = model.weight_facts(pi)
+    p = model.steady.p
+    denom = 0.25 * facts.variance_rate  # <Pi, T>, certified
+    floor = 1e-12 * np.linalg.norm(facts.pi) * np.linalg.norm(p) ** 2
     if denom <= floor:
         return math.inf
-    return 0.5 * float(np.sum(pi * p)) / denom
+    return 0.5 * float(np.sum(facts.pi * p)) / denom
 
 
 def quartic_rate(model: OqhoModel, pi, theta: float) -> float:
     """Quartic growth rate ``theta <Pi, P + 2 theta T>``; equals
     ``theta * mean_rate + theta^2 / 2 * variance_rate``."""
-    if math.isnan(theta):
-        raise ThetaOutOfRange("risk parameter is NaN")
     if theta < 0:
         raise NegativeTheta(f"risk parameter must be nonnegative, got {theta}")
-    pi = model.weight_facts(pi).pi
-    p = gramian_steady(model).p
-    _, t_mat, _ = variance_rate(model, pi)
-    return theta * float(np.sum(pi * (p + 2.0 * theta * t_mat)))
+    if not theta < math.inf:  # NaN fails too
+        raise ThetaOutOfRange(f"risk parameter must be finite, got {theta}")
+    facts = model.weight_facts(pi)
+    facts.variance_rate  # T is read only once its duality certificate holds
+    return theta * float(np.sum(facts.pi * (model.steady.p + 2.0 * theta * facts.t)))
 
 
 def quartic_report(model: OqhoModel, pi, theta: float) -> QuarticReport:
     """All quartic-approximation outputs for one risk parameter."""
-    pi = model.weight_facts(pi).pi
     rate, t_mat, q_mat = variance_rate(model, pi)
     mean = mean_rate(model, pi)
     return QuarticReport(

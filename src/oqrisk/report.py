@@ -21,7 +21,6 @@ import numpy as np
 from . import classical, cumulants, deviations, quartic
 from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
-from .gaussian import CovarianceKernel, gramian_steady
 from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual
 
 __all__ = [
@@ -161,7 +160,7 @@ def _model_block(model: OqhoModel) -> dict:
 
 
 def _steady_block(model: OqhoModel) -> dict:
-    steady = gramian_steady(model)
+    steady = model.steady
     eig_floor = float(np.linalg.eigvalsh(steady.quantum_cov)[0])
     return {
         "p": _matrix(steady.p),
@@ -219,14 +218,13 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
     batch = classical.simulate(model, mc.h, mc.lag, mc.paths, mc.seed)
     cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
     var_mc = classical.mc_quadform_variance(batch, pi)
-    steady = gramian_steady(model)
-    target_lag = CovarianceKernel(model).s(mc.lag * mc.h)
+    target_lag = model.kernel(mc.lag * mc.h)
     out = {
         "quadform_var_analytic": classical.classical_quadform_variance(model, pi),
         "quadform_var_mc": {"value": float(var_mc.value), "stderr": float(var_mc.stderr)},
         "cov0_mc": _cmatrix(cov0.value),
         "cov0_stderr": _matrix(cov0.stderr),
-        "cov0_target": _cmatrix(steady.quantum_cov),
+        "cov0_target": _cmatrix(model.steady.quantum_cov),
         "covlag_mc": _cmatrix(covlag.value),
         "covlag_stderr": _matrix(covlag.stderr),
         "covlag_target": _cmatrix(target_lag),

@@ -256,7 +256,6 @@ def test_criterion_12_qcf_recurrence():
     max_mod = 0.0
     count = 0
     for model, rng in make_models(seed=251, count=34):
-        kern = gaussian.CovarianceKernel(model)
         for _ in range(3):
             if count >= 100:
                 break
@@ -269,7 +268,7 @@ def test_criterion_12_qcf_recurrence():
             folded = vecs[:-1].copy()
             folded[-1] = folded[-1] + expm(model.a, dt).T @ vecs[-1]
             reduced = gaussian.qcf_multipoint_steady(model, times[:-1], folded)
-            factor = np.exp(-0.5 * vecs[-1] @ kern.sigma(dt) @ vecs[-1])
+            factor = np.exp(-0.5 * vecs[-1] @ gaussian.gramian_finite(model, dt) @ vecs[-1])
             worst = max(worst, abs(full - reduced * factor) / max(abs(full), 1e-300))
             count += 1
     ok = worst <= 1e-10 and max_mod <= 1.0 + 1e-14 and count == 100

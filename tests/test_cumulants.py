@@ -18,7 +18,6 @@ from oqrisk.cumulants import (
     wick_moment_oracle,
 )
 from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
-from oqrisk.gaussian import CovarianceKernel
 from oqrisk.matfun import trapezoid_weights
 from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
@@ -304,8 +303,7 @@ def _tuple_sum(model, pi, r, times, weights):
 
         2^{r-1} sum_gamma Delta_gamma sum_idx w_idx Tr(Pi S(t_i1 - t_i2)
             prod_j Pi S^{[gamma_j]}(t_ij - t_ij+1) Pi S(t_i1 - t_ir)')."""
-    kern = CovarianceKernel(model)
-    s_of = functools.cache(lambda i, j: kern.s(times[i] - times[j]))
+    s_of = functools.cache(lambda i, j: model.kernel(times[i] - times[j]))
     counts = delta_table(r).counts
     total = 0.0 + 0.0j
     for idx in itertools.product(range(len(times)), repeat=r):

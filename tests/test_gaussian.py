@@ -12,7 +12,6 @@ from oqrisk.errors import (
     UnsortedTimes,
 )
 from oqrisk.gaussian import (
-    CovarianceKernel,
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
@@ -101,57 +100,36 @@ class TestKernels:
     def test_zero_lag(self, paper):
         model = paper[0]
         steady = gramian_steady(model)
-        kern = CovarianceKernel(model)
-        v, lam, s = kern.v(0.0), kern.lam(0.0), kern.s(0.0)
+        s = model.kernel(0.0)
+        v, lam = s.real, s.imag
         assert np.allclose(v, steady.p, atol=1e-12)
         assert np.allclose(lam, model.theta, atol=1e-12)
         assert np.allclose(s, steady.quantum_cov, atol=1e-12)
 
     def test_tiny_unit_lag(self, tiny):
-        s = CovarianceKernel(tiny).s(1.0)
+        s = tiny.kernel(1.0)
         target = np.exp(-1.0) * 0.5 * (np.eye(2) + 1j * J2)
         assert np.abs(s - target).max() < 1e-13
 
     def test_lag_symmetries(self):
         for model, rng in make_models(seed=23, count=5):
-            kern = CovarianceKernel(model)
             for tau in rng.uniform(0.1, 3.0, 3):
-                assert np.abs(kern.s(-tau) - kern.s(tau).conj().T).max() < 1e-12
-                assert np.abs(kern.v(-tau) - kern.v(tau).T).max() < 1e-12
-                assert np.abs(kern.lam(-tau) + kern.lam(tau).T).max() < 1e-12
+                s_neg, s_pos = model.kernel(-tau), model.kernel(tau)
+                assert np.abs(s_neg - s_pos.conj().T).max() < 1e-12
+                assert np.abs(s_neg.real - s_pos.real.T).max() < 1e-12
+                assert np.abs(s_neg.imag + s_pos.imag.T).max() < 1e-12
 
     def test_hermitian_kernel_positivity(self):
         for model, rng in make_models(seed=29, count=50):
-            kern = CovarianceKernel(model)
             taus = np.sort(rng.uniform(0.0, 4.0, 5))
             n = model.n
             block = np.empty((5 * n, 5 * n), dtype=complex)
             for j in range(5):
                 for k in range(5):
-                    block[j * n:(j + 1) * n, k * n:(k + 1) * n] = kern.s(taus[j] - taus[k])
+                    block[j * n:(j + 1) * n, k * n:(k + 1) * n] = model.kernel(taus[j] - taus[k])
             wmin = np.linalg.eigvalsh(block).min()
             scale = np.abs(block).max()
             assert wmin >= -1e-8 * scale
-
-
-class TestTwoPoint:
-    def test_zero_start(self, paper):
-        assert np.allclose(CovarianceKernel(paper[0]).c(1.7, 0.0), 0.0, atol=1e-14)
-
-    def test_diagonal_equals_sigma(self, paper):
-        model = paper[0]
-        assert np.allclose(
-            CovarianceKernel(model).c(1.2, 1.2), gramian_finite(model, 1.2), atol=1e-12
-        )
-
-    def test_tiny_closed_form(self, tiny):
-        val = CovarianceKernel(tiny).c(2.0, 1.0)
-        target = np.exp(-1.0) * 0.5 * (1.0 - np.exp(-2.0)) * np.eye(2)
-        assert np.allclose(val, target, atol=1e-13)
-
-    def test_transpose_dispatch(self, paper):
-        kern = CovarianceKernel(paper[0])
-        assert np.allclose(kern.c(0.7, 1.9), kern.c(1.9, 0.7).T, atol=1e-14)
 
 
 class TestSpectralDensity:
@@ -247,7 +225,7 @@ def test_multipoint_cov_matches_per_pair(paper, times):
         return s.conj().T if tau < 0 else s
 
     want = np.array([[s_pair(a - b) for b in times] for a in times])
-    got = CovarianceKernel(model).s(np.subtract.outer(times, times))
+    got = model.kernel(np.subtract.outer(times, times))
     assert np.array_equal(got, want)
 
 
@@ -273,7 +251,6 @@ class TestMultiPointQcf:
         # last point folds into the previous one through the propagator and
         # a finite-horizon Gaussian factor
         for model, rng in make_models(seed=41, count=25):
-            kern = CovarianceKernel(model)
             times = np.sort(rng.uniform(0.0, 4.0, 4))
             vecs = rng.standard_normal((4, model.n))
             full = qcf_multipoint_steady(model, times, vecs)
@@ -281,7 +258,7 @@ class TestMultiPointQcf:
             folded = vecs[:3].copy()
             folded[2] = folded[2] + expm(model.a, dt).T @ vecs[3]
             reduced = qcf_multipoint_steady(model, times[:3], folded)
-            factor = np.exp(-0.5 * vecs[3] @ kern.sigma(dt) @ vecs[3])
+            factor = np.exp(-0.5 * vecs[3] @ gramian_finite(model, dt) @ vecs[3])
             assert abs(full - reduced * factor) <= 1e-10 * abs(full) + 1e-14
 
     def test_equal_times_merge(self, paper):

@@ -59,7 +59,7 @@ NAN = float("nan")
     (lambda m, pi: matfun.lyap_solve(m.a, np.eye(2)), DimensionMismatch),
     (lambda m, pi: matfun.sqrt_psd(np.triu(np.ones((2, 2)))), NotSymmetric),
     (lambda m, pi: matfun.trapezoid_weights(1, 1.0), InvalidArgument),
-    (lambda m, pi: gaussian.CovarianceKernel(m).v(NAN), InvalidArgument),
+    (lambda m, pi: m.kernel(NAN), InvalidArgument),
     (lambda m, pi: gaussian.qcf_multipoint_steady(m, [0, NAN], np.ones((2, m.n))),
      InvalidArgument),
     (lambda m, pi: cumulants.cumulant_td_discretized(m, pi, 2, [0, NAN], [1, 1]),
@@ -76,6 +76,21 @@ NAN = float("nan")
     (lambda m, pi: classical.mc_rs_rate(m, pi, NAN, 2.0, 200, 1), ThetaOutOfRange),
     (lambda m, pi: quartic.quartic_rate(m, pi, NAN), ThetaOutOfRange),
     (lambda m, pi: deviations.DeviationAnalysis(m, pi).f_transform(NAN), InvalidArgument),
+    # the domain is checked before the theta == 0 and zero-weight shortcuts
+    (lambda m, pi: classical.mc_rs_rate(m, pi, 0.0, NAN, 200, 1), InvalidArgument),
+    (lambda m, pi: classical.mc_rs_rate(m, 0 * pi, NAN, 2.0, 200, 1), ThetaOutOfRange),
+    (lambda m, pi: classical.classical_rs_rate_paper(m, 0 * pi, NAN), ThetaOutOfRange),
+    (lambda m, pi: classical.classical_rs_rate_paper(m, 0 * pi, -1.0), ThetaOutOfRange),
+    (lambda m, pi: classical.classical_rs_rate_sde(m, 0 * pi, NAN), ThetaOutOfRange),
+    (lambda m, pi: deviations.DeviationAnalysis(m, 0 * pi).qef_upper_rate(NAN),
+     ThetaOutOfRange),
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).qef_upper_rate(NAN), ThetaOutOfRange),
+    (lambda m, pi: quartic.quartic_rate(m, pi, float("inf")), ThetaOutOfRange),
+    # Monte Carlo sizes and seeds, refused before any path is drawn
+    (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, 0, 1), InvalidArgument),
+    (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, -5, 1, h=0.05), InvalidArgument),
+    (lambda m, pi: classical.simulate(m, 0.05, 2, 10, -1), InvalidArgument),
+    (lambda m, pi: classical.simulate(m, 0.05, 2, 0, 1), InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
@@ -83,7 +98,11 @@ NAN = float("nan")
         "gramian-nan-horizon", "variance-nan-horizon", "rs-rate-nan-theta",
         "finite-rate-nan-horizon", "finite-rate-nan-step", "finite-rate-nan-theta",
         "mc-rate-nan-horizon", "mc-rate-nan-theta", "quartic-nan-theta",
-        "f-transform-nan"])
+        "f-transform-nan", "mc-rate-zero-theta-nan-horizon", "mc-rate-zero-weight-nan-theta",
+        "rs-rate-zero-weight-nan-theta", "rs-rate-zero-weight-negative-theta",
+        "sde-rate-zero-weight-nan-theta", "qef-zero-weight-nan-theta", "qef-nan-theta",
+        "quartic-inf-theta", "mc-rate-zero-paths", "mc-rate-negative-paths",
+        "simulate-negative-seed", "simulate-zero-paths"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback

@@ -3,11 +3,11 @@ import pytest
 from scipy.integrate import quad_vec
 
 from conftest import make_models, random_sym
-from oqrisk.errors import NegativeTheta, NegativeTime, NotSymmetric
+from oqrisk.errors import NegativeTheta, NegativeTime, NotSymmetric, NumericalDefect
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm
+from oqrisk.model import WeightMatrix
 from oqrisk.quartic import (
-    WeightMatrix,
     mean_rate,
     quartic_rate,
     quartic_report,
@@ -164,6 +164,21 @@ def test_weight_matrix_validation():
     WeightMatrix(np.eye(2))
     with pytest.raises(NotSymmetric):
         WeightMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_every_reader_keeps_the_duality_certificate():
+    # T is certified once, in WeightFacts.variance_rate; a T that misses its
+    # Lyapunov dual 4 <Q, P Pi P + Theta Pi Theta> by 1e-6 relative must be
+    # refused by each reader, not read past the certificate
+    from oqrisk import paper_example_model
+
+    model, pi = paper_example_model()
+    facts = model.weight_facts(pi)
+    facts.__dict__["t"] = facts.t * (1.0 + 1e-6)
+    for reader in (variance_rate, theta_threshold, lambda m, w: quartic_rate(m, w, 0.01),
+                   lambda m, w: quartic_report(m, w, 0.01)):
+        with pytest.raises(NumericalDefect):
+            reader(model, pi)
 
 
 def test_lyapunov_solves_once_per_fact(monkeypatch):
