@@ -31,7 +31,6 @@ verdict (it matches the sde variant) is recorded in analysis reports.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from .errors import (
     ThetaOutOfRange,
     VarianceBlowup,
 )
-from .matfun import expm, lyap_solve, opnorm2, sqrt_psd
+from .matfun import _require_integers, expm, lyap_solve, opnorm2, sqrt_psd
 from .model import OqhoModel, WeightMatrix
 
 __all__ = [
@@ -208,9 +207,9 @@ def _run_blocks(model: OqhoModel, h, steps, paths, seed, consume) -> list:
 
 def _check_run(paths, steps, seed) -> None:
     """:class:`InvalidArgument` unless integers ``paths >= 1``, ``steps, seed >= 0``."""
-    sizes = (paths, steps, seed)
-    if not all(isinstance(v, numbers.Integral) for v in sizes) or min(paths - 1, steps, seed) < 0:
-        raise InvalidArgument(f"need integers paths >= 1, steps >= 0, seed >= 0; got {sizes}")
+    _require_integers(paths=paths, steps=steps, seed=seed)
+    if min(paths - 1, steps, seed) < 0:
+        raise InvalidArgument(f"need paths >= 1, steps >= 0, seed >= 0; got {(paths, steps, seed)}")
 
 
 def simulate(
@@ -263,6 +262,7 @@ def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, Mc
     """
     if batch.paths < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
+    _require_integers(lag_steps=lag_steps)
     if not 0 <= lag_steps <= batch.steps:
         raise InvalidArgument("lag exceeds the simulated horizon")
     z_now = zeta_view(batch.thetas[-1])

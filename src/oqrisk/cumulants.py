@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
-from .matfun import RULE_TOL, integrate_frequency, opnorm2, trapezoid_weights
+from .matfun import RULE_TOL, _require_integers, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 
 __all__ = [
@@ -122,6 +122,7 @@ def delta_table(r: int) -> DescentTable:
     complement) are certified before returning.  Capped at r = 12, the
     largest order the certificates are tested at.
     """
+    _require_integers(r=r)
     if not 2 <= r <= MAX_TABLE_ORDER:
         raise OrderTooLarge(f"descent tables support 2 <= r <= {MAX_TABLE_ORDER}")
     # shape (2^{r-2}, r-2); (1, 0) at r = 2, whose one pattern is empty
@@ -173,6 +174,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     its largest imaginary part must stay below 1e-10 of its largest modulus
     or ``s`` over the nodes.  Capped at r = 10, the largest order the
     certificates have been checked at against reference rates."""
+    _require_integers(r=r)
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
     pi = model.weight_facts(pi).pi
@@ -223,6 +225,7 @@ def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> flo
     ``grid`` trapezoid nodes of ``[0, t]``, so its multi-point covariance
     comes from :meth:`~oqrisk.model.OqhoModel.kernel`, one ``expm`` per
     distinct lag.  Error decreases as O(grid^-2)."""
+    _require_integers(grid=grid)
     if t <= 0:
         raise NegativeTime("horizon must be positive")
     if grid < 5:
@@ -237,6 +240,7 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     :func:`_grid_cumulant` on the multi-point covariance at ``times``; used
     to compare against the pairing oracle on the *same* grid, where
     agreement is exact combinatorics and not a quadrature statement."""
+    _require_integers(r=r)
     times = np.asarray(times, dtype=float)
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
@@ -267,6 +271,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
     index summation.  Independent of the descent tables and of the
     single-cycle reduction.
     """
+    _require_integers(r=r)
     if not 1 <= r <= 3:
         raise OrderTooLarge("the pairing oracle supports r in {1, 2, 3}")
     times = np.asarray(times, dtype=float)

@@ -10,11 +10,13 @@ bounded by
 and Legendre transformation of that bound yields a tail estimate for
 ``phi(t)/t`` above a scale ``eps``.  Two evaluation routes are provided:
 
-* numeric: ``F`` from high-order product (Filon) cosine quadrature of the
-  sampled kernel, blocked over frequencies and tabulated once on a graded
-  composite Gauss-Legendre rule; the frequency integrals are weighted sums
-  over that table with an analytically corrected tail, and the optimal
-  ``theta`` comes from bisection on the monotone derivative equation;
+* numeric: ``F`` from product (Filon) quadrature of the kernel sampled on
+  a graded lag grid, whose step doubles each time the certified envelope
+  falls 16-fold (a complex Filon sum per segment, blocked over
+  frequencies), tabulated once on a graded composite Gauss-Legendre rule;
+  the frequency integrals are weighted sums over that table with an
+  analytically corrected tail, and the optimal ``theta`` comes from
+  bisection on the monotone derivative equation;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -126,44 +128,52 @@ def _top_singular_value(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def _filon_cos(fvals: np.ndarray, h: float, lam) -> np.ndarray:
-    """integral f(t) cos(lam t) dt over the uniform grid ``t_k = k h`` (odd
-    point count) for an array of frequencies, exact for piecewise-quadratic f
-    at any frequency.
+def _filon(segments, lam) -> np.ndarray:
+    """``integral f(t) e^{i lam t} dt`` over a graded grid, for an array of
+    frequencies: the grid is given as the ``(start, step, samples)`` of its
+    segments, each a uniform grid ``t_k = start + k step`` with an odd
+    sample count, and each segment is integrated by Filon's cosine and sine
+    rules (Abramowitz & Stegun 25.4.47) as one complex sum, exact for
+    piecewise-quadratic f at any frequency.
 
-    The even and odd sample sums ``sum_k f_k cos(lam h k)`` of a block of
-    frequencies come from two matrix products: with ``k = a W + j`` (``W ~
-    sqrt(npts)``, even) and ``f`` folded into ``F = f.reshape(A, W)``, they
-    are ``Re((E_a @ F) E_j)`` summed over the even or the odd ``j``, where
-    ``E_a = e^{i lam h W a}`` and ``E_j = e^{i lam h j}`` are short phase
-    tables, taken as their cosines and sines.  Memory is ``RULE_BLOCK (A +
-    W)`` per block, never a frequencies-by-grid table."""
+    The even and odd sample sums ``sum_k f_k e^{i lam step k}`` of a block
+    of frequencies come from two matrix products: with ``k = a W + j`` (``W
+    ~ sqrt(samples)``, even) and ``f`` folded into ``F = f.reshape(A, W)``,
+    they are ``(E_a @ F) E_j`` summed over the even or the odd ``j``, where
+    ``E_a = e^{i lam step W a}`` and ``E_j = e^{i lam step j}`` are short
+    phase tables, taken as their cosines and sines.  Memory is ``RULE_BLOCK
+    (A + W)`` per block, never a frequencies-by-grid table."""
     lam = np.asarray(lam, dtype=float)
-    th = lam.ravel() * h
-    npts = fvals.size
-    width = 2 * math.ceil(math.sqrt(npts) / 2.0)
-    rows = -(-npts // width)
-    samples = np.zeros(rows * width)
-    samples[:npts] = fvals
-    samples = samples.reshape(rows, width)
-    sums = np.empty((2, th.size))
-    for lo in range(0, th.size, RULE_BLOCK):
-        blk = th[lo:lo + RULE_BLOCK]
-        coarse = np.multiply.outer(blk, width * np.arange(rows))
-        fine = np.multiply.outer(blk, np.arange(width))
-        terms = ((np.cos(coarse) @ samples) * np.cos(fine)
-                 - (np.sin(coarse) @ samples) * np.sin(fine))
-        sums[:, lo:lo + RULE_BLOCK] = terms[:, 0::2].sum(1), terms[:, 1::2].sum(1)
-    series = np.abs(th) <= FILON_SERIES  # closed forms evaluated where the series is not
-    t = np.where(series, 1.0, th)
-    s, c = np.sin(t), np.cos(t)
-    taylor = np.polynomial.polynomial.polyval(th * th, _FILON_TAYLOR)
-    alpha = np.where(series, th**3 * taylor[0], (t * t + t * s * c - 2.0 * s * s) / t**3)
-    beta = np.where(series, taylor[1], 2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
-    gamma = np.where(series, taylor[2], 4.0 * (s - t * c) / t**3)
-    end = th * (npts - 1)
-    even = sums[0] - 0.5 * (fvals[0] + fvals[-1] * np.cos(end))
-    out = h * (alpha * fvals[-1] * np.sin(end) + beta * even + gamma * sums[1])
+    flat = lam.ravel()
+    out = np.zeros(flat.size, dtype=complex)
+    for start, step, fvals in segments:
+        th = flat * step
+        npts = fvals.size
+        width = 2 * math.ceil(math.sqrt(npts) / 2.0)
+        rows = -(-npts // width)
+        samples = np.zeros(rows * width)
+        samples[:npts] = fvals
+        samples = samples.reshape(rows, width)
+        sums = np.empty((2, th.size), dtype=complex)
+        for lo in range(0, th.size, RULE_BLOCK):
+            blk = th[lo:lo + RULE_BLOCK]
+            coarse = np.multiply.outer(blk, width * np.arange(rows))
+            fine = np.multiply.outer(blk, np.arange(width))
+            cf, sf = np.cos(coarse) @ samples, np.sin(coarse) @ samples
+            cj, sj = np.cos(fine), np.sin(fine)
+            terms = (cf * cj - sf * sj) + 1j * (cf * sj + sf * cj)
+            sums[:, lo:lo + RULE_BLOCK] = terms[:, 0::2].sum(1), terms[:, 1::2].sum(1)
+        series = np.abs(th) <= FILON_SERIES  # closed forms evaluated where the series is not
+        t = np.where(series, 1.0, th)
+        s, c = np.sin(t), np.cos(t)
+        taylor = np.polynomial.polynomial.polyval(th * th, _FILON_TAYLOR)
+        alpha = np.where(series, th**3 * taylor[0], (t * t + t * s * c - 2.0 * s * s) / t**3)
+        beta = np.where(series, taylor[1], 2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
+        gamma = np.where(series, taylor[2], 4.0 * (s - t * c) / t**3)
+        last = fvals[-1] * np.exp(1j * th * (npts - 1))
+        even = sums[0] - 0.5 * (fvals[0] + last)
+        out += np.exp(1j * flat * start) * step * (
+            -1j * alpha * (last - fvals[0]) + beta * even + gamma * sums[1])
     return out.reshape(lam.shape)
 
 
@@ -260,13 +270,14 @@ class DeviationAnalysis:
     """Shared state for the deviation bounds of one ``(model, Pi)`` pair.
 
     Builds the kernel sampler lazily on first transform use: the kernel is
-    tabulated on a uniform grid long enough for the certified envelope to
-    push the truncation error below the working tolerance, its norm taken
-    per lag from the top eigenvalue of a Gram matrix ``rank(P + i Theta)``
-    wide (see :meth:`_build_grid`).  ``F`` at an array of frequencies is
-    then one blocked Filon sum (:func:`_filon_cos`).  The bounds tabulate
-    ``F`` once on the frequency rule of :func:`_tabulate`, in one call for
-    its nodes and one for its peak and cuts.
+    tabulated on a graded grid long enough for the certified envelope to
+    push the truncation error below the working tolerance, whose Filon step
+    doubles each time the envelope falls 16-fold, its norm taken per lag
+    from the top eigenvalue of a Gram matrix ``rank(P + i Theta)`` wide (see
+    :meth:`_build_grid`).  ``F`` at an array of frequencies is then one
+    blocked complex Filon sum per segment (:func:`_filon`).  The
+    bounds tabulate ``F`` once on the frequency rule of :func:`_tabulate`,
+    in one call for its nodes and one for its peak and cuts.
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -288,6 +299,38 @@ class DeviationAnalysis:
         return float(opnorm2(self.root_pi @ self.model.kernel(abs(tau)) @ self.root_pi))
 
     def _build_grid(self):
+        """Sample ``N`` on a graded grid of ``[0, tau*]``: ``self._grid`` holds
+        every sample, and ``self._segments`` the ``(start, step, samples)`` of
+        each segment, whose sample views share the boundary sample.
+
+        *Budget.*  ``tau*`` puts the envelope tail ``2 int_{tau*}^inf alpha
+        e^{-mu tau} = (2 alpha / mu) e^{-mu tau*}`` at ``1e-13 max(2 alpha /
+        mu, 1)``, ``2 alpha / mu`` being the envelope's ``F(0)``.  Filon's
+        rule interpolates ``N`` by a quadratic on each panel pair, so on a
+        stretch of length ``L`` at step ``h`` its error is at most ``L h^4 M4
+        / 180``, with ``M4`` a bound on the fourth derivative there.  The k-th
+        derivative of ``R e^{tau A} Q R`` is ``R A^k e^{tau A} Q R``, so ``M4
+        = alpha omega^4 e^{-mu tau}``, ``omega = ||A|| + mu``: the derivative
+        bound carries the envelope factor.  The a priori step ``h`` solves
+        ``tau* h^4 alpha omega^4 / 180 = eps_f``, the budget of one step over
+        all of ``[0, tau*]``.
+
+        *Grading.*  Segment ``s`` covers ``[a_s, a_{s+1})`` with ``a_s = s
+        c``, ``c = 4 ln 2 / mu`` (the last ends at ``tau*``), in ``m_s =
+        ceil(L_s / (2 h 2^s))`` panel pairs, so its step ``h_s = L_s / (2
+        m_s)`` is at most ``h 2^s``.  There ``e^{-mu a_s} = 2^{-4s}``, so
+        ``h_s^4 e^{-mu a_s} <= h^4``: each segment spends no more of ``eps_f``
+        per unit length than the one-step grid, and the total error bound
+        ``tau* h^4 alpha omega^4 / 180 = eps_f`` holds unchanged.  The
+        samples fall ~5-fold (twice ``c / h`` against ``tau* / h``, with
+        ``tau* ~ 30 / mu``).  A single segment is the one-step grid.
+
+        *Caps.*  The total ``1 + 2 sum m_s`` samples stay in ``[2001,
+        200_001]``: ``sum m_s`` lies between ``G / (2h)`` and ``G / (2h) +
+        S`` for ``G = sum L_s 2^-s`` over ``S`` segments, so ``h`` is scaled
+        by one common factor into ``[G / (2 (100_000 - S)), G / 2000]``.
+        Where the cap binds (the damped mode), the a priori budget is void.
+        """
         if self._grid is not None or self.degenerate:
             return
         env = self.envelope
@@ -298,9 +341,12 @@ class DeviationAnalysis:
         omega = opnorm2(self.model.a) + mu
         eps_f = 1e-8 * max(f0_est, 0.1)
         h = (180.0 * eps_f / (max(alpha, 1e-6) * omega**4 * tau_star)) ** 0.25
-        npts = int(np.clip(math.ceil(tau_star / h), 2001, 200_001))
-        if npts % 2 == 0:
-            npts += 1
+        starts = np.arange(0.0, tau_star, 4.0 * math.log(2.0) / mu)  # a_s
+        lengths = np.diff(np.append(starts, tau_star))  # L_s
+        graded = lengths / 2.0 ** np.arange(starts.size)  # L_s 2^-s, summing to G
+        h = np.clip(h, graded.sum() / (2.0 * (100_000 - starts.size)), graded.sum() / 2000.0)
+        pairs = np.ceil(graded / (2.0 * h)).astype(int)  # m_s
+        steps = lengths / (2.0 * pairs)
         # Q = P + i Theta is PSD, of rank n/2 when the invariant state is pure
         # (passive dynamics under vacuum input).  With a thin factor Q = V V*
         # (the eigenvalues above the numerical-rank floor n eps max) and
@@ -310,12 +356,18 @@ class DeviationAnalysis:
         q, u = np.linalg.eigh(self.quantum)
         keep = q > q.size * np.finfo(float).eps * q[-1]
         thin = u[:, keep] * np.sqrt(q[keep])
-        self._step = tau_star / (npts - 1)
-        # N(k step) for k = 0 .. npts-1
-        self._grid = expm_ladder(self.model.a, self.model.eig, self._step, npts,
-                                 left=self.root_pi,
-                                 right=thin @ sqrt_psd(thin.conj().T @ self.pi @ thin),
-                                 reduce=_top_singular_value)
+        right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin)
+        # N(a_s + k h_s) for k = 0 .. 2 m_s - 1, and the end sample N(tau*)
+        counts = 2 * pairs
+        counts[-1] += 1
+        grid = np.concatenate([
+            expm_ladder(self.model.a, self.model.eig, step, count, left=self.root_pi,
+                        right=right, reduce=_top_singular_value, start=start)
+            for start, step, count in zip(starts, steps, counts)])
+        offsets = np.concatenate(([0], np.cumsum(2 * pairs)))
+        self._segments = [(start, step, grid[lo:hi + 1])
+                          for start, step, lo, hi in zip(starts, steps, offsets, offsets[1:])]
+        self._grid = grid
 
     def f_transform(self, lam):
         """``F(lam) = 2 int_0^inf N(tau) cos(lam tau) dtau``: a float for a
@@ -327,7 +379,7 @@ class DeviationAnalysis:
             out = np.zeros(lam.shape)
         else:
             self._build_grid()
-            out = 2.0 * _filon_cos(self._grid, self._step, lam)
+            out = 2.0 * _filon(self._segments, lam).real
         return float(out) if out.ndim == 0 else out
 
     @cached_property

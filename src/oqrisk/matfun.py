@@ -7,10 +7,11 @@ one place.  Conventions:
   and a triangular Sylvester solve, O(n^3)) through SciPy, then certified:
   Hurwitz drift and residual are checked on every call.
 * The matrix exponential delegates to SciPy's scaling-and-squaring Pade-13
-  implementation (backward stable).  The one uniform lag ladder, ``e^{k h A}``
-  of the tail-bound kernel grid, goes through the eigendecomposition when
-  ``A`` is comfortably diagonalizable and steps by one exponential
-  otherwise (:func:`expm_ladder`).
+  implementation (backward stable).  The lag ladder ``e^{(a + k h) A}`` of
+  each segment of the tail-bound kernel grid goes through the
+  eigendecomposition when ``A`` is comfortably diagonalizable, with the
+  phases at the segment start ``a`` formed directly, and otherwise steps by
+  one exponential from ``e^{a A}`` (:func:`expm_ladder`).
 * Frequency integrals go through one rule on the half line ``lam >= 0``
   (:func:`integrate_frequency`): composite Gauss-Legendre panels graded
   toward the resonances of the integrand's poles, one algebraic tail, and
@@ -22,6 +23,7 @@ one place.  Conventions:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,6 +64,14 @@ HURWITZ_TOL = -1e-10
 def _require_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise InvalidArgument(f"{name} contains non-finite entries")
+
+
+def _require_integers(**values) -> None:
+    """:class:`InvalidArgument` unless every named value is an integer (a
+    Python or numpy integer); run before a range check compares them."""
+    bad = {name: v for name, v in values.items() if not isinstance(v, numbers.Integral)}
+    if bad:
+        raise InvalidArgument(f"need integers, got {bad}")
 
 
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -117,15 +127,20 @@ def eig_basis(a: np.ndarray) -> EigBasis:
     return EigBasis(values=lam, vectors=vecs, cond=cond, inverse=inverse)
 
 
-def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce) -> np.ndarray:
-    """``reduce(left @ exp(k*step*a) @ right)`` for ``k = 0 .. count-1``
-    (count >= 1), stacked along the first axis.
+def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce,
+                start: float = 0.0) -> np.ndarray:
+    """``reduce(left @ exp((start + k*step)*a) @ right)`` for ``k = 0 ..
+    count-1`` (count >= 1), stacked along the first axis.
 
     Lags are formed in blocks of at most ``LADDER_CHUNK``, and ``reduce``
     maps each block to its per-lag result before the next block is formed,
     which bounds peak memory by one block.  Goes through ``basis =
-    eig_basis(a)`` when it is well conditioned, and otherwise steps by
-    ``exp(step*a)``.
+    eig_basis(a)`` when it is well conditioned, with the phases
+    ``exp((start + k*step) mu)`` of the eigenvalues ``mu`` formed directly,
+    and otherwise steps by ``exp(step*a)`` from ``exp(start*a)``.  A late
+    ``start`` is never folded into ``right`` as ``exp(start*a)`` on the
+    eigenvector route: Pade ``expm`` of a lightly damped mode is already
+    1e-11 off at ``start = 831``.
     """
     a = np.asarray(a, dtype=float)
     if basis.inverse is not None:
@@ -135,12 +150,12 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
         lv, wr = left @ basis.vectors, basis.inverse @ right
         terms = (lv.T[:, :, None] * wr[:, None, :]).reshape(a.shape[0], -1)
     else:
-        estep, prop = expm(a, step), np.eye(a.shape[0])
+        estep, prop = expm(a, step), expm(a, start)
     out = []
     for lo in range(0, count, LADDER_CHUNK):
         lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
         if basis.inverse is not None:
-            phases = np.exp(np.multiply.outer(step * lags, basis.values))
+            phases = np.exp(np.multiply.outer(start + step * lags, basis.values))
             block = (phases @ terms).reshape(lags.size, lv.shape[0], wr.shape[1])
         else:
             block = np.empty((lags.size, left.shape[0], right.shape[1]),
@@ -337,6 +352,7 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
 
 def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and composite-trapezoid weights on ``[0, upper]``."""
+    _require_integers(count=count)
     if count < 2:
         raise InvalidArgument("need at least 2 nodes")
     _require_finite(upper, "upper limit")

@@ -84,6 +84,11 @@ class TestExpm:
             assert batch.shape == (7, len(a), len(a))
             for k in range(7):
                 assert np.abs(batch[k] - expm(a, 0.3 * k)).max() < 1e-11
+            # a later start: the eigenvector phases, or the stepping from expm(1.1 a)
+            late = expm_ladder(a, basis, 0.3, 7, left=eye, right=eye, reduce=lambda b: b,
+                               start=1.1)
+            for k in range(7):
+                assert np.abs(late[k] - expm(a, 1.1 + 0.3 * k)).max() < 1e-11
 
     def test_ladder_factors_and_chunks(self, monkeypatch):
         import oqrisk.matfun as matfun

@@ -91,6 +91,17 @@ NAN = float("nan")
     (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, -5, 1, h=0.05), InvalidArgument),
     (lambda m, pi: classical.simulate(m, 0.05, 2, 10, -1), InvalidArgument),
     (lambda m, pi: classical.simulate(m, 0.05, 2, 0, 1), InvalidArgument),
+    # non-integer orders and counts, refused before a range check compares them
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, 1.0, 9.5), InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2.5, 1.0, 9), InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_rate(m, pi, 2.5), InvalidArgument),
+    (lambda m, pi: cumulants.delta_table(2.5), InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_td_discretized(m, pi, 3.5, [0, 1], [1, 1]),
+     InvalidArgument),
+    (lambda m, pi: cumulants.wick_moment_oracle(m, pi, 1.5, [0, 1], [1, 1]), InvalidArgument),
+    (lambda m, pi: classical.mc_stationary_stats(classical.simulate(m, 0.1, 2, 100, 1), 1.5),
+     InvalidArgument),
+    (lambda m, pi: matfun.trapezoid_weights(5.5, 1.0), InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
@@ -102,7 +113,10 @@ NAN = float("nan")
         "rs-rate-zero-weight-nan-theta", "rs-rate-zero-weight-negative-theta",
         "sde-rate-zero-weight-nan-theta", "qef-zero-weight-nan-theta", "qef-nan-theta",
         "quartic-inf-theta", "mc-rate-zero-paths", "mc-rate-negative-paths",
-        "simulate-negative-seed", "simulate-zero-paths"])
+        "simulate-negative-seed", "simulate-zero-paths", "td-fractional-grid",
+        "td-fractional-order", "rate-fractional-order", "table-fractional-order",
+        "td-discretized-fractional-order", "wick-fractional-order", "mc-stats-fractional-lag",
+        "trapezoid-fractional-count"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback
