@@ -13,8 +13,9 @@ and Legendre transformation of that bound yields a tail estimate for
 * numeric: ``F`` from product (Filon) quadrature of the kernel sampled on
   a graded lag grid, whose step doubles each time the certified envelope
   falls 16-fold (a complex Filon sum per segment, blocked over
-  frequencies), tabulated once on a graded composite Gauss-Legendre rule;
-  the frequency integrals are weighted sums over that table with an
+  frequencies), tabulated once on the panels of the shared frequency rule
+  (:mod:`matfun`) at the kernel's pair poles and a pseudo-pole at 0; the
+  frequency integrals are weighted sums over that table with an
   analytically corrected tail, and the optimal ``theta`` comes from
   bisection on the monotone derivative equation;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
@@ -42,8 +43,8 @@ from .errors import (
     NumericalDefect,
     ThetaOutOfRange,
 )
-from .matfun import (RULE_BLOCK, expm_ladder, gauss_panels, inv_sqrt_psd, lyap_solve, opnorm2,
-                     sqrt_psd)
+from .matfun import (RULE_BLOCK, RULE_ORDER, _resonance_edges, expm_ladder, gauss_panels,
+                     inv_sqrt_psd, lyap_solve, opnorm2, sqrt_psd)
 from .model import OqhoModel
 
 __all__ = [
@@ -177,12 +178,9 @@ def _filon(segments, lam) -> np.ndarray:
     return out.reshape(lam.shape)
 
 
-# 24 Gauss-Legendre nodes per panel: F has features of width ~ mu (kinks of
-# the norm N), which 16 nodes resolve only to ~1e-7 in the bounds.  Panels
-# halve toward lam = 0 down to lam_base 2^-GRADE_DEPTH, resolving the peak of
-# 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)) up to
-# theta = theta_max (1 - 1e-10).  The tail cut is lam_base 2^j, j <= MAX_CUT.
-GL_ORDER = 24
+# A pseudo-pole at lam = 0 of depth lam_base 2^-GRADE_DEPTH grades the table
+# toward the peak of 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)),
+# up to theta = theta_max (1 - 1e-10).  The tail cut is lam_base 2^j, j <= MAX_CUT.
 GRADE_DEPTH = 40
 MAX_CUT = 6
 # Working tolerance of the tail cut and its corrections in the bounds.
@@ -217,18 +215,19 @@ def _tail_cut(fcut, base, c3, tol):
     return int(np.argmax(small)) if small.any() else None
 
 
-def _tabulate(ffun, base, tol) -> _FTable:
+def _tabulate(ffun, base, tol, poles) -> _FTable:
     """Tabulate ``ffun`` (peak ``ffun(0)``, vectorised over frequencies) on
-    [0, base 2^-GRADE_DEPTH], dyadic panels up to ``base / 8``, then panels
-    of width ``base / 8`` up to the cut needed at ``theta_max``, which bounds
-    the cut at every theta."""
+    ``RULE_ORDER``-point panels of the frequency rule (:func:`_resonance_edges`)
+    for ``poles`` and a pseudo-pole at 0 of depth ``base 2^-GRADE_DEPTH``, up
+    to the cut needed at ``theta_max``, which bounds the cut at every theta;
+    the cuts ``base 2^j`` below it are panel edges too."""
     peak_cuts = ffun(np.concatenate(([0.0], base * 2.0 ** np.arange(MAX_CUT + 1))))
     s, fcut = 1.0 / peak_cuts[0], peak_cuts[1:]
     top = _tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol)
     top = MAX_CUT if top is None else top  # thetas past it raise when integrated
-    edges = np.concatenate(([0.0], base * 2.0 ** np.arange(-GRADE_DEPTH, -3),
-                            base / 8.0 * np.arange(1, 2 ** (top + 3) + 1)))
-    nodes, weights = gauss_panels(edges, GL_ORDER)
+    cuts = base * 2.0 ** np.arange(top + 1)
+    edges = _resonance_edges(np.append(poles, -base * 2.0**-GRADE_DEPTH), cuts[-1])
+    nodes, weights = gauss_panels(np.union1d(edges, cuts), RULE_ORDER)
     return _FTable(base=base, nodes=nodes, weights=weights,
                    fvals=ffun(nodes), fcut=fcut[:top + 1])
 
@@ -276,8 +275,8 @@ class DeviationAnalysis:
     from the top eigenvalue of a Gram matrix ``rank(P + i Theta)`` wide (see
     :meth:`_build_grid`).  ``F`` at an array of frequencies is then one
     blocked complex Filon sum per segment (:func:`_filon`).  The
-    bounds tabulate ``F`` once on the frequency rule of :func:`_tabulate`,
-    in one call for its nodes and one for its peak and cuts.
+    bounds tabulate ``F`` once (:func:`_tabulate`), in one call for its
+    nodes and one for its peak and cuts.
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -395,8 +394,10 @@ class DeviationAnalysis:
 
     @cached_property
     def _table(self) -> _FTable:
-        # F depends on neither theta nor eps: one table serves every bound
-        return _tabulate(self.f_transform, self._lam_base(), TOL)
+        # F depends on neither theta nor eps: one table serves every bound.  F
+        # beats at the poles mu_i + conj(mu_j) of K K*, whose top eigenvalue is N^2
+        mu = self.model.eig.values
+        return _tabulate(self.f_transform, self._lam_base(), TOL, np.add.outer(mu, mu.conj()))
 
     def qef_upper_rate(self, theta: float) -> float:
         """Upper bound on the exponential-cost growth rate; zero at
@@ -503,7 +504,7 @@ def envelope_log_integral(alpha: float, mu: float, theta: float) -> float:
         return 2.0 * alpha * mu / (lam * lam + mu * mu)
 
     tol = 1e-10  # tighter than TOL: this is the cross-check target
-    table = _tabulate(fhat, max(50.0, 20.0 * mu), tol)
+    table = _tabulate(fhat, max(50.0, 20.0 * mu), tol, [-mu])
     return -_tail_corrected_log_integral(table, theta, alpha, tol)
 
 

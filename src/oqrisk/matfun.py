@@ -18,6 +18,7 @@ one place.  Conventions:
   a nested-rule certificate from halving every panel.  An integral over the
   whole line is the half-line integral of ``f(lam) + f(-lam)``; the callers
   whose integrands are even in ``lam`` (the cumulant rates) need no fold.
+  The tail bounds' table of ``F`` takes the rule's panels up to its own cut.
 """
 
 from __future__ import annotations
@@ -269,25 +270,24 @@ def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
 
-def _resonance_edges(poles) -> tuple[np.ndarray, float]:
-    """Panel edges on ``[0, span]``, ``span = 2 max|mu| + 1``, for an
-    integrand with poles at ``lam = +-Im(mu) -+ i Re(mu)``: candidate edges
-    sit at each centre ``+-Im(mu)`` and at dyadic offsets ``|Re(mu)| 2^j / 8``
-    from it, and are merged greedily into the widest panels that stay no
-    wider than their distance to the nearest pole (of either centre, so a
-    resonance on the negative axis still grades the panels next to 0)."""
+def _resonance_edges(poles, upper: float) -> np.ndarray:
+    """Panel edges on ``[0, upper]`` for an integrand with poles at ``lam =
+    +-Im(mu) -+ i Re(mu)``: candidates sit at each distinct centre ``+-Im(mu)``
+    and at dyadic offsets ``|Re(mu)| 2^j / 8`` from it (one array, to the
+    shallowest centre's first rung past ``2 upper``, which leaves a centre in
+    ``[-upper, upper]`` no other rung in ``[0, upper]``), merged greedily into
+    the widest panels no wider than their distance to the nearest pole (of
+    either centre, so a resonance on the negative axis grades panels by 0)."""
     poles = np.asarray(poles, dtype=complex).ravel()
     if poles.size and poles.real.max() >= 0.0:
         raise NotHurwitz("the frequency rule needs poles with negative real parts")
-    span = 2.0 * np.abs(poles).max(initial=0.0) + 1.0
-    centres = np.concatenate([poles.imag, -poles.imag])
-    depths = np.abs(np.concatenate([poles.real, poles.real]))
-    cands = [np.array([0.0, span])]
-    for c, d in zip(centres, depths):
-        steps = d / 8.0 * 2.0 ** np.arange(int(np.ceil(np.log2(16.0 * span / d))) + 1)
-        cands.append(c + np.concatenate(([0.0], steps, -steps)))
-    cands = np.unique(np.concatenate(cands))
-    cands = cands[(cands >= 0.0) & (cands <= span)]
+    both = np.unique(np.concatenate([poles, poles.conj()]))
+    centres, depths = both.imag, -both.real
+    rungs = int(np.ceil(np.log2(16.0 * upper / depths.min(initial=upper)))) + 1
+    steps = np.multiply.outer(depths / 8.0, 2.0 ** np.arange(rungs))
+    cands = np.unique(np.concatenate([[0.0, upper], centres, (centres[:, None] + steps).ravel(),
+                                      (centres[:, None] - steps).ravel()]))
+    cands = cands[(cands >= 0.0) & (cands <= upper)]
 
     def fits(a, b):
         gap = np.maximum(np.maximum(a - centres, centres - b), 0.0)
@@ -295,13 +295,19 @@ def _resonance_edges(poles) -> tuple[np.ndarray, float]:
 
     picked = [0]
     while picked[-1] < cands.size - 1:
-        # fits is monotone in b: bisect for the last candidate that fits
-        lo, hi = picked[-1] + 1, cands.size - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if fits(cands[picked[-1]], cands[mid]) else (lo, mid - 1)
-        picked.append(lo)
-    return cands[picked], span
+        # the last b that fits, in closed form: b - a is |Re| for a centre x <=
+        # |Re| ahead, (x^2 + Re^2) / 2x for one further ahead and hypot(x, Re)
+        # for one behind; fits, monotone in b, settles the rounding
+        a, x = cands[picked[-1]], centres - cands[picked[-1]]
+        ahead = np.where(depths >= x, depths, (x * x + depths**2) / (2.0 * np.maximum(x, depths)))
+        reach = a + np.where(x > 0.0, ahead, np.hypot(x, depths)).min(initial=np.inf)
+        k = max(int(np.searchsorted(cands, reach, "right")) - 1, picked[-1] + 1)
+        while k + 1 < cands.size and fits(a, cands[k + 1]):
+            k += 1
+        while k > picked[-1] + 1 and not fits(a, cands[k]):
+            k -= 1
+        picked.append(k)
+    return cands[picked]
 
 
 def _frequency_rule(edges, span, level):
@@ -327,12 +333,13 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
     ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
     values (scalars or arrays) at them.  The rule is composite
     ``RULE_ORDER``-point Gauss-Legendre on the panels of
-    :func:`_resonance_edges` plus a tail on ``lam = span / s``; every panel
-    is halved until two successive levels agree to ``RULE_TOL`` times the
-    integral of ``|f|``, and the finer value is returned.  Raises
-    :class:`NoConvergence` if they still disagree after ``RULE_DEPTH``
-    halvings."""
-    edges, span = _resonance_edges(poles)
+    :func:`_resonance_edges` up to ``span = 2 max|mu| + 1``, plus a tail on
+    ``lam = span / s``; every panel is halved until two successive levels
+    agree to ``RULE_TOL`` times the integral of ``|f|``, and the finer value
+    is returned.  Raises :class:`NoConvergence` if they still disagree after
+    ``RULE_DEPTH`` halvings."""
+    span = 2.0 * np.abs(np.asarray(poles)).max(initial=0.0) + 1.0
+    edges = _resonance_edges(poles, span)
     prev = gap = None
     for level in range(RULE_DEPTH + 1):
         nodes, weights = _frequency_rule(edges, span, level)

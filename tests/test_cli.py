@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from oqrisk.cli import main
-from oqrisk.fixtures import PAPER_EXAMPLE
+from oqrisk.deviations import DeviationAnalysis
+from oqrisk.fixtures import PAPER_EXAMPLE, paper_example_model
 from oqrisk.report import render_json
 
 TINY_DOC = {
@@ -69,6 +71,28 @@ class TestAnalyze:
         assert rep["quartic"]["mean_rate"] == pytest.approx(74.9147, rel=2e-3)
         assert rep["quartic"]["variance_rate"] == pytest.approx(8.9399e3, rel=2e-3)
         assert rep["deviations"]["alpha"] == pytest.approx(69.6784, rel=1e-2)
+
+    def test_tail_bound_curves(self, capsys, tmp_path):
+        # the report's curves are bound_curve's, and its numeric curve is the
+        # bound command's
+        config = _write_config(tmp_path, {
+            "mc": {"h": 0.1, "steps": 10, "paths": 200, "seed": 5}, "orders": [2],
+            "theta_list": [0.01], "eps_grid": {"min": 300.0, "max": 900.0, "steps": 3}})
+        code, out = _run(capsys, ["analyze", "--fixture", "paper-example", "--config", config])
+        assert code == 0
+        curves = json.loads(out)["deviations"]["curves"]
+        want = DeviationAnalysis(*paper_example_model()).bound_curve(np.linspace(300.0, 900.0, 3))
+        assert [c["method"] for c in curves] == [c.method for c in want]
+        for got, ref in zip(curves, want):
+            for key in ("epsilon", "bound", "theta_star"):
+                assert got[key] == getattr(ref, key).tolist()
+        code, out = _run(capsys, ["bound", "--method", "both", "--fixture", "paper-example",
+                                  "--config", config])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        numeric = next(c for c in curves if c["method"] == "numeric")
+        assert [[r[0], r[2], r[3]] for r in rows] == [
+            list(v) for v in zip(numeric["epsilon"], numeric["bound"], numeric["theta_star"])]
 
     def test_tiny_inf_sentinel(self, capsys, tmp_path):
         code, out = _run(capsys, ["analyze", "--config",

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_models, random_sym
 from oqrisk.deviations import (
+    TOL,
     DeviationAnalysis,
+    _FTable,
+    _tail_corrected_log_integral,
     closed_theta_star,
     cramer_bound_closed,
     envelope_log_integral,
@@ -11,6 +16,8 @@ from oqrisk.deviations import (
     envelope_params,
 )
 from oqrisk.errors import EpsilonTooSmall, NotPsd, ThetaOutOfRange
+from oqrisk.matfun import gauss_panels
+from oqrisk.model import canonical_ccr, model_from_matrices
 
 PAPER_GAMMA = np.array([
     [1.4750, -0.4852, -1.4090, -0.2636],
@@ -108,6 +115,32 @@ class TestQefUpperRate:
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-8)
 
+    def test_beat_resonance(self):
+        # two modes with eigenvalues -0.05 +- 10i and -0.05 +- 12i: F beats at
+        # lam = 2 (and 20..24) with width ~0.1, which a table that ignores the
+        # kernel's pair poles misses by ~1e-7
+        x = np.random.default_rng(3).standard_normal((4, 4))
+        model = model_from_matrices(canonical_ccr(4).theta, np.diag([10.0, 12.0, 10.0, 12.0]),
+                                    np.sqrt(0.05) * np.eye(4))
+        da = DeviationAnalysis(model, x @ x.T + 0.1 * np.eye(4))
+        thetas = np.array([0.3, 0.9]) / (2.0 * da.f_infnorm())
+        got = [da.qef_upper_rate(theta) for theta in thetas]
+        # reference: 16-point panels 0.01 wide within 0.5 of the beats, 0.1
+        # wide elsewhere on [0, 30], geometric beyond, dyadic toward 0, with
+        # the library's tail correction
+        table = da._table
+        cuts = table.base * 2.0 ** np.arange(table.fcut.size)
+        edges = np.unique(np.concatenate([
+            table.base * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
+            np.arange(1.5, 2.5, 0.01), np.arange(19.5, 24.5, 0.01),
+            np.geomspace(30.0, cuts[-1], 60), cuts]))
+        nodes, weights = gauss_panels(edges, 16)
+        fine = _FTable(base=table.base, nodes=nodes, weights=weights,
+                       fvals=da.f_transform(nodes), fcut=table.fcut)
+        want = [-model.n / (4.0 * math.pi) * _tail_corrected_log_integral(fine, theta, da.n0, TOL)
+                for theta in thetas]
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
 
 class TestCramerNumeric:
     def test_tiny_closed_case(self, tiny_deviation):
@@ -204,6 +237,25 @@ class TestEnvelopeParams:
             inv_sqrt_psd(env.gamma) @ paper_deviation.quantum @ root_pi
         )
         assert env.alpha == pytest.approx(alpha, rel=1e-12)
+
+    def test_defective_drift(self):
+        # A = [[-0.5, 0], [-1, -0.5]]: the double eigenvalue -0.5 is defective,
+        # so the envelope retreats to mu = 0.45 on a shifted Lyapunov solve and
+        # the kernel grid steps by one exponential
+        model = model_from_matrices(canonical_ccr(2).theta, np.diag([1.0, 0.0]),
+                                    np.sqrt(0.5) * np.eye(2))
+        assert model.eig.inverse is None
+        da = DeviationAnalysis(model, np.diag([1.0, 2.0]))
+        env = da.envelope
+        assert env.mu == pytest.approx(0.45, rel=1e-12)
+        for tau in np.linspace(0.0, 60.0, 31):
+            assert da.n_kernel(tau) <= env.alpha * np.exp(-env.mu * tau)
+        da.f_infnorm()
+        gaps = [abs(vals[k] - da.n_kernel(start + k * step))
+                for start, step, vals in da._segments for k in (0, 1, vals.size // 2, vals.size - 1)]
+        assert max(gaps) <= 1e-13 * da.n0
+        for eps in model.n * da.n0 * np.array([1.1, 2.0]):
+            assert np.all(np.isfinite(da.cramer_bound_numeric(eps)))
 
 
 class TestClosedBound:

@@ -273,14 +273,54 @@ class TestQuadrature:
 
     def test_panels_no_wider_than_pole_distance(self):
         poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])
-        edges, span = _resonance_edges(poles)
+        span = 2.0 * np.abs(poles).max() + 1.0  # integrate_frequency's upper end
+        edges = _resonance_edges(poles, span)
         assert edges[0] == 0.0 and edges[-1] == span
-        assert span == pytest.approx(2.0 * 10.0 + 1.0, rel=1e-6)
         centres = np.concatenate([poles.imag, -poles.imag])
         depths = np.abs(np.concatenate([poles.real, poles.real]))
         for a, b in zip(edges[:-1], edges[1:]):
             gap = np.maximum(np.maximum(a - centres, centres - b), 0.0)
             assert b - a <= np.hypot(gap, depths).min()
+
+    def test_array_ladder_matches_per_centre_ladders(self):
+        # a spectrum like the n = 32 benchmark model's (frequencies 0.5..3,
+        # dampings 0.45..1, randomly paired) and its pair poles mu_i +
+        # conj(mu_j), Im >= 0, with the tail-bound table's pseudo-pole at 0
+        rng = np.random.default_rng(32)
+        freqs, damps = np.linspace(0.5, 3.0, 16), rng.permutation(np.linspace(0.45, 1.0, 16))
+        mu = np.concatenate([-damps + 1j * freqs, -damps - 1j * freqs])
+        pairs = np.add.outer(mu, mu.conj()).ravel()
+        pairs = np.append(pairs[pairs.imag >= 0.0], -70.0 * 2.0**-40)
+        for poles, upper in ((mu, 2.0 * np.abs(mu).max() + 1.0), (pairs, 70.0 * 2.0**3)):
+            assert np.array_equal(_resonance_edges(poles, upper),
+                                  _per_centre_edges(poles, upper))
+
+
+def _per_centre_edges(poles, upper):
+    """The frequency rule's edges with each centre's dyadic ladder built in a
+    loop of its own, to its own first rung past ``2 upper``."""
+    centres = np.concatenate([poles.imag, -poles.imag])
+    depths = np.abs(np.concatenate([poles.real, poles.real]))
+    cands = [np.array([0.0, upper])]
+    for c, d in zip(centres, depths):
+        steps = d / 8.0 * 2.0 ** np.arange(int(np.ceil(np.log2(16.0 * upper / d))) + 1)
+        cands.append(c + np.concatenate(([0.0], steps, -steps)))
+    cands = np.unique(np.concatenate(cands))
+    cands = cands[(cands >= 0.0) & (cands <= upper)]
+    picked = [0]
+    while picked[-1] < cands.size - 1:
+        # scan ahead in blocks of 256 candidates to the first that does not fit
+        a, lo = cands[picked[-1]], picked[-1] + 1
+        while lo < cands.size:
+            b = cands[lo:lo + 256]
+            gap = np.maximum(np.maximum(a - centres[:, None], centres[:, None] - b), 0.0)
+            misfit = np.flatnonzero(b - a > np.hypot(gap, depths[:, None]).min(axis=0))
+            if misfit.size:
+                lo += misfit[0]
+                break
+            lo += b.size
+        picked.append(max(lo - 1, picked[-1] + 1))  # a panel spans at least one step
+    return cands[picked]
 
 
 def test_import_leaves_scipy_integrate_out():
