@@ -165,8 +165,9 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     one-to-one onto the other's, ``Delta_{r,gamma} = Delta_{r,rev(1 -
     gamma)}``.  So the rate is ``2^{r-1} / pi`` times the integral over
     ``lam >= 0``, which runs on :func:`~oqrisk.matfun.integrate_frequency`
-    with the eigenvalues of ``A``, certified by its nested refinement.  The
-    terms at a node are of size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``
+    with the eigenvalues of ``A``, certified by its embedded Gauss-Kronrod
+    pair (33 nodes a panel, unhalved on the benchmark models).  The terms
+    at a node are of size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``
     (even in ``lam`` too); stacking ``eps s / RULE_TOL`` with the integrand
     certifies a rate that vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
     ``Pi = I``) against the rounding of its terms, not against its own

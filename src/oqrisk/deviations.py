@@ -16,8 +16,8 @@ and Legendre transformation of that bound yields a tail estimate for
   frequencies), tabulated once on the panels of the shared frequency rule
   (:mod:`matfun`) at the kernel's pair poles and a pseudo-pole at 0; the
   frequency integrals are weighted sums over that table with an
-  analytically corrected tail, and the optimal ``theta`` comes from
-  bisection on the monotone derivative equation;
+  analytically corrected tail, and the optimal ``theta`` of every ``eps``
+  of a curve comes from one batched bisection on the derivative equation;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -208,23 +208,26 @@ class _FTable:
 
 def _tail_cut(fcut, base, c3, tol):
     """First ``j`` at which the cubic tail term ``c3 c^3 / (5 lam^5)`` of the
-    cut ``lam = base 2^j`` (``F ~ c / lam^2``) is below ``tol / 10``; ``None``
-    if there is none."""
+    cut ``lam = base 2^j`` (``F ~ c / lam^2``) is below ``tol / 10``, or -1
+    if there is none, for each of a scalar or an array of ``c3``."""
     lam = base * 2.0 ** np.arange(len(fcut))
-    small = np.abs(c3 * (fcut * lam**2) ** 3 / (5.0 * lam**5)) <= 0.1 * tol
-    return int(np.argmax(small)) if small.any() else None
+    small = np.abs(np.multiply.outer(c3, (fcut * lam**2) ** 3) / (5.0 * lam**5)) <= 0.1 * tol
+    return np.where(small.any(-1), small.argmax(-1), -1)
 
 
-def _tabulate(ffun, base, tol, poles) -> _FTable:
-    """Tabulate ``ffun`` (peak ``ffun(0)``, vectorised over frequencies) on
+# The peak and the cuts of the tail-bound tables, in units of their lam_base.
+_PEAK_AND_CUTS = (0.0, *(2.0**j for j in range(MAX_CUT + 1)))
+
+
+def _tabulate(ffun, base, tol, poles, peak_cuts) -> _FTable:
+    """Tabulate ``ffun`` (vectorised, ``peak_cuts`` at ``base _PEAK_AND_CUTS``) on
     ``RULE_ORDER``-point panels of the frequency rule (:func:`_resonance_edges`)
     for ``poles`` and a pseudo-pole at 0 of depth ``base 2^-GRADE_DEPTH``, up
     to the cut needed at ``theta_max``, which bounds the cut at every theta;
     the cuts ``base 2^j`` below it are panel edges too."""
-    peak_cuts = ffun(np.concatenate(([0.0], base * 2.0 ** np.arange(MAX_CUT + 1))))
     s, fcut = 1.0 / peak_cuts[0], peak_cuts[1:]
-    top = _tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol)
-    top = MAX_CUT if top is None else top  # thetas past it raise when integrated
+    top = int(_tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol))
+    top = MAX_CUT if top < 0 else top  # thetas past it raise when integrated
     cuts = base * 2.0 ** np.arange(top + 1)
     edges = _resonance_edges(np.append(poles, -base * 2.0**-GRADE_DEPTH), cuts[-1])
     nodes, weights = gauss_panels(np.union1d(edges, cuts), RULE_ORDER)
@@ -240,14 +243,15 @@ def _two_theta_f(theta, fvals):
     return arg
 
 
-def _tail_corrected_integral(table: _FTable, g, coef, n0, tol):
+def _tail_corrected_integral(table: _FTable, g, coef, n0, tol, j=None):
     """integral over R of g(F) for ``g(F) = coef[0] F + coef[1] F^2 +
-    coef[2] F^3 + ...``: weighted sums over the table up to the cut; the
-    [lam_cut, inf) tail uses the exact identity int_0^inf F = pi N(0) for
-    the linear term and the F ~ c / lam^2 asymptote for the quadratic and
-    cubic terms."""
-    j = _tail_cut(table.fcut, table.base, coef[2], tol)
-    if j is None:
+    coef[2] F^3 + ...``: weighted sums over the table up to the cut ``j``
+    (the first that settles, when not given); the [lam_cut, inf) tail uses
+    the exact identity int_0^inf F = pi N(0) for the linear term and the F
+    ~ c / lam^2 asymptote for the quadratic and cubic terms.  Coefficients
+    may be arrays, one per row of ``g(F)``, each reduced as a one-row call."""
+    j = int(_tail_cut(table.fcut, table.base, coef[2], tol) if j is None else j)
+    if j < 0:
         raise NoConvergence("tail corrections did not settle")
     lam_cut = table.base * 2.0**j
     k = np.searchsorted(table.nodes, lam_cut)
@@ -255,7 +259,7 @@ def _tail_corrected_integral(table: _FTable, g, coef, n0, tol):
     c_inf = table.fcut[j] * lam_cut**2
     tail = (coef[0] * (math.pi * n0 - w @ f) + coef[1] * c_inf**2 / (3.0 * lam_cut**3)
             + coef[2] * c_inf**3 / (5.0 * lam_cut**5))
-    return 2.0 * (w @ g(f) + tail)
+    return 2.0 * ((g(f)[..., None, :] @ w[:, None])[..., 0, 0] + tail)
 
 
 def _tail_corrected_log_integral(table: _FTable, theta, n0, tol):
@@ -274,9 +278,9 @@ class DeviationAnalysis:
     doubles each time the envelope falls 16-fold, its norm taken per lag
     from the top eigenvalue of a Gram matrix ``rank(P + i Theta)`` wide (see
     :meth:`_build_grid`).  ``F`` at an array of frequencies is then one
-    blocked complex Filon sum per segment (:func:`_filon`).  The
-    bounds tabulate ``F`` once (:func:`_tabulate`), in one call for its
-    nodes and one for its peak and cuts.
+    blocked complex Filon sum per segment (:func:`_filon`).  One call gives
+    the peak ``F(0)`` and the tail cuts, one more the bounds' table of ``F``
+    (:func:`_tabulate`).
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -382,12 +386,12 @@ class DeviationAnalysis:
         return float(out) if out.ndim == 0 else out
 
     @cached_property
-    def _f_zero(self) -> float:
-        return self.f_transform(0.0)
+    def _peak_cuts(self) -> np.ndarray:
+        return self.f_transform(np.multiply(self._lam_base(), _PEAK_AND_CUTS))
 
     def f_infnorm(self) -> float:
         """``||F||_inf = F(0)`` (valid since ``N >= 0``)."""
-        return self._f_zero
+        return 0.0 if self.degenerate else float(self._peak_cuts[0])
 
     def _lam_base(self) -> float:
         return max(50.0, 20.0 * (opnorm2(self.model.a) + self.envelope.mu))
@@ -397,7 +401,8 @@ class DeviationAnalysis:
         # F depends on neither theta nor eps: one table serves every bound.  F
         # beats at the poles mu_i + conj(mu_j) of K K*, whose top eigenvalue is N^2
         mu = self.model.eig.values
-        return _tabulate(self.f_transform, self._lam_base(), TOL, np.add.outer(mu, mu.conj()))
+        poles = np.add.outer(mu, mu.conj())
+        return _tabulate(self.f_transform, self._lam_base(), TOL, poles, self._peak_cuts)
 
     def qef_upper_rate(self, theta: float) -> float:
         """Upper bound on the exponential-cost growth rate; zero at
@@ -412,68 +417,85 @@ class DeviationAnalysis:
         val = _tail_corrected_log_integral(self._table, theta, self.n0, TOL)
         return -self.model.n / (4.0 * math.pi) * val
 
-    def _deriv(self, theta: float) -> float:
-        # integral over R of F / (1 - 2 theta F)
-        s = 2.0 * theta
-        val = _tail_corrected_integral(self._table, lambda f: f / (1.0 - _two_theta_f(theta, f)),
-                                       (1.0, s, s**2), self.n0, TOL)
-        return self.model.n / (2.0 * math.pi) * val
+    def _derivs(self, thetas: np.ndarray) -> np.ndarray:
+        """``(n / 2 pi) integral over R of F / (1 - 2 theta F)`` at each of
+        ``thetas``, one pass over the table per tail cut among them."""
+        s = 2.0 * thetas
+        cuts = _tail_cut(self._table.fcut, self._table.base, s**2, TOL)
+        out = np.empty(thetas.size)
+        for j in np.unique(cuts):
+            at = cuts == j
+            out[at] = _tail_corrected_integral(
+                self._table, lambda f: f / (1.0 - _two_theta_f(thetas[at, None], f)),
+                (1.0, s[at], s[at] ** 2), self.n0, TOL, j)
+        return self.model.n / (2.0 * math.pi) * out
+
+    def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(bound, theta_star)`` at each of the 1-D ``eps``: one bracket and
+        one bisection loop over every live ``eps`` at once, each making the
+        comparisons of a bisection of its own; then ``qef_upper_rate``."""
+        threshold = self.model.n * self.n0
+        low = ~(eps >= threshold * (1.0 - 1e-12))  # NaN fails too
+        if low.any():
+            raise EpsilonTooSmall(f"epsilon = {eps[low][0]} below n*N(0) = {threshold}")
+        if self.degenerate or self.f_infnorm() == 0.0:
+            return np.where(eps == 0.0, 0.0, -math.inf), np.where(eps == 0.0, 0.0, math.inf)
+        live = np.flatnonzero(eps > threshold * (1.0 + 1e-14))  # the rest are (0, 0)
+        theta_max = 1.0 / (2.0 * self.f_infnorm())
+        # stop short of theta_max by more than F's noise floor: 1 - 2 theta F > 0
+        lo, hi = np.zeros(live.size), np.empty(live.size)
+        open_, delta = np.arange(live.size), 1e-6
+        while open_.size:
+            if delta < 1e-9:
+                raise NoConvergence("derivative equation has no bracketable root below "
+                                    "the numerically safe end of the theta interval")
+            top = theta_max * (1.0 - delta)
+            closes = ~(self._derivs(np.array([top]))[0] < eps[live[open_]])
+            hi[open_[closes]] = top
+            open_, delta = open_[~closes], delta * 1e-2
+        step = np.flatnonzero(hi - lo > 1e-10 * theta_max)
+        while step.size:
+            mid = 0.5 * (lo[step] + hi[step])
+            below = self._derivs(mid) < eps[live[step]]
+            lo[step[below]], hi[step[~below]] = mid[below], mid[~below]
+            step = step[hi[step] - lo[step] > 1e-10 * theta_max]
+        theta_star = np.zeros(eps.size)
+        theta_star[live] = 0.5 * (lo + hi)  # 0 gives the bound 0
+        bound = [self.qef_upper_rate(float(t)) - t * e for t, e in zip(theta_star, eps)]
+        return np.array(bound, dtype=float), theta_star
 
     def cramer_bound_numeric(self, epsilon: float) -> tuple[float, float]:
         """Optimized tail bound ``inf_theta (qef_upper_rate - theta eps)``.
 
-        The minimizer solves the strictly increasing derivative equation;
-        bisection runs to a 1e-10 relative theta tolerance.  Returns
-        ``(bound, theta_star)``.  For the zero-cost degenerate weight the
-        objective is unbounded below and ``(-inf, inf)`` is returned as a
-        documented sentinel.
-        """
-        threshold = self.model.n * self.n0
-        if not epsilon >= threshold * (1.0 - 1e-12):  # NaN fails too
-            raise EpsilonTooSmall(f"epsilon = {epsilon} below the threshold n*N(0) = {threshold}")
-        if self.degenerate or self.f_infnorm() == 0.0:
-            return (0.0, 0.0) if epsilon == 0.0 else (-math.inf, math.inf)
-        if epsilon <= threshold * (1.0 + 1e-14):
-            return 0.0, 0.0
-        theta_max = 1.0 / (2.0 * self.f_infnorm())
-        # stop the bracket short of theta_max by more than the transform's
-        # noise floor, so 1 - 2 theta F stays numerically positive
-        delta = 1e-6
-        hi = theta_max * (1.0 - delta)
-        while self._deriv(hi) < epsilon:
-            delta *= 1e-2
-            if delta < 1e-9:
-                raise NoConvergence("derivative equation has no bracketable root below "
-                                    "the numerically safe end of the theta interval")
-            hi = theta_max * (1.0 - delta)
-        lo = 0.0
-        while hi - lo > 1e-10 * theta_max:
-            mid = 0.5 * (lo + hi)
-            if self._deriv(mid) < epsilon:
-                lo = mid
-            else:
-                hi = mid
-        theta_star = 0.5 * (lo + hi)
-        bound = self.qef_upper_rate(theta_star) - theta_star * epsilon
-        return float(bound), float(theta_star)
+        Bisection on the increasing derivative equation to a 1e-10 relative
+        theta tolerance, the one-point case of :meth:`bound_curve`'s solve.
+        Returns ``(bound, theta_star)``, or ``(-inf, inf)`` for the zero-cost
+        weight, whose objective is unbounded below."""
+        bound, theta_star = self._cramer_points(_epsilon_grid(epsilon, ndim=0)[None])
+        return float(bound[0]), float(theta_star[0])
 
     def bound_curve(self, eps_grid) -> list[TailBoundCurve]:
-        """Closed-form curve over the grid, plus the numeric curve whenever
-        the transform admits one."""
-        eps = np.asarray(eps_grid, dtype=float)
+        """Closed-form curve over the 1-D grid, plus the numeric curve (one
+        batched solve) whenever the transform admits one."""
+        eps = _epsilon_grid(eps_grid)
         env, n = self.envelope, self.model.n
         curves = []
         if env is not None:
-            curves.append(TailBoundCurve(
-                epsilon=eps,
-                bound=np.array([cramer_bound_closed(env.mu, env.alpha, n, e) for e in eps]),
-                theta_star=np.array([closed_theta_star(env.mu, env.alpha, n, e) for e in eps]),
-                method="closed_form"))
+            closed = [(cramer_bound_closed(env.mu, env.alpha, n, e),
+                       closed_theta_star(env.mu, env.alpha, n, e)) for e in eps]
+            curves.append(TailBoundCurve(eps, *np.reshape(closed, (-1, 2)).T, "closed_form"))
         if not self.degenerate and self.f_infnorm() > 0.0:
-            pairs = np.array([self.cramer_bound_numeric(e) for e in eps]).reshape(-1, 2)
-            curves.append(TailBoundCurve(epsilon=eps, bound=pairs[:, 0],
-                                         theta_star=pairs[:, 1], method="numeric"))
+            curves.append(TailBoundCurve(eps, *self._cramer_points(eps), method="numeric"))
         return curves
+
+
+def _epsilon_grid(eps, ndim: int = 1) -> np.ndarray:
+    """``eps`` as a float array; :class:`InvalidArgument` unless it has
+    ``ndim`` axes and no infinite entry (NaN is left to the threshold checks)."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != ndim or np.isinf(eps).any():
+        raise InvalidArgument(f"need {ndim}-D finite epsilon, got shape {eps.shape}")
+    return eps
 
 
 def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon: float) -> float:
@@ -504,7 +526,8 @@ def envelope_log_integral(alpha: float, mu: float, theta: float) -> float:
         return 2.0 * alpha * mu / (lam * lam + mu * mu)
 
     tol = 1e-10  # tighter than TOL: this is the cross-check target
-    table = _tabulate(fhat, max(50.0, 20.0 * mu), tol, [-mu])
+    base = max(50.0, 20.0 * mu)
+    table = _tabulate(fhat, base, tol, [-mu], fhat(np.multiply(base, _PEAK_AND_CUTS)))
     return -_tail_corrected_log_integral(table, theta, alpha, tol)
 
 

@@ -13,12 +13,12 @@ one place.  Conventions:
   phases at the segment start ``a`` formed directly, and otherwise steps by
   one exponential from ``e^{a A}`` (:func:`expm_ladder`).
 * Frequency integrals go through one rule on the half line ``lam >= 0``
-  (:func:`integrate_frequency`): composite Gauss-Legendre panels graded
+  (:func:`integrate_frequency`): composite Gauss-Kronrod panels graded
   toward the resonances of the integrand's poles, one algebraic tail, and
-  a nested-rule certificate from halving every panel.  An integral over the
-  whole line is the half-line integral of ``f(lam) + f(-lam)``; the callers
-  whose integrands are even in ``lam`` (the cumulant rates) need no fold.
-  The tail bounds' table of ``F`` takes the rule's panels up to its own cut.
+  the embedded Gauss rule as certificate.  An integral over the whole line
+  is the half-line integral of ``f(lam) + f(-lam)``; the callers whose
+  integrands are even in ``lam`` (the cumulant rates) need no fold.  The
+  tail bounds' table of ``F`` takes the rule's panels, with Gauss nodes.
 """
 
 from __future__ import annotations
@@ -240,10 +240,10 @@ def inv_sqrt_psd(k: np.ndarray) -> np.ndarray:
     return out.real if not np.iscomplexobj(np.asarray(k)) else out
 
 
-#: Gauss-Legendre nodes per panel of the frequency rule.
+#: Gauss-Legendre nodes per panel; a Kronrod panel adds ``RULE_ORDER + 1`` more.
 RULE_ORDER = 16
-#: Two successive levels of the frequency rule agree to this fraction of the
-#: integral of ``|f|`` before their finer value is returned.
+#: The Kronrod and the embedded Gauss value of the frequency rule agree to
+#: this fraction of the integral of ``|f|`` before the Kronrod one is returned.
 RULE_TOL = 1e-12
 #: Halvings of every panel after which the frequency rule gives up.
 RULE_DEPTH = 6
@@ -261,13 +261,37 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.cache
+def _kronrod(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Gauss-Kronrod extension of ``_legendre(order)``, once per
+    order: the Gauss nodes and the zeros of the Stieltjes polynomial (``P_0
+    .. P_order``-orthogonal under the weight ``P_order``), Kronrod weights
+    exact on ``P_0 .. P_{2 order}``, and Gauss weights (0 at added nodes)."""
+    leg = np.polynomial.legendre
+    xg, wg = _legendre(order)
+    x, w = leg.leggauss(2 * order + 8)
+    p = leg.legvander(x, order + 1)
+    gram = (p[:, :order + 1] * (w * p[:, order])[:, None]).T @ p
+    stieltjes = np.append(np.linalg.solve(gram[:, :-1], -gram[:, -1]), 1.0)
+    nodes = np.concatenate([xg, leg.legroots(stieltjes)])
+    wk = np.linalg.solve(leg.legvander(nodes, nodes.size - 1).T, 2.0 * np.eye(nodes.size)[0])
+    wg = np.concatenate([wg, np.zeros(order + 1)])
+    nodes.flags.writeable = wk.flags.writeable = wg.flags.writeable = False
+    return nodes, wk, wg
+
+
+def _panels(edges, x, *weights):
+    """Nodes ``x`` on ``[-1, 1]`` mapped onto each panel between consecutive
+    ``edges``, with each of ``weights`` scaled to match."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half * (1.0 + x)).ravel(), *((half * w).ravel() for w in weights))
+
+
 def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite ``order``-point Gauss-Legendre rule
     on the panels between consecutive ``edges``."""
-    x, w = _legendre(order)
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+    return _panels(edges, *_legendre(order))
 
 
 def _resonance_edges(poles, upper: float) -> np.ndarray:
@@ -311,15 +335,15 @@ def _resonance_edges(poles, upper: float) -> np.ndarray:
 
 
 def _frequency_rule(edges, span, level):
-    """Nodes and weights at ``level``: every panel of ``edges`` and of the
-    tail ``lam = span / s``, ``s in (0, 1]``, cut into ``2^level`` parts."""
+    """Nodes and stacked Kronrod and Gauss weights on every panel of ``edges``
+    and of the tail ``lam = span / s``, ``s in (0, 1]``, cut in ``2^level``."""
     def split(e):
         return np.interp(np.arange((e.size - 1) * 2**level + 1) / 2**level, np.arange(e.size), e)
 
-    mid, w_mid = gauss_panels(split(edges), RULE_ORDER)
-    s, w_s = gauss_panels(split(np.array([0.0, 1.0])), RULE_ORDER)
-    tail, w_tail = span / s, w_s * span / s**2
-    return np.concatenate([mid, tail[::-1]]), np.concatenate([w_mid, w_tail[::-1]])
+    mid, *w_mid = _panels(split(edges), *_kronrod(RULE_ORDER))
+    s, *w_s = _panels(split(np.array([0.0, 1.0])), *_kronrod(RULE_ORDER))
+    return np.concatenate([mid, span / s]), np.stack(
+        [np.concatenate([w, ws * span / s**2]) for w, ws in zip(w_mid, w_s)])
 
 
 def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
@@ -331,30 +355,26 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
     integrated at half the nodes of a whole-line rule.
 
     ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
-    values (scalars or arrays) at them.  The rule is composite
-    ``RULE_ORDER``-point Gauss-Legendre on the panels of
-    :func:`_resonance_edges` up to ``span = 2 max|mu| + 1``, plus a tail on
-    ``lam = span / s``; every panel is halved until two successive levels
-    agree to ``RULE_TOL`` times the integral of ``|f|``, and the finer value
-    is returned.  Raises :class:`NoConvergence` if they still disagree after
-    ``RULE_DEPTH`` halvings."""
+    values (scalars or arrays) at them.  The rule is :func:`_kronrod` on the
+    panels of :func:`_resonance_edges` up to ``span = 2 max|mu| + 1``, plus
+    a tail on ``lam = span / s``; one pass over its nodes gives the Kronrod
+    and the Gauss value and ``integral |f|``.  The Kronrod value is returned
+    once the two agree to ``RULE_TOL`` times that integral; otherwise every
+    panel is halved, up to ``RULE_DEPTH`` times, then :class:`NoConvergence`."""
     span = 2.0 * np.abs(np.asarray(poles)).max(initial=0.0) + 1.0
     edges = _resonance_edges(poles, span)
-    prev = gap = None
     for level in range(RULE_DEPTH + 1):
         nodes, weights = _frequency_rule(edges, span, level)
-        total = mass = 0.0
+        pair = mass = 0.0
         for lo in range(0, nodes.size, RULE_BLOCK):
             vals = np.asarray(f(nodes[lo:lo + RULE_BLOCK]))
-            total = total + np.tensordot(weights[lo:lo + RULE_BLOCK], vals, axes=1)
-            mass = mass + np.tensordot(weights[lo:lo + RULE_BLOCK], np.abs(vals), axes=1)
-        if prev is not None:
-            gap = np.abs(total - prev).max()
-            if gap <= RULE_TOL * np.max(mass):
-                return total
-        prev = total
-    raise NoConvergence(f"frequency rule levels {RULE_DEPTH - 1} and {RULE_DEPTH} differ by "
-                        f"{gap:.3e}, more than {RULE_TOL:g} of {np.max(mass):.3e}")
+            pair = pair + np.tensordot(weights[:, lo:lo + RULE_BLOCK], vals, axes=1)
+            mass = mass + np.tensordot(weights[0, lo:lo + RULE_BLOCK], np.abs(vals), axes=1)
+        gap = np.abs(pair[0] - pair[1]).max()
+        if gap <= RULE_TOL * np.max(mass):
+            return pair[0]
+    raise NoConvergence(f"Kronrod and Gauss values differ by {gap:.3e} after {RULE_DEPTH} "
+                        f"halvings, more than {RULE_TOL:g} of {np.max(mass):.3e}")
 
 
 def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]:

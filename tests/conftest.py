@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oqrisk import DeviationAnalysis, model_from_matrices, paper_example_model, random_model
 from oqrisk.model import canonical_ccr
@@ -53,3 +54,26 @@ def random_sym(rng, n, psd=False):
         a = a @ a.T + 0.05 * np.eye(n)
         a = 0.5 * (a + a.T)
     return a
+
+
+def congruent_oscillators(rng, n):
+    """Hurwitz model of order ``n``: damped one-mode oscillators (dampings in
+    [0.45, 1]) mixed by a random symplectic congruence ``S = e^{2 Theta H}``,
+    so the drift is dense with the oscillators' spectrum."""
+    k = n // 2
+    theta = canonical_ccr(n).theta
+    freqs = np.concatenate([np.linspace(0.5, 3.0, k)] * 2)
+    damps = np.concatenate([rng.permutation(np.linspace(0.45, 1.0, k))] * 2)
+    h = random_sym(rng, n)
+    s = scipy.linalg.expm(2.0 * theta @ (0.5 * h / np.linalg.norm(h, 2)))
+    s_inv = np.linalg.inv(s)
+    r = s_inv.T @ np.diag(freqs) @ s_inv
+    return model_from_matrices(theta, 0.5 * (r + r.T), np.diag(np.sqrt(damps)) @ s_inv)
+
+
+def congruent_n32():
+    """``(model, Pi)``: the n = 32 congruent-oscillator model and a random PSD
+    weight, both from seed 32."""
+    rng = np.random.default_rng(32)
+    model = congruent_oscillators(rng, 32)
+    return model, random_sym(rng, 32, psd=True)

@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import damped_mode, make_models, paper_example_model, random_sym
+from conftest import congruent_n32, damped_mode, make_models, paper_example_model, random_sym
+from oqrisk import cumulants
 from oqrisk.cumulants import (
     _descent_recursion,
     _gamma_sum,
@@ -18,7 +19,7 @@ from oqrisk.cumulants import (
     wick_moment_oracle,
 )
 from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
-from oqrisk.matfun import trapezoid_weights
+from oqrisk.matfun import _resonance_edges, trapezoid_weights
 from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
 
@@ -232,6 +233,45 @@ class TestDampedMode:
         # rounding residue and the rate is 0 to rounding
         scale = cumulant_rate(damped, np.diag([1.0, 2.0]), r)
         assert abs(cumulant_rate(damped, np.eye(2), r)) <= 1e-12 * scale
+
+
+# cumulant_rate(paper, r) for r = 2..10 from the nested Gauss-Legendre rule
+# that certified a level of 16-point panels against the halved level and
+# returned the finer value; the Gauss-Kronrod rule reproduces them to rounding
+NESTED_RULE_RATES = [8931.576616352624, 3309913.8124113837, 2043811333.3665855,
+                     1776098031384.1584, 1988165344349205.2, 2.722047246237812e+18,
+                     4.405855495301529e+21, 8.229800200184711e+24, 1.7424203548984467e+28]
+
+
+class TestRateRule:
+    """The Gauss-Kronrod frequency rule under the cumulant rates."""
+
+    def test_matches_nested_rule_rates(self, paper):
+        got = [cumulant_rate(*paper, r) for r in range(2, 11)]
+        assert got == pytest.approx(NESTED_RULE_RATES, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["paper", "damped", "n32"])
+    def test_certified_at_the_first_level(self, case, monkeypatch):
+        # every rate certifies on the unhalved panels: 33 integrand nodes per
+        # panel of _resonance_edges and per tail panel, evaluated once
+        model, pi = {"paper": paper_example_model, "n32": congruent_n32,
+                     "damped": lambda: (damped_mode(), np.diag([1.0, 2.0]))}[case]()
+        seen = []
+        integrate = cumulants.integrate_frequency
+
+        def counting(f, poles):
+            def counted(lams):
+                seen.append(lams.size)
+                return f(lams)
+            return integrate(counted, poles)
+
+        monkeypatch.setattr(cumulants, "integrate_frequency", counting)
+        poles = model.eig.values
+        panels = _resonance_edges(poles, 2.0 * np.abs(poles).max() + 1.0).size
+        for r in (2, 3, 4):
+            seen.clear()
+            cumulant_rate(model, pi, r)
+            assert sum(seen) == 33 * panels
 
 
 class TestFiniteTimeDomain:

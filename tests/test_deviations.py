@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_models, random_sym
+from conftest import damped_mode, make_models, random_sym
 from oqrisk.deviations import (
+    MAX_CUT,
     TOL,
     DeviationAnalysis,
     _FTable,
+    _tail_corrected_integral,
     _tail_corrected_log_integral,
     closed_theta_star,
     cramer_bound_closed,
@@ -15,7 +17,7 @@ from oqrisk.deviations import (
     envelope_log_integral_closed,
     envelope_params,
 )
-from oqrisk.errors import EpsilonTooSmall, NotPsd, ThetaOutOfRange
+from oqrisk.errors import EpsilonTooSmall, InvalidArgument, NotPsd, ThetaOutOfRange
 from oqrisk.matfun import gauss_panels
 from oqrisk.model import canonical_ccr, model_from_matrices
 
@@ -179,7 +181,7 @@ class TestCramerNumeric:
         # sqrt(1 - theta / theta_max); a rule that misses it reads a
         # derivative below its theta = 0 value n N(0)
         theta_max = 1.0 / (2.0 * paper_deviation.f_infnorm())
-        derivs = [paper_deviation._deriv(theta_max * (1.0 - 10.0**-k)) for k in range(1, 10)]
+        derivs = paper_deviation._derivs(theta_max * (1.0 - 10.0 ** -np.arange(1.0, 10.0)))
         assert np.all(np.diff(derivs) > 0)
         assert derivs[0] > paper_deviation.model.n * paper_deviation.n0
 
@@ -313,6 +315,111 @@ class TestBoundCurve:
         curves = paper_deviation.bound_curve([eps0])
         closed = next(c for c in curves if c.method == "closed_form")
         assert abs(closed.bound[0]) < 1e-6
+
+
+def _one_point(da, eps):
+    """``(bound, theta_star, delta)`` by a bisection of the derivative
+    equation for one ``eps``, one theta at a time: the oracle of the batched
+    solve.  ``delta`` is where the bracket stopped short of theta_max."""
+    if eps <= da.model.n * da.n0 * (1.0 + 1e-14):
+        return 0.0, 0.0, None
+    theta_max = 1.0 / (2.0 * da.f_infnorm())
+
+    def deriv(theta):
+        s = 2.0 * theta
+        val = _tail_corrected_integral(da._table, lambda f: f / (1.0 - 2.0 * theta * f),
+                                       (1.0, s, s**2), da.n0, TOL)
+        return da.model.n / (2.0 * math.pi) * val
+
+    delta = 1e-6
+    hi = theta_max * (1.0 - delta)
+    while deriv(hi) < eps:
+        delta *= 1e-2
+        hi = theta_max * (1.0 - delta)
+    lo = 0.0
+    while hi - lo > 1e-10 * theta_max:
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    return da.qef_upper_rate(theta) - theta * eps, theta, delta
+
+
+class TestBatchedCurve:
+    """One bisection over every epsilon of a curve against a bisection per
+    epsilon: bit-equal bounds and theta*."""
+
+    # the threshold n N(0), then points up to the paper's 24-point curve,
+    # then an eps past the derivative at theta_max (1 - 1e-6), whose bracket
+    # must shrink to 1e-8
+    CASES = {"paper": (np.linspace(280.0, 900.0, 24), 1e6),
+             "tiny": (np.array([2.5, 3.0, 4.0, 8.0, 40.0]), 1e4),
+             "damped": (np.array([3.03, 4.5, 9.0, 30.0]), 1e4)}
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def case(self, request, paper, tiny):
+        model, pi = {"paper": paper, "tiny": (tiny, np.eye(2)),
+                     "damped": (damped_mode(), np.diag([1.0, 2.0]))}[request.param]
+        da = DeviationAnalysis(model, pi)
+        points, far = self.CASES[request.param]
+        return da, np.concatenate([[model.n * da.n0], points, [far]])
+
+    def test_matches_per_epsilon_bisection(self, case):
+        da, eps = case
+        want = [_one_point(da, e) for e in eps]
+        assert want[0][2] is None and want[-1][2] < 1e-6  # threshold; shrunk bracket
+        bound, theta_star = da._cramer_points(eps)
+        assert np.array_equal(bound, [w[0] for w in want])
+        assert np.array_equal(theta_star, [w[1] for w in want])
+        assert (bound[0], theta_star[0]) == (0.0, 0.0)
+        for e, (b, t, _) in zip(eps, want):
+            assert da.cramer_bound_numeric(e) == (b, t)
+
+    def test_curve_is_the_batched_solve(self, case):
+        da, eps = case
+        grid = eps[eps >= da.model.n * da.envelope.alpha]  # the closed form's domain
+        numeric = next(c for c in da.bound_curve(grid) if c.method == "numeric")
+        bound, theta_star = da._cramer_points(grid)
+        assert np.array_equal(numeric.bound, bound)
+        assert np.array_equal(numeric.theta_star, theta_star)
+
+    def test_empty_grid(self, case):
+        bound, theta_star = case[0]._cramer_points(np.array([]))
+        assert bound.shape == theta_star.shape == (0,)
+
+    def test_one_epsilon_below_threshold_refuses_the_grid(self, case):
+        da, eps = case
+        low = np.insert(eps, 2, 0.5 * da.model.n * da.n0)
+        with pytest.raises(EpsilonTooSmall):
+            da._cramer_points(low)
+
+
+def test_two_transform_calls_per_analysis(paper, monkeypatch):
+    # F(0) is the first entry of the one peak-and-cuts transform, which the
+    # table reuses; the table's nodes take the other call
+    da = DeviationAnalysis(*paper)
+    sizes, transform = [], da.f_transform
+    monkeypatch.setattr(da, "f_transform", lambda lam: sizes.append(np.size(lam)) or transform(lam))
+    theta_max = 1.0 / (2.0 * da.f_infnorm())
+    da.bound_curve(np.linspace(280.0, 900.0, 4))
+    da.qef_upper_rate(0.5 * theta_max)
+    assert sizes == [MAX_CUT + 2, da._table.nodes.size]
+
+
+@pytest.mark.parametrize("call", [
+    lambda da: da.bound_curve([[300.0, 400.0]]),
+    lambda da: da.bound_curve([300.0, np.inf]),
+    lambda da: da.bound_curve(300.0),
+    lambda da: da.cramer_bound_numeric(np.array([300.0])),
+    lambda da: da.cramer_bound_numeric(-np.inf),
+], ids=["2d-grid", "inf-in-grid", "scalar-grid", "array-eps", "inf-eps"])
+def test_malformed_epsilon_refused_before_transform(paper, call, monkeypatch):
+    da = DeviationAnalysis(*paper)
+    monkeypatch.setattr(da, "f_transform", lambda lam: pytest.fail("the transform ran"))
+    with pytest.raises(InvalidArgument):
+        call(da)
 
 
 class TestEnvelopeCrosscheck:

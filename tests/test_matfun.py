@@ -15,6 +15,7 @@ from oqrisk.errors import (
     NotPsd,
 )
 from oqrisk.matfun import (
+    _kronrod,
     _legendre,
     _resonance_edges,
     eig_basis,
@@ -270,6 +271,28 @@ class TestQuadrature:
         assert _legendre(16) is cached
         with pytest.raises(ValueError):
             cached[0][0] = 0.0
+
+    def test_kronrod_extends_the_gauss_rule(self):
+        # the 33-node Kronrod rule keeps the 16 Gauss nodes, has positive
+        # weights, integrates x^k exactly for k <= 3 * 16 + 1 and embeds the
+        # Gauss weights at the Gauss nodes
+        x, wk, wg = _kronrod(16)
+        xg, w16 = _legendre(16)
+        assert x.size == wk.size == wg.size == 33
+        assert np.abs(np.subtract.outer(xg, x)).min(axis=1).max() <= 1e-15
+        assert np.all(wk > 0.0) and np.all(np.abs(x) < 1.0)
+        assert np.array_equal(wg[np.isin(x, xg)], w16) and np.count_nonzero(wg) == 16
+        for k in range(50):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(wk @ x**k - exact) <= 1e-14, k
+            assert abs(wg @ x**k - exact) <= 1e-14 or k >= 32, k
+
+    def test_kronrod_rule_cached_read_only(self):
+        cached = _kronrod(16)
+        assert _kronrod(16) is cached
+        for a in cached:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_panels_no_wider_than_pole_distance(self):
         poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])

@@ -102,6 +102,15 @@ NAN = float("nan")
     (lambda m, pi: classical.mc_stationary_stats(classical.simulate(m, 0.1, 2, 100, 1), 1.5),
      InvalidArgument),
     (lambda m, pi: matfun.trapezoid_weights(5.5, 1.0), InvalidArgument),
+    # a malformed epsilon, refused before any transform work
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).bound_curve([[300.0, 400.0]]),
+     InvalidArgument),
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).bound_curve([float("inf")]),
+     InvalidArgument),
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).cramer_bound_numeric(np.array([300.0])),
+     InvalidArgument),
+    (lambda m, pi: deviations.DeviationAnalysis(m, pi).cramer_bound_numeric(float("inf")),
+     InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
@@ -116,7 +125,8 @@ NAN = float("nan")
         "simulate-negative-seed", "simulate-zero-paths", "td-fractional-grid",
         "td-fractional-order", "rate-fractional-order", "table-fractional-order",
         "td-discretized-fractional-order", "wick-fractional-order", "mc-stats-fractional-lag",
-        "trapezoid-fractional-count"])
+        "trapezoid-fractional-count", "bound-curve-2d-grid", "bound-curve-inf-eps",
+        "bound-numeric-array-eps", "bound-numeric-inf-eps"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback

@@ -9,13 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from conftest import damped_mode, random_sym
+from conftest import congruent_n32, damped_mode
 from oqrisk.cumulants import delta_table
 from oqrisk.deviations import FILON_SERIES, DeviationAnalysis, _filon, _top_singular_value
 from oqrisk.matfun import expm_ladder
-from oqrisk.model import canonical_ccr, model_from_matrices
 
 
 def _filon_weights(th):
@@ -74,21 +72,6 @@ def _t2_exp_integral(lam, end):
     return complex(cos, sin)
 
 
-def _congruent_oscillators(rng, n):
-    """Hurwitz model of order ``n``: damped one-mode oscillators (dampings in
-    [0.45, 1]) mixed by a random symplectic congruence ``S = e^{2 Theta H}``,
-    so the drift is dense with the oscillators' spectrum."""
-    k = n // 2
-    theta = canonical_ccr(n).theta
-    freqs = np.concatenate([np.linspace(0.5, 3.0, k)] * 2)
-    damps = np.concatenate([rng.permutation(np.linspace(0.45, 1.0, k))] * 2)
-    h = random_sym(rng, n)
-    s = scipy.linalg.expm(2.0 * theta @ (0.5 * h / np.linalg.norm(h, 2)))
-    s_inv = np.linalg.inv(s)
-    r = s_inv.T @ np.diag(freqs) @ s_inv
-    return model_from_matrices(theta, 0.5 * (r + r.T), np.diag(np.sqrt(damps)) @ s_inv)
-
-
 class TestBlockedFilon:
     def test_matches_direct_sum(self, paper_deviation):
         da = paper_deviation
@@ -143,11 +126,7 @@ def _grid_sample(model, pi):
 
 
 def _paper_or_random_n32(case, paper):
-    if case == "paper":
-        return paper
-    rng = np.random.default_rng(32)
-    model = _congruent_oscillators(rng, 32)
-    return model, random_sym(rng, 32, psd=True)
+    return paper if case == "paper" else congruent_n32()
 
 
 class TestKernelGrid:
