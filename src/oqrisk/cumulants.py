@@ -18,8 +18,11 @@ One recursion over the relative rank of the last element of a permutation
 with 0/1 scalar weights stacked over all patterns it gives the exact
 integer table (`delta_table`); run with the matrix weights ``Pi D`` and
 ``Pi D^{[1]}`` it gives the whole gamma sum of the rate integrand at one
-frequency in ``O(r^2)`` matrix products, without a table
-(`cumulant_rate`); run with block matrices of the multi-point covariance
+frequency in ``O(r^2)`` matrix products, without a table (`cumulant_rate`,
+in the rank-``m/2`` factor space of ``D``: the weights are the top and
+bottom rows of the ``m x m`` Gram ``N = 2 W* Pi W`` of ``D = 2 W0 W0*``,
+``D^{[1]} = 2 W1 W1*``, and no ``n x n`` density is formed); run with
+block matrices of the multi-point covariance
 ``[S(t_i - t_j)]`` from ``OqhoModel.kernel`` it gives a discretized time
 integral as one cyclic trace (`_grid_cumulant`).
 
@@ -68,12 +71,15 @@ class DescentTable:
         return sum(self.counts.values())
 
 
-def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
+def _descent_recursion(first: np.ndarray, steps, split=None) -> np.ndarray:
     """Sum over all permutations ``p`` of ``{1..m}``, ``m = len(steps) + 1``,
     of ``first @ w_1 @ ... @ w_{m-1}``, where ``(up_i, down_i) = steps[i-1]``
     and ``w_i`` is ``up_i`` if ``p_i < p_{i+1}`` and ``down_i`` otherwise.
     Operands may be stacks of matrices (leading axes broadcast); the sum is
-    taken for every stacked entry at once.
+    taken for every stacked entry at once.  With a column ``split`` an
+    ascent multiplies only the first ``split`` columns of what it follows
+    and a descent only the rest, so ``up`` has ``split`` rows and ``down``
+    the rest (the rate integrand's factor space, :func:`_rate_terms`).
 
     Recursion over the relative rank of the last element (Niven 1968, de
     Bruijn 1970): with ``F_i[k]`` the sum over arrangements of ``i``
@@ -100,15 +106,15 @@ def _descent_recursion(first: np.ndarray, steps) -> np.ndarray:
         i = len(f)
         # below[j] = (sum_{k<=j} F[k]) up enters rank j+1 by an ascent,
         # above[j] = (sum_{k>=j} F[k]) down enters rank j by a descent
-        below = np.split(np.concatenate(list(itertools.accumulate(f)), axis=-2) @ up,
-                         i, axis=-2)
-        above = np.split(np.concatenate(list(itertools.accumulate(f[::-1]))[::-1],
-                                        axis=-2) @ down, i, axis=-2)
+        below = np.split(np.concatenate(list(itertools.accumulate(
+            fk[..., :split] for fk in f)), axis=-2) @ up, i, axis=-2)
+        above = np.split(np.concatenate(list(itertools.accumulate(
+            fk[..., split:] for fk in f[::-1]))[::-1], axis=-2) @ down, i, axis=-2)
         f = [a + b for a, b in zip([*above, 0], [0, *below])]
     up, down = steps[-1]
     i = len(f)
-    return (sum((i - k) * fk for k, fk in enumerate(f)) @ up
-            + sum((k + 1) * fk for k, fk in enumerate(f)) @ down)
+    return (sum((i - k) * fk[..., :split] for k, fk in enumerate(f)) @ up
+            + sum((k + 1) * fk[..., split:] for k, fk in enumerate(f)) @ down)
 
 
 def delta_table(r: int) -> DescentTable:
@@ -140,12 +146,35 @@ def delta_table(r: int) -> DescentTable:
     return table
 
 
-def _gamma_sum(up, down, r: int):
+def _gamma_sum(up, down, r: int, split=None):
     """``sum_gamma Delta_{r,gamma} Tr(up [prod_j w^{gamma_j}] down)`` with
     ``w^0 = up``, ``w^1 = down``, by the descent-rank recursion; ``up`` and
-    ``down`` may be stacks (over frequencies), and so is the result."""
-    head = _descent_recursion(up, [(up, down)] * (r - 2))
-    return np.sum(head * down.swapaxes(-1, -2), axis=(-2, -1))
+    ``down`` may be stacks (over frequencies), and so is the result.  With a
+    column ``split``, ``up`` and ``down`` are the top and bottom rows of a
+    Gram ``N`` and the trace is the cyclic one of the blocks ``N_ab``."""
+    head = _descent_recursion(up, [(up, down)] * (r - 2), split)
+    return np.sum(head[..., split:] * down[..., :split].swapaxes(-1, -2), axis=(-2, -1))
+
+
+def _rate_terms(model: OqhoModel, pi, norm: float, lams, r: int):
+    """The gamma-summed rate integrand at ``lams`` and its term size ``(norm
+    (||D||_F + ||D^{[1]}||_F))^r``, from the factor ``W = [W0, W1]`` of
+    :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  As ``Pi D = 2 Pi
+    W0 W0*`` and ``Pi D^{[1]} = 2 Pi W1 W1*``, the cyclic trace of a product
+    of them is that of the ``m/2 x m/2`` blocks ``N_ab`` of the Gram ``N = 2
+    W* Pi W`` along the same pattern, so the recursion runs on ``(m/2 x m)``
+    blocks with ``N``'s top rows as ascent and bottom rows as descent and
+    the column split at ``m/2``; ``||D||_F = 2 ||W0* W0||_F`` and
+    ``||D^{[1]}||_F = 2 ||W1* W1||_F``."""
+    half = model.m // 2
+    w = model.density_factor(lams)
+    wh = w.conj().swapaxes(-1, -2)
+    sizes = (np.linalg.norm(wh[..., :half, :] @ w[..., :half], axis=(-2, -1))
+             + np.linalg.norm(wh[..., half:, :] @ w[..., half:], axis=(-2, -1)))
+    gram = wh @ (pi @ w)
+    gram *= 2.0
+    del w, wh  # the recursion's working set is the Gram alone
+    return _gamma_sum(gram[..., :half, :], gram[..., half:, :], r, half), (2.0 * norm * sizes) ** r
 
 
 def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
@@ -155,9 +184,14 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
             integral over R of Tr( Pi D  prod_j Pi D^{[gamma_j]}  Pi D^{[1]} ) dlam,
 
     with ``D^{[1]}(lam) = D(-lam)'``.  The gamma sum is taken inside the
-    descent-rank recursion with matrix weights ``Pi D`` (ascent) and
-    ``Pi D^{[1]}`` (descent): ``O(r^2)`` matrix products for a block of
-    frequency nodes, no table.  The gamma-summed integrand is even in
+    descent-rank recursion with weights ``Pi D`` (ascent) and ``Pi D^{[1]}``
+    (descent), run in the rank-``m/2`` factor space of ``D`` (``Omega = 2 U
+    U*``, :func:`_rate_terms`): ``O(r^2)`` products for a block of frequency
+    nodes, no table and no ``n x n`` density.  Step ``i`` is two ``(i m/2 x
+    m/2) (m/2 x m)`` products, ``i m^3 / 2`` complex multiply-adds against
+    ``2 i n^3`` for ``n x n`` weights: a quarter at ``m = n``, fewer while
+    ``m < 4^{1/3} n``; for ``m >= 2n`` the factor space is no smaller than
+    ``n`` and costs more.  The gamma-summed integrand is even in
     ``lam``: at ``-lam`` the two weights trade places up to transposition
     (``D(-lam) = D^{[1]}(lam)'``), so transposing the trace of pattern
     ``gamma`` gives the trace of its reversed complement at ``lam``, and
@@ -185,10 +219,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     top = np.zeros(2)  # largest modulus or term size, largest imaginary part
 
     def integrand(lams):
-        d0, d1 = model.density_pair(lams)
-        vals = _gamma_sum(pi @ d0, pi @ d1, r)
-        scale = (norm * (np.linalg.norm(d0, axis=(-2, -1))
-                         + np.linalg.norm(d1, axis=(-2, -1)))) ** r
+        vals, scale = _rate_terms(model, pi, norm, lams, r)
         np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
                    out=top)
         return np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)

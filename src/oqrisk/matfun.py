@@ -334,6 +334,18 @@ def _resonance_edges(poles, upper: float) -> np.ndarray:
     return cands[picked]
 
 
+@functools.lru_cache(maxsize=64)
+def _pole_layout(key: bytes) -> tuple[float, np.ndarray]:
+    """``(span, edges)`` of :func:`integrate_frequency` for the poles whose
+    complex bytes are ``key``: ``span = 2 max|mu| + 1`` and the read-only
+    :func:`_resonance_edges` up to it, laid out once per pole set."""
+    poles = np.frombuffer(key, dtype=complex)
+    span = 2.0 * np.abs(poles).max(initial=0.0) + 1.0
+    edges = _resonance_edges(poles, span)
+    edges.flags.writeable = False
+    return span, edges
+
+
 def _frequency_rule(edges, span, level):
     """Nodes and stacked Kronrod and Gauss weights on every panel of ``edges``
     and of the tail ``lam = span / s``, ``s in (0, 1]``, cut in ``2^level``."""
@@ -356,13 +368,13 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
 
     ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
     values (scalars or arrays) at them.  The rule is :func:`_kronrod` on the
-    panels of :func:`_resonance_edges` up to ``span = 2 max|mu| + 1``, plus
-    a tail on ``lam = span / s``; one pass over its nodes gives the Kronrod
+    panels of :func:`_resonance_edges` up to ``span = 2 max|mu| + 1`` (laid
+    out once per pole set, :func:`_pole_layout`), plus a tail on ``lam =
+    span / s``; one pass over its nodes gives the Kronrod
     and the Gauss value and ``integral |f|``.  The Kronrod value is returned
     once the two agree to ``RULE_TOL`` times that integral; otherwise every
     panel is halved, up to ``RULE_DEPTH`` times, then :class:`NoConvergence`."""
-    span = 2.0 * np.abs(np.asarray(poles)).max(initial=0.0) + 1.0
-    edges = _resonance_edges(poles, span)
+    span, edges = _pole_layout(np.asarray(poles, dtype=complex).ravel().tobytes())
     for level in range(RULE_DEPTH + 1):
         nodes, weights = _frequency_rule(edges, span, level)
         pair = mass = 0.0

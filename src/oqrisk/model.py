@@ -13,7 +13,12 @@ records the spectral abscissa of ``A``; the identity's residual
 (:func:`pr_residual`) is reported by ``oqrisk validate`` and ``analyze``
 and checked by acceptance criterion 03.  The model owns its second-order
 facts: ``P`` (``steady``), the stationary kernel ``S(tau)`` (``kernel``)
-and its Fourier transform ``D(lam)`` (``density_pair``).
+and its Fourier transform ``D(lam) = G Omega G*``, ``G = (i lam -
+A)^{-1} B``.  ``Omega`` has rank ``m/2`` (``Omega^2 = 2 Omega``), so ``D``
+is kept as its factor: with ``U`` the orthonormal basis of the eigenvalue-2
+space of ``Omega`` (``omega_basis``, ``Omega = 2 U U*``), one batched solve
+gives ``W = G [U, conj U]`` (``density_factor``), and ``D(lam) = 2 W0 W0*``,
+``D(-lam)' = 2 W1 W1*`` from its column halves (``density_pair``).
 """
 
 from __future__ import annotations
@@ -210,9 +215,10 @@ class WeightFacts:
 
     def density_eigs(self, lams) -> np.ndarray:
         """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)`` stacked over
-        the frequencies ``lams``, ``D = G Omega G*``, ``G = (i lam - A)^{-1} B``."""
-        d, _ = self.model.density_pair(lams)
-        return np.linalg.eigvalsh(self.root @ d @ self.root)
+        the frequencies ``lams``, ``D = G Omega G* = 2 W0 W0*`` from the first
+        column half of :meth:`OqhoModel.density_factor` only."""
+        x = self.root @ self.model.density_factor(lams)[..., :self.model.m // 2]
+        return np.linalg.eigvalsh(2.0 * x @ x.conj().swapaxes(-1, -2))
 
     @cached_property
     def density_peak(self) -> float:
@@ -282,17 +288,36 @@ class OqhoModel:
     def eig(self) -> EigBasis:
         return eig_basis(self.a)
 
-    def density_pair(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """``(D(lam), D(-lam)')`` stacked over ``lams`` from one batched solve
-        ``G = (i lam - A)^{-1} B``: ``D = G Omega G*``, and ``D(-lam)' =
-        G Omega-conjugate G*`` as ``A``, ``B`` are real and ``D`` Hermitian."""
+    @cached_property
+    def omega_basis(self) -> np.ndarray:
+        """``U``, the ``m x m/2`` orthonormal basis of the eigenvalue-2 space of
+        ``Omega = I + iJ`` (``Omega^2 = 2 Omega``), so ``Omega = 2 U U*``: for
+        ``J = [[0, I], [-I, 0]]`` the last ``m/2`` columns of ``Omega``,
+        ``[[iI], [I]]``, over ``sqrt 2``."""
+        u = self.omega[:, self.m // 2:] / np.sqrt(2.0)
+        u.setflags(write=False)
+        return u
+
+    def density_factor(self, lams) -> np.ndarray:
+        """``W = (i lam - A)^{-1} B [U, conj U]`` (``n x m``) stacked over ``lams``,
+        one batched solve, :attr:`omega_basis` ``U``.  Its column halves ``W0``,
+        ``W1`` factor ``D(lam) = G Omega G* = 2 W0 W0*`` and ``D(-lam)' =
+        G conj(Omega) G* = 2 W1 W1*`` (``A``, ``B`` real, ``D`` Hermitian)."""
         if not self.is_hurwitz:
             raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
                              f"{self.spectral_abscissa:.3e}")
         lams = np.asarray(lams, dtype=float)
-        g = np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a, self.b)
-        gh = g.conj().swapaxes(-1, -2)
-        return g @ self.omega @ gh, g @ self.omega.conj() @ gh
+        u = self.omega_basis
+        return np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a,
+                               self.b @ np.hstack([u, u.conj()]))
+
+    def density_pair(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """``(D(lam), D(-lam)')`` stacked over ``lams``: ``2 W0 W0*`` and
+        ``2 W1 W1*`` of :meth:`density_factor`."""
+        w = self.density_factor(lams)
+        w0, w1 = np.split(w, 2, axis=-1)
+        return (2.0 * w0 @ w0.conj().swapaxes(-1, -2),
+                2.0 * w1 @ w1.conj().swapaxes(-1, -2))
 
     def kernel(self, tau) -> np.ndarray:
         """``S(tau) = e^{tau A} (P + i Theta)``, the transform of ``D(lam)``, for a

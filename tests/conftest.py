@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from oqrisk import DeviationAnalysis, model_from_matrices, paper_example_model, random_model
-from oqrisk.model import canonical_ccr
+from oqrisk.model import PhysicalParams, build_model, canonical_ccr
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -45,6 +45,22 @@ def make_models(seed, count, sizes=(2, 4, 6)):
         n = sizes[k % len(sizes)]
         out.append((random_model(rng, n=n), rng))
     return out
+
+
+def hurwitz_model(ccr, m, seed):
+    """The first draw of ``R`` (symmetric) and ``M`` (``m x n``) with unit
+    normal entries from ``default_rng(seed)`` whose drift has abscissa below
+    -0.1, and the generator (rectangular couplings for ``m != n``)."""
+    rng = np.random.default_rng(seed)
+    n = ccr.n
+    for _ in range(5000):
+        r = rng.standard_normal((n, n))
+        r = 0.5 * (r + r.T)
+        mat = rng.standard_normal((m, n))
+        model = build_model(ccr, PhysicalParams(r=r, m=mat))
+        if model.spectral_abscissa < -0.1:
+            return model, rng
+    raise RuntimeError("no stable draw")
 
 
 def random_sym(rng, n, psd=False):

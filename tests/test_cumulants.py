@@ -6,11 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import congruent_n32, damped_mode, make_models, paper_example_model, random_sym
+from conftest import (congruent_n32, damped_mode, hurwitz_model, make_models,
+                      paper_example_model, random_sym)
 from oqrisk import cumulants
 from oqrisk.cumulants import (
     _descent_recursion,
     _gamma_sum,
+    _rate_terms,
     cumulant_finite_td,
     cumulant_rate,
     cumulant_td_discretized,
@@ -159,6 +161,77 @@ class TestCumulantRate:
         marginal = model_from_matrices(canonical_ccr(2).theta, np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(NotHurwitz):
             cumulant_rate(marginal, np.eye(2), 2)
+
+
+@functools.cache
+def _rectangular(n, m):
+    """``(model, Pi)`` of the rectangular-coupling pipeline test."""
+    model, rng = hurwitz_model(canonical_ccr(n), m, seed=n * 31 + m)
+    pi = rng.standard_normal((n, n))
+    return model, pi @ pi.T
+
+
+FACTOR_CASES = {
+    "paper": paper_example_model,
+    "damped": lambda: (damped_mode(), np.diag([1.0, 2.0])),
+    "n32": congruent_n32,
+    # (2, 4) is m = 2n: the factor space is no smaller than the state
+    **{f"n{n}-m{m}": functools.partial(_rectangular, n, m) for n, m in [(4, 2), (2, 4), (6, 2)]},
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+class TestFactorSpace:
+    """The rate integrand in the rank-m/2 factor space of ``D``: ``Omega = 2
+    U U*``, ``W = G [U, conj U]``, ``D(lam) = 2 W0 W0*``, ``D(-lam)' = 2 W1 W1*``."""
+
+    LAMS = np.array([0.0, 0.7, 2.525, 10.0, 17.0])
+
+    @staticmethod
+    def _densities(model, lams):
+        """``G Omega G*`` and ``G conj(Omega) G*``, ``G = (i lam - A)^{-1} B``,
+        from ``J`` itself."""
+        omega = np.eye(model.m) + 1j * model.j
+        g = np.array([np.linalg.solve(1j * lam * np.eye(model.n) - model.a, model.b)
+                      for lam in lams])
+        gh = g.conj().swapaxes(-1, -2)
+        return g @ omega @ gh, g @ omega.conj() @ gh
+
+    def test_omega_basis(self, case):
+        model, _ = FACTOR_CASES[case]()
+        u, half = model.omega_basis, model.m // 2
+        assert u.shape == (model.m, half) and not u.flags.writeable
+        assert np.abs(u.conj().T @ u - np.eye(half)).max() <= 1e-15
+        assert np.abs(2.0 * u @ u.conj().T - (np.eye(model.m) + 1j * model.j)).max() <= 1e-15
+
+    def test_factor_reproduces_densities(self, case):
+        # to 1e-14 relative, above the resolvent's own rounding floor
+        # eps cond(i lam - A) (~1.5e-12 at the damped mode's resonance lam = 10)
+        model, _ = FACTOR_CASES[case]()
+        w = model.density_factor(self.LAMS)
+        w0, w1 = w[..., :model.m // 2], w[..., model.m // 2:]
+        pair = model.density_pair(self.LAMS)
+        cond = np.linalg.cond(1j * self.LAMS[:, None, None] * np.eye(model.n) - model.a)
+        tol = 1e-14 + 4.0 * np.finfo(float).eps * cond
+        for got, alt, want in zip((2.0 * w0 @ w0.conj().swapaxes(-1, -2),
+                                   2.0 * w1 @ w1.conj().swapaxes(-1, -2)),
+                                  pair, self._densities(model, self.LAMS)):
+            scale = np.abs(want).max(axis=(-2, -1))
+            assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= tol * scale)
+            assert np.all(np.abs(alt - want).max(axis=(-2, -1)) <= tol * scale)
+
+    def test_integrand_matches_full_space(self, case):
+        # the cyclic trace of N's blocks is the gamma sum over Pi D, Pi D(-.)',
+        # and the term size is the one of the full-space densities
+        model, pi = FACTOR_CASES[case]()
+        norm = np.linalg.norm(pi, 2)
+        d0, d1 = self._densities(model, self.LAMS)
+        terms = norm * (np.linalg.norm(d0, axis=(-2, -1)) + np.linalg.norm(d1, axis=(-2, -1)))
+        for r in range(2, 11):
+            got, size = _rate_terms(model, pi, norm, self.LAMS, r)
+            want = _gamma_sum(pi @ d0, pi @ d1, r)
+            assert np.all(np.abs(got - want) <= 1e-13 * terms**r)
+            assert size == pytest.approx(terms**r, rel=1e-13)
 
 
 def _unfolded_recursion(first, steps):

@@ -8,7 +8,7 @@ import pytest
 
 import oqrisk
 
-from conftest import damped_mode
+from conftest import damped_mode, paper_example_model
 from oqrisk.errors import (
     NoConvergence,
     NotHurwitz,
@@ -17,6 +17,7 @@ from oqrisk.errors import (
 from oqrisk.matfun import (
     _kronrod,
     _legendre,
+    _pole_layout,
     _resonance_edges,
     eig_basis,
     expm,
@@ -293,6 +294,23 @@ class TestQuadrature:
         for a in cached:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_layout_cached_per_pole_set(self):
+        # the layout is the fresh _resonance_edges one bit for bit, read-only,
+        # laid out once per pole set and reused by integrate_frequency
+        layouts = []
+        for poles in (paper_example_model()[0].eig.values, damped_mode().eig.values):
+            span, edges = _pole_layout(poles.tobytes())
+            assert span == 2.0 * np.abs(poles).max() + 1.0
+            assert np.array_equal(edges, _resonance_edges(poles, span))
+            with pytest.raises(ValueError):
+                edges[0] = 1.0
+            hits = _pole_layout.cache_info().hits
+            integrate_frequency(lambda lam: 1.0 / (1.0 + lam**2), poles)
+            assert _pole_layout.cache_info().hits == hits + 1
+            assert _pole_layout(poles.tobytes())[1] is edges
+            layouts.append(edges)
+        assert layouts[0].size != layouts[1].size or not np.array_equal(*layouts)
 
     def test_panels_no_wider_than_pole_distance(self):
         poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])

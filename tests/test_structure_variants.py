@@ -5,10 +5,9 @@ and non-canonical commutation weights."""
 import numpy as np
 import pytest
 
+from conftest import hurwitz_model
 from oqrisk import (
     CcrMatrix,
-    PhysicalParams,
-    build_model,
     canonical_ccr,
     cumulant_rate,
     gramian_steady,
@@ -21,22 +20,9 @@ from oqrisk import (
 from oqrisk.gaussian import spectral_identity_residual
 
 
-def _hurwitz_model(ccr, m, seed):
-    rng = np.random.default_rng(seed)
-    n = ccr.n
-    for _ in range(5000):
-        r = rng.standard_normal((n, n))
-        r = 0.5 * (r + r.T)
-        mat = rng.standard_normal((m, n))
-        model = build_model(ccr, PhysicalParams(r=r, m=mat))
-        if model.spectral_abscissa < -0.1:
-            return model, rng
-    raise RuntimeError("no stable draw")
-
-
 @pytest.mark.parametrize("n,m", [(4, 2), (2, 4), (6, 2)])
 def test_rectangular_coupling_pipeline(n, m):
-    model, rng = _hurwitz_model(canonical_ccr(n), m, seed=n * 31 + m)
+    model, rng = hurwitz_model(canonical_ccr(n), m, seed=n * 31 + m)
     assert model.b.shape == (n, m)
     assert model.omega.shape == (m, m)
     scale = 1.0 + np.linalg.norm(model.a) * np.linalg.norm(model.theta)
@@ -71,7 +57,7 @@ def test_noncanonical_ccr_weights():
         if np.linalg.svd(theta, compute_uv=False)[-1] > 0.3:
             break
     ccr = CcrMatrix(theta)
-    model, rng2 = _hurwitz_model(ccr, n, seed=123)
+    model, rng2 = hurwitz_model(ccr, n, seed=123)
     scale = 1.0 + np.linalg.norm(model.a) * np.linalg.norm(model.theta)
     assert pr_residual(model) <= 1e-10 * scale
 
