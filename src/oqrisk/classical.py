@@ -39,6 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatch,
     InsufficientPaths,
     InvalidArgument,
     NotHurwitz,
@@ -284,7 +285,10 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     validator for :func:`classical_quadform_variance`."""
     if batch.paths < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
-    vals = _quadform(batch.thetas[-1], np.kron(np.eye(2), WeightMatrix(pi).pi))
+    pi, n = WeightMatrix(pi).pi, batch.thetas.shape[-1] // 2
+    if pi.shape != (n, n):
+        raise DimensionMismatch(f"Pi must be {n}x{n}, got shape {pi.shape}")
+    vals = _quadform(batch.thetas[-1], np.kron(np.eye(2), pi))
     var = vals.var(ddof=1)
     # stderr of a sample variance via the fourth central moment
     m4 = ((vals - vals.mean()) ** 4).mean()

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLarge, InvalidArgument, NegativeTime, NumericalDefect, OrderTooLarge
+from .errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NegativeTime,
+                     NumericalDefect, OrderTooLarge)
 from .matfun import RULE_TOL, _require_integers, integrate_frequency, opnorm2, trapezoid_weights
 from .model import OqhoModel
 
@@ -273,13 +274,25 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     to compare against the pairing oracle on the *same* grid, where
     agreement is exact combinatorics and not a quadrature statement."""
     _require_integers(r=r)
-    times = np.asarray(times, dtype=float)
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
+    times, weights = _discretization(times, weights)
     if times.size * model.n > MAX_GRID_ROWS:
         raise GridTooLarge(f"{times.size} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
-    return _grid_cumulant(model.weight_facts(pi).pi, np.asarray(weights, dtype=float),
+    return _grid_cumulant(model.weight_facts(pi).pi, weights,
                           model.kernel(np.subtract.outer(times, times)), r)
+
+
+def _discretization(times, weights) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, weights)`` as float arrays: :class:`DimensionMismatch` unless
+    both are 1-D of one length, :class:`InvalidArgument` unless finite."""
+    times, weights = np.asarray(times, dtype=float), np.asarray(weights, dtype=float)
+    if times.ndim != 1 or weights.shape != times.shape:
+        raise DimensionMismatch(f"need 1-D times and weights of one length, "
+                                f"got shapes {times.shape} and {weights.shape}")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(weights))):
+        raise InvalidArgument("times and weights must be finite")
+    return times, weights
 
 
 def _pairings(elems):
@@ -306,8 +319,7 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
     _require_integers(r=r)
     if not 1 <= r <= 3:
         raise OrderTooLarge("the pairing oracle supports r in {1, 2, 3}")
-    times = np.asarray(times, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    times, weights = _discretization(times, weights)
     g = times.size
     n_pairings = 1
     for k in range(1, 2 * r, 2):

@@ -14,10 +14,12 @@ and Legendre transformation of that bound yields a tail estimate for
   a graded lag grid, whose step doubles each time the certified envelope
   falls 16-fold (a complex Filon sum per segment, blocked over
   frequencies), tabulated once on the panels of the shared frequency rule
-  (:mod:`matfun`) at the kernel's pair poles and a pseudo-pole at 0; the
-  frequency integrals are weighted sums over that table with an
-  analytically corrected tail, and the optimal ``theta`` of every ``eps``
-  of a curve comes from one batched bisection on the derivative equation;
+  (:mod:`matfun`) at the kernel's pair poles and a pseudo-pole at 0, up to
+  one tail cut; every frequency integral is a weighted sum over that table
+  with an analytically corrected tail past the cut, for all thetas of a
+  call in one pass, so the optimal ``theta`` of every ``eps`` of a curve
+  comes from one batched bisection on the derivative equation and the
+  curve's bounds from one more pass;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -180,7 +182,7 @@ def _filon(segments, lam) -> np.ndarray:
 
 # A pseudo-pole at lam = 0 of depth lam_base 2^-GRADE_DEPTH grades the table
 # toward the peak of 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)),
-# up to theta = theta_max (1 - 1e-10).  The tail cut is lam_base 2^j, j <= MAX_CUT.
+# up to theta = theta_max (1 - 1e-10).  The tail cut is one lam_base 2^j, j <= MAX_CUT.
 GRADE_DEPTH = 40
 MAX_CUT = 6
 # Working tolerance of the tail cut and its corrections in the bounds.
@@ -196,23 +198,14 @@ _FILON_TAYLOR = np.array([[2 * k * (-4) ** (k + 1) / math.factorial(2 * k + 4),
 
 @dataclass(frozen=True)
 class _FTable:
-    """``F`` at the nodes of a composite Gauss-Legendre rule on [0, top], and
-    ``fcut[j] = F(base 2^j)`` at the cuts up to ``top``, all panel edges."""
+    """``F`` at the nodes of a composite Gauss-Legendre rule on [0, cut], and
+    ``fcut = F(cut)`` at the one tail cut that every integral over it uses."""
 
-    base: float
+    cut: float
     nodes: np.ndarray
     weights: np.ndarray
     fvals: np.ndarray
-    fcut: np.ndarray
-
-
-def _tail_cut(fcut, base, c3, tol):
-    """First ``j`` at which the cubic tail term ``c3 c^3 / (5 lam^5)`` of the
-    cut ``lam = base 2^j`` (``F ~ c / lam^2``) is below ``tol / 10``, or -1
-    if there is none, for each of a scalar or an array of ``c3``."""
-    lam = base * 2.0 ** np.arange(len(fcut))
-    small = np.abs(np.multiply.outer(c3, (fcut * lam**2) ** 3) / (5.0 * lam**5)) <= 0.1 * tol
-    return np.where(small.any(-1), small.argmax(-1), -1)
+    fcut: float
 
 
 # The peak and the cuts of the tail-bound tables, in units of their lam_base.
@@ -223,16 +216,16 @@ def _tabulate(ffun, base, tol, poles, peak_cuts) -> _FTable:
     """Tabulate ``ffun`` (vectorised, ``peak_cuts`` at ``base _PEAK_AND_CUTS``) on
     ``RULE_ORDER``-point panels of the frequency rule (:func:`_resonance_edges`)
     for ``poles`` and a pseudo-pole at 0 of depth ``base 2^-GRADE_DEPTH``, up
-    to the cut needed at ``theta_max``, which bounds the cut at every theta;
-    the cuts ``base 2^j`` below it are panel edges too."""
+    to the one tail cut: the first ``lam = base 2^j`` at which the cubic tail
+    term ``c3 c^3 / (5 lam^5)`` (``F ~ c / lam^2``) is below ``tol / 10`` at
+    ``theta_max``, where it is largest."""
     s, fcut = 1.0 / peak_cuts[0], peak_cuts[1:]
-    top = int(_tail_cut(fcut, base, max(s**3 / 3.0, s**2), tol))
-    top = MAX_CUT if top < 0 else top  # thetas past it raise when integrated
-    cuts = base * 2.0 ** np.arange(top + 1)
-    edges = _resonance_edges(np.append(poles, -base * 2.0**-GRADE_DEPTH), cuts[-1])
-    nodes, weights = gauss_panels(np.union1d(edges, cuts), RULE_ORDER)
-    return _FTable(base=base, nodes=nodes, weights=weights,
-                   fvals=ffun(nodes), fcut=fcut[:top + 1])
+    lam = base * 2.0 ** np.arange(fcut.size)
+    settled = np.abs(max(s**3 / 3.0, s**2) * (fcut * lam**2) ** 3 / (5.0 * lam**5)) <= 0.1 * tol
+    top = int(settled.argmax()) if settled.any() else MAX_CUT  # thetas past it raise
+    edges = _resonance_edges(np.append(poles, -base * 2.0**-GRADE_DEPTH), lam[top])
+    nodes, weights = gauss_panels(edges, RULE_ORDER)
+    return _FTable(lam[top], nodes, weights, ffun(nodes), fcut[top])
 
 
 def _two_theta_f(theta, fvals):
@@ -243,30 +236,28 @@ def _two_theta_f(theta, fvals):
     return arg
 
 
-def _tail_corrected_integral(table: _FTable, g, coef, n0, tol, j=None):
+def _tail_corrected_integral(table: _FTable, g, coef, n0, tol):
     """integral over R of g(F) for ``g(F) = coef[0] F + coef[1] F^2 +
-    coef[2] F^3 + ...``: weighted sums over the table up to the cut ``j``
-    (the first that settles, when not given); the [lam_cut, inf) tail uses
+    coef[2] F^3 + ...``: weighted sums over the table, and past its one cut
     the exact identity int_0^inf F = pi N(0) for the linear term and the F
     ~ c / lam^2 asymptote for the quadratic and cubic terms.  Coefficients
-    may be arrays, one per row of ``g(F)``, each reduced as a one-row call."""
-    j = int(_tail_cut(table.fcut, table.base, coef[2], tol) if j is None else j)
-    if j < 0:
+    may be arrays, one per row of ``g(F)``, each reduced as a one-row call;
+    :class:`NoConvergence` if a cubic term at the cut exceeds ``tol / 10``."""
+    cut, w, f = table.cut, table.weights, table.fvals
+    c_inf = table.fcut * cut**2
+    cubic = coef[2] * c_inf**3 / (5.0 * cut**5)
+    if not np.all(np.abs(cubic) <= 0.1 * tol):
         raise NoConvergence("tail corrections did not settle")
-    lam_cut = table.base * 2.0**j
-    k = np.searchsorted(table.nodes, lam_cut)
-    w, f = table.weights[:k], table.fvals[:k]
-    c_inf = table.fcut[j] * lam_cut**2
-    tail = (coef[0] * (math.pi * n0 - w @ f) + coef[1] * c_inf**2 / (3.0 * lam_cut**3)
-            + coef[2] * c_inf**3 / (5.0 * lam_cut**5))
+    tail = coef[0] * (math.pi * n0 - w @ f) + coef[1] * c_inf**2 / (3.0 * cut**3) + cubic
     return 2.0 * ((g(f)[..., None, :] @ w[:, None])[..., 0, 0] + tail)
 
 
 def _tail_corrected_log_integral(table: _FTable, theta, n0, tol):
-    """integral over R of ln(1 - 2 theta F)."""
+    """integral over R of ln(1 - 2 theta F), at a scalar or each of a 1-D theta."""
     s = 2.0 * theta
-    return _tail_corrected_integral(table, lambda f: np.log1p(-_two_theta_f(theta, f)),
-                                    (-s, -s**2 / 2.0, -s**3 / 3.0), n0, tol)
+    return _tail_corrected_integral(
+        table, lambda f: np.log1p(-_two_theta_f(np.asarray(theta)[..., None], f)),
+        (-s, -s**2 / 2.0, -s**3 / 3.0), n0, tol)
 
 
 class DeviationAnalysis:
@@ -280,7 +271,7 @@ class DeviationAnalysis:
     :meth:`_build_grid`).  ``F`` at an array of frequencies is then one
     blocked complex Filon sum per segment (:func:`_filon`).  One call gives
     the peak ``F(0)`` and the tail cuts, one more the bounds' table of ``F``
-    (:func:`_tabulate`).
+    (:func:`_tabulate`), whose one tail cut serves every theta.
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -404,36 +395,37 @@ class DeviationAnalysis:
         poles = np.add.outer(mu, mu.conj())
         return _tabulate(self.f_transform, self._lam_base(), TOL, poles, self._peak_cuts)
 
-    def qef_upper_rate(self, theta: float) -> float:
+    def qef_upper_rate(self, theta):
         """Upper bound on the exponential-cost growth rate; zero at
-        ``theta = 0`` and finite up to ``1 / (2 F(0))`` exclusive."""
-        if not 0.0 <= theta < math.inf:  # NaN fails too
+        ``theta = 0`` and finite up to ``1 / (2 F(0))`` exclusive.  A float
+        for a scalar ``theta``, an array of its shape for an array, whose
+        nonzero thetas take one pass over the table."""
+        theta = np.asarray(theta, dtype=float)
+        if not np.all((theta >= 0.0) & (theta < math.inf)):  # NaN fails too
             raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
-        if theta == 0.0 or self.degenerate:
-            return 0.0
-        theta_max = 1.0 / (2.0 * self.f_infnorm())
-        if theta >= theta_max:
-            raise ThetaOutOfRange(f"theta = {theta} outside [0, {theta_max:.6e})")
-        val = _tail_corrected_log_integral(self._table, theta, self.n0, TOL)
-        return -self.model.n / (4.0 * math.pi) * val
+        out, live = np.zeros(theta.shape), theta > 0.0
+        if live.any() and not self.degenerate:
+            theta_max = 1.0 / (2.0 * self.f_infnorm())
+            if theta.max() >= theta_max:
+                raise ThetaOutOfRange(f"theta = {theta.max()} outside [0, {theta_max:.6e})")
+            out[live] = -self.model.n / (4.0 * math.pi) * _tail_corrected_log_integral(
+                self._table, theta[live], self.n0, TOL)
+        return float(out) if out.ndim == 0 else out
 
     def _derivs(self, thetas: np.ndarray) -> np.ndarray:
         """``(n / 2 pi) integral over R of F / (1 - 2 theta F)`` at each of
-        ``thetas``, one pass over the table per tail cut among them."""
+        the 1-D ``thetas``, in one pass over the table."""
         s = 2.0 * thetas
-        cuts = _tail_cut(self._table.fcut, self._table.base, s**2, TOL)
-        out = np.empty(thetas.size)
-        for j in np.unique(cuts):
-            at = cuts == j
-            out[at] = _tail_corrected_integral(
-                self._table, lambda f: f / (1.0 - _two_theta_f(thetas[at, None], f)),
-                (1.0, s[at], s[at] ** 2), self.n0, TOL, j)
-        return self.model.n / (2.0 * math.pi) * out
+        val = _tail_corrected_integral(
+            self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)),
+            (1.0, s, s**2), self.n0, TOL)
+        return self.model.n / (2.0 * math.pi) * val
 
     def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(bound, theta_star)`` at each of the 1-D ``eps``: one bracket and
         one bisection loop over every live ``eps`` at once, each making the
-        comparisons of a bisection of its own; then ``qef_upper_rate``."""
+        comparisons of a bisection of its own; then one ``qef_upper_rate``
+        pass over every ``theta_star``."""
         threshold = self.model.n * self.n0
         low = ~(eps >= threshold * (1.0 - 1e-12))  # NaN fails too
         if low.any():
@@ -460,9 +452,8 @@ class DeviationAnalysis:
             lo[step[below]], hi[step[~below]] = mid[below], mid[~below]
             step = step[hi[step] - lo[step] > 1e-10 * theta_max]
         theta_star = np.zeros(eps.size)
-        theta_star[live] = 0.5 * (lo + hi)  # 0 gives the bound 0
-        bound = [self.qef_upper_rate(float(t)) - t * e for t, e in zip(theta_star, eps)]
-        return np.array(bound, dtype=float), theta_star
+        theta_star[live] = 0.5 * (lo + hi)  # 0 gives the bound +0
+        return self.qef_upper_rate(theta_star) - theta_star * eps, theta_star
 
     def cramer_bound_numeric(self, epsilon: float) -> tuple[float, float]:
         """Optimized tail bound ``inf_theta (qef_upper_rate - theta eps)``.
@@ -478,12 +469,11 @@ class DeviationAnalysis:
         """Closed-form curve over the 1-D grid, plus the numeric curve (one
         batched solve) whenever the transform admits one."""
         eps = _epsilon_grid(eps_grid)
-        env, n = self.envelope, self.model.n
-        curves = []
+        env, curves = self.envelope, []
         if env is not None:
-            closed = [(cramer_bound_closed(env.mu, env.alpha, n, e),
-                       closed_theta_star(env.mu, env.alpha, n, e)) for e in eps]
-            curves.append(TailBoundCurve(eps, *np.reshape(closed, (-1, 2)).T, "closed_form"))
+            args = (env.mu, env.alpha, self.model.n, eps)
+            curves.append(TailBoundCurve(eps, cramer_bound_closed(*args),
+                                         closed_theta_star(*args), "closed_form"))
         if not self.degenerate and self.f_infnorm() > 0.0:
             curves.append(TailBoundCurve(eps, *self._cramer_points(eps), method="numeric"))
         return curves
@@ -498,21 +488,25 @@ def _epsilon_grid(eps, ndim: int = 1) -> np.ndarray:
     return eps
 
 
-def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon: float) -> float:
+def _closed_form(alpha: float, n: int, epsilon, form):
+    """``form(eps, n alpha)``: a float for a scalar ``eps``, an array for an
+    array; :class:`EpsilonTooSmall` if an ``eps`` is below ``n alpha``."""
+    eps, scale = np.asarray(epsilon, dtype=float), n * alpha
+    if not np.all(eps >= scale * (1.0 - 1e-12)):  # NaN fails too
+        raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
+    out = form(eps, scale)
+    return float(out) if out.ndim == 0 else out
+
+
+def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon):
     """Envelope tail bound ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``,
-    zero at ``eps = n alpha`` and decreasing beyond."""
-    scale = n * alpha
-    if not epsilon >= scale * (1.0 - 1e-12):  # NaN fails too
-        raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
-    return 0.25 * n * mu * (2.0 - scale / epsilon - epsilon / scale)
+    zero at ``eps = n alpha`` and decreasing beyond, at a scalar or 1-D eps."""
+    return _closed_form(alpha, n, epsilon, lambda e, s: 0.25 * n * mu * (2.0 - s / e - e / s))
 
 
-def closed_theta_star(mu: float, alpha: float, n: int, epsilon: float) -> float:
+def closed_theta_star(mu: float, alpha: float, n: int, epsilon):
     """Minimizer of the envelope bound, ``(mu/4 alpha)(1 - (n alpha/eps)^2)``."""
-    scale = n * alpha
-    if not epsilon >= scale * (1.0 - 1e-12):  # NaN fails too
-        raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
-    return 0.25 * mu / alpha * (1.0 - (scale / epsilon) ** 2)
+    return _closed_form(alpha, n, epsilon, lambda e, s: 0.25 * mu / alpha * (1.0 - (s / e) ** 2))
 
 
 def envelope_log_integral(alpha: float, mu: float, theta: float) -> float:

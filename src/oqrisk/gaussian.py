@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidInitialState,
     NegativeTime,
     NumericalDefect,
@@ -55,6 +56,10 @@ def gramian_finite(model: OqhoModel, t: float) -> np.ndarray:
 
 def _check_initial_cov(p0: np.ndarray, theta: np.ndarray):
     p0 = np.asarray(p0, dtype=float)
+    if p0.shape != theta.shape:
+        raise DimensionMismatch(f"P0 must be {theta.shape}, got shape {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise InvalidArgument("P0 must be finite")
     if np.linalg.norm(p0 - p0.T) > 1e-12 * max(1.0, np.linalg.norm(p0)):
         raise InvalidInitialState("initial covariance must be symmetric")
     wmin = np.linalg.eigvalsh(p0 + 1j * theta)[0]
@@ -77,8 +82,12 @@ def qcf_onepoint(model: OqhoModel, p0, s: float, t: float, u) -> complex:
     """
     if not 0 <= s <= t:
         raise NegativeTime(f"need 0 <= s <= t, got s={s}, t={t}")
-    p0 = _check_initial_cov(p0, model.theta)
     u = np.asarray(u, dtype=float)
+    if u.shape != (model.n,):
+        raise DimensionMismatch(f"u must have shape ({model.n},), got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidArgument("u must be finite")
+    p0 = _check_initial_cov(p0, model.theta)
     es = expm(model.a, s)
     p_at_s = es @ p0 @ es.T + gramian_finite(model, s)
     v = expm(model.a, t - s).T @ u
@@ -99,6 +108,8 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     vectors = np.asarray(vectors, dtype=float)
     if times.ndim != 1 or vectors.shape != (times.size, model.n):
         raise DimensionMismatch("need N times and an N x n array of vectors")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(vectors))):
+        raise InvalidArgument("times and vectors must be finite")
     if np.any(np.diff(times) < 0):
         raise UnsortedTimes("times must be nondecreasing")
     # the blocks v_j' S(t_j - t_i) v_i of vec' S vec, summed

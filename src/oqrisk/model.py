@@ -307,6 +307,10 @@ class OqhoModel:
             raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
                              f"{self.spectral_abscissa:.3e}")
         lams = np.asarray(lams, dtype=float)
+        if lams.ndim != 1:
+            raise DimensionMismatch(f"need 1-D frequencies, got shape {lams.shape}")
+        if not np.all(np.isfinite(lams)):
+            raise InvalidArgument("frequencies must be finite")
         u = self.omega_basis
         return np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a,
                                self.b @ np.hstack([u, u.conj()]))

@@ -330,15 +330,15 @@ def cumulant_rows(model, pi, orders):
 
 
 def bound_rows(model, pi, eps_values, method: str = "both"):
-    """Rows ``(epsilon, bound_closed, bound_numeric, theta_star)``; numeric
-    fields empty when not requested, else from one batched solve."""
+    """Rows ``(epsilon, bound_closed, bound_numeric, theta_star)``; fields
+    empty when not requested, else each column from one call over the grid."""
     analysis = deviations.DeviationAnalysis(model, pi)
     env, eps = analysis.envelope, deviations._epsilon_grid(eps_values)
     closed = numeric = theta_star = [None] * eps.size
     if env is not None and method in ("closed", "both"):
-        closed = [deviations.cramer_bound_closed(env.mu, env.alpha, model.n, e) for e in eps]
+        closed = deviations.cramer_bound_closed(env.mu, env.alpha, model.n, eps)
     if method in ("numeric", "both"):
-        numeric, theta_star = (a.tolist() for a in analysis._cramer_points(eps))
+        numeric, theta_star = analysis._cramer_points(eps)
     elif env is not None:
-        theta_star = [deviations.closed_theta_star(env.mu, env.alpha, model.n, e) for e in eps]
+        theta_star = deviations.closed_theta_star(env.mu, env.alpha, model.n, eps)
     return list(zip(eps, closed, numeric, theta_star))

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from oqrisk import DeviationAnalysis, model_from_matrices, paper_example_model, random_model
-from oqrisk.model import PhysicalParams, build_model, canonical_ccr
+from oqrisk.model import PhysicalParams, block_j, build_model, canonical_ccr
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -50,16 +50,19 @@ def make_models(seed, count, sizes=(2, 4, 6)):
 def hurwitz_model(ccr, m, seed):
     """The first draw of ``R`` (symmetric) and ``M`` (``m x n``) with unit
     normal entries from ``default_rng(seed)`` whose drift has abscissa below
-    -0.1, and the generator (rectangular couplings for ``m != n``)."""
+    -0.1, and the generator (rectangular couplings for ``m != n``).  The
+    eigenvalues of ``A = 2 Theta (R + M' J M)`` screen each draw, with a
+    1e-9 margin, and only a draw that passes is built and decided on."""
     rng = np.random.default_rng(seed)
-    n = ccr.n
+    n, j = ccr.n, block_j(m)
     for _ in range(5000):
         r = rng.standard_normal((n, n))
         r = 0.5 * (r + r.T)
         mat = rng.standard_normal((m, n))
-        model = build_model(ccr, PhysicalParams(r=r, m=mat))
-        if model.spectral_abscissa < -0.1:
-            return model, rng
+        if np.linalg.eigvals(2.0 * ccr.theta @ (r + mat.T @ j @ mat)).real.max() < -0.1 + 1e-9:
+            model = build_model(ccr, PhysicalParams(r=r, m=mat))
+            if model.spectral_abscissa < -0.1:
+                return model, rng
     raise RuntimeError("no stable draw")
 
 

@@ -21,7 +21,7 @@ from oqrisk.classical import (
     simulate,
     zeta_view,
 )
-from oqrisk.errors import InsufficientPaths, ThetaOutOfRange
+from oqrisk.errors import DimensionMismatch, InsufficientPaths, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm, integrate_frequency, sqrt_psd
 from oqrisk.quartic import mean_rate
@@ -243,6 +243,11 @@ class TestQuadformVariance:
         batch = simulate(tiny, 0.1, 3, 30_000, seed=13)
         est = mc_quadform_variance(batch, np.eye(2))
         assert abs(est.value - 1.0) < 5.0 * est.stderr
+
+    def test_mc_validator_weight_shape(self, paper):
+        batch = simulate(paper[0], 0.05, 2, 200, 1)
+        with pytest.raises(DimensionMismatch):
+            mc_quadform_variance(batch, np.eye(2))
 
 
 class TestRateVariants:

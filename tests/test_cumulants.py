@@ -20,7 +20,8 @@ from oqrisk.cumulants import (
     delta_table,
     wick_moment_oracle,
 )
-from oqrisk.errors import GridTooLarge, NotHurwitz, OrderTooLarge
+from oqrisk.errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NotHurwitz,
+                           OrderTooLarge)
 from oqrisk.matfun import _resonance_edges, trapezoid_weights
 from oqrisk.model import canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
@@ -464,6 +465,21 @@ class TestWickOracle:
         with pytest.raises(OrderTooLarge):
             wick_moment_oracle(*paper, r=4, times=np.zeros(2), weights=np.ones(2))
 
+
+
+@pytest.mark.parametrize("func", [cumulant_td_discretized, wick_moment_oracle],
+                         ids=["descent", "pairing"])
+@pytest.mark.parametrize("times, weights, expected", [
+    ([0.0, 1.0, 2.0], [1.0, 1.0], DimensionMismatch),
+    ([[0.0, 1.0]], [[1.0, 1.0]], DimensionMismatch),
+    ([0.0, 1.0], [float("nan"), 1.0], InvalidArgument),
+    ([0.0, float("inf")], [1.0, 1.0], InvalidArgument),
+], ids=["unequal-lengths", "2d", "nan-weight", "inf-time"])
+def test_discretization_checked(paper, func, times, weights, expected):
+    # 1-D, finite times and weights of one length, else a typed error, not a
+    # bare numpy error or a NaN value
+    with pytest.raises(expected):
+        func(*paper, 2, times, weights)
 
 class TestCumulantsFromMoments:
     def test_first(self):

@@ -109,10 +109,31 @@ class TestQefUpperRate:
         with pytest.raises(ThetaOutOfRange):
             tiny_deviation.qef_upper_rate(-0.1)
 
+    def test_tiny_one_cut_accuracy(self, tiny_deviation):
+        # qef_upper_rate(theta) = 1 - sqrt(1 - 4 theta) and the bound at eps = 4
+        # is -1/4; every theta integrates to the table's one tail cut (2
+        # lam_base here), the cut that settles at theta_max
+        theta_max = 1.0 / (2.0 * tiny_deviation.f_infnorm())
+        rate = tiny_deviation.qef_upper_rate(0.5 * theta_max)
+        assert abs(rate - (1.0 - math.sqrt(0.5))) <= 1e-11
+        bound, theta_star = tiny_deviation.cramer_bound_numeric(4.0)
+        assert isinstance(rate, float) and isinstance(bound, float)
+        assert abs(bound + 0.25) <= 1e-11
+
+    def test_array_theta_is_the_scalar_calls(self, paper_deviation):
+        theta_max = 1.0 / (2.0 * paper_deviation.f_infnorm())
+        thetas = np.array([0.0, 0.1, 0.5, 0.9, 1.0 - 1e-9]) * theta_max
+        got = paper_deviation.qef_upper_rate(thetas)
+        assert got.shape == thetas.shape and not np.signbit(got[0])
+        assert np.array_equal(got, [paper_deviation.qef_upper_rate(float(t)) for t in thetas])
+        for bad in (np.append(thetas, np.nan), np.append(thetas, theta_max)):
+            with pytest.raises(ThetaOutOfRange):
+                paper_deviation.qef_upper_rate(bad)
+
     def test_convex_increasing(self, tiny_deviation):
         theta_max = 1.0 / (2.0 * tiny_deviation.f_infnorm())
         grid = np.linspace(0.05, 0.85, 9) * theta_max
-        vals = np.array([tiny_deviation.qef_upper_rate(t) for t in grid])
+        vals = tiny_deviation.qef_upper_rate(grid)
         assert np.all(np.diff(vals) > 0)
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-8)
@@ -131,13 +152,12 @@ class TestQefUpperRate:
         # wide elsewhere on [0, 30], geometric beyond, dyadic toward 0, with
         # the library's tail correction
         table = da._table
-        cuts = table.base * 2.0 ** np.arange(table.fcut.size)
         edges = np.unique(np.concatenate([
-            table.base * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
+            table.cut * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
             np.arange(1.5, 2.5, 0.01), np.arange(19.5, 24.5, 0.01),
-            np.geomspace(30.0, cuts[-1], 60), cuts]))
+            np.geomspace(30.0, table.cut, 60), [table.cut]]))
         nodes, weights = gauss_panels(edges, 16)
-        fine = _FTable(base=table.base, nodes=nodes, weights=weights,
+        fine = _FTable(cut=table.cut, nodes=nodes, weights=weights,
                        fvals=da.f_transform(nodes), fcut=table.fcut)
         want = [-model.n / (4.0 * math.pi) * _tail_corrected_log_integral(fine, theta, da.n0, TOL)
                 for theta in thetas]
@@ -277,10 +297,20 @@ class TestClosedBound:
         n = 4
         scale = n * env.alpha
         eps = np.linspace(scale, 5.0 * scale, 30)
-        vals = np.array([cramer_bound_closed(env.mu, env.alpha, n, e) for e in eps])
+        vals = cramer_bound_closed(env.mu, env.alpha, n, eps)
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(vals[1:] < 0)
         assert np.all(np.diff(vals) < 0)  # decreasing past the zero
+
+    @pytest.mark.parametrize("closed", [cramer_bound_closed, closed_theta_star])
+    def test_grid_is_the_scalar_calls(self, paper_deviation, closed):
+        env = paper_deviation.envelope
+        eps = np.linspace(1.0, 3.0, 7) * 4 * env.alpha
+        got = closed(env.mu, env.alpha, 4, eps)
+        assert np.array_equal(got, [closed(env.mu, env.alpha, 4, float(e)) for e in eps])
+        assert isinstance(closed(env.mu, env.alpha, 4, float(eps[3])), float)
+        with pytest.raises(EpsilonTooSmall):
+            closed(env.mu, env.alpha, 4, np.insert(eps, 3, 2 * env.alpha))
 
 
 @pytest.mark.parametrize("bound", [
@@ -384,6 +414,15 @@ class TestBatchedCurve:
         bound, theta_star = da._cramer_points(grid)
         assert np.array_equal(numeric.bound, bound)
         assert np.array_equal(numeric.theta_star, theta_star)
+
+    def test_threshold_keeps_positive_zero(self, case):
+        # eps = n N(0) among live eps: theta* 0 and the bound +0.0, which the
+        # CSV prints as 0, not -0
+        da, eps = case
+        bound, theta_star = da._cramer_points(eps)
+        assert bound[0] == theta_star[0] == 0.0
+        assert not np.signbit(bound[0]) and not np.signbit(theta_star[0])
+        assert np.all(theta_star[1:] > 0.0)
 
     def test_empty_grid(self, case):
         bound, theta_star = case[0]._cramer_points(np.array([]))

@@ -6,6 +6,8 @@ from scipy.integrate import quad_vec
 
 from conftest import J2, make_models
 from oqrisk.errors import (
+    DimensionMismatch,
+    InvalidArgument,
     InvalidInitialState,
     NegativeTime,
     NotHurwitz,
@@ -283,3 +285,26 @@ class TestMultiPointQcf:
     def test_unsorted_rejected(self, paper):
         with pytest.raises(UnsortedTimes):
             qcf_multipoint_steady(paper[0], [1.0, 0.5], np.zeros((2, 4)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda m, p: qcf_onepoint(m, p[:2, :2], 0.0, 1.0, np.ones(m.n)), DimensionMismatch),
+    (lambda m, p: qcf_onepoint(m, p, 0.0, 1.0, np.ones(m.n + 1)), DimensionMismatch),
+    (lambda m, p: qcf_onepoint(m, p, 0.0, 1.0, np.full(m.n, NAN)), InvalidArgument),
+    (lambda m, p: qcf_onepoint(m, np.full_like(p, NAN), 0.0, 1.0, np.ones(m.n)),
+     InvalidArgument),
+    (lambda m, p: qcf_multipoint_steady(m, [0.0, 1.0], np.full((2, m.n), NAN)),
+     InvalidArgument),
+    (lambda m, p: m.density_factor([NAN]), InvalidArgument),
+    (lambda m, p: m.density_factor(np.zeros((2, 2))), DimensionMismatch),
+    (lambda m, p: m.weight_facts(np.eye(m.n)).density_eigs([NAN]), InvalidArgument),
+], ids=["qcf-p0-shape", "qcf-u-shape", "qcf-nan-u", "qcf-nan-p0", "qcf-multipoint-nan-vectors",
+        "density-factor-nan", "density-factor-2d", "density-eigs-nan"])
+def test_second_order_inputs_raise_typed_errors(paper, call, expected):
+    # refused before any arithmetic, so no NaN and no bare numpy error escapes
+    model = paper[0]
+    with pytest.raises(expected):
+        call(model, gramian_steady(model).p)

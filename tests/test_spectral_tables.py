@@ -75,17 +75,17 @@ def _t2_exp_integral(lam, end):
 class TestBlockedFilon:
     def test_matches_direct_sum(self, paper_deviation):
         da = paper_deviation
-        table = da._table
+        table, base = da._table, da._lam_base()
         segments = da._segments
         lams = np.concatenate((
             # the series branch and its edge, on the first and on a later segment
             np.array([0.0, 1e-6, 1e-4, 0.01, 0.1, 1.0, 1.001]) * FILON_SERIES / segments[0][1],
             np.array([0.1, 1.0, 1.001]) * FILON_SERIES / segments[4][1],
-            table.base * 2.0 ** np.array([-40, -20, -4, -3]),  # the pseudo-pole's ladder at 0
-            table.base / 8.0 * np.array([1, 2, 5]),
+            base * 2.0 ** np.array([-40, -20, -4, -3]),  # the pseudo-pole's ladder at 0
+            base / 8.0 * np.array([1, 2, 5]),
             # interior nodes, picked by their fraction of the table
             table.nodes[(np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * table.nodes.size).astype(int)],
-            table.base * 2.0 ** np.arange(len(table.fcut)),  # the cuts
+            [table.cut],  # the tail cut
             table.nodes[-2:],  # the table top
         ))
         got = _filon(segments, lams)
