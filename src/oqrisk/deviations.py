@@ -13,13 +13,15 @@ and Legendre transformation of that bound yields a tail estimate for
 * numeric: ``F`` from product (Filon) quadrature of the kernel sampled on
   a graded lag grid, whose step doubles each time the certified envelope
   falls 16-fold (a complex Filon sum per segment, blocked over
-  frequencies), tabulated once on the panels of the shared frequency rule
-  (:mod:`matfun`) at the kernel's pair poles and a pseudo-pole at 0, up to
-  one tail cut; every frequency integral is a weighted sum over that table
-  with an analytically corrected tail past the cut, for all thetas of a
-  call in one pass, so the optimal ``theta`` of every ``eps`` of a curve
-  comes from one batched bisection on the derivative equation and the
-  curve's bounds from one more pass;
+  frequencies), tabulated once, in one transform call, on the panels of
+  the shared frequency rule (:mod:`matfun`) at the kernel's pair poles and
+  a pseudo-pole at 0 up to ``lam_base`` and on the rule's tail map ``lam =
+  lam_base / s`` beyond; every frequency integral of ``g(F) = c F +
+  O(F^2)`` is the exact ``int_0^inf F = pi N(0)`` for its linear term plus
+  a weighted sum over that table for the rest, for all thetas of a call
+  in one pass, so the optimal ``theta`` of every ``eps`` of a curve comes
+  from one batched bisection on the derivative equation and the curve's
+  bounds from one more pass;
 * closed form: the exponential envelope ``N(tau) <= alpha e^{-mu |tau|}``
   certified by a Lyapunov inequality, for which every integral is explicit
   and the bound is ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``.
@@ -182,11 +184,8 @@ def _filon(segments, lam) -> np.ndarray:
 
 # A pseudo-pole at lam = 0 of depth lam_base 2^-GRADE_DEPTH grades the table
 # toward the peak of 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)),
-# up to theta = theta_max (1 - 1e-10).  The tail cut is one lam_base 2^j, j <= MAX_CUT.
+# up to theta = theta_max (1 - 1e-10).
 GRADE_DEPTH = 40
-MAX_CUT = 6
-# Working tolerance of the tail cut and its corrections in the bounds.
-TOL = 1e-9
 #: Below ``|lam h| = FILON_SERIES`` Filon's weights come from their Taylor series
 #: in ``t = lam h`` (row j: the ``t^(2j)`` coefficients of alpha / t^3, beta and
 #: gamma), good to ~2e-16; above, from closed forms that lose ~``eps / t^2``.
@@ -198,34 +197,27 @@ _FILON_TAYLOR = np.array([[2 * k * (-4) ** (k + 1) / math.factorial(2 * k + 4),
 
 @dataclass(frozen=True)
 class _FTable:
-    """``F`` at the nodes of a composite Gauss-Legendre rule on [0, cut], and
-    ``fcut = F(cut)`` at the one tail cut that every integral over it uses."""
+    """``F`` at the nodes of a composite Gauss-Legendre rule on ``[0, inf)``,
+    and ``f0 = F(0)``."""
 
-    cut: float
     nodes: np.ndarray
     weights: np.ndarray
     fvals: np.ndarray
-    fcut: float
+    f0: float
 
 
-# The peak and the cuts of the tail-bound tables, in units of their lam_base.
-_PEAK_AND_CUTS = (0.0, *(2.0**j for j in range(MAX_CUT + 1)))
-
-
-def _tabulate(ffun, base, tol, poles, peak_cuts) -> _FTable:
-    """Tabulate ``ffun`` (vectorised, ``peak_cuts`` at ``base _PEAK_AND_CUTS``) on
-    ``RULE_ORDER``-point panels of the frequency rule (:func:`_resonance_edges`)
-    for ``poles`` and a pseudo-pole at 0 of depth ``base 2^-GRADE_DEPTH``, up
-    to the one tail cut: the first ``lam = base 2^j`` at which the cubic tail
-    term ``c3 c^3 / (5 lam^5)`` (``F ~ c / lam^2``) is below ``tol / 10`` at
-    ``theta_max``, where it is largest."""
-    s, fcut = 1.0 / peak_cuts[0], peak_cuts[1:]
-    lam = base * 2.0 ** np.arange(fcut.size)
-    settled = np.abs(max(s**3 / 3.0, s**2) * (fcut * lam**2) ** 3 / (5.0 * lam**5)) <= 0.1 * tol
-    top = int(settled.argmax()) if settled.any() else MAX_CUT  # thetas past it raise
-    edges = _resonance_edges(np.append(poles, -base * 2.0**-GRADE_DEPTH), lam[top])
-    nodes, weights = gauss_panels(edges, RULE_ORDER)
-    return _FTable(lam[top], nodes, weights, ffun(nodes), fcut[top])
+def _tabulate(ffun, cut, poles) -> _FTable:
+    """Tabulate ``ffun`` (vectorised) at 0 and on ``RULE_ORDER``-point panels
+    of the frequency rule (:func:`_resonance_edges`) for ``poles`` and a
+    pseudo-pole at 0 of depth ``cut 2^-GRADE_DEPTH`` up to ``cut``, then on
+    the rule's tail ``lam = cut / s``, ``s in (0, 1]`` (weights ``w_s cut /
+    s^2``), in one call."""
+    edges = _resonance_edges(np.append(poles, -cut * 2.0**-GRADE_DEPTH), cut)
+    mid, w_mid = gauss_panels(edges, RULE_ORDER)
+    s, w_s = gauss_panels([0.0, 1.0], RULE_ORDER)
+    nodes = np.concatenate([mid, cut / s])
+    fvals = ffun(np.append(0.0, nodes))
+    return _FTable(nodes, np.concatenate([w_mid, w_s * cut / s**2]), fvals[1:], float(fvals[0]))
 
 
 def _two_theta_f(theta, fvals):
@@ -236,28 +228,21 @@ def _two_theta_f(theta, fvals):
     return arg
 
 
-def _tail_corrected_integral(table: _FTable, g, coef, n0, tol):
-    """integral over R of g(F) for ``g(F) = coef[0] F + coef[1] F^2 +
-    coef[2] F^3 + ...``: weighted sums over the table, and past its one cut
-    the exact identity int_0^inf F = pi N(0) for the linear term and the F
-    ~ c / lam^2 asymptote for the quadratic and cubic terms.  Coefficients
-    may be arrays, one per row of ``g(F)``, each reduced as a one-row call;
-    :class:`NoConvergence` if a cubic term at the cut exceeds ``tol / 10``."""
-    cut, w, f = table.cut, table.weights, table.fvals
-    c_inf = table.fcut * cut**2
-    cubic = coef[2] * c_inf**3 / (5.0 * cut**5)
-    if not np.all(np.abs(cubic) <= 0.1 * tol):
-        raise NoConvergence("tail corrections did not settle")
-    tail = coef[0] * (math.pi * n0 - w @ f) + coef[1] * c_inf**2 / (3.0 * cut**3) + cubic
-    return 2.0 * ((g(f)[..., None, :] @ w[:, None])[..., 0, 0] + tail)
+def _tail_corrected_integral(table: _FTable, g, coef, n0):
+    """integral over R of g(F) for ``g(F) = coef F + O(F^2)``: the exact
+    identity int_0^inf F = pi N(0) for the linear term, and the table's
+    weighted sum for the rest, ``g(F) - coef F``.  ``coef`` may be an array,
+    one per row of ``g(F)``, each row reduced as a one-row call."""
+    f = table.fvals
+    rest = g(f) - np.asarray(coef)[..., None] * f
+    return 2.0 * ((rest[..., None, :] @ table.weights[:, None])[..., 0, 0] + coef * math.pi * n0)
 
 
-def _tail_corrected_log_integral(table: _FTable, theta, n0, tol):
+def _tail_corrected_log_integral(table: _FTable, theta, n0):
     """integral over R of ln(1 - 2 theta F), at a scalar or each of a 1-D theta."""
-    s = 2.0 * theta
     return _tail_corrected_integral(
         table, lambda f: np.log1p(-_two_theta_f(np.asarray(theta)[..., None], f)),
-        (-s, -s**2 / 2.0, -s**3 / 3.0), n0, tol)
+        -2.0 * theta, n0)
 
 
 class DeviationAnalysis:
@@ -270,8 +255,8 @@ class DeviationAnalysis:
     from the top eigenvalue of a Gram matrix ``rank(P + i Theta)`` wide (see
     :meth:`_build_grid`).  ``F`` at an array of frequencies is then one
     blocked complex Filon sum per segment (:func:`_filon`).  One call gives
-    the peak ``F(0)`` and the tail cuts, one more the bounds' table of ``F``
-    (:func:`_tabulate`), whose one tail cut serves every theta.
+    the bounds' table of ``F`` (:func:`_tabulate`) and its first entry, the
+    peak ``F(0)``; the table serves every theta and eps.
     """
 
     def __init__(self, model: OqhoModel, pi):
@@ -376,13 +361,9 @@ class DeviationAnalysis:
             out = 2.0 * _filon(self._segments, lam).real
         return float(out) if out.ndim == 0 else out
 
-    @cached_property
-    def _peak_cuts(self) -> np.ndarray:
-        return self.f_transform(np.multiply(self._lam_base(), _PEAK_AND_CUTS))
-
     def f_infnorm(self) -> float:
         """``||F||_inf = F(0)`` (valid since ``N >= 0``)."""
-        return 0.0 if self.degenerate else float(self._peak_cuts[0])
+        return 0.0 if self.degenerate else self._table.f0
 
     def _lam_base(self) -> float:
         return max(50.0, 20.0 * (opnorm2(self.model.a) + self.envelope.mu))
@@ -392,8 +373,7 @@ class DeviationAnalysis:
         # F depends on neither theta nor eps: one table serves every bound.  F
         # beats at the poles mu_i + conj(mu_j) of K K*, whose top eigenvalue is N^2
         mu = self.model.eig.values
-        poles = np.add.outer(mu, mu.conj())
-        return _tabulate(self.f_transform, self._lam_base(), TOL, poles, self._peak_cuts)
+        return _tabulate(self.f_transform, self._lam_base(), np.add.outer(mu, mu.conj()))
 
     def qef_upper_rate(self, theta):
         """Upper bound on the exponential-cost growth rate; zero at
@@ -409,16 +389,14 @@ class DeviationAnalysis:
             if theta.max() >= theta_max:
                 raise ThetaOutOfRange(f"theta = {theta.max()} outside [0, {theta_max:.6e})")
             out[live] = -self.model.n / (4.0 * math.pi) * _tail_corrected_log_integral(
-                self._table, theta[live], self.n0, TOL)
+                self._table, theta[live], self.n0)
         return float(out) if out.ndim == 0 else out
 
     def _derivs(self, thetas: np.ndarray) -> np.ndarray:
         """``(n / 2 pi) integral over R of F / (1 - 2 theta F)`` at each of
         the 1-D ``thetas``, in one pass over the table."""
-        s = 2.0 * thetas
         val = _tail_corrected_integral(
-            self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)),
-            (1.0, s, s**2), self.n0, TOL)
+            self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)), 1.0, self.n0)
         return self.model.n / (2.0 * math.pi) * val
 
     def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +466,21 @@ def _epsilon_grid(eps, ndim: int = 1) -> np.ndarray:
     return eps
 
 
-def _closed_form(alpha: float, n: int, epsilon, form):
+def _envelope_guard(mu: float, alpha: float, theta: float = 0.0) -> None:
+    """:class:`InvalidArgument` unless the envelope's ``mu`` and ``alpha`` are
+    finite and positive, then :class:`ThetaOutOfRange` unless ``0 <= theta <
+    mu / (4 alpha)``, the envelope integrals' domain.  NaN fails both."""
+    if not (0.0 < mu < math.inf and 0.0 < alpha < math.inf):
+        raise InvalidArgument(f"envelope needs finite positive mu, alpha; got {mu}, {alpha}")
+    if not 0.0 <= theta < 0.25 * mu / alpha:
+        raise ThetaOutOfRange("theta outside the envelope interval [0, mu/(4 alpha))")
+
+
+def _closed_form(mu: float, alpha: float, n: int, epsilon, form):
     """``form(eps, n alpha)``: a float for a scalar ``eps``, an array for an
-    array; :class:`EpsilonTooSmall` if an ``eps`` is below ``n alpha``."""
+    array; :class:`InvalidArgument` for an invalid envelope (``mu``,
+    ``alpha``), :class:`EpsilonTooSmall` if an ``eps`` is below ``n alpha``."""
+    _envelope_guard(mu, alpha)
     eps, scale = np.asarray(epsilon, dtype=float), n * alpha
     if not np.all(eps >= scale * (1.0 - 1e-12)):  # NaN fails too
         raise EpsilonTooSmall(f"epsilon = {epsilon} below n*alpha = {scale}")
@@ -501,30 +491,26 @@ def _closed_form(alpha: float, n: int, epsilon, form):
 def cramer_bound_closed(mu: float, alpha: float, n: int, epsilon):
     """Envelope tail bound ``(n mu / 4)(2 - n alpha / eps - eps / (n alpha))``,
     zero at ``eps = n alpha`` and decreasing beyond, at a scalar or 1-D eps."""
-    return _closed_form(alpha, n, epsilon, lambda e, s: 0.25 * n * mu * (2.0 - s / e - e / s))
+    return _closed_form(mu, alpha, n, epsilon, lambda e, s: 0.25 * n * mu * (2.0 - s / e - e / s))
 
 
 def closed_theta_star(mu: float, alpha: float, n: int, epsilon):
     """Minimizer of the envelope bound, ``(mu/4 alpha)(1 - (n alpha/eps)^2)``."""
-    return _closed_form(alpha, n, epsilon, lambda e, s: 0.25 * mu / alpha * (1.0 - (s / e) ** 2))
+    return _closed_form(mu, alpha, n, epsilon,
+                        lambda e, s: 0.25 * mu / alpha * (1.0 - (s / e) ** 2))
 
 
 def envelope_log_integral(alpha: float, mu: float, theta: float) -> float:
     """Numeric ``-integral ln(1 - 2 theta Fhat)`` for the analytic envelope
-    transform ``Fhat = 2 alpha mu / (lam^2 + mu^2)``; crosscheck target for
-    the closed form ``2 pi (mu - sqrt(mu^2 - 4 theta alpha mu))``."""
-    if not 0 <= theta < 0.25 * mu / alpha:
-        raise ThetaOutOfRange("theta outside the envelope interval [0, mu/(4 alpha))")
-
-    def fhat(lam):
-        return 2.0 * alpha * mu / (lam * lam + mu * mu)
-
-    tol = 1e-10  # tighter than TOL: this is the cross-check target
-    base = max(50.0, 20.0 * mu)
-    table = _tabulate(fhat, base, tol, [-mu], fhat(np.multiply(base, _PEAK_AND_CUTS)))
-    return -_tail_corrected_log_integral(table, theta, alpha, tol)
+    transform ``Fhat = 2 alpha mu / (lam^2 + mu^2)`` of ``alpha e^{-mu |tau|}``,
+    on the tail bounds' table; crosscheck target for the closed form."""
+    _envelope_guard(mu, alpha, theta)
+    table = _tabulate(lambda lam: 2.0 * alpha * mu / (lam * lam + mu * mu),
+                      max(50.0, 20.0 * mu), [-mu])
+    return -_tail_corrected_log_integral(table, theta, alpha)
 
 
 def envelope_log_integral_closed(alpha: float, mu: float, theta: float) -> float:
+    """``-integral ln(1 - 2 theta Fhat) = 2 pi (mu - sqrt(mu^2 - 4 theta alpha mu))``."""
+    _envelope_guard(mu, alpha, theta)
     return 2.0 * math.pi * (mu - math.sqrt(mu * mu - 4.0 * theta * alpha * mu))
-

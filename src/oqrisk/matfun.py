@@ -18,7 +18,8 @@ one place.  Conventions:
   the embedded Gauss rule as certificate.  An integral over the whole line
   is the half-line integral of ``f(lam) + f(-lam)``; the callers whose
   integrands are even in ``lam`` (the cumulant rates) need no fold.  The
-  tail bounds' table of ``F`` takes the rule's panels, with Gauss nodes.
+  tail bounds' table of ``F`` takes the rule's panels and its tail map,
+  with Gauss nodes.
 """
 
 from __future__ import annotations

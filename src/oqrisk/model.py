@@ -157,7 +157,7 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Real symmetric cost weight.  Nonnegativity is checked where
+    """Real finite symmetric cost weight.  Nonnegativity is checked where
     ``sqrt(Pi)`` is formed (``WeightFacts.root`` raises :class:`NotPsd`)."""
 
     pi: np.ndarray
@@ -166,6 +166,7 @@ class WeightMatrix:
         pi = np.asarray(self.pi, dtype=float)
         if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise DimensionMismatch(f"Pi must be square, got shape {pi.shape}")
+        matfun._require_finite(pi, "Pi")
         if np.linalg.norm(pi - pi.T) != 0.0:
             raise NotSymmetric("Pi - Pi' must vanish exactly")
         object.__setattr__(self, "pi", _freeze(pi))

@@ -5,8 +5,6 @@ import pytest
 
 from conftest import damped_mode, make_models, random_sym
 from oqrisk.deviations import (
-    MAX_CUT,
-    TOL,
     DeviationAnalysis,
     _FTable,
     _tail_corrected_integral,
@@ -111,8 +109,8 @@ class TestQefUpperRate:
 
     def test_tiny_one_cut_accuracy(self, tiny_deviation):
         # qef_upper_rate(theta) = 1 - sqrt(1 - 4 theta) and the bound at eps = 4
-        # is -1/4; every theta integrates to the table's one tail cut (2
-        # lam_base here), the cut that settles at theta_max
+        # is -1/4; every theta integrates over the table's panels up to
+        # lam_base and its mapped tail beyond
         theta_max = 1.0 / (2.0 * tiny_deviation.f_infnorm())
         rate = tiny_deviation.qef_upper_rate(0.5 * theta_max)
         assert abs(rate - (1.0 - math.sqrt(0.5))) <= 1e-11
@@ -149,19 +147,32 @@ class TestQefUpperRate:
         thetas = np.array([0.3, 0.9]) / (2.0 * da.f_infnorm())
         got = [da.qef_upper_rate(theta) for theta in thetas]
         # reference: 16-point panels 0.01 wide within 0.5 of the beats, 0.1
-        # wide elsewhere on [0, 30], geometric beyond, dyadic toward 0, with
-        # the library's tail correction
-        table = da._table
+        # wide elsewhere on [0, 30], geometric up to lam_base, dyadic toward
+        # 0, and the library's mapped tail lam = lam_base / s beyond
+        base = da._lam_base()
         edges = np.unique(np.concatenate([
-            table.cut * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
+            base * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
             np.arange(1.5, 2.5, 0.01), np.arange(19.5, 24.5, 0.01),
-            np.geomspace(30.0, table.cut, 60), [table.cut]]))
+            np.geomspace(30.0, base, 60), [base]]))
         nodes, weights = gauss_panels(edges, 16)
-        fine = _FTable(cut=table.cut, nodes=nodes, weights=weights,
-                       fvals=da.f_transform(nodes), fcut=table.fcut)
-        want = [-model.n / (4.0 * math.pi) * _tail_corrected_log_integral(fine, theta, da.n0, TOL)
+        s, w_s = gauss_panels([0.0, 1.0], 16)
+        nodes, weights = np.append(nodes, base / s), np.append(weights, w_s * base / s**2)
+        fine = _FTable(nodes=nodes, weights=weights, fvals=da.f_transform(nodes),
+                       f0=da.f_infnorm())
+        want = [-model.n / (4.0 * math.pi) * _tail_corrected_log_integral(fine, theta, da.n0)
                 for theta in thetas]
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["tiny", "paper"])
+    def test_mapped_tail_is_cut_independent(self, name, tiny, paper, monkeypatch):
+        # the table's panels end at lam_base and its tail lam = lam_base / s
+        # takes the rest; a table whose panels run 8 times as far agrees
+        model, pi = {"tiny": (tiny, np.eye(2)), "paper": paper}[name]
+        da, far = DeviationAnalysis(model, pi), DeviationAnalysis(model, pi)
+        monkeypatch.setattr(far, "_lam_base", lambda: 8.0 * da._lam_base())
+        thetas = np.array([0.3, 0.9]) / (2.0 * da.f_infnorm())
+        assert da.qef_upper_rate(thetas) == pytest.approx(far.qef_upper_rate(thetas),
+                                                          rel=5e-14, abs=0.0)
 
 
 class TestCramerNumeric:
@@ -292,6 +303,14 @@ class TestClosedBound:
         with pytest.raises(EpsilonTooSmall):
             cramer_bound_closed(1.0, 1.0, 2, 1.9)
 
+    @pytest.mark.parametrize("mu, alpha", [(np.nan, 1.0), (-1.0, 1.0), (np.inf, 1.0),
+                                           (1.0, 0.0), (1.0, np.nan), (1.0, -1.0)])
+    @pytest.mark.parametrize("closed", [cramer_bound_closed, closed_theta_star])
+    def test_invalid_envelope_refused(self, closed, mu, alpha):
+        # checked before the eps test: alpha = nan would fail that one too
+        with pytest.raises(InvalidArgument):
+            closed(mu, alpha, 2, 4.0)
+
     def test_paper_curve_shape(self, paper_deviation):
         env = paper_deviation.envelope
         n = 4
@@ -356,9 +375,7 @@ def _one_point(da, eps):
     theta_max = 1.0 / (2.0 * da.f_infnorm())
 
     def deriv(theta):
-        s = 2.0 * theta
-        val = _tail_corrected_integral(da._table, lambda f: f / (1.0 - 2.0 * theta * f),
-                                       (1.0, s, s**2), da.n0, TOL)
+        val = _tail_corrected_integral(da._table, lambda f: f / (1.0 - 2.0 * theta * f), 1.0, da.n0)
         return da.model.n / (2.0 * math.pi) * val
 
     delta = 1e-6
@@ -435,16 +452,16 @@ class TestBatchedCurve:
             da._cramer_points(low)
 
 
-def test_two_transform_calls_per_analysis(paper, monkeypatch):
-    # F(0) is the first entry of the one peak-and-cuts transform, which the
-    # table reuses; the table's nodes take the other call
+def test_one_transform_call_per_analysis(paper, monkeypatch):
+    # F(0) is the first entry of the table's one transform, on its nodes
     da = DeviationAnalysis(*paper)
-    sizes, transform = [], da.f_transform
-    monkeypatch.setattr(da, "f_transform", lambda lam: sizes.append(np.size(lam)) or transform(lam))
+    calls, transform = [], da.f_transform
+    monkeypatch.setattr(da, "f_transform", lambda lam: calls.append(lam) or transform(lam))
     theta_max = 1.0 / (2.0 * da.f_infnorm())
     da.bound_curve(np.linspace(280.0, 900.0, 4))
     da.qef_upper_rate(0.5 * theta_max)
-    assert sizes == [MAX_CUT + 2, da._table.nodes.size]
+    assert len(calls) == 1 and calls[0].size == da._table.nodes.size + 1
+    assert calls[0][0] == 0.0 and np.array_equal(calls[0][1:], da._table.nodes)
 
 
 @pytest.mark.parametrize("call", [
@@ -470,4 +487,11 @@ class TestEnvelopeCrosscheck:
             theta = rng.uniform(0.05, 0.95) * 0.25 * mu / alpha
             num = envelope_log_integral(alpha, mu, theta)
             closed = envelope_log_integral_closed(alpha, mu, theta)
-            assert num == pytest.approx(closed, rel=1e-6)
+            assert num == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [10.0, np.nan, -1.0], ids=["past-end", "nan", "negative"])
+    @pytest.mark.parametrize("integral", [envelope_log_integral, envelope_log_integral_closed])
+    def test_theta_guard_is_shared(self, integral, theta):
+        # the domain is [0, mu / (4 alpha)) = [0, 1/4) for both routes
+        with pytest.raises(ThetaOutOfRange):
+            integral(1.0, 1.0, theta)

@@ -12,6 +12,7 @@ from oqrisk.deviations import DeviationAnalysis
 from oqrisk.errors import (
     ConfigError,
     DimensionMismatch,
+    InvalidArgument,
     NotAntisymmetric,
     NotPsd,
     NotSymmetric,
@@ -105,6 +106,20 @@ class TestValidation:
         # the 4-dimensional paper fixture with a 3 x 3 cost weight
         with pytest.raises(DimensionMismatch):
             analysis(paper[0], np.eye(3))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("analysis", [
+        lambda model, pi: WeightMatrix(pi),
+        lambda model, pi: cumulant_rate(model, pi, 2),
+    ], ids=["WeightMatrix", "cumulant_rate"])
+    def test_rejects_non_finite_weight(self, paper, analysis, bad, entry):
+        # a symmetric weight with a NaN or inf entry: not reported as an
+        # asymmetric one, and no inf - inf warning from the symmetry test
+        pi = paper[1].copy()
+        pi[entry] = pi[entry[::-1]] = bad
+        with pytest.raises(InvalidArgument):
+            analysis(paper[0], pi)
 
     def test_weight_facts_validates_once(self, paper):
         model = paper[0]

@@ -85,7 +85,7 @@ class TestBlockedFilon:
             base / 8.0 * np.array([1, 2, 5]),
             # interior nodes, picked by their fraction of the table
             table.nodes[(np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * table.nodes.size).astype(int)],
-            [table.cut],  # the tail cut
+            [base],  # the tail cut
             table.nodes[-2:],  # the table top
         ))
         got = _filon(segments, lams)
