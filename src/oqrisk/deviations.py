@@ -13,10 +13,10 @@ and Legendre transformation of that bound yields a tail estimate for
 * numeric: ``F`` from product (Filon) quadrature of the kernel sampled on
   a graded lag grid, whose step doubles each time the certified envelope
   falls 16-fold (a complex Filon sum per segment, blocked over
-  frequencies), tabulated once, in one transform call, on the panels of
-  the shared frequency rule (:mod:`matfun`) at the kernel's pair poles and
-  a pseudo-pole at 0 up to ``lam_base`` and on the rule's tail map ``lam =
-  lam_base / s`` beyond; every frequency integral of ``g(F) = c F +
+  frequencies), tabulated once, in one transform call, at the Gauss nodes
+  of the shared frequency rule (:mod:`matfun`) for the kernel's pair poles
+  and a pseudo-pole at 0 up to ``lam_base``, and on the rule's tail map
+  ``lam = lam_base / s`` beyond; every frequency integral of ``g(F) = c F +
   O(F^2)`` is the exact ``int_0^inf F = pi N(0)`` for its linear term plus
   a weighted sum over that table for the rest, for all thetas of a call
   in one pass, so the optimal ``theta`` of every ``eps`` of a curve comes
@@ -47,8 +47,8 @@ from .errors import (
     NumericalDefect,
     ThetaOutOfRange,
 )
-from .matfun import (RULE_BLOCK, RULE_ORDER, _resonance_edges, expm_ladder, gauss_panels,
-                     inv_sqrt_psd, lyap_solve, opnorm2, sqrt_psd)
+from .matfun import (RULE_BLOCK, _frequency_rule, expm_ladder, inv_sqrt_psd, lyap_solve,
+                     opnorm2, sqrt_psd)
 from .model import OqhoModel
 
 __all__ = [
@@ -207,17 +207,15 @@ class _FTable:
 
 
 def _tabulate(ffun, cut, poles) -> _FTable:
-    """Tabulate ``ffun`` (vectorised) at 0 and on ``RULE_ORDER``-point panels
-    of the frequency rule (:func:`_resonance_edges`) for ``poles`` and a
-    pseudo-pole at 0 of depth ``cut 2^-GRADE_DEPTH`` up to ``cut``, then on
-    the rule's tail ``lam = cut / s``, ``s in (0, 1]`` (weights ``w_s cut /
-    s^2``), in one call."""
-    edges = _resonance_edges(np.append(poles, -cut * 2.0**-GRADE_DEPTH), cut)
-    mid, w_mid = gauss_panels(edges, RULE_ORDER)
-    s, w_s = gauss_panels([0.0, 1.0], RULE_ORDER)
-    nodes = np.concatenate([mid, cut / s])
-    fvals = ffun(np.append(0.0, nodes))
-    return _FTable(nodes, np.concatenate([w_mid, w_s * cut / s**2]), fvals[1:], float(fvals[0]))
+    """Tabulate ``ffun`` (vectorised) at 0 and at the Gauss half of the
+    frequency rule (:func:`_frequency_rule`, unhalved) for ``poles`` and a
+    pseudo-pole at 0 of depth ``cut 2^-GRADE_DEPTH`` up to ``cut``: the
+    16-point Gauss-Legendre panels up to ``cut`` and on the tail ``lam = cut
+    / s``, the nodes whose Gauss weight is nonzero, in one call."""
+    nodes, (_, weights) = _frequency_rule(np.append(poles, -cut * 2.0**-GRADE_DEPTH), cut, 0)
+    gauss = weights != 0.0
+    fvals = ffun(np.append(0.0, nodes[gauss]))
+    return _FTable(nodes[gauss], weights[gauss], fvals[1:], float(fvals[0]))
 
 
 def _two_theta_f(theta, fvals):
@@ -309,6 +307,12 @@ class DeviationAnalysis:
         S`` for ``G = sum L_s 2^-s`` over ``S`` segments, so ``h`` is scaled
         by one common factor into ``[G / (2 (100_000 - S)), G / 2000]``.
         Where the cap binds (the damped mode), the a priori budget is void.
+
+        *Scale.*  The ladder samples ``N / 2^e``, ``2^e`` the power of two of
+        ``N(0)``, and the grid is scaled back: the Gram eigenvalue ``N^2``
+        of a weight near 1e-300 would underflow to 0.  A power of two scales
+        exactly, so a grid in the normal range is the unscaled one bit for
+        bit.
         """
         if self._grid is not None or self.degenerate:
             return
@@ -331,18 +335,19 @@ class DeviationAnalysis:
         # (the eigenvalues above the numerical-rank floor n eps max) and
         # S = (V* Pi V)^{1/2}, K K* = (R E V S)(R E V S)* for K = R E Q R,
         # R = sqrt(Pi), E = e^{tau A}: N is the top singular value of the
-        # n x rank(Q) matrix R E V S.
+        # n x rank(Q) matrix R E V S, sampled as N / 2^e (Scale, above).
         q, u = np.linalg.eigh(self.quantum)
         keep = q > q.size * np.finfo(float).eps * q[-1]
         thin = u[:, keep] * np.sqrt(q[keep])
-        right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin)
+        unit = math.ldexp(1.0, -math.frexp(self.n0)[1])
+        right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin) * unit
         # N(a_s + k h_s) for k = 0 .. 2 m_s - 1, and the end sample N(tau*)
         counts = 2 * pairs
         counts[-1] += 1
         grid = np.concatenate([
             expm_ladder(self.model.a, self.model.eig, step, count, left=self.root_pi,
                         right=right, reduce=_top_singular_value, start=start)
-            for start, step, count in zip(starts, steps, counts)])
+            for start, step, count in zip(starts, steps, counts)]) / unit
         offsets = np.concatenate(([0], np.cumsum(2 * pairs)))
         self._segments = [(start, step, grid[lo:hi + 1])
                           for start, step, lo, hi in zip(starts, steps, offsets, offsets[1:])]
@@ -400,37 +405,34 @@ class DeviationAnalysis:
         return self.model.n / (2.0 * math.pi) * val
 
     def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(bound, theta_star)`` at each of the 1-D ``eps``: one bracket and
-        one bisection loop over every live ``eps`` at once, each making the
+        """``(bound, theta_star)`` at each of the 1-D ``eps``: one bracket pass
+        and one bisection loop over every ``eps`` at once, each making the
         comparisons of a bisection of its own; then one ``qef_upper_rate``
         pass over every ``theta_star``."""
         threshold = self.model.n * self.n0
         low = ~(eps >= threshold * (1.0 - 1e-12))  # NaN fails too
         if low.any():
             raise EpsilonTooSmall(f"epsilon = {eps[low][0]} below n*N(0) = {threshold}")
-        if self.degenerate or self.f_infnorm() == 0.0:
+        if self.degenerate:
             return np.where(eps == 0.0, 0.0, -math.inf), np.where(eps == 0.0, 0.0, math.inf)
-        live = np.flatnonzero(eps > threshold * (1.0 + 1e-14))  # the rest are (0, 0)
+        live = eps > threshold * (1.0 + 1e-14)  # the rest are (0, 0)
         theta_max = 1.0 / (2.0 * self.f_infnorm())
-        # stop short of theta_max by more than F's noise floor: 1 - 2 theta F > 0
-        lo, hi = np.zeros(live.size), np.empty(live.size)
-        open_, delta = np.arange(live.size), 1e-6
-        while open_.size:
-            if delta < 1e-9:
-                raise NoConvergence("derivative equation has no bracketable root below "
-                                    "the numerically safe end of the theta interval")
-            top = theta_max * (1.0 - delta)
-            closes = ~(self._derivs(np.array([top]))[0] < eps[live[open_]])
-            hi[open_[closes]] = top
-            open_, delta = open_[~closes], delta * 1e-2
-        step = np.flatnonzero(hi - lo > 1e-10 * theta_max)
-        while step.size:
-            mid = 0.5 * (lo[step] + hi[step])
-            below = self._derivs(mid) < eps[live[step]]
-            lo[step[below]], hi[step[~below]] = mid[below], mid[~below]
-            step = step[hi[step] - lo[step] > 1e-10 * theta_max]
-        theta_star = np.zeros(eps.size)
-        theta_star[live] = 0.5 * (lo + hi)  # 0 gives the bound +0
+        # stop short of theta_max by more than F's noise floor: 1 - 2 theta F > 0;
+        # the first top at which the derivative reaches eps closes the bracket
+        tops = theta_max * (1.0 - np.array([1e-6, 1e-8]))
+        reach = ~(self._derivs(tops)[:, None] < eps)
+        if not np.all(reach[1] | ~live):
+            raise NoConvergence("derivative equation has no bracketable root below "
+                                "the numerically safe end of the theta interval")
+        lo, hi = np.zeros(eps.size), np.where(live, np.where(reach[0], tops[0], tops[1]), 0.0)
+        # every bracket starts at lo = 0 with hi within 1e-6 of theta_max, so every
+        # eps stops after exactly 34 halvings (width 1.16e-10 theta_max after 33,
+        # 5.8e-11 after 34): one loop halves them all
+        while np.any(hi - lo > 1e-10 * theta_max):
+            mid = 0.5 * (lo + hi)
+            below = self._derivs(mid) < eps
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        theta_star = 0.5 * (lo + hi)  # 0 gives the bound +0
         return self.qef_upper_rate(theta_star) - theta_star * eps, theta_star
 
     def cramer_bound_numeric(self, epsilon: float) -> tuple[float, float]:
@@ -445,14 +447,14 @@ class DeviationAnalysis:
 
     def bound_curve(self, eps_grid) -> list[TailBoundCurve]:
         """Closed-form curve over the 1-D grid, plus the numeric curve (one
-        batched solve) whenever the transform admits one."""
+        batched solve) for every nonzero weight."""
         eps = _epsilon_grid(eps_grid)
         env, curves = self.envelope, []
         if env is not None:
             args = (env.mu, env.alpha, self.model.n, eps)
             curves.append(TailBoundCurve(eps, cramer_bound_closed(*args),
                                          closed_theta_star(*args), "closed_form"))
-        if not self.degenerate and self.f_infnorm() > 0.0:
+        if not self.degenerate:
             curves.append(TailBoundCurve(eps, *self._cramer_points(eps), method="numeric"))
         return curves
 

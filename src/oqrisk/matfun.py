@@ -13,13 +13,15 @@ one place.  Conventions:
   phases at the segment start ``a`` formed directly, and otherwise steps by
   one exponential from ``e^{a A}`` (:func:`expm_ladder`).
 * Frequency integrals go through one rule on the half line ``lam >= 0``
-  (:func:`integrate_frequency`): composite Gauss-Kronrod panels graded
-  toward the resonances of the integrand's poles, one algebraic tail, and
-  the embedded Gauss rule as certificate.  An integral over the whole line
-  is the half-line integral of ``f(lam) + f(-lam)``; the callers whose
-  integrands are even in ``lam`` (the cumulant rates) need no fold.  The
-  tail bounds' table of ``F`` takes the rule's panels and its tail map,
-  with Gauss nodes.
+  (:func:`_frequency_rule`): composite Gauss-Kronrod panels graded toward
+  the resonances of the integrand's poles up to an upper end, laid out once
+  per pole set and upper end, and one algebraic tail beyond.
+  :func:`integrate_frequency` certifies the Kronrod value with the
+  embedded Gauss one.  An integral over the whole line is the half-line
+  integral of ``f(lam) + f(-lam)``; the callers whose integrands are even
+  in ``lam`` (the cumulant rates) need no fold.  The tail bounds' table of
+  ``F`` is the Gauss half of the rule: the nodes whose Gauss weight is
+  nonzero.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "opnorm2",
     "sqrt_psd",
     "inv_sqrt_psd",
-    "gauss_panels",
     "integrate_frequency",
     "trapezoid_weights",
 ]
@@ -289,12 +290,6 @@ def _panels(edges, x, *weights):
     return ((edges[:-1, None] + half * (1.0 + x)).ravel(), *((half * w).ravel() for w in weights))
 
 
-def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite ``order``-point Gauss-Legendre rule
-    on the panels between consecutive ``edges``."""
-    return _panels(edges, *_legendre(order))
-
-
 def _resonance_edges(poles, upper: float) -> np.ndarray:
     """Panel edges on ``[0, upper]`` for an integrand with poles at ``lam =
     +-Im(mu) -+ i Re(mu)``: candidates sit at each distinct centre ``+-Im(mu)``
@@ -336,27 +331,28 @@ def _resonance_edges(poles, upper: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _pole_layout(key: bytes) -> tuple[float, np.ndarray]:
-    """``(span, edges)`` of :func:`integrate_frequency` for the poles whose
-    complex bytes are ``key``: ``span = 2 max|mu| + 1`` and the read-only
-    :func:`_resonance_edges` up to it, laid out once per pole set."""
-    poles = np.frombuffer(key, dtype=complex)
-    span = 2.0 * np.abs(poles).max(initial=0.0) + 1.0
-    edges = _resonance_edges(poles, span)
+def _pole_layout(key: bytes, upper: float) -> np.ndarray:
+    """The read-only :func:`_resonance_edges` on ``[0, upper]`` for the poles
+    whose complex bytes are ``key``, laid out once per pole set and upper end."""
+    edges = _resonance_edges(np.frombuffer(key, dtype=complex), upper)
     edges.flags.writeable = False
-    return span, edges
+    return edges
 
 
-def _frequency_rule(edges, span, level):
-    """Nodes and stacked Kronrod and Gauss weights on every panel of ``edges``
-    and of the tail ``lam = span / s``, ``s in (0, 1]``, cut in ``2^level``."""
+def _frequency_rule(poles, upper: float, level: int):
+    """Nodes and stacked Kronrod and Gauss weights of the frequency rule for
+    ``poles``: :func:`_kronrod` panels on the edges of :func:`_pole_layout`
+    up to ``upper`` and on the tail ``lam = upper / s``, ``s in (0, 1]``
+    (weights ``w_s upper / s^2``), every panel cut in ``2^level``.  The 16
+    Gauss nodes lead each panel and every added node has Gauss weight 0."""
     def split(e):
         return np.interp(np.arange((e.size - 1) * 2**level + 1) / 2**level, np.arange(e.size), e)
 
+    edges = _pole_layout(np.asarray(poles, dtype=complex).ravel().tobytes(), upper)
     mid, *w_mid = _panels(split(edges), *_kronrod(RULE_ORDER))
     s, *w_s = _panels(split(np.array([0.0, 1.0])), *_kronrod(RULE_ORDER))
-    return np.concatenate([mid, span / s]), np.stack(
-        [np.concatenate([w, ws * span / s**2]) for w, ws in zip(w_mid, w_s)])
+    return np.concatenate([mid, upper / s]), np.stack(
+        [np.concatenate([w, ws * upper / s**2]) for w, ws in zip(w_mid, w_s)])
 
 
 def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
@@ -368,16 +364,15 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
     integrated at half the nodes of a whole-line rule.
 
     ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
-    values (scalars or arrays) at them.  The rule is :func:`_kronrod` on the
-    panels of :func:`_resonance_edges` up to ``span = 2 max|mu| + 1`` (laid
-    out once per pole set, :func:`_pole_layout`), plus a tail on ``lam =
-    span / s``; one pass over its nodes gives the Kronrod
-    and the Gauss value and ``integral |f|``.  The Kronrod value is returned
-    once the two agree to ``RULE_TOL`` times that integral; otherwise every
-    panel is halved, up to ``RULE_DEPTH`` times, then :class:`NoConvergence`."""
-    span, edges = _pole_layout(np.asarray(poles, dtype=complex).ravel().tobytes())
+    values (scalars or arrays) at them.  The rule is :func:`_frequency_rule`
+    up to ``span = 2 max|mu| + 1``; one pass over its nodes gives the
+    Kronrod and the Gauss value and ``integral |f|``.  The Kronrod value is
+    returned once the two agree to ``RULE_TOL`` times that integral;
+    otherwise every panel is halved, up to ``RULE_DEPTH`` times, then
+    :class:`NoConvergence`."""
+    span = 2.0 * np.abs(np.asarray(poles, dtype=complex)).max(initial=0.0) + 1.0
     for level in range(RULE_DEPTH + 1):
-        nodes, weights = _frequency_rule(edges, span, level)
+        nodes, weights = _frequency_rule(poles, span, level)
         pair = mass = 0.0
         for lo in range(0, nodes.size, RULE_BLOCK):
             vals = np.asarray(f(nodes[lo:lo + RULE_BLOCK]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classical, cumulants, deviations, quartic
+from . import __version__, classical, cumulants, deviations, quartic
 from .errors import ConfigError, OqriskError
 from .fixtures import fixture_model
 from .model import OqhoModel, _matrix_from_doc, model_from_json, pr_residual
@@ -32,9 +32,6 @@ __all__ = [
     "delta_rows",
     "cumulant_rows",
 ]
-
-PACKAGE_VERSION = "0.1.0"
-
 
 @dataclass
 class McSettings:
@@ -258,7 +255,7 @@ def analyze(cfg: AnalysisConfig) -> tuple[dict, int]:
     """Run all analysis blocks; returns ``(report, exit_code)`` where the
     code is 0 on full success and 2 when some block failed (per-block
     errors are reported in place)."""
-    report = {"provenance": {"package": "oqrisk", "version": PACKAGE_VERSION,
+    report = {"provenance": {"package": "oqrisk", "version": __version__,
                              "seed": cfg.mc.seed}}
     failed = False
     blocks = [
@@ -287,7 +284,7 @@ def _fmt_float(x: float) -> str:
     if math.isnan(x):
         return '{"nan":true}'
     if x == int(x) and abs(x) < 1e16:
-        return repr(float(x)) if "e" not in repr(float(x)) else f"{x:.17g}"
+        return repr(float(x))
     return f"{x:.17g}"
 
 

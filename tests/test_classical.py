@@ -294,7 +294,7 @@ class TestRateVariants:
         # theta * peak = 0.997: 1 - theta eig(Pi D) nearly vanishes near
         # lam = -2.525
         assert classical_rs_rate_sde(*paper, theta=0.0075) == pytest.approx(
-            0.9521188359007796, rel=1e-10)
+            0.9521188359007796, rel=1e-10, abs=0.0)
 
     def test_theta_guard(self, tiny):
         with pytest.raises(ThetaOutOfRange):
@@ -347,8 +347,10 @@ class TestRiccatiRate:
         model, pi = case
         theta = frac * rs_theta_max(model, pi)
         oracle = _logdet_oracle(model, pi, theta)
-        assert classical_rs_rate_paper(model, pi, theta) == pytest.approx(oracle, rel=1e-12)
-        assert classical_rs_rate_sde(model, pi, theta) == pytest.approx(2.0 * oracle, rel=1e-12)
+        assert classical_rs_rate_paper(model, pi, theta) == pytest.approx(
+            oracle, rel=1e-12, abs=0.0)
+        assert classical_rs_rate_sde(model, pi, theta) == pytest.approx(
+            2.0 * oracle, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", [pytest.param(case, id=name)
                                       for name, case, _ in _rate_models()[:2]])
@@ -453,7 +455,7 @@ class TestFiniteHorizonRate:
             "damped": (damped_mode(), np.diag([1.0, 2.0]), 0.01),
         }[case]
         got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
-        assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12)
+        assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12, abs=0.0)
 
     def test_damped_mode_long_horizon_is_refused(self):
         # the resonance at lam = -10 puts theta = 0.01 past the two-sided

@@ -232,7 +232,7 @@ class TestFactorSpace:
             got, size = _rate_terms(model, pi, norm, self.LAMS, r)
             want = _gamma_sum(pi @ d0, pi @ d1, r)
             assert np.all(np.abs(got - want) <= 1e-13 * terms**r)
-            assert size == pytest.approx(terms**r, rel=1e-13)
+            assert size == pytest.approx(terms**r, rel=1e-13, abs=0.0)
 
 
 def _unfolded_recursion(first, steps):
@@ -299,7 +299,7 @@ class TestDampedMode:
     def test_matches_breakpoint_quad(self, damped, r):
         pi = np.diag([1.0, 2.0])
         want = _quad_rate(damped, pi, r, 10.0)
-        assert cumulant_rate(damped, pi, r) == pytest.approx(want, rel=1e-10)
+        assert cumulant_rate(damped, pi, r) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_unit_weight_rate_vanishes(self, damped, r):
@@ -368,7 +368,7 @@ class TestFiniteTimeDomain:
             nodes, wts = trapezoid_weights(grid, 3.0)
             direct = _tuple_sum(model, pi, r, nodes, wts)
             fast = cumulant_finite_td(model, pi, r, 3.0, grid)
-            assert fast == pytest.approx(direct, rel=1e-12)
+            assert fast == pytest.approx(direct, rel=1e-12, abs=0.0)
             # the finite-horizon path is the discretized one on trapezoid nodes
             assert cumulant_td_discretized(model, pi, r, nodes, wts) == fast
 
@@ -438,7 +438,7 @@ class TestWickOracle:
         times = np.sort(rng.uniform(0.0, 2.0, 5))
         w = rng.uniform(0.1, 0.4, 5)
         val = wick_moment_oracle(model, pi, 1, times, w)
-        assert val == pytest.approx(w.sum() * mean_rate(model, pi), rel=1e-12)
+        assert val == pytest.approx(w.sum() * mean_rate(model, pi), rel=1e-12, abs=0.0)
 
     def test_cumulants_match_descent_formula(self):
         # the cancellation of multi-cycle pairings is exact combinatorics:

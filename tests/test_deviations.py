@@ -16,7 +16,6 @@ from oqrisk.deviations import (
     envelope_params,
 )
 from oqrisk.errors import EpsilonTooSmall, InvalidArgument, NotPsd, ThetaOutOfRange
-from oqrisk.matfun import gauss_panels
 from oqrisk.model import canonical_ccr, model_from_matrices
 
 PAPER_GAMMA = np.array([
@@ -36,7 +35,7 @@ class TestNKernel:
     def test_tiny_exponential(self, tiny_deviation):
         for tau in (-2.0, -0.5, 0.7, 3.0):
             assert tiny_deviation.n_kernel(tau) == pytest.approx(
-                np.exp(-abs(tau)), rel=1e-12
+                np.exp(-abs(tau)), rel=1e-12, abs=0.0
             )
 
     def test_zero_weight(self, tiny):
@@ -46,7 +45,7 @@ class TestNKernel:
     def test_evenness(self, paper_deviation):
         for tau in (0.4, 1.9):
             assert paper_deviation.n_kernel(-tau) == pytest.approx(
-                paper_deviation.n_kernel(tau), rel=1e-12
+                paper_deviation.n_kernel(tau), rel=1e-12, abs=0.0
             )
 
     def test_envelope_dominates(self, paper_deviation):
@@ -154,9 +153,10 @@ class TestQefUpperRate:
             base * 2.0 ** np.arange(-40.0, -10.0), np.arange(0.0, 30.0, 0.1),
             np.arange(1.5, 2.5, 0.01), np.arange(19.5, 24.5, 0.01),
             np.geomspace(30.0, base, 60), [base]]))
-        nodes, weights = gauss_panels(edges, 16)
-        s, w_s = gauss_panels([0.0, 1.0], 16)
-        nodes, weights = np.append(nodes, base / s), np.append(weights, w_s * base / s**2)
+        x, w = np.polynomial.legendre.leggauss(16)
+        half, s = 0.5 * np.diff(edges)[:, None], 0.5 * (1.0 + x)
+        nodes = np.append(edges[:-1, None] + half * (1.0 + x), base / s)
+        weights = np.append(half * w, 0.5 * w * base / s**2)
         fine = _FTable(nodes=nodes, weights=weights, fvals=da.f_transform(nodes),
                        f0=da.f_infnorm())
         want = [-model.n / (4.0 * math.pi) * _tail_corrected_log_integral(fine, theta, da.n0)
@@ -196,6 +196,30 @@ class TestCramerNumeric:
         bound, theta_star = da.cramer_bound_numeric(1.0)
         assert bound == -np.inf and theta_star == np.inf
         assert da.cramer_bound_numeric(0.0) == (0.0, 0.0)
+
+    def test_tiny_weight_scales(self, paper):
+        # N(0) ~ 1e-300 squares below the double range in the Gram of the
+        # grid's singular values; the grid samples N / 2^e, so F(0) is
+        # positive and the rate is the 1e-150 weight's (F scales out of it)
+        model, pi = paper
+        tiny, small = DeviationAnalysis(model, 1e-300 * pi), DeviationAnalysis(model, 1e-150 * pi)
+        assert tiny.f_infnorm() > 0.0
+        rate = [da.qef_upper_rate(0.3 / (2.0 * da.f_infnorm())) for da in (tiny, small)]
+        assert rate[0] == pytest.approx(rate[1], rel=1e-13, abs=0.0)
+        eps = model.n * tiny.envelope.alpha * np.array([1.5, 3.0])
+        assert sorted(c.method for c in tiny.bound_curve(eps)) == ["closed_form", "numeric"]
+
+    def test_one_bracket_pass_and_one_halving_loop(self, paper):
+        # both bracket tops in one pass, then 34 halvings of every eps at once,
+        # with the largest eps past the derivative at theta_max (1 - 1e-6)
+        da = DeviationAnalysis(*paper)
+        eps = da.model.n * da.n0 * np.array([1.5, 10.0, 1000.0])
+        theta_max = 1.0 / (2.0 * da.f_infnorm())
+        assert da._derivs(np.array([theta_max * (1.0 - 1e-6)]))[0] < eps[-1]
+        passes, derivs = [], da._derivs
+        da._derivs = lambda thetas: passes.append(thetas.size) or derivs(thetas)
+        da._cramer_points(eps)
+        assert passes == [2] + [3] * 34
 
     def test_never_above_closed_form(self, paper_deviation):
         # the true kernel sits below its envelope, so the optimized numeric
@@ -269,7 +293,7 @@ class TestEnvelopeParams:
         alpha = opnorm2(root_pi @ sqrt_psd(env.gamma)) * opnorm2(
             inv_sqrt_psd(env.gamma) @ paper_deviation.quantum @ root_pi
         )
-        assert env.alpha == pytest.approx(alpha, rel=1e-12)
+        assert env.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
 
     def test_defective_drift(self):
         # A = [[-0.5, 0], [-1, -0.5]]: the double eigenvalue -0.5 is defective,
@@ -280,7 +304,7 @@ class TestEnvelopeParams:
         assert model.eig.inverse is None
         da = DeviationAnalysis(model, np.diag([1.0, 2.0]))
         env = da.envelope
-        assert env.mu == pytest.approx(0.45, rel=1e-12)
+        assert env.mu == pytest.approx(0.45, rel=1e-12, abs=0.0)
         for tau in np.linspace(0.0, 60.0, 31):
             assert da.n_kernel(tau) <= env.alpha * np.exp(-env.mu * tau)
         da.f_infnorm()

@@ -189,7 +189,7 @@ class TestOnePointQcf:
         u = np.array([0.4, -0.7])
         target = np.exp(-0.5 * u @ p @ u)
         for t in (0.2, 1.0, 5.0):
-            assert qcf_onepoint(tiny, p, 0.0, t, u) == pytest.approx(target, rel=1e-12)
+            assert qcf_onepoint(tiny, p, 0.0, t, u) == pytest.approx(target, rel=1e-12, abs=0.0)
 
     def test_anchor_independence(self, paper):
         model = paper[0]
@@ -241,7 +241,7 @@ class TestMultiPointQcf:
         p = gramian_steady(model).p
         v = np.array([0.3, 0.1, -0.2, 0.4])
         val = qcf_multipoint_steady(model, [1.7], [v])
-        assert val == pytest.approx(np.exp(-0.5 * v @ p @ v), rel=1e-12)
+        assert val == pytest.approx(np.exp(-0.5 * v @ p @ v), rel=1e-12, abs=0.0)
 
     def test_modulus_bounded(self):
         for model, rng in make_models(seed=37, count=20):
@@ -271,7 +271,7 @@ class TestMultiPointQcf:
         merged = np.stack([vecs[0], vecs[1] + vecs[2]])
         lhs = qcf_multipoint_steady(model, times, vecs)
         rhs = qcf_multipoint_steady(model, times[:2], merged)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
     def test_shift_invariance(self, paper):
         model = paper[0]
@@ -280,7 +280,7 @@ class TestMultiPointQcf:
         vecs = rng.standard_normal((3, 4))
         base = qcf_multipoint_steady(model, times, vecs)
         shifted = qcf_multipoint_steady(model, times + 7.3, vecs)
-        assert shifted == pytest.approx(base, rel=1e-12)
+        assert shifted == pytest.approx(base, rel=1e-12, abs=0.0)
 
     def test_unsorted_rejected(self, paper):
         with pytest.raises(UnsortedTimes):

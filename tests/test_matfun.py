@@ -9,6 +9,7 @@ import pytest
 import oqrisk
 
 from conftest import damped_mode, paper_example_model
+from oqrisk.deviations import GRADE_DEPTH, DeviationAnalysis
 from oqrisk.errors import (
     NoConvergence,
     NotHurwitz,
@@ -22,7 +23,6 @@ from oqrisk.matfun import (
     eig_basis,
     expm,
     expm_ladder,
-    gauss_panels,
     integrate_frequency,
     lyap_solve,
     opnorm2,
@@ -230,7 +230,7 @@ class TestQuadrature:
             return sum(lorentzian(lam, c, w) for c in (-10.0, 10.0) for w in (1.0, 1e-3))
 
         poles = [-1.0 + 10j, -1.0 - 10j, -1e-3 + 10j, -1e-3 - 10j]
-        assert integrate_frequency(f, poles) == pytest.approx(2.0, rel=1e-12)
+        assert integrate_frequency(f, poles) == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_matrix_valued(self):
         def f(lam):
@@ -259,15 +259,21 @@ class TestQuadrature:
         with pytest.raises(NoConvergence):
             integrate_frequency(f, [-1.0 + 10j, -1.0 - 10j])
 
-    def test_gauss_panels_reuse_bit_identical_nodes(self):
-        # the Legendre nodes are computed once per order and shared read-only
-        edges = np.array([0.0, 0.5, 2.0])
+    def test_table_is_the_gauss_half_of_the_rule(self, paper):
+        # the tail bounds' table keeps the Gauss nodes of the rule's Kronrod
+        # panels: 16-point Legendre panels on the resonance edges of the pair
+        # poles and the pseudo-pole at 0, then the mapped tail, bit for bit
+        da = DeviationAnalysis(*paper)
+        base, mu = da._lam_base(), da.model.eig.values
+        poles = np.append(np.add.outer(mu, mu.conj()), -base * 2.0**-GRADE_DEPTH)
+        edges = _resonance_edges(poles, base)
         x, w = np.polynomial.legendre.leggauss(16)
-        half = 0.5 * np.diff(edges)[:, None]
-        for _ in range(2):
-            nodes, weights = gauss_panels(edges, 16)
-            assert np.array_equal(nodes, (edges[:-1, None] + half * (1.0 + x)).ravel())
-            assert np.array_equal(weights, (half * w).ravel())
+        half, s = 0.5 * np.diff(edges)[:, None], 0.5 * (1.0 + x)
+        assert np.array_equal(da._table.nodes, np.concatenate(
+            [(edges[:-1, None] + half * (1.0 + x)).ravel(), base / s]))
+        assert np.array_equal(da._table.weights, np.concatenate(
+            [(half * w).ravel(), 0.5 * w * base / s**2]))
+        # the Legendre nodes are computed once per order and shared read-only
         cached = _legendre(16)
         assert _legendre(16) is cached
         with pytest.raises(ValueError):
@@ -297,18 +303,21 @@ class TestQuadrature:
 
     def test_layout_cached_per_pole_set(self):
         # the layout is the fresh _resonance_edges one bit for bit, read-only,
-        # laid out once per pole set and reused by integrate_frequency
+        # laid out once per pole set and upper end and reused by
+        # integrate_frequency at every level (the Lorentzian needs a halving)
         layouts = []
         for poles in (paper_example_model()[0].eig.values, damped_mode().eig.values):
-            span, edges = _pole_layout(poles.tobytes())
-            assert span == 2.0 * np.abs(poles).max() + 1.0
+            span = 2.0 * np.abs(poles).max() + 1.0
+            edges = _pole_layout(poles.tobytes(), span)
             assert np.array_equal(edges, _resonance_edges(poles, span))
             with pytest.raises(ValueError):
                 edges[0] = 1.0
-            hits = _pole_layout.cache_info().hits
+            info = _pole_layout.cache_info()
             integrate_frequency(lambda lam: 1.0 / (1.0 + lam**2), poles)
-            assert _pole_layout.cache_info().hits == hits + 1
-            assert _pole_layout(poles.tobytes())[1] is edges
+            assert _pole_layout.cache_info().misses == info.misses
+            assert _pole_layout.cache_info().hits >= info.hits + 1
+            assert _pole_layout(poles.tobytes(), span) is edges
+            assert not np.array_equal(_pole_layout(poles.tobytes(), 2.0 * span), edges)
             layouts.append(edges)
         assert layouts[0].size != layouts[1].size or not np.array_equal(*layouts)
 

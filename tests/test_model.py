@@ -156,7 +156,7 @@ class TestDensityPeak:
         facts = model.weight_facts(pi)
         assert 1000.0 <= facts.density_peak <= 1000.0 * (1 + self.GAP)
         top = facts.density_eigs([-10.0, 10.0])[:, -1]
-        assert top.max() == pytest.approx(1000.0, rel=1e-12)
+        assert top.max() == pytest.approx(1000.0, rel=1e-12, abs=0.0)
         assert 1e-3 / (1 + self.GAP) <= rs_theta_max(model, pi) <= 1e-3
         assert rs_theta_max(model, np.zeros((2, 2))) == np.inf
 

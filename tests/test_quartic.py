@@ -100,9 +100,9 @@ class TestVarianceRate:
         model, pi = paper
         base, _, _ = variance_rate(model, pi)
         scaled, _, _ = variance_rate(model, 3.0 * pi)
-        assert scaled == pytest.approx(9.0 * base, rel=1e-12)
+        assert scaled == pytest.approx(9.0 * base, rel=1e-12, abs=0.0)
         assert mean_rate(model, 3.0 * pi) == pytest.approx(
-            3.0 * mean_rate(model, pi), rel=1e-12
+            3.0 * mean_rate(model, pi), rel=1e-12, abs=0.0
         )
 
     def test_psd_weight_nonnegative(self):
@@ -122,7 +122,7 @@ class TestThetaThreshold:
     def test_weight_scaling(self, paper):
         model, pi = paper
         assert theta_threshold(model, 2.0 * pi) == pytest.approx(
-            0.5 * theta_threshold(model, pi), rel=1e-12
+            0.5 * theta_threshold(model, pi), rel=1e-12, abs=0.0
         )
 
 
@@ -148,7 +148,7 @@ class TestQuarticRate:
         theta = 0.01
         rate, _, _ = variance_rate(model, pi)
         expected = theta * mean_rate(model, pi) + 0.5 * theta**2 * rate
-        assert quartic_rate(model, pi, theta) == pytest.approx(expected, rel=1e-12)
+        assert quartic_rate(model, pi, theta) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_report_bundle(paper):
