@@ -21,7 +21,10 @@ integer table (`delta_table`); run with the matrix weights ``Pi D`` and
 frequency in ``O(r^2)`` matrix products, without a table (`cumulant_rate`,
 in the rank-``m/2`` factor space of ``D``: the weights are the top and
 bottom rows of the ``m x m`` Gram ``N = 2 W* Pi W`` of ``D = 2 W0 W0*``,
-``D^{[1]} = 2 W1 W1*``, and no ``n x n`` density is formed); run with
+``D^{[1]} = 2 W1 W1*``, and no ``n x n`` density is formed; order ``r``
+closes the recursion after ``r - 3`` steps, so the orders of one weight
+share one node pass and one recursion while its state fits
+``RATE_STATE_BYTES``, :class:`_RateBlock`); run with
 block matrices of the multi-point covariance
 ``[S(t_i - t_j)]`` from ``OqhoModel.kernel`` it gives a discretized time
 integral as one cyclic trace (`_grid_cumulant`).
@@ -42,7 +45,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NegativeTime,
                      NumericalDefect, OrderTooLarge)
-from .matfun import RULE_TOL, _require_integers, integrate_frequency, opnorm2, trapezoid_weights
+from .matfun import (RULE_BLOCK, RULE_TOL, _integrate_levels, _require_integers, opnorm2,
+                     trapezoid_weights)
 from .model import OqhoModel
 
 __all__ = [
@@ -80,17 +84,17 @@ def _descent_recursion(first: np.ndarray, steps, split=None) -> np.ndarray:
     taken for every stacked entry at once.  With a column ``split`` an
     ascent multiplies only the first ``split`` columns of what it follows
     and a descent only the rest, so ``up`` has ``split`` rows and ``down``
-    the rest (the rate integrand's factor space, :func:`_rate_terms`).
+    the rest (the rate integrand's factor space, :class:`_RateBlock`).
 
     Recursion over the relative rank of the last element (Niven 1968, de
     Bruijn 1970): with ``F_i[k]`` the sum over arrangements of ``i``
     elements whose last element has rank ``k``,
 
-        F_{i+1}[j] = (sum_{k<j} F_i[k]) up_i + (sum_{k>=j} F_i[k]) down_i.
+        F_{i+1}[j] = (sum_{k<j} F_i[k]) up_i + (sum_{k>=j} F_i[k]) down_i
 
-    The prefix sums and the suffix sums are each stacked into one
-    ``(i rows) x cols`` operand, so a step is two matrix products per
-    stacked entry: ``O(m^2)`` block products in all, against ``(m-1)!``
+    (:func:`_ascend`).  The prefix sums and the suffix sums are each stacked
+    into one ``(i rows) x cols`` operand, so a step is two matrix products
+    per stacked entry: ``O(m^2)`` block products in all, against ``(m-1)!``
     terms for enumeration.  (``np.cumsum`` along the stacking axis is slower
     than the products themselves at n = 32, hence the list of blocks.)  Only
     the sum over ``j`` of the last step is needed, and ``F_i[k]`` enters it
@@ -98,21 +102,31 @@ def _descent_recursion(first: np.ndarray, steps, split=None) -> np.ndarray:
 
         sum_j F_m[j] = (sum_k (i - k) F_i[k]) up + (sum_k (k + 1) F_i[k]) down,
 
-    two single-block products in place of two stacked ones.
+    two single-block products in place of two stacked ones (:func:`_fold`).
     """
     if not steps:
         return first
     f = [first]
     for up, down in steps[:-1]:
-        i = len(f)
-        # below[j] = (sum_{k<=j} F[k]) up enters rank j+1 by an ascent,
-        # above[j] = (sum_{k>=j} F[k]) down enters rank j by a descent
-        below = np.split(np.concatenate(list(itertools.accumulate(
-            fk[..., :split] for fk in f)), axis=-2) @ up, i, axis=-2)
-        above = np.split(np.concatenate(list(itertools.accumulate(
-            fk[..., split:] for fk in f[::-1]))[::-1], axis=-2) @ down, i, axis=-2)
-        f = [a + b for a, b in zip([*above, 0], [0, *below])]
-    up, down = steps[-1]
+        f = _ascend(f, up, down, split)
+    return _fold(f, *steps[-1], split)
+
+
+def _ascend(f, up, down, split=None) -> list:
+    """One step ``F_i -> F_{i+1}`` of :func:`_descent_recursion`."""
+    i = len(f)
+    # below[j] = (sum_{k<=j} F[k]) up enters rank j+1 by an ascent,
+    # above[j] = (sum_{k>=j} F[k]) down enters rank j by a descent
+    below = np.split(np.concatenate(list(itertools.accumulate(
+        fk[..., :split] for fk in f)), axis=-2) @ up, i, axis=-2)
+    above = np.split(np.concatenate(list(itertools.accumulate(
+        fk[..., split:] for fk in f[::-1]))[::-1], axis=-2) @ down, i, axis=-2)
+    return [a + b for a, b in zip([*above, 0], [0, *below])]
+
+
+def _fold(f, up, down, split=None) -> np.ndarray:
+    """``sum_j F_{i+1}[j]`` from ``f = F_i``, the last step of
+    :func:`_descent_recursion`."""
     i = len(f)
     return (sum((i - k) * fk[..., :split] for k, fk in enumerate(f)) @ up
             + sum((k + 1) * fk[..., split:] for k, fk in enumerate(f)) @ down)
@@ -153,29 +167,90 @@ def _gamma_sum(up, down, r: int, split=None):
     ``down`` may be stacks (over frequencies), and so is the result.  With a
     column ``split``, ``up`` and ``down`` are the top and bottom rows of a
     Gram ``N`` and the trace is the cyclic one of the blocks ``N_ab``."""
-    head = _descent_recursion(up, [(up, down)] * (r - 2), split)
+    return _trace(_descent_recursion(up, [(up, down)] * (r - 2), split), down, split)
+
+
+def _trace(head, down, split=None):
+    """``Tr(head down)`` (of the blocks, with a column ``split``), stacked."""
     return np.sum(head[..., split:] * down[..., :split].swapaxes(-1, -2), axis=(-2, -1))
 
 
-def _rate_terms(model: OqhoModel, pi, norm: float, lams, r: int):
-    """The gamma-summed rate integrand at ``lams`` and its term size ``(norm
-    (||D||_F + ||D^{[1]}||_F))^r``, from the factor ``W = [W0, W1]`` of
-    :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  As ``Pi D = 2 Pi
-    W0 W0*`` and ``Pi D^{[1]} = 2 Pi W1 W1*``, the cyclic trace of a product
-    of them is that of the ``m/2 x m/2`` blocks ``N_ab`` of the Gram ``N = 2
-    W* Pi W`` along the same pattern, so the recursion runs on ``(m/2 x m)``
-    blocks with ``N``'s top rows as ascent and bottom rows as descent and
-    the column split at ``m/2``; ``||D||_F = 2 ||W0* W0||_F`` and
-    ``||D^{[1]}||_F = 2 ||W1* W1||_F``."""
-    half = model.m // 2
-    w = model.density_factor(lams)
-    wh = w.conj().swapaxes(-1, -2)
-    sizes = (np.linalg.norm(wh[..., :half, :] @ w[..., :half], axis=(-2, -1))
-             + np.linalg.norm(wh[..., half:, :] @ w[..., half:], axis=(-2, -1)))
-    gram = wh @ (pi @ w)
-    gram *= 2.0
-    del w, wh  # the recursion's working set is the Gram alone
-    return _gamma_sum(gram[..., :half, :], gram[..., half:, :], r, half), (2.0 * norm * sizes) ** r
+class _RateBlock:
+    """The gamma-summed rate integrand on one block of frequency nodes,
+    order by order on one descent-rank recursion, from the factor ``W =
+    [W0, W1]`` of :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  As
+    ``Pi D = 2 Pi W0 W0*`` and ``Pi D^{[1]} = 2 Pi W1 W1*``, the cyclic trace
+    of a product of them is that of the ``m/2 x m/2`` blocks ``N_ab`` of the
+    Gram ``N = 2 W* Pi W`` along the same pattern, so the recursion runs on
+    ``(m/2 x m)`` blocks with ``N``'s top rows as ascent and bottom rows as
+    descent and the column split at ``m/2``.  The block holds ``N``, the
+    term base ``2 ||Pi|| (||D||_F + ||D^{[1]}||_F)`` (``||D||_F = 2 ||W0*
+    W0||_F``, ``||D^{[1]}||_F = 2 ||W1* W1||_F``), the recursion state ``F_k``
+    (until the last order is closed) and the integrand of every order
+    closed so far: order ``r`` is the trace closed from ``F_{r-3}`` (from
+    ``N``'s top rows at ``r = 2``), so every order is the one
+    :func:`_gamma_sum` gives, to the bit."""
+
+    def __init__(self, facts, lams):
+        self.half = half = facts.model.m // 2
+        w = facts.model.density_factor(lams)
+        wh = w.conj().swapaxes(-1, -2)
+        sizes = (np.linalg.norm(wh[..., :half, :] @ w[..., :half], axis=(-2, -1))
+                 + np.linalg.norm(wh[..., half:, :] @ w[..., half:], axis=(-2, -1)))
+        self.gram = wh @ (facts.pi @ w)
+        self.gram *= 2.0
+        self.base = 2.0 * opnorm2(facts.pi) * sizes
+        self.f = [self.gram[..., :half, :]]
+        self.vals = []  # the integrand of order 2, 3, ...
+
+    def column(self, r: int):
+        """The integrand of order ``r`` and its term size ``base^r``, closing
+        every order up to ``r`` that is not closed yet."""
+        up, down = self.gram[..., :self.half, :], self.gram[..., self.half:, :]
+        while len(self.vals) < r - 1:
+            order = len(self.vals) + 2
+            if order >= 4:
+                self.f = _ascend(self.f, up, down, self.half)
+            head = up if order == 2 else _fold(self.f, up, down, self.half)
+            self.vals.append(_trace(head, down, self.half))
+            if order == MAX_RATE_ORDER:
+                self.f = []  # no order is left to close
+        return self.vals[r - 2], self.base ** r
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.gram, self.base, *self.f, *self.vals))
+
+
+#: Bytes of rate state a weight keeps between :func:`cumulant_rate` calls:
+#: the paper fixture's is at most ~0.38 MB (through r = 9; closing r = 10
+#: drops ``F``), n <= 8 fit, and an n = 16 model's Gram alone is ~2 MB.  A
+#: larger state is dropped after its call.  Values never depend on it.
+RATE_STATE_BYTES = 1 << 20
+
+
+def _shared_columns(facts, nodes, r: int) -> list:
+    """Order ``r``'s integrand and term sizes on each ``RULE_BLOCK`` block of
+    the unhalved rule's ``nodes``, from the weight's rate state: its blocks
+    are advanced only by the orders they miss, and kept for the next call
+    while their bytes fit ``RATE_STATE_BYTES``.  Past the budget every block
+    read so far is dropped as soon as its column is, so the call holds one
+    block above the budget at a time.  The state is replaced whole under
+    its lock, and is left empty if a block raises."""
+    state = facts.rate_state
+    with state.lock:
+        blocks, state.blocks = state.blocks, None
+        blocks = blocks or [None] * -(-nodes.size // RULE_BLOCK)
+        out, used = [], 0
+        for i, lo in enumerate(range(0, nodes.size, RULE_BLOCK)):
+            if blocks[i] is None:
+                blocks[i] = _RateBlock(facts, nodes[lo:lo + RULE_BLOCK])
+            out.append(blocks[i].column(r))
+            used += blocks[i].nbytes
+            if used > RATE_STATE_BYTES:
+                blocks[:i + 1] = [None] * (i + 1)
+        state.blocks = blocks if used <= RATE_STATE_BYTES else None
+    return out
 
 
 def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
@@ -187,7 +262,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     with ``D^{[1]}(lam) = D(-lam)'``.  The gamma sum is taken inside the
     descent-rank recursion with weights ``Pi D`` (ascent) and ``Pi D^{[1]}``
     (descent), run in the rank-``m/2`` factor space of ``D`` (``Omega = 2 U
-    U*``, :func:`_rate_terms`): ``O(r^2)`` products for a block of frequency
+    U*``, :class:`_RateBlock`): ``O(r^2)`` products for a block of frequency
     nodes, no table and no ``n x n`` density.  Step ``i`` is two ``(i m/2 x
     m/2) (m/2 x m)`` products, ``i m^3 / 2`` complex multiply-adds against
     ``2 i n^3`` for ``n x n`` weights: a quarter at ``m = n``, fewer while
@@ -199,12 +274,20 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     reading a permutation backwards maps the one pattern's permutations
     one-to-one onto the other's, ``Delta_{r,gamma} = Delta_{r,rev(1 -
     gamma)}``.  So the rate is ``2^{r-1} / pi`` times the integral over
-    ``lam >= 0``, which runs on :func:`~oqrisk.matfun.integrate_frequency`
+    ``lam >= 0``, on the rule of :func:`~oqrisk.matfun.integrate_frequency`
     with the eigenvalues of ``A``, certified by its embedded Gauss-Kronrod
-    pair (33 nodes a panel, unhalved on the benchmark models).  The terms
-    at a node are of size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r``
-    (even in ``lam`` too); stacking ``eps s / RULE_TOL`` with the integrand
-    certifies a rate that vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
+    pair (33 nodes a panel, unhalved on the benchmark models).
+
+    Every order closes one shared recursion, so the weight's rate state
+    on the unhalved nodes serves them all (:func:`_shared_columns`): a call
+    solves only on the blocks the state lacks and steps only by the orders
+    it misses, with the same bits in any call order, kept or not.  A
+    halving level, which the benchmark models never need, builds its own.
+
+    Each order is certified on its own columns: the terms at a node are of
+    size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r`` (even in ``lam`` too);
+    stacking ``eps s / RULE_TOL`` with the integrand certifies a rate that
+    vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
     ``Pi = I``) against the rounding of its terms, not against its own
     rounding residue.  The gamma-summed integrand is real up to rounding:
     its largest imaginary part must stay below 1e-10 of its largest modulus
@@ -213,19 +296,21 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     _require_integers(r=r)
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
-    pi = model.weight_facts(pi).pi
-    if not np.any(pi):
+    facts = model.weight_facts(pi)
+    if not np.any(facts.pi):
         return 0.0
-    norm = opnorm2(pi)
     top = np.zeros(2)  # largest modulus or term size, largest imaginary part
 
-    def integrand(lams):
-        vals, scale = _rate_terms(model, pi, norm, lams, r)
-        np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
-                   out=top)
-        return np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)
+    def blocks(level, nodes):
+        columns = (_shared_columns(facts, nodes, r) if level == 0 else
+                   (_RateBlock(facts, nodes[lo:lo + RULE_BLOCK]).column(r)
+                    for lo in range(0, nodes.size, RULE_BLOCK)))
+        for vals, scale in columns:
+            np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
+                       out=top)
+            yield np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)
 
-    val = integrate_frequency(integrand, model.eig.values)[0]
+    val = _integrate_levels(blocks, model.eig.values)[0]
     if top[1] > 1e-10 * top[0]:
         raise NumericalDefect(f"gamma-summed integrand has imaginary part {top[1]:.3e} "
                               f"against a largest modulus {top[0]:.3e}")

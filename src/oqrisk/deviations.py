@@ -399,9 +399,15 @@ class DeviationAnalysis:
 
     def _derivs(self, thetas: np.ndarray) -> np.ndarray:
         """``(n / 2 pi) integral over R of F / (1 - 2 theta F)`` at each of
-        the 1-D ``thetas``, in one pass over the table."""
-        val = _tail_corrected_integral(
-            self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)), 1.0, self.n0)
+        the 1-D ``thetas``, in one pass over the table.  A derivative past
+        the double range (a weight near 1e300, close to ``theta_max``) is
+        ``+inf``, above every finite eps the bisection compares it with:
+        the integrand ``F + 2 theta F^2 / (1 - 2 theta F)`` has no negative
+        part, so no ``inf - inf`` arises."""
+        with np.errstate(over="ignore"):
+            val = _tail_corrected_integral(
+                self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)), 1.0,
+                self.n0)
         return self.model.n / (2.0 * math.pi) * val
 
     def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

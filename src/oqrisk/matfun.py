@@ -17,11 +17,13 @@ one place.  Conventions:
   the resonances of the integrand's poles up to an upper end, laid out once
   per pole set and upper end, and one algebraic tail beyond.
   :func:`integrate_frequency` certifies the Kronrod value with the
-  embedded Gauss one.  An integral over the whole line is the half-line
-  integral of ``f(lam) + f(-lam)``; the callers whose integrands are even
-  in ``lam`` (the cumulant rates) need no fold.  The tail bounds' table of
-  ``F`` is the Gauss half of the rule: the nodes whose Gauss weight is
-  nonzero.
+  embedded Gauss one; :func:`_integrate_levels` is the same certificate
+  for a caller that serves a level from values it already holds (the
+  cumulant rates' shared state).  An integral over the whole line is the
+  half-line integral of ``f(lam) + f(-lam)``; the callers whose integrands
+  are even in ``lam`` (the cumulant rates) need no fold.  The tail bounds'
+  table of ``F`` is the Gauss half of the rule: the nodes whose Gauss
+  weight is nonzero.
 """
 
 from __future__ import annotations
@@ -215,8 +217,10 @@ def opnorm2(k: np.ndarray) -> float:
 
 def _psd_eig(k: np.ndarray):
     k = np.asarray(k)
-    herm_res = np.linalg.norm(k - k.conj().T)
-    if herm_res > 1e-12 * max(1.0, np.linalg.norm(k)):
+    # the test herm_res > 1e-12 max(1, ||k||) on k / max|k|, whose norms cannot overflow
+    big = float(np.abs(k).max(initial=0.0)) or 1.0
+    unit = k / big
+    if np.linalg.norm(unit - unit.conj().T) > 1e-12 * max(1.0 / big, np.linalg.norm(unit)):
         raise NotSymmetric("sqrt_psd expects a symmetric/Hermitian matrix")
     w, v = np.linalg.eigh(k)
     scale = max(abs(w[0]), abs(w[-1]), 0.0)
@@ -370,12 +374,21 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
     returned once the two agree to ``RULE_TOL`` times that integral;
     otherwise every panel is halved, up to ``RULE_DEPTH`` times, then
     :class:`NoConvergence`."""
+    return _integrate_levels(lambda level, nodes: (
+        f(nodes[lo:lo + RULE_BLOCK]) for lo in range(0, nodes.size, RULE_BLOCK)), poles)
+
+
+def _integrate_levels(blocks, poles):
+    """:func:`integrate_frequency` of an integrand given level by level:
+    ``blocks(level, nodes)`` yields its values on the consecutive
+    ``RULE_BLOCK`` blocks of the ``level``-times halved rule's ``nodes``, so
+    a caller can serve a level from values it already holds."""
     span = 2.0 * np.abs(np.asarray(poles, dtype=complex)).max(initial=0.0) + 1.0
     for level in range(RULE_DEPTH + 1):
         nodes, weights = _frequency_rule(poles, span, level)
         pair = mass = 0.0
-        for lo in range(0, nodes.size, RULE_BLOCK):
-            vals = np.asarray(f(nodes[lo:lo + RULE_BLOCK]))
+        for lo, vals in zip(range(0, nodes.size, RULE_BLOCK), blocks(level, nodes)):
+            vals = np.asarray(vals)
             pair = pair + np.tensordot(weights[:, lo:lo + RULE_BLOCK], vals, axes=1)
             mass = mass + np.tensordot(weights[0, lo:lo + RULE_BLOCK], np.abs(vals), axes=1)
         gap = np.abs(pair[0] - pair[1]).max()

@@ -24,6 +24,7 @@ gives ``W = G [U, conj U]`` (``density_factor``), and ``D(lam) = 2 W0 W0*``,
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -172,16 +173,29 @@ class WeightMatrix:
         object.__setattr__(self, "pi", _freeze(pi))
 
 
+@dataclass(eq=False)
+class _RateState:
+    """The cumulant rates' node state of one weight: ``None`` or one
+    ``cumulants._RateBlock`` per ``RULE_BLOCK`` block of the unhalved
+    frequency rule, read and replaced under ``lock`` only."""
+
+    blocks: list | None = None
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightFacts:
     """Facts of one ``(model, Pi)`` pair, each computed on first use and
     kept: ``root = sqrt(Pi)``, ``seed = P Pi P + Theta Pi Theta``, the
     Lyapunov solutions ``t`` of ``AT + TA' + seed = 0``, ``u`` of
     ``AU + UA' + T = 0`` and ``q`` of ``A'Q + QA + Pi = 0``, the certified
-    ``variance_rate`` and ``density_peak``.  Via :meth:`OqhoModel.weight_facts`."""
+    ``variance_rate`` and ``density_peak``, and the cumulant rates' node
+    state ``rate_state`` (kept while it fits ``cumulants.RATE_STATE_BYTES``).
+    Via :meth:`OqhoModel.weight_facts`."""
 
     model: "OqhoModel"
     pi: np.ndarray
+    rate_state: _RateState = field(default_factory=_RateState, init=False, repr=False)
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -364,15 +378,18 @@ class OqhoModel:
         :class:`WeightMatrix`), keyed by the weight's bytes.  Every analysis
         of a weight starts here: on first use the weight must pass
         :class:`WeightMatrix` (square, exactly symmetric) and be ``n x n``,
-        else :class:`DimensionMismatch`."""
+        else :class:`DimensionMismatch`.  Threads that meet a weight at once
+        get one :class:`WeightFacts` (the first one stored), so they share
+        its facts and its rate state."""
         pi = np.asarray(pi.pi if isinstance(pi, WeightMatrix) else pi, dtype=float)
         key = (pi.shape, pi.tobytes())
-        if key not in self._weights:
+        facts = self._weights.get(key)
+        if facts is None:
             pi = WeightMatrix(pi).pi
             if pi.shape != (self.n, self.n):
                 raise DimensionMismatch(f"Pi must be {self.n}x{self.n}, got shape {pi.shape}")
-            self._weights[key] = WeightFacts(self, pi)
-        return self._weights[key]
+            facts = self._weights.setdefault(key, WeightFacts(self, pi))
+        return facts
 
 
 def build_model(ccr: CcrMatrix, params: PhysicalParams) -> OqhoModel:

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -8,11 +10,11 @@ import pytest
 
 from conftest import (congruent_n32, damped_mode, hurwitz_model, make_models,
                       paper_example_model, random_sym)
-from oqrisk import cumulants
+from oqrisk import cumulants, matfun
 from oqrisk.cumulants import (
     _descent_recursion,
     _gamma_sum,
-    _rate_terms,
+    _RateBlock,
     cumulant_finite_td,
     cumulant_rate,
     cumulant_td_discretized,
@@ -22,8 +24,8 @@ from oqrisk.cumulants import (
 )
 from oqrisk.errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NotHurwitz,
                            OrderTooLarge)
-from oqrisk.matfun import _resonance_edges, trapezoid_weights
-from oqrisk.model import canonical_ccr, model_from_matrices
+from oqrisk.matfun import _resonance_edges, integrate_frequency, trapezoid_weights
+from oqrisk.model import OqhoModel, canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
 
 
@@ -223,13 +225,15 @@ class TestFactorSpace:
 
     def test_integrand_matches_full_space(self, case):
         # the cyclic trace of N's blocks is the gamma sum over Pi D, Pi D(-.)',
-        # and the term size is the one of the full-space densities
+        # and the term size is the one of the full-space densities, for every
+        # order closed in turn on one block's shared recursion
         model, pi = FACTOR_CASES[case]()
         norm = np.linalg.norm(pi, 2)
         d0, d1 = self._densities(model, self.LAMS)
         terms = norm * (np.linalg.norm(d0, axis=(-2, -1)) + np.linalg.norm(d1, axis=(-2, -1)))
+        block = _RateBlock(model.weight_facts(pi), self.LAMS)
         for r in range(2, 11):
-            got, size = _rate_terms(model, pi, norm, self.LAMS, r)
+            got, size = block.column(r)
             want = _gamma_sum(pi @ d0, pi @ d1, r)
             assert np.all(np.abs(got - want) <= 1e-13 * terms**r)
             assert size == pytest.approx(terms**r, rel=1e-13, abs=0.0)
@@ -326,26 +330,168 @@ class TestRateRule:
 
     @pytest.mark.parametrize("case", ["paper", "damped", "n32"])
     def test_certified_at_the_first_level(self, case, monkeypatch):
-        # every rate certifies on the unhalved panels: 33 integrand nodes per
-        # panel of _resonance_edges and per tail panel, evaluated once
-        model, pi = {"paper": paper_example_model, "n32": congruent_n32,
-                     "damped": lambda: (damped_mode(), np.diag([1.0, 2.0]))}[case]()
+        # every rate certifies on the unhalved panels: density_factor runs on
+        # 33 nodes per panel of _resonance_edges and per tail panel, once per
+        # weight for r = 2, 3, 4 together while the weight keeps its rate
+        # state, and once per call at n = 32, whose state is not kept
+        model, pi = RATE_CASES[case]()
         seen = []
-        integrate = cumulants.integrate_frequency
+        factor = OqhoModel.density_factor
 
-        def counting(f, poles):
-            def counted(lams):
-                seen.append(lams.size)
-                return f(lams)
-            return integrate(counted, poles)
+        def counting(self, lams):
+            seen.append(np.size(lams))
+            return factor(self, lams)
 
-        monkeypatch.setattr(cumulants, "integrate_frequency", counting)
+        monkeypatch.setattr(OqhoModel, "density_factor", counting)
         poles = model.eig.values
         panels = _resonance_edges(poles, 2.0 * np.abs(poles).max() + 1.0).size
         for r in (2, 3, 4):
-            seen.clear()
             cumulant_rate(model, pi, r)
-            assert sum(seen) == 33 * panels
+        assert sum(seen) == (3 if case == "n32" else 1) * 33 * panels
+
+
+def _rectangular_fresh():
+    """A fresh model of the ``n4-m2`` rectangular-coupling case."""
+    model, rng = hurwitz_model(canonical_ccr(4), 2, seed=4 * 31 + 2)
+    pi = rng.standard_normal((4, 4))
+    return model, pi @ pi.T
+
+
+# each call builds a fresh model, whose weight has no rate state yet
+RATE_CASES = {
+    "paper": paper_example_model,
+    "damped": lambda: (damped_mode(), np.diag([1.0, 2.0])),
+    "n32": congruent_n32,
+    "n4-m2": _rectangular_fresh,
+}
+
+# float.hex of cumulant_rate for r = 2..10 as each order was computed on its
+# own, one recursion and one node pass per call, before the orders shared a
+# rate state
+PINNED_RATES = {
+    "paper": ["0x1.171c9ce908c6ap+13", "0x1.940ace7fd189ep+21", "0x1.e748581577615p+30",
+              "0x1.9d87b13718284p+40", "0x1.c40e7446b3048p+50", "0x1.2e353c632eadap+61",
+              "0x1.ddaf0e2b81fb9p+71", "0x1.b3ae97383f70cp+82", "0x1.c267b4f8a7c9bp+93"],
+    "damped": ["0x1.f75101dd5649dp-17", "0x1.eb85219e7d794p-7", "0x1.68000192a74b1p+4",
+               "0x1.24f801d7dc0e0p+15", "0x1.f4add904003e6p+25", "0x1.b80cceaa8447fp+36",
+               "0x1.89ecd12ca8182p+47", "0x1.6536ec50e1791p+58", "0x1.470a377434c14p+69"],
+    "n32": ["0x1.76a098d6e141cp+10", "0x1.40eb7a1660e8ap+17", "0x1.76798c4b6ae40p+24",
+            "0x1.0c94ad9d3c053p+32", "0x1.d16e1c9fd2e2bp+39", "0x1.e78fbd0f1122bp+47",
+            "0x1.31e47a551cf4fp+56", "0x1.c1c75337a1127p+64", "0x1.7a588ed96b8c8p+73"],
+    "n4-m2": ["0x1.5279595230653p+6", "0x1.fb1156382dba0p+11", "0x1.305a88702a728p+18",
+              "0x1.0b4b924bb82d7p+25", "0x1.3e18bee56c867p+32", "0x1.de0718a337066p+39",
+              "0x1.aed24c8b1bb8bp+47", "0x1.c2ab07adc495fp+55", "0x1.0bb95ebefd884p+64"],
+}
+
+CALL_ORDERS = {
+    "ascending": list(range(2, 11)),
+    "descending": list(range(10, 1, -1)),
+    "shuffled": [6, 2, 9, 4, 10, 3, 7, 5, 8],
+}
+
+
+def _state_bytes(model, pi):
+    blocks = model.weight_facts(pi).rate_state.blocks
+    return None if blocks is None else sum(block.nbytes for block in blocks)
+
+
+@pytest.mark.parametrize("case", list(RATE_CASES))
+class TestRateState:
+    """Orders 2..10 share one rate state per weight: the same bits in any
+    call order, kept or not."""
+
+    @pytest.mark.parametrize("order", list(CALL_ORDERS))
+    def test_call_order(self, case, order, monkeypatch):
+        if case == "n32":  # whose ~30 MB state by r = 10 is kept under a raised budget only
+            monkeypatch.setattr(cumulants, "RATE_STATE_BYTES", 1 << 26)
+        model, pi = RATE_CASES[case]()
+        for r in CALL_ORDERS[order]:
+            assert cumulant_rate(model, pi, r).hex() == PINNED_RATES[case][r - 2]
+            size = _state_bytes(model, pi)
+            assert size is None or size <= cumulants.RATE_STATE_BYTES
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_recomputed_without_state(self, case, order, monkeypatch):
+        monkeypatch.setattr(cumulants, "RATE_STATE_BYTES", 0)
+        model, pi = RATE_CASES[case]()
+        for r in CALL_ORDERS[order]:
+            assert cumulant_rate(model, pi, r).hex() == PINNED_RATES[case][r - 2]
+            assert _state_bytes(model, pi) is None
+
+    def test_kept_below_the_budget(self, case):
+        # through r = 10 the paper fixture's state is ~0.4 MB and kept; the
+        # n = 32 model's Gram alone is ~9 MB, and its state is dropped
+        model, pi = RATE_CASES[case]()
+        cumulant_rate(model, pi, 10)
+        size = _state_bytes(model, pi)
+        if case == "n32":
+            assert size is None
+        else:
+            assert 0 < size <= cumulants.RATE_STATE_BYTES
+
+    def test_threads_share_one_state(self, case, monkeypatch):
+        # four threads (more than the cores) on one fresh model, switching
+        # every microsecond: every value has its pinned bits, and the weight's
+        # nodes are solved once in all, which a lost update of the state breaks
+        if case == "n32":
+            monkeypatch.setattr(cumulants, "RATE_STATE_BYTES", 1 << 26)
+        model, pi = RATE_CASES[case]()
+        seen, factor = [], OqhoModel.density_factor
+
+        def counting(self, lams):
+            seen.append(np.size(lams))
+            return factor(self, lams)
+
+        monkeypatch.setattr(OqhoModel, "density_factor", counting)
+        orders = [[2, 4, 6, 8, 10, 3], [9, 7, 5, 3, 10, 2], [6, 2, 9, 4], [10, 8, 5, 7]]
+        start, got = threading.Barrier(len(orders)), [None] * len(orders)
+
+        def ask(i):
+            start.wait(timeout=60)
+            got[i] = [(r, cumulant_rate(model, pi, r)) for r in orders[i]]
+
+        workers = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [[r for r, _ in rates] for rates in got] == orders
+        for r, rate in itertools.chain(*got):
+            assert rate.hex() == PINNED_RATES[case][r - 2]
+        poles = model.eig.values
+        assert sum(seen) == 33 * _resonance_edges(poles, 2.0 * np.abs(poles).max() + 1.0).size
+
+
+def test_halving_level_builds_its_own_state(monkeypatch):
+    # on the damped mode the Kronrod-Gauss gap of r = 3 is 2.8e-14 of its
+    # mass unhalved and 2.2e-15 halved once, so a 1e-14 tolerance forces one
+    # halving: the rate is integrate_frequency's on the order's own
+    # integrand, and the weight's state keeps the unhalved nodes only
+    model, pi = damped_mode(), np.diag([1.0, 2.0])
+    eps = np.finfo(float).eps / cumulants.RULE_TOL
+
+    def own(lams):
+        vals, scale = _RateBlock(model.weight_facts(pi), lams).column(3)
+        return np.stack([vals.real, eps * scale], axis=-1)
+
+    cumulant_rate(model, pi, 2)  # a state on the unhalved nodes first
+    poles = model.eig.values
+    panels = _resonance_edges(poles, 2.0 * np.abs(poles).max() + 1.0).size
+    monkeypatch.setattr(matfun, "RULE_TOL", 1e-14)
+    levels, rule = [], matfun._frequency_rule
+    monkeypatch.setattr(matfun, "_frequency_rule",
+                        lambda *args: levels.append(args[-1]) or rule(*args))
+    got = cumulant_rate(model, pi, 3)
+    assert levels == [0, 1]
+    assert got == 4.0 / np.pi * integrate_frequency(own, poles)[0]
+    blocks = model.weight_facts(pi).rate_state.blocks
+    assert sum(block.base.size for block in blocks) == 33 * panels
 
 
 class TestFiniteTimeDomain:

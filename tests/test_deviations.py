@@ -209,6 +209,28 @@ class TestCramerNumeric:
         eps = model.n * tiny.envelope.alpha * np.array([1.5, 3.0])
         assert sorted(c.method for c in tiny.bound_curve(eps)) == ["closed_form", "numeric"]
 
+    def test_large_weight_scales(self, paper):
+        # the symmetry test of sqrt(Pi) squares no entry of a 1e200 weight, so
+        # N(0) and F(0) scale with it and the rate at 0.3 theta_max is the
+        # unit weight's (theta F is scale-free)
+        model, pi = paper
+        big, unit = DeviationAnalysis(model, 1e200 * pi), DeviationAnalysis(model, pi)
+        assert big.n0 == pytest.approx(1e200 * unit.n0, rel=1e-14, abs=0.0)
+        assert big.f_infnorm() == pytest.approx(1e200 * unit.f_infnorm(), rel=1e-14, abs=0.0)
+        rate = [da.qef_upper_rate(0.3 / (2.0 * da.f_infnorm())) for da in (big, unit)]
+        assert rate[0] == pytest.approx(rate[1], rel=1e-13, abs=0.0)
+
+    def test_huge_weight_bounds_scale(self, paper):
+        # at 1e300 Pi the derivative near theta_max leaves the double range and
+        # reads +inf, above every eps: the bounds at 1e300 eps are the unit
+        # weight's at eps, and theta* scales by 1e-300
+        model, pi = paper
+        eps = np.array([300.0, 500.0, 900.0])
+        unit = DeviationAnalysis(model, pi).bound_curve(eps)[-1]
+        huge = DeviationAnalysis(model, 1e300 * pi).bound_curve(1e300 * eps)[-1]
+        assert huge.bound == pytest.approx(unit.bound, rel=1e-13, abs=0.0)
+        assert 1e300 * huge.theta_star == pytest.approx(unit.theta_star, rel=1e-13, abs=0.0)
+
     def test_one_bracket_pass_and_one_halving_loop(self, paper):
         # both bracket tops in one pass, then 34 halvings of every eps at once,
         # with the largest eps past the derivative at theta_max (1 - 1e-6)
