@@ -183,15 +183,14 @@ def _mc_workers() -> int:
     return min(MC_BLOCKS, cpus)
 
 
-def _run_blocks(model: OqhoModel, h, steps, paths, seed, consume) -> list:
+def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     """``consume(lo, hi, chain)`` for each of ``MC_BLOCKS`` fixed blocks of
     paths (``np.array_split``'s partition of ``range(paths)``), in block order.
-    Block ``i`` runs the exact chain on its own ``SFC64`` stream, the ``i``-th
-    spawn of ``SeedSequence(seed)``, so a value depends on the seed alone.
-    The blocks run on a thread pool, where numpy's normal draws and BLAS
-    release the GIL; the stepper and its factors are built first, on the
-    calling thread."""
-    stepper = AugmentedStepper.build(model, h)
+    Block ``i`` runs the exact chain of ``stepper`` on its own ``SFC64``
+    stream, the ``i``-th spawn of ``SeedSequence(seed)``, so a value depends
+    on the seed alone.  The blocks run on a thread pool, where numpy's normal
+    draws and BLAS release the GIL; the stepper (the caller's) and the initial
+    factor are built first, on the calling thread."""
     init = sqrt_psd(stepper.p_aug)
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     q, r = divmod(paths, MC_BLOCKS)
@@ -236,7 +235,7 @@ def simulate(
         for k, state in enumerate(chain):
             out[k, lo:hi] = state
 
-    _run_blocks(model, h, steps, paths, seed, fill)
+    _run_blocks(AugmentedStepper.build(model, h), steps, paths, seed, fill)
     return SimBatch(thetas=out, h=h, seed=seed)
 
 
@@ -365,11 +364,11 @@ def _rate_grid(horizon: float, h: float) -> tuple[int, float]:
     return steps, horizon / steps
 
 
-def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndarray]:
+def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For ``x = m + L z`` with ``z`` standard normal, ``log E exp(x' M x) =
     -(1/2) log det(I - 2 L'ML) + m' K m``; returns the log-det term and
-    ``K``.  Raises ``ThetaOutOfRange`` when ``I - 2 L'ML`` fails its
-    Cholesky test: the exponential moment is infinite."""
+    ``K`` for each ``M`` of a stack.  Raises ``ThetaOutOfRange`` when an
+    ``I - 2 L'ML`` fails its Cholesky test: the exponential moment is infinite."""
     ml = mat @ factor
     try:
         chol = np.linalg.cholesky(np.eye(len(factor)) - 2.0 * factor.T @ ml)
@@ -377,8 +376,24 @@ def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndar
         raise ThetaOutOfRange(
             "the exponential moment of the trapezoid cost is infinite"
         ) from None
-    w = np.linalg.solve(chol, ml.T)
-    return -float(np.log(np.diag(chol)).sum()), mat + 2.0 * w.T @ w
+    w = np.linalg.solve(chol, ml.mT)
+    return -np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1), mat + 2.0 * w.mT @ w
+
+
+def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, stepper=None):
+    """``(stepper, rates)``: :func:`finite_horizon_rate` at each of ``thetas`` on ``stepper``
+    (or one built at ``h``), one recursion on their stacked exponents, each to the bit."""
+    steps, h = _rate_grid(horizon, h)
+    stepper = stepper or AugmentedStepper.build(model, h)
+    phi = stepper.phi_aug
+    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
+    q = np.multiply.outer(thetas, np.kron(np.eye(2), model.weight_facts(pi).pi))
+    mat, total = 0.5 * h * q, 0.0
+    for k in range(steps - 1, -1, -1):
+        term, kmat = _gauss_exponent(mat, stepper.noise_chol)
+        total += term
+        mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
+    return stepper, (total + _gauss_exponent(mat, sqrt_psd(stepper.p_aug))[0]) / horizon
 
 
 def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: float) -> float:
@@ -393,47 +408,36 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     """
     if not math.isfinite(theta):
         raise ThetaOutOfRange(f"theta = {theta} is not finite")
-    steps, h = _rate_grid(horizon, h)
-    stepper = AugmentedStepper.build(model, h)
-    phi = stepper.phi_aug
-    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
-    q = np.kron(np.eye(2), theta * model.weight_facts(pi).pi)
-    mat, total = 0.5 * h * q, 0.0
-    for k in range(steps - 1, -1, -1):
-        term, kmat = _gauss_exponent(mat, stepper.noise_chol)
-        total += term
-        mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
-    return (total + _gauss_exponent(mat, sqrt_psd(stepper.p_aug))[0]) / horizon
+    return float(_exponent_rates(model, pi, [theta], horizon, h)[1][0])
 
 
-def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[float, float]:
+def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float]:
     """The largest step on the ladder ``2^-k / (1 + ||A||_2)`` whose
     Richardson bias ``|rho(h) - rho(h/2)|`` is at most a tenth of the
     estimator's predicted stderr, never below ``min(0.02, 0.1 / (1 +
-    ||A||_2))``; returns ``(h, rho(h))``.
+    ||A||_2))``; returns the stepper at that step and ``rho(h)``.
 
     ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 = expm1(T (rho_{2 theta}
     - 2 rho_theta))`` is the relative variance of one path's weight, so the
     delta method predicts the stderr of the rate.  A ``2 theta`` recursion
-    that raises ``ThetaOutOfRange`` means that variance is infinite.
+    that raises ``ThetaOutOfRange`` means that variance is infinite.  A rung
+    runs ``theta`` and ``2 theta`` as one stacked recursion on the stepper
+    that ``rho(h/2)`` of the rung above built: one stepper per step size.
     """
     scale = 1.0 + opnorm2(model.a)
     floor = min(0.02, 0.1 / scale)
-
-    def rate(h, th=theta):
-        return finite_horizon_rate(model, pi, th, horizon, h)
-
-    h = 1.0 / scale
-    rho = rate(h)
+    h, stepper = 1.0 / scale, None
     while h > floor:
+        stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h, stepper)
         with np.errstate(over="ignore"):  # an infinite stderr admits any step
-            rel_var = np.expm1(horizon * (rate(h, 2.0 * theta) - 2.0 * rho))
+            rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
         stderr = math.sqrt(rel_var / paths) / horizon
-        rho_half = rate(h / 2.0)
+        half, (rho_half,) = _exponent_rates(model, pi, [theta], horizon, h / 2.0)
         if abs(rho - rho_half) <= 0.1 * stderr:
-            return h, rho
-        h, rho = h / 2.0, rho_half
-    return floor, rate(floor)
+            return stepper, float(rho)
+        h, stepper = h / 2.0, half
+    stepper, (rho,) = _exponent_rates(model, pi, [theta], horizon, floor)
+    return stepper, float(rho)
 
 
 def mc_rs_rate(
@@ -474,9 +478,10 @@ def mc_rs_rate(
     if not theta * facts.density_peak <= 0.3:
         raise ThetaOutOfRange(f"theta = {theta} beyond the low-variance envelope "
                               f"0.3/peak = {0.3 / facts.density_peak:.6e}")
-    target = None
+    stepper = target = None
     if h is None:
-        h, target = _certified_step(model, pi, theta, horizon, paths)
+        stepper, target = _certified_step(model, pi, theta, horizon, paths)
+        h = stepper.h
     steps, h = _rate_grid(horizon, h)
 
     pi_aug = np.kron(np.eye(2), pi)
@@ -487,7 +492,8 @@ def mc_rs_rate(
             acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_aug, scratch, vals)
         return acc
 
-    arg = theta * np.concatenate(_run_blocks(model, h, steps, paths, seed, cost))
+    stepper = stepper or AugmentedStepper.build(model, h)
+    arg = theta * np.concatenate(_run_blocks(stepper, steps, paths, seed, cost))
     peak_arg = arg.max()
     weights = np.exp(arg - peak_arg)
     total = weights.sum()

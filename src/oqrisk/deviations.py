@@ -265,6 +265,7 @@ class DeviationAnalysis:
         self.pi, self.root_pi = facts.pi, facts.root
         self.quantum = model.steady.quantum_cov
         self.n0 = float(opnorm2(self.root_pi @ self.quantum @ self.root_pi))
+        self._unit = math.ldexp(1.0, -math.frexp(self.n0)[1])  # see _build_grid's Scale
         self.degenerate = not np.any(self.pi)
         self.envelope = None if self.degenerate else envelope_params(model, self.pi)
         self._grid = None
@@ -276,9 +277,9 @@ class DeviationAnalysis:
         return float(opnorm2(self.root_pi @ self.model.kernel(abs(tau)) @ self.root_pi))
 
     def _build_grid(self):
-        """Sample ``N`` on a graded grid of ``[0, tau*]``: ``self._grid`` holds
-        every sample, and ``self._segments`` the ``(start, step, samples)`` of
-        each segment, whose sample views share the boundary sample.
+        """Sample ``N 2^-e`` (*Scale*) on a graded grid of ``[0, tau*]``:
+        ``self._grid`` holds every sample, and ``self._segments`` the ``(start,
+        step, samples)`` of each segment, whose sample views share the boundary sample.
 
         *Budget.*  ``tau*`` puts the envelope tail ``2 int_{tau*}^inf alpha
         e^{-mu tau} = (2 alpha / mu) e^{-mu tau*}`` at ``1e-13 max(2 alpha /
@@ -308,11 +309,11 @@ class DeviationAnalysis:
         by one common factor into ``[G / (2 (100_000 - S)), G / 2000]``.
         Where the cap binds (the damped mode), the a priori budget is void.
 
-        *Scale.*  The ladder samples ``N / 2^e``, ``2^e`` the power of two of
-        ``N(0)``, and the grid is scaled back: the Gram eigenvalue ``N^2``
-        of a weight near 1e-300 would underflow to 0.  A power of two scales
-        exactly, so a grid in the normal range is the unscaled one bit for
-        bit.
+        *Scale.*  ``2^e = 1 / self._unit`` is the power of two of ``N(0)``, and
+        ``F`` is scaled back after the Filon sums: ``N^2`` of a weight near
+        1e-300 would underflow to 0, and the sums of one near 1e305 overflow.
+        A power of two scales exactly, so ``F`` in the normal range is the
+        unscaled one bit for bit.
         """
         if self._grid is not None or self.degenerate:
             return
@@ -323,7 +324,7 @@ class DeviationAnalysis:
         tau_star = math.log(max(2.0 * alpha / mu, 1e-6) / tail_tol) / mu
         omega = opnorm2(self.model.a) + mu
         eps_f = 1e-8 * max(f0_est, 0.1)
-        h = (180.0 * eps_f / (max(alpha, 1e-6) * omega**4 * tau_star)) ** 0.25
+        h = (180.0 * eps_f / max(alpha, 1e-6) / (omega**4 * tau_star)) ** 0.25
         starts = np.arange(0.0, tau_star, 4.0 * math.log(2.0) / mu)  # a_s
         lengths = np.diff(np.append(starts, tau_star))  # L_s
         graded = lengths / 2.0 ** np.arange(starts.size)  # L_s 2^-s, summing to G
@@ -339,15 +340,14 @@ class DeviationAnalysis:
         q, u = np.linalg.eigh(self.quantum)
         keep = q > q.size * np.finfo(float).eps * q[-1]
         thin = u[:, keep] * np.sqrt(q[keep])
-        unit = math.ldexp(1.0, -math.frexp(self.n0)[1])
-        right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin) * unit
+        right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin) * self._unit
         # N(a_s + k h_s) for k = 0 .. 2 m_s - 1, and the end sample N(tau*)
         counts = 2 * pairs
         counts[-1] += 1
         grid = np.concatenate([
             expm_ladder(self.model.a, self.model.eig, step, count, left=self.root_pi,
                         right=right, reduce=_top_singular_value, start=start)
-            for start, step, count in zip(starts, steps, counts)]) / unit
+            for start, step, count in zip(starts, steps, counts)])
         offsets = np.concatenate(([0], np.cumsum(2 * pairs)))
         self._segments = [(start, step, grid[lo:hi + 1])
                           for start, step, lo, hi in zip(starts, steps, offsets, offsets[1:])]
@@ -363,7 +363,7 @@ class DeviationAnalysis:
             out = np.zeros(lam.shape)
         else:
             self._build_grid()
-            out = 2.0 * _filon(self._segments, lam).real
+            out = 2.0 * _filon(self._segments, lam).real / self._unit
         return float(out) if out.ndim == 0 else out
 
     def f_infnorm(self) -> float:
@@ -399,15 +399,15 @@ class DeviationAnalysis:
 
     def _derivs(self, thetas: np.ndarray) -> np.ndarray:
         """``(n / 2 pi) integral over R of F / (1 - 2 theta F)`` at each of
-        the 1-D ``thetas``, in one pass over the table.  A derivative past
-        the double range (a weight near 1e300, close to ``theta_max``) is
-        ``+inf``, above every finite eps the bisection compares it with:
-        the integrand ``F + 2 theta F^2 / (1 - 2 theta F)`` has no negative
-        part, so no ``inf - inf`` arises."""
+        the 1-D ``thetas``, in one pass over the table.  The sum runs on
+        ``F 2^-e`` (*Scale* of :meth:`_build_grid`), so only a derivative past
+        the double range (a weight near 1e300, close to ``theta_max``)
+        overflows; it reads ``+inf``, above every finite eps the bisection
+        compares it with."""
         with np.errstate(over="ignore"):
             val = _tail_corrected_integral(
-                self._table, lambda f: f / (1.0 - _two_theta_f(thetas[:, None], f)), 1.0,
-                self.n0)
+                self._table, lambda f: f * self._unit / (1.0 - _two_theta_f(thetas[:, None], f)),
+                self._unit, self.n0) / self._unit
         return self.model.n / (2.0 * math.pi) * val
 
     def _cramer_points(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -211,11 +211,14 @@ def _deviation_block(model, pi, eps_grid) -> dict:
 
 
 def _classical_block(model, pi, mc: McSettings) -> dict:
-    # the chain is stationary from step 0; mc.steps sets only the rate horizon
-    batch = classical.simulate(model, mc.h, mc.lag, mc.paths, mc.seed)
-    cov0, covlag = classical.mc_stationary_stats(batch, mc.lag)
+    """Statistics of the lag pair ``(x(0), x(tau))``, ``tau = lag h``: one exact
+    step of ``tau`` from the invariant law (at lag 0, one slice); ``mc.steps``
+    sets only the rate horizon."""
+    tau = mc.lag * mc.h
+    batch = classical.simulate(model, tau or mc.h, min(mc.lag, 1), mc.paths, mc.seed)
+    cov0, covlag = classical.mc_stationary_stats(batch, batch.steps)
     var_mc = classical.mc_quadform_variance(batch, pi)
-    target_lag = model.kernel(mc.lag * mc.h)
+    target_lag = model.kernel(tau)
     out = {
         "quadform_var_analytic": classical.classical_quadform_variance(model, pi),
         "quadform_var_mc": {"value": float(var_mc.value), "stderr": float(var_mc.stderr)},
@@ -230,7 +233,7 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
     }
     if mc.theta is not None:
         rate_paper = classical.classical_rs_rate_paper(model, pi, mc.theta)
-        rate_sde = classical.classical_rs_rate_sde(model, pi, mc.theta)
+        rate_sde = 2.0 * rate_paper  # classical_rs_rate_sde, on the same Riccati solve
         est = classical.mc_rs_rate(
             model, pi, mc.theta, mc.steps * mc.h, mc.paths, mc.seed
         )

@@ -203,6 +203,40 @@ class TestSimulate:
 
         assert peak(2000) <= 1.1 * peak(100)
 
+    def test_classical_block_memory_independent_of_lag(self, tiny):
+        # the lag pair is one exact step of tau = lag h: two slices at any lag
+        def peak(lag):
+            mc = report.McSettings(h=0.01, paths=4000, seed=1, lag=lag)
+            tracemalloc.start()
+            try:
+                report._classical_block(tiny, np.eye(2), mc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(500) <= 1.1 * peak(5)
+
+    def test_classical_block_is_one_step_of_the_lag(self, paper):
+        # the block's statistics are those of the pair (x(0), x(tau)) drawn
+        # by one exact step of tau = lag h, to the bit
+        model, pi = paper
+        out = report._classical_block(model, pi, report.McSettings(h=0.05, paths=500, seed=3, lag=10))
+        batch = simulate(model, 10 * 0.05, 1, 500, seed=3)
+        cov0, covlag = mc_stationary_stats(batch, 1)
+        var = mc_quadform_variance(batch, pi)
+        assert out["cov0_mc"] == report._cmatrix(cov0.value)
+        assert out["cov0_stderr"] == report._matrix(cov0.stderr)
+        assert out["covlag_mc"] == report._cmatrix(covlag.value)
+        assert out["covlag_stderr"] == report._matrix(covlag.stderr)
+        assert out["quadform_var_mc"] == {"value": var.value, "stderr": var.stderr}
+
+    def test_classical_block_lag_zero(self, paper):
+        # one slice: the lagged covariance is the one-point covariance
+        out = report._classical_block(*paper, report.McSettings(h=0.05, paths=500, seed=3, lag=0))
+        assert out["covlag_mc"] == out["cov0_mc"]
+        assert out["covlag_stderr"] == out["cov0_stderr"]
+        assert out["covlag_target"] == out["cov0_target"]
+
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
         with pytest.raises(InsufficientPaths):
@@ -400,6 +434,40 @@ class TestMcRate:
         rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, est.h)
         predicted = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * est.target)) / paths) / horizon
         assert predicted == pytest.approx(est.stderr, rel=0.1)
+
+    @pytest.mark.parametrize("case", ["tiny", "paper", "damped"])
+    def test_stacked_recursion_matches_separate_rates(self, case, tiny, paper):
+        # theta and 2 theta in one stacked recursion: each is its own
+        # finite_horizon_rate to the bit
+        model, pi, theta = {
+            "tiny": (tiny, np.eye(2), 0.2),
+            "paper": (*paper, 0.005),
+            "damped": (damped_mode(), np.diag([1.0, 2.0]), 0.01),
+        }[case]
+        stepper = AugmentedStepper.build(model, 0.05)
+        got = classical._exponent_rates(model, pi, [theta, 2.0 * theta], 2.0, 0.05, stepper)[1]
+        want = [finite_horizon_rate(model, pi, th, 2.0, 0.05) for th in (theta, 2.0 * theta)]
+        assert [float(g).hex() for g in got] == [w.hex() for w in want]
+
+    def test_certified_step_builds_one_stepper_per_rung(self, paper, monkeypatch):
+        # 1e15 paths admit no bias, so the ladder runs down to its floor:
+        # each step size is built once, and rho is finite_horizon_rate's
+        model, pi = paper
+        built, build = [], AugmentedStepper.build
+        monkeypatch.setattr(AugmentedStepper, "build",
+                            staticmethod(lambda m, h: built.append(h) or build(m, h)))
+        horizon, scale = 2.0, 1.0 + np.linalg.norm(model.a, 2)
+        floor, ladder = min(0.02, 0.1 / scale), [1.0 / scale]
+        while ladder[-1] > floor:
+            ladder.append(ladder[-1] / 2.0)
+        stepper, rho = classical._certified_step(model, pi, 0.001, horizon, 10**15)
+        assert built == [horizon / round(horizon / h) for h in ladder + [floor]]
+        assert stepper.h == built[-1]
+        assert rho == finite_horizon_rate(model, pi, 0.001, horizon, floor)
+        # a rung accepted at once: its stepper runs the paths, none is rebuilt
+        built.clear()
+        est = mc_rs_rate(model, pi, 0.001, horizon, 2000, seed=1)
+        assert built == [est.h, horizon / round(horizon / (0.5 / scale))]
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
         # the damped mode's resonance at lam = -10 puts its density peak at

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestCramerNumeric:
         assert huge.bound == pytest.approx(unit.bound, rel=1e-13, abs=0.0)
         assert 1e300 * huge.theta_star == pytest.approx(unit.theta_star, rel=1e-13, abs=0.0)
 
+    def test_weight_near_overflow_bounds_scale(self, paper):
+        # at 1e305 Pi, F(0) is 1.6e307: the Filon sums and the derivative's
+        # integrand F / (1 - 2 theta F) run on F 2^-e, so nothing overflows
+        # before the bounds at 1e305 eps, the unit weight's at eps
+        model, pi = paper
+        eps = np.array([300.0, 500.0, 900.0])
+        unit = DeviationAnalysis(model, pi).bound_curve(eps)[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = DeviationAnalysis(model, 1e305 * pi).bound_curve(1e305 * eps)[-1]
+        assert huge.bound == pytest.approx(unit.bound, rel=1e-13, abs=0.0)
+        assert 1e305 * huge.theta_star == pytest.approx(unit.theta_star, rel=1e-13, abs=0.0)
+
     def test_one_bracket_pass_and_one_halving_loop(self, paper):
         # both bracket tops in one pass, then 34 halvings of every eps at once,
         # with the largest eps past the derivative at theta_max (1 - 1e-6)
@@ -330,7 +344,7 @@ class TestEnvelopeParams:
         for tau in np.linspace(0.0, 60.0, 31):
             assert da.n_kernel(tau) <= env.alpha * np.exp(-env.mu * tau)
         da.f_infnorm()
-        gaps = [abs(vals[k] - da.n_kernel(start + k * step))
+        gaps = [abs(vals[k] / da._unit - da.n_kernel(start + k * step))
                 for start, step, vals in da._segments for k in (0, 1, vals.size // 2, vals.size - 1)]
         assert max(gaps) <= 1e-13 * da.n0
         for eps in model.n * da.n0 * np.array([1.1, 2.0]):

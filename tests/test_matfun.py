@@ -16,10 +16,12 @@ from oqrisk.errors import (
     NotPsd,
 )
 from oqrisk.matfun import (
+    _frequency_rule,
     _kronrod,
     _legendre,
     _pole_layout,
     _resonance_edges,
+    _rule_layout,
     eig_basis,
     expm,
     expm_ladder,
@@ -313,6 +315,7 @@ class TestQuadrature:
             with pytest.raises(ValueError):
                 edges[0] = 1.0
             info = _pole_layout.cache_info()
+            _rule_layout.cache_clear()  # rules that hold these edges are built anew
             integrate_frequency(lambda lam: 1.0 / (1.0 + lam**2), poles)
             assert _pole_layout.cache_info().misses == info.misses
             assert _pole_layout.cache_info().hits >= info.hits + 1
@@ -320,6 +323,20 @@ class TestQuadrature:
             assert not np.array_equal(_pole_layout(poles.tobytes(), 2.0 * span), edges)
             layouts.append(edges)
         assert layouts[0].size != layouts[1].size or not np.array_equal(*layouts)
+
+    def test_rule_cached_per_pole_set_and_level(self):
+        # nodes and weights are built once per pole set, upper end and level,
+        # read-only, and equal a fresh build bit for bit
+        poles = paper_example_model()[0].eig.values
+        span = 2.0 * np.abs(poles).max() + 1.0
+        for level in (0, 1):
+            nodes, weights = _frequency_rule(poles, span, level)
+            assert _frequency_rule(list(poles), span, level)[0] is nodes
+            fresh = _rule_layout.__wrapped__(poles.tobytes(), span, level)
+            assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+            for a in (nodes, weights):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     def test_panels_no_wider_than_pole_distance(self):
         poles = np.array([-0.003 + 10j, -0.003 - 10j, -2.0])

@@ -116,10 +116,10 @@ class TestBlockedFilon:
 def _grid_sample(model, pi):
     """The kernel grid at the first two and last two samples of every
     segment (both sides of each boundary) and at each segment's middle,
-    with their lags."""
+    with their lags; the grid holds ``N`` times ``da._unit``."""
     da = DeviationAnalysis(model, pi)
     da._build_grid()
-    picks = [(start + k * step, vals[k]) for start, step, vals in da._segments
+    picks = [(start + k * step, vals[k] / da._unit) for start, step, vals in da._segments
              for k in (0, 1, vals.size // 2, vals.size - 2, vals.size - 1)]
     taus, samples = np.array(picks).T
     return da, samples, taus
