@@ -9,11 +9,16 @@ of ``zeta* Pi zeta`` is ``<Pi, P Pi P - Theta Pi Theta>`` against the
 quantum value ``2 <Pi, P Pi P + Theta Pi Theta>``.
 
 Simulation uses the exact one-step discretization of the augmented real
-process ``[Re zeta; Im zeta]``: stepping matrix ``e^{h (I2 (x) A)}`` and
+process ``x = [Re zeta; Im zeta]``: stepping matrix ``e^{h (I2 (x) A)}`` and
 the exact one-step noise covariance, so the step enters a Monte Carlo rate
 only through the trapezoid sum of the cost, and ``finite_horizon_rate``
-gives the exact value that the estimate targets.  Two risk-sensitive rate
-normalizations ship side by side:
+gives the exact value that the estimate targets.  The chain runs in the
+coordinates ``y = U'x`` of a frame ``U`` of the support of its invariant law
+``P_aug``: when the invariant state is pure (``P + i Theta`` of rank
+``n/2``), ``x`` never leaves an ``n``-dimensional subspace of ``R^2n`` and
+``U`` is the polar factor of ``P_aug[:, :n] = [P; Theta] / 2``, so each step
+draws ``n`` normals, not ``2n``; for any other law ``U`` is the identity.
+Two risk-sensitive rate normalizations ship side by side:
 
 * ``classical_rs_rate_paper``: ``-(1/4 pi) integral ln det(I - theta Pi D)``,
   the convention that treats ``D/2`` as the density of ``zeta`` (consistent
@@ -95,12 +100,24 @@ def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class AugmentedStepper:
     """Exact one-step discretization of the augmented linear SDE.
 
-    ``phi_aug = e^{h (I2 (x) A)}`` and ``noise_chol`` is the principal
-    square root of the exact one-step noise covariance
-    ``P_aug - phi_aug P_aug phi_aug'``, so the chain has the invariant law
-    as its exact stationary distribution for any step size.  Principal
-    roots do not depend on an eigenbasis, so sampled paths move
-    continuously with the model even where eigenvalues are degenerate.
+    ``phi_aug = e^{h (I2 (x) A)}``, the invariant covariance ``p_aug`` and
+    the exact one-step noise covariance ``sigma_aug = p_aug - phi_aug p_aug
+    phi_aug'`` are ``2n x 2n``.  The chain runs in the coordinates ``y =
+    frame' x`` of ``frame``, a ``2n x rank`` orthonormal basis of the support
+    of the invariant law: ``phi_frame = frame' phi_aug frame``, ``p_frame =
+    frame' p_aug frame`` and ``noise_chol``, the principal square root of
+    ``p_frame - phi_frame p_frame phi_frame'``, so the chain has the
+    invariant law as its exact stationary distribution for any step size.
+
+    The frame is the polar factor of ``p_aug[:, :n] = [P; Theta] / 2`` when
+    the invariant state is pure (``model.steady.thin`` has ``n/2`` columns):
+    that block has full column rank since ``P > 0``, spans the support, and
+    its polar factor moves continuously with the model, where an eigenbasis
+    of ``p_aug`` (whose eigenvalues come in degenerate pairs) would not.  For
+    any other law, and for a model whose ``P + i Theta`` is no certified
+    state (``B = 0``), the frame is the identity.  Principal roots do not
+    depend on an eigenbasis either, so sampled paths move continuously with
+    the model.
     """
 
     h: float
@@ -108,6 +125,9 @@ class AugmentedStepper:
     noise_chol: np.ndarray
     sigma_aug: np.ndarray
     p_aug: np.ndarray
+    frame: np.ndarray
+    phi_frame: np.ndarray
+    p_frame: np.ndarray
 
     @classmethod
     def build(cls, model: OqhoModel, h: float) -> "AugmentedStepper":
@@ -123,15 +143,37 @@ class AugmentedStepper:
             phi = np.kron(np.eye(2), expm(model.a, h))
             sigma = p_aug - phi @ p_aug @ phi.T
             sigma = 0.5 * (sigma + sigma.T)
-            wmin = np.linalg.eigvalsh(sigma)[0]
-            if wmin < -1e-10 * max(opnorm2(sigma), 1e-300):
-                raise StepperConstructionFailure(
-                    f"one-step noise covariance has eigenvalue {wmin:.3e}"
-                )
-            chol = sqrt_psd(sigma)
+            frame = _support_frame(model, p_aug)
         except NotHurwitz as exc:
             raise StepperConstructionFailure(str(exc)) from exc
-        return cls(h=h, phi_aug=phi, noise_chol=chol, sigma_aug=sigma, p_aug=p_aug)
+        # on the identity frame each product is exact: the chain is the 2n one
+        phi_s = frame.T @ phi @ frame
+        p_s = frame.T @ p_aug @ frame
+        p_s = 0.5 * (p_s + p_s.T)
+        sigma_s = p_s - phi_s @ p_s @ phi_s.T
+        sigma_s = 0.5 * (sigma_s + sigma_s.T)
+        wmin = np.linalg.eigvalsh(sigma_s)[0]
+        if wmin < -1e-10 * max(opnorm2(sigma_s), 1e-300):
+            raise StepperConstructionFailure(
+                f"one-step noise covariance has eigenvalue {wmin:.3e}"
+            )
+        return cls(h=h, phi_aug=phi, noise_chol=sqrt_psd(sigma_s), sigma_aug=sigma,
+                   p_aug=p_aug, frame=frame, phi_frame=phi_s, p_frame=p_s)
+
+
+def _support_frame(model: OqhoModel, p_aug: np.ndarray) -> np.ndarray:
+    """:class:`AugmentedStepper`'s frame: the polar factor of ``p_aug[:, :n]``
+    if ``P + i Theta`` has numerical rank ``n/2`` (``SteadyState.thin``),
+    else the ``2n x 2n`` identity."""
+    n = model.n
+    try:
+        pure = 2 * model.steady.thin.shape[1] == n
+    except NumericalDefect:  # P + i Theta is not PSD: no certified state
+        pure = False
+    if not pure:
+        return np.eye(2 * n)
+    w, _, vt = np.linalg.svd(p_aug[:, :n], full_matrices=False)
+    return w @ vt
 
 
 @dataclass(frozen=True)
@@ -159,16 +201,17 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
 
 
 def _chain(stepper: AugmentedStepper, init: np.ndarray, steps, paths, rng):
-    """Yield the ``steps + 1`` states of the exact chain (``rng`` draws the
-    invariant initial state through its factor ``init``, then one noise per
-    step) in two ``(paths, 2n)`` buffers that later steps overwrite: a caller
-    that keeps a state copies it."""
+    """Yield the ``steps + 1`` states of the exact chain in frame coordinates
+    (``rng`` draws the invariant initial state through its factor ``init``,
+    then one noise per step, ``rank`` normals per path each) in two ``(paths,
+    rank)`` buffers that later steps overwrite: a caller that keeps a state
+    copies it."""
     state, nxt, noise = (np.zeros((paths, init.shape[0])) for _ in range(3))
     np.matmul(rng.standard_normal(out=noise), init.T, out=state)
     yield state
     for _ in range(steps):
         np.matmul(rng.standard_normal(out=noise), stepper.noise_chol.T, out=nxt)
-        nxt += np.matmul(state, stepper.phi_aug.T, out=noise)
+        nxt += np.matmul(state, stepper.phi_frame.T, out=noise)
         state, nxt = nxt, state
         yield state
 
@@ -191,7 +234,7 @@ def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     on the seed alone.  The blocks run on a thread pool, where numpy's normal
     draws and BLAS release the GIL; the stepper (the caller's) and the initial
     factor are built first, on the calling thread."""
-    init = sqrt_psd(stepper.p_aug)
+    init = sqrt_psd(stepper.p_frame)
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     q, r = divmod(paths, MC_BLOCKS)
     edges = [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
@@ -222,20 +265,24 @@ def simulate(
     """Exact-discretization Monte Carlo of the augmented process.
 
     Draws the initial states from the invariant Gaussian law and iterates
-    the exact one-step recursion, in ``MC_BLOCKS`` fixed blocks of paths
-    with one spawned stream each; output is bitwise-deterministic for a
-    fixed seed, whatever the number of CPUs that run the blocks.  Memory is
-    the ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
+    the exact one-step recursion in the stepper's frame (``rank`` normals per
+    path and step: ``n`` for a pure state, else ``2n``), in ``MC_BLOCKS``
+    fixed blocks of paths with one spawned stream each, and maps each state
+    back as ``x = y frame'``; a pure state's paths lie on the support of the
+    invariant law to rounding.  Output is bitwise-deterministic for a fixed
+    seed, whatever the number of CPUs that run the blocks.  Memory is the
+    ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
     from step 0, so lagged statistics need only ``steps = lag``.
     """
     _check_run(paths, steps, seed)
     out = np.empty((steps + 1, paths, 2 * model.n))
+    stepper = AugmentedStepper.build(model, h)
 
     def fill(lo, hi, chain):
         for k, state in enumerate(chain):
-            out[k, lo:hi] = state
+            np.matmul(state, stepper.frame.T, out=out[k, lo:hi])
 
-    _run_blocks(AugmentedStepper.build(model, h), steps, paths, seed, fill)
+    _run_blocks(stepper, steps, paths, seed, fill)
     return SimBatch(thetas=out, h=h, seed=seed)
 
 
@@ -297,7 +344,8 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
 
 def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) -> np.ndarray:
     """Rows of ``zeta* Pi zeta = xi' Pi xi + eta' Pi eta`` (exact for real
-    symmetric Pi) as ``((x pi_aug) * x) 1``, ``pi_aug = I2 (x) Pi``,
+    symmetric Pi) as ``((x pi_aug) * x) 1``, ``pi_aug = I2 (x) Pi``, or in
+    a stepper's frame ``y = frame' x`` with ``frame' pi_aug frame``,
     optionally into buffers."""
     tmp = np.matmul(states, pi_aug, out=scratch)
     np.multiply(tmp, states, out=tmp)
@@ -382,18 +430,20 @@ def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np
 
 def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, stepper=None):
     """``(stepper, rates)``: :func:`finite_horizon_rate` at each of ``thetas`` on ``stepper``
-    (or one built at ``h``), one recursion on their stacked exponents, each to the bit."""
+    (or one built at ``h``), one recursion on their stacked exponents, each to the bit.
+    The recursion runs in the stepper's frame, ``rank x rank``."""
     steps, h = _rate_grid(horizon, h)
     stepper = stepper or AugmentedStepper.build(model, h)
-    phi = stepper.phi_aug
-    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta
-    q = np.multiply.outer(thetas, np.kron(np.eye(2), model.weight_facts(pi).pi))
+    phi = stepper.phi_frame
+    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta, in the stepper's frame
+    frame = stepper.frame
+    q = np.multiply.outer(thetas, frame.T @ np.kron(np.eye(2), model.weight_facts(pi).pi) @ frame)
     mat, total = 0.5 * h * q, 0.0
     for k in range(steps - 1, -1, -1):
         term, kmat = _gauss_exponent(mat, stepper.noise_chol)
         total += term
         mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
-    return stepper, (total + _gauss_exponent(mat, sqrt_psd(stepper.p_aug))[0]) / horizon
+    return stepper, (total + _gauss_exponent(mat, sqrt_psd(stepper.p_frame))[0]) / horizon
 
 
 def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: float) -> float:
@@ -454,7 +504,9 @@ def mc_rs_rate(
     Accumulates the running cost by trapezoid weights over the exactly
     discretized chain, in ``MC_BLOCKS`` fixed blocks of paths with one
     spawned stream each (as :func:`simulate`; the number of CPUs that run
-    them changes no value), applies log-mean-exp across the paths in block
+    them changes no value), in the stepper's frame: the cost is ``y' (frame'
+    (I2 (x) Pi) frame) y`` and a pure state draws ``n`` normals per path and
+    step, not ``2n``.  It applies log-mean-exp across the paths in block
     order and divides by the horizon.  The step enters only through the
     trapezoid sum, whose exact rate is ``finite_horizon_rate``.  With ``h=None`` the step is the
     largest ``2^-k / (1 + ||A||_2)`` whose Richardson bias against ``h/2`` is
@@ -484,15 +536,15 @@ def mc_rs_rate(
         h = stepper.h
     steps, h = _rate_grid(horizon, h)
 
-    pi_aug = np.kron(np.eye(2), pi)
+    stepper = stepper or AugmentedStepper.build(model, h)
+    pi_frame = stepper.frame.T @ np.kron(np.eye(2), pi) @ stepper.frame
 
     def cost(lo, hi, chain):
-        acc, vals, scratch = 0.0, np.empty(hi - lo), np.empty((hi - lo, 2 * model.n))
+        acc, vals, scratch = 0.0, np.empty(hi - lo), np.empty((hi - lo, len(pi_frame)))
         for k, state in enumerate(chain):
-            acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_aug, scratch, vals)
+            acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_frame, scratch, vals)
         return acc
 
-    stepper = stepper or AugmentedStepper.build(model, h)
     arg = theta * np.concatenate(_run_blocks(stepper, steps, paths, seed, cost))
     peak_arg = arg.max()
     weights = np.exp(arg - peak_arg)

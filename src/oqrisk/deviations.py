@@ -331,15 +331,12 @@ class DeviationAnalysis:
         h = np.clip(h, graded.sum() / (2.0 * (100_000 - starts.size)), graded.sum() / 2000.0)
         pairs = np.ceil(graded / (2.0 * h)).astype(int)  # m_s
         steps = lengths / (2.0 * pairs)
-        # Q = P + i Theta is PSD, of rank n/2 when the invariant state is pure
-        # (passive dynamics under vacuum input).  With a thin factor Q = V V*
-        # (the eigenvalues above the numerical-rank floor n eps max) and
-        # S = (V* Pi V)^{1/2}, K K* = (R E V S)(R E V S)* for K = R E Q R,
-        # R = sqrt(Pi), E = e^{tau A}: N is the top singular value of the
-        # n x rank(Q) matrix R E V S, sampled as N / 2^e (Scale, above).
-        q, u = np.linalg.eigh(self.quantum)
-        keep = q > q.size * np.finfo(float).eps * q[-1]
-        thin = u[:, keep] * np.sqrt(q[keep])
+        # Q = P + i Theta is PSD, of rank n/2 when the invariant state is pure.
+        # With its thin factor Q = V V* (SteadyState.thin) and S = (V* Pi
+        # V)^{1/2}, K K* = (R E V S)(R E V S)* for K = R E Q R, R = sqrt(Pi),
+        # E = e^{tau A}: N is the top singular value of the n x rank(Q)
+        # matrix R E V S, sampled as N / 2^e (Scale, above).
+        thin = self.model.steady.thin
         right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin) * self._unit
         # N(a_s + k h_s) for k = 0 .. 2 m_s - 1, and the end sample N(tau*)
         counts = 2 * pairs

@@ -150,10 +150,23 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta``."""
+    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta`` and,
+    on first use, its thin factor ``thin``."""
 
     p: np.ndarray
     quantum_cov: np.ndarray
+
+    @cached_property
+    def thin(self) -> np.ndarray:
+        """``V``, ``n x rank``, with ``V V* = P + i Theta`` on the eigenvalues
+        above the numerical-rank floor ``n eps max``: the one rank rule of the
+        invariant law.  Its ``rank`` is ``n/2`` when the invariant state is
+        pure (passive dynamics under vacuum input)."""
+        q, u = np.linalg.eigh(self.quantum_cov)
+        keep = q > q.size * np.finfo(float).eps * q[-1]
+        thin = u[:, keep] * np.sqrt(q[keep])
+        thin.setflags(write=False)
+        return thin
 
 
 @dataclass(frozen=True)

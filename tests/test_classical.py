@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import J2, damped_mode, make_models, random_sym
+from conftest import J2, congruent_oscillators, damped_mode, make_models, random_sym
 from oqrisk import classical, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
@@ -417,11 +417,16 @@ class TestMcRate:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_explicit_step_is_unchanged(self, tiny):
-        # an explicit step runs no recursion and carries no target
+        # an explicit step runs no recursion and carries no target; the tiny
+        # model's law is pure, so its chain draws 2 normals per step in the
+        # frame of the law's support, and the estimate sits within 4 stderr
+        # of the exact rate at that step
         est = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9, h=0.02)
-        assert est.value == 0.050574038279745805
-        assert est.stderr == 0.0010194074382059613
+        assert est.value == 0.05188669114666826
+        assert est.stderr == 0.0010683313006499256
         assert est.h == 0.02 and est.target is None
+        exact = finite_horizon_rate(tiny, np.eye(2), 0.05, 5.0, 0.02)
+        assert abs(est.value - exact) <= 4.0 * est.stderr
 
     def test_certified_step_on_paper_fixture(self, paper):
         model, pi = paper
@@ -530,6 +535,89 @@ class TestFiniteHorizonRate:
         # peak; over T = 200 the exponential moment is infinite
         with pytest.raises(ThetaOutOfRange):
             finite_horizon_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 0.05)
+
+
+def _pure_models():
+    """Models whose invariant state is pure, ``rank(P + i Theta) = n/2``, with
+    a weight: the tiny model, the damped mode and an n = 8 congruent-oscillator
+    model."""
+    rng = np.random.default_rng(8)
+    return {
+        "tiny": lambda tiny: (tiny, np.eye(2)),
+        "damped": lambda tiny: (damped_mode(), np.diag([1.0, 2.0])),
+        "congruent8": lambda tiny: (congruent_oscillators(rng, 8), random_sym(rng, 8, psd=True)),
+    }
+
+
+class TestSupportFrame:
+    """A pure law's chain runs in the ``n``-dimensional frame of its support."""
+
+    @pytest.fixture(params=list(_pure_models()))
+    def pure(self, request, tiny):
+        model, pi = _pure_models()[request.param](tiny)
+        assert AugmentedStepper.build(model, 0.05).frame.shape == (2 * model.n, model.n)
+        return model, pi
+
+    def test_states_lie_on_the_support(self, pure):
+        # the null space of P_aug = [[P, -Theta], [Theta, P]] / 2, from its own
+        # eigenbasis: the n smallest eigenvalues vanish for a pure state
+        model = pure[0]
+        _, vecs = np.linalg.eigh(augmented_invariant_cov(model.steady.p, model.theta))
+        states = simulate(model, 0.05, 50, 400, seed=2).thetas
+        off = np.linalg.norm(states @ vecs[:, :model.n], axis=(1, 2))
+        assert np.all(off <= 1e-13 * np.linalg.norm(states, axis=(1, 2)))
+
+    def test_one_ulp_change_of_b_keeps_paths(self, pure):
+        # the frame is a polar factor, continuous in the model; an eigenbasis
+        # of the doubly degenerate P_aug would move the paths by O(1)
+        model = pure[0]
+        nudged = dataclasses.replace(model, b=model.b * (1 + 2**-52))
+        base = simulate(model, 0.05, 20, 200, seed=5).thetas
+        moved = simulate(nudged, 0.05, 20, 200, seed=5).thetas
+        assert np.abs(moved - base).max() <= 1e-12 * np.abs(base).max()
+
+    def test_matches_reference_recursion(self, pure, monkeypatch):
+        # per-block references in frame coordinates (rank normals per path
+        # and step), with fresh arrays every step and mapped back as y U',
+        # agree bit for bit with simulate at 1 and at MC_BLOCKS workers
+        model = pure[0]
+        steps, paths = 6, 67
+        stepper = AugmentedStepper.build(model, 0.05)
+        frame, rank = stepper.frame, stepper.frame.shape[1]
+        init = sqrt_psd(stepper.p_frame)
+        blocks = []
+        for seq, rows in zip(np.random.SeedSequence(3).spawn(classical.MC_BLOCKS),
+                             np.array_split(np.arange(paths), classical.MC_BLOCKS)):
+            rng = np.random.Generator(np.random.SFC64(seq))
+            state = rng.standard_normal((rows.size, rank)) @ init.T
+            ref = [state @ frame.T]
+            for _ in range(steps):
+                state = (state @ stepper.phi_frame.T
+                         + rng.standard_normal((rows.size, rank)) @ stepper.noise_chol.T)
+                ref.append(state @ frame.T)
+            blocks.append(np.stack(ref))
+        for workers in (1, classical.MC_BLOCKS):
+            monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
+            got = simulate(model, 0.05, steps, paths, seed=3).thetas
+            assert np.array_equal(got, np.concatenate(blocks, axis=1))
+
+    def test_finite_horizon_rate_matches_dense_oracle(self, pure):
+        # the frame recursion against the oracle in full 2n coordinates
+        model, pi = pure
+        theta = 0.2 * rs_theta_max(model, pi)
+        got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
+        assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12, abs=0.0)
+
+    def test_other_laws_take_the_identity_frame(self, tiny, paper):
+        # B = 0 (rank 0, and P + i Theta = i Theta is no state) and the paper
+        # fixture's mixed law run the chain in the 2n original coordinates,
+        # where every frame product is exact
+        for model in (dataclasses.replace(tiny, b=np.zeros((2, 2))), paper[0]):
+            stepper = AugmentedStepper.build(model, 0.05)
+            assert np.array_equal(stepper.frame, np.eye(2 * model.n))
+            assert np.array_equal(stepper.phi_frame, stepper.phi_aug)
+            assert np.array_equal(stepper.p_frame, stepper.p_aug)
+            assert np.array_equal(stepper.noise_chol, sqrt_psd(stepper.sigma_aug))
 
 
 def test_zeta_view_roundtrip():
