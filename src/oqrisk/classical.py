@@ -434,9 +434,8 @@ def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, step
     The recursion runs in the stepper's frame, ``rank x rank``."""
     steps, h = _rate_grid(horizon, h)
     stepper = stepper or AugmentedStepper.build(model, h)
-    phi = stepper.phi_frame
+    phi, frame = stepper.phi_frame, stepper.frame
     # zeta* Pi zeta = xi'Pi xi + eta'Pi eta, in the stepper's frame
-    frame = stepper.frame
     q = np.multiply.outer(thetas, frame.T @ np.kron(np.eye(2), model.weight_facts(pi).pi) @ frame)
     mat, total = 0.5 * h * q, 0.0
     for k in range(steps - 1, -1, -1):
