@@ -460,33 +460,60 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     return float(_exponent_rates(model, pi, [theta], horizon, h)[1][0])
 
 
-def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float]:
-    """The largest step on the ladder ``2^-k / (1 + ||A||_2)`` whose
-    Richardson bias ``|rho(h) - rho(h/2)|`` is at most a tenth of the
-    estimator's predicted stderr, never below ``min(0.02, 0.1 / (1 +
-    ||A||_2))``; returns the stepper at that step and ``rho(h)``.
+#: A Richardson difference within this fraction of the rate is rounding, not
+#: bias.  Against a 40-digit evaluation of the same chain the recursion is
+#: 4.05e-13 relative off on the damped mode (eigenvalues -0.003 +- 10i, T 2,
+#: 40 steps) and 2.6e-10 at 1408 steps: its one-step noise covariance
+#: ``P - Phi P Phi'`` cancels more digits as the step falls.  On the paper
+#: fixture, the one-mode vacuum model, random models and an n = 8 congruent
+#: model (up to 818 steps) it is at most 1.2e-14 off.
+#: The difference of two rates at 2.6e-10 is within this level, and a bias
+#: this small is far below the stderr of any feasible path count.
+RATE_ROUNDING = 1e-9
 
-    ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 = expm1(T (rho_{2 theta}
-    - 2 rho_theta))`` is the relative variance of one path's weight, so the
-    delta method predicts the stderr of the rate.  A ``2 theta`` recursion
-    that raises ``ThetaOutOfRange`` means that variance is infinite.  A rung
-    runs ``theta`` and ``2 theta`` as one stacked recursion on the stepper
-    that ``rho(h/2)`` of the rung above built: one stepper per step size.
+
+def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float]:
+    """The largest step on the ladder ``2^(1-k) / (1 + ||A||_2)`` whose
+    Richardson differences ``d(h) = rho(h) - rho(h/2)`` contract and bound
+    its bias by a tenth of the estimator's predicted stderr, never below
+    ``min(0.02, 0.1 / (1 + ||A||_2))``; returns the stepper at that step and
+    ``rho(h)``.
+
+    The top rung turns the fastest mode by less than 2 rad a step, under the
+    aliasing limit of pi.  A rung is accepted when ``q = |d(h/2)| / |d(h)|
+    <= 1/2`` (the O(h^2) regime, where ``q`` is ~1/4) and the geometric bias
+    bound ``|d(h)| / (1 - q)`` is at most ``0.1 stderr``, or when both
+    differences are within ``RATE_ROUNDING |rho(h)|``, where nothing is left
+    to resolve.  ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 =
+    expm1(T (rho_{2 theta} - 2 rho_theta))`` is the relative variance of one
+    path's weight, so the delta method predicts the stderr of the rate.  A
+    ``2 theta`` recursion that raises ``ThetaOutOfRange`` means that variance
+    is infinite.  Each step size has one stepper and one stacked recursion
+    of ``theta`` and ``2 theta``, shared by the rungs that read it.
     """
     scale = 1.0 + opnorm2(model.a)
     floor = min(0.02, 0.1 / scale)
-    h, stepper = 1.0 / scale, None
+    rungs = {}
+
+    def rung(h):
+        steps = _rate_grid(horizon, h)[0]
+        if steps not in rungs:
+            stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h)
+            with np.errstate(over="ignore"):  # an infinite stderr admits any step
+                rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
+            rungs[steps] = stepper, float(rho), math.sqrt(rel_var / paths) / horizon
+        return rungs[steps]
+
+    h = 2.0 / scale
     while h > floor:
-        stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h, stepper)
-        with np.errstate(over="ignore"):  # an infinite stderr admits any step
-            rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
-        stderr = math.sqrt(rel_var / paths) / horizon
-        half, (rho_half,) = _exponent_rates(model, pi, [theta], horizon, h / 2.0)
-        if abs(rho - rho_half) <= 0.1 * stderr:
-            return stepper, float(rho)
-        h, stepper = h / 2.0, half
-    stepper, (rho,) = _exponent_rates(model, pi, [theta], horizon, floor)
-    return stepper, float(rho)
+        stepper, rho, stderr = rung(h)
+        d, d_half = rho - rung(h / 2.0)[1], rung(h / 2.0)[1] - rung(h / 4.0)[1]
+        settled = max(abs(d), abs(d_half)) <= RATE_ROUNDING * abs(rho)
+        if settled or (abs(d_half) <= 0.5 * abs(d)
+                       and abs(d) / (1.0 - abs(d_half) / abs(d)) <= 0.1 * stderr):
+            return stepper, rho
+        h /= 2.0
+    return rung(floor)[:2]
 
 
 def mc_rs_rate(
@@ -507,10 +534,12 @@ def mc_rs_rate(
     (I2 (x) Pi) frame) y`` and a pure state draws ``n`` normals per path and
     step, not ``2n``.  It applies log-mean-exp across the paths in block
     order and divides by the horizon.  The step enters only through the
-    trapezoid sum, whose exact rate is ``finite_horizon_rate``.  With ``h=None`` the step is the
-    largest ``2^-k / (1 + ||A||_2)`` whose Richardson bias against ``h/2`` is
-    at most a tenth of the predicted stderr, never below ``min(0.02, 0.1 /
-    (1 + ||A||_2))``; the estimate carries it and its exact ``target``, and a
+    trapezoid sum, whose exact rate is ``finite_horizon_rate``.  With
+    ``h=None`` the step is the largest ``2^(1-k) / (1 + ||A||_2)`` whose
+    Richardson differences against ``h/2`` and ``h/4`` contract (ratio at
+    most 1/2) and bound its bias by a tenth of the predicted stderr
+    (:func:`_certified_step`), never below ``min(0.02, 0.1 / (1 +
+    ||A||_2))``; the estimate carries it and its exact ``target``, and a
     rate whose ``2 theta`` moment is infinite is refused with
     ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` is used
     as given, with no target.  The standard error comes from a delete-one

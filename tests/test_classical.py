@@ -1,12 +1,15 @@
 import dataclasses
+import functools
+import math
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from conftest import J2, congruent_oscillators, damped_mode, make_models, random_sym
-from oqrisk import classical, paper_example_model, report
+from oqrisk import classical, model_from_matrices, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
     rs_theta_max,
@@ -432,13 +435,15 @@ class TestMcRate:
         model, pi = paper
         theta, horizon, paths = 0.001, 20.0, 20_000
         est = mc_rs_rate(model, pi, theta, horizon, paths, seed=7)
-        # 1 / (1 + ||A||_2), ten times the floor 0.1 / (1 + ||A||_2)
-        assert round(horizon / est.h) == 205
+        # the top rung 2 / (1 + ||A||_2), twenty times the floor 0.1 / (1 + ||A||_2)
+        assert round(horizon / est.h) == 102
         assert est.target == finite_horizon_rate(model, pi, theta, horizon, est.h)
         assert abs(est.value - est.target) <= 4.0 * est.stderr
         rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, est.h)
         predicted = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * est.target)) / paths) / horizon
         assert predicted == pytest.approx(est.stderr, rel=0.1)
+        # the bias against a sixteenth of the floor is within a tenth of the stderr
+        assert abs(est.target - _fine_rate("paper")) <= 0.1 * predicted
 
     @pytest.mark.parametrize("case", ["tiny", "paper", "damped"])
     def test_stacked_recursion_matches_separate_rates(self, case, tiny, paper):
@@ -455,24 +460,34 @@ class TestMcRate:
         assert [float(g).hex() for g in got] == [w.hex() for w in want]
 
     def test_certified_step_builds_one_stepper_per_rung(self, paper, monkeypatch):
-        # 1e15 paths admit no bias, so the ladder runs down to its floor:
-        # each step size is built once, and rho is finite_horizon_rate's
+        # 1e15 paths admit no bias, so the ladder runs down to its floor: each
+        # step size is built once and runs one stacked (theta, 2 theta)
+        # recursion, which the rungs above and below it share, and rho is
+        # finite_horizon_rate's
         model, pi = paper
         built, build = [], AugmentedStepper.build
         monkeypatch.setattr(AugmentedStepper, "build",
                             staticmethod(lambda m, h: built.append(h) or build(m, h)))
+        recursions, rates = [], classical._exponent_rates
+        monkeypatch.setattr(classical, "_exponent_rates",
+                            lambda *args: recursions.append(args[2:5]) or rates(*args))
         horizon, scale = 2.0, 1.0 + np.linalg.norm(model.a, 2)
-        floor, ladder = min(0.02, 0.1 / scale), [1.0 / scale]
+        floor, ladder = min(0.02, 0.1 / scale), [2.0 / scale]
         while ladder[-1] > floor:
             ladder.append(ladder[-1] / 2.0)
+        hs = ladder + [ladder[-1] / 2.0, floor]  # the last rung also reads h/2 and h/4
         stepper, rho = classical._certified_step(model, pi, 0.001, horizon, 10**15)
-        assert built == [horizon / round(horizon / h) for h in ladder + [floor]]
+        assert built == [horizon / round(horizon / h) for h in hs]
+        assert len(set(built)) == len(built)
+        assert recursions == [((0.001, 0.002), horizon, h) for h in hs]
         assert stepper.h == built[-1]
         assert rho == finite_horizon_rate(model, pi, 0.001, horizon, floor)
-        # a rung accepted at once: its stepper runs the paths, none is rebuilt
+        # a rung accepted at once, the top one: its stepper runs the paths,
+        # none is rebuilt
         built.clear()
         est = mc_rs_rate(model, pi, 0.001, horizon, 2000, seed=1)
-        assert built == [est.h, horizon / round(horizon / (0.5 / scale))]
+        assert est.h == horizon / round(horizon / (2.0 / scale))
+        assert built == [est.h] + [horizon / round(horizon / (f / scale)) for f in (1.0, 0.5)]
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
         # the damped mode's resonance at lam = -10 puts its density peak at
@@ -493,10 +508,114 @@ class TestMcRate:
             mc_rs_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 2.0, 2000, 1)
 
 
+@functools.cache
+def _fine_rate(name):
+    """``finite_horizon_rate`` of a certified-step case at a sixteenth of
+    the step's floor ``min(0.02, 0.1 / (1 + ||A||_2))``."""
+    model, pi, theta, horizon, _ = _certified_case(name)
+    floor = min(0.02, 0.1 / (1.0 + np.linalg.norm(model.a, 2)))
+    return finite_horizon_rate(model, pi, theta, horizon, floor / 16.0)
+
+
+def _crafted_ladder(monkeypatch, rho_at, stderr, horizon=20.0, paths=20_000):
+    """Let ``_exponent_rates`` return ``rho_at(steps)`` at ``theta`` and a
+    ``2 theta`` rate whose predicted stderr is ``stderr``, on a stand-in
+    stepper that carries only its step."""
+    rel_var = paths * (stderr * horizon) ** 2
+
+    def rates(model, pi, thetas, horizon, h):
+        steps, h = classical._rate_grid(horizon, h)
+        rho = rho_at(steps)
+        return types.SimpleNamespace(h=h), np.array([rho, 2.0 * rho + np.log1p(rel_var) / horizon])
+
+    monkeypatch.setattr(classical, "_exponent_rates", rates)
+
+
+def _certified_case(name):
+    """``(model, Pi, theta, horizon, paths)`` of the certified-step sweep:
+    ``random-<seed>-<k>`` is the k-th of ``make_models(seed, 3)``,
+    ``congruent-<seed>-<n>`` an order-n congruent-oscillator model."""
+    if name == "paper":
+        return (*paper_example_model(), 0.001, 20.0, 20_000)
+    if name.startswith("tiny"):
+        tiny = model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.eye(2))
+        return (tiny, np.eye(2), 0.1, 20.0, 30_000) if name == "tiny" else (tiny, np.eye(2), 0.05, 5.0, 500)
+    if name == "damped":
+        model, pi = damped_mode(), np.diag([1.0, 2.0])
+        return model, pi, 0.1 * rs_theta_max(model, pi), 5.0, 20_000
+    kind, seed, k = name.split("-")
+    rng = np.random.default_rng(int(seed) + int(k))
+    if kind == "random":
+        model = make_models(int(seed), 3)[int(k)][0]
+        pi = random_sym(rng, model.n, psd=True)
+        return model, pi, 0.1 * rs_theta_max(model, pi), 5.0, 20_000
+    # the n-sweep's kind of model: damped oscillators under a symplectic
+    # congruence, over its horizon T = 2 with its 2000 paths
+    model = congruent_oscillators(rng, int(k))
+    pi = random_sym(rng, model.n, psd=True)
+    return model, pi, 0.25 * rs_theta_max(model, pi), 2.0, 2000
+
+
+class TestCertifiedStep:
+    """The ladder accepts a rung only when its Richardson differences contract."""
+
+    @staticmethod
+    def _steps(tiny):
+        # the one-mode vacuum model over T = 20: ||A||_2 = 1, rungs at 20,
+        # 40, ..., 640 steps (each reads 2x and 4x its steps), floor at 1000
+        stepper, _ = classical._certified_step(tiny, np.eye(2), 0.1, 20.0, 20_000)
+        return round(20.0 / stepper.h)
+
+    def test_small_top_difference_without_contraction_is_refused(self, tiny, monkeypatch):
+        # d(20 steps) = 1e-12 is within any budget by coincidence, but
+        # d(40) = 1.875e-6 does not contract from it; from 40 steps on the
+        # differences fall 4x per halving and d(40) / (1 - 1/4) fits 0.1 stderr
+        def rho_at(steps):
+            return 0.1 + 1e-12 + 1e-5 / 4.0 if steps == 20 else 0.1 + 1e-5 * (20.0 / steps) ** 2
+
+        _crafted_ladder(monkeypatch, rho_at, stderr=1e-4)
+        assert self._steps(tiny) == 40
+
+    def test_growing_differences_are_refused(self, tiny, monkeypatch):
+        # each difference doubles and all of them fit the old budget
+        # |d(h)| <= 0.1 stderr, but none contracts: the ladder ends at its floor
+        _crafted_ladder(monkeypatch, lambda steps: 0.1 - 1e-9 * steps, stderr=1e-4)
+        assert self._steps(tiny) == 1000
+
+    @pytest.mark.parametrize("size, steps", [(0.5, 20), (2.0, 1000)])
+    def test_differences_at_the_rounding_level_are_settled(self, tiny, monkeypatch, size, steps):
+        # differences of alternating sign (q = 1), each of `size` times
+        # RATE_ROUNDING |rho|, against a stderr that no difference fits: at
+        # the rounding level they are settled and the top rung stands; above
+        # it they are bias that does not contract, and the ladder ends at its floor
+        def rho_at(s):
+            sign = (-1) ** round(math.log2(s / 20))
+            return 0.1 * (1.0 + 0.5 * size * classical.RATE_ROUNDING * sign)
+
+        _crafted_ladder(monkeypatch, rho_at, stderr=1e-15)
+        assert self._steps(tiny) == steps
+
+    @pytest.mark.parametrize("name", [
+        "paper", "tiny", "tiny-short", "damped",
+        "random-5-0", "random-5-1", "random-5-2", "random-11-0", "random-11-1", "random-11-2",
+        "congruent-0-4", "congruent-0-8", "congruent-0-16", "congruent-1-8",
+    ])
+    def test_accepted_step_bias_within_a_tenth_of_the_stderr(self, name):
+        # against a sixteenth of the floor, the accepted rate's bias is at
+        # most 0.1 of the predicted stderr at the accepted step
+        model, pi, theta, horizon, paths = _certified_case(name)
+        stepper, rho = classical._certified_step(model, pi, theta, horizon, paths)
+        assert rho == finite_horizon_rate(model, pi, theta, horizon, stepper.h)
+        rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, stepper.h)
+        stderr = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * rho)) / paths) / horizon
+        assert abs(rho - _fine_rate(name)) <= 0.1 * stderr
+
+
 def _dense_rate(model, pi, theta, horizon, steps):
-    """``-(1/2T) log det(I - 2 theta S^1/2 K S^1/2)`` over the stacked path
-    ``(x_0 .. x_N)``: ``S`` has blocks ``phi^(j-k) P_aug`` and ``K`` the
-    trapezoid weights times ``I2 (x) Pi``."""
+    """``-(1/2T) sum log1p(-2 theta eig(W C W))`` over the stacked path
+    ``(x_0 .. x_N)``: ``C`` has blocks ``phi^(j-k) P_aug`` and ``W = diag(sqrt
+    w) (x) I2 (x) sqrt(Pi)`` with the trapezoid weights ``w``, so ``W C W`` is
+    symmetric and its rank deficiency needs no root of ``C``."""
     h = horizon / steps
     stepper = AugmentedStepper.build(model, h)
     d = stepper.p_aug.shape[0]
@@ -511,12 +630,13 @@ def _dense_rate(model, pi, theta, horizon, steps):
             cov[k * d:(k + 1) * d, j * d:(j + 1) * d] = block.T
     weights = np.full(steps + 1, h)
     weights[[0, -1]] = 0.5 * h
-    kmat = np.kron(np.diag(weights), np.kron(np.eye(2), pi))
-    vals, vecs = np.linalg.eigh(cov)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    sign, logdet = np.linalg.slogdet(np.eye(len(cov)) - 2.0 * theta * root @ kmat @ root)
-    assert sign > 0
-    return -0.5 * logdet / horizon
+    vals, vecs = np.linalg.eigh(pi)
+    root_pi = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    w = np.kron(np.diag(np.sqrt(weights)), np.kron(np.eye(2), root_pi))
+    x = w @ cov @ w
+    eigs = np.linalg.eigvalsh(0.5 * (x + x.T))
+    assert 2.0 * theta * eigs.max() < 1.0
+    return -np.log1p(-2.0 * theta * eigs).sum() / (2.0 * horizon)
 
 
 class TestFiniteHorizonRate:
