@@ -30,7 +30,9 @@ Two risk-sensitive rate normalizations ship side by side:
 Both come from one stabilising Riccati solution, not quadrature (:func:`_riccati_rate`).
 
 The Monte Carlo estimator ``mc_rs_rate`` is the tiebreaker experiment; its
-verdict (it matches the sde variant) is recorded in analysis reports.
+verdict (it matches the sde variant) is recorded in analysis reports.  It
+subtracts the control variate ``S - E S`` (a path's cost less its exact
+mean) and runs only the paths its requested precision needs.
 """
 
 from __future__ import annotations
@@ -76,12 +78,18 @@ __all__ = [
 #: Fixed blocks of Monte Carlo paths, each drawn from its own spawned stream.
 MC_BLOCKS = 8
 
+#: The fewest paths a certified-step rate runs when it is asked for more.
+RATE_PATHS_MIN = 2000
+
 
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo estimate with per-entry standard errors; deterministic
-    for a fixed seed.  A rate estimate also carries its step ``h`` and,
-    when ``mc_rs_rate`` chose that step, the exact ``target`` it estimates."""
+    for a fixed seed.  ``paths`` is the number of paths run (a rate with
+    nothing to estimate reports the number asked for).  A rate
+    estimate also carries its step ``h`` and, when ``mc_rs_rate`` chose that
+    step, the exact ``target`` it estimates and the predicted
+    ``variance_ratio`` of the plain estimator over its control-variate one."""
 
     value: np.ndarray | float | complex
     stderr: np.ndarray | float
@@ -89,6 +97,7 @@ class McEstimate:
     seed: int
     h: float | None = None
     target: float | None = None
+    variance_ratio: float | None = None
 
 
 def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -434,9 +443,9 @@ def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, step
     The recursion runs in the stepper's frame, ``rank x rank``."""
     steps, h = _rate_grid(horizon, h)
     stepper = stepper or AugmentedStepper.build(model, h)
-    phi, frame = stepper.phi_frame, stepper.frame
+    phi = stepper.phi_frame
     # zeta* Pi zeta = xi'Pi xi + eta'Pi eta, in the stepper's frame
-    q = np.multiply.outer(thetas, frame.T @ np.kron(np.eye(2), model.weight_facts(pi).pi) @ frame)
+    q = np.multiply.outer(thetas, _cost_form(stepper, model.weight_facts(pi).pi))
     mat, total = 0.5 * h * q, 0.0
     for k in range(steps - 1, -1, -1):
         term, kmat = _gauss_exponent(mat, stepper.noise_chol)
@@ -463,21 +472,29 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
 #: A Richardson difference within this fraction of the rate is rounding, not
 #: bias.  Against a 40-digit evaluation of the same chain the recursion is
 #: 4.05e-13 relative off on the damped mode (eigenvalues -0.003 +- 10i, T 2,
-#: 40 steps) and 2.6e-10 at 1408 steps: its one-step noise covariance
-#: ``P - Phi P Phi'`` cancels more digits as the step falls.  On the paper
-#: fixture, the one-mode vacuum model, random models and an n = 8 congruent
-#: model (up to 818 steps) it is at most 1.2e-14 off.
+#: 40 steps) and 2.6e-10 at 1408 steps: each step takes its log-det from a
+#: Cholesky diagonal, whose entries ``1 - x/2`` carry an absolute rounding of
+#: ~1e-16 on a term of size ``x``, and more terms add up as the step falls.
+#: The one-step noise covariance ``P - Phi P Phi'`` cancels digits too, but it
+#: is not the cause: a Van Loan covariance in its place leaves the error at
+#: 1408 steps (theta 0.3/peak) at 8.1e-11.  On the paper fixture, the one-mode
+#: vacuum model, random models and an n = 8 congruent model (up to 818 steps)
+#: the recursion is at most 1.2e-14 off.
 #: The difference of two rates at 2.6e-10 is within this level, and a bias
 #: this small is far below the stderr of any feasible path count.
 RATE_ROUNDING = 1e-9
 
 
-def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float]:
+def _certified_step(model: OqhoModel, pi, theta, horizon, paths,
+                    top: AugmentedStepper | None = None) -> tuple[AugmentedStepper, float]:
     """The largest step on the ladder ``2^(1-k) / (1 + ||A||_2)`` whose
     Richardson differences ``d(h) = rho(h) - rho(h/2)`` contract and bound
-    its bias by a tenth of the estimator's predicted stderr, never below
-    ``min(0.02, 0.1 / (1 + ||A||_2))``; returns the stepper at that step and
-    ``rho(h)``.
+    its bias by a tenth of the predicted stderr of a plain estimator over
+    ``paths`` paths, never below ``min(0.02, 0.1 / (1 + ||A||_2))``; returns
+    the stepper at that step and ``rho(h)``.  ``mc_rs_rate`` passes the
+    effective plain path count ``run * ratio`` of its control-variate
+    estimator, so the budget is a tenth of that estimator's stderr; ``top``
+    is a stepper it already built at the top rung.
 
     The top rung turns the fastest mode by less than 2 rad a step, under the
     aliasing limit of pi.  A rung is accepted when ``q = |d(h/2)| / |d(h)|
@@ -493,12 +510,13 @@ def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[Augmen
     """
     scale = 1.0 + opnorm2(model.a)
     floor = min(0.02, 0.1 / scale)
-    rungs = {}
+    rungs, reuse = {}, {} if top is None else {_rate_grid(horizon, top.h)[0]: (top,)}
 
     def rung(h):
         steps = _rate_grid(horizon, h)[0]
         if steps not in rungs:
-            stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h)
+            stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h,
+                                                    *reuse.get(steps, ()))
             with np.errstate(over="ignore"):  # an infinite stderr admits any step
                 rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
             rungs[steps] = stepper, float(rho), math.sqrt(rel_var / paths) / horizon
@@ -516,6 +534,85 @@ def _certified_step(model: OqhoModel, pi, theta, horizon, paths) -> tuple[Augmen
     return rung(floor)[:2]
 
 
+def _cost_form(stepper: AugmentedStepper, pi: np.ndarray) -> np.ndarray:
+    """``Q_f = frame' (I2 (x) Pi) frame``: a path's cost rate ``zeta* Pi zeta``
+    is ``y' Q_f y`` in the stepper's frame, with stationary mean ``tr(Q_f P_f)``."""
+    return stepper.frame.T @ np.kron(np.eye(2), pi) @ stepper.frame
+
+
+def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> float:
+    """Predicted variance of the plain estimator of ``E e^{theta S}`` over the
+    control-variate one, ``1 / (1 - R^2)``, ``inf`` if ``R^2 >= 1``.
+
+    ``R`` is the correlation of ``Y = e^{theta S}`` with the path cost ``S``:
+    ``Cov(Y, S) = E Y (Lambda'(theta) - E S)`` and ``Var Y = (E Y)^2 expm1(
+    Lambda(2 theta) - 2 Lambda(theta))`` for ``Lambda = T rho``, so ``R^2 =
+    (Lambda'(theta) - E S)^2 / (Var S expm1(Lambda(2 theta) - 2 Lambda(theta)))``.
+    One stacked recursion on ``stepper`` gives ``Lambda`` at ``theta``, ``2
+    theta``, ``theta +- eps`` and ``+- eps`` for ``eps = 1e-3 theta``; central
+    differences give ``Lambda'(theta)`` and ``Var S = (Lambda(eps) +
+    Lambda(-eps)) / eps^2`` (``Lambda(0) = 0``).  An infinite ``2 theta``
+    moment raises ``ThetaOutOfRange``."""
+    mean_cost = horizon * np.sum(_cost_form(stepper, pi) * stepper.p_frame)
+    eps = 1e-3 * theta
+    thetas = (theta, 2.0 * theta, theta + eps, theta - eps, eps, -eps)
+    lam = horizon * _exponent_rates(model, pi, thetas, horizon, stepper.h, stepper)[1]
+    slope = (lam[2] - lam[3]) / (2.0 * eps)
+    var_cost = (lam[4] + lam[5]) / eps**2
+    with np.errstate(over="ignore"):  # an infinite Var Y leaves R^2 = 0
+        spread = var_cost * np.expm1(lam[1] - 2.0 * lam[0])
+    r2 = (slope - mean_cost) ** 2 / spread if spread > 0.0 else 0.0
+    return float(1.0 / (1.0 - r2)) if r2 < 1.0 else math.inf
+
+
+def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float, int, float]:
+    """``(stepper, rho, run, ratio)`` of a certified-step rate asked for the
+    precision of ``paths`` plain paths: the variance ratio predicted on the
+    top rung's stepper, the run ``min(paths, max(RATE_PATHS_MIN, ceil(paths /
+    ratio)))``, and the step certified for ``run * ratio`` plain paths."""
+    top = AugmentedStepper.build(model, _rate_grid(horizon, 2.0 / (1.0 + opnorm2(model.a)))[1])
+    ratio = _variance_ratio(model, pi, theta, horizon, top)
+    run = min(paths, max(RATE_PATHS_MIN, math.ceil(paths / ratio)))
+    return *_certified_step(model, pi, theta, horizon, run * ratio, top), run, ratio
+
+
+def _cv_rate(cost: np.ndarray, mean_cost: float, theta, horizon) -> tuple[float, float]:
+    """``(rate, stderr)``: ``(1/T) ln`` of the control-variate estimate of ``E
+    e^{theta S}`` from the path costs ``S`` and their exact mean ``E S``.
+
+    With ``Y = e^{theta S - max}`` the estimate is ``mean(Y) - beta mean(S -
+    E S)``, ``beta`` the least-squares slope of ``Y`` on ``S`` over all paths
+    (0 when ``S`` has no sample variance).  The stderr is a delete-one
+    jackknife that refits ``beta``, from leave-one-out sums in O(paths).
+    :class:`VarianceBlowup` when the plain weights ``Y`` have an effective
+    sample size below 50, or when the estimate or a leave-one-out estimate is
+    not positive."""
+    paths = len(cost)
+    arg = theta * cost
+    peak = arg.max()
+    y = np.exp(arg - peak)
+    ess = y.sum() ** 2 / (y**2).sum()
+    if ess < 50.0:
+        raise VarianceBlowup(f"effective sample size {ess:.1f} below 50")
+    c = cost - mean_cost
+    y_bar, c_bar = y.mean(), c.mean()
+    e, d = y - y_bar, c - c_bar
+    sxy, sxx = (e * d).sum(), (d * d).sum()
+    beta = sxy / sxx if sxx > 0.0 else 0.0
+    # the centred sums without path i lose n/(n-1) of its own product
+    k = paths / (paths - 1.0)
+    sxy_i, sxx_i = sxy - k * e * d, sxx - k * d * d
+    beta_i = np.divide(sxy_i, sxx_i, out=np.zeros(paths), where=sxx_i > 0.0)
+    mean = y_bar - beta * c_bar
+    loo = (y_bar - e / (paths - 1)) - beta_i * (c_bar - d / (paths - 1))
+    if not (mean > 0.0 and loo.min() > 0.0):
+        raise VarianceBlowup(f"control-variate mean {mean:.3e} or a leave-one-out "
+                             f"mean {loo.min():.3e} is not positive")
+    loo = (np.log(loo) + peak) / horizon
+    stderr = np.sqrt((paths - 1) / paths * ((loo - loo.mean()) ** 2).sum())
+    return float((np.log(mean) + peak) / horizon), float(stderr)
+
+
 def mc_rs_rate(
     model: OqhoModel,
     pi,
@@ -527,25 +624,34 @@ def mc_rs_rate(
 ) -> McEstimate:
     """Monte Carlo estimate of the twin's risk-sensitive rate.
 
-    Accumulates the running cost by trapezoid weights over the exactly
-    discretized chain, in ``MC_BLOCKS`` fixed blocks of paths with one
-    spawned stream each (as :func:`simulate`; the number of CPUs that run
+    Accumulates the running cost ``S`` of each path by trapezoid weights over
+    the exactly discretized chain, in ``MC_BLOCKS`` fixed blocks of paths with
+    one spawned stream each (as :func:`simulate`; the number of CPUs that run
     them changes no value), in the stepper's frame: the cost is ``y' (frame'
     (I2 (x) Pi) frame) y`` and a pure state draws ``n`` normals per path and
-    step, not ``2n``.  It applies log-mean-exp across the paths in block
-    order and divides by the horizon.  The step enters only through the
-    trapezoid sum, whose exact rate is ``finite_horizon_rate``.  With
-    ``h=None`` the step is the largest ``2^(1-k) / (1 + ||A||_2)`` whose
-    Richardson differences against ``h/2`` and ``h/4`` contract (ratio at
-    most 1/2) and bound its bias by a tenth of the predicted stderr
-    (:func:`_certified_step`), never below ``min(0.02, 0.1 / (1 +
-    ||A||_2))``; the estimate carries it and its exact ``target``, and a
-    rate whose ``2 theta`` moment is infinite is refused with
-    ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` is used
-    as given, with no target.  The standard error comes from a delete-one
-    jackknife; the estimator carries a positive bias of order stderr^2.
-    Refuses parameter ranges where the exponential estimator degenerates
-    (effective sample size below 50).
+    step, not ``2n``.  The estimate is ``(1/T) ln`` of the mean of ``e^{theta
+    S}`` less a control variate, ``beta`` times the mean of ``S - E S``, whose
+    exact mean ``E S = T tr(Q_f P_f)`` the stationary chain gives; its
+    standard error is a delete-one jackknife that refits ``beta``
+    (:func:`_cv_rate`), and it carries a positive bias of order stderr^2.  The
+    step enters only through the trapezoid sum, whose exact rate is
+    ``finite_horizon_rate``.
+
+    With ``h=None``, ``paths`` sets the rate's precision: at least that of
+    the plain estimator over ``paths`` paths.  The predicted variance ratio of
+    the plain estimator over the control-variate one (:func:`_variance_ratio`,
+    on the top rung's stepper) sets the run ``min(paths, max(RATE_PATHS_MIN,
+    ceil(paths / ratio)))``.  The step is the largest ``2^(1-k) / (1 +
+    ||A||_2)`` whose Richardson differences against ``h/2`` and ``h/4``
+    contract (ratio at most 1/2) and bound its bias by a tenth of the
+    control-variate stderr at the run (:func:`_certified_step`, given ``run *
+    ratio`` plain paths), never below ``min(0.02, 0.1 / (1 + ||A||_2))``.  The
+    estimate carries the run count, the step, its exact ``target`` and the
+    ratio, and a rate whose ``2 theta`` moment is infinite is refused with
+    ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` runs
+    ``paths`` paths at that step, with no target or ratio.  Refuses parameter
+    ranges where the exponential estimator degenerates (effective sample size
+    of the plain weights below 50).
     """
     _check_run(paths, 0, seed)
     _rate_grid(horizon, horizon if h is None else h)  # refuses a bad horizon or step
@@ -558,14 +664,15 @@ def mc_rs_rate(
     if not theta * facts.density_peak <= 0.3:
         raise ThetaOutOfRange(f"theta = {theta} beyond the low-variance envelope "
                               f"0.3/peak = {0.3 / facts.density_peak:.6e}")
-    stepper = target = None
+    stepper = target = ratio = None
+    run = paths
     if h is None:
-        stepper, target = _certified_step(model, pi, theta, horizon, paths)
+        stepper, target, run, ratio = _rate_plan(model, pi, theta, horizon, paths)
         h = stepper.h
     steps, h = _rate_grid(horizon, h)
 
     stepper = stepper or AugmentedStepper.build(model, h)
-    pi_frame = stepper.frame.T @ np.kron(np.eye(2), pi) @ stepper.frame
+    pi_frame = _cost_form(stepper, pi)
 
     def cost(lo, hi, chain):
         acc, vals, scratch = 0.0, np.empty(hi - lo), np.empty((hi - lo, len(pi_frame)))
@@ -573,15 +680,7 @@ def mc_rs_rate(
             acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_frame, scratch, vals)
         return acc
 
-    arg = theta * np.concatenate(_run_blocks(stepper, steps, paths, seed, cost))
-    peak_arg = arg.max()
-    weights = np.exp(arg - peak_arg)
-    total = weights.sum()
-    ess = total**2 / (weights**2).sum()
-    if ess < 50.0:
-        raise VarianceBlowup(f"effective sample size {ess:.1f} below 50")
-    rate = (np.log(total / paths) + peak_arg) / horizon
-    loo = (np.log((total - weights) / (paths - 1)) + peak_arg) / horizon
-    stderr = np.sqrt((paths - 1) / paths * ((loo - loo.mean()) ** 2).sum())
-    return McEstimate(value=float(rate), stderr=float(stderr), paths=paths, seed=seed,
-                      h=h, target=target)
+    costs = np.concatenate(_run_blocks(stepper, steps, run, seed, cost))
+    rate, stderr = _cv_rate(costs, horizon * np.sum(pi_frame * stepper.p_frame), theta, horizon)
+    return McEstimate(value=rate, stderr=stderr, paths=run, seed=seed, h=h, target=target,
+                      variance_ratio=ratio)

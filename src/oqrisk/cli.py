@@ -22,6 +22,13 @@ EXIT_PARTIAL = 2
 EXIT_NUMERICAL = 3
 
 
+_MC_PATHS = ("Monte Carlo paths of the lag-pair statistics, and the "
+             "precision of the theta rate: at least that of the plain estimator over as many "
+             "paths.  The rate's control variate lets it run fewer, min(paths, max(2000, "
+             "ceil(paths / ratio))) for its predicted variance ratio, reported as rs_rate's "
+             "paths and variance_ratio.")
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--fixture", help="named fixture, e.g. paper-example")
@@ -37,11 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in [
-        ("validate", "build the model and print its certificates"),
-        ("analyze", "run every analysis block and emit a JSON report"),
+    for name, helptext, description in [
+        ("validate", "build the model and print its certificates", None),
+        ("analyze", "run every analysis block and emit a JSON report",
+         "Run every analysis block and emit a JSON report.  The config's mc.paths: " + _MC_PATHS),
     ]:
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, description=description)
         _add_common(p)
 
     p = sub.add_parser("cumulants", help="cumulant growth rates as JSON")
@@ -62,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h", type=float)
     p.add_argument("--steps", type=int, help="horizon of the --theta rate, in steps of --h")
-    p.add_argument("--paths", type=int)
+    p.add_argument("--paths", type=int, help=_MC_PATHS)
     p.add_argument("--lag", type=int)
     p.add_argument("--theta", type=float)
 

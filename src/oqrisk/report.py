@@ -249,6 +249,8 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
             "mc": {"value": float(est.value), "stderr": float(est.stderr)},
             "mc_target_exact": est.target,
             "h": est.h,
+            "paths": est.paths,
+            "variance_ratio": est.variance_ratio,
             "mc_matches": "sde" if z_target <= z_paper else "paper",
         }
     return out

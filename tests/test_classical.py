@@ -24,7 +24,7 @@ from oqrisk.classical import (
     simulate,
     zeta_view,
 )
-from oqrisk.errors import DimensionMismatch, InsufficientPaths, ThetaOutOfRange
+from oqrisk.errors import DimensionMismatch, InsufficientPaths, ThetaOutOfRange, VarianceBlowup
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm, integrate_frequency, sqrt_psd
 from oqrisk.quartic import mean_rate
@@ -420,14 +420,16 @@ class TestMcRate:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_explicit_step_is_unchanged(self, tiny):
-        # an explicit step runs no recursion and carries no target; the tiny
-        # model's law is pure, so its chain draws 2 normals per step in the
-        # frame of the law's support, and the estimate sits within 4 stderr
-        # of the exact rate at that step
+        # an explicit step runs no recursion, carries no target or ratio and
+        # runs the paths asked for; the tiny model's law is pure, so its chain
+        # draws 2 normals per step in the frame of the law's support, and the
+        # control-variate estimate sits within 4 stderr of the exact rate at
+        # that step
         est = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, 500, seed=9, h=0.02)
-        assert est.value == 0.05188669114666826
-        assert est.stderr == 0.0010683313006499256
-        assert est.h == 0.02 and est.target is None
+        assert est.value == 0.05119100343855478
+        assert est.stderr == 0.000104306994378995
+        assert est.h == 0.02 and est.target is None and est.variance_ratio is None
+        assert est.paths == 500
         exact = finite_horizon_rate(tiny, np.eye(2), 0.05, 5.0, 0.02)
         assert abs(est.value - exact) <= 4.0 * est.stderr
 
@@ -439,8 +441,12 @@ class TestMcRate:
         assert round(horizon / est.h) == 102
         assert est.target == finite_horizon_rate(model, pi, theta, horizon, est.h)
         assert abs(est.value - est.target) <= 4.0 * est.stderr
+        # the control variate cuts the variance ~16-fold, so the floor of
+        # 2000 paths is more precise than 20000 plain ones
+        assert est.paths == 2000
         rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, est.h)
-        predicted = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * est.target)) / paths) / horizon
+        plain = np.expm1(horizon * (rho_2 - 2.0 * est.target))
+        predicted = np.sqrt(plain / (est.paths * est.variance_ratio)) / horizon
         assert predicted == pytest.approx(est.stderr, rel=0.1)
         # the bias against a sixteenth of the floor is within a tenth of the stderr
         assert abs(est.target - _fine_rate("paper")) <= 0.1 * predicted
@@ -482,12 +488,17 @@ class TestMcRate:
         assert recursions == [((0.001, 0.002), horizon, h) for h in hs]
         assert stepper.h == built[-1]
         assert rho == finite_horizon_rate(model, pi, 0.001, horizon, floor)
-        # a rung accepted at once, the top one: its stepper runs the paths,
-        # none is rebuilt
+        # a rung accepted at once, the top one: its stepper, built first for
+        # the variance-ratio prediction's recursion, serves the ladder and
+        # runs the paths, and none is rebuilt
         built.clear()
+        recursions.clear()
         est = mc_rs_rate(model, pi, 0.001, horizon, 2000, seed=1)
         assert est.h == horizon / round(horizon / (2.0 / scale))
         assert built == [est.h] + [horizon / round(horizon / (f / scale)) for f in (1.0, 0.5)]
+        eps = 1e-3 * 0.001
+        assert recursions == [((0.001, 0.002, 0.001 + eps, 0.001 - eps, eps, -eps), horizon, est.h)] + [
+            ((0.001, 0.002), horizon, f / scale) for f in (2.0, 1.0, 0.5)]
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
         # the damped mode's resonance at lam = -10 puts its density peak at
@@ -602,13 +613,130 @@ class TestCertifiedStep:
     ])
     def test_accepted_step_bias_within_a_tenth_of_the_stderr(self, name):
         # against a sixteenth of the floor, the accepted rate's bias is at
-        # most 0.1 of the predicted stderr at the accepted step
+        # most 0.1 of the predicted stderr at the accepted step: of the plain
+        # estimator over `paths` paths, and of the control-variate one at the
+        # run mc_rs_rate chooses, `run * ratio` plain paths
         model, pi, theta, horizon, paths = _certified_case(name)
         stepper, rho = classical._certified_step(model, pi, theta, horizon, paths)
-        assert rho == finite_horizon_rate(model, pi, theta, horizon, stepper.h)
-        rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, stepper.h)
-        stderr = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * rho)) / paths) / horizon
-        assert abs(rho - _fine_rate(name)) <= 0.1 * stderr
+        cv_stepper, cv_rho, run, ratio = classical._rate_plan(model, pi, theta, horizon, paths)
+        for step, rate, plain_paths in ((stepper, rho, paths), (cv_stepper, cv_rho, run * ratio)):
+            assert rate == finite_horizon_rate(model, pi, theta, horizon, step.h)
+            rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, step.h)
+            stderr = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * rate)) / plain_paths) / horizon
+            assert abs(rate - _fine_rate(name)) <= 0.1 * stderr
+
+
+def _cv_case(name):
+    """``(model, Pi, theta, horizon, paths, h)`` of the control-variate
+    coverage cases: certified steps on the paper fixture and the one-mode
+    vacuum model, and an explicit step on an n = 8 congruent model."""
+    if name == "paper":
+        return (*paper_example_model(), 0.001, 20.0, 20_000, None)
+    if name == "tiny":
+        return model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.eye(2)), np.eye(2), 0.05, 5.0, 20_000, None
+    rng = np.random.default_rng(8)
+    model = congruent_oscillators(rng, 8)
+    pi = random_sym(rng, 8, psd=True)
+    return model, pi, 0.25 * rs_theta_max(model, pi), 2.0, 2000, 0.05
+
+
+@functools.cache
+def _seed_runs(name, top):
+    """``mc_rs_rate`` of a :func:`_cv_case` over seeds 1..20, each with the
+    path costs its estimator saw; with ``top``, at the explicit top-rung step
+    ``2 / (1 + ||A||_2)`` and the certified estimate's run count."""
+    model, pi, theta, horizon, paths, h = _cv_case(name)
+    if top:
+        certified = _seed_runs(name, False)[0][0]
+        h = classical._rate_grid(horizon, 2.0 / (1.0 + np.linalg.norm(model.a, 2)))[1]
+        if h == certified.h:
+            return _seed_runs(name, False)
+        paths = certified.paths
+    costs, estimate = [], classical._cv_rate
+    classical._cv_rate = lambda cost, *args: costs.append(cost.copy()) or estimate(cost, *args)
+    try:
+        runs = [mc_rs_rate(model, pi, theta, horizon, paths, seed, h=h) for seed in range(1, 21)]
+    finally:
+        classical._cv_rate = estimate
+    return list(zip(runs, costs))
+
+
+def _realized_ratio(name, top=False):
+    """Mean over the seeds of ``1 / (1 - r^2)``, ``r`` the sample correlation
+    of ``e^{theta S}`` with the path cost ``S``: the variance of the plain
+    estimator over the control-variate one."""
+    theta = _cv_case(name)[2]
+    ratios = []
+    for _, cost in _seed_runs(name, top):
+        r = np.corrcoef(np.exp(theta * (cost - cost.max())), cost)[0, 1]
+        ratios.append(1.0 / (1.0 - r * r))
+    return float(np.mean(ratios))
+
+
+class TestControlVariate:
+    """``mc_rs_rate`` subtracts ``beta (S - E S)`` and runs the paths its precision needs."""
+
+    @pytest.mark.parametrize("name", ["paper", "tiny", "congruent8"])
+    def test_coverage_over_twenty_seeds(self, name):
+        # z against the exact rate at the step that ran: its sample variance
+        # is near 1 and no |z| reaches 4, so the jackknife stderr is honest
+        model, pi, theta, horizon, _, h = _cv_case(name)
+        runs = _seed_runs(name, False)
+        target = runs[0][0].target if h is None else finite_horizon_rate(model, pi, theta, horizon, h)
+        z = np.array([(est.value - target) / est.stderr for est, _ in runs])
+        assert 0.5 <= z.var(ddof=1) <= 2.0
+        assert np.abs(z).max() <= 4.0
+
+    @pytest.mark.parametrize("name", ["paper", "tiny"])
+    def test_predicted_ratio_matches_the_realized_one(self, name):
+        # the prediction reads the top rung's recursion, so it is checked at
+        # that step; at the accepted step (the paper fixture's is the top
+        # rung, the vacuum model's 40 steps against 5) the realized ratio is
+        # no smaller, so the run is at least as precise as promised
+        predicted = _seed_runs(name, False)[0][0].variance_ratio
+        assert predicted == pytest.approx(_realized_ratio(name, top=True), rel=0.25)
+        assert _realized_ratio(name) >= 0.75 * predicted
+
+    @pytest.mark.parametrize("paths, run", [(500, 500), (2000, 2000), (20_000, 2000), (500_000, 6134)])
+    def test_path_rule(self, tiny, paths, run, monkeypatch):
+        # the run is min(paths, max(RATE_PATHS_MIN, ceil(paths / ratio))) at
+        # a ratio of ~81.5: paths below the floor run as asked, the run never
+        # exceeds paths, and McEstimate.paths is what the blocks drew
+        drawn, run_blocks = [], classical._run_blocks
+        monkeypatch.setattr(classical, "_run_blocks",
+                            lambda stepper, steps, n, *args: drawn.append(n) or run_blocks(stepper, steps, n, *args))
+        est = mc_rs_rate(tiny, np.eye(2), 0.05, 5.0, paths, seed=3)
+        assert drawn == [est.paths] and est.paths == run <= paths
+        assert run == min(paths, max(classical.RATE_PATHS_MIN, math.ceil(paths / est.variance_ratio)))
+
+    def test_worker_count_changes_no_value(self, paper, monkeypatch):
+        # beta is fitted from all paths in block order: the pool size sets
+        # the speed only
+        model, pi = paper
+        runs = []
+        for workers in (1, classical.MC_BLOCKS):
+            monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
+            runs.append(mc_rs_rate(model, pi, 0.001, 2.0, 20_000, seed=3))
+        assert runs[0] == runs[1]
+
+    def test_constant_cost_gives_the_plain_estimate(self):
+        # no sample variance of S: beta = 0, even against a wrong E S, and
+        # value and stderr are the plain log-mean-exp and its delete-one
+        # jackknife (0 up to the rounding of a mean of equal values)
+        cost, theta, horizon = np.full(1000, 3.0), 0.1, 5.0
+        rate, stderr = classical._cv_rate(cost, 2.5, theta, horizon)
+        peak = (theta * cost).max()
+        weights = np.exp(theta * cost - peak)
+        loo = (np.log((weights.sum() - weights) / 999) + peak) / horizon
+        assert rate == (np.log(weights.sum() / 1000) + peak) / horizon
+        assert stderr == np.sqrt(999 / 1000 * ((loo - loo.mean()) ** 2).sum()) < 1e-15
+
+    def test_nonpositive_mean_is_refused(self):
+        # a mean of S - E S far above 0 with beta > 0 drives the estimate of
+        # E e^{theta S} below 0; the plain weights alone pass the ESS guard
+        cost = np.linspace(0.0, 1.0, 1000)
+        with pytest.raises(VarianceBlowup, match="not positive"):
+            classical._cv_rate(cost, -1e6, 0.1, 5.0)
 
 
 def _dense_rate(model, pi, theta, horizon, steps):

@@ -260,6 +260,21 @@ class TestSimulateCommand:
         assert abs(z) < 4.0
         assert rate["mc_matches"] == "sde"
 
+    def test_rate_reports_its_run_and_ratio(self, capsys, tmp_path):
+        # mc.paths is the lag pair's path count and the rate's precision: the
+        # control variate's predicted ratio (~81 here) lets the rate run the
+        # floor of 2000 paths
+        doc = dict(TINY_DOC)
+        doc["mc"] = {"h": 0.05, "steps": 100, "paths": 20_000, "seed": 11,
+                     "lag": 4, "theta": 0.05}
+        code, out = _run(capsys, ["simulate", "--config",
+                                  _write_config(tmp_path, doc)])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["paths"] == 20_000
+        assert rep["rs_rate"]["paths"] == 2000
+        assert rep["rs_rate"]["variance_ratio"] > 10.0
+
 
 class TestFixtureIntegrity:
     def test_hash_pinned(self):
