@@ -27,12 +27,15 @@ Two risk-sensitive rate normalizations ship side by side:
   which is the rate of the circular complex process actually defined by the
   SDE above (its small-theta slope is the true stationary mean ``<Pi, P>``).
 
-Both come from one stabilising Riccati solution, not quadrature (:func:`_riccati_rate`).
+Both come from one stabilising Riccati solution, not quadrature (:func:`_riccati_rate`);
+the flow of its Hamiltonian gives the twin's exact finite-horizon rate in
+continuous time (:func:`_continuous_rate`), the limit of ``finite_horizon_rate``.
 
 The Monte Carlo estimator ``mc_rs_rate`` is the tiebreaker experiment; its
 verdict (it matches the sde variant) is recorded in analysis reports.  It
 subtracts the control variate ``S - E S`` (a path's cost less its exact
-mean) and runs only the paths its requested precision needs.
+mean), runs only the paths its requested precision needs, and takes the
+largest step whose exact bias fits a tenth of its stderr.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ __all__ = [
     "classical_rs_rate_sde",
     "finite_horizon_rate",
     "mc_rs_rate",
-    "rs_theta_max",
 ]
 
 #: Fixed blocks of Monte Carlo paths, each drawn from its own spawned stream.
@@ -109,9 +111,8 @@ def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class AugmentedStepper:
     """Exact one-step discretization of the augmented linear SDE.
 
-    ``phi_aug = e^{h (I2 (x) A)}``, the invariant covariance ``p_aug`` and
-    the exact one-step noise covariance ``sigma_aug = p_aug - phi_aug p_aug
-    phi_aug'`` are ``2n x 2n``.  The chain runs in the coordinates ``y =
+    ``phi_aug = e^{h (I2 (x) A)}`` and the invariant covariance ``p_aug``
+    are ``2n x 2n``.  The chain runs in the coordinates ``y =
     frame' x`` of ``frame``, a ``2n x rank`` orthonormal basis of the support
     of the invariant law: ``phi_frame = frame' phi_aug frame``, ``p_frame =
     frame' p_aug frame`` and ``noise_chol``, the principal square root of
@@ -132,7 +133,6 @@ class AugmentedStepper:
     h: float
     phi_aug: np.ndarray
     noise_chol: np.ndarray
-    sigma_aug: np.ndarray
     p_aug: np.ndarray
     frame: np.ndarray
     phi_frame: np.ndarray
@@ -150,8 +150,6 @@ class AugmentedStepper:
             p_aug = lyap_solve(np.kron(np.eye(2), model.a), q_aug)
             p_aug = 0.5 * (p_aug + p_aug.T)
             phi = np.kron(np.eye(2), expm(model.a, h))
-            sigma = p_aug - phi @ p_aug @ phi.T
-            sigma = 0.5 * (sigma + sigma.T)
             frame = _support_frame(model, p_aug)
         except NotHurwitz as exc:
             raise StepperConstructionFailure(str(exc)) from exc
@@ -166,8 +164,8 @@ class AugmentedStepper:
             raise StepperConstructionFailure(
                 f"one-step noise covariance has eigenvalue {wmin:.3e}"
             )
-        return cls(h=h, phi_aug=phi, noise_chol=sqrt_psd(sigma_s), sigma_aug=sigma,
-                   p_aug=p_aug, frame=frame, phi_frame=phi_s, p_frame=p_s)
+        return cls(h=h, phi_aug=phi, noise_chol=sqrt_psd(sigma_s), p_aug=p_aug,
+                   frame=frame, phi_frame=phi_s, p_frame=p_s)
 
 
 def _support_frame(model: OqhoModel, p_aug: np.ndarray) -> np.ndarray:
@@ -361,13 +359,12 @@ def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) ->
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
-def rs_theta_max(model: OqhoModel, pi) -> float:
-    """Upper end of the finiteness interval for the rate variants,
-    ``2 / ||sqrt(Pi) G Omega||_inf^2`` since ``Omega^2 = 2 Omega``: the
-    inverse of the certified ``density_peak``, so it lies at most 1e-8
-    relative below the true end, never above it."""
-    peak = model.weight_facts(pi).density_peak  # 0 only for a zero weight
-    return math.inf if peak == 0.0 else 1.0 / peak
+def _hamiltonian(model: OqhoModel, pi: np.ndarray, theta: float) -> np.ndarray:
+    """``H = [[A, F], [-Pi, -A']]``, ``F = theta B Omega B'``: the peak test's Hamiltonian at
+    level ``1/theta``.  Its stable subspace gives :func:`_riccati_rate`, its flow
+    ``e^{-H tau}`` :func:`_continuous_rate`."""
+    f = theta * (model.b @ model.omega @ model.b.T)
+    return np.block([[model.a, f], [-pi, -model.a.T]])
 
 
 def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
@@ -385,8 +382,9 @@ def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
         raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
                               f"(0, {1.0 / facts.density_peak:.6e})")
     n, a, pi = model.n, model.a, facts.pi
-    f = theta * (model.b @ model.omega @ model.b.T)
-    _, z, dim = scipy.linalg.schur(np.block([[a, f], [-pi, -a.T]]), output="complex", sort="lhp")
+    ham = _hamiltonian(model, pi, theta)
+    f = ham[:n, n:]
+    _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
     if dim != n:
         raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
     # X2 X1^-1; a singular X1 gives no solution and fails the residual test
@@ -398,6 +396,38 @@ def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
     if res > 1e-12 * scale:
         raise NumericalDefect(f"Riccati residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
     return 0.5 * float(np.trace(x @ f).real)
+
+
+def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: float) -> float:
+    """``rho_c(T) = (1/T) ln E exp(theta int_0^T zeta* Pi zeta dt)`` for the twin started in
+    its invariant law ``Sigma``: the limit of :func:`finite_horizon_rate` as ``h -> 0``.
+
+    Feynman-Kac for the circular complex process gives ``exp(int_0^T tr(F X)) / det(I -
+    theta Sigma X(T))``, ``X`` the ``n x n`` Riccati flow ``dX/dtau = A'X + XA + Pi + XFX``
+    from ``X(0) = 0``, ``F = theta B Omega B'``.  With ``X = Z Y^-1``, ``[Y; Z]`` follows
+    ``e^{-H tau}`` (:func:`_hamiltonian`) and ``int tr(F X) = -(ln|det Y| + tau tr A)``, so
+    ``T rho_c = -(ln|det Y(T)| + T tr A) - ln det(I - theta Sigma X(T))``.  The flow runs in
+    ``ceil(T ||H||_2 / 4)`` equal chunks, each of which grows ``[Y; Z]`` by at most
+    ``e^{||H tau||} <= e^4``; after each, ``X = Z Y^-1``, ``ln|det Y|`` is added and ``Y``
+    restarts from ``I``.  ``theta Sigma`` solves ``A S + S A' + F = 0``, and the last term
+    is ``sum log1p(-w)`` over the eigenvalues ``w`` of ``R X R``, ``R = (theta Sigma)^(1/2)``.
+    ``mc_rs_rate``'s ``0.3/peak`` guard keeps the moment finite at every ``T``, so a ``w``
+    that is not below 1, or an ``ln|det Y|`` that is not finite, raises :class:`NumericalDefect`."""
+    n = model.n
+    ham = _hamiltonian(model, pi, theta)
+    chunks = math.ceil(horizon * opnorm2(ham) / 4.0)
+    flow = expm(-ham, horizon / chunks)
+    x, log_y = np.zeros((n, n)), 0.0
+    for _ in range(chunks):
+        yz = flow[:, :n] + flow[:, n:] @ x
+        x = np.linalg.solve(yz[:n].T, yz[n:].T).T
+        log_y += np.linalg.slogdet(yz[:n])[1]
+    cov = lyap_solve(model.a + 0j, ham[:n, n:])  # SciPy mishandles a complex Q with a real A
+    root = sqrt_psd(0.5 * (cov + cov.conj().T))
+    w = np.linalg.eigvalsh(root @ x @ root)
+    if not (w[-1] < 1.0 and math.isfinite(log_y)):  # NaN fails too
+        raise NumericalDefect(f"the exponential moment over T = {horizon} is not finite")
+    return float(-(log_y + horizon * np.trace(model.a)) - np.log1p(-w).sum()) / horizon
 
 
 def classical_rs_rate_paper(model: OqhoModel, pi, theta: float) -> float:
@@ -469,69 +499,38 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     return float(_exponent_rates(model, pi, [theta], horizon, h)[1][0])
 
 
-#: A Richardson difference within this fraction of the rate is rounding, not
-#: bias.  Against a 40-digit evaluation of the same chain the recursion is
-#: 4.05e-13 relative off on the damped mode (eigenvalues -0.003 +- 10i, T 2,
-#: 40 steps) and 2.6e-10 at 1408 steps: each step takes its log-det from a
-#: Cholesky diagonal, whose entries ``1 - x/2`` carry an absolute rounding of
-#: ~1e-16 on a term of size ``x``, and more terms add up as the step falls.
-#: The one-step noise covariance ``P - Phi P Phi'`` cancels digits too, but it
-#: is not the cause: a Van Loan covariance in its place leaves the error at
-#: 1408 steps (theta 0.3/peak) at 8.1e-11.  On the paper fixture, the one-mode
-#: vacuum model, random models and an n = 8 congruent model (up to 818 steps)
-#: the recursion is at most 1.2e-14 off.
-#: The difference of two rates at 2.6e-10 is within this level, and a bias
-#: this small is far below the stderr of any feasible path count.
-RATE_ROUNDING = 1e-9
-
-
 def _certified_step(model: OqhoModel, pi, theta, horizon, paths,
-                    top: AugmentedStepper | None = None) -> tuple[AugmentedStepper, float]:
-    """The largest step on the ladder ``2^(1-k) / (1 + ||A||_2)`` whose
-    Richardson differences ``d(h) = rho(h) - rho(h/2)`` contract and bound
-    its bias by a tenth of the predicted stderr of a plain estimator over
-    ``paths`` paths, never below ``min(0.02, 0.1 / (1 + ||A||_2))``; returns
-    the stepper at that step and ``rho(h)``.  ``mc_rs_rate`` passes the
-    effective plain path count ``run * ratio`` of its control-variate
-    estimator, so the budget is a tenth of that estimator's stderr; ``top``
-    is a stepper it already built at the top rung.
+                    first: tuple | None = None) -> tuple[AugmentedStepper, float]:
+    """The largest step on the ladder ``2^(1-k) / (1 + ||A||_2)`` whose exact
+    bias ``|rho(h) - rho_c|`` against the twin's continuous-time rate
+    (:func:`_continuous_rate`) is at most a tenth of the predicted stderr of a
+    plain estimator over ``paths`` paths, never below ``min(0.02, 0.1 / (1 +
+    ||A||_2))``; returns the stepper at that step and ``rho(h)``.
+    ``mc_rs_rate`` passes the effective plain path count ``run * ratio`` of
+    its control-variate estimator, so the budget is a tenth of that
+    estimator's stderr, and as ``first`` the top rung's ``(stepper, (rho,
+    rho_2theta))`` from its variance-ratio recursion.
 
     The top rung turns the fastest mode by less than 2 rad a step, under the
-    aliasing limit of pi.  A rung is accepted when ``q = |d(h/2)| / |d(h)|
-    <= 1/2`` (the O(h^2) regime, where ``q`` is ~1/4) and the geometric bias
-    bound ``|d(h)| / (1 - q)`` is at most ``0.1 stderr``, or when both
-    differences are within ``RATE_ROUNDING |rho(h)|``, where nothing is left
-    to resolve.  ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 =
+    aliasing limit of pi.  ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 =
     expm1(T (rho_{2 theta} - 2 rho_theta))`` is the relative variance of one
-    path's weight, so the delta method predicts the stderr of the rate.  A
-    ``2 theta`` recursion that raises ``ThetaOutOfRange`` means that variance
-    is infinite.  Each step size has one stepper and one stacked recursion
-    of ``theta`` and ``2 theta``, shared by the rungs that read it.
+    path's weight, so the delta method predicts the stderr of the rate at
+    each rung, ``sqrt(expm1(...) / paths) / T``.  A ``2 theta`` recursion that
+    raises ``ThetaOutOfRange`` means that variance is infinite.  Each rung
+    builds one stepper and runs one stacked recursion of ``theta`` and ``2
+    theta``.
     """
     scale = 1.0 + opnorm2(model.a)
     floor = min(0.02, 0.1 / scale)
-    rungs, reuse = {}, {} if top is None else {_rate_grid(horizon, top.h)[0]: (top,)}
-
-    def rung(h):
-        steps = _rate_grid(horizon, h)[0]
-        if steps not in rungs:
-            stepper, (rho, rho_2) = _exponent_rates(model, pi, (theta, 2 * theta), horizon, h,
-                                                    *reuse.get(steps, ()))
-            with np.errstate(over="ignore"):  # an infinite stderr admits any step
-                rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
-            rungs[steps] = stepper, float(rho), math.sqrt(rel_var / paths) / horizon
-        return rungs[steps]
-
+    target = _continuous_rate(model, pi, theta, horizon)
     h = 2.0 / scale
-    while h > floor:
-        stepper, rho, stderr = rung(h)
-        d, d_half = rho - rung(h / 2.0)[1], rung(h / 2.0)[1] - rung(h / 4.0)[1]
-        settled = max(abs(d), abs(d_half)) <= RATE_ROUNDING * abs(rho)
-        if settled or (abs(d_half) <= 0.5 * abs(d)
-                       and abs(d) / (1.0 - abs(d_half) / abs(d)) <= 0.1 * stderr):
-            return stepper, rho
-        h /= 2.0
-    return rung(floor)[:2]
+    while True:
+        stepper, (rho, rho_2) = first or _exponent_rates(model, pi, (theta, 2.0 * theta), horizon, h)
+        with np.errstate(over="ignore"):  # an infinite stderr admits any step
+            rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
+        if h <= floor or abs(rho - target) <= 0.1 * math.sqrt(rel_var / paths) / horizon:
+            return stepper, float(rho)
+        first, h = None, max(h / 2.0, floor)
 
 
 def _cost_form(stepper: AugmentedStepper, pi: np.ndarray) -> np.ndarray:
@@ -540,9 +539,10 @@ def _cost_form(stepper: AugmentedStepper, pi: np.ndarray) -> np.ndarray:
     return stepper.frame.T @ np.kron(np.eye(2), pi) @ stepper.frame
 
 
-def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> float:
+def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> tuple[float, np.ndarray]:
     """Predicted variance of the plain estimator of ``E e^{theta S}`` over the
-    control-variate one, ``1 / (1 - R^2)``, ``inf`` if ``R^2 >= 1``.
+    control-variate one, ``1 / (1 - R^2)``, ``inf`` if ``R^2 >= 1``, and the
+    rates ``(rho_theta, rho_2theta)`` at the stepper's step.
 
     ``R`` is the correlation of ``Y = e^{theta S}`` with the path cost ``S``:
     ``Cov(Y, S) = E Y (Lambda'(theta) - E S)`` and ``Var Y = (E Y)^2 expm1(
@@ -551,18 +551,20 @@ def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> float:
     One stacked recursion on ``stepper`` gives ``Lambda`` at ``theta``, ``2
     theta``, ``theta +- eps`` and ``+- eps`` for ``eps = 1e-3 theta``; central
     differences give ``Lambda'(theta)`` and ``Var S = (Lambda(eps) +
-    Lambda(-eps)) / eps^2`` (``Lambda(0) = 0``).  An infinite ``2 theta``
+    Lambda(-eps)) / eps^2`` (``Lambda(0) = 0``).  Each rate of the stack is
+    its own :func:`finite_horizon_rate` to the bit.  An infinite ``2 theta``
     moment raises ``ThetaOutOfRange``."""
     mean_cost = horizon * np.sum(_cost_form(stepper, pi) * stepper.p_frame)
     eps = 1e-3 * theta
     thetas = (theta, 2.0 * theta, theta + eps, theta - eps, eps, -eps)
-    lam = horizon * _exponent_rates(model, pi, thetas, horizon, stepper.h, stepper)[1]
+    rates = _exponent_rates(model, pi, thetas, horizon, stepper.h, stepper)[1]
+    lam = horizon * rates
     slope = (lam[2] - lam[3]) / (2.0 * eps)
     var_cost = (lam[4] + lam[5]) / eps**2
     with np.errstate(over="ignore"):  # an infinite Var Y leaves R^2 = 0
         spread = var_cost * np.expm1(lam[1] - 2.0 * lam[0])
     r2 = (slope - mean_cost) ** 2 / spread if spread > 0.0 else 0.0
-    return float(1.0 / (1.0 - r2)) if r2 < 1.0 else math.inf
+    return (float(1.0 / (1.0 - r2)) if r2 < 1.0 else math.inf), rates[:2]
 
 
 def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float, int, float]:
@@ -571,9 +573,9 @@ def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedSt
     top rung's stepper, the run ``min(paths, max(RATE_PATHS_MIN, ceil(paths /
     ratio)))``, and the step certified for ``run * ratio`` plain paths."""
     top = AugmentedStepper.build(model, _rate_grid(horizon, 2.0 / (1.0 + opnorm2(model.a)))[1])
-    ratio = _variance_ratio(model, pi, theta, horizon, top)
+    ratio, rates = _variance_ratio(model, pi, theta, horizon, top)
     run = min(paths, max(RATE_PATHS_MIN, math.ceil(paths / ratio)))
-    return *_certified_step(model, pi, theta, horizon, run * ratio, top), run, ratio
+    return *_certified_step(model, pi, theta, horizon, run * ratio, (top, rates)), run, ratio
 
 
 def _cv_rate(cost: np.ndarray, mean_cost: float, theta, horizon) -> tuple[float, float]:
@@ -642,10 +644,10 @@ def mc_rs_rate(
     the plain estimator over the control-variate one (:func:`_variance_ratio`,
     on the top rung's stepper) sets the run ``min(paths, max(RATE_PATHS_MIN,
     ceil(paths / ratio)))``.  The step is the largest ``2^(1-k) / (1 +
-    ||A||_2)`` whose Richardson differences against ``h/2`` and ``h/4``
-    contract (ratio at most 1/2) and bound its bias by a tenth of the
-    control-variate stderr at the run (:func:`_certified_step`, given ``run *
-    ratio`` plain paths), never below ``min(0.02, 0.1 / (1 + ||A||_2))``.  The
+    ||A||_2)`` whose bias against the twin's continuous-time rate is at most
+    a tenth of the control-variate stderr at the run (:func:`_certified_step`,
+    given ``run * ratio`` plain paths), never below ``min(0.02, 0.1 / (1 +
+    ||A||_2))``.  The
     estimate carries the run count, the step, its exact ``target`` and the
     ratio, and a rate whose ``2 theta`` moment is infinite is refused with
     ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` runs
@@ -664,14 +666,10 @@ def mc_rs_rate(
     if not theta * facts.density_peak <= 0.3:
         raise ThetaOutOfRange(f"theta = {theta} beyond the low-variance envelope "
                               f"0.3/peak = {0.3 / facts.density_peak:.6e}")
-    stepper = target = ratio = None
-    run = paths
-    if h is None:
-        stepper, target, run, ratio = _rate_plan(model, pi, theta, horizon, paths)
-        h = stepper.h
-    steps, h = _rate_grid(horizon, h)
-
-    stepper = stepper or AugmentedStepper.build(model, h)
+    stepper, target, run, ratio = (
+        _rate_plan(model, pi, theta, horizon, paths) if h is None
+        else (AugmentedStepper.build(model, _rate_grid(horizon, h)[1]), None, paths, None))
+    steps, h = _rate_grid(horizon, stepper.h)
     pi_frame = _cost_form(stepper, pi)
 
     def cost(lo, hi, chain):

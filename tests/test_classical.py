@@ -3,16 +3,15 @@ import functools
 import math
 import sys
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import J2, congruent_oscillators, damped_mode, make_models, random_sym
 from oqrisk import classical, model_from_matrices, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
-    rs_theta_max,
     augmented_invariant_cov,
     classical_quadform_variance,
     classical_rs_rate_paper,
@@ -33,6 +32,13 @@ from oqrisk.quartic import mean_rate
 def _invariant_aug(model):
     steady = gramian_steady(model)
     return augmented_invariant_cov(steady.p, model.theta), steady.quantum_cov
+
+
+def _noise_aug(stepper):
+    """The exact one-step noise covariance ``p_aug - phi_aug p_aug phi_aug'``
+    in the ``2n`` augmented coordinates."""
+    sigma = stepper.p_aug - stepper.phi_aug @ stepper.p_aug @ stepper.phi_aug.T
+    return 0.5 * (sigma + sigma.T)
 
 
 class TestInvariantCov:
@@ -66,13 +72,13 @@ class TestStepper:
         s1 = AugmentedStepper.build(model, 0.15)
         s2 = AugmentedStepper.build(model, 0.30)
         assert np.abs(s1.phi_aug @ s1.phi_aug - s2.phi_aug).max() < 1e-12
-        composed = s1.phi_aug @ s1.sigma_aug @ s1.phi_aug.T + s1.sigma_aug
-        assert np.abs(composed - s2.sigma_aug).max() < 1e-12
+        composed = s1.phi_aug @ _noise_aug(s1) @ s1.phi_aug.T + _noise_aug(s1)
+        assert np.abs(composed - _noise_aug(s2)).max() < 1e-12
 
     def test_stationarity_preserved(self, tiny):
         stepper = AugmentedStepper.build(tiny, 0.4)
         p_aug, _ = _invariant_aug(tiny)
-        pushed = stepper.phi_aug @ p_aug @ stepper.phi_aug.T + stepper.sigma_aug
+        pushed = stepper.phi_aug @ p_aug @ stepper.phi_aug.T + _noise_aug(stepper)
         assert np.abs(pushed - p_aug).max() < 1e-13
 
 
@@ -92,7 +98,7 @@ class TestSimulate:
     def test_zero_dispersion_nonzero_start_is_flow(self, tiny):
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
         stepper = AugmentedStepper.build(silent, 0.5)
-        assert not np.any(stepper.sigma_aug)
+        assert not np.any(_noise_aug(stepper))
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(4)
         batch_like = x0.copy()
@@ -305,7 +311,7 @@ class TestRateVariants:
 
     def test_sde_is_twice_paper(self, tiny, paper):
         for model, pi in ((tiny, np.eye(2)), paper):
-            theta_max = rs_theta_max(model, pi)
+            theta_max = 1.0 / model.weight_facts(pi).density_peak
             for frac in (0.1, 0.36, 0.7):
                 theta = frac * theta_max
                 sde = classical_rs_rate_sde(model, pi, theta)
@@ -367,7 +373,7 @@ def _logdet_oracle(model, pi, theta):
 
 def _rate_models():
     """The paper fixture, the damped mode and two random models, each with
-    the fractions of ``rs_theta_max`` to test at."""
+    the fractions of ``1 / density_peak`` to test at."""
     random = [(mm, np.eye(mm.n)) for mm, _ in make_models(5, 2)]
     return ([("paper", paper_example_model(), (0.13, 0.5, 0.9, 0.997)),
              ("damped", (damped_mode(), np.diag([1.0, 2.0])), (0.1, 0.5, 0.9, 0.999))]
@@ -382,7 +388,7 @@ class TestRiccatiRate:
         for name, case, fracs in _rate_models() for frac in fracs])
     def test_matches_logdet_oracle(self, case, frac):
         model, pi = case
-        theta = frac * rs_theta_max(model, pi)
+        theta = frac / model.weight_facts(pi).density_peak
         oracle = _logdet_oracle(model, pi, theta)
         assert classical_rs_rate_paper(model, pi, theta) == pytest.approx(
             oracle, rel=1e-12, abs=0.0)
@@ -395,7 +401,7 @@ class TestRiccatiRate:
         # the rate grows with theta and stays finite up to theta * peak = 1 - 1e-8,
         # where the log-det integrand is too sharp for the frequency rule
         model, pi = case
-        rates = [classical_rs_rate_paper(model, pi, frac * rs_theta_max(model, pi))
+        rates = [classical_rs_rate_paper(model, pi, frac / model.weight_facts(pi).density_peak)
                  for frac in (0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-8)]
         assert np.all(np.isfinite(rates)) and np.all(np.diff(rates) > 0.0)
 
@@ -468,8 +474,7 @@ class TestMcRate:
     def test_certified_step_builds_one_stepper_per_rung(self, paper, monkeypatch):
         # 1e15 paths admit no bias, so the ladder runs down to its floor: each
         # step size is built once and runs one stacked (theta, 2 theta)
-        # recursion, which the rungs above and below it share, and rho is
-        # finite_horizon_rate's
+        # recursion, with no lookahead, and rho is finite_horizon_rate's
         model, pi = paper
         built, build = [], AugmentedStepper.build
         monkeypatch.setattr(AugmentedStepper, "build",
@@ -479,26 +484,25 @@ class TestMcRate:
                             lambda *args: recursions.append(args[2:5]) or rates(*args))
         horizon, scale = 2.0, 1.0 + np.linalg.norm(model.a, 2)
         floor, ladder = min(0.02, 0.1 / scale), [2.0 / scale]
-        while ladder[-1] > floor:
+        while ladder[-1] / 2.0 > floor:
             ladder.append(ladder[-1] / 2.0)
-        hs = ladder + [ladder[-1] / 2.0, floor]  # the last rung also reads h/2 and h/4
+        ladder.append(floor)
         stepper, rho = classical._certified_step(model, pi, 0.001, horizon, 10**15)
-        assert built == [horizon / round(horizon / h) for h in hs]
+        assert built == [horizon / round(horizon / h) for h in ladder]
         assert len(set(built)) == len(built)
-        assert recursions == [((0.001, 0.002), horizon, h) for h in hs]
+        assert recursions == [((0.001, 0.002), horizon, h) for h in ladder]
         assert stepper.h == built[-1]
         assert rho == finite_horizon_rate(model, pi, 0.001, horizon, floor)
-        # a rung accepted at once, the top one: its stepper, built first for
-        # the variance-ratio prediction's recursion, serves the ladder and
-        # runs the paths, and none is rebuilt
+        # a rung accepted at once, the top one: its stepper, built for the
+        # variance-ratio prediction, gives the ladder its rates from that
+        # six-theta recursion and runs the paths
         built.clear()
         recursions.clear()
         est = mc_rs_rate(model, pi, 0.001, horizon, 2000, seed=1)
         assert est.h == horizon / round(horizon / (2.0 / scale))
-        assert built == [est.h] + [horizon / round(horizon / (f / scale)) for f in (1.0, 0.5)]
+        assert built == [est.h]
         eps = 1e-3 * 0.001
-        assert recursions == [((0.001, 0.002, 0.001 + eps, 0.001 - eps, eps, -eps), horizon, est.h)] + [
-            ((0.001, 0.002), horizon, f / scale) for f in (2.0, 1.0, 0.5)]
+        assert recursions == [((0.001, 0.002, 0.001 + eps, 0.001 - eps, eps, -eps), horizon, est.h)]
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
         # the damped mode's resonance at lam = -10 puts its density peak at
@@ -528,20 +532,6 @@ def _fine_rate(name):
     return finite_horizon_rate(model, pi, theta, horizon, floor / 16.0)
 
 
-def _crafted_ladder(monkeypatch, rho_at, stderr, horizon=20.0, paths=20_000):
-    """Let ``_exponent_rates`` return ``rho_at(steps)`` at ``theta`` and a
-    ``2 theta`` rate whose predicted stderr is ``stderr``, on a stand-in
-    stepper that carries only its step."""
-    rel_var = paths * (stderr * horizon) ** 2
-
-    def rates(model, pi, thetas, horizon, h):
-        steps, h = classical._rate_grid(horizon, h)
-        rho = rho_at(steps)
-        return types.SimpleNamespace(h=h), np.array([rho, 2.0 * rho + np.log1p(rel_var) / horizon])
-
-    monkeypatch.setattr(classical, "_exponent_rates", rates)
-
-
 def _certified_case(name):
     """``(model, Pi, theta, horizon, paths)`` of the certified-step sweep:
     ``random-<seed>-<k>`` is the k-th of ``make_models(seed, 3)``,
@@ -553,58 +543,23 @@ def _certified_case(name):
         return (tiny, np.eye(2), 0.1, 20.0, 30_000) if name == "tiny" else (tiny, np.eye(2), 0.05, 5.0, 500)
     if name == "damped":
         model, pi = damped_mode(), np.diag([1.0, 2.0])
-        return model, pi, 0.1 * rs_theta_max(model, pi), 5.0, 20_000
+        return model, pi, 0.1 / model.weight_facts(pi).density_peak, 5.0, 20_000
     kind, seed, k = name.split("-")
     rng = np.random.default_rng(int(seed) + int(k))
     if kind == "random":
         model = make_models(int(seed), 3)[int(k)][0]
         pi = random_sym(rng, model.n, psd=True)
-        return model, pi, 0.1 * rs_theta_max(model, pi), 5.0, 20_000
+        return model, pi, 0.1 / model.weight_facts(pi).density_peak, 5.0, 20_000
     # the n-sweep's kind of model: damped oscillators under a symplectic
     # congruence, over its horizon T = 2 with its 2000 paths
     model = congruent_oscillators(rng, int(k))
     pi = random_sym(rng, model.n, psd=True)
-    return model, pi, 0.25 * rs_theta_max(model, pi), 2.0, 2000
+    return model, pi, 0.25 / model.weight_facts(pi).density_peak, 2.0, 2000
 
 
 class TestCertifiedStep:
-    """The ladder accepts a rung only when its Richardson differences contract."""
-
-    @staticmethod
-    def _steps(tiny):
-        # the one-mode vacuum model over T = 20: ||A||_2 = 1, rungs at 20,
-        # 40, ..., 640 steps (each reads 2x and 4x its steps), floor at 1000
-        stepper, _ = classical._certified_step(tiny, np.eye(2), 0.1, 20.0, 20_000)
-        return round(20.0 / stepper.h)
-
-    def test_small_top_difference_without_contraction_is_refused(self, tiny, monkeypatch):
-        # d(20 steps) = 1e-12 is within any budget by coincidence, but
-        # d(40) = 1.875e-6 does not contract from it; from 40 steps on the
-        # differences fall 4x per halving and d(40) / (1 - 1/4) fits 0.1 stderr
-        def rho_at(steps):
-            return 0.1 + 1e-12 + 1e-5 / 4.0 if steps == 20 else 0.1 + 1e-5 * (20.0 / steps) ** 2
-
-        _crafted_ladder(monkeypatch, rho_at, stderr=1e-4)
-        assert self._steps(tiny) == 40
-
-    def test_growing_differences_are_refused(self, tiny, monkeypatch):
-        # each difference doubles and all of them fit the old budget
-        # |d(h)| <= 0.1 stderr, but none contracts: the ladder ends at its floor
-        _crafted_ladder(monkeypatch, lambda steps: 0.1 - 1e-9 * steps, stderr=1e-4)
-        assert self._steps(tiny) == 1000
-
-    @pytest.mark.parametrize("size, steps", [(0.5, 20), (2.0, 1000)])
-    def test_differences_at_the_rounding_level_are_settled(self, tiny, monkeypatch, size, steps):
-        # differences of alternating sign (q = 1), each of `size` times
-        # RATE_ROUNDING |rho|, against a stderr that no difference fits: at
-        # the rounding level they are settled and the top rung stands; above
-        # it they are bias that does not contract, and the ladder ends at its floor
-        def rho_at(s):
-            sign = (-1) ** round(math.log2(s / 20))
-            return 0.1 * (1.0 + 0.5 * size * classical.RATE_ROUNDING * sign)
-
-        _crafted_ladder(monkeypatch, rho_at, stderr=1e-15)
-        assert self._steps(tiny) == steps
+    """The ladder accepts the first rung whose exact bias against the
+    continuous-time rate fits a tenth of the predicted stderr."""
 
     @pytest.mark.parametrize("name", [
         "paper", "tiny", "tiny-short", "damped",
@@ -637,7 +592,7 @@ def _cv_case(name):
     rng = np.random.default_rng(8)
     model = congruent_oscillators(rng, 8)
     pi = random_sym(rng, 8, psd=True)
-    return model, pi, 0.25 * rs_theta_max(model, pi), 2.0, 2000, 0.05
+    return model, pi, 0.25 / model.weight_facts(pi).density_peak, 2.0, 2000, 0.05
 
 
 @functools.cache
@@ -785,6 +740,91 @@ class TestFiniteHorizonRate:
             finite_horizon_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 200.0, 0.05)
 
 
+def _continuous_case(name):
+    """``(model, Pi, theta)`` of the continuous-rate checks: the paper fixture,
+    the one-mode vacuum model at criterion 10's theta and the damped mode at
+    0.3/peak."""
+    if name == "paper":
+        return (*paper_example_model(), 0.001)
+    if name == "tiny":
+        return model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.eye(2)), np.eye(2), 0.1
+    model, pi = damped_mode(), np.diag([1.0, 2.0])
+    return model, pi, 0.3 / model.weight_facts(pi).density_peak
+
+
+def _real_continuous_rate(model, pi, theta, horizon, chunks=64):
+    """``rho_c(T)`` from the real ``2n`` augmented state, ``dx = A2 x dt + dw``
+    with ``A2 = I2 (x) A`` and ``E dw dw' = Q dt``: the exponent ``K = Z Y^-1``
+    of ``E exp(x'Kx)`` follows ``d/dtau [Y; Z] = [[-A2, -2Q], [theta I2 (x) Pi,
+    A2']] [Y; Z]`` over ``chunks`` equal steps, each restarting from ``Y =
+    I``, and ``T rho_c = -(ln det Y + T tr A2) / 2 - ln det(I - 2 P_aug K) / 2``."""
+    d, a2 = 2 * model.n, np.kron(np.eye(2), model.a)
+    q = augmented_invariant_cov(model.b @ model.b.T, model.b @ model.j @ model.b.T)
+    p_aug = scipy.linalg.solve_continuous_lyapunov(a2, -q)
+    ham = np.block([[-a2, -2.0 * q], [theta * np.kron(np.eye(2), pi), a2.T]])
+    flow = scipy.linalg.expm(horizon / chunks * ham)
+    k, log_y = np.zeros((d, d)), 0.0
+    for _ in range(chunks):
+        yz = flow @ np.vstack([np.eye(d), k])
+        k = np.linalg.solve(yz[:d].T, yz[d:].T).T
+        log_y += np.linalg.slogdet(yz[:d])[1]
+    return (-0.5 * (log_y + horizon * np.trace(a2))
+            - 0.5 * np.linalg.slogdet(np.eye(d) - 2.0 * p_aug @ k)[1]) / horizon
+
+
+class TestContinuousRate:
+    """The twin's exact continuous-time rate, the target of the certified step."""
+
+    @pytest.mark.parametrize("name, tol", [("paper", 1e-12), ("tiny", 1e-12), ("damped", 2e-10)])
+    def test_matches_richardson_at_fine_steps(self, name, tol):
+        # rho(h/2) + (rho(h/2) - rho(h)) / 3 from 400 and 800 steps over T =
+        # 2 agrees to 1.9e-14 (paper), 2.7e-13 (tiny) and 5.1e-11 (damped)
+        # relative; on the damped mode the recursion's log-det rounding, not
+        # the step, sets that gap
+        model, pi, theta = _continuous_case(name)
+        coarse, fine = (finite_horizon_rate(model, pi, theta, 2.0, 2.0 / steps) for steps in (400, 800))
+        exact = classical._continuous_rate(model, pi, theta, 2.0)
+        assert fine + (fine - coarse) / 3.0 == pytest.approx(exact, rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("name, horizons, term", [
+        ("paper", (20.0, 80.0, 320.0), -0.0022878),
+        ("tiny", (20.0, 80.0, 320.0), -0.0031105),
+        ("damped", (4000.0, 8000.0), -0.0079405),
+    ])
+    def test_boundary_term_settles(self, name, horizons, term):
+        # T (rho_c(T) - sde) is a boundary term that settles once T spans many
+        # relaxation times (1/0.003 on the damped mode): its values over the
+        # horizons spread by 2.0e-11 (paper), 3.2e-13 (tiny) and 1.5e-11 (damped)
+        model, pi, theta = _continuous_case(name)
+        sde = classical_rs_rate_sde(model, pi, theta)
+        terms = [t * (classical._continuous_rate(model, pi, theta, t) - sde) for t in horizons]
+        assert np.ptp(terms) <= 1e-10
+        assert terms[0] == pytest.approx(term, abs=1e-7)
+
+    @pytest.mark.parametrize("name, tol", [("paper", 1e-12), ("tiny", 1e-12), ("damped", 5e-11)])
+    def test_matches_the_real_augmented_form(self, name, tol):
+        # the n x n complex flow against the 2n real one over T = 2 and 20:
+        # at most 1.1e-13 (paper), 3.2e-14 (tiny) and 5.5e-12 (damped) relative
+        model, pi, theta = _continuous_case(name)
+        for horizon in (2.0, 20.0):
+            assert classical._continuous_rate(model, pi, theta, horizon) == pytest.approx(
+                _real_continuous_rate(model, pi, theta, horizon), rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("name, tol", [("paper", 2e-13), ("tiny", 2e-13), ("damped", 1e-11)])
+    def test_chunk_count_changes_nothing(self, name, tol, monkeypatch):
+        # the chunk count is ceil(T ||H||_2 / 4), read through opnorm2: scaling
+        # the norm by 4 and 16 runs 4 and 16 times the chunks, which moves the
+        # rate by at most 7.3e-14 (paper), 2.4e-14 (tiny) and 2.4e-12 (damped)
+        model, pi, theta = _continuous_case(name)
+        norm = classical.opnorm2
+        for horizon in (2.0, 20.0):
+            rates = []
+            for factor in (1.0, 4.0, 16.0):
+                monkeypatch.setattr(classical, "opnorm2", lambda k, f=factor: f * norm(k))
+                rates.append(classical._continuous_rate(model, pi, theta, horizon))
+            assert rates[1:] == pytest.approx([rates[0]] * 2, rel=tol, abs=0.0)
+
+
 def _pure_models():
     """Models whose invariant state is pure, ``rank(P + i Theta) = n/2``, with
     a weight: the tiny model, the damped mode and an n = 8 congruent-oscillator
@@ -852,7 +892,7 @@ class TestSupportFrame:
     def test_finite_horizon_rate_matches_dense_oracle(self, pure):
         # the frame recursion against the oracle in full 2n coordinates
         model, pi = pure
-        theta = 0.2 * rs_theta_max(model, pi)
+        theta = 0.2 / model.weight_facts(pi).density_peak
         got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
         assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12, abs=0.0)
 
@@ -865,7 +905,7 @@ class TestSupportFrame:
             assert np.array_equal(stepper.frame, np.eye(2 * model.n))
             assert np.array_equal(stepper.phi_frame, stepper.phi_aug)
             assert np.array_equal(stepper.p_frame, stepper.p_aug)
-            assert np.array_equal(stepper.noise_chol, sqrt_psd(stepper.sigma_aug))
+            assert np.array_equal(stepper.noise_chol, sqrt_psd(_noise_aug(stepper)))
 
 
 def test_zeta_view_roundtrip():

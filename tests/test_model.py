@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import J2, damped_mode, make_models, random_sym
-from oqrisk.classical import classical_rs_rate_sde, rs_theta_max
+from oqrisk.classical import classical_rs_rate_sde
 from oqrisk.cumulants import cumulant_rate
 from oqrisk.deviations import DeviationAnalysis
 from oqrisk.errors import (
@@ -157,8 +157,8 @@ class TestDensityPeak:
         assert 1000.0 <= facts.density_peak <= 1000.0 * (1 + self.GAP)
         top = facts.density_eigs([-10.0, 10.0])[:, -1]
         assert top.max() == pytest.approx(1000.0, rel=1e-12, abs=0.0)
-        assert 1e-3 / (1 + self.GAP) <= rs_theta_max(model, pi) <= 1e-3
-        assert rs_theta_max(model, np.zeros((2, 2))) == np.inf
+        assert 1e-3 / (1 + self.GAP) <= 1.0 / facts.density_peak <= 1e-3
+        assert model.weight_facts(np.zeros((2, 2))).density_peak == 0.0
 
     def test_no_two_sided_sample_exceeds_the_peak(self):
         for model, rng in make_models(seed=91, count=6):
