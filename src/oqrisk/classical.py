@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,6 +80,9 @@ __all__ = [
 
 #: Fixed blocks of Monte Carlo paths, each drawn from its own spawned stream.
 MC_BLOCKS = 8
+
+#: Bytes of the states in a chunk of a worker's chain (at least one state).
+_CHAIN_BYTES = 128 * 1024
 
 #: The fewest paths a certified-step rate runs when it is asked for more.
 RATE_PATHS_MIN = 2000
@@ -207,20 +211,25 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
     return states[..., :n] + 1j * states[..., n:]
 
 
-def _chain(stepper: AugmentedStepper, init: np.ndarray, steps, paths, rng):
-    """Yield the ``steps + 1`` states of the exact chain in frame coordinates
-    (``rng`` draws the invariant initial state through its factor ``init``,
-    then one noise per step, ``rank`` normals per path each) in two ``(paths,
-    rank)`` buffers that later steps overwrite: a caller that keeps a state
-    copies it."""
-    state, nxt, noise = (np.zeros((paths, init.shape[0])) for _ in range(3))
-    np.matmul(rng.standard_normal(out=noise), init.T, out=state)
-    yield state
-    for _ in range(steps):
-        np.matmul(rng.standard_normal(out=noise), stepper.noise_chol.T, out=nxt)
-        nxt += np.matmul(state, stepper.phi_frame.T, out=noise)
-        state, nxt = nxt, state
-        yield state
+def _chain(stepper: AugmentedStepper, init: np.ndarray, steps, rng, raw, states, values):
+    """Yield the ``steps + 1`` states of the exact chain in frame coordinates as
+    chunks ``(k, states, spare, values)``: at most ``len(raw)`` consecutive ``(paths,
+    rank)`` states from state ``k`` on, and the chunk's rows of ``raw`` and of
+    ``values`` (a double per path and state), free for the caller until the next
+    chunk.  ``rng`` draws the invariant initial state through its factor ``init``,
+    then a chunk's normals in one call (in the order of one draw per step), which one
+    product turns into noises; a step is one propagation product and one add.
+    ``states`` holds one state more than ``raw``; later chunks overwrite the
+    caller's buffers: a caller that keeps a state copies it."""
+    np.matmul(rng.standard_normal(out=raw[0]), init.T, out=states[0])
+    yield 0, states[:1], raw[:1], values[:1]
+    for lo in range(0, steps, len(raw)):
+        m = min(len(raw), steps - lo)
+        np.matmul(rng.standard_normal(out=raw[:m]), stepper.noise_chol.T, out=states[1:m + 1])
+        for j in range(m):
+            states[j + 1] += np.matmul(states[j], stepper.phi_frame.T, out=raw[j])
+        yield lo + 1, states[1:m + 1], raw[:m], values[:m]
+        states[0] = states[m]
 
 
 def _mc_workers() -> int:
@@ -239,19 +248,25 @@ def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     Block ``i`` runs the exact chain of ``stepper`` on its own ``SFC64``
     stream, the ``i``-th spawn of ``SeedSequence(seed)``, so a value depends
     on the seed alone.  The blocks run on a thread pool, where numpy's normal
-    draws and BLAS release the GIL; the stepper (the caller's) and the initial
-    factor are built first, on the calling thread."""
+    draws and BLAS release the GIL.  The stepper (the caller's), the initial
+    factor and each worker's chunk buffers are built first, on the calling
+    thread: a chunk holds ``max(1, _CHAIN_BYTES // state bytes)`` states of the
+    largest block, whatever ``steps``."""
     init = sqrt_psd(stepper.p_frame)
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     q, r = divmod(paths, MC_BLOCKS)
     edges = [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
+    rank, workers, largest = len(init), _mc_workers(), q + (r > 0)
+    chunk = max(1, _CHAIN_BYTES // (8 * largest * rank))
+    shapes = (chunk, largest, rank), (chunk + 1, largest, rank), (chunk, largest)
+    sets, local = [[np.empty(shape) for shape in shapes] for _ in range(workers)], threading.local()
 
     def block(i):
-        rng = np.random.Generator(np.random.SFC64(seeds[i]))
-        chain = _chain(stepper, init, steps, edges[i + 1] - edges[i], rng)
-        return consume(edges[i], edges[i + 1], chain)
+        rng, size = np.random.Generator(np.random.SFC64(seeds[i])), edges[i + 1] - edges[i]
+        return consume(edges[i], edges[i + 1], _chain(stepper, init, steps, rng, *(
+            b.ravel()[:b[:, :size].size].reshape(len(b), size, *b.shape[2:]) for b in local.bufs)))
 
-    with ThreadPoolExecutor(_mc_workers()) as pool:
+    with ThreadPoolExecutor(workers, initializer=lambda: setattr(local, "bufs", sets.pop())) as pool:
         return list(pool.map(block, range(MC_BLOCKS)))
 
 
@@ -274,20 +289,21 @@ def simulate(
     Draws the initial states from the invariant Gaussian law and iterates
     the exact one-step recursion in the stepper's frame (``rank`` normals per
     path and step: ``n`` for a pure state, else ``2n``), in ``MC_BLOCKS``
-    fixed blocks of paths with one spawned stream each, and maps each state
-    back as ``x = y frame'``; a pure state's paths lie on the support of the
-    invariant law to rounding.  Output is bitwise-deterministic for a fixed
-    seed, whatever the number of CPUs that run the blocks.  Memory is the
-    ``(steps+1) * paths * 2n`` doubles returned; the chain is stationary
-    from step 0, so lagged statistics need only ``steps = lag``.
+    fixed blocks of paths with one spawned stream each, stepped in chunks of
+    states sized by bytes, and maps each chunk back as ``x = y frame'``; a pure
+    state's paths lie on the support of the invariant law to rounding.  Output
+    is bitwise-deterministic for a fixed seed, whatever the number of CPUs or
+    the chunk size.  Memory is the ``(steps+1) * paths * 2n`` doubles returned
+    and a few chunks per worker; the chain is stationary from step 0, so
+    lagged statistics need only ``steps = lag``.
     """
     _check_run(paths, steps, seed)
     out = np.empty((steps + 1, paths, 2 * model.n))
     stepper = AugmentedStepper.build(model, h)
 
     def fill(lo, hi, chain):
-        for k, state in enumerate(chain):
-            np.matmul(state, stepper.frame.T, out=out[k, lo:hi])
+        for k, states, *_ in chain:
+            np.matmul(states, stepper.frame.T, out=out[k:k + len(states), lo:hi])
 
     _run_blocks(stepper, steps, paths, seed, fill)
     return SimBatch(thetas=out, h=h, seed=seed)
@@ -422,7 +438,7 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
         yz = flow[:, :n] + flow[:, n:] @ x
         x = np.linalg.solve(yz[:n].T, yz[n:].T).T
         log_y += np.linalg.slogdet(yz[:n])[1]
-    cov = lyap_solve(model.a + 0j, ham[:n, n:])  # SciPy mishandles a complex Q with a real A
+    cov = lyap_solve(model.a, ham[:n, n:])
     root = sqrt_psd(0.5 * (cov + cov.conj().T))
     w = np.linalg.eigvalsh(root @ x @ root)
     if not (w[-1] < 1.0 and math.isfinite(log_y)):  # NaN fails too
@@ -671,11 +687,13 @@ def mc_rs_rate(
         else (AugmentedStepper.build(model, _rate_grid(horizon, h)[1]), None, paths, None))
     steps, h = _rate_grid(horizon, stepper.h)
     pi_frame = _cost_form(stepper, pi)
+    weights = np.concatenate(([0.5 * h], np.full(steps - 1, h), [0.5 * h]))
 
     def cost(lo, hi, chain):
-        acc, vals, scratch = 0.0, np.empty(hi - lo), np.empty((hi - lo, len(pi_frame)))
-        for k, state in enumerate(chain):
-            acc += (0.5 * h if k in (0, steps) else h) * _quadform(state, pi_frame, scratch, vals)
+        acc, step_weights = 0.0, iter(weights)
+        for _, states, spare, vals in chain:  # the costs enter one step at a time, in step order
+            for val, weight in zip(_quadform(states, pi_frame, spare, vals), step_weights):
+                acc += np.multiply(val, weight, out=val)
         return acc
 
     costs = np.concatenate(_run_blocks(stepper, steps, run, seed, cost))

@@ -105,8 +105,8 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 #: defective: eigenvalue-based formulas lose accuracy there.
 DIAG_COND = 1e8
 
-#: Lags per block of :func:`expm_ladder`.
-LADDER_CHUNK = 1024
+#: Bytes of a block of :func:`expm_ladder`'s complex lag matrices.
+_LADDER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,14 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
     """``reduce(left @ exp((start + k*step)*a) @ right)`` for ``k = 0 ..
     count-1`` (count >= 1), stacked along the first axis.
 
-    Lags are formed in blocks of at most ``LADDER_CHUNK``, and ``reduce``
-    maps each block to its per-lag result before the next block is formed,
-    which bounds peak memory by one block.  Goes through ``basis =
-    eig_basis(a)`` when it is well conditioned, with the phases
-    ``exp((start + k*step) mu)`` of the eigenvalues ``mu`` formed directly,
-    and otherwise steps by ``exp(step*a)`` from ``exp(start*a)``.  A late
-    ``start`` is never folded into ``right`` as ``exp(start*a)`` on the
+    Lags are formed in blocks of ``max(1, _LADDER_BYTES // lag bytes)``, a
+    lag's bytes those of a complex ``left.rows x right.cols`` matrix, and
+    ``reduce`` maps each block to its per-lag result before the next one is
+    formed, which bounds peak memory by a few blocks at any ``n``.  Goes
+    through ``basis = eig_basis(a)`` when it is well conditioned, with the
+    phases ``exp((start + k*step) mu)`` of the eigenvalues ``mu`` formed
+    directly, and otherwise steps by ``exp(step*a)`` from ``exp(start*a)``.
+    A late ``start`` is never folded into ``right`` as ``exp(start*a)`` on the
     eigenvector route: Pade ``expm`` of a lightly damped mode is already
     1e-11 off at ``start = 831``.
     """
@@ -156,9 +157,9 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
         terms = (lv.T[:, :, None] * wr[:, None, :]).reshape(a.shape[0], -1)
     else:
         estep, prop = expm(a, step), expm(a, start)
-    out = []
-    for lo in range(0, count, LADDER_CHUNK):
-        lags = np.arange(lo, min(lo + LADDER_CHUNK, count))
+    out, chunk = [], max(1, _LADDER_BYTES // (16 * left.shape[0] * right.shape[1]))
+    for lo in range(0, count, chunk):
+        lags = np.arange(lo, min(lo + chunk, count))
         if basis.inverse is not None:
             phases = np.exp(np.multiply.outer(start + step * lags, basis.values))
             block = (phases @ terms).reshape(lags.size, lv.shape[0], wr.shape[1])
@@ -198,6 +199,7 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     abscissa = np.linalg.eigvals(a).real.max()
     if abscissa >= HURWITZ_TOL:
         raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not below {HURWITZ_TOL}")
+    a = a.astype(complex) if np.iscomplexobj(q) else a  # SciPy mishandles a real A, complex Q
     x = scipy.linalg.solve_continuous_lyapunov(a, -q)
     res = np.linalg.norm(a @ x + x @ a.conj().T + q)
     scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)

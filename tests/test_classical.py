@@ -908,6 +908,32 @@ class TestSupportFrame:
             assert np.array_equal(stepper.noise_chol, sqrt_psd(_noise_aug(stepper)))
 
 
+class TestChainChunks:
+    """The chain draws and steps its states in chunks sized by bytes."""
+
+    @pytest.mark.parametrize("case", ["paper", "tiny"])
+    def test_chunk_size_changes_no_bit(self, case, tiny, paper, monkeypatch):
+        # one state per chunk, the default, and one chunk for the whole
+        # horizon: the paper fixture's mixed law runs in the 2n coordinates,
+        # the tiny model's pure law in the n-dimensional frame of its support
+        model, pi, theta, horizon, paths, h = {
+            "paper": (*paper, 0.001, 2.0, 1001, 0.05),
+            "tiny": (tiny, np.eye(2), 0.05, 5.0, 500, 0.02),
+        }[case]
+        steps = max(round(horizon / h), 37)
+        whole = 8 * 2 * model.n * -(-paths // classical.MC_BLOCKS) * steps
+        runs = []
+        for budget in (1, classical._CHAIN_BYTES, whole):
+            monkeypatch.setattr(classical, "_CHAIN_BYTES", budget)
+            runs.append((simulate(model, 0.05, 37, paths, seed=3).thetas,
+                         mc_rs_rate(model, pi, theta, horizon, paths, seed=3, h=h),
+                         mc_rs_rate(model, pi, theta, horizon, paths, seed=3)))
+        assert round(horizon / runs[0][2].h) <= steps
+        for sim, explicit, certified in runs[1:]:
+            assert np.array_equal(sim, runs[0][0])
+            assert explicit == runs[0][1] and certified == runs[0][2]
+
+
 def test_zeta_view_roundtrip():
     states = np.arange(8.0).reshape(2, 4)
     z = zeta_view(states)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import damped_mode, make_models, random_sym
+from conftest import congruent_n32, damped_mode, make_models, random_sym
+from oqrisk import matfun
 from oqrisk.deviations import (
     DeviationAnalysis,
     _FTable,
@@ -60,6 +62,43 @@ class TestNKernel:
     def test_indefinite_weight_rejected(self, tiny):
         with pytest.raises(NotPsd):
             DeviationAnalysis(tiny, np.diag([1.0, -1.0])).n_kernel(0.5)
+
+
+class TestLadderBlocks:
+    """The kernel grid's lags are formed in blocks sized by bytes."""
+
+    @pytest.mark.parametrize("case", ["paper", "tiny"])
+    def test_block_size_changes_no_bit(self, case, paper, tiny, monkeypatch):
+        # one lag per block against the default blocks: the grid, F(0) and
+        # the numeric bounds are the same to the bit
+        model, pi = paper if case == "paper" else (tiny, np.eye(2))
+        runs = []
+        for budget in (1, matfun._LADDER_BYTES):
+            monkeypatch.setattr(matfun, "_LADDER_BYTES", budget)
+            dev = DeviationAnalysis(model, pi)
+            f0 = dev.f_infnorm()
+            eps = model.n * dev.n0 * np.array([1.1, 1.3, 2.0])
+            runs.append((dev._grid, f0, *dev._cramer_points(eps)))
+        for one, default in zip(*runs):
+            assert np.array_equal(one, default)
+
+    @pytest.mark.parametrize("budget", [1 << 20, 1 << 22])
+    def test_working_set_follows_the_budget(self, budget, monkeypatch):
+        # at n = 32 a lag is a complex 32 x 16 matrix: f_infnorm's working set
+        # is a few blocks of lags and the grid it keeps, whatever the grid's
+        # length.  Below ~1 MiB the frequency table's own blocks (~1.4 MB)
+        # set the peak instead.
+        monkeypatch.setattr(matfun, "_LADDER_BYTES", budget)
+        model, pi = congruent_n32()
+        model.eig, model.steady.thin, DeviationAnalysis(model, pi).envelope  # model facts
+        dev = DeviationAnalysis(model, pi)
+        tracemalloc.start()
+        try:
+            dev.f_infnorm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * budget + dev._grid.nbytes
 
 
 class TestFTransform:

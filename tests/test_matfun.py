@@ -97,11 +97,12 @@ class TestExpm:
     def test_ladder_factors_and_chunks(self, monkeypatch):
         import oqrisk.matfun as matfun
 
-        monkeypatch.setattr(matfun, "LADDER_CHUNK", 3)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
         left = rng.standard_normal((2, 3))
         right = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        # a budget of exactly three complex 2 x 3 lags
+        monkeypatch.setattr(matfun, "_LADDER_BYTES", 3 * 2 * 3 * 16)
         sizes = []
         batch = expm_ladder(a, eig_basis(a), 0.2, 8, left=left, right=right,
                             reduce=lambda block: sizes.append(len(block)) or block)
@@ -172,6 +173,16 @@ class TestLyap:
         kron = np.kron(np.eye(2), a) + np.kron(a.conj(), np.eye(2))
         ref = np.linalg.solve(kron, -q.flatten(order="F")).reshape((2, 2), order="F")
         assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_real_drift_with_complex_q(self):
+        # the twin's Gramian theta Sigma: a real A with the complex Hermitian
+        # Q = theta B Omega B' of the paper fixture solves as its complex cast
+        model, _ = paper_example_model()
+        a, q = model.a, 0.001 * model.b @ model.omega @ model.b.T
+        x = lyap_solve(a, q)
+        assert np.array_equal(x, lyap_solve(a.astype(complex), q))
+        res = np.linalg.norm(a @ x + x @ a.T + q)
+        assert res <= 1e-12 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q))
 
     def test_rejects_non_hurwitz(self):
         with pytest.raises(NotHurwitz):
