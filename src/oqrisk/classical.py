@@ -115,11 +115,12 @@ def augmented_invariant_cov(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class AugmentedStepper:
     """Exact one-step discretization of the augmented linear SDE.
 
-    ``phi_aug = e^{h (I2 (x) A)}`` and the invariant covariance ``p_aug``
-    are ``2n x 2n``.  The chain runs in the coordinates ``y =
-    frame' x`` of ``frame``, a ``2n x rank`` orthonormal basis of the support
-    of the invariant law: ``phi_frame = frame' phi_aug frame``, ``p_frame =
-    frame' p_aug frame`` and ``noise_chol``, the principal square root of
+    With the ``2n x 2n`` stepping matrix ``phi_aug = e^{h (I2 (x) A)}`` and
+    invariant covariance ``p_aug`` (formed by :meth:`build`, not kept), the
+    chain runs in the coordinates ``y = frame' x`` of ``frame``, a ``2n x
+    rank`` orthonormal basis of the support of the invariant law:
+    ``phi_frame = frame' phi_aug frame``, ``p_frame = frame' p_aug frame``
+    and ``noise_chol``, the principal square root of
     ``p_frame - phi_frame p_frame phi_frame'``, so the chain has the
     invariant law as its exact stationary distribution for any step size.
 
@@ -135,9 +136,7 @@ class AugmentedStepper:
     """
 
     h: float
-    phi_aug: np.ndarray
     noise_chol: np.ndarray
-    p_aug: np.ndarray
     frame: np.ndarray
     phi_frame: np.ndarray
     p_frame: np.ndarray
@@ -168,8 +167,7 @@ class AugmentedStepper:
             raise StepperConstructionFailure(
                 f"one-step noise covariance has eigenvalue {wmin:.3e}"
             )
-        return cls(h=h, phi_aug=phi, noise_chol=sqrt_psd(sigma_s), p_aug=p_aug,
-                   frame=frame, phi_frame=phi_s, p_frame=p_s)
+        return cls(h=h, noise_chol=sqrt_psd(sigma_s), frame=frame, phi_frame=phi_s, p_frame=p_s)
 
 
 def _support_frame(model: OqhoModel, p_aug: np.ndarray) -> np.ndarray:
@@ -375,14 +373,6 @@ def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) ->
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
-def _hamiltonian(model: OqhoModel, pi: np.ndarray, theta: float) -> np.ndarray:
-    """``H = [[A, F], [-Pi, -A']]``, ``F = theta B Omega B'``: the peak test's Hamiltonian at
-    level ``1/theta``.  Its stable subspace gives :func:`_riccati_rate`, its flow
-    ``e^{-H tau}`` :func:`_continuous_rate`."""
-    f = theta * (model.b @ model.omega @ model.b.T)
-    return np.block([[model.a, f], [-pi, -model.a.T]])
-
-
 def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
     """The printed rate ``(1/2) tr(X F)``, ``F = theta B Omega B'``, ``X`` the stabilising
     solution of ``A'X + XA + Pi + XFX = 0`` (Glover & Doyle 1988): the stable subspace of
@@ -398,7 +388,7 @@ def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
         raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
                               f"(0, {1.0 / facts.density_peak:.6e})")
     n, a, pi = model.n, model.a, facts.pi
-    ham = _hamiltonian(model, pi, theta)
+    ham = facts._hamiltonian(theta)
     f = ham[:n, n:]
     _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
     if dim != n:
@@ -421,7 +411,7 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
     Feynman-Kac for the circular complex process gives ``exp(int_0^T tr(F X)) / det(I -
     theta Sigma X(T))``, ``X`` the ``n x n`` Riccati flow ``dX/dtau = A'X + XA + Pi + XFX``
     from ``X(0) = 0``, ``F = theta B Omega B'``.  With ``X = Z Y^-1``, ``[Y; Z]`` follows
-    ``e^{-H tau}`` (:func:`_hamiltonian`) and ``int tr(F X) = -(ln|det Y| + tau tr A)``, so
+    ``e^{-H tau}`` (``WeightFacts._hamiltonian``) and ``int tr(F X) = -(ln|det Y| + tau tr A)``, so
     ``T rho_c = -(ln|det Y(T)| + T tr A) - ln det(I - theta Sigma X(T))``.  The flow runs in
     ``ceil(T ||H||_2 / 4)`` equal chunks, each of which grows ``[Y; Z]`` by at most
     ``e^{||H tau||} <= e^4``; after each, ``X = Z Y^-1``, ``ln|det Y|`` is added and ``Y``
@@ -430,7 +420,7 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
     ``mc_rs_rate``'s ``0.3/peak`` guard keeps the moment finite at every ``T``, so a ``w``
     that is not below 1, or an ``ln|det Y|`` that is not finite, raises :class:`NumericalDefect`."""
     n = model.n
-    ham = _hamiltonian(model, pi, theta)
+    ham = model.weight_facts(pi)._hamiltonian(theta)
     chunks = math.ceil(horizon * opnorm2(ham) / 4.0)
     flow = expm(-ham, horizon / chunks)
     x, log_y = np.zeros((n, n)), 0.0
@@ -515,50 +505,17 @@ def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: f
     return float(_exponent_rates(model, pi, [theta], horizon, h)[1][0])
 
 
-def _certified_step(model: OqhoModel, pi, theta, horizon, paths,
-                    first: tuple | None = None) -> tuple[AugmentedStepper, float]:
-    """The largest step on the ladder ``2^(1-k) / (1 + ||A||_2)`` whose exact
-    bias ``|rho(h) - rho_c|`` against the twin's continuous-time rate
-    (:func:`_continuous_rate`) is at most a tenth of the predicted stderr of a
-    plain estimator over ``paths`` paths, never below ``min(0.02, 0.1 / (1 +
-    ||A||_2))``; returns the stepper at that step and ``rho(h)``.
-    ``mc_rs_rate`` passes the effective plain path count ``run * ratio`` of
-    its control-variate estimator, so the budget is a tenth of that
-    estimator's stderr, and as ``first`` the top rung's ``(stepper, (rho,
-    rho_2theta))`` from its variance-ratio recursion.
-
-    The top rung turns the fastest mode by less than 2 rad a step, under the
-    aliasing limit of pi.  ``E exp(2 theta phi) / (E exp(theta phi))^2 - 1 =
-    expm1(T (rho_{2 theta} - 2 rho_theta))`` is the relative variance of one
-    path's weight, so the delta method predicts the stderr of the rate at
-    each rung, ``sqrt(expm1(...) / paths) / T``.  A ``2 theta`` recursion that
-    raises ``ThetaOutOfRange`` means that variance is infinite.  Each rung
-    builds one stepper and runs one stacked recursion of ``theta`` and ``2
-    theta``.
-    """
-    scale = 1.0 + opnorm2(model.a)
-    floor = min(0.02, 0.1 / scale)
-    target = _continuous_rate(model, pi, theta, horizon)
-    h = 2.0 / scale
-    while True:
-        stepper, (rho, rho_2) = first or _exponent_rates(model, pi, (theta, 2.0 * theta), horizon, h)
-        with np.errstate(over="ignore"):  # an infinite stderr admits any step
-            rel_var = np.expm1(horizon * (rho_2 - 2.0 * rho))
-        if h <= floor or abs(rho - target) <= 0.1 * math.sqrt(rel_var / paths) / horizon:
-            return stepper, float(rho)
-        first, h = None, max(h / 2.0, floor)
-
-
 def _cost_form(stepper: AugmentedStepper, pi: np.ndarray) -> np.ndarray:
     """``Q_f = frame' (I2 (x) Pi) frame``: a path's cost rate ``zeta* Pi zeta``
     is ``y' Q_f y`` in the stepper's frame, with stationary mean ``tr(Q_f P_f)``."""
     return stepper.frame.T @ np.kron(np.eye(2), pi) @ stepper.frame
 
 
-def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> tuple[float, np.ndarray]:
+def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> tuple[float, float, float]:
     """Predicted variance of the plain estimator of ``E e^{theta S}`` over the
-    control-variate one, ``1 / (1 - R^2)``, ``inf`` if ``R^2 >= 1``, and the
-    rates ``(rho_theta, rho_2theta)`` at the stepper's step.
+    control-variate one, ``1 / (1 - R^2)``, ``inf`` if ``R^2 >= 1``; the relative
+    variance ``expm1(T (rho_2theta - 2 rho))`` of one path's weight ``e^{theta S}``;
+    and ``rho = rho_theta``, all at the stepper's step.
 
     ``R`` is the correlation of ``Y = e^{theta S}`` with the path cost ``S``:
     ``Cov(Y, S) = E Y (Lambda'(theta) - E S)`` and ``Var Y = (E Y)^2 expm1(
@@ -578,20 +535,41 @@ def _variance_ratio(model: OqhoModel, pi, theta, horizon, stepper) -> tuple[floa
     slope = (lam[2] - lam[3]) / (2.0 * eps)
     var_cost = (lam[4] + lam[5]) / eps**2
     with np.errstate(over="ignore"):  # an infinite Var Y leaves R^2 = 0
-        spread = var_cost * np.expm1(lam[1] - 2.0 * lam[0])
+        rel_var = np.expm1(lam[1] - 2.0 * lam[0])
+        spread = var_cost * rel_var
     r2 = (slope - mean_cost) ** 2 / spread if spread > 0.0 else 0.0
-    return (float(1.0 / (1.0 - r2)) if r2 < 1.0 else math.inf), rates[:2]
+    return (float(1.0 / (1.0 - r2)) if r2 < 1.0 else math.inf), float(rel_var), float(rates[0])
 
 
 def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedStepper, float, int, float]:
     """``(stepper, rho, run, ratio)`` of a certified-step rate asked for the
-    precision of ``paths`` plain paths: the variance ratio predicted on the
-    top rung's stepper, the run ``min(paths, max(RATE_PATHS_MIN, ceil(paths /
-    ratio)))``, and the step certified for ``run * ratio`` plain paths."""
-    top = AugmentedStepper.build(model, _rate_grid(horizon, 2.0 / (1.0 + opnorm2(model.a)))[1])
-    ratio, rates = _variance_ratio(model, pi, theta, horizon, top)
-    run = min(paths, max(RATE_PATHS_MIN, math.ceil(paths / ratio)))
-    return *_certified_step(model, pi, theta, horizon, run * ratio, (top, rates)), run, ratio
+    precision of ``paths`` plain paths.
+
+    The rungs are the distinct grid step counts of ``h = 2^(1-k) / (1 +
+    ||A||_2)`` down to the floor ``min(0.02, 0.1 / (1 + ||A||_2))``, from the
+    top; the top rung turns the fastest mode by less than 2 rad a step, under
+    the aliasing limit of pi.  Each rung builds one stepper and runs one
+    stacked recursion (:func:`_variance_ratio`), from which it takes its
+    ``rho``, its ``ratio``, the run ``min(paths, max(RATE_PATHS_MIN, ceil(paths
+    / ratio)))`` and its budget, a tenth of the control-variate stderr
+    ``sqrt(expm1(T (rho_2theta - 2 rho)) / (run ratio)) / T`` (the delta
+    method's, ``run ratio`` plain paths).  The first rung whose exact bias
+    ``|rho - rho_c|`` against the twin's continuous-time rate
+    (:func:`_continuous_rate`) fits its budget is taken, else the floor; an
+    infinite stderr admits any rung."""
+    scale = 1.0 + opnorm2(model.a)
+    floor, h, ladder = min(0.02, 0.1 / scale), 2.0 / scale, []
+    while h > floor:
+        ladder.append(h)
+        h /= 2.0
+    target = _continuous_rate(model, pi, theta, horizon)
+    for steps in sorted({_rate_grid(horizon, h)[0] for h in ladder + [floor]}):
+        stepper = AugmentedStepper.build(model, horizon / steps)
+        ratio, rel_var, rho = _variance_ratio(model, pi, theta, horizon, stepper)
+        run = min(paths, max(RATE_PATHS_MIN, math.ceil(paths / ratio)))
+        if abs(rho - target) <= 0.1 * math.sqrt(rel_var / (run * ratio)) / horizon:
+            break
+    return stepper, rho, run, ratio
 
 
 def _cv_rate(cost: np.ndarray, mean_cost: float, theta, horizon) -> tuple[float, float]:
@@ -656,14 +634,13 @@ def mc_rs_rate(
     ``finite_horizon_rate``.
 
     With ``h=None``, ``paths`` sets the rate's precision: at least that of
-    the plain estimator over ``paths`` paths.  The predicted variance ratio of
-    the plain estimator over the control-variate one (:func:`_variance_ratio`,
-    on the top rung's stepper) sets the run ``min(paths, max(RATE_PATHS_MIN,
-    ceil(paths / ratio)))``.  The step is the largest ``2^(1-k) / (1 +
-    ||A||_2)`` whose bias against the twin's continuous-time rate is at most
-    a tenth of the control-variate stderr at the run (:func:`_certified_step`,
-    given ``run * ratio`` plain paths), never below ``min(0.02, 0.1 / (1 +
-    ||A||_2))``.  The
+    the plain estimator over ``paths`` paths.  The step is the largest
+    ``2^(1-k) / (1 + ||A||_2)`` whose bias against the twin's continuous-time
+    rate is at most a tenth of the control-variate stderr at that step's run,
+    never below ``min(0.02, 0.1 / (1 + ||A||_2))``; at each step the predicted
+    variance ratio of the plain estimator over the control-variate one
+    (:func:`_variance_ratio`) sets the run ``min(paths, max(RATE_PATHS_MIN,
+    ceil(paths / ratio)))`` (:func:`_rate_plan`).  The
     estimate carries the run count, the step, its exact ``target`` and the
     ratio, and a rate whose ``2 theta`` moment is infinite is refused with
     ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` runs

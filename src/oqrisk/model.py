@@ -259,20 +259,26 @@ class WeightFacts:
         the next trials.  :class:`NoConvergence` after 30 tests."""
         if not np.any(self.pi):
             return 0.0
-        model = self.model
-        flow = model.b @ model.omega @ model.b.T
-        lams, lower = np.concatenate(([0.0], model.eig.values.imag)), 0.0
+        lams, lower = np.concatenate(([0.0], self.model.eig.values.imag)), 0.0
         for _ in range(30):
             lower = float(self.density_eigs(lams)[:, -1].max(initial=lower))
             if lower == 0.0:
                 break
             level = (1.0 + 1e-8) * lower
-            ev = np.linalg.eigvals(np.block([[model.a, flow / level], [-self.pi, -model.a.T]]))
+            ev = np.linalg.eigvals(self._hamiltonian(1.0 / level))
             axis = np.sort(ev.imag[np.abs(ev.real) <= 1e-10 * np.abs(ev).max()])
             if axis.size == 0:
                 return level
             lams = 0.5 * (axis[1:] + axis[:-1])
         raise NoConvergence(f"no density level certified above {lower:.6e}")
+
+    def _hamiltonian(self, theta: float) -> np.ndarray:
+        """``H = [[A, F], [-Pi, -A']]``, ``F = theta B Omega B'``: the peak test's
+        Hamiltonian at level ``1/theta``.  Its stable subspace gives the classical
+        twin's Riccati rate, its flow ``e^{-H tau}`` the twin's continuous-time rate."""
+        model = self.model
+        f = theta * (model.b @ model.omega @ model.b.T)
+        return np.block([[model.a, f], [-self.pi, -model.a.T]])
 
 
 @dataclass(frozen=True)

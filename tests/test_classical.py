@@ -25,7 +25,7 @@ from oqrisk.classical import (
 )
 from oqrisk.errors import DimensionMismatch, InsufficientPaths, ThetaOutOfRange, VarianceBlowup
 from oqrisk.gaussian import gramian_steady
-from oqrisk.matfun import expm, integrate_frequency, sqrt_psd
+from oqrisk.matfun import expm, integrate_frequency, lyap_solve, sqrt_psd
 from oqrisk.quartic import mean_rate
 
 
@@ -34,11 +34,17 @@ def _invariant_aug(model):
     return augmented_invariant_cov(steady.p, model.theta), steady.quantum_cov
 
 
-def _noise_aug(stepper):
-    """The exact one-step noise covariance ``p_aug - phi_aug p_aug phi_aug'``
-    in the ``2n`` augmented coordinates."""
-    sigma = stepper.p_aug - stepper.phi_aug @ stepper.p_aug @ stepper.phi_aug.T
-    return 0.5 * (sigma + sigma.T)
+def _aug(model, h):
+    """``(phi_aug, p_aug, sigma_aug)`` in the ``2n`` augmented coordinates, formed
+    as ``AugmentedStepper.build`` forms them: ``e^{h (I2 (x) A)}``, the augmented
+    Lyapunov solution and the exact one-step noise covariance ``p_aug - phi_aug
+    p_aug phi_aug'``."""
+    b = model.b
+    p = lyap_solve(np.kron(np.eye(2), model.a), augmented_invariant_cov(b @ b.T, b @ model.j @ b.T))
+    p = 0.5 * (p + p.T)
+    phi = np.kron(np.eye(2), expm(model.a, h))
+    sigma = p - phi @ p @ phi.T
+    return phi, p, 0.5 * (sigma + sigma.T)
 
 
 class TestInvariantCov:
@@ -67,18 +73,20 @@ class TestInvariantCov:
 
 class TestStepper:
     def test_exact_semigroup(self, paper):
-        # one 2h step must equal two composed h steps in distribution
+        # one 2h step must equal two composed h steps in distribution; the
+        # paper fixture's mixed law runs in the 2n coordinates
         model = paper[0]
         s1 = AugmentedStepper.build(model, 0.15)
         s2 = AugmentedStepper.build(model, 0.30)
-        assert np.abs(s1.phi_aug @ s1.phi_aug - s2.phi_aug).max() < 1e-12
-        composed = s1.phi_aug @ _noise_aug(s1) @ s1.phi_aug.T + _noise_aug(s1)
-        assert np.abs(composed - _noise_aug(s2)).max() < 1e-12
+        noise1, noise2 = (s.noise_chol @ s.noise_chol.T for s in (s1, s2))
+        assert np.abs(s1.phi_frame @ s1.phi_frame - s2.phi_frame).max() < 1e-12
+        composed = s1.phi_frame @ noise1 @ s1.phi_frame.T + noise1
+        assert np.abs(composed - noise2).max() < 1e-12
 
     def test_stationarity_preserved(self, tiny):
-        stepper = AugmentedStepper.build(tiny, 0.4)
+        phi, _, sigma = _aug(tiny, 0.4)
         p_aug, _ = _invariant_aug(tiny)
-        pushed = stepper.phi_aug @ p_aug @ stepper.phi_aug.T + _noise_aug(stepper)
+        pushed = phi @ p_aug @ phi.T + sigma
         assert np.abs(pushed - p_aug).max() < 1e-13
 
 
@@ -97,13 +105,14 @@ class TestSimulate:
 
     def test_zero_dispersion_nonzero_start_is_flow(self, tiny):
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
+        # B = 0 takes the identity frame, so the chain steps the 2n state
         stepper = AugmentedStepper.build(silent, 0.5)
-        assert not np.any(_noise_aug(stepper))
+        assert not np.any(_aug(silent, 0.5)[2]) and not np.any(stepper.noise_chol)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(4)
         batch_like = x0.copy()
         for _ in range(3):
-            batch_like = stepper.phi_aug @ batch_like
+            batch_like = stepper.phi_frame @ batch_like
         flow = np.kron(np.eye(2), expm(tiny.a, 1.5)) @ x0
         assert np.allclose(batch_like, flow, atol=1e-12)
 
@@ -133,11 +142,12 @@ class TestSimulate:
     def test_matches_reference_recursion(self, paper):
         # each of the MC_BLOCKS blocks of paths runs on its own spawned stream
         # and reuses its buffers; per-block references with fresh arrays every
-        # step must agree bit for bit, and no two slices may share memory
+        # step must agree bit for bit, and no two slices may share memory; the
+        # paper fixture's frame is the identity
         model = paper[0]
         steps, paths = 6, 67  # uneven blocks of 9 and 8 paths
         stepper = AugmentedStepper.build(model, 0.05)
-        init = sqrt_psd(stepper.p_aug)
+        init = sqrt_psd(stepper.p_frame)
         blocks = []
         for seq, rows in zip(np.random.SeedSequence(3).spawn(classical.MC_BLOCKS),
                              np.array_split(np.arange(paths), classical.MC_BLOCKS)):
@@ -145,7 +155,7 @@ class TestSimulate:
             state = rng.standard_normal((rows.size, 8)) @ init.T
             ref = [state]
             for _ in range(steps):
-                state = (state @ stepper.phi_aug.T
+                state = (state @ stepper.phi_frame.T
                          + rng.standard_normal((rows.size, 8)) @ stepper.noise_chol.T)
                 ref.append(state)
             blocks.append(np.stack(ref))
@@ -406,6 +416,18 @@ class TestRiccatiRate:
         assert np.all(np.isfinite(rates)) and np.all(np.diff(rates) > 0.0)
 
 
+def _spy_rungs(monkeypatch):
+    """Lists that record the step of each ``AugmentedStepper.build`` and the
+    ``(thetas, horizon, h)`` of each stacked recursion from here on."""
+    built, build = [], AugmentedStepper.build
+    monkeypatch.setattr(AugmentedStepper, "build",
+                        staticmethod(lambda m, h: built.append(h) or build(m, h)))
+    recursions, rates = [], classical._exponent_rates
+    monkeypatch.setattr(classical, "_exponent_rates",
+                        lambda *args: recursions.append(args[2:5]) or rates(*args))
+    return built, recursions
+
+
 class TestMcRate:
     def test_zero_cases(self, tiny):
         assert mc_rs_rate(tiny, np.eye(2), 0.0, 5.0, 100, 1).value == 0.0
@@ -472,37 +494,42 @@ class TestMcRate:
         assert [float(g).hex() for g in got] == [w.hex() for w in want]
 
     def test_certified_step_builds_one_stepper_per_rung(self, paper, monkeypatch):
-        # 1e15 paths admit no bias, so the ladder runs down to its floor: each
-        # step size is built once and runs one stacked (theta, 2 theta)
-        # recursion, with no lookahead, and rho is finite_horizon_rate's
+        # 1e15 paths admit no bias, so the walk runs down to its floor: each
+        # distinct step count is built once and runs one stacked six-theta
+        # recursion, and rho is finite_horizon_rate's
         model, pi = paper
-        built, build = [], AugmentedStepper.build
-        monkeypatch.setattr(AugmentedStepper, "build",
-                            staticmethod(lambda m, h: built.append(h) or build(m, h)))
-        recursions, rates = [], classical._exponent_rates
-        monkeypatch.setattr(classical, "_exponent_rates",
-                            lambda *args: recursions.append(args[2:5]) or rates(*args))
+        built, recursions = _spy_rungs(monkeypatch)
         horizon, scale = 2.0, 1.0 + np.linalg.norm(model.a, 2)
         floor, ladder = min(0.02, 0.1 / scale), [2.0 / scale]
         while ladder[-1] / 2.0 > floor:
             ladder.append(ladder[-1] / 2.0)
         ladder.append(floor)
-        stepper, rho = classical._certified_step(model, pi, 0.001, horizon, 10**15)
+        stepper, rho, _, _ = classical._rate_plan(model, pi, 0.001, horizon, 10**15)
         assert built == [horizon / round(horizon / h) for h in ladder]
         assert len(set(built)) == len(built)
-        assert recursions == [((0.001, 0.002), horizon, h) for h in ladder]
+        eps = 1e-3 * 0.001
+        thetas = (0.001, 0.002, 0.001 + eps, 0.001 - eps, eps, -eps)
+        assert recursions == [(thetas, horizon, h) for h in built]
         assert stepper.h == built[-1]
         assert rho == finite_horizon_rate(model, pi, 0.001, horizon, floor)
-        # a rung accepted at once, the top one: its stepper, built for the
-        # variance-ratio prediction, gives the ladder its rates from that
-        # six-theta recursion and runs the paths
+        # a rung accepted at once, the top one: one stepper, one recursion,
+        # and that stepper runs the paths
         built.clear()
         recursions.clear()
         est = mc_rs_rate(model, pi, 0.001, horizon, 2000, seed=1)
         assert est.h == horizon / round(horizon / (2.0 / scale))
         assert built == [est.h]
-        eps = 1e-3 * 0.001
-        assert recursions == [((0.001, 0.002, 0.001 + eps, 0.001 - eps, eps, -eps), horizon, est.h)]
+        assert recursions == [(thetas, horizon, est.h)]
+
+    def test_short_horizon_builds_each_step_count_once(self, paper, monkeypatch):
+        # over T = 0.05 the six rungs down to the floor round to the step
+        # counts 2, 2, 2, 2, 4 and 5; each distinct count is built and
+        # evaluated once
+        model, pi = paper
+        built, recursions = _spy_rungs(monkeypatch)
+        classical._rate_plan(model, pi, 0.001, 0.05, 10**15)
+        assert [round(0.05 / h) for h in built] == [2, 4, 5]
+        assert [h for _, _, h in recursions] == built
 
     def test_refuses_infinite_variance_before_simulating(self, monkeypatch):
         # the damped mode's resonance at lam = -10 puts its density peak at
@@ -558,8 +585,8 @@ def _certified_case(name):
 
 
 class TestCertifiedStep:
-    """The ladder accepts the first rung whose exact bias against the
-    continuous-time rate fits a tenth of the predicted stderr."""
+    """The walk accepts the first rung whose exact bias against the
+    continuous-time rate fits a tenth of the rung's predicted stderr."""
 
     @pytest.mark.parametrize("name", [
         "paper", "tiny", "tiny-short", "damped",
@@ -568,17 +595,14 @@ class TestCertifiedStep:
     ])
     def test_accepted_step_bias_within_a_tenth_of_the_stderr(self, name):
         # against a sixteenth of the floor, the accepted rate's bias is at
-        # most 0.1 of the predicted stderr at the accepted step: of the plain
-        # estimator over `paths` paths, and of the control-variate one at the
-        # run mc_rs_rate chooses, `run * ratio` plain paths
+        # most 0.1 of the predicted stderr at the accepted step of the
+        # control-variate estimator at the rung's run, `run * ratio` plain paths
         model, pi, theta, horizon, paths = _certified_case(name)
-        stepper, rho = classical._certified_step(model, pi, theta, horizon, paths)
-        cv_stepper, cv_rho, run, ratio = classical._rate_plan(model, pi, theta, horizon, paths)
-        for step, rate, plain_paths in ((stepper, rho, paths), (cv_stepper, cv_rho, run * ratio)):
-            assert rate == finite_horizon_rate(model, pi, theta, horizon, step.h)
-            rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, step.h)
-            stderr = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * rate)) / plain_paths) / horizon
-            assert abs(rate - _fine_rate(name)) <= 0.1 * stderr
+        stepper, rho, run, ratio = classical._rate_plan(model, pi, theta, horizon, paths)
+        assert rho == finite_horizon_rate(model, pi, theta, horizon, stepper.h)
+        rho_2 = finite_horizon_rate(model, pi, 2.0 * theta, horizon, stepper.h)
+        stderr = np.sqrt(np.expm1(horizon * (rho_2 - 2.0 * rho)) / (run * ratio)) / horizon
+        assert abs(rho - _fine_rate(name)) <= 0.1 * stderr
 
 
 def _cv_case(name):
@@ -596,17 +620,10 @@ def _cv_case(name):
 
 
 @functools.cache
-def _seed_runs(name, top):
+def _seed_runs(name):
     """``mc_rs_rate`` of a :func:`_cv_case` over seeds 1..20, each with the
-    path costs its estimator saw; with ``top``, at the explicit top-rung step
-    ``2 / (1 + ||A||_2)`` and the certified estimate's run count."""
+    path costs its estimator saw."""
     model, pi, theta, horizon, paths, h = _cv_case(name)
-    if top:
-        certified = _seed_runs(name, False)[0][0]
-        h = classical._rate_grid(horizon, 2.0 / (1.0 + np.linalg.norm(model.a, 2)))[1]
-        if h == certified.h:
-            return _seed_runs(name, False)
-        paths = certified.paths
     costs, estimate = [], classical._cv_rate
     classical._cv_rate = lambda cost, *args: costs.append(cost.copy()) or estimate(cost, *args)
     try:
@@ -616,13 +633,13 @@ def _seed_runs(name, top):
     return list(zip(runs, costs))
 
 
-def _realized_ratio(name, top=False):
+def _realized_ratio(name):
     """Mean over the seeds of ``1 / (1 - r^2)``, ``r`` the sample correlation
     of ``e^{theta S}`` with the path cost ``S``: the variance of the plain
     estimator over the control-variate one."""
     theta = _cv_case(name)[2]
     ratios = []
-    for _, cost in _seed_runs(name, top):
+    for _, cost in _seed_runs(name):
         r = np.corrcoef(np.exp(theta * (cost - cost.max())), cost)[0, 1]
         ratios.append(1.0 / (1.0 - r * r))
     return float(np.mean(ratios))
@@ -636,7 +653,7 @@ class TestControlVariate:
         # z against the exact rate at the step that ran: its sample variance
         # is near 1 and no |z| reaches 4, so the jackknife stderr is honest
         model, pi, theta, horizon, _, h = _cv_case(name)
-        runs = _seed_runs(name, False)
+        runs = _seed_runs(name)
         target = runs[0][0].target if h is None else finite_horizon_rate(model, pi, theta, horizon, h)
         z = np.array([(est.value - target) / est.stderr for est, _ in runs])
         assert 0.5 <= z.var(ddof=1) <= 2.0
@@ -644,19 +661,18 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("name", ["paper", "tiny"])
     def test_predicted_ratio_matches_the_realized_one(self, name):
-        # the prediction reads the top rung's recursion, so it is checked at
-        # that step; at the accepted step (the paper fixture's is the top
-        # rung, the vacuum model's 40 steps against 5) the realized ratio is
-        # no smaller, so the run is at least as precise as promised
-        predicted = _seed_runs(name, False)[0][0].variance_ratio
-        assert predicted == pytest.approx(_realized_ratio(name, top=True), rel=0.25)
-        assert _realized_ratio(name) >= 0.75 * predicted
+        # the prediction reads the accepted rung's own recursion: 16.44
+        # against 17.2 realized on the paper fixture (102 steps), 100.35
+        # against 107.2 on the vacuum mode (80 steps)
+        predicted = _seed_runs(name)[0][0].variance_ratio
+        assert predicted == pytest.approx(_realized_ratio(name), rel=0.1)
 
-    @pytest.mark.parametrize("paths, run", [(500, 500), (2000, 2000), (20_000, 2000), (500_000, 6134)])
+    @pytest.mark.parametrize("paths, run", [(500, 500), (2000, 2000), (20_000, 2000), (500_000, 4983)])
     def test_path_rule(self, tiny, paths, run, monkeypatch):
         # the run is min(paths, max(RATE_PATHS_MIN, ceil(paths / ratio))) at
-        # a ratio of ~81.5: paths below the floor run as asked, the run never
-        # exceeds paths, and McEstimate.paths is what the blocks drew
+        # the accepted rung's ratio of ~100: paths below the floor run as
+        # asked, the run never exceeds paths, and McEstimate.paths is what
+        # the blocks drew
         drawn, run_blocks = [], classical._run_blocks
         monkeypatch.setattr(classical, "_run_blocks",
                             lambda stepper, steps, n, *args: drawn.append(n) or run_blocks(stepper, steps, n, *args))
@@ -700,15 +716,15 @@ def _dense_rate(model, pi, theta, horizon, steps):
     w) (x) I2 (x) sqrt(Pi)`` with the trapezoid weights ``w``, so ``W C W`` is
     symmetric and its rank deficiency needs no root of ``C``."""
     h = horizon / steps
-    stepper = AugmentedStepper.build(model, h)
-    d = stepper.p_aug.shape[0]
+    phi, p_aug, _ = _aug(model, h)
+    d = p_aug.shape[0]
     powers = [np.eye(d)]
     for _ in range(steps):
-        powers.append(stepper.phi_aug @ powers[-1])
+        powers.append(phi @ powers[-1])
     cov = np.zeros(((steps + 1) * d,) * 2)
     for j in range(steps + 1):
         for k in range(j + 1):
-            block = powers[j - k] @ stepper.p_aug
+            block = powers[j - k] @ p_aug
             cov[j * d:(j + 1) * d, k * d:(k + 1) * d] = block
             cov[k * d:(k + 1) * d, j * d:(j + 1) * d] = block.T
     weights = np.full(steps + 1, h)
@@ -902,10 +918,11 @@ class TestSupportFrame:
         # where every frame product is exact
         for model in (dataclasses.replace(tiny, b=np.zeros((2, 2))), paper[0]):
             stepper = AugmentedStepper.build(model, 0.05)
+            phi, p_aug, sigma = _aug(model, 0.05)
             assert np.array_equal(stepper.frame, np.eye(2 * model.n))
-            assert np.array_equal(stepper.phi_frame, stepper.phi_aug)
-            assert np.array_equal(stepper.p_frame, stepper.p_aug)
-            assert np.array_equal(stepper.noise_chol, sqrt_psd(_noise_aug(stepper)))
+            assert np.array_equal(stepper.phi_frame, phi)
+            assert np.array_equal(stepper.p_frame, p_aug)
+            assert np.array_equal(stepper.noise_chol, sqrt_psd(sigma))
 
 
 class TestChainChunks:
