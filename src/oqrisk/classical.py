@@ -556,7 +556,9 @@ def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedSt
     method's, ``run ratio`` plain paths).  The first rung whose exact bias
     ``|rho - rho_c|`` against the twin's continuous-time rate
     (:func:`_continuous_rate`) fits its budget is taken, else the floor; an
-    infinite stderr admits any rung."""
+    infinite stderr admits any rung.  A rung whose relative variance is not
+    positive (it rounds to 0 or below at a tiny theta) raises
+    ``ThetaOutOfRange``: its budget is undefined."""
     scale = 1.0 + opnorm2(model.a)
     floor, h, ladder = min(0.02, 0.1 / scale), 2.0 / scale, []
     while h > floor:
@@ -566,6 +568,9 @@ def _rate_plan(model: OqhoModel, pi, theta, horizon, paths) -> tuple[AugmentedSt
     for steps in sorted({_rate_grid(horizon, h)[0] for h in ladder + [floor]}):
         stepper = AugmentedStepper.build(model, horizon / steps)
         ratio, rel_var, rho = _variance_ratio(model, pi, theta, horizon, stepper)
+        if not rel_var > 0.0:
+            raise ThetaOutOfRange(f"theta = {theta} is too small for the certified step: the "
+                                  f"relative variance of a path's weight rounds to {rel_var:.3e}")
         run = min(paths, max(RATE_PATHS_MIN, math.ceil(paths / ratio)))
         if abs(rho - target) <= 0.1 * math.sqrt(rel_var / (run * ratio)) / horizon:
             break
@@ -642,11 +647,12 @@ def mc_rs_rate(
     (:func:`_variance_ratio`) sets the run ``min(paths, max(RATE_PATHS_MIN,
     ceil(paths / ratio)))`` (:func:`_rate_plan`).  The
     estimate carries the run count, the step, its exact ``target`` and the
-    ratio, and a rate whose ``2 theta`` moment is infinite is refused with
-    ``ThetaOutOfRange`` before any path is drawn.  An explicit ``h`` runs
-    ``paths`` paths at that step, with no target or ratio.  Refuses parameter
-    ranges where the exponential estimator degenerates (effective sample size
-    of the plain weights below 50).
+    ratio, and a rate whose ``2 theta`` moment is infinite, or whose theta
+    is so small that a path weight's relative variance rounds to 0 or below,
+    is refused with ``ThetaOutOfRange`` before any path is drawn.  An
+    explicit ``h`` runs ``paths`` paths at that step, with no target or
+    ratio.  Refuses parameter ranges where the exponential estimator
+    degenerates (effective sample size of the plain weights below 50).
     """
     _check_run(paths, 0, seed)
     _rate_grid(horizon, horizon if h is None else h)  # refuses a bad horizon or step

@@ -133,6 +133,39 @@ def _top_singular_value(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
+def _powers(units, out) -> None:
+    """Fill ``out[k]`` with the product of ``units[b]`` over the set bits ``b``
+    of ``k``, for every ``k < len(out)``, by doubling: rows ``[n, 2n)`` are
+    rows ``[0, n)`` times ``units[b]``, ``n = 2^b``.  ``out[0]`` is 1."""
+    out[0] = 1.0
+    done = 1
+    for unit in units:
+        count = min(done, len(out) - done)
+        np.multiply(out[:count], unit, out=out[done:done + count])
+        done += count
+
+
+def _filon_weights(theta, unit) -> np.ndarray:
+    """Filon's ``alpha, beta, gamma`` (stacked) at each ``theta = lam h``, with
+    ``unit = e^{i theta}``: their Taylor series where ``|theta| <=
+    FILON_SERIES``, their closed forms in ``sin theta`` and ``cos theta``
+    elsewhere."""
+    closed = np.abs(theta) > FILON_SERIES
+    t = np.where(closed, 0.0, theta)
+    square, weights = t * t, np.empty((3,) + theta.shape)
+    for row, coefs in zip(weights, _FILON_TAYLOR.T):  # Horner
+        row[...] = coefs[-1]
+        for coef in coefs[-2::-1]:
+            row *= square
+            row += coef
+    weights[0] *= t**3
+    t, s, c = theta[closed], unit.imag[closed], unit.real[closed]
+    cube = t**3
+    weights[:, closed] = ((t * t + t * s * c - 2.0 * s * s) / cube,
+                          2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / cube, 4.0 * (s - t * c) / cube)
+    return weights
+
+
 def _filon(segments, lam) -> np.ndarray:
     """``integral f(t) e^{i lam t} dt`` over a graded grid, for an array of
     frequencies: the grid is given as the ``(start, step, samples)`` of its
@@ -141,44 +174,95 @@ def _filon(segments, lam) -> np.ndarray:
     rules (Abramowitz & Stegun 25.4.47) as one complex sum, exact for
     piecewise-quadratic f at any frequency.
 
-    The even and odd sample sums ``sum_k f_k e^{i lam step k}`` of a block
-    of frequencies come from two matrix products: with ``k = a W + j`` (``W
-    ~ sqrt(samples)``, even) and ``f`` folded into ``F = f.reshape(A, W)``,
-    they are ``(E_a @ F) E_j`` summed over the even or the odd ``j``, where
-    ``E_a = e^{i lam step W a}`` and ``E_j = e^{i lam step j}`` are short
-    phase tables, taken as their cosines and sines.  Memory is ``RULE_BLOCK
-    (A + W)`` per block, never a frequencies-by-grid table."""
+    *Phase products.*  With ``theta = lam step``, a segment's even and odd
+    sample sums ``sum_k f_k e^{i theta k}`` split ``k = a W + j`` for a power
+    of two ``W ~ sqrt(n)``, ``n`` the segment's sample count, and ``A =
+    ceil(n / W)``: for a block of frequencies the columns ``C_j = sum_a f_{a
+    W + j} e^{i theta W a}`` are one real matrix product of the samples,
+    folded ``W x A``, with the interleaved real and imaginary parts of the
+    coarse phases, and the sums are ``sum_j C_j e^{i theta j}`` over the
+    even or the odd ``j``.  No phase is a cosine of ``theta k``.  The only
+    cosines and sines are of the unit phases ``e^{i theta 2^b}``, whose
+    arguments are exact (``theta`` times a power of two), about ``log2 n``
+    per frequency; the fine phases ``e^{i theta j}`` and the coarse ``e^{i
+    theta W a}`` are their products over the set bits of ``j`` and of ``W
+    a`` (:func:`_powers`).  Each phase ``e^{i theta k}``, the end phase
+    ``e^{i theta (n - 1)}`` included, is so a product of at most ``log2 W +
+    log2 A`` (about ``log2 n``) unit phases, each rounded once, and is off
+    by about that many eps (a cosine of ``theta k`` takes up to ``eps theta
+    k / 2`` from its rounded argument).
+
+    *Working set.*  The fine, coarse and column tables are allocated once
+    per call, for the widest and the tallest fold, and a block's unit
+    phases (``bits`` rows, all segments') live only while its sums are
+    formed: ``16 RULE_BLOCK (bits + 2 W + A)`` bytes, ~1 MB on the paper
+    fixture and ~6 MB for one segment at the grid's 200_001-sample cap;
+    never a frequencies-by-grid table.
+
+    *One pass per block.*  Filon's weights (:func:`_filon_weights`), the end
+    corrections and the shifts ``e^{i lam start}`` are formed for every
+    segment of a block of ``RULE_BLOCK`` frequencies at once, and the
+    segments' terms are added in segment order."""
     lam = np.asarray(lam, dtype=float)
     flat = lam.ravel()
-    out = np.zeros(flat.size, dtype=complex)
-    for start, step, fvals in segments:
-        th = flat * step
-        npts = fvals.size
-        width = 2 * math.ceil(math.sqrt(npts) / 2.0)
-        rows = -(-npts // width)
-        samples = np.zeros(rows * width)
-        samples[:npts] = fvals
-        samples = samples.reshape(rows, width)
-        sums = np.empty((2, th.size), dtype=complex)
-        for lo in range(0, th.size, RULE_BLOCK):
-            blk = th[lo:lo + RULE_BLOCK]
-            coarse = np.multiply.outer(blk, width * np.arange(rows))
-            fine = np.multiply.outer(blk, np.arange(width))
-            cf, sf = np.cos(coarse) @ samples, np.sin(coarse) @ samples
-            cj, sj = np.cos(fine), np.sin(fine)
-            terms = (cf * cj - sf * sj) + 1j * (cf * sj + sf * cj)
-            sums[:, lo:lo + RULE_BLOCK] = terms[:, 0::2].sum(1), terms[:, 1::2].sum(1)
-        series = np.abs(th) <= FILON_SERIES  # closed forms evaluated where the series is not
-        t = np.where(series, 1.0, th)
-        s, c = np.sin(t), np.cos(t)
-        taylor = np.polynomial.polynomial.polyval(th * th, _FILON_TAYLOR)
-        alpha = np.where(series, th**3 * taylor[0], (t * t + t * s * c - 2.0 * s * s) / t**3)
-        beta = np.where(series, taylor[1], 2.0 * (t * (1.0 + c * c) - 2.0 * s * c) / t**3)
-        gamma = np.where(series, taylor[2], 4.0 * (s - t * c) / t**3)
-        last = fvals[-1] * np.exp(1j * th * (npts - 1))
-        even = sums[0] - 0.5 * (fvals[0] + last)
-        out += np.exp(1j * flat * start) * step * (
-            -1j * alpha * (last - fvals[0]) + beta * even + gamma * sums[1])
+    starts, steps, firsts, ends = np.array([(start, step, fvals[0], fvals[-1])
+                                            for start, step, fvals in segments]).T
+    folds, fine_bits, bits, end_cols = [], [], [], []
+    for _, _, fvals in segments:
+        width = 2 << max(0, round(math.log2(fvals.size) / 2) - 1)
+        rows = -(-fvals.size // width)
+        fold = np.zeros(rows * width)
+        fold[:fvals.size] = fvals
+        folds.append(fold.reshape(rows, width).T)  # fold[j, a] = f_{a W + j}
+        fine_bits.append(width.bit_length() - 1)
+        bits.append(fine_bits[-1] + (rows - 1).bit_length())
+        end_cols.append((fvals.size - 1) % width)  # the end sample is fold[j, rows - 1]
+    # unit phase row r is e^{i theta_s 2^b} for segment s = owner[r], b < bits[s]
+    owner = np.repeat(np.arange(len(segments)), bits)
+    first = np.cumsum(bits) - bits
+    scale = 2.0 ** (np.arange(owner.size) - first[owner])
+    widest = max(fold.shape[0] for fold in folds)
+    tallest = max(fold.shape[1] for fold in folds)
+    size = min(flat.size, RULE_BLOCK)
+    tables = [np.empty(rows * size, dtype=complex) for rows in (widest, tallest, widest)]
+
+    def block(blk):  # every array of a block but the tables is freed on return
+        fine, coarse, cols = (table[:len(table) // size * blk.size].reshape(-1, blk.size)
+                              for table in tables)
+        theta = np.multiply.outer(steps, blk)
+        args = theta[owner]
+        args *= scale[:, None]  # theta_s 2^b, exact
+        units = np.empty(args.shape, dtype=complex)
+        np.cos(args, out=units.real)
+        np.sin(args, out=units.imag)
+        del args  # not held through the segment loop
+        sums = np.empty((3, len(segments), blk.size), dtype=complex)  # even, odd, end phase
+        for s, fold in enumerate(folds):
+            width, rows = fold.shape
+            mid = first[s] + fine_bits[s]
+            _powers(units[first[s]:mid], fine[:width])
+            _powers(units[mid:first[s] + bits[s]], coarse[:rows])
+            part = np.matmul(fold, coarse[:rows].view(float),
+                             out=cols[:width].view(float)).view(complex)
+            part *= fine[:width]
+            sums[:2, s] = part.reshape(width // 2, 2, blk.size).sum(0)
+            np.multiply(coarse[rows - 1], fine[end_cols[s]], out=sums[2, s])
+        units = units[first]  # e^{i theta} of each segment; the rest is freed
+        alpha, beta, gamma = _filon_weights(theta, units)
+        even, odd, last = sums
+        last *= ends[:, None]
+        even -= 0.5 * (firsts[:, None] + last)
+        shift = np.multiply.outer(starts, blk)
+        terms = np.empty(shift.shape, dtype=complex)
+        np.cos(shift, out=terms.real)
+        np.sin(shift, out=terms.imag)
+        terms *= steps[:, None]
+        terms *= -1j * alpha * (last - firsts[:, None]) + beta * even + gamma * odd
+        return terms.sum(0)
+
+    out = np.empty(flat.size, dtype=complex)
+    for lo in range(0, flat.size, RULE_BLOCK):
+        out[lo:lo + RULE_BLOCK] = block(flat[lo:lo + RULE_BLOCK])
     return out.reshape(lam.shape)
 
 

@@ -549,6 +549,22 @@ class TestMcRate:
         with pytest.raises(ThetaOutOfRange, match="0.3/peak"):
             mc_rs_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 2.0, 2000, 1)
 
+    def test_tiny_theta_is_refused_before_simulating(self, paper, monkeypatch):
+        # at theta = 1e-12 the relative variance expm1(T (rho_2theta - 2 rho))
+        # of a path's weight rounds below 0 on the paper fixture, so the
+        # certified step has no budget: a typed refusal, not a math domain
+        # error, and no path drawn; an explicit step still runs
+        def no_paths(*args, **kwargs):
+            raise AssertionError("simulated a refused rate")
+
+        model, pi = paper
+        with monkeypatch.context() as patch:
+            patch.setattr(classical, "_chain", no_paths)
+            with pytest.raises(ThetaOutOfRange, match="relative variance"):
+                mc_rs_rate(model, pi, 1e-12, 20.0, 2000, 1)
+        est = mc_rs_rate(model, pi, 1e-12, 1.0, 200, 1, h=0.05)
+        assert est.paths == 200 and est.target is None
+
 
 @functools.cache
 def _fine_rate(name):

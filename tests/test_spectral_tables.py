@@ -99,18 +99,34 @@ class TestBlockedFilon:
     @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 100.0, 100.02, 400.0])
     def test_exact_on_quadratic(self, lam):
         # Filon's rules interpolate f by a quadratic on each panel pair, so
-        # f = t^2 is integrated exactly at any frequency, on one step and
-        # on a graded grid whose step doubles from segment to segment
+        # f = t^2 is integrated exactly at any frequency, on one step, on a
+        # graded grid whose step doubles from segment to segment, and on one
+        # segment at the grid's 200_001-sample cap, folded 512 wide and 391
+        # tall, whose phases are the longest products of unit phases (17)
         end = 10.0
         want = _t2_exp_integral(lam, end)
         h = end / 2000
         uniform = [(0.0, h, (h * np.arange(2001)) ** 2)]
         graded = [(a, (b - a) / (2 * pairs), np.linspace(a, b, 2 * pairs + 1) ** 2)
                   for a, b, pairs in [(0.0, 2.0, 200), (2.0, 5.0, 150), (5.0, end, 125)]]
-        for segments in (uniform, graded):
+        capped = [(0.0, end / 200_000, (end / 200_000 * np.arange(200_001)) ** 2)]
+        for segments in (uniform, graded, capped):
             got = _filon(segments, np.array([lam]))[0]
             assert abs(got.real - want.real) <= 1e-12 * end**3 / 3.0
             assert abs(got.imag - want.imag) <= 1e-12 * end**3 / 3.0
+
+    @pytest.mark.parametrize("case", ["paper", "damped"])
+    def test_single_frequencies_match_the_table(self, case, paper_deviation):
+        # a frequency's F hardly depends on the block it is summed in: the
+        # products and sums of a one-frequency call round as the table's do,
+        # up to the order of the matrix product's sums
+        da = paper_deviation if case == "paper" else DeviationAnalysis(damped_mode(),
+                                                                       np.diag([1.0, 2.0]))
+        table = da._table
+        picks = np.linspace(0, table.nodes.size - 1, 16).astype(int)
+        singles = np.array([da.f_transform(lam) for lam in table.nodes[picks]])
+        assert da.f_transform(0.0) == pytest.approx(table.f0, rel=4 * np.finfo(float).eps)
+        assert np.abs(singles - table.fvals[picks]).max() <= 4 * np.finfo(float).eps * table.f0
 
 
 def _grid_sample(model, pi):
