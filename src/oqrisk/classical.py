@@ -12,7 +12,9 @@ Simulation uses the exact one-step discretization of the augmented real
 process ``x = [Re zeta; Im zeta]``: stepping matrix ``e^{h (I2 (x) A)}`` and
 the exact one-step noise covariance, so the step enters a Monte Carlo rate
 only through the trapezoid sum of the cost, and ``finite_horizon_rate``
-gives the exact value that the estimate targets.  The chain runs in the
+gives the exact value that the estimate targets.  The invariant law ``P +
+i Theta`` is the model's certified ``SteadyState``, never solved again; a
+model without one (``B = 0``) has no twin.  The chain runs in the
 coordinates ``y = U'x`` of a frame ``U`` of the support of its invariant law
 ``P_aug``: when the invariant state is pure (``P + i Theta`` of rank
 ``n/2``), ``x`` never leaves an ``n``-dimensional subspace of ``R^2n`` and
@@ -116,11 +118,12 @@ class AugmentedStepper:
     """Exact one-step discretization of the augmented linear SDE.
 
     With the ``2n x 2n`` stepping matrix ``phi_aug = e^{h (I2 (x) A)}`` and
-    invariant covariance ``p_aug`` (formed by :meth:`build`, not kept), the
-    chain runs in the coordinates ``y = frame' x`` of ``frame``, a ``2n x
-    rank`` orthonormal basis of the support of the invariant law:
-    ``phi_frame = frame' phi_aug frame``, ``p_frame = frame' p_aug frame``
-    and ``noise_chol``, the principal square root of
+    invariant covariance ``p_aug``, the real form of the model's ``P + i
+    Theta`` (formed by :meth:`build`, not kept), the chain runs in the
+    coordinates ``y = frame' x`` of ``frame``, a ``2n x rank`` orthonormal
+    basis of the support of the invariant law: ``phi_frame = frame' phi_aug
+    frame``, ``p_frame = frame' p_aug frame``, its principal root ``p_root``
+    (the initial states' factor) and ``noise_chol``, the principal root of
     ``p_frame - phi_frame p_frame phi_frame'``, so the chain has the
     invariant law as its exact stationary distribution for any step size.
 
@@ -129,10 +132,10 @@ class AugmentedStepper:
     that block has full column rank since ``P > 0``, spans the support, and
     its polar factor moves continuously with the model, where an eigenbasis
     of ``p_aug`` (whose eigenvalues come in degenerate pairs) would not.  For
-    any other law, and for a model whose ``P + i Theta`` is no certified
-    state (``B = 0``), the frame is the identity.  Principal roots do not
-    depend on an eigenbasis either, so sampled paths move continuously with
-    the model.
+    any other law the frame is the identity.  Principal roots do not depend
+    on an eigenbasis either, so sampled paths move continuously with the
+    model.  A model with no certified ``P + i Theta`` (``B = 0`` gives ``i
+    Theta``, no state) raises :class:`StepperConstructionFailure`.
     """
 
     h: float
@@ -140,22 +143,18 @@ class AugmentedStepper:
     frame: np.ndarray
     phi_frame: np.ndarray
     p_frame: np.ndarray
+    p_root: np.ndarray
 
     @classmethod
     def build(cls, model: OqhoModel, h: float) -> "AugmentedStepper":
         if h <= 0:
             raise StepperConstructionFailure("step size must be positive")
         try:
-            # stationary covariance straight from the augmented equation; for
-            # physically realizable models it equals augmented_invariant_cov(P, Theta)
-            b = model.b
-            q_aug = augmented_invariant_cov(b @ b.T, b @ model.j @ b.T)
-            p_aug = lyap_solve(np.kron(np.eye(2), model.a), q_aug)
-            p_aug = 0.5 * (p_aug + p_aug.T)
-            phi = np.kron(np.eye(2), expm(model.a, h))
-            frame = _support_frame(model, p_aug)
-        except NotHurwitz as exc:
+            p_aug = augmented_invariant_cov(model.steady.p, model.theta)
+        except (NotHurwitz, NumericalDefect) as exc:  # no certified invariant state
             raise StepperConstructionFailure(str(exc)) from exc
+        phi = np.kron(np.eye(2), expm(model.a, h))
+        frame = _support_frame(model, p_aug)
         # on the identity frame each product is exact: the chain is the 2n one
         phi_s = frame.T @ phi @ frame
         p_s = frame.T @ p_aug @ frame
@@ -167,19 +166,16 @@ class AugmentedStepper:
             raise StepperConstructionFailure(
                 f"one-step noise covariance has eigenvalue {wmin:.3e}"
             )
-        return cls(h=h, noise_chol=sqrt_psd(sigma_s), frame=frame, phi_frame=phi_s, p_frame=p_s)
+        return cls(h=h, noise_chol=sqrt_psd(sigma_s), frame=frame, phi_frame=phi_s, p_frame=p_s,
+                   p_root=sqrt_psd(p_s))
 
 
 def _support_frame(model: OqhoModel, p_aug: np.ndarray) -> np.ndarray:
     """:class:`AugmentedStepper`'s frame: the polar factor of ``p_aug[:, :n]``
-    if ``P + i Theta`` has numerical rank ``n/2`` (``SteadyState.thin``),
-    else the ``2n x 2n`` identity."""
+    if the certified ``P + i Theta`` has numerical rank ``n/2``
+    (``SteadyState.thin``), else the ``2n x 2n`` identity."""
     n = model.n
-    try:
-        pure = 2 * model.steady.thin.shape[1] == n
-    except NumericalDefect:  # P + i Theta is not PSD: no certified state
-        pure = False
-    if not pure:
+    if 2 * model.steady.thin.shape[1] != n:
         return np.eye(2 * n)
     w, _, vt = np.linalg.svd(p_aug[:, :n], full_matrices=False)
     return w @ vt
@@ -209,17 +205,17 @@ def zeta_view(states: np.ndarray) -> np.ndarray:
     return states[..., :n] + 1j * states[..., n:]
 
 
-def _chain(stepper: AugmentedStepper, init: np.ndarray, steps, rng, raw, states, values):
+def _chain(stepper: AugmentedStepper, steps, rng, raw, states, values):
     """Yield the ``steps + 1`` states of the exact chain in frame coordinates as
     chunks ``(k, states, spare, values)``: at most ``len(raw)`` consecutive ``(paths,
     rank)`` states from state ``k`` on, and the chunk's rows of ``raw`` and of
     ``values`` (a double per path and state), free for the caller until the next
-    chunk.  ``rng`` draws the invariant initial state through its factor ``init``,
+    chunk.  ``rng`` draws the invariant initial state through ``stepper.p_root``,
     then a chunk's normals in one call (in the order of one draw per step), which one
     product turns into noises; a step is one propagation product and one add.
     ``states`` holds one state more than ``raw``; later chunks overwrite the
     caller's buffers: a caller that keeps a state copies it."""
-    np.matmul(rng.standard_normal(out=raw[0]), init.T, out=states[0])
+    np.matmul(rng.standard_normal(out=raw[0]), stepper.p_root.T, out=states[0])
     yield 0, states[:1], raw[:1], values[:1]
     for lo in range(0, steps, len(raw)):
         m = min(len(raw), steps - lo)
@@ -246,22 +242,21 @@ def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     Block ``i`` runs the exact chain of ``stepper`` on its own ``SFC64``
     stream, the ``i``-th spawn of ``SeedSequence(seed)``, so a value depends
     on the seed alone.  The blocks run on a thread pool, where numpy's normal
-    draws and BLAS release the GIL.  The stepper (the caller's), the initial
-    factor and each worker's chunk buffers are built first, on the calling
-    thread: a chunk holds ``max(1, _CHAIN_BYTES // state bytes)`` states of the
-    largest block, whatever ``steps``."""
-    init = sqrt_psd(stepper.p_frame)
+    draws and BLAS release the GIL.  The stepper (the caller's, with its
+    initial factor) and each worker's chunk buffers are built first, on the
+    calling thread: a chunk holds ``max(1, _CHAIN_BYTES // state bytes)``
+    states of the largest block, whatever ``steps``."""
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     q, r = divmod(paths, MC_BLOCKS)
     edges = [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
-    rank, workers, largest = len(init), _mc_workers(), q + (r > 0)
+    rank, workers, largest = len(stepper.p_root), _mc_workers(), q + (r > 0)
     chunk = max(1, _CHAIN_BYTES // (8 * largest * rank))
     shapes = (chunk, largest, rank), (chunk + 1, largest, rank), (chunk, largest)
     sets, local = [[np.empty(shape) for shape in shapes] for _ in range(workers)], threading.local()
 
     def block(i):
         rng, size = np.random.Generator(np.random.SFC64(seeds[i])), edges[i + 1] - edges[i]
-        return consume(edges[i], edges[i + 1], _chain(stepper, init, steps, rng, *(
+        return consume(edges[i], edges[i + 1], _chain(stepper, steps, rng, *(
             b.ravel()[:b[:, :size].size].reshape(len(b), size, *b.shape[2:]) for b in local.bufs)))
 
     with ThreadPoolExecutor(workers, initializer=lambda: setattr(local, "bufs", sets.pop())) as pool:
@@ -415,8 +410,9 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
     ``T rho_c = -(ln|det Y(T)| + T tr A) - ln det(I - theta Sigma X(T))``.  The flow runs in
     ``ceil(T ||H||_2 / 4)`` equal chunks, each of which grows ``[Y; Z]`` by at most
     ``e^{||H tau||} <= e^4``; after each, ``X = Z Y^-1``, ``ln|det Y|`` is added and ``Y``
-    restarts from ``I``.  ``theta Sigma`` solves ``A S + S A' + F = 0``, and the last term
-    is ``sum log1p(-w)`` over the eigenvalues ``w`` of ``R X R``, ``R = (theta Sigma)^(1/2)``.
+    restarts from ``I``.  ``Sigma = P + i Theta = V V*`` with the model's thin factor ``V``
+    (``SteadyState.thin``), so the last term is ``sum log1p(-w)`` over the eigenvalues ``w``
+    of the ``rank x rank`` ``theta V* X V``, the nonzero ones of ``theta Sigma X``.
     ``mc_rs_rate``'s ``0.3/peak`` guard keeps the moment finite at every ``T``, so a ``w``
     that is not below 1, or an ``ln|det Y|`` that is not finite, raises :class:`NumericalDefect`."""
     n = model.n
@@ -428,9 +424,8 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
         yz = flow[:, :n] + flow[:, n:] @ x
         x = np.linalg.solve(yz[:n].T, yz[n:].T).T
         log_y += np.linalg.slogdet(yz[:n])[1]
-    cov = lyap_solve(model.a, ham[:n, n:])
-    root = sqrt_psd(0.5 * (cov + cov.conj().T))
-    w = np.linalg.eigvalsh(root @ x @ root)
+    thin = model.steady.thin
+    w = np.linalg.eigvalsh(theta * (thin.conj().T @ x @ thin))
     if not (w[-1] < 1.0 and math.isfinite(log_y)):  # NaN fails too
         raise NumericalDefect(f"the exponential moment over T = {horizon} is not finite")
     return float(-(log_y + horizon * np.trace(model.a)) - np.log1p(-w).sum()) / horizon
@@ -487,7 +482,7 @@ def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, step
         term, kmat = _gauss_exponent(mat, stepper.noise_chol)
         total += term
         mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
-    return stepper, (total + _gauss_exponent(mat, sqrt_psd(stepper.p_frame))[0]) / horizon
+    return stepper, (total + _gauss_exponent(mat, stepper.p_root)[0]) / horizon
 
 
 def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: float) -> float:

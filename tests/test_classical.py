@@ -23,7 +23,13 @@ from oqrisk.classical import (
     simulate,
     zeta_view,
 )
-from oqrisk.errors import DimensionMismatch, InsufficientPaths, ThetaOutOfRange, VarianceBlowup
+from oqrisk.errors import (
+    DimensionMismatch,
+    InsufficientPaths,
+    StepperConstructionFailure,
+    ThetaOutOfRange,
+    VarianceBlowup,
+)
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm, integrate_frequency, lyap_solve, sqrt_psd
 from oqrisk.quartic import mean_rate
@@ -35,9 +41,11 @@ def _invariant_aug(model):
 
 
 def _aug(model, h):
-    """``(phi_aug, p_aug, sigma_aug)`` in the ``2n`` augmented coordinates, formed
-    as ``AugmentedStepper.build`` forms them: ``e^{h (I2 (x) A)}``, the augmented
-    Lyapunov solution and the exact one-step noise covariance ``p_aug - phi_aug
+    """``(phi_aug, p_aug, sigma_aug)`` in the ``2n`` augmented coordinates, an
+    oracle for ``AugmentedStepper.build``: ``e^{h (I2 (x) A)}``, ``p_aug`` solved
+    from the augmented Lyapunov equation ``(I2 (x) A) P + P (I2 (x) A)' + [[BB',
+    -BJB'], [BJB', BB']] / 2 = 0`` (the stepper reads it from the model's ``P +
+    i Theta`` instead) and the exact one-step noise covariance ``p_aug - phi_aug
     p_aug phi_aug'``."""
     b = model.b
     p = lyap_solve(np.kron(np.eye(2), model.a), augmented_invariant_cov(b @ b.T, b @ model.j @ b.T))
@@ -84,10 +92,50 @@ class TestStepper:
         assert np.abs(composed - noise2).max() < 1e-12
 
     def test_stationarity_preserved(self, tiny):
-        phi, _, sigma = _aug(tiny, 0.4)
-        p_aug, _ = _invariant_aug(tiny)
-        pushed = phi @ p_aug @ phi.T + sigma
+        # one step with the stepper's noise, lifted out of its frame, keeps the
+        # oracle's augmented Lyapunov solution invariant
+        stepper = AugmentedStepper.build(tiny, 0.4)
+        phi, p_aug, _ = _aug(tiny, 0.4)
+        noise = stepper.frame @ stepper.noise_chol
+        pushed = phi @ p_aug @ phi.T + noise @ noise.T
         assert np.abs(pushed - p_aug).max() < 1e-13
+
+    @pytest.mark.parametrize("name", ["tiny", "paper", "damped", "congruent8"])
+    def test_invariant_law_matches_the_lyapunov_oracle(self, name, tiny, paper):
+        # p_frame comes from the model's P + i Theta, the oracle from the 2n
+        # augmented Lyapunov equation: they differ by at most 2.3e-15 of
+        # max |P_aug| here (congruent8; 5.1e-15 on generated models up to n = 32)
+        model = paper[0] if name == "paper" else _pure_models()[name](tiny)[0]
+        stepper = AugmentedStepper.build(model, 0.05)
+        p_aug = _aug(model, 0.05)[1]
+        gap = np.abs(stepper.p_frame - stepper.frame.T @ p_aug @ stepper.frame).max()
+        assert gap <= 1e-14 * np.abs(p_aug).max()
+        assert np.array_equal(stepper.p_root, sqrt_psd(stepper.p_frame))
+
+    def test_zero_dispersion_has_no_stepper(self, tiny):
+        # B = 0 leaves P = 0, so P + i Theta = i Theta is no state: the twin has
+        # no invariant law to step from, and the stepper is refused
+        silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
+        for h in (0.05, 0.5):
+            with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+                AugmentedStepper.build(silent, h)
+
+    def test_twin_makes_no_lyapunov_solve(self, tiny, paper, monkeypatch):
+        # the twin reads P + i Theta from the model's certified steady state:
+        # with classical.lyap_solve raising, only the Riccati rate's Kleinman
+        # step fails, and every stepper, path and rate still runs
+        def refuse(*args):
+            raise AssertionError("classical.lyap_solve called")
+
+        monkeypatch.setattr(classical, "lyap_solve", refuse)
+        for model, pi, theta in ((tiny, np.eye(2), 0.05), (*paper, 0.001)):
+            assert AugmentedStepper.build(model, 0.05).p_frame.shape[0] in (model.n, 2 * model.n)
+            assert np.all(np.isfinite(simulate(model, 0.05, 4, 100, seed=1).thetas))
+            assert math.isfinite(finite_horizon_rate(model, pi, theta, 2.0, 0.05))
+            assert math.isfinite(classical._continuous_rate(model, pi, theta, 2.0))
+            assert mc_rs_rate(model, pi, theta, 2.0, 2000, seed=1).target is not None
+            with pytest.raises(AssertionError, match="lyap_solve called"):
+                classical_rs_rate_sde(model, pi, theta)
 
 
 class TestSimulate:
@@ -96,25 +144,14 @@ class TestSimulate:
         b2 = simulate(tiny, 0.1, 5, 64, seed=42)
         assert np.array_equal(b1.thetas, b2.thetas)
 
-    def test_zero_dispersion_decays_deterministically(self, tiny):
+    def test_zero_dispersion_is_refused(self, tiny):
+        # B = 0 has no certified invariant state (P + i Theta = i Theta), so
+        # there are no paths and no finite-horizon rate to draw them for
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
-        batch = simulate(silent, 0.5, 4, 200, seed=1)
-        assert not np.any(batch.thetas)
-        cov0, covlag = mc_stationary_stats(batch, 2)
-        assert not np.any(cov0.value) and not np.any(covlag.value)
-
-    def test_zero_dispersion_nonzero_start_is_flow(self, tiny):
-        silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
-        # B = 0 takes the identity frame, so the chain steps the 2n state
-        stepper = AugmentedStepper.build(silent, 0.5)
-        assert not np.any(_aug(silent, 0.5)[2]) and not np.any(stepper.noise_chol)
-        rng = np.random.default_rng(0)
-        x0 = rng.standard_normal(4)
-        batch_like = x0.copy()
-        for _ in range(3):
-            batch_like = stepper.phi_frame @ batch_like
-        flow = np.kron(np.eye(2), expm(tiny.a, 1.5)) @ x0
-        assert np.allclose(batch_like, flow, atol=1e-12)
+        with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+            simulate(silent, 0.5, 4, 200, seed=1)
+        with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+            finite_horizon_rate(silent, np.eye(2), 0.05, 2.0, 0.5)
 
     def test_tiny_sample_covariance(self, tiny):
         batch = simulate(tiny, 0.1, 10, 10_000, seed=7)
@@ -929,16 +966,20 @@ class TestSupportFrame:
         assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12, abs=0.0)
 
     def test_other_laws_take_the_identity_frame(self, tiny, paper):
-        # B = 0 (rank 0, and P + i Theta = i Theta is no state) and the paper
-        # fixture's mixed law run the chain in the 2n original coordinates,
-        # where every frame product is exact
-        for model in (dataclasses.replace(tiny, b=np.zeros((2, 2))), paper[0]):
-            stepper = AugmentedStepper.build(model, 0.05)
-            phi, p_aug, sigma = _aug(model, 0.05)
-            assert np.array_equal(stepper.frame, np.eye(2 * model.n))
-            assert np.array_equal(stepper.phi_frame, phi)
-            assert np.array_equal(stepper.p_frame, p_aug)
-            assert np.array_equal(stepper.noise_chol, sqrt_psd(sigma))
+        # the paper fixture's mixed law runs the chain in the 2n original
+        # coordinates, where every frame product is exact; B = 0 (P + i Theta
+        # = i Theta is no state) has no law and no stepper
+        model = paper[0]
+        stepper = AugmentedStepper.build(model, 0.05)
+        phi = np.kron(np.eye(2), expm(model.a, 0.05))
+        p_aug, _ = _invariant_aug(model)
+        sigma = p_aug - phi @ p_aug @ phi.T
+        assert np.array_equal(stepper.frame, np.eye(2 * model.n))
+        assert np.array_equal(stepper.phi_frame, phi)
+        assert np.array_equal(stepper.p_frame, p_aug)
+        assert np.array_equal(stepper.noise_chol, sqrt_psd(0.5 * (sigma + sigma.T)))
+        with pytest.raises(StepperConstructionFailure):
+            AugmentedStepper.build(dataclasses.replace(tiny, b=np.zeros((2, 2))), 0.05)
 
 
 class TestChainChunks:
