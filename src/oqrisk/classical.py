@@ -29,9 +29,13 @@ Two risk-sensitive rate normalizations ship side by side:
   which is the rate of the circular complex process actually defined by the
   SDE above (its small-theta slope is the true stationary mean ``<Pi, P>``).
 
-Both come from one stabilising Riccati solution, not quadrature (:func:`_riccati_rate`);
+Both come from one stabilising Riccati solution, not quadrature (``matfun._care``);
 the flow of its Hamiltonian gives the twin's exact finite-horizon rate in
 continuous time (:func:`_continuous_rate`), the limit of ``finite_horizon_rate``.
+Every exponential moment of the twin is a sum of terms ``ln det(I - X)``, and
+each comes from ``matfun._logdet_i_minus``, which refuses an infinite moment
+with ``ThetaOutOfRange``; the module has no linear-algebra kernel of its own
+and does not import SciPy.
 
 The Monte Carlo estimator ``mc_rs_rate`` is the tiebreaker experiment; its
 verdict (it matches the sde variant) is recorded in analysis reports.  It
@@ -49,19 +53,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
     InsufficientPaths,
     InvalidArgument,
     NotHurwitz,
+    NotPsd,
     NumericalDefect,
     StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
 )
-from .matfun import _require_integers, expm, lyap_solve, opnorm2, sqrt_psd
+from .matfun import _care, _logdet_i_minus, _require_integers, expm, opnorm2, sqrt_psd
 from .model import OqhoModel, WeightMatrix
 
 __all__ = [
@@ -135,7 +139,8 @@ class AugmentedStepper:
     any other law the frame is the identity.  Principal roots do not depend
     on an eigenbasis either, so sampled paths move continuously with the
     model.  A model with no certified ``P + i Theta`` (``B = 0`` gives ``i
-    Theta``, no state) raises :class:`StepperConstructionFailure`.
+    Theta``, no state), or a one-step noise covariance that fails
+    ``sqrt_psd``'s PSD test, raises :class:`StepperConstructionFailure`.
     """
 
     h: float
@@ -149,24 +154,19 @@ class AugmentedStepper:
     def build(cls, model: OqhoModel, h: float) -> "AugmentedStepper":
         if h <= 0:
             raise StepperConstructionFailure("step size must be positive")
-        try:
+        try:  # no certified invariant state, or a one-step noise covariance that is not PSD
             p_aug = augmented_invariant_cov(model.steady.p, model.theta)
-        except (NotHurwitz, NumericalDefect) as exc:  # no certified invariant state
+            phi = np.kron(np.eye(2), expm(model.a, h))
+            frame = _support_frame(model, p_aug)
+            # on the identity frame each product is exact: the chain is the 2n one
+            phi_s = frame.T @ phi @ frame
+            p_s = frame.T @ p_aug @ frame
+            p_s = 0.5 * (p_s + p_s.T)
+            sigma_s = p_s - phi_s @ p_s @ phi_s.T
+            noise = sqrt_psd(0.5 * (sigma_s + sigma_s.T))
+        except (NotHurwitz, NumericalDefect, NotPsd) as exc:
             raise StepperConstructionFailure(str(exc)) from exc
-        phi = np.kron(np.eye(2), expm(model.a, h))
-        frame = _support_frame(model, p_aug)
-        # on the identity frame each product is exact: the chain is the 2n one
-        phi_s = frame.T @ phi @ frame
-        p_s = frame.T @ p_aug @ frame
-        p_s = 0.5 * (p_s + p_s.T)
-        sigma_s = p_s - phi_s @ p_s @ phi_s.T
-        sigma_s = 0.5 * (sigma_s + sigma_s.T)
-        wmin = np.linalg.eigvalsh(sigma_s)[0]
-        if wmin < -1e-10 * max(opnorm2(sigma_s), 1e-300):
-            raise StepperConstructionFailure(
-                f"one-step noise covariance has eigenvalue {wmin:.3e}"
-            )
-        return cls(h=h, noise_chol=sqrt_psd(sigma_s), frame=frame, phi_frame=phi_s, p_frame=p_s,
+        return cls(h=h, noise_chol=noise, frame=frame, phi_frame=phi_s, p_frame=p_s,
                    p_root=sqrt_psd(p_s))
 
 
@@ -368,37 +368,6 @@ def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) ->
     return np.matmul(tmp, np.ones(states.shape[-1]), out=out)
 
 
-def _riccati_rate(model: OqhoModel, pi, theta: float) -> float:
-    """The printed rate ``(1/2) tr(X F)``, ``F = theta B Omega B'``, ``X`` the stabilising
-    solution of ``A'X + XA + Pi + XFX = 0`` (Glover & Doyle 1988): the stable subspace of
-    the peak test's Hamiltonian (ordered Schur form, Laub 1979), then one Kleinman Newton
-    step, whose Lyapunov solve certifies the closed loop Hurwitz.  :class:`NumericalDefect`
-    unless the subspace has dimension n and the residual is at most 1e-12 of its terms' norms."""
-    facts = model.weight_facts(pi)
-    if not 0.0 <= theta < math.inf:  # NaN fails too
-        raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
-    if theta == 0.0 or not np.any(facts.pi):
-        return 0.0
-    if not theta * facts.density_peak < 1.0 - 1e-9:
-        raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
-                              f"(0, {1.0 / facts.density_peak:.6e})")
-    n, a, pi = model.n, model.a, facts.pi
-    ham = facts._hamiltonian(theta)
-    f = ham[:n, n:]
-    _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
-    if dim != n:
-        raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
-    # X2 X1^-1; a singular X1 gives no solution and fails the residual test
-    x = np.linalg.lstsq(z[:n, :n].T, z[n:, :n].T, rcond=None)[0].T
-    x = 0.5 * (x + x.conj().T)
-    x = x + lyap_solve((a + f @ x).conj().T, a.T @ x + x @ a + pi + x @ f @ x)
-    terms = (a.T @ x, x @ a, pi, x @ f @ x)
-    res, scale = np.linalg.norm(sum(terms)), sum(np.linalg.norm(t) for t in terms)
-    if res > 1e-12 * scale:
-        raise NumericalDefect(f"Riccati residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
-    return 0.5 * float(np.trace(x @ f).real)
-
-
 def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: float) -> float:
     """``rho_c(T) = (1/T) ln E exp(theta int_0^T zeta* Pi zeta dt)`` for the twin started in
     its invariant law ``Sigma``: the limit of :func:`finite_horizon_rate` as ``h -> 0``.
@@ -411,10 +380,10 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
     ``ceil(T ||H||_2 / 4)`` equal chunks, each of which grows ``[Y; Z]`` by at most
     ``e^{||H tau||} <= e^4``; after each, ``X = Z Y^-1``, ``ln|det Y|`` is added and ``Y``
     restarts from ``I``.  ``Sigma = P + i Theta = V V*`` with the model's thin factor ``V``
-    (``SteadyState.thin``), so the last term is ``sum log1p(-w)`` over the eigenvalues ``w``
-    of the ``rank x rank`` ``theta V* X V``, the nonzero ones of ``theta Sigma X``.
-    ``mc_rs_rate``'s ``0.3/peak`` guard keeps the moment finite at every ``T``, so a ``w``
-    that is not below 1, or an ``ln|det Y|`` that is not finite, raises :class:`NumericalDefect`."""
+    (``SteadyState.thin``), so the last term is ``matfun._logdet_i_minus`` of the ``rank x
+    rank`` ``theta V* X V``, whose eigenvalues are the nonzero ones of ``theta Sigma X``;
+    it raises :class:`ThetaOutOfRange` when the moment is infinite.  ``mc_rs_rate``'s
+    ``0.3/peak`` guard keeps the moment finite at every ``T``."""
     n = model.n
     ham = model.weight_facts(pi)._hamiltonian(theta)
     chunks = math.ceil(horizon * opnorm2(ham) / 4.0)
@@ -425,23 +394,35 @@ def _continuous_rate(model: OqhoModel, pi: np.ndarray, theta: float, horizon: fl
         x = np.linalg.solve(yz[:n].T, yz[n:].T).T
         log_y += np.linalg.slogdet(yz[:n])[1]
     thin = model.steady.thin
-    w = np.linalg.eigvalsh(theta * (thin.conj().T @ x @ thin))
-    if not (w[-1] < 1.0 and math.isfinite(log_y)):  # NaN fails too
-        raise NumericalDefect(f"the exponential moment over T = {horizon} is not finite")
-    return float(-(log_y + horizon * np.trace(model.a)) - np.log1p(-w).sum()) / horizon
+    logdet = _logdet_i_minus(theta * (thin.conj().T @ x @ thin))[0]
+    return float(-(log_y + horizon * np.trace(model.a)) - logdet) / horizon
 
 
 def classical_rs_rate_paper(model: OqhoModel, pi, theta: float) -> float:
     """Risk-sensitive rate as printed: ``-(1/4 pi) integral ln det(I -
-    theta Pi D(lam)) dlam``; small-theta slope ``<Pi, P> / 2``."""
-    return _riccati_rate(model, pi, theta)
+    theta Pi D(lam)) dlam``; small-theta slope ``<Pi, P> / 2``.
+
+    No quadrature: below the peak it is ``(1/2) tr(X F)``, ``F = theta B Omega
+    B'``, ``X`` the stabilising solution of ``A'X + XA + Pi + XFX = 0`` from the
+    peak test's Hamiltonian (``matfun._care``), which raises
+    :class:`NumericalDefect` when it cannot certify ``X``."""
+    facts = model.weight_facts(pi)
+    if not 0.0 <= theta < math.inf:  # NaN fails too
+        raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
+    if theta == 0.0 or not np.any(facts.pi):
+        return 0.0
+    if not theta * facts.density_peak < 1.0 - 1e-9:
+        raise ThetaOutOfRange(f"theta = {theta} outside the finiteness range "
+                              f"(0, {1.0 / facts.density_peak:.6e})")
+    n, ham = model.n, facts._hamiltonian(theta)
+    return 0.5 * float(np.trace(_care(ham) @ ham[:n, n:]).real)
 
 
 def classical_rs_rate_sde(model: OqhoModel, pi, theta: float) -> float:
     """Rate of the twin as defined by its SDE: the same log-det integral
     with a ``1/2 pi`` prefactor; small-theta slope ``<Pi, P>``.  Exactly
     twice the printed variant."""
-    return 2.0 * _riccati_rate(model, pi, theta)
+    return 2.0 * classical_rs_rate_paper(model, pi, theta)
 
 
 def _rate_grid(horizon: float, h: float) -> tuple[int, float]:
@@ -452,37 +433,31 @@ def _rate_grid(horizon: float, h: float) -> tuple[int, float]:
     return steps, horizon / steps
 
 
-def _gauss_exponent(mat: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For ``x = m + L z`` with ``z`` standard normal, ``log E exp(x' M x) =
-    -(1/2) log det(I - 2 L'ML) + m' K m``; returns the log-det term and
-    ``K`` for each ``M`` of a stack.  Raises ``ThetaOutOfRange`` when an
-    ``I - 2 L'ML`` fails its Cholesky test: the exponential moment is infinite."""
-    ml = mat @ factor
-    try:
-        chol = np.linalg.cholesky(np.eye(len(factor)) - 2.0 * factor.T @ ml)
-    except np.linalg.LinAlgError:
-        raise ThetaOutOfRange(
-            "the exponential moment of the trapezoid cost is infinite"
-        ) from None
-    w = np.linalg.solve(chol, ml.mT)
-    return -np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1), mat + 2.0 * w.mT @ w
-
-
 def _exponent_rates(model: OqhoModel, pi, thetas, horizon: float, h: float, stepper=None):
     """``(stepper, rates)``: :func:`finite_horizon_rate` at each of ``thetas`` on ``stepper``
     (or one built at ``h``), one recursion on their stacked exponents, each to the bit.
-    The recursion runs in the stepper's frame, ``rank x rank``."""
+
+    The recursion runs backwards in the stepper's frame, ``rank x rank``.  For ``x = m + L
+    z``, ``z`` standard normal, ``log E exp(x'Mx) = -(1/2) ln det(I - 2 L'ML) + m'Km`` with
+    ``K = M + 2 ML (I - 2 L'ML)^-1 L'M``.  It carries the doubled exponents ``mat = 2M``
+    (exact), so each step's ``ln det(I - X)``, ``X = L' mat L``, and the Cholesky factor
+    ``C`` of ``I - X`` come from ``matfun._logdet_i_minus`` (``ThetaOutOfRange`` when the
+    moment is infinite), and ``2K = mat + w'w`` with ``w = C^-1 L' mat``; the noise factor
+    is ``L`` at each step, and the initial law's ``p_root`` closes the sum."""
     steps, h = _rate_grid(horizon, h)
     stepper = stepper or AugmentedStepper.build(model, h)
-    phi = stepper.phi_frame
-    # zeta* Pi zeta = xi'Pi xi + eta'Pi eta, in the stepper's frame
-    q = np.multiply.outer(thetas, _cost_form(stepper, model.weight_facts(pi).pi))
+    phi, noise = stepper.phi_frame, stepper.noise_chol
+    # 2 zeta* Pi zeta = 2 (xi'Pi xi + eta'Pi eta), in the stepper's frame
+    q = np.multiply.outer(thetas, 2.0 * _cost_form(stepper, model.weight_facts(pi).pi))
     mat, total = 0.5 * h * q, 0.0
     for k in range(steps - 1, -1, -1):
-        term, kmat = _gauss_exponent(mat, stepper.noise_chol)
-        total += term
-        mat = (0.5 * h if k == 0 else h) * q + phi.T @ kmat @ phi
-    return stepper, (total + _gauss_exponent(mat, stepper.p_root)[0]) / horizon
+        ml = mat @ noise
+        logdet, chol = _logdet_i_minus(noise.T @ ml)
+        w = np.linalg.solve(chol, ml.mT)
+        total += logdet
+        mat = (0.5 * h if k == 0 else h) * q + phi.T @ (mat + w.mT @ w) @ phi
+    total += _logdet_i_minus(stepper.p_root.T @ (mat @ stepper.p_root))[0]
+    return stepper, -0.5 * total / horizon
 
 
 def finite_horizon_rate(model: OqhoModel, pi, theta: float, horizon: float, h: float) -> float:

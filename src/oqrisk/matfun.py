@@ -1,11 +1,18 @@
-"""Shared numerical kernel: matrix functions, Lyapunov solves, quadrature.
+"""Shared numerical kernel: matrix functions, Lyapunov and Riccati solves,
+log-determinants, quadrature.
 
 All analysis modules go through these routines so accuracy policies live in
-one place.  Conventions:
+one place, and this is the one module that imports SciPy.  Conventions:
 
 * Lyapunov equations are solved by the Bartels-Stewart method (Schur forms
   and a triangular Sylvester solve, O(n^3)) through SciPy, then certified:
   Hurwitz drift and residual are checked on every call.
+* The stabilising Riccati solution comes from the stable subspace of its
+  Hamiltonian and one Kleinman step, certified by its residual (:func:`_care`).
+* An exponential moment's ``ln det(I - X)`` is summed from ``log1p`` of
+  Cholesky pivots, never from the log of a number near 1, so a small ``X``
+  keeps its relative accuracy; a non-positive ``I - X`` is an infinite
+  moment, :class:`ThetaOutOfRange` (:func:`_logdet_i_minus`).
 * The matrix exponential delegates to SciPy's scaling-and-squaring Pade-13
   implementation (backward stable).  The lag ladder ``e^{(a + k h) A}`` of
   each segment of the tail-bound kernel grid goes through the
@@ -45,7 +52,9 @@ from .errors import (
     NotHurwitz,
     NotPsd,
     NotSymmetric,
+    NumericalDefect,
     Overflow,
+    ThetaOutOfRange,
 )
 
 __all__ = [
@@ -206,6 +215,62 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if res > 1e-10 * scale:
         raise IllConditioned(f"Lyapunov residual {res:.3e} exceeds 1e-10 * {scale:.3e}")
     return x
+
+
+def _care(ham: np.ndarray) -> np.ndarray:
+    """The stabilising solution ``X`` of ``A'X + XA + Pi + XFX = 0`` from its
+    Hamiltonian ``ham = [[A, F], [-Pi, -A']]`` (Glover & Doyle 1988): the stable
+    subspace of an ordered complex Schur form (Laub 1979), then one Kleinman
+    Newton step, whose Lyapunov solve certifies the closed loop Hurwitz.
+    :class:`NumericalDefect` unless the subspace has dimension n and the
+    residual is at most 1e-12 of its terms' norms."""
+    n = len(ham) // 2
+    a, f, pi = ham[:n, :n], ham[:n, n:], -ham[n:, :n]
+    _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
+    if dim != n:
+        raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
+    # X2 X1^-1; a singular X1 gives no solution and fails the residual test
+    x = np.linalg.lstsq(z[:n, :n].T, z[n:, :n].T, rcond=None)[0].T
+    x = 0.5 * (x + x.conj().T)
+    x = x + lyap_solve((a + f @ x).conj().T, a.T @ x + x @ a + pi + x @ f @ x)
+    terms = (a.T @ x, x @ a, pi, x @ f @ x)
+    res, scale = np.linalg.norm(sum(terms)), sum(np.linalg.norm(t) for t in terms)
+    if res > 1e-12 * scale:
+        raise NumericalDefect(f"Riccati residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
+    return x
+
+
+@functools.cache
+def _unit_triangles(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``d x d`` identity and 0/1 mask of the strictly lower triangle."""
+    eye, lower = np.eye(d), np.tri(d, k=-1)
+    eye.flags.writeable = lower.flags.writeable = False
+    return eye, lower
+
+
+def _logdet_i_minus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln det(I - X), C)`` for a stack of real-symmetric or Hermitian ``X``
+    (of which only the lower triangle is read), ``C`` the lower Cholesky factor
+    of ``I - X``.
+
+    ``det(I - X) = prod c_jj^2 = prod (1 - s_j)`` with ``s_j = Re x_jj +
+    sum_{k<j} |c_jk|^2``, so the log-det is ``sum log1p(-s_j)`` and no number
+    near 1 is logged: a small ``X`` keeps its relative accuracy, where the logs
+    of the diagonal ``c_jj``, each within ``|X|`` of 1, keep only about ``eps``
+    absolute.  :class:`ThetaOutOfRange` when ``I - X`` is not positive definite
+    (the exponential moment it belongs to is infinite), :class:`NumericalDefect`
+    when ``X`` has a NaN."""
+    eye, lower = _unit_triangles(x.shape[-1])
+    try:
+        chol = np.linalg.cholesky(eye - x)  # a NaN passes through, into s
+        s = x.diagonal(0, -2, -1).real + np.vecdot(chol * lower, chol).real
+    except np.linalg.LinAlgError:
+        s = np.ones(1)  # not positive definite
+    if s.max() < 1.0:  # NaN fails too
+        return np.log1p(-s).sum(-1), chol
+    if np.isnan(s).any():
+        raise NumericalDefect("ln det(I - X) of an X with a NaN")
+    raise ThetaOutOfRange("I - X is not positive definite: the exponential moment is infinite")
 
 
 def opnorm2(k: np.ndarray) -> float:

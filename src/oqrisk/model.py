@@ -150,23 +150,19 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta`` and,
-    on first use, its thin factor ``thin``."""
+    """Steady Gramian ``P`` plus the quantum covariance ``P + i*Theta``, its
+    ascending eigenvalues ``eigvals`` and its thin factor ``thin``, both from
+    the one eigendecomposition of :attr:`OqhoModel.steady`'s certificate.
+
+    ``thin`` is ``V``, ``n x rank``, with ``V V* = P + i Theta`` on the
+    eigenvalues above the numerical-rank floor ``n eps max``: the one rank
+    rule of the invariant law.  Its ``rank`` is ``n/2`` when the invariant
+    state is pure (passive dynamics under vacuum input)."""
 
     p: np.ndarray
     quantum_cov: np.ndarray
-
-    @cached_property
-    def thin(self) -> np.ndarray:
-        """``V``, ``n x rank``, with ``V V* = P + i Theta`` on the eigenvalues
-        above the numerical-rank floor ``n eps max``: the one rank rule of the
-        invariant law.  Its ``rank`` is ``n/2`` when the invariant state is
-        pure (passive dynamics under vacuum input)."""
-        q, u = np.linalg.eigh(self.quantum_cov)
-        keep = q > q.size * np.finfo(float).eps * q[-1]
-        thin = u[:, keep] * np.sqrt(q[keep])
-        thin.setflags(write=False)
-        return thin
+    eigvals: np.ndarray
+    thin: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -256,8 +252,12 @@ class WeightFacts:
         is a lower bound, and ``level = (1 + 1e-8) lower`` is certified when
         ``[[A, B Omega B' / level], [-Pi, -A']]`` has no eigenvalue ``i lam``
         (``|Re| <= 1e-10 max|eig|``); else the midpoints of those ``lam`` are
-        the next trials.  :class:`NoConvergence` after 30 tests."""
-        if not np.any(self.pi):
+        the next trials.  When every Markov parameter ``sqrt(Pi) A^k B`` (``k <
+        n``) is exactly 0, the density vanishes at every ``lam`` (Cayley-Hamilton)
+        and its peak is the certified 0, as for ``Pi = 0`` or ``B = 0``.
+        :class:`NoConvergence` after 30 tests, or when every trial top is 0."""
+        a, b = self.model.a, self.model.b
+        if not any(np.any(self.root @ np.linalg.matrix_power(a, k) @ b) for k in range(len(a))):
             return 0.0
         lams, lower = np.concatenate(([0.0], self.model.eig.values.imag)), 0.0
         for _ in range(30):
@@ -373,7 +373,8 @@ class OqhoModel:
     @cached_property
     def steady(self) -> SteadyState:
         """Solves ``AP + PA' + BB' = 0`` and certifies the uncertainty
-        constraint (``P + i*Theta`` PSD up to a 1e-8 rounding band)."""
+        constraint (``P + i*Theta`` PSD up to a 1e-8 rounding band) from one
+        ``eigh``, which also gives the state's eigenvalues and thin factor."""
         if not self.is_hurwitz:
             raise NotHurwitz(
                 f"steady-state analysis needs a Hurwitz drift; abscissa = "
@@ -382,15 +383,15 @@ class OqhoModel:
         p = matfun.lyap_solve(self.a, self.b @ self.b.T)
         p = 0.5 * (p + p.T)
         quantum = p + 1j * self.theta
-        wmin = np.linalg.eigvalsh(quantum)[0]
-        scale = max(np.linalg.norm(p, 2), 1e-300)
-        if wmin < -1e-8 * scale:
-            raise NumericalDefect(
-                f"P + i*Theta has eigenvalue {wmin:.3e}; uncertainty constraint violated"
-            )
-        p.setflags(write=False)
-        quantum.setflags(write=False)
-        return SteadyState(p=p, quantum_cov=quantum)
+        q, u = np.linalg.eigh(quantum)
+        if q[0] < -1e-8 * max(np.linalg.norm(p, 2), 1e-300):
+            raise NumericalDefect(f"P + i*Theta has eigenvalue {q[0]:.3e}; "
+                                  "uncertainty constraint violated")
+        keep = q > q.size * np.finfo(float).eps * q[-1]
+        thin = u[:, keep] * np.sqrt(q[keep])
+        for arr in (p, quantum, q, thin):
+            arr.setflags(write=False)
+        return SteadyState(p=p, quantum_cov=quantum, eigvals=q, thin=thin)
 
     def weight_facts(self, pi) -> WeightFacts:
         """The cached :class:`WeightFacts` of a cost weight (an array or a

@@ -158,10 +158,9 @@ def _model_block(model: OqhoModel) -> dict:
 
 def _steady_block(model: OqhoModel) -> dict:
     steady = model.steady
-    eig_floor = float(np.linalg.eigvalsh(steady.quantum_cov)[0])
     return {
         "p": _matrix(steady.p),
-        "quantum_cov_eig_floor": eig_floor,
+        "quantum_cov_eig_floor": float(steady.eigvals[0]),
     }
 
 

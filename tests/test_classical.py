@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import J2, congruent_oscillators, damped_mode, make_models, random_sym
-from oqrisk import classical, model_from_matrices, paper_example_model, report
+from oqrisk import classical, matfun, model_from_matrices, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
     augmented_invariant_cov,
@@ -26,6 +26,7 @@ from oqrisk.classical import (
 from oqrisk.errors import (
     DimensionMismatch,
     InsufficientPaths,
+    NumericalDefect,
     StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
@@ -120,14 +121,25 @@ class TestStepper:
             with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
                 AugmentedStepper.build(silent, h)
 
-    def test_twin_makes_no_lyapunov_solve(self, tiny, paper, monkeypatch):
-        # the twin reads P + i Theta from the model's certified steady state:
-        # with classical.lyap_solve raising, only the Riccati rate's Kleinman
-        # step fails, and every stepper, path and rate still runs
-        def refuse(*args):
-            raise AssertionError("classical.lyap_solve called")
+    def test_noise_covariance_that_is_not_psd_is_refused(self, paper, monkeypatch):
+        # a stepping matrix that expands the invariant law leaves P - Phi P Phi'
+        # indefinite: the root's NotPsd comes back as the stepper's own error
+        monkeypatch.setattr(classical, "expm", lambda a, t: 2.0 * expm(a, t))
+        with pytest.raises(StepperConstructionFailure, match="eigenvalue .* below"):
+            AugmentedStepper.build(paper[0], 0.05)
 
-        monkeypatch.setattr(classical, "lyap_solve", refuse)
+    def test_twin_makes_no_lyapunov_solve(self, tiny, paper, monkeypatch):
+        # the twin reads P + i Theta from the model's certified steady state
+        # and has no Lyapunov solver of its own: with matfun.lyap_solve
+        # raising, only the Riccati rate's Kleinman step (matfun._care) fails,
+        # and every stepper, path and finite-horizon rate still runs
+        def refuse(*args):
+            raise AssertionError("matfun.lyap_solve called")
+
+        assert not hasattr(classical, "lyap_solve") and not hasattr(classical, "scipy")
+        for model, pi in (tiny, np.eye(2)), paper:  # the model's own facts solve first
+            assert model.steady.thin.size and model.weight_facts(pi).density_peak > 0.0
+        monkeypatch.setattr(matfun, "lyap_solve", refuse)
         for model, pi, theta in ((tiny, np.eye(2), 0.05), (*paper, 0.001)):
             assert AugmentedStepper.build(model, 0.05).p_frame.shape[0] in (model.n, 2 * model.n)
             assert np.all(np.isfinite(simulate(model, 0.05, 4, 100, seed=1).thetas))
@@ -136,6 +148,8 @@ class TestStepper:
             assert mc_rs_rate(model, pi, theta, 2.0, 2000, seed=1).target is not None
             with pytest.raises(AssertionError, match="lyap_solve called"):
                 classical_rs_rate_sde(model, pi, theta)
+            with pytest.raises(AssertionError, match="lyap_solve called"):
+                matfun._care(model.weight_facts(pi)._hamiltonian(theta))
 
 
 class TestSimulate:
@@ -587,10 +601,11 @@ class TestMcRate:
             mc_rs_rate(damped_mode(), np.diag([1.0, 2.0]), 0.01, 2.0, 2000, 1)
 
     def test_tiny_theta_is_refused_before_simulating(self, paper, monkeypatch):
-        # at theta = 1e-12 the relative variance expm1(T (rho_2theta - 2 rho))
-        # of a path's weight rounds below 0 on the paper fixture, so the
-        # certified step has no budget: a typed refusal, not a math domain
-        # error, and no path drawn; an explicit step still runs
+        # at theta = 1e-20, T (rho_2theta - 2 rho) = theta^2 Var S ~ 1e-35 on
+        # the paper fixture lies below the rounding of T rho ~ 1.5e-17, so the
+        # relative variance expm1(T (rho_2theta - 2 rho)) of a path's weight
+        # rounds to 0 and the certified step has no budget: a typed refusal,
+        # not a math domain error, and no path drawn; an explicit step still runs
         def no_paths(*args, **kwargs):
             raise AssertionError("simulated a refused rate")
 
@@ -598,9 +613,36 @@ class TestMcRate:
         with monkeypatch.context() as patch:
             patch.setattr(classical, "_chain", no_paths)
             with pytest.raises(ThetaOutOfRange, match="relative variance"):
-                mc_rs_rate(model, pi, 1e-12, 20.0, 2000, 1)
-        est = mc_rs_rate(model, pi, 1e-12, 1.0, 200, 1, h=0.05)
+                mc_rs_rate(model, pi, 1e-20, 20.0, 2000, 1)
+        est = mc_rs_rate(model, pi, 1e-20, 1.0, 200, 1, h=0.05)
         assert est.paths == 200 and est.target is None
+
+    @pytest.mark.parametrize("theta", [1e-13, 1e-12, 1e-9, 1e-18])
+    def test_small_theta_runs_on_target_or_is_refused(self, paper, theta):
+        # the recursion's log-det keeps the relative accuracy of a small
+        # exponent, so the certified rate runs on its exact target down to
+        # theta = 1e-16 on the paper fixture (|z| <= 0.17 here); at 1e-18 the
+        # relative variance of a path's weight is below the rounding of its
+        # rates and the rate is refused
+        model, pi = paper
+        if theta < 1e-17:
+            with pytest.raises(ThetaOutOfRange, match="relative variance"):
+                mc_rs_rate(model, pi, theta, 20.0, 2000, 1)
+            return
+        est = mc_rs_rate(model, pi, theta, 20.0, 2000, 1)
+        assert est.target > 0.0 and est.stderr > 0.0
+        assert abs(est.value - est.target) <= 4.0 * est.stderr
+
+    def test_zero_density_has_zero_rate_and_no_monte_carlo(self, tiny):
+        # B = 0 makes the density vanish identically: its peak is the certified
+        # 0 and the printed integral is exactly 0, while the twin has no
+        # invariant law (P + i Theta = i Theta) for the Monte Carlo to start from
+        silent, pi = dataclasses.replace(tiny, b=np.zeros((2, 2))), np.eye(2)
+        assert silent.weight_facts(pi).density_peak == 0.0
+        assert classical_rs_rate_sde(silent, pi, 0.05) == 0.0
+        assert classical_rs_rate_paper(silent, pi, 0.05) == 0.0
+        with pytest.raises(NumericalDefect, match="uncertainty constraint"):
+            mc_rs_rate(silent, pi, 0.05, 5.0, 2000, 1)
 
 
 @functools.cache
@@ -802,6 +844,15 @@ class TestFiniteHorizonRate:
         got = finite_horizon_rate(model, pi, theta, 2.0, 0.05)
         assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 40), rel=1e-12, abs=0.0)
 
+    def test_damped_mode_fine_step_matches_dense_oracle(self):
+        # theta = 0.3/peak over T = 2 at 176 steps: the oracle is 1.6e-16 off a
+        # 40-digit reference of the same chain; a log-det from logged Cholesky
+        # diagonals drifted to 8.5e-13 here
+        model, pi = damped_mode(), np.diag([1.0, 2.0])
+        theta = 0.3 / model.weight_facts(pi).density_peak
+        got = finite_horizon_rate(model, pi, theta, 2.0, 2.0 / 176)
+        assert got == pytest.approx(_dense_rate(model, pi, theta, 2.0, 176), rel=2e-14, abs=0.0)
+
     def test_damped_mode_long_horizon_is_refused(self):
         # the resonance at lam = -10 puts theta = 0.01 past the two-sided
         # peak; over T = 200 the exponential moment is infinite
@@ -844,12 +895,12 @@ def _real_continuous_rate(model, pi, theta, horizon, chunks=64):
 class TestContinuousRate:
     """The twin's exact continuous-time rate, the target of the certified step."""
 
-    @pytest.mark.parametrize("name, tol", [("paper", 1e-12), ("tiny", 1e-12), ("damped", 2e-10)])
+    @pytest.mark.parametrize("name, tol", [("paper", 1e-12), ("tiny", 1e-12), ("damped", 1e-11)])
     def test_matches_richardson_at_fine_steps(self, name, tol):
         # rho(h/2) + (rho(h/2) - rho(h)) / 3 from 400 and 800 steps over T =
-        # 2 agrees to 1.9e-14 (paper), 2.7e-13 (tiny) and 5.1e-11 (damped)
-        # relative; on the damped mode the recursion's log-det rounding, not
-        # the step, sets that gap
+        # 2 agrees to 1.9e-14 (paper), 2.7e-13 (tiny) and 2.5e-12 (damped)
+        # relative; a log-det from logged Cholesky diagonals put 5.1e-11 of
+        # rounding into the damped mode's fine steps
         model, pi, theta = _continuous_case(name)
         coarse, fine = (finite_horizon_rate(model, pi, theta, 2.0, 2.0 / steps) for steps in (400, 800))
         exact = classical._continuous_rate(model, pi, theta, 2.0)

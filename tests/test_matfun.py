@@ -14,11 +14,14 @@ from oqrisk.errors import (
     NoConvergence,
     NotHurwitz,
     NotPsd,
+    NumericalDefect,
+    ThetaOutOfRange,
 )
 from oqrisk.matfun import (
     _frequency_rule,
     _kronrod,
     _legendre,
+    _logdet_i_minus,
     _pole_layout,
     _resonance_edges,
     _rule_layout,
@@ -227,6 +230,68 @@ class TestSqrtPsd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsd):
             sqrt_psd(np.diag([1.0, -0.5]))
+
+
+def _stacked_psd(rng, count, n, complex_):
+    """``count`` random PSD ``n x n`` matrices of unit operator norm, real or
+    Hermitian, stacked."""
+    g = rng.standard_normal((count, n, n))
+    if complex_:
+        g = g + 1j * rng.standard_normal((count, n, n))
+    w = g @ g.conj().swapaxes(-1, -2)
+    return w / np.linalg.norm(w, 2, axis=(-2, -1))[:, None, None]
+
+
+class TestLogdetIMinus:
+    """``_logdet_i_minus``: ``ln det(I - X)`` as ``sum log1p(-s_j)`` with its
+    Cholesky factor, accurate to the last digits however small ``X`` is."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("scale", [1e-14, 1e-9, 1e-4, 0.5])
+    def test_matches_log1p_of_the_eigenvalues(self, complex_, scale):
+        # one sign per stack: the eigenvalues' terms do not cancel, so the
+        # relative gap is the two forms' rounding (a few eps each)
+        rng = np.random.default_rng(3)
+        for sign in (1.0, -1.0):
+            x = sign * scale * _stacked_psd(rng, 5, 6, complex_)
+            got, chol = _logdet_i_minus(x)
+            ref = np.log1p(-np.linalg.eigvalsh(x)).sum(-1)
+            assert got.shape == (5,)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+            eye = np.eye(6)
+            assert np.abs(chol @ chol.conj().swapaxes(-1, -2) - (eye - x)).max() <= 1e-15
+            assert np.array_equal(chol, np.linalg.cholesky(eye - x))
+
+    def test_diagonal_closed_form(self):
+        # a diagonal X has s_j = x_jj exactly, down to 1e-300
+        d = np.array([[1e-300, 1e-14, -3e-9, 0.25], [0.0, 0.0, 0.0, 0.0]])
+        got, _ = _logdet_i_minus(d[:, :, None] * np.eye(4))
+        assert np.array_equal(got, np.log1p(-d).sum(-1))
+        assert got[0] != 0.0 and got[1] == 0.0
+
+    @pytest.mark.parametrize("off", [3e-8, 2e-8 - 1e-8j])
+    def test_two_by_two_closed_form(self, off):
+        # det(I - X) = (1 - a)(1 - c) - |b|^2 for X = [[a, conj b], [b, c]]
+        a, c = 1e-9, -4e-10
+        x = np.array([[a, np.conj(off)], [off, c]])
+        got, _ = _logdet_i_minus(x)
+        exact = np.log1p(-a) + np.log1p(-c) + np.log1p(-abs(off) ** 2 / ((1 - a) * (1 - c)))
+        assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("top", [1.0, 1.5])
+    def test_refuses_a_non_positive_i_minus_x(self, top):
+        x = np.stack([np.diag([0.5, 1e-3]), np.diag([top, 0.0])])
+        with pytest.raises(ThetaOutOfRange):
+            _logdet_i_minus(x)
+        with pytest.raises(ThetaOutOfRange):
+            _logdet_i_minus(1j * 0.0 + x[1])
+
+    def test_refuses_a_nan(self):
+        x = np.diag([0.1, np.nan])
+        with pytest.raises(NumericalDefect):
+            _logdet_i_minus(x)
+        with pytest.raises(NumericalDefect):
+            _logdet_i_minus(np.stack([np.eye(2) * 0.1, x]))
 
 
 def lorentzian(lam, centre, width):

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import J2, damped_mode, make_models, random_sym
+from oqrisk import report
 from oqrisk.classical import classical_rs_rate_sde
 from oqrisk.cumulants import cumulant_rate
 from oqrisk.deviations import DeviationAnalysis
@@ -177,6 +178,21 @@ class TestDensityPeak:
                                   bounds=(best - step, best + step), method="bounded",
                                   options={"xatol": 1e-10 * (1.0 + abs(best))})
             assert peak <= max(top.max(), -res.fun) * (1 + 2e-8)
+
+
+class TestSteadyState:
+    def test_one_eigendecomposition_per_model(self, monkeypatch):
+        # the uncertainty certificate, the thin factor and the report's
+        # eigenvalue floor read one eigh of P + i Theta
+        model = paper_example_model()[0]
+        calls, eigh, eigvalsh = [], np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
+        steady, block = model.steady, report._steady_block(model)
+        thin = steady.thin
+        assert calls == ["eigh"]
+        assert block["quantum_cov_eig_floor"] == steady.eigvals[0] > 0.0
+        assert np.abs(thin @ thin.conj().T - steady.quantum_cov).max() <= 1e-14
 
 
 class TestPrResidual:
