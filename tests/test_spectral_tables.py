@@ -1,13 +1,14 @@
 """The batched spectral tables against independent per-entry oracles: the
-blocked Filon transform against direct cosine and sine sums, the graded
-kernel grid against ``n_kernel`` (``expm`` and an SVD norm) or an exact
-propagator and its transform against a one-step grid, and the stacked
-descent table against Eulerian numbers."""
+blocked degree-4 Filon transform against direct panel sums with its own
+weights, the graded kernel grid against ``n_kernel`` (``expm`` and an SVD
+norm) or an exact propagator and its transform against a one-step grid
+and against Filon-Simpson at a quarter step, and the stacked descent table
+against Eulerian numbers."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from conftest import congruent_n32, damped_mode
@@ -16,60 +17,97 @@ from oqrisk.deviations import FILON_SERIES, DeviationAnalysis, _filon, _top_sing
 from oqrisk.matfun import expm_ladder
 
 
+def _lagrange_basis():
+    """Monomial coefficients (low to high) of the quartic Lagrange basis on
+    the nodes 0 .. 4, one row per node."""
+    nodes = np.arange(5.0)
+    return np.array([P.polyfromroots(np.delete(nodes, j)) / np.prod(j - np.delete(nodes, j))
+                     for j in range(5)])
+
+
+_GAUSS = np.polynomial.legendre.leggauss(16)
+
+
 def _filon_weights(th):
-    """Filon's ``alpha, beta, gamma`` at ``th = lam h``: below ``|th| = 1`` as
-    exact rational sums of 20 terms of the sine and cosine series of
-    ``alpha t^3 = t^2 + (t/2) sin 2t + cos 2t - 1``, ``beta t^3 = 3t + t cos 2t
-    - 2 sin 2t`` and ``gamma t^3 = 4 (sin t - t cos t)``; above, the closed forms."""
-    if abs(th) >= 1.0:
-        s, c = math.sin(th), math.cos(th)
-        return ((th * th + th * s * c - 2.0 * s * s) / th**3,
-                2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / th**3, 4.0 * (s - th * c) / th**3)
-    t = Fraction(th)
-
-    def term(k, c, power):  # (-1)^k c t^power, c an exact rational
-        return (-1) ** k * c * t**power
-
-    def inv(j):
-        return Fraction(1, math.factorial(j))
-
-    alpha = sum(term(k, 4**k * inv(2 * k) - 4 ** (k - 1) * inv(2 * k - 1), 2 * k - 3)
-                for k in range(3, 23))
-    beta = sum(term(k, 4**k * inv(2 * k) - 4 ** (k + 1) * inv(2 * k + 1), 2 * k - 2)
-               for k in range(1, 21))
-    gamma = sum(term(k, 4 * inv(2 * k + 1) - 4 * inv(2 * k), 2 * k - 2) for k in range(1, 21))
-    return float(alpha), float(beta), float(gamma)
+    """The degree-4 Filon weights ``w_j = int_0^4 L_j(s) e^{i th s} ds`` of the
+    five nodes of a panel, at ``th = lam h``: below ``|th| = 8`` by 16-point
+    Gauss-Legendre on each unit step of the panel (exact to rounding there:
+    the integrand's Taylor tail at degree 32 is below 1e-16), above from the
+    moments ``int_0^4 s^k e^{i th s} ds``, by parts, which lose ~``eps 4^k k! /
+    th^k`` there."""
+    if abs(th) < 8.0:
+        x, g = _GAUSS
+        s = np.add.outer(np.arange(4.0), 0.5 * (x + 1.0)).ravel()
+        g = np.tile(0.5 * g, 4)
+        basis = [np.prod([(s - k) / (j - k) for k in range(5) if k != j], axis=0)
+                 for j in range(5)]
+        return (np.array(basis) * np.exp(1j * th * s)) @ g
+    edge = np.exp(4j * th)
+    moments = [(edge - 1.0) / (1j * th)]
+    for k in range(1, 5):
+        moments.append((4.0**k * edge - k * moments[-1]) / (1j * th))
+    return _lagrange_basis() @ np.array(moments)
 
 
 def _filon_direct(fvals, h, lam):
-    """Filon's cosine and sine rules at one frequency, written out with
-    ``np.cos`` and ``np.sin`` over the whole grid ``t_k = k h``, as the
-    complex ``int f(t) e^{i lam t} dt``."""
-    grid = h * np.arange(fvals.size)
-    alpha, beta, gamma = _filon_weights(lam * h)
-    ct, st = np.cos(lam * grid), np.sin(lam * grid)
-    cos_even = fvals[0::2] @ ct[0::2] - 0.5 * (fvals[0] + fvals[-1] * ct[-1])
-    sin_even = fvals[0::2] @ st[0::2] - 0.5 * fvals[-1] * st[-1]
-    cos = alpha * fvals[-1] * st[-1] + beta * cos_even + gamma * (fvals[1::2] @ ct[1::2])
-    sin = -alpha * (fvals[-1] * ct[-1] - fvals[0]) + beta * sin_even + gamma * (fvals[1::2] @ st[1::2])
-    return h * (cos + 1j * sin)
+    """The degree-4 Filon rule at one frequency, panel by panel, with each
+    panel's phase ``e^{i lam t_{4p}}`` from ``np.cos`` and ``np.sin`` of its
+    start on the grid ``t_k = k h``: ``h sum_p e^{i lam t_{4p}} sum_j w_j
+    f_{4p+j}``, the complex ``int f(t) e^{i lam t} dt``."""
+    panels = fvals[4 * np.arange((fvals.size - 1) // 4)[:, None] + np.arange(5)]
+    starts = 4.0 * h * np.arange(panels.shape[0])
+    phases = np.cos(lam * starts) + 1j * np.sin(lam * starts)
+    return h * (phases @ (panels @ _filon_weights(lam * h)))
 
 
-def _t2_exp_integral(lam, end):
-    """``int_0^end t^2 e^{i lam t} dt``: power series below ``lam end = 1``,
-    closed forms of the cosine and sine parts above."""
+def _simpson_weights(th):
+    """Filon-Simpson's ``alpha, beta, gamma`` (Abramowitz & Stegun 25.4.47) at
+    each of the 1-D ``th``: below ``|th| = 1`` as 20 terms of the sine and
+    cosine series of ``alpha t^3 = t^2 + (t/2) sin 2t + cos 2t - 1``, ``beta
+    t^3 = 3t + t cos 2t - 2 sin 2t`` and ``gamma t^3 = 4 (sin t - t cos t)``;
+    above, the closed forms."""
+    t = np.where(np.abs(th) < 1.0, th, 0.0)
+    inv = [1.0 / math.factorial(j) for j in range(46)]
+    alpha = sum((-1) ** k * (4**k * inv[2 * k] - 4 ** (k - 1) * inv[2 * k - 1]) * t ** (2 * k - 3)
+                for k in range(3, 23))
+    beta = sum((-1) ** k * (4**k * inv[2 * k] - 4 ** (k + 1) * inv[2 * k + 1]) * t ** (2 * k - 2)
+               for k in range(1, 21))
+    gamma = sum((-1) ** k * (4 * inv[2 * k + 1] - 4 * inv[2 * k]) * t ** (2 * k - 2)
+                for k in range(1, 21))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, c, cube = np.sin(th), np.cos(th), th**3
+        closed = ((th * th + th * s * c - 2.0 * s * s) / cube,
+                  2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / cube, 4.0 * (s - th * c) / cube)
+    return [np.where(np.abs(th) < 1.0, series, form)
+            for series, form in zip((alpha, beta, gamma), closed)]
+
+
+def _simpson(fvals, h, lams):
+    """Filon-Simpson's ``int f(t) e^{i lam t} dt`` on the grid ``t_k = k h``
+    (an odd sample count) at each of the 1-D ``lams``, from cosine and sine
+    tables of the whole grid."""
+    args = np.multiply.outer(lams, h * np.arange(fvals.size))
+    ct, st = np.cos(args), np.sin(args)
+    alpha, beta, gamma = _simpson_weights(lams * h)
+    end = fvals[-1] * (ct[:, -1] + 1j * st[:, -1])
+    even = (ct[:, 0::2] + 1j * st[:, 0::2]) @ fvals[0::2] - 0.5 * (fvals[0] + end)
+    odd = (ct[:, 1::2] + 1j * st[:, 1::2]) @ fvals[1::2]
+    return h * (-1j * alpha * (end - fvals[0]) + beta * even + gamma * odd)
+
+
+def _power_exp_integral(p, lam, end):
+    """``int_0^end t^p e^{i lam t} dt``: its power series below ``|lam end| =
+    2``, and above the antiderivative ``e^{i lam t} sum_k (-1)^k p! / (p - k)!
+    t^(p-k) / (i lam)^(k+1)``, which cancels at most ~100-fold there."""
     x = lam * end
-    if abs(x) < 1.0:
-        cos = [(-1) ** j * x ** (2 * j) / (math.factorial(2 * j) * (2 * j + 3))
-               for j in range(12)]
-        sin = [(-1) ** j * x ** (2 * j + 1) / (math.factorial(2 * j + 1) * (2 * j + 4))
-               for j in range(12)]
-        return end**3 * complex(math.fsum(cos), math.fsum(sin))
-    cos = (end**2 * math.sin(x) / lam + 2.0 * end * math.cos(x) / lam**2
-           - 2.0 * math.sin(x) / lam**3)
-    sin = (-end**2 * math.cos(x) / lam + 2.0 * end * math.sin(x) / lam**2
-           + 2.0 * (math.cos(x) - 1.0) / lam**3)
-    return complex(cos, sin)
+    if abs(x) < 2.0:
+        return end ** (p + 1) * sum((1j * x) ** j / (math.factorial(j) * (p + j + 1))
+                                    for j in range(40))
+
+    def antiderivative(t):
+        return np.exp(1j * lam * t) * sum((-1) ** k * math.perm(p, k) * t ** (p - k)
+                                          / (1j * lam) ** (k + 1) for k in range(p + 1))
+    return complex(antiderivative(end) - antiderivative(0.0))
 
 
 class TestBlockedFilon:
@@ -94,39 +132,67 @@ class TestBlockedFilon:
         scale = sum(step * np.abs(vals).sum() for _, step, vals in segments)  # int |f|
         assert np.abs(got - want).max() <= 1e-13 * scale
 
-    # lam h = 1.5e-4 (lam = 0.03) is where closed-form weights would lose
-    # ~eps / (lam h)^2, 1e-8 relative; lam h = 0.5 (lam = 100) is the series edge
-    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 100.0, 100.02, 400.0])
+    # lam h = 1.5e-4 (lam = 0.03) is where moment-built weights would lose
+    # ~10 eps / (lam h)^3, 7e-4 relative; lam h = 1.5 (lam = 300) is the series edge
+    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 300.0, 300.06, 1200.0])
     def test_exact_on_quadratic(self, lam):
-        # Filon's rules interpolate f by a quadratic on each panel pair, so
-        # f = t^2 is integrated exactly at any frequency, on one step, on a
-        # graded grid whose step doubles from segment to segment, and on one
-        # segment at the grid's 200_001-sample cap, folded 512 wide and 391
-        # tall, whose phases are the longest products of unit phases (17)
-        end = 10.0
-        want = _t2_exp_integral(lam, end)
-        h = end / 2000
-        uniform = [(0.0, h, (h * np.arange(2001)) ** 2)]
-        graded = [(a, (b - a) / (2 * pairs), np.linspace(a, b, 2 * pairs + 1) ** 2)
-                  for a, b, pairs in [(0.0, 2.0, 200), (2.0, 5.0, 150), (5.0, end, 125)]]
-        capped = [(0.0, end / 200_000, (end / 200_000 * np.arange(200_001)) ** 2)]
-        for segments in (uniform, graded, capped):
-            got = _filon(segments, np.array([lam]))[0]
-            assert abs(got.real - want.real) <= 1e-12 * end**3 / 3.0
-            assert abs(got.imag - want.imag) <= 1e-12 * end**3 / 3.0
+        _exact_on_power(2, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 300.0, 300.06, 1200.0])
+    def test_exact_on_quartic(self, lam):
+        _exact_on_power(4, lam)
 
     @pytest.mark.parametrize("case", ["paper", "damped"])
     def test_single_frequencies_match_the_table(self, case, paper_deviation):
-        # a frequency's F hardly depends on the block it is summed in: the
-        # products and sums of a one-frequency call round as the table's do,
-        # up to the order of the matrix product's sums
+        # a frequency's F does not depend on the block it is summed in: every
+        # matrix product runs on a full block, and the rest is elementwise
         da = paper_deviation if case == "paper" else DeviationAnalysis(damped_mode(),
                                                                        np.diag([1.0, 2.0]))
         table = da._table
         picks = np.linspace(0, table.nodes.size - 1, 16).astype(int)
         singles = np.array([da.f_transform(lam) for lam in table.nodes[picks]])
-        assert da.f_transform(0.0) == pytest.approx(table.f0, rel=4 * np.finfo(float).eps)
-        assert np.abs(singles - table.fvals[picks]).max() <= 4 * np.finfo(float).eps * table.f0
+        assert da.f_transform(0.0) == table.f0
+        assert np.array_equal(singles, table.fvals[picks])
+
+    @pytest.mark.parametrize("case", ["tiny", "paper"])
+    def test_batch_does_not_move_a_frequency(self, case, tiny, paper):
+        # bit for bit, alone or in a batch of 700 (three blocks, the last
+        # padded), at any BLAS thread count the suite runs with
+        da = DeviationAnalysis(tiny, np.eye(2)) if case == "tiny" else DeviationAnalysis(*paper)
+        rng = np.random.default_rng(0)
+        batch = rng.uniform(0.0, 60.0, 700)
+        picks = rng.choice(batch.size, 60, replace=False)
+        whole = da.f_transform(batch)
+        assert np.array_equal([da.f_transform(lam) for lam in batch[picks]], whole[picks])
+
+    def test_sample_counts_must_be_one_mod_four(self):
+        with pytest.raises(ValueError, match="1 mod 4"):
+            _filon([(0.0, 0.1, np.ones(7))], np.array([1.0]))
+
+
+def _exact_on_power(p, lam):
+    # the degree-4 rule interpolates f by a quartic on each panel of four
+    # steps, so f = t^p, p <= 4, is integrated exactly at any frequency: on
+    # one step; on a graded grid whose step doubles from segment to segment
+    # (one family of unit phases), whose last two segments share one fold;
+    # on two segments whose steps are not a power of two apart (two
+    # families); and on one segment at the grid's 200_001-sample cap, folded
+    # 512 wide and 391 tall, whose phases are the longest products of unit
+    # phases (17)
+    end = 10.0
+    want = _power_exp_integral(p, lam, end)
+    h = end / 2000
+    uniform = [(0.0, h, (h * np.arange(2001)) ** p)]
+    graded, mixed = ([(a, (b - a) / (4 * panels), np.linspace(a, b, 4 * panels + 1) ** p)
+                      for a, b, panels in layout]
+                     for layout in ([(0.0, 2.0, 100), (2.0, 6.0, 100), (6.0, 8.72, 34),
+                                     (8.72, 9.36, 4), (9.36, end, 2)],
+                                    [(0.0, 3.0, 100), (3.0, end, 70)]))
+    capped = [(0.0, end / 200_000, (end / 200_000 * np.arange(200_001)) ** p)]
+    for segments in (uniform, graded, mixed, capped):
+        got = _filon(segments, np.array([lam]))[0]
+        assert abs(got.real - want.real) <= 1e-12 * end ** (p + 1) / (p + 1)
+        assert abs(got.imag - want.imag) <= 1e-12 * end ** (p + 1) / (p + 1)
 
 
 def _grid_sample(model, pi):
@@ -171,23 +237,46 @@ class TestKernelGrid:
     def test_transform_matches_one_step_grid(self, case, paper):
         # the one-step grid the graded grid replaced, written out: the
         # a priori step h for the budget eps_f over [0, tau*], with 2001 to
-        # 200_001 samples, and N from the full (not thin) factor Q R
+        # 200_001 samples (a multiple of 4 steps), and N from the full (not
+        # thin) factor Q R
         model, pi = _paper_or_random_n32(case, paper)
         da = DeviationAnalysis(model, pi)
         mu, alpha = da.envelope.mu, da.envelope.alpha
         f0_est = max(2.0 * alpha / mu, 1e-3)
         tau_star = math.log(max(2.0 * alpha / mu, 1e-6) / (1e-13 * max(f0_est, 1.0))) / mu
         omega = np.linalg.norm(model.a, 2) + mu
-        h = (180.0 * 1e-8 * max(f0_est, 0.1) / (max(alpha, 1e-6) * omega**4 * tau_star)) ** 0.25
-        npts = int(np.clip(math.ceil(tau_star / h), 2001, 200_001)) | 1  # odd
-        step = tau_star / (npts - 1)
-        samples = expm_ladder(model.a, model.eig, step, npts, left=da.root_pi,
+        h = (472.5 * 1e-8 * max(f0_est, 0.1) / (max(alpha, 1e-6) * omega**6 * tau_star)) ** (1 / 6)
+        steps = 4 * math.ceil((np.clip(math.ceil(tau_star / h), 2001, 200_001) - 1) / 4)
+        step = tau_star / steps
+        samples = expm_ladder(model.a, model.eig, step, steps + 1, left=da.root_pi,
                               right=da.quantum @ da.root_pi, reduce=_top_singular_value)
         if case == "paper":
-            assert npts == 28_419
+            assert steps + 1 == 6_417
         lams = da._table.nodes
         one_step = 2.0 * _filon([(0.0, step, samples)], lams).real
         assert np.abs(da.f_transform(lams) - one_step).max() <= 1e-9 * da.f_infnorm()
+
+    # measured: 5.1e-11 F(0) on the paper fixture, 1.4e-12 on random-n32
+    @pytest.mark.parametrize("case, tol", [("paper", 1e-10), ("random-n32", 1e-11)])
+    def test_transform_matches_simpson_at_a_quarter_step(self, case, tol, paper):
+        # F against Filon-Simpson on the same segments at a quarter of each
+        # step (Simpson's error there is ~(h/4)^4 M4 / 180, far below the
+        # degree-4 rule's at h), with N from the full factor Q R and every
+        # phase a cosine or sine of the whole grid
+        model, pi = _paper_or_random_n32(case, paper)
+        da = DeviationAnalysis(model, pi)
+        lams = da._table.nodes
+        want = np.zeros(lams.size, dtype=complex)
+        for start, step, vals in da._segments:
+            fine = expm_ladder(model.a, model.eig, step / 4, 4 * vals.size - 3, left=da.root_pi,
+                               right=da.quantum @ da.root_pi, reduce=_top_singular_value,
+                               start=start)
+            for lo in range(0, lams.size, 128):
+                part = lams[lo:lo + 128]
+                want[lo:lo + 128] += (np.exp(1j * part * start)
+                                      * _simpson(fine, step / 4, part))
+        err = np.abs(da.f_transform(lams) - 2.0 * want.real).max()
+        assert err <= tol * da.f_infnorm()
 
 
 def test_grid_is_built_on_first_transform(paper):
@@ -196,7 +285,8 @@ def test_grid_is_built_on_first_transform(paper):
     assert da._grid is None
     da.f_transform(0.0)
     assert isinstance(da._grid, np.ndarray)
-    assert da._grid.size <= 28_419 // 4  # a quarter of the one-step grid
+    # the 2001-sample floor binds (a priori ~1770), plus each segment's ceiling
+    assert da._grid.size <= 2_009
 
 
 class TestDescentTableEulerian:
@@ -223,7 +313,7 @@ class TestFTransformShape:
         vals = paper_deviation.f_transform(lams)
         assert isinstance(vals, np.ndarray) and vals.shape == lams.shape
         singles = np.array([paper_deviation.f_transform(lam) for lam in lams.ravel()[::37]])
-        assert np.abs(vals.ravel()[::37] - singles).max() <= 1e-14 * paper_deviation.f_infnorm()
+        assert np.array_equal(vals.ravel()[::37], singles)
         assert paper_deviation.f_transform(np.array([])).shape == (0,)
 
     def test_degenerate_weight_gives_zeros(self, tiny):
