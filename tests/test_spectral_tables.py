@@ -110,6 +110,10 @@ def _power_exp_integral(p, lam, end):
     return complex(antiderivative(end) - antiderivative(0.0))
 
 
+EXACTNESS_LAMS = [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 100.0, 100.02, 300.0, 300.06, 400.0,
+                  1200.0]
+
+
 class TestBlockedFilon:
     def test_matches_direct_sum(self, paper_deviation):
         da = paper_deviation
@@ -133,12 +137,14 @@ class TestBlockedFilon:
         assert np.abs(got - want).max() <= 1e-13 * scale
 
     # lam h = 1.5e-4 (lam = 0.03) is where moment-built weights would lose
-    # ~10 eps / (lam h)^3, 7e-4 relative; lam h = 1.5 (lam = 300) is the series edge
-    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 300.0, 300.06, 1200.0])
+    # ~10 eps / (lam h)^3, 7e-4 relative; lam h = 0.5 (lam = 100) is inside
+    # the series branch, lam h = 1.5 (lam = 300) is its edge, and lam = 400
+    # and 1200 are past it
+    @pytest.mark.parametrize("lam", EXACTNESS_LAMS)
     def test_exact_on_quadratic(self, lam):
         _exact_on_power(2, lam)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.01, 0.03, 2.5, 40.0, 300.0, 300.06, 1200.0])
+    @pytest.mark.parametrize("lam", EXACTNESS_LAMS)
     def test_exact_on_quartic(self, lam):
         _exact_on_power(4, lam)
 
