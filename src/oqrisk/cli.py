@@ -143,9 +143,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    doc, code = report.analyze(cfg)
+    doc, failed = report.analyze(cfg)
     _emit(report.render_json(doc) + "\n", args.out)
-    return code
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _cmd_cumulants(args) -> int:

@@ -214,17 +214,10 @@ def _filon(segments, lam) -> np.ndarray:
     about that many eps (a cosine of ``theta k`` takes up to ``eps theta k /
     2`` from its rounded argument).
 
-    *Phase families.*  Segments whose steps are ``base 2^shift`` for one
-    ``base`` read their unit phases from one table, ``e^{i lam base 2^p}``
-    (``lam base 2^p`` is ``theta 2^b`` bit for bit), so a grid whose step
-    doubles exactly costs about ``log2 n + S`` cosines and sines per
-    frequency for ``S`` segments, not ``S log2 n``.
-
-    *Shared folds.*  The segments of at most ``SHARED_SAMPLES`` samples are
-    folded as the largest of them would be (zero-padded) and stacked: their
-    phase products are formed together and their columns are one stacked
-    matrix product, so the grid's short tail segments cost one segment's
-    calls.
+    *One phase table.*  Every step is the shortest, ``h``, times a power of
+    two, so every segment reads its unit phases from one table, ``e^{i lam h
+    2^p}`` (``lam h 2^p`` is ``theta 2^b`` bit for bit); any other step is an
+    :class:`InvalidArgument`.
 
     *Fixed blocks.*  Frequencies are taken ``RULE_BLOCK`` at a time, the
     last block padded with zeros, so every matrix product of a call has the
@@ -235,78 +228,55 @@ def _filon(segments, lam) -> np.ndarray:
     *Working set.*  The fine, coarse and column tables are allocated once
     per call, for the largest fold, and a block's unit phases live only
     while its sums are formed: ``16 RULE_BLOCK (rows + 2 W + A)`` bytes for
-    ``rows`` unit phases, ~1.4 MB on the paper fixture (tracemalloc) and
+    ``rows`` unit phases, ~1.1 MB on the paper fixture (tracemalloc) and
     ~6 MB for one segment at the grid's 200_001-sample cap; never a
     frequencies-by-grid table.
 
     *One pass per block.*  The weights, the end corrections and the shifts
     ``e^{i lam start}`` are formed for every segment of a block at once, and
-    the segments' terms are added in a fixed order."""
+    the segments' terms are added in order."""
     lam = np.asarray(lam, dtype=float)
     flat = lam.ravel()
     if any((fvals.size - 1) % 4 for _, _, fvals in segments):
         raise ValueError("each Filon segment needs a sample count of 1 mod 4")
-    shared = [s for s, (_, _, fvals) in enumerate(segments) if fvals.size <= SHARED_SAMPLES]
-    groups = [[s] for s in range(len(segments)) if s not in shared] + [shared] * bool(shared)
-    order = [segments[s] for members in groups for s in members]
     starts, steps, firsts, ends = np.array([(start, step, fvals[0], fvals[-1])
-                                            for start, step, fvals in order]).T
-    folds, bits = [], []  # bits: each segment's unit phases, in order
-    for members in groups:
-        sizes = np.array([segments[s][2].size for s in members])
-        width = 4 << max(0, round(math.log2(sizes.max()) / 2) - 2)
-        fold = np.zeros((len(members), -(-sizes.max() // width) * width))
-        for row, s in zip(fold, members):
-            row[:segments[s][2].size] = segments[s][2]
-        # fold[i, j, a] = f_{a W + j}; the end sample is fold[i, (n - 1) % W, (n - 1) // W]
-        fold = fold.reshape(len(members), -1, width).swapaxes(1, 2)
-        folds.append((fold, (sizes - 1) // width, (sizes - 1) % width))
-        bits += [width.bit_length() - 1 + (fold.shape[2] - 1).bit_length()] * len(members)
-    # Phase families: the steps base 2^shift of one mantissa share the unit
-    # phases e^{i lam base 2^p}, one row each, and segment s reads the rows p =
-    # shift_s .. shift_s + bits_s - 1 of its family's.
-    mantissa, exponent = np.frexp(steps)
-    bases, family = np.unique(mantissa, return_inverse=True)
-    low = np.array([exponent[family == f].min() for f in range(bases.size)])
-    shift = exponent - low[family]
-    depth = np.array([(shift + bits)[family == f].max() for f in range(bases.size)])
-    row_steps = np.concatenate([np.ldexp(base, np.arange(d) + e)
-                                for base, d, e in zip(bases, depth, low)])
-    units_at = (np.cumsum(depth) - depth)[family] + shift  # the row of e^{i theta_s}
-    plans, lo = [], 0
-    for fold, end_rows, end_cols in folds:
-        count = fold.shape[0]
-        rows_at = units_at[lo:lo + count] + np.arange(bits[lo])[:, None]  # (bits, count)
-        plans.append((lo, fold, end_rows, end_cols, np.arange(count), rows_at))
-        lo += count
+                                            for start, step, fvals in segments]).T
+    shift = np.log2(steps / steps.min()).astype(int)  # each segment's row of e^{i theta}
+    if not np.array_equal(np.ldexp(steps.min(), shift), steps):
+        raise InvalidArgument("each Filon step must be the shortest times a power of two")
+    folds, bits = [], []
+    for _, _, fvals in segments:
+        width = 4 << max(0, round(math.log2(fvals.size) / 2) - 2)
+        fold = np.zeros(-(-fvals.size // width) * width)
+        fold[:fvals.size] = fvals
+        folds.append(fold.reshape(-1, width).T)  # fold[j, a] = f_{a W + j}
+        bits.append(width.bit_length() - 1 + (folds[-1].shape[1] - 1).bit_length())
+    row_steps = np.ldexp(steps.min(), np.arange(max(shift + bits)))
     size = RULE_BLOCK
-    fine_rows = max(fold.shape[0] * fold.shape[1] for fold, *_ in folds)
-    coarse_rows = max(fold.shape[0] * fold.shape[2] for fold, *_ in folds)
-    tables = [np.empty((rows, size), dtype=complex)  # fine, coarse and column tables
-              for rows in (fine_rows, coarse_rows, fine_rows)]
+    widest, tallest = np.max([fold.shape for fold in folds], axis=0)
+    fine, coarse, cols = (np.empty((rows, size), dtype=complex)
+                          for rows in (widest, tallest, widest))
 
     def block(blk):  # every array of a block but the tables is freed on return
         theta = np.multiply.outer(steps, blk)
-        args = np.multiply.outer(row_steps, blk)  # lam base 2^p: theta_s 2^b, bit for bit
+        args = np.multiply.outer(row_steps, blk)  # lam h 2^p: theta_s 2^b, bit for bit
         units = np.empty(args.shape, dtype=complex)
         np.cos(args, out=units.real)
         np.sin(args, out=units.imag)
-        del args  # not held through the group loop
-        sums = np.empty((5, len(order), size), dtype=complex)  # S_0 .. S_3, end phase
-        for lo, fold, end_rows, end_cols, take, rows_at in plans:
-            count, width, rows = fold.shape
-            unit, fine_bits = units[rows_at], width.bit_length() - 1
-            fine = tables[0][:width * count].reshape(width, count, size)
-            coarse = tables[1][:rows * count].reshape(rows, count, size)
-            _powers(unit[:fine_bits], fine)
-            _powers(unit[fine_bits:], coarse)
-            part = np.matmul(fold, coarse.swapaxes(0, 1).view(float),
-                             out=tables[2][:width * count].view(float).reshape(count, width, -1))
-            part = part.view(complex)
-            part *= fine.swapaxes(0, 1)  # C_j e^{i theta j}, summed by residue mod 4
-            sums[:4, lo:lo + count] = part.reshape(count, -1, 4, size).sum(1).swapaxes(0, 1)
-            np.multiply(coarse[end_rows, take], fine[end_cols, take], out=sums[4, lo:lo + count])
-        w0, w1, w2 = _filon_weights(theta, units[units_at], units[units_at + 1])
+        del args  # not held through the segment loop
+        sums = np.empty((5, len(segments), size), dtype=complex)  # S_0 .. S_3, end phase
+        for s, (fold, (_, _, fvals)) in enumerate(zip(folds, segments)):
+            width, rows = fold.shape
+            mid = shift[s] + width.bit_length() - 1
+            _powers(units[shift[s]:mid], fine[:width])
+            _powers(units[mid:shift[s] + bits[s]], coarse[:rows])
+            part = np.matmul(fold, coarse[:rows].view(float),
+                             out=cols[:width].view(float)).view(complex)
+            part *= fine[:width]  # C_j e^{i theta j}, summed by residue mod 4
+            sums[:4, s] = part.reshape(-1, 4, size).sum(0)
+            # the end sample is fold[(n - 1) % W, A - 1]
+            np.multiply(coarse[rows - 1], fine[(fvals.size - 1) % width], out=sums[4, s])
+        w0, w1, w2 = _filon_weights(theta, units[shift], units[shift + 1])
         s0, s1, s2, s3, last = sums
         last *= ends[:, None]  # f_{n-1} e^{i theta (n - 1)}
         terms = 2.0 * w0.real * s0
@@ -335,9 +305,6 @@ def _filon(segments, lam) -> np.ndarray:
 # toward the peak of 1 / (1 - 2 theta F) (width ~ sqrt(1 - theta/theta_max)),
 # up to theta = theta_max (1 - 1e-10).
 GRADE_DEPTH = 40
-#: Segments of at most ``SHARED_SAMPLES`` samples (eight panels) share one
-#: stacked fold in :func:`_filon`.
-SHARED_SAMPLES = 33
 #: The quartic Lagrange basis on a panel's centred nodes ``-2 .. 2``: the
 #: integer coefficients of ``u^0 .. u^4`` of ``24 L_{-2}``, ``6 L_{-1}`` and
 #: ``4 L_0``, with those denominators (``L_1`` and ``L_2`` mirror the first two).

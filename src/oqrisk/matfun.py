@@ -401,19 +401,10 @@ def _resonance_edges(poles, upper: float) -> np.ndarray:
     return cands[picked]
 
 
-@functools.lru_cache(maxsize=64)
-def _pole_layout(key: bytes, upper: float) -> np.ndarray:
-    """The read-only :func:`_resonance_edges` on ``[0, upper]`` for the poles
-    whose complex bytes are ``key``, laid out once per pole set and upper end."""
-    edges = _resonance_edges(np.frombuffer(key, dtype=complex), upper)
-    edges.flags.writeable = False
-    return edges
-
-
 def _frequency_rule(poles, upper: float, level: int):
     """Read-only nodes and stacked Kronrod and Gauss weights of the frequency rule for
     ``poles``, built once per pole set, upper end and level: :func:`_kronrod` panels on
-    the edges of :func:`_pole_layout` up to ``upper`` and on the tail ``lam = upper / s``,
+    the edges of :func:`_resonance_edges` up to ``upper`` and on the tail ``lam = upper / s``,
     ``s in (0, 1]`` (weights ``w_s upper / s^2``), every panel cut in ``2^level``.  The
     16 Gauss nodes lead each panel and every added node has Gauss weight 0."""
     return _rule_layout(np.asarray(poles, dtype=complex).ravel().tobytes(), upper, level)
@@ -424,7 +415,8 @@ def _rule_layout(key: bytes, upper: float, level: int):
     def split(e):
         return np.interp(np.arange((e.size - 1) * 2**level + 1) / 2**level, np.arange(e.size), e)
 
-    mid, *w_mid = _panels(split(_pole_layout(key, upper)), *_kronrod(RULE_ORDER))
+    edges = _resonance_edges(np.frombuffer(key, dtype=complex), upper)
+    mid, *w_mid = _panels(split(edges), *_kronrod(RULE_ORDER))
     s, *w_s = _panels(split(np.array([0.0, 1.0])), *_kronrod(RULE_ORDER))
     nodes = np.concatenate([mid, upper / s])
     weights = np.stack([np.concatenate([w, ws * upper / s**2]) for w, ws in zip(w_mid, w_s)])

@@ -255,10 +255,10 @@ def _classical_block(model, pi, mc: McSettings) -> dict:
     return out
 
 
-def analyze(cfg: AnalysisConfig) -> tuple[dict, int]:
-    """Run all analysis blocks; returns ``(report, exit_code)`` where the
-    code is 0 on full success and 2 when some block failed (per-block
-    errors are reported in place)."""
+def analyze(cfg: AnalysisConfig) -> tuple[dict, bool]:
+    """Run all analysis blocks; returns ``(report, failed)``, where
+    ``failed`` tells whether some block failed (per-block errors are
+    reported in place)."""
     report = {"provenance": {"package": "oqrisk", "version": __version__,
                              "seed": cfg.mc.seed}}
     failed = False
@@ -276,7 +276,7 @@ def analyze(cfg: AnalysisConfig) -> tuple[dict, int]:
         except OqriskError as exc:
             report[name] = {"error": f"{type(exc).__name__}: {exc}"}
             failed = True
-    return report, (2 if failed else 0)
+    return report, failed
 
 
 # -- deterministic serialization ---------------------------------------------

@@ -18,11 +18,12 @@ from oqrisk.errors import (
     ThetaOutOfRange,
 )
 from oqrisk.matfun import (
+    RULE_ORDER,
     _frequency_rule,
     _kronrod,
     _legendre,
     _logdet_i_minus,
-    _pole_layout,
+    _panels,
     _resonance_edges,
     _rule_layout,
     eig_basis,
@@ -380,24 +381,19 @@ class TestQuadrature:
                 a[0] = 0.0
 
     def test_layout_cached_per_pole_set(self):
-        # the layout is the fresh _resonance_edges one bit for bit, read-only,
-        # laid out once per pole set and upper end and reused by
-        # integrate_frequency at every level (the Lorentzian needs a halving)
+        # the rule's panels lie on the fresh _resonance_edges, bit for bit, its
+        # nodes are read-only, and each pole set and upper end has its own
         layouts = []
         for poles in (paper_example_model()[0].eig.values, damped_mode().eig.values):
             span = 2.0 * np.abs(poles).max() + 1.0
-            edges = _pole_layout(poles.tobytes(), span)
-            assert np.array_equal(edges, _resonance_edges(poles, span))
+            nodes = _frequency_rule(poles, span, 0)[0]
+            mid = _panels(_resonance_edges(poles, span), *_kronrod(RULE_ORDER))[0]
+            assert np.array_equal(nodes[:mid.size], mid)
             with pytest.raises(ValueError):
-                edges[0] = 1.0
-            info = _pole_layout.cache_info()
-            _rule_layout.cache_clear()  # rules that hold these edges are built anew
-            integrate_frequency(lambda lam: 1.0 / (1.0 + lam**2), poles)
-            assert _pole_layout.cache_info().misses == info.misses
-            assert _pole_layout.cache_info().hits >= info.hits + 1
-            assert _pole_layout(poles.tobytes(), span) is edges
-            assert not np.array_equal(_pole_layout(poles.tobytes(), 2.0 * span), edges)
-            layouts.append(edges)
+                nodes[0] = 1.0
+            assert _frequency_rule(poles, span, 0)[0] is nodes
+            assert not np.array_equal(_frequency_rule(poles, 2.0 * span, 0)[0][:mid.size], mid)
+            layouts.append(nodes)
         assert layouts[0].size != layouts[1].size or not np.array_equal(*layouts)
 
     def test_rule_cached_per_pole_set_and_level(self):

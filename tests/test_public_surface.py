@@ -161,3 +161,25 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read | exported]
     assert not unused, f"imported but never read: {unused}"
+
+
+def test_no_unread_module_constants():
+    # every name a module assigns at its top level (dunders aside) is read
+    # somewhere in the package: as a name, an attribute or an import
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "oqrisk").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    unread = [f"{name}:{node.lineno} {target.id}" for name, tree in trees.items()
+              for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in ast.walk(node) if isinstance(target, ast.Name)
+              and isinstance(target.ctx, ast.Store) and not target.id.startswith("__")
+              and target.id not in read]
+    assert not unread, f"assigned but never read: {unread}"

@@ -14,6 +14,7 @@ import pytest
 from conftest import congruent_n32, damped_mode
 from oqrisk.cumulants import delta_table
 from oqrisk.deviations import FILON_SERIES, DeviationAnalysis, _filon, _top_singular_value
+from oqrisk.errors import InvalidArgument
 from oqrisk.matfun import expm_ladder
 
 
@@ -175,27 +176,36 @@ class TestBlockedFilon:
         with pytest.raises(ValueError, match="1 mod 4"):
             _filon([(0.0, 0.1, np.ones(7))], np.array([1.0]))
 
+    def test_steps_must_be_the_shortest_times_a_power_of_two(self):
+        # steps (b - a) / (4 panels) over the stretches of the graded layout
+        # round to four mantissas, and two steps 10/3 apart are no power of two apart
+        for layout in ([(0.0, 2.0, 100), (2.0, 6.0, 100), (6.0, 8.72, 34), (8.72, 9.36, 4),
+                        (9.36, 10.0, 2)], [(0.0, 3.0, 100), (3.0, 10.0, 70)]):
+            segments = [(a, (b - a) / (4 * panels), np.linspace(a, b, 4 * panels + 1))
+                        for a, b, panels in layout]
+            with pytest.raises(InvalidArgument, match="power of two"):
+                _filon(segments, np.array([1.0]))
+
 
 def _exact_on_power(p, lam):
     # the degree-4 rule interpolates f by a quartic on each panel of four
     # steps, so f = t^p, p <= 4, is integrated exactly at any frequency: on
-    # one step; on a graded grid whose step doubles from segment to segment
-    # (one family of unit phases), whose last two segments share one fold;
-    # on two segments whose steps are not a power of two apart (two
-    # families); and on one segment at the grid's 200_001-sample cap, folded
-    # 512 wide and 391 tall, whose phases are the longest products of unit
-    # phases (17)
+    # one step; on a graded grid laid as _build_grid lays it (segment s has
+    # the step h 2^s exactly and starts at 4 h K, K its lag in units of 4 h),
+    # whose segments read one table of unit phases; and on one segment at the
+    # grid's 200_001-sample cap, folded 512 wide and 391 tall, whose phases
+    # are the longest products of unit phases (17)
     end = 10.0
     want = _power_exp_integral(p, lam, end)
     h = end / 2000
     uniform = [(0.0, h, (h * np.arange(2001)) ** p)]
-    graded, mixed = ([(a, (b - a) / (4 * panels), np.linspace(a, b, 4 * panels + 1) ** p)
-                      for a, b, panels in layout]
-                     for layout in ([(0.0, 2.0, 100), (2.0, 6.0, 100), (6.0, 8.72, 34),
-                                     (8.72, 9.36, 4), (9.36, end, 2)],
-                                    [(0.0, 3.0, 100), (3.0, end, 70)]))
+    graded, lags = [], 0
+    for s, panels in enumerate([100, 100, 34, 4, 2]):  # stretches ending at 2, 6, 8.72, 9.36, 10
+        start, step = 4.0 * h * lags, h * 2**s
+        graded.append((start, step, (start + step * np.arange(4 * panels + 1)) ** p))
+        lags += panels * 2**s
     capped = [(0.0, end / 200_000, (end / 200_000 * np.arange(200_001)) ** p)]
-    for segments in (uniform, graded, mixed, capped):
+    for segments in (uniform, graded, capped):
         got = _filon(segments, np.array([lam]))[0]
         assert abs(got.real - want.real) <= 1e-12 * end ** (p + 1) / (p + 1)
         assert abs(got.imag - want.imag) <= 1e-12 * end ** (p + 1) / (p + 1)
