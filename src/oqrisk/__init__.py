@@ -36,12 +36,7 @@ from .deviations import (
 )
 from .errors import OqriskError
 from .fixtures import paper_example_model
-from .gaussian import (
-    gramian_finite,
-    gramian_steady,
-    qcf_multipoint_steady,
-    qcf_onepoint,
-)
+from .gaussian import gramian_finite, gramian_steady, qcf_multipoint_steady
 from .model import (
     CcrMatrix,
     OqhoModel,

@@ -1,38 +1,15 @@
-"""Higher-order cumulant growth rates of the running quadratic cost.
+"""Higher-order cumulants of the running quadratic cost ``phi(t)``.
 
-The r-th cumulant of ``phi(t)`` is a weighted sum, over binary
-``(r-2)``-tuples ``gamma``, of cyclic kernel-product integrals
-
-    K_r(phi(t)) = 2^{r-1} sum_gamma Delta_{r,gamma} *
-        integral_{[0,t]^r} Tr( Pi S(t1-t2)
-                               prod_{j=2}^{r-1} Pi S^{[gamma_j]}(tj-t_{j+1})
-                               Pi S(t1-tr)' ) dt,
-
-where ``S^{[0]} = S`` and ``S^{[1]}(tau) = S(-tau)'``, and the integer
-weight ``Delta_{r,gamma}`` counts permutations of ``{1..r-1}`` whose
-consecutive-inversion pattern equals ``gamma``.  The growth rate replaces
-the time integral with a frequency integral of spectral-density products.
-
-One recursion over the relative rank of the last element of a permutation
-(Niven 1968; de Bruijn 1970) serves all three uses of ``Delta``: run once
-with 0/1 scalar weights stacked over all patterns it gives the exact
-integer table (`delta_table`); run with the matrix weights ``Pi D`` and
-``Pi D^{[1]}`` it gives the whole gamma sum of the rate integrand at one
-frequency in ``O(r^2)`` matrix products, without a table (`cumulant_rate`,
-in the rank-``m/2`` factor space of ``D``: the weights are the top and
-bottom rows of the ``m x m`` Gram ``N = 2 W* Pi W`` of ``D = 2 W0 W0*``,
-``D^{[1]} = 2 W1 W1*``, and no ``n x n`` density is formed; order ``r``
-closes the recursion after ``r - 3`` steps, so the orders of one weight
-share one node pass and one recursion while its state fits
-``RATE_STATE_BYTES``, :class:`_RateBlock`); run with
-block matrices of the multi-point covariance
-``[S(t_i - t_j)]`` from ``OqhoModel.kernel`` it gives a discretized time
-integral as one cyclic trace (`_grid_cumulant`).
-
-A brute-force moment oracle (`wick_moment_oracle`) evaluates discretized
-moments by enumerating *all* regular pair partitions, with no reference to
-the descent tables or the single-cycle reduction, so the reduction can be
-validated end to end.
+Gives the descent-pattern counts ``Delta_{r,gamma}`` (:func:`delta_table`,
+exact integers, ``r <= 12``), the asymptotic growth rate of the r-th
+cumulant (:func:`cumulant_rate`, ``r <= 10``), the r-th cumulant of a
+discretized cost (:func:`cumulant_td_discretized`; on trapezoid nodes,
+:func:`cumulant_finite_td`), and a brute-force moment oracle
+(:func:`wick_moment_oracle`) that enumerates *all* regular pair partitions
+and shares neither the descent tables nor the single-cycle reduction with
+the rest, so the reduction is validated end to end.  The cumulant formula
+and the descent-rank recursion behind all three are derived in the
+README's numerical notes.
 """
 
 from __future__ import annotations
@@ -45,8 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NegativeTime,
                      NumericalDefect, OrderTooLarge)
-from .matfun import (RULE_BLOCK, RULE_TOL, _integrate_levels, _require_integers, opnorm2,
-                     trapezoid_weights)
+from .matfun import RULE_BLOCK, RULE_TOL, _require_integers, integrate_frequency, opnorm2
 from .model import OqhoModel
 
 __all__ = [
@@ -79,30 +55,13 @@ class DescentTable:
 def _descent_recursion(first: np.ndarray, steps, split=None) -> np.ndarray:
     """Sum over all permutations ``p`` of ``{1..m}``, ``m = len(steps) + 1``,
     of ``first @ w_1 @ ... @ w_{m-1}``, where ``(up_i, down_i) = steps[i-1]``
-    and ``w_i`` is ``up_i`` if ``p_i < p_{i+1}`` and ``down_i`` otherwise.
+    and ``w_i`` is ``up_i`` if ``p_i < p_{i+1}`` and ``down_i`` otherwise, in
+    ``O(m^2)`` block products (:func:`_ascend` steps, :func:`_fold` closes).
     Operands may be stacks of matrices (leading axes broadcast); the sum is
     taken for every stacked entry at once.  With a column ``split`` an
     ascent multiplies only the first ``split`` columns of what it follows
     and a descent only the rest, so ``up`` has ``split`` rows and ``down``
     the rest (the rate integrand's factor space, :class:`_RateBlock`).
-
-    Recursion over the relative rank of the last element (Niven 1968, de
-    Bruijn 1970): with ``F_i[k]`` the sum over arrangements of ``i``
-    elements whose last element has rank ``k``,
-
-        F_{i+1}[j] = (sum_{k<j} F_i[k]) up_i + (sum_{k>=j} F_i[k]) down_i
-
-    (:func:`_ascend`).  The prefix sums and the suffix sums are each stacked
-    into one ``(i rows) x cols`` operand, so a step is two matrix products
-    per stacked entry: ``O(m^2)`` block products in all, against ``(m-1)!``
-    terms for enumeration.  (``np.cumsum`` along the stacking axis is slower
-    than the products themselves at n = 32, hence the list of blocks.)  Only
-    the sum over ``j`` of the last step is needed, and ``F_i[k]`` enters it
-    ``i - k`` times by an ascent and ``k + 1`` times by a descent:
-
-        sum_j F_m[j] = (sum_k (i - k) F_i[k]) up + (sum_k (k + 1) F_i[k]) down,
-
-    two single-block products in place of two stacked ones (:func:`_fold`).
     """
     if not steps:
         return first
@@ -176,20 +135,15 @@ def _trace(head, down, split=None):
 
 
 class _RateBlock:
-    """The gamma-summed rate integrand on one block of frequency nodes,
-    order by order on one descent-rank recursion, from the factor ``W =
-    [W0, W1]`` of :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  As
-    ``Pi D = 2 Pi W0 W0*`` and ``Pi D^{[1]} = 2 Pi W1 W1*``, the cyclic trace
-    of a product of them is that of the ``m/2 x m/2`` blocks ``N_ab`` of the
-    Gram ``N = 2 W* Pi W`` along the same pattern, so the recursion runs on
-    ``(m/2 x m)`` blocks with ``N``'s top rows as ascent and bottom rows as
-    descent and the column split at ``m/2``.  The block holds ``N``, the
-    term base ``2 ||Pi|| (||D||_F + ||D^{[1]}||_F)`` (``||D||_F = 2 ||W0*
-    W0||_F``, ``||D^{[1]}||_F = 2 ||W1* W1||_F``), the recursion state ``F_k``
-    (until the last order is closed) and the integrand of every order
-    closed so far: order ``r`` is the trace closed from ``F_{r-3}`` (from
-    ``N``'s top rows at ``r = 2``), so every order is the one
-    :func:`_gamma_sum` gives, to the bit."""
+    """The gamma-summed rate integrand on one block of frequency nodes, order
+    by order on one descent-rank recursion, from the factor ``W = [W0, W1]``
+    of :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  It holds the
+    Gram ``N = 2 W* Pi W``, the term base ``2 ||Pi|| (||D||_F +
+    ||D^{[1]}||_F)`` (``||D||_F = 2 ||W0* W0||_F``, ``||D^{[1]}||_F = 2
+    ||W1* W1||_F``), the recursion state ``F_k`` (until the last order is
+    closed) and the integrand of every order closed so far; every order is
+    the one :func:`_gamma_sum` gives on ``N``'s top and bottom rows with the
+    column split at ``m/2``, to the bit."""
 
     def __init__(self, facts, lams):
         self.half = half = facts.model.m // 2
@@ -259,40 +213,23 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
         (2^{r-2} / pi) sum_gamma Delta_{r,gamma} *
             integral over R of Tr( Pi D  prod_j Pi D^{[gamma_j]}  Pi D^{[1]} ) dlam,
 
-    with ``D^{[1]}(lam) = D(-lam)'``.  The gamma sum is taken inside the
-    descent-rank recursion with weights ``Pi D`` (ascent) and ``Pi D^{[1]}``
-    (descent), run in the rank-``m/2`` factor space of ``D`` (``Omega = 2 U
-    U*``, :class:`_RateBlock`): ``O(r^2)`` products for a block of frequency
-    nodes, no table and no ``n x n`` density.  Step ``i`` is two ``(i m/2 x
-    m/2) (m/2 x m)`` products, ``i m^3 / 2`` complex multiply-adds against
-    ``2 i n^3`` for ``n x n`` weights: a quarter at ``m = n``, fewer while
-    ``m < 4^{1/3} n``; for ``m >= 2n`` the factor space is no smaller than
-    ``n`` and costs more.  The gamma-summed integrand is even in
-    ``lam``: at ``-lam`` the two weights trade places up to transposition
-    (``D(-lam) = D^{[1]}(lam)'``), so transposing the trace of pattern
-    ``gamma`` gives the trace of its reversed complement at ``lam``, and
-    reading a permutation backwards maps the one pattern's permutations
-    one-to-one onto the other's, ``Delta_{r,gamma} = Delta_{r,rev(1 -
-    gamma)}``.  So the rate is ``2^{r-1} / pi`` times the integral over
-    ``lam >= 0``, on the rule of :func:`~oqrisk.matfun.integrate_frequency`
-    with the eigenvalues of ``A``, certified by its embedded Gauss-Kronrod
-    pair (33 nodes a panel, unhalved on the benchmark models).
+    with ``D^{[1]}(lam) = D(-lam)'``, for ``2 <= r <= 10`` (else
+    :class:`OrderTooLarge`; a non-integer ``r`` is :class:`InvalidArgument`).
+    The integrand is even in ``lam``, so the rate is ``2^{r-1} / pi`` times
+    the :func:`~oqrisk.matfun.integrate_frequency` integral over ``lam >=
+    0``, with the eigenvalues of ``A`` as poles (:class:`NoConvergence` if it
+    does not certify).  The weight's rate state on the unhalved nodes serves
+    every order (:func:`_shared_columns`), with the same bits in any call
+    order, kept or not; a halving level builds its own.
 
-    Every order closes one shared recursion, so the weight's rate state
-    on the unhalved nodes serves them all (:func:`_shared_columns`): a call
-    solves only on the blocks the state lacks and steps only by the orders
-    it misses, with the same bits in any call order, kept or not.  A
-    halving level, which the benchmark models never need, builds its own.
-
-    Each order is certified on its own columns: the terms at a node are of
-    size ``s = (||Pi|| (||D||_F + ||D^{[1]}||_F))^r`` (even in ``lam`` too);
-    stacking ``eps s / RULE_TOL`` with the integrand certifies a rate that
-    vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode with
-    ``Pi = I``) against the rounding of its terms, not against its own
-    rounding residue.  The gamma-summed integrand is real up to rounding:
-    its largest imaginary part must stay below 1e-10 of its largest modulus
-    or ``s`` over the nodes.  Capped at r = 10, the largest order the
-    certificates have been checked at against reference rates."""
+    Certificates: each order is certified on its own columns, the
+    integrand and the term size ``s = (||Pi|| (||D||_F +
+    ||D^{[1]}||_F))^r`` scaled to ``eps s / RULE_TOL``, so a rate that
+    vanishes in exact arithmetic (``Pi D Pi D^{[1]} = 0``, a vacuum mode
+    with ``Pi = I``) is certified against the rounding of its terms, not
+    against its own rounding residue.  The integrand's largest imaginary
+    part must stay below 1e-10 of its largest modulus or ``s`` over the
+    nodes, else :class:`NumericalDefect`."""
     _require_integers(r=r)
     if not 2 <= r <= MAX_RATE_ORDER:
         raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
@@ -310,7 +247,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
                        out=top)
             yield np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)
 
-    val = _integrate_levels(blocks, model.eig.values)[0]
+    val = integrate_frequency(blocks, model.eig.values)[0]
     if top[1] > 1e-10 * top[0]:
         raise NumericalDefect(f"gamma-summed integrand has imaginary part {top[1]:.3e} "
                               f"against a largest modulus {top[0]:.3e}")
@@ -350,7 +287,11 @@ def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> flo
         raise InvalidArgument("need at least 5 points per axis")
     if grid > MAX_GRID_ROWS:  # refused before the nodes are allocated
         raise GridTooLarge(f"{grid} nodes exceed {MAX_GRID_ROWS} rows")
-    return cumulant_td_discretized(model, pi, r, *trapezoid_weights(grid, t))
+    if not np.isfinite(t):
+        raise InvalidArgument("horizon must be finite")
+    weights = np.full(grid, t / (grid - 1))
+    weights[0] = weights[-1] = 0.5 * weights[0]
+    return cumulant_td_discretized(model, pi, r, np.linspace(0.0, t, grid), weights)
 
 
 def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> float:

@@ -408,7 +408,7 @@ class DeviationAnalysis:
         self.pi, self.root_pi = facts.pi, facts.root
         self.quantum = model.steady.quantum_cov
         self.n0 = float(opnorm2(self.root_pi @ self.quantum @ self.root_pi))
-        self._unit = math.ldexp(1.0, -math.frexp(self.n0)[1])  # see _build_grid's Scale
+        self._unit = math.ldexp(1.0, -math.frexp(self.n0)[1])  # see _build_grid
         self.degenerate = not np.any(self.pi)
         self.envelope = None if self.degenerate else envelope_params(model, self.pi)
         self._grid = None
@@ -420,50 +420,20 @@ class DeviationAnalysis:
         return float(opnorm2(self.root_pi @ self.model.kernel(abs(tau)) @ self.root_pi))
 
     def _build_grid(self):
-        """Sample ``N 2^-e`` (*Scale*) on a graded grid of ``[0, a_S]``, ``a_S >=
-        tau*`` (*Grading*): ``self._grid`` holds every sample, and ``self._segments`` the ``(start,
-        step, samples)`` of each segment, whose sample views share the boundary sample.
+        """Sample ``N 2^-e`` on a graded grid of ``[0, a_S]``, ``a_S >= tau*``:
+        ``self._grid`` holds every sample, and ``self._segments`` the ``(start,
+        step, samples)`` of each segment, whose sample views share the boundary
+        sample.  ``2^e = 1 / self._unit`` is the power of two of ``N(0)``, so
+        ``F`` is scaled back exactly after the Filon sums, and neither ``N^2``
+        of a weight near 1e-300 underflows nor the sums of one near 1e305
+        overflow.  Segment ``s`` has the step ``h 2^s`` exactly, for the a
+        priori step ``h``, and there are ``2001`` to ``200_001`` samples.
 
-        *Budget.*  ``tau*`` puts the envelope tail ``2 int_{tau*}^inf alpha
-        e^{-mu tau} = (2 alpha / mu) e^{-mu tau*}`` at ``1e-13 max(2 alpha /
-        mu, 1)``, ``2 alpha / mu`` being the envelope's ``F(0)``.  The degree-4
-        Filon rule interpolates ``N`` by a quartic on each panel of four steps,
-        so on a stretch of length ``L`` at step ``h`` its error is at most
-        ``(2 / 945) L h^6 M6`` (Boole's rule's constant, ``8 h^7 M6 / 945`` per
-        panel), with ``M6`` a bound on the sixth derivative there.  The k-th
-        derivative of ``R e^{tau A} Q R`` is ``R A^k e^{tau A} Q R``, so ``M6
-        = alpha omega^6 e^{-mu tau}``, ``omega = ||A|| + mu``: the derivative
-        bound carries the envelope factor.  The a priori step ``h`` solves
-        ``(2 / 945) tau* h^6 alpha omega^6 = eps_f``, the budget of one step
-        over all of ``[0, tau*]``.
-
-        *Grading.*  With ``c = 6 ln 2 / mu``, segment ``s`` has the step ``h_s
-        = h 2^s`` and covers ``[a_s, a_{s+1})`` in ``m_s`` panels, from ``a_0
-        = 0`` up to the first panel boundary at or after ``min((s + 1) c,
-        tau*)``; a segment that the one before already covers is dropped.  So
-        ``a_s >= s c``, where ``e^{-mu a_s} <= 2^{-6s}``, and ``h_s^6 e^{-mu
-        a_s} <= h^6``: each segment spends no more of ``eps_f`` per unit length
-        than the one-step grid, and the total error bound ``(2 / 945) tau* h^6
-        alpha omega^6 = eps_f`` holds unchanged.  The last segment ends less
-        than one of its panels past ``tau*``.  The samples fall ~3.6-fold (on
-        the paper fixture the a priori grid has ~1770 samples against 6417 at
-        one step), and steps that double exactly share one table of unit
-        phases in :func:`_filon`.  A single segment is the one-step grid.
-
-        *Caps.*  The total ``1 + 4 sum m_s`` samples stay in ``[2001,
-        200_001]``.  With ``L_s`` the length of ``[s c, min((s + 1) c,
-        tau*)]``, ``S`` the number of those stretches and ``d_s = a_s - s c``
-        (under one panel of segment ``s - 1``), ``4 h_s m_s = L_s + d_{s+1} -
-        d_s``, so ``sum m_s`` lies between ``G / (4h)`` and ``G / (4h) + S``
-        for ``G = sum L_s 2^-s``, and ``h`` is scaled by one common factor into
-        ``[G / (4 (50_000 - S)), G / 2000]``.  Where the cap binds (the damped
-        mode), the a priori budget is void.
-
-        *Scale.*  ``2^e = 1 / self._unit`` is the power of two of ``N(0)``, and
-        ``F`` is scaled back after the Filon sums: ``N^2`` of a weight near
-        1e-300 would underflow to 0, and the sums of one near 1e305 overflow.
-        A power of two scales exactly, so ``F`` in the normal range is the
-        unscaled one bit for bit.
+        Certificate: the envelope tail past ``tau*`` is at most ``1e-13
+        max(2 alpha / mu, 1)``, and the degree-4 Filon error bound over the
+        grid is at most ``eps_f = 1e-8 max(2 alpha / mu, 0.1)`` unless a
+        sample cap binds (the damped mode).  The README's note on the kernel
+        grid derives the step, the grading and the caps.
         """
         if self._grid is not None or self.degenerate:
             return
@@ -494,7 +464,7 @@ class DeviationAnalysis:
         # With its thin factor Q = V V* (SteadyState.thin) and S = (V* Pi
         # V)^{1/2}, K K* = (R E V S)(R E V S)* for K = R E Q R, R = sqrt(Pi),
         # E = e^{tau A}: N is the top singular value of the n x rank(Q)
-        # matrix R E V S, sampled as N / 2^e (Scale, above).
+        # matrix R E V S, sampled as N / 2^e.
         thin = self.model.steady.thin
         right = thin @ sqrt_psd(thin.conj().T @ self.pi @ thin) * self._unit
         # N(a_s + k h_s) for k = 0 .. 4 m_s - 1, and the end sample N(a_S)

@@ -64,15 +64,6 @@ class UnsortedTimes(OqriskError, ValueError):
     """A sequence of time points is not nondecreasing."""
 
 
-class InvalidInitialState(OqriskError, ValueError):
-    """An initial covariance violates the uncertainty constraint
-    ``P0 + i*Theta >= 0``."""
-
-
-class NegativeTheta(OqriskError, ValueError):
-    """The risk parameter must be nonnegative."""
-
-
 class ThetaOutOfRange(OqriskError, ValueError):
     """The risk parameter lies outside the finiteness interval of the
     requested functional."""

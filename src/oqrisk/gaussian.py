@@ -1,7 +1,7 @@
 """Second-moment structure of the oscillator in its invariant regime.
 
 Provides the finite-horizon covariance ``Sigma(t) = P - e^{tA} P e^{tA'}``,
-one-/multi-point quasi-characteristic functions of the state, and the
+the multi-point quasi-characteristic function of the state, and the
 inverse-transform residual of the spectral density.  They read facts the
 model owns and caches: the steady covariance ``P`` with the quantum
 covariance ``P + i*Theta`` (``OqhoModel.steady``, also returned by
@@ -19,18 +19,16 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
-    InvalidInitialState,
     NegativeTime,
     NumericalDefect,
     UnsortedTimes,
 )
-from .matfun import expm, integrate_frequency
+from .matfun import RULE_BLOCK, expm, integrate_frequency
 from .model import OqhoModel
 
 __all__ = [
     "gramian_steady",
     "gramian_finite",
-    "qcf_onepoint",
     "qcf_multipoint_steady",
 ]
 
@@ -52,48 +50,6 @@ def gramian_finite(model: OqhoModel, t: float) -> np.ndarray:
     e = expm(model.a, t)
     sig = p - e @ p @ e.T
     return 0.5 * (sig + sig.T)
-
-
-def _check_initial_cov(p0: np.ndarray, theta: np.ndarray):
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != theta.shape:
-        raise DimensionMismatch(f"P0 must be {theta.shape}, got shape {p0.shape}")
-    if not np.all(np.isfinite(p0)):
-        raise InvalidArgument("P0 must be finite")
-    if np.linalg.norm(p0 - p0.T) > 1e-12 * max(1.0, np.linalg.norm(p0)):
-        raise InvalidInitialState("initial covariance must be symmetric")
-    wmin = np.linalg.eigvalsh(p0 + 1j * theta)[0]
-    scale = max(np.linalg.norm(p0, 2), np.linalg.norm(theta, 2), 1e-300)
-    if wmin < -1e-8 * scale:
-        raise InvalidInitialState(
-            f"P0 + i*Theta has eigenvalue {wmin:.3e}; uncertainty principle violated"
-        )
-    return p0
-
-
-def qcf_onepoint(model: OqhoModel, p0, s: float, t: float, u) -> complex:
-    """One-point quasi-characteristic function at time ``t``.
-
-    The state starts Gaussian with real covariance ``p0`` at time zero;
-    the value is assembled through the propagation identity anchored at an
-    intermediate time ``s`` (any ``0 <= s <= t`` yields the same number):
-
-        Phi(t, u) = Phi(s, e^{(t-s)A'} u) * exp(-||u||^2_{Sigma(t-s)} / 2).
-    """
-    if not 0 <= s <= t:
-        raise NegativeTime(f"need 0 <= s <= t, got s={s}, t={t}")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.n,):
-        raise DimensionMismatch(f"u must have shape ({model.n},), got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidArgument("u must be finite")
-    p0 = _check_initial_cov(p0, model.theta)
-    es = expm(model.a, s)
-    p_at_s = es @ p0 @ es.T + gramian_finite(model, s)
-    v = expm(model.a, t - s).T @ u
-    sig = gramian_finite(model, t - s)
-    exponent = 0.5 * (v @ p_at_s @ v) + 0.5 * (u @ sig @ u)
-    return complex(np.exp(-exponent))
 
 
 def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
@@ -126,13 +82,14 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
 def spectral_identity_residual(model: OqhoModel) -> float:
     """Max-abs defect of ``(1/2pi) integral D(lam) dlam = P + i*Theta``.
 
-    Diagnostic used by tests and reports; integrates the density, with the
+    Acceptance criterion 07's oracle; integrates the density, with the
     resolvent evaluated exactly at every node, on the half-line frequency
     rule folded as ``D(lam) + D(-lam)``, where ``D(-lam)`` is the conjugate
     of the pair's ``D(-lam)'``."""
-    def folded(lams):
-        d0, d1 = model.density_pair(lams)
-        return d0 + d1.conj()
+    def folded(level, nodes):
+        for lo in range(0, nodes.size, RULE_BLOCK):
+            d0, d1 = model.density_pair(nodes[lo:lo + RULE_BLOCK])
+            yield d0 + d1.conj()
 
     val = integrate_frequency(folded, model.eig.values)
     return float(np.abs(val / (2.0 * np.pi) - model.steady.quantum_cov).max())

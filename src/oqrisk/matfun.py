@@ -24,8 +24,8 @@ one place, and this is the one module that imports SciPy.  Conventions:
   the resonances of the integrand's poles up to an upper end, laid out once
   per pole set and upper end, and one algebraic tail beyond.
   :func:`integrate_frequency` certifies the Kronrod value with the
-  embedded Gauss one; :func:`_integrate_levels` is the same certificate
-  for a caller that serves a level from values it already holds (the
+  embedded Gauss one, on values its caller yields block by block and level
+  by level, so a level can be served from values already held (the
   cumulant rates' shared state).  An integral over the whole line is the
   half-line integral of ``f(lam) + f(-lam)``; the callers whose integrands
   are even in ``lam`` (the cumulant rates) need no fold.  The tail bounds'
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -67,7 +67,6 @@ __all__ = [
     "sqrt_psd",
     "inv_sqrt_psd",
     "integrate_frequency",
-    "trapezoid_weights",
 ]
 
 #: Drift eigenvalues must lie strictly left of this abscissa to count as
@@ -424,7 +423,7 @@ def _rule_layout(key: bytes, upper: float, level: int):
     return nodes, weights
 
 
-def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
+def integrate_frequency(blocks, poles):
     """``integral over [0, inf) of f(lam) dlam`` for an integrand that decays
     like ``1/lam^2`` or faster, with poles ``lam = +-Im(mu) -+ i Re(mu)`` for
     ``mu`` in ``poles`` (the eigenvalues of ``A`` for ``(i lam - A)^{-1}``).
@@ -432,22 +431,13 @@ def integrate_frequency(f: Callable[[np.ndarray], np.ndarray], poles):
     a caller whose integrand is not even folds it so; an even one is
     integrated at half the nodes of a whole-line rule.
 
-    ``f`` maps a block of at most ``RULE_BLOCK`` frequencies to the stacked
-    values (scalars or arrays) at them.  The rule is :func:`_frequency_rule`
-    up to ``span = 2 max|mu| + 1``; one pass over its nodes gives the
-    Kronrod and the Gauss value and ``integral |f|``.  The Kronrod value is
-    returned once the two agree to ``RULE_TOL`` times that integral;
-    otherwise every panel is halved, up to ``RULE_DEPTH`` times, then
-    :class:`NoConvergence`."""
-    return _integrate_levels(lambda level, nodes: (
-        f(nodes[lo:lo + RULE_BLOCK]) for lo in range(0, nodes.size, RULE_BLOCK)), poles)
-
-
-def _integrate_levels(blocks, poles):
-    """:func:`integrate_frequency` of an integrand given level by level:
-    ``blocks(level, nodes)`` yields its values on the consecutive
-    ``RULE_BLOCK`` blocks of the ``level``-times halved rule's ``nodes``, so
-    a caller can serve a level from values it already holds."""
+    ``blocks(level, nodes)`` yields the stacked values of ``f`` (scalars or
+    arrays) on the consecutive ``RULE_BLOCK`` blocks of the ``level``-times
+    halved rule's ``nodes``.  The rule is :func:`_frequency_rule` up to
+    ``span = 2 max|mu| + 1``; one pass over its nodes gives the Kronrod and
+    the Gauss value and ``integral |f|``.  The Kronrod value is returned once
+    the two agree to ``RULE_TOL`` times that integral; otherwise every panel
+    is halved, up to ``RULE_DEPTH`` times, then :class:`NoConvergence`."""
     span = 2.0 * np.abs(np.asarray(poles, dtype=complex)).max(initial=0.0) + 1.0
     for level in range(RULE_DEPTH + 1):
         nodes, weights = _frequency_rule(poles, span, level)
@@ -461,16 +451,3 @@ def _integrate_levels(blocks, poles):
             return pair[0]
     raise NoConvergence(f"Kronrod and Gauss values differ by {gap:.3e} after {RULE_DEPTH} "
                         f"halvings, more than {RULE_TOL:g} of {np.max(mass):.3e}")
-
-
-def trapezoid_weights(count: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and composite-trapezoid weights on ``[0, upper]``."""
-    _require_integers(count=count)
-    if count < 2:
-        raise InvalidArgument("need at least 2 nodes")
-    _require_finite(upper, "upper limit")
-    nodes = np.linspace(0.0, upper, count)
-    h = upper / (count - 1)
-    w = np.full(count, h)
-    w[0] = w[-1] = 0.5 * h
-    return nodes, w

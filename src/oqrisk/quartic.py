@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTheta, NegativeTime, ThetaOutOfRange
+from .errors import NegativeTime, ThetaOutOfRange
 from .matfun import expm
 from .model import OqhoModel
 
@@ -102,10 +102,8 @@ def theta_threshold(model: OqhoModel, pi) -> float:
 def quartic_rate(model: OqhoModel, pi, theta: float) -> float:
     """Quartic growth rate ``theta <Pi, P + 2 theta T>``; equals
     ``theta * mean_rate + theta^2 / 2 * variance_rate``."""
-    if theta < 0:
-        raise NegativeTheta(f"risk parameter must be nonnegative, got {theta}")
-    if not theta < math.inf:  # NaN fails too
-        raise ThetaOutOfRange(f"risk parameter must be finite, got {theta}")
+    if not 0.0 <= theta < math.inf:  # NaN fails too
+        raise ThetaOutOfRange(f"theta = {theta} is not in [0, inf)")
     facts = model.weight_facts(pi)
     facts.variance_rate  # T is read only once its duality certificate holds
     return theta * float(np.sum(facts.pi * (model.steady.p + 2.0 * theta * facts.t)))

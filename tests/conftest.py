@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from oqrisk import DeviationAnalysis, model_from_matrices, paper_example_model, random_model
+from oqrisk.matfun import RULE_BLOCK
 from oqrisk.model import PhysicalParams, block_j, build_model, canonical_ccr
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -29,6 +30,11 @@ def tiny_deviation(tiny):
 def paper_deviation(paper):
     model, pi = paper
     return DeviationAnalysis(model, pi)
+
+
+def by_blocks(f):
+    """``integrate_frequency``'s ``blocks(level, nodes)`` from ``f`` of a block of frequencies."""
+    return lambda _, nodes: (f(nodes[lo:lo + RULE_BLOCK]) for lo in range(0, nodes.size, RULE_BLOCK))
 
 
 def damped_mode():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import J2, congruent_oscillators, damped_mode, make_models, random_sym
+from conftest import J2, by_blocks, congruent_oscillators, damped_mode, make_models, random_sym
 from oqrisk import classical, matfun, model_from_matrices, paper_example_model, report
 from oqrisk.classical import (
     AugmentedStepper,
@@ -428,7 +428,7 @@ def _logdet_oracle(model, pi, theta):
         return sum(np.log1p(-theta * np.linalg.eigvalsh(root @ d @ root)).sum(axis=-1)
                    for d in model.density_pair(lams))
 
-    val = integrate_frequency(folded, model.eig.values)
+    val = integrate_frequency(by_blocks(folded), model.eig.values)
     return -float(val) / (4.0 * np.pi)
 
 

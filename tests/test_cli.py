@@ -100,6 +100,29 @@ class TestAnalyze:
         assert code == 0
         assert '"theta0":{"inf":true}' in out
 
+    def test_zero_weight_report(self, capsys, tmp_path):
+        # Pi = 0: no envelope (null mu, alpha, gamma), no tail curve, an
+        # infinite quartic threshold and every rate 0, deterministically
+        config = _write_config(tmp_path, {
+            "pi": np.zeros((4, 4)).tolist(), "theta_list": [0.005, 0.01], "orders": [2, 3, 4],
+            "eps_grid": {"min": 300.0, "max": 900.0, "steps": 3},
+            "mc": {"h": 0.1, "steps": 10, "paths": 200, "lag": 2, "theta": 0.001, "seed": 5}})
+        argv = ["analyze", "--fixture", "paper-example", "--config", config]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        assert _run(capsys, argv) == (0, out)
+        rep = json.loads(out)
+        dev = rep["deviations"]
+        assert (dev["mu"], dev["alpha"], dev["gamma"], dev["curves"]) == (None, None, None, [])
+        assert rep["quartic"]["theta0"] == {"inf": True}
+        rs = rep["classical"]["rs_rate"]
+        rates = [rep["quartic"]["mean_rate"], rep["quartic"]["variance_rate"],
+                 *(row["quartic_rate"] for row in rep["quartic"]["rates_per_theta"]),
+                 *(row["rate"] for row in rep["cumulants"]["orders"]),
+                 rs["analytic_paper"], rs["analytic_sde"], rs["mc"]["value"],
+                 rs["mc_target_exact"]]
+        assert rates == [0.0] * 11
+
     def test_malformed_json_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2,\n  "m": }')

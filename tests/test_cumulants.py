@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (congruent_n32, damped_mode, hurwitz_model, make_models,
+from conftest import (by_blocks, congruent_n32, damped_mode, hurwitz_model, make_models,
                       paper_example_model, random_sym)
 from oqrisk import cumulants, matfun
 from oqrisk.cumulants import (
@@ -24,7 +24,7 @@ from oqrisk.cumulants import (
 )
 from oqrisk.errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NotHurwitz,
                            OrderTooLarge)
-from oqrisk.matfun import _resonance_edges, integrate_frequency, trapezoid_weights
+from oqrisk.matfun import _resonance_edges, integrate_frequency
 from oqrisk.model import OqhoModel, canonical_ccr, model_from_matrices
 from oqrisk.quartic import mean_rate, variance_finite, variance_rate
 
@@ -489,7 +489,7 @@ def test_halving_level_builds_its_own_state(monkeypatch):
                         lambda *args: levels.append(args[-1]) or rule(*args))
     got = cumulant_rate(model, pi, 3)
     assert levels == [0, 1]
-    assert got == 4.0 / np.pi * integrate_frequency(own, poles)[0]
+    assert got == 4.0 / np.pi * integrate_frequency(by_blocks(own), poles)[0]
     blocks = model.weight_facts(pi).rate_state.blocks
     assert sum(block.base.size for block in blocks) == 33 * panels
 
@@ -511,7 +511,8 @@ class TestFiniteTimeDomain:
         model, rng = make_models(seed=67, count=1, sizes=(2,))[0]
         pi = random_sym(rng, 2)
         for r, grid in ((2, 9), (3, 9), (4, 7)):
-            nodes, wts = trapezoid_weights(grid, 3.0)
+            nodes, wts = np.linspace(0.0, 3.0, grid), np.full(grid, 3.0 / (grid - 1))
+            wts[[0, -1]] *= 0.5
             direct = _tuple_sum(model, pi, r, nodes, wts)
             fast = cumulant_finite_td(model, pi, r, 3.0, grid)
             assert fast == pytest.approx(direct, rel=1e-12, abs=0.0)

@@ -8,7 +8,6 @@ from conftest import J2, make_models
 from oqrisk.errors import (
     DimensionMismatch,
     InvalidArgument,
-    InvalidInitialState,
     NegativeTime,
     NotHurwitz,
     UnsortedTimes,
@@ -17,7 +16,6 @@ from oqrisk.gaussian import (
     gramian_finite,
     gramian_steady,
     qcf_multipoint_steady,
-    qcf_onepoint,
     spectral_identity_residual,
 )
 from oqrisk.matfun import expm
@@ -179,38 +177,6 @@ class TestSpectralDensity:
         assert spectral_identity_residual(tiny) < 1e-6
 
 
-class TestOnePointQcf:
-    def test_zero_vector(self, paper):
-        steady = gramian_steady(paper[0])
-        assert qcf_onepoint(paper[0], steady.p, 0.0, 1.0, np.zeros(4)) == 1.0
-
-    def test_invariant_fixed_point(self, tiny):
-        p = gramian_steady(tiny).p
-        u = np.array([0.4, -0.7])
-        target = np.exp(-0.5 * u @ p @ u)
-        for t in (0.2, 1.0, 5.0):
-            assert qcf_onepoint(tiny, p, 0.0, t, u) == pytest.approx(target, rel=1e-12, abs=0.0)
-
-    def test_anchor_independence(self, paper):
-        model = paper[0]
-        p0 = np.eye(4)
-        u = np.array([0.2, -0.1, 0.3, 0.05])
-        vals = [qcf_onepoint(model, p0, s, 2.0, u) for s in (0.0, 0.5, 1.3, 2.0)]
-        assert np.ptp([v.real for v in vals]) < 1e-12
-
-    def test_relaxation_to_invariant(self, paper):
-        model = paper[0]
-        steady = gramian_steady(model)
-        u = 0.1 * np.ones(4)
-        limit = np.exp(-0.5 * u @ steady.p @ u)
-        val = qcf_onepoint(model, 4.0 * np.eye(4), 0.0, 25.0, u)
-        assert val == pytest.approx(limit, rel=1e-8)
-
-    def test_heisenberg_guard(self, tiny):
-        with pytest.raises(InvalidInitialState):
-            qcf_onepoint(tiny, np.zeros((2, 2)), 0.0, 1.0, np.ones(2))
-
-
 @pytest.mark.parametrize("times", [
     pytest.param(np.linspace(0.0, 2.0, 9), id="sorted"),
     pytest.param(np.array([1.3, 0.2, 2.9, 0.7, 0.0]), id="unsorted"),
@@ -291,18 +257,13 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda m, p: qcf_onepoint(m, p[:2, :2], 0.0, 1.0, np.ones(m.n)), DimensionMismatch),
-    (lambda m, p: qcf_onepoint(m, p, 0.0, 1.0, np.ones(m.n + 1)), DimensionMismatch),
-    (lambda m, p: qcf_onepoint(m, p, 0.0, 1.0, np.full(m.n, NAN)), InvalidArgument),
-    (lambda m, p: qcf_onepoint(m, np.full_like(p, NAN), 0.0, 1.0, np.ones(m.n)),
-     InvalidArgument),
     (lambda m, p: qcf_multipoint_steady(m, [0.0, 1.0], np.full((2, m.n), NAN)),
      InvalidArgument),
     (lambda m, p: m.density_factor([NAN]), InvalidArgument),
     (lambda m, p: m.density_factor(np.zeros((2, 2))), DimensionMismatch),
     (lambda m, p: m.weight_facts(np.eye(m.n)).density_eigs([NAN]), InvalidArgument),
-], ids=["qcf-p0-shape", "qcf-u-shape", "qcf-nan-u", "qcf-nan-p0", "qcf-multipoint-nan-vectors",
-        "density-factor-nan", "density-factor-2d", "density-eigs-nan"])
+], ids=["qcf-multipoint-nan-vectors", "density-factor-nan", "density-factor-2d",
+        "density-eigs-nan"])
 def test_second_order_inputs_raise_typed_errors(paper, call, expected):
     # refused before any arithmetic, so no NaN and no bare numpy error escapes
     model = paper[0]

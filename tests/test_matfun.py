@@ -8,7 +8,7 @@ import pytest
 
 import oqrisk
 
-from conftest import damped_mode, paper_example_model
+from conftest import by_blocks, damped_mode, paper_example_model
 from oqrisk.deviations import GRADE_DEPTH, DeviationAnalysis
 from oqrisk.errors import (
     NoConvergence,
@@ -309,7 +309,7 @@ class TestQuadrature:
             return sum(lorentzian(lam, c, w) for c in (-10.0, 10.0) for w in (1.0, 1e-3))
 
         poles = [-1.0 + 10j, -1.0 - 10j, -1e-3 + 10j, -1e-3 - 10j]
-        assert integrate_frequency(f, poles) == pytest.approx(2.0, rel=1e-12, abs=0.0)
+        assert integrate_frequency(by_blocks(f), poles) == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_matrix_valued(self):
         def f(lam):
@@ -317,17 +317,17 @@ class TestQuadrature:
             one, two = 1.0 + lam**2, 4.0 + lam**2
             return np.block([[1.0 / one, 1.0 / one**2], [lam**2 / one**2, 2.0 / two]])
 
-        out = integrate_frequency(f, [-1.0, -2.0])
+        out = integrate_frequency(by_blocks(f), [-1.0, -2.0])
         assert out.shape == (2, 2)
         assert np.abs(out - np.pi / 2 * np.array([[1.0, 0.5], [0.5, 1.0]])).max() < 1e-12
 
     def test_zero_integrand(self):
-        assert integrate_frequency(np.zeros_like, [-1.0 + 3j, -1.0 - 3j]) == 0.0
+        assert integrate_frequency(by_blocks(np.zeros_like), [-1.0 + 3j, -1.0 - 3j]) == 0.0
 
     def test_slow_decay_rejected(self):
         # 1/|lam| tails are not integrable: the tail panels never settle
         with pytest.raises(NoConvergence):
-            integrate_frequency(lambda lam: 1.0 / (1.0 + np.abs(lam)), [-1.0])
+            integrate_frequency(by_blocks(lambda lam: 1.0 / (1.0 + np.abs(lam))), [-1.0])
 
     def test_missing_narrow_pole_is_refused(self):
         # the rule is graded for width-1 resonances only: halving cannot
@@ -336,7 +336,7 @@ class TestQuadrature:
             return lorentzian(lam, 10.0, 1.0) + lorentzian(lam, 10.0, 1e-3)
 
         with pytest.raises(NoConvergence):
-            integrate_frequency(f, [-1.0 + 10j, -1.0 - 10j])
+            integrate_frequency(by_blocks(f), [-1.0 + 10j, -1.0 - 10j])
 
     def test_table_is_the_gauss_half_of_the_rule(self, paper):
         # the tail bounds' table keeps the Gauss nodes of the rule's Kronrod

@@ -58,7 +58,6 @@ NAN = float("nan")
     (lambda m, pi: matfun.expm(np.ones((2, 3))), DimensionMismatch),
     (lambda m, pi: matfun.lyap_solve(m.a, np.eye(2)), DimensionMismatch),
     (lambda m, pi: matfun.sqrt_psd(np.triu(np.ones((2, 2)))), NotSymmetric),
-    (lambda m, pi: matfun.trapezoid_weights(1, 1.0), InvalidArgument),
     (lambda m, pi: m.kernel(NAN), InvalidArgument),
     (lambda m, pi: gaussian.qcf_multipoint_steady(m, [0, NAN], np.ones((2, m.n))),
      InvalidArgument),
@@ -86,6 +85,7 @@ NAN = float("nan")
      ThetaOutOfRange),
     (lambda m, pi: deviations.DeviationAnalysis(m, pi).qef_upper_rate(NAN), ThetaOutOfRange),
     (lambda m, pi: quartic.quartic_rate(m, pi, float("inf")), ThetaOutOfRange),
+    (lambda m, pi: quartic.quartic_rate(m, pi, -1.0), ThetaOutOfRange),
     # Monte Carlo sizes and seeds, refused before any path is drawn
     (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, 0, 1), InvalidArgument),
     (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, -5, 1, h=0.05), InvalidArgument),
@@ -101,7 +101,6 @@ NAN = float("nan")
     (lambda m, pi: cumulants.wick_moment_oracle(m, pi, 1.5, [0, 1], [1, 1]), InvalidArgument),
     (lambda m, pi: classical.mc_stationary_stats(classical.simulate(m, 0.1, 2, 100, 1), 1.5),
      InvalidArgument),
-    (lambda m, pi: matfun.trapezoid_weights(5.5, 1.0), InvalidArgument),
     # a malformed epsilon, refused before any transform work
     (lambda m, pi: deviations.DeviationAnalysis(m, pi).bound_curve([[300.0, 400.0]]),
      InvalidArgument),
@@ -113,19 +112,19 @@ NAN = float("nan")
      InvalidArgument),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
-        "lyap-shape", "sqrt-not-hermitian", "one-trapezoid-node", "kernel-nan-lag",
-        "qcf-nan-time", "td-nan-time", "td-inf-horizon", "td-nan-horizon",
+        "lyap-shape", "sqrt-not-hermitian", "kernel-nan-lag", "qcf-nan-time",
+        "td-nan-time", "td-inf-horizon", "td-nan-horizon",
         "gramian-nan-horizon", "variance-nan-horizon", "rs-rate-nan-theta",
         "finite-rate-nan-horizon", "finite-rate-nan-step", "finite-rate-nan-theta",
         "mc-rate-nan-horizon", "mc-rate-nan-theta", "quartic-nan-theta",
         "f-transform-nan", "mc-rate-zero-theta-nan-horizon", "mc-rate-zero-weight-nan-theta",
         "rs-rate-zero-weight-nan-theta", "rs-rate-zero-weight-negative-theta",
         "sde-rate-zero-weight-nan-theta", "qef-zero-weight-nan-theta", "qef-nan-theta",
-        "quartic-inf-theta", "mc-rate-zero-paths", "mc-rate-negative-paths",
-        "simulate-negative-seed", "simulate-zero-paths", "td-fractional-grid",
-        "td-fractional-order", "rate-fractional-order", "table-fractional-order",
-        "td-discretized-fractional-order", "wick-fractional-order", "mc-stats-fractional-lag",
-        "trapezoid-fractional-count", "bound-curve-2d-grid", "bound-curve-inf-eps",
+        "quartic-inf-theta", "quartic-negative-theta", "mc-rate-zero-paths",
+        "mc-rate-negative-paths", "simulate-negative-seed", "simulate-zero-paths",
+        "td-fractional-grid", "td-fractional-order", "rate-fractional-order",
+        "table-fractional-order", "td-discretized-fractional-order", "wick-fractional-order",
+        "mc-stats-fractional-lag", "bound-curve-2d-grid", "bound-curve-inf-eps",
         "bound-numeric-array-eps", "bound-numeric-inf-eps"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError

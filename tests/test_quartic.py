@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 from conftest import make_models, random_sym
-from oqrisk.errors import NegativeTheta, NegativeTime, NotSymmetric, NumericalDefect
+from oqrisk.errors import NegativeTime, NotSymmetric, NumericalDefect, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm
 from oqrisk.model import WeightMatrix
@@ -131,7 +131,7 @@ class TestQuarticRate:
         assert quartic_rate(*paper, theta=0.0) == 0.0
 
     def test_negative_theta(self, paper):
-        with pytest.raises(NegativeTheta):
+        with pytest.raises(ThetaOutOfRange):
             quartic_rate(*paper, theta=-0.1)
 
     def test_paper_composition(self, paper):
