@@ -56,12 +56,9 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InsufficientPaths,
     InvalidArgument,
-    NotHurwitz,
     NotPsd,
     NumericalDefect,
-    StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
 )
@@ -138,9 +135,11 @@ class AugmentedStepper:
     of ``p_aug`` (whose eigenvalues come in degenerate pairs) would not.  For
     any other law the frame is the identity.  Principal roots do not depend
     on an eigenbasis either, so sampled paths move continuously with the
-    model.  A model with no certified ``P + i Theta`` (``B = 0`` gives ``i
-    Theta``, no state), or a one-step noise covariance that fails
-    ``sqrt_psd``'s PSD test, raises :class:`StepperConstructionFailure`.
+    model.  Raises :class:`InvalidArgument` unless ``0 < h < inf``, what
+    ``model.steady`` raises for a model with no certified ``P + i Theta``
+    (:class:`NotHurwitz`, or :class:`NumericalDefect` at ``B = 0``, which
+    gives ``i Theta``, no state), and :class:`NumericalDefect` for a
+    one-step noise covariance that fails ``sqrt_psd``'s PSD test.
     """
 
     h: float
@@ -152,20 +151,20 @@ class AugmentedStepper:
 
     @classmethod
     def build(cls, model: OqhoModel, h: float) -> "AugmentedStepper":
-        if h <= 0:
-            raise StepperConstructionFailure("step size must be positive")
-        try:  # no certified invariant state, or a one-step noise covariance that is not PSD
-            p_aug = augmented_invariant_cov(model.steady.p, model.theta)
-            phi = np.kron(np.eye(2), expm(model.a, h))
-            frame = _support_frame(model, p_aug)
-            # on the identity frame each product is exact: the chain is the 2n one
-            phi_s = frame.T @ phi @ frame
-            p_s = frame.T @ p_aug @ frame
-            p_s = 0.5 * (p_s + p_s.T)
-            sigma_s = p_s - phi_s @ p_s @ phi_s.T
+        if not 0 < h < math.inf:
+            raise InvalidArgument(f"step must be positive and finite, got {h}")
+        p_aug = augmented_invariant_cov(model.steady.p, model.theta)
+        phi = np.kron(np.eye(2), expm(model.a, h))
+        frame = _support_frame(model, p_aug)
+        # on the identity frame each product is exact: the chain is the 2n one
+        phi_s = frame.T @ phi @ frame
+        p_s = frame.T @ p_aug @ frame
+        p_s = 0.5 * (p_s + p_s.T)
+        sigma_s = p_s - phi_s @ p_s @ phi_s.T
+        try:  # an expanding step leaves the one-step noise covariance indefinite
             noise = sqrt_psd(0.5 * (sigma_s + sigma_s.T))
-        except (NotHurwitz, NumericalDefect, NotPsd) as exc:
-            raise StepperConstructionFailure(str(exc)) from exc
+        except NotPsd as exc:
+            raise NumericalDefect(f"one-step noise covariance: {exc}") from exc
         return cls(h=h, noise_chol=noise, frame=frame, phi_frame=phi_s, p_frame=p_s,
                    p_root=sqrt_psd(p_s))
 
@@ -324,7 +323,7 @@ def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, Mc
     ``lag_steps`` earlier.
     """
     if batch.paths < 100:
-        raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
+        raise InvalidArgument(f"need at least 100 paths, got {batch.paths}")
     _require_integers(lag_steps=lag_steps)
     if not 0 <= lag_steps <= batch.steps:
         raise InvalidArgument("lag exceeds the simulated horizon")
@@ -346,7 +345,7 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     """Per-sample variance estimate of ``zeta* Pi zeta`` at the final step;
     validator for :func:`classical_quadform_variance`."""
     if batch.paths < 100:
-        raise InsufficientPaths(f"need at least 100 paths, got {batch.paths}")
+        raise InvalidArgument(f"need at least 100 paths, got {batch.paths}")
     pi, n = WeightMatrix(pi).pi, batch.thetas.shape[-1] // 2
     if pi.shape != (n, n):
         raise DimensionMismatch(f"Pi must be {n}x{n}, got shape {pi.shape}")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, GridTooLarge, InvalidArgument, NegativeTime,
-                     NumericalDefect, OrderTooLarge)
+from .errors import DimensionMismatch, InvalidArgument, NumericalDefect
 from .matfun import RULE_BLOCK, RULE_TOL, _require_integers, integrate_frequency, opnorm2
 from .model import OqhoModel
 
@@ -104,7 +103,7 @@ def delta_table(r: int) -> DescentTable:
     """
     _require_integers(r=r)
     if not 2 <= r <= MAX_TABLE_ORDER:
-        raise OrderTooLarge(f"descent tables support 2 <= r <= {MAX_TABLE_ORDER}")
+        raise InvalidArgument(f"descent tables support 2 <= r <= {MAX_TABLE_ORDER}")
     # shape (2^{r-2}, r-2); (1, 0) at r = 2, whose one pattern is empty
     bits = np.array(list(itertools.product((0, 1), repeat=r - 2)), dtype=np.int64)
     weights = bits[:, :, None, None]
@@ -214,7 +213,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
             integral over R of Tr( Pi D  prod_j Pi D^{[gamma_j]}  Pi D^{[1]} ) dlam,
 
     with ``D^{[1]}(lam) = D(-lam)'``, for ``2 <= r <= 10`` (else
-    :class:`OrderTooLarge`; a non-integer ``r`` is :class:`InvalidArgument`).
+    :class:`InvalidArgument`, as is a non-integer ``r``).
     The integrand is even in ``lam``, so the rate is ``2^{r-1} / pi`` times
     the :func:`~oqrisk.matfun.integrate_frequency` integral over ``lam >=
     0``, with the eigenvalues of ``A`` as poles (:class:`NoConvergence` if it
@@ -232,7 +231,7 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     nodes, else :class:`NumericalDefect`."""
     _require_integers(r=r)
     if not 2 <= r <= MAX_RATE_ORDER:
-        raise OrderTooLarge(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
+        raise InvalidArgument(f"cumulant rates support 2 <= r <= {MAX_RATE_ORDER}")
     facts = model.weight_facts(pi)
     if not np.any(facts.pi):
         return 0.0
@@ -281,14 +280,12 @@ def cumulant_finite_td(model: OqhoModel, pi, r: int, t: float, grid: int) -> flo
     comes from :meth:`~oqrisk.model.OqhoModel.kernel`, one ``expm`` per
     distinct lag.  Error decreases as O(grid^-2)."""
     _require_integers(grid=grid)
-    if t <= 0:
-        raise NegativeTime("horizon must be positive")
+    if not 0 < t < np.inf:
+        raise InvalidArgument(f"horizon must be positive and finite, got {t}")
     if grid < 5:
         raise InvalidArgument("need at least 5 points per axis")
     if grid > MAX_GRID_ROWS:  # refused before the nodes are allocated
-        raise GridTooLarge(f"{grid} nodes exceed {MAX_GRID_ROWS} rows")
-    if not np.isfinite(t):
-        raise InvalidArgument("horizon must be finite")
+        raise InvalidArgument(f"{grid} nodes exceed {MAX_GRID_ROWS} rows")
     weights = np.full(grid, t / (grid - 1))
     weights[0] = weights[-1] = 0.5 * weights[0]
     return cumulant_td_discretized(model, pi, r, np.linspace(0.0, t, grid), weights)
@@ -301,10 +298,10 @@ def cumulant_td_discretized(model: OqhoModel, pi, r: int, times, weights) -> flo
     agreement is exact combinatorics and not a quadrature statement."""
     _require_integers(r=r)
     if not 2 <= r <= MAX_RATE_ORDER:
-        raise OrderTooLarge(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
+        raise InvalidArgument(f"time-domain cumulants support 2 <= r <= {MAX_RATE_ORDER}")
     times, weights = _discretization(times, weights)
     if times.size * model.n > MAX_GRID_ROWS:
-        raise GridTooLarge(f"{times.size} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
+        raise InvalidArgument(f"{times.size} nodes x n = {model.n} exceed {MAX_GRID_ROWS} rows")
     return _grid_cumulant(model.weight_facts(pi).pi, weights,
                           model.kernel(np.subtract.outer(times, times)), r)
 
@@ -344,14 +341,14 @@ def wick_moment_oracle(model: OqhoModel, pi, r: int, times, weights) -> float:
     """
     _require_integers(r=r)
     if not 1 <= r <= 3:
-        raise OrderTooLarge("the pairing oracle supports r in {1, 2, 3}")
+        raise InvalidArgument("the pairing oracle supports r in {1, 2, 3}")
     times, weights = _discretization(times, weights)
     g = times.size
     n_pairings = 1
     for k in range(1, 2 * r, 2):
         n_pairings *= k
     if g ** r * n_pairings > 200_000:
-        raise GridTooLarge(
+        raise InvalidArgument(
             f"{g}^{r} tuples x {n_pairings} pairings exceeds the brute-force cap"
         )
     root = model.weight_facts(pi).root

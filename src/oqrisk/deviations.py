@@ -41,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DefectiveAndUnstableShift,
     EpsilonTooSmall,
     InvalidArgument,
     NoConvergence,
@@ -96,7 +95,10 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
     from unit-norm eigenvectors (real by conjugate pairing, which is
     asserted).  Otherwise retreats to ``mu' = 0.9 mu`` and solves the
     shifted Lyapunov equation ``(A + mu' I) G + G (A + mu' I)' = -I``;
-    any valid pair is admissible, at a modest decay-rate sacrifice.
+    any valid pair is admissible, at a modest decay-rate sacrifice.  Raises
+    :class:`NotHurwitz` for a drift, or a shifted drift (``lyap_solve``'s
+    check), that is not Hurwitz; :class:`NotPsd` for a ``Pi`` that is not
+    PSD; :class:`NumericalDefect` when a certificate fails.
     """
     if not model.is_hurwitz:
         raise NotHurwitz("the envelope needs a Hurwitz drift")
@@ -111,11 +113,7 @@ def envelope_params(model: OqhoModel, pi) -> EnvelopeParams:
         gamma = gamma_c.real
     else:
         mu = 0.9 * mu
-        shifted = a + mu * np.eye(model.n)
-        if np.linalg.eigvals(shifted).real.max() >= 0.0:
-            raise DefectiveAndUnstableShift(
-                "shifted drift is not Hurwitz; no envelope certificate")
-        gamma = lyap_solve(shifted, np.eye(model.n))
+        gamma = lyap_solve(a + mu * np.eye(model.n), np.eye(model.n))
     gamma = 0.5 * (gamma + gamma.T)
     ali = a @ gamma + gamma @ a.T + 2.0 * mu * gamma
     wmax = np.linalg.eigvalsh(ali)[-1]
@@ -238,7 +236,7 @@ def _filon(segments, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     flat = lam.ravel()
     if any((fvals.size - 1) % 4 for _, _, fvals in segments):
-        raise ValueError("each Filon segment needs a sample count of 1 mod 4")
+        raise InvalidArgument("each Filon segment needs a sample count of 1 mod 4")
     starts, steps, firsts, ends = np.array([(start, step, fvals[0], fvals[-1])
                                             for start, step, fvals in segments]).T
     shift = np.log2(steps / steps.min()).astype(int)  # each segment's row of e^{i theta}

@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    NegativeTime,
-    NumericalDefect,
-    UnsortedTimes,
-)
+from .errors import DimensionMismatch, InvalidArgument, NumericalDefect
 from .matfun import RULE_BLOCK, expm, integrate_frequency
 from .model import OqhoModel
 
@@ -44,8 +38,8 @@ def gramian_finite(model: OqhoModel, t: float) -> np.ndarray:
     Exact for the linear dynamics (no ODE stepping); ``Sigma(0) = 0`` and
     ``Sigma(t) -> P`` monotonically in the PSD order.
     """
-    if t < 0:
-        raise NegativeTime(f"horizon must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise InvalidArgument(f"horizon must be nonnegative and finite, got {t}")
     p = model.steady.p
     e = expm(model.a, t)
     sig = p - e @ p @ e.T
@@ -67,7 +61,7 @@ def qcf_multipoint_steady(model: OqhoModel, times, vectors) -> complex:
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(vectors))):
         raise InvalidArgument("times and vectors must be finite")
     if np.any(np.diff(times) < 0):
-        raise UnsortedTimes("times must be nondecreasing")
+        raise InvalidArgument("times must be nondecreasing")
     # the blocks v_j' S(t_j - t_i) v_i of vec' S vec, summed
     blocks = model.kernel(np.subtract.outer(times, times))
     exponent = (vectors[:, None, None, :] @ blocks @ vectors[None, :, :, None]).sum()

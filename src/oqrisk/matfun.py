@@ -45,15 +45,12 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
-    EigenFailure,
-    IllConditioned,
     InvalidArgument,
     NoConvergence,
     NotHurwitz,
     NotPsd,
     NotSymmetric,
     NumericalDefect,
-    Overflow,
     ThetaOutOfRange,
 )
 
@@ -94,7 +91,7 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     ------
     InvalidArgument
         If ``a`` or ``t`` is not finite.
-    Overflow
+    NumericalDefect
         If ``exp(t*a)`` leaves the double-precision range.
     """
     a = np.asarray(a)
@@ -105,7 +102,7 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):  # converted to an error below
         out = scipy.linalg.expm(t * a)
     if not np.all(np.isfinite(out)):
-        raise Overflow("exp(t*A) overflowed double precision")
+        raise NumericalDefect("exp(t*A) overflowed double precision")
     return out
 
 
@@ -130,11 +127,11 @@ class EigBasis:
 
 def eig_basis(a: np.ndarray) -> EigBasis:
     """Eigenvalues and eigenvectors of ``a`` with the eigenvector condition
-    number; raises :class:`EigenFailure` if LAPACK does not converge."""
+    number; raises :class:`NumericalDefect` if LAPACK does not converge."""
     try:
         lam, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailure("eigenvalue iteration did not converge") from exc
+        raise NumericalDefect("eigenvalue iteration did not converge") from exc
     cond = float(np.linalg.cond(vecs))
     inverse = np.linalg.inv(vecs) if np.isfinite(cond) and cond < DIAG_COND else None
     return EigBasis(values=lam, vectors=vecs, cond=cond, inverse=inverse)
@@ -194,8 +191,8 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     NotHurwitz
         If ``A`` has an eigenvalue with real part above the Hurwitz band (below
         it every ``lam_i + conj(lam_j)`` is at least 2e-10 from zero).
-    IllConditioned
-        If the residual check fails after the solve.
+    NumericalDefect
+        If the residual exceeds 1e-10 of ``||A|| ||X|| + ||Q||`` after the solve.
     """
     a = np.asarray(a)
     q = np.asarray(q)
@@ -212,7 +209,7 @@ def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     res = np.linalg.norm(a @ x + x @ a.conj().T + q)
     scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
     if res > 1e-10 * scale:
-        raise IllConditioned(f"Lyapunov residual {res:.3e} exceeds 1e-10 * {scale:.3e}")
+        raise NumericalDefect(f"Lyapunov residual {res:.3e} exceeds 1e-10 * {scale:.3e}")
     return x
 
 

@@ -36,11 +36,9 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     NoConvergence,
-    NotAntisymmetric,
     NotHurwitz,
     NotSymmetric,
     NumericalDefect,
-    SingularCcr,
 )
 from .matfun import HURWITZ_TOL, EigBasis, eig_basis, sqrt_psd
 
@@ -86,7 +84,7 @@ class CcrMatrix:
 
     Antisymmetry is an exact structural requirement, checked without
     tolerance; a matrix that is merely antisymmetric up to rounding is
-    rejected rather than silently projected.
+    rejected (:class:`NotSymmetric`) rather than silently projected.
     """
 
     theta: np.ndarray
@@ -101,10 +99,10 @@ class CcrMatrix:
         if not np.all(np.isfinite(theta)):
             raise InvalidArgument("theta contains non-finite entries")
         if np.linalg.norm(theta + theta.T) != 0.0:
-            raise NotAntisymmetric("theta + theta' must vanish exactly")
+            raise NotSymmetric("theta + theta' must vanish exactly")
         smin = np.linalg.svd(theta, compute_uv=False)[-1]
         if smin <= 1e-12 * np.linalg.norm(theta, 2):
-            raise SingularCcr(f"smallest singular value {smin:.3e} within 1e-12 band")
+            raise InvalidArgument(f"smallest singular value {smin:.3e} within 1e-12 band")
         object.__setattr__(self, "theta", _freeze(theta))
 
     @property
@@ -417,7 +415,7 @@ def build_model(ccr: CcrMatrix, params: PhysicalParams) -> OqhoModel:
 
     Deterministic: identical inputs produce bitwise-identical ``A`` and
     ``B``.  Raises :class:`DimensionMismatch` when the commutation and
-    parameter dimensions disagree and :class:`EigenFailure` if the
+    parameter dimensions disagree and :class:`NumericalDefect` if the
     eigendecomposition of ``A`` does not converge.
     """
     if params.n != ccr.n:
@@ -460,7 +458,8 @@ def pr_residual(model: OqhoModel) -> float:
 def random_model(rng: np.random.Generator, n: int = 4) -> OqhoModel:
     """Sample a Hurwitz model in ``canonical_ccr(n)`` with ``m = n``: R
     symmetric and M with unit-variance entries, redrawn until the drift is
-    comfortably stable (up to 20000 times: about 1% pass at n = 6)."""
+    comfortably stable (up to 20000 times: about 1% pass at n = 6), else
+    :class:`NoConvergence`."""
     ccr = canonical_ccr(n)
     for _ in range(20000):
         r = rng.standard_normal((n, n))
@@ -468,7 +467,7 @@ def random_model(rng: np.random.Generator, n: int = 4) -> OqhoModel:
         model = build_model(ccr, PhysicalParams(r=r, m=rng.standard_normal((n, n))))
         if model.spectral_abscissa < -0.05:
             return model
-    raise RuntimeError("failed to sample a Hurwitz model")
+    raise NoConvergence("failed to sample a Hurwitz model")
 
 
 def _matrix_from_doc(doc, key, rows, cols):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTime, ThetaOutOfRange
+from .errors import InvalidArgument, ThetaOutOfRange
 from .matfun import expm
 from .model import OqhoModel
 
@@ -66,8 +66,8 @@ def variance_finite(model: OqhoModel, pi, t: float) -> float:
             = 4 <Pi, t T - U + e^{tA} U e^{tA'}>,
 
     with ``AU + UA' + T = 0``: ``U`` is solved once per ``(model, Pi)``."""
-    if t < 0:
-        raise NegativeTime(f"horizon must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise InvalidArgument(f"horizon must be nonnegative and finite, got {t}")
     if t == 0:
         return 0.0
     facts = model.weight_facts(pi)

@@ -25,9 +25,8 @@ from oqrisk.classical import (
 )
 from oqrisk.errors import (
     DimensionMismatch,
-    InsufficientPaths,
+    InvalidArgument,
     NumericalDefect,
-    StepperConstructionFailure,
     ThetaOutOfRange,
     VarianceBlowup,
 )
@@ -118,14 +117,14 @@ class TestStepper:
         # no invariant law to step from, and the stepper is refused
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
         for h in (0.05, 0.5):
-            with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+            with pytest.raises(NumericalDefect, match="uncertainty constraint"):
                 AugmentedStepper.build(silent, h)
 
     def test_noise_covariance_that_is_not_psd_is_refused(self, paper, monkeypatch):
         # a stepping matrix that expands the invariant law leaves P - Phi P Phi'
-        # indefinite: the root's NotPsd comes back as the stepper's own error
+        # indefinite: the root's NotPsd comes back as a NumericalDefect
         monkeypatch.setattr(classical, "expm", lambda a, t: 2.0 * expm(a, t))
-        with pytest.raises(StepperConstructionFailure, match="eigenvalue .* below"):
+        with pytest.raises(NumericalDefect, match="eigenvalue .* below"):
             AugmentedStepper.build(paper[0], 0.05)
 
     def test_twin_makes_no_lyapunov_solve(self, tiny, paper, monkeypatch):
@@ -162,9 +161,9 @@ class TestSimulate:
         # B = 0 has no certified invariant state (P + i Theta = i Theta), so
         # there are no paths and no finite-horizon rate to draw them for
         silent = dataclasses.replace(tiny, b=np.zeros((2, 2)))
-        with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+        with pytest.raises(NumericalDefect, match="uncertainty constraint"):
             simulate(silent, 0.5, 4, 200, seed=1)
-        with pytest.raises(StepperConstructionFailure, match="uncertainty constraint"):
+        with pytest.raises(NumericalDefect, match="uncertainty constraint"):
             finite_horizon_rate(silent, np.eye(2), 0.05, 2.0, 0.5)
 
     def test_tiny_sample_covariance(self, tiny):
@@ -309,7 +308,7 @@ class TestSimulate:
 
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
-        with pytest.raises(InsufficientPaths):
+        with pytest.raises(InvalidArgument):
             mc_stationary_stats(batch, 1)
 
 
@@ -804,6 +803,12 @@ class TestControlVariate:
         with pytest.raises(VarianceBlowup, match="not positive"):
             classical._cv_rate(cost, -1e6, 0.1, 5.0)
 
+    def test_degenerate_weights_are_refused(self):
+        # one path's weight e^{theta S} outweighs the 99 others by e^1000:
+        # the plain weights' effective sample size is 1, below the floor of 50
+        with pytest.raises(VarianceBlowup, match="effective sample size"):
+            classical._cv_rate(np.r_[np.zeros(99), 1e4], 0.0, 0.1, 5.0)
+
 
 def _dense_rate(model, pi, theta, horizon, steps):
     """``-(1/2T) sum log1p(-2 theta eig(W C W))`` over the stacked path
@@ -1029,7 +1034,7 @@ class TestSupportFrame:
         assert np.array_equal(stepper.phi_frame, phi)
         assert np.array_equal(stepper.p_frame, p_aug)
         assert np.array_equal(stepper.noise_chol, sqrt_psd(0.5 * (sigma + sigma.T)))
-        with pytest.raises(StepperConstructionFailure):
+        with pytest.raises(NumericalDefect):
             AugmentedStepper.build(dataclasses.replace(tiny, b=np.zeros((2, 2))), 0.05)
 
 

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from oqrisk import report
 from oqrisk.cli import main
 from oqrisk.deviations import DeviationAnalysis
+from oqrisk.errors import NumericalDefect
 from oqrisk.fixtures import PAPER_EXAMPLE, paper_example_model
 from oqrisk.report import render_json
 
@@ -258,6 +260,24 @@ class TestCsvCommands:
         doc = json.loads(out)
         assert doc[0]["order"] == 2
         assert abs(doc[0]["rate"]) < 1e-10
+
+    def test_library_input_error_exits_1(self, capsys):
+        # order 11 is past the rate cap: the library's InvalidArgument, not a
+        # config error, is reported by its type name
+        code = main(["cumulants", "--fixture", "paper-example", "--order", "11"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidArgument: ") and len(err.splitlines()) == 1
+
+    def test_library_numerical_error_exits_3(self, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalDefect("residual too large")
+
+        monkeypatch.setattr(report, "cumulant_rows", fail)
+        code = main(["cumulants", "--fixture", "paper-example", "--order", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "error: NumericalDefect: residual too large\n"
 
 
 class TestSimulateCommand:

@@ -74,9 +74,9 @@ class TestExpm:
             assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
 
     def test_overflow_guard(self):
-        from oqrisk.errors import Overflow
+        from oqrisk.errors import NumericalDefect
 
-        with pytest.raises(Overflow):
+        with pytest.raises(NumericalDefect):
             expm(np.diag([1000.0, -1.0]), 1.0)
 
     def test_expm_multi_matches_pointwise(self):

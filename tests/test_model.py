@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import J2, damped_mode, make_models, random_sym
+from oqrisk import model as model_module
 from oqrisk import report
 from oqrisk.classical import classical_rs_rate_sde
 from oqrisk.cumulants import cumulant_rate
@@ -14,10 +15,9 @@ from oqrisk.errors import (
     ConfigError,
     DimensionMismatch,
     InvalidArgument,
-    NotAntisymmetric,
+    NoConvergence,
     NotPsd,
     NotSymmetric,
-    SingularCcr,
 )
 from oqrisk.fixtures import PAPER_EXAMPLE, paper_example_model
 from oqrisk.model import (
@@ -29,6 +29,7 @@ from oqrisk.model import (
     model_from_json,
     model_from_matrices,
     pr_residual,
+    random_model,
 )
 from oqrisk.quartic import mean_rate
 
@@ -72,11 +73,11 @@ class TestBuildModel:
 
 class TestValidation:
     def test_rejects_nonantisymmetric_theta(self):
-        with pytest.raises(NotAntisymmetric):
+        with pytest.raises(NotSymmetric):
             CcrMatrix(np.array([[0.0, 1.0], [-1.0 + 1e-15, 0.0]]))
 
     def test_rejects_singular_theta(self):
-        with pytest.raises(SingularCcr):
+        with pytest.raises(InvalidArgument):
             CcrMatrix(np.zeros((2, 2)))
 
     def test_rejects_odd_order(self):
@@ -225,6 +226,15 @@ class TestStabilityMargin:
         model = model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.zeros((2, 2)))
         assert not model.is_hurwitz
         assert model.spectral_abscissa == pytest.approx(0.0, abs=1e-14)
+
+    def test_random_model_gives_up_with_a_typed_error(self, tiny, monkeypatch):
+        # every draw builds a model whose drift is not stable, so the sampler
+        # stops after its 20000 tries (the draws' own checks are skipped)
+        marginal = dataclasses.replace(tiny, spectral_abscissa=0.0)
+        monkeypatch.setattr(model_module, "PhysicalParams", lambda r, m: None)
+        monkeypatch.setattr(model_module, "build_model", lambda ccr, params: marginal)
+        with pytest.raises(NoConvergence, match="Hurwitz model"):
+            random_model(np.random.default_rng(0), n=2)
 
 
 class TestJsonIngestion:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import oqrisk
-from oqrisk import classical, cumulants, deviations, gaussian, matfun, model, quartic
+from conftest import J2
+from oqrisk import classical, cumulants, deviations, gaussian, matfun, model, quartic, report
 from oqrisk.cli import build_parser
-from oqrisk.errors import (DimensionMismatch, InvalidArgument, NegativeTime, NotSymmetric,
-                           ThetaOutOfRange)
+from oqrisk.errors import (ConfigError, DimensionMismatch, InvalidArgument, NotHurwitz, NotPsd,
+                           NotSymmetric, ThetaOutOfRange)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,8 +46,15 @@ def test_readme_command_block_names_every_subcommand():
 NAN = float("nan")
 
 
+def _unstable_tiny():
+    """The one-mode vacuum model relabelled with spectral abscissa 0: every
+    guard that reads ``is_hurwitz`` refuses it before any solve."""
+    tiny = model.model_from_matrices(0.5 * J2, np.zeros((2, 2)), np.eye(2))
+    return dataclasses.replace(tiny, spectral_abscissa=0.0)
+
+
 @pytest.mark.parametrize("call, expected", [
-    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, -1.0, 10), NegativeTime),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, -1.0, 10), InvalidArgument),
     (lambda m, pi: gaussian.qcf_multipoint_steady(m, [0, 1], np.zeros((2, 3))),
      DimensionMismatch),
     (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, 1.0, 3), InvalidArgument),
@@ -110,6 +119,19 @@ NAN = float("nan")
      InvalidArgument),
     (lambda m, pi: deviations.DeviationAnalysis(m, pi).cramer_bound_numeric(float("inf")),
      InvalidArgument),
+    # guards no other test reaches
+    (lambda m, pi: classical.AugmentedStepper.build(m, -0.05), InvalidArgument),
+    (lambda m, pi: classical.mc_quadform_variance(classical.simulate(m, 0.1, 2, 50, 1), pi),
+     InvalidArgument),
+    (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, 1.0, 1025), InvalidArgument),
+    (lambda m, pi: deviations.DeviationAnalysis(_unstable_tiny(), np.eye(2)), NotHurwitz),
+    (lambda m, pi: deviations.envelope_params(_unstable_tiny(), np.eye(2)), NotHurwitz),
+    (lambda m, pi: _unstable_tiny().density_factor([0.0]), NotHurwitz),
+    (lambda m, pi: matfun.inv_sqrt_psd(np.diag([1.0, 0.0])), NotPsd),
+    (lambda m, pi: model.block_j(3), DimensionMismatch),
+    (lambda m, pi: model.CcrMatrix(np.zeros((2, 3))), DimensionMismatch),
+    (lambda m, pi: model.WeightMatrix(np.zeros((2, 3))), DimensionMismatch),
+    (lambda m, pi: report.parse_config({"orders": 3}, fixture="paper-example"), ConfigError),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "kernel-nan-lag", "qcf-nan-time",
@@ -125,12 +147,44 @@ NAN = float("nan")
         "td-fractional-grid", "td-fractional-order", "rate-fractional-order",
         "table-fractional-order", "td-discretized-fractional-order", "wick-fractional-order",
         "mc-stats-fractional-lag", "bound-curve-2d-grid", "bound-curve-inf-eps",
-        "bound-numeric-array-eps", "bound-numeric-inf-eps"])
+        "bound-numeric-array-eps", "bound-numeric-inf-eps", "stepper-negative-step",
+        "quadform-variance-few-paths", "td-grid-over-cap", "deviation-not-hurwitz",
+        "envelope-not-hurwitz", "density-not-hurwitz", "inv-sqrt-singular", "block-j-odd",
+        "ccr-not-square", "weight-not-square", "config-orders-not-list"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback
     with pytest.raises(expected):
         call(*paper)
+
+
+def _names_in(paths, pick):
+    """The names of every ``ast.Name`` in the nodes ``pick(node)`` returns, over
+    every node of the files ``paths``."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found |= {sub.id for part in pick(node) for sub in ast.walk(part)
+                      if isinstance(sub, ast.Name)}
+    return found
+
+
+def test_every_error_class_is_raised_and_tested():
+    # one class per kind of failure: each is raised by the library and
+    # expected by name in a test, so none outlives its raise sites
+    tree = ast.parse((ROOT / "src" / "oqrisk" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes.discard("OqriskError")
+    raised = _names_in(
+        (ROOT / "src" / "oqrisk").glob("*.py"),
+        lambda node: [getattr(node.exc, "func", node.exc)]
+        if isinstance(node, ast.Raise) and node.exc is not None else [])
+    expected = _names_in(
+        (ROOT / "tests").glob("*.py"),
+        lambda node: node.args[:1] if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "pytest.raises" else [])
+    assert classes and not classes - raised, f"never raised: {sorted(classes - raised)}"
+    assert not classes - expected, f"never expected by a test: {sorted(classes - expected)}"
 
 
 def test_no_unused_imports():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 from conftest import make_models, random_sym
-from oqrisk.errors import NegativeTime, NotSymmetric, NumericalDefect, ThetaOutOfRange
+from oqrisk.errors import InvalidArgument, NotSymmetric, NumericalDefect, ThetaOutOfRange
 from oqrisk.gaussian import gramian_steady
 from oqrisk.matfun import expm
 from oqrisk.model import WeightMatrix
@@ -44,7 +44,7 @@ class TestVarianceFinite:
         assert variance_finite(*paper, t=0.0) == 0.0
 
     def test_negative_time(self, paper):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(InvalidArgument):
             variance_finite(*paper, t=-1.0)
 
     def test_tiny_vacuum_eigenstate(self, tiny):

@@ -173,7 +173,7 @@ class TestBlockedFilon:
         assert np.array_equal([da.f_transform(lam) for lam in batch[picks]], whole[picks])
 
     def test_sample_counts_must_be_one_mod_four(self):
-        with pytest.raises(ValueError, match="1 mod 4"):
+        with pytest.raises(InvalidArgument, match="1 mod 4"):
             _filon([(0.0, 0.1, np.ones(7))], np.array([1.0]))
 
     def test_steps_must_be_the_shortest_times_a_power_of_two(self):
