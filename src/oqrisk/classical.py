@@ -71,7 +71,6 @@ __all__ = [
     "McEstimate",
     "augmented_invariant_cov",
     "simulate",
-    "zeta_view",
     "mc_stationary_stats",
     "classical_quadform_variance",
     "mc_quadform_variance",
@@ -198,12 +197,6 @@ class SimBatch:
         return self.thetas.shape[1]
 
 
-def zeta_view(states: np.ndarray) -> np.ndarray:
-    """Complex state ``zeta = xi + i eta`` from stacked real coordinates."""
-    n = states.shape[-1] // 2
-    return states[..., :n] + 1j * states[..., n:]
-
-
 def _chain(stepper: AugmentedStepper, steps, rng, raw, states, values):
     """Yield the ``steps + 1`` states of the exact chain in frame coordinates as
     chunks ``(k, states, spare, values)``: at most ``len(raw)`` consecutive ``(paths,
@@ -235,9 +228,17 @@ def _mc_workers() -> int:
     return min(MC_BLOCKS, cpus)
 
 
+def _block_edges(paths: int) -> list[int]:
+    """Row edges of the ``MC_BLOCKS`` fixed blocks of ``paths`` paths,
+    ``np.array_split``'s partition of ``range(paths)``: block ``i`` is rows
+    ``edges[i]:edges[i + 1]``, and the first block is the largest."""
+    q, r = divmod(paths, MC_BLOCKS)
+    return [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
+
+
 def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     """``consume(lo, hi, chain)`` for each of ``MC_BLOCKS`` fixed blocks of
-    paths (``np.array_split``'s partition of ``range(paths)``), in block order.
+    paths (:func:`_block_edges`), in block order.
     Block ``i`` runs the exact chain of ``stepper`` on its own ``SFC64``
     stream, the ``i``-th spawn of ``SeedSequence(seed)``, so a value depends
     on the seed alone.  The blocks run on a thread pool, where numpy's normal
@@ -246,9 +247,8 @@ def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     calling thread: a chunk holds ``max(1, _CHAIN_BYTES // state bytes)``
     states of the largest block, whatever ``steps``."""
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
-    q, r = divmod(paths, MC_BLOCKS)
-    edges = [i * q + min(i, r) for i in range(MC_BLOCKS + 1)]
-    rank, workers, largest = len(stepper.p_root), _mc_workers(), q + (r > 0)
+    edges = _block_edges(paths)
+    rank, workers, largest = len(stepper.p_root), _mc_workers(), edges[1]
     chunk = max(1, _CHAIN_BYTES // (8 * largest * rank))
     shapes = (chunk, largest, rank), (chunk + 1, largest, rank), (chunk, largest)
     sets, local = [[np.empty(shape) for shape in shapes] for _ in range(workers)], threading.local()
@@ -301,17 +301,58 @@ def simulate(
     return SimBatch(thetas=out, h=h, seed=seed)
 
 
-def _product_estimate(z: np.ndarray, w: np.ndarray, seed: int) -> McEstimate:
-    """Entries ``E(z_i w_j*)`` from rows of samples, with per-entry standard
-    errors: the mean ``Z' conj(W) / paths`` and the second moment
-    ``|Z|^2' |W|^2 / paths`` are two ``n x n`` products.  Their variance
-    ``second - |mean|^2`` is ``>= 0`` by Cauchy-Schwarz; only rounding can
-    push it below, and that band is clipped."""
-    paths = z.shape[0]
-    mean = z.T @ w.conj() / paths
-    second = (z.real**2 + z.imag**2).T @ (w.real**2 + w.imag**2) / paths
-    var = np.maximum(second - (mean.real**2 + mean.imag**2), 0.0)
-    return McEstimate(value=mean, stderr=np.sqrt(var / paths), paths=paths, seed=seed)
+def _pair_sums(x1: np.ndarray, x0: np.ndarray, pi_aug: np.ndarray | None) -> tuple:
+    """One block's sufficient statistics of the lag pair ``(x(tau), x(0))``, from
+    rows of ``x = [xi; eta]``: the row count, the real Grams ``X1'X1`` and
+    ``X1'X0``, the products ``M1'M1`` and ``M1'M0`` of the rows of ``M = xi^2 +
+    eta^2`` (entrywise ``|zeta|^2``) and, for a weight ``pi_aug = I2 (x) Pi``,
+    the rows ``x1' pi_aug x1`` (else ``None``).  Nothing else of the rows is kept."""
+    n = x1.shape[1] // 2
+    m1, m0 = (x[:, :n] ** 2 + x[:, n:] ** 2 for x in (x1, x0))
+    quad = None if pi_aug is None else _quadform(x1, pi_aug)
+    return len(x1), x1.T @ x1, x1.T @ x0, m1.T @ m1, m1.T @ m0, quad
+
+
+def _lag_pair(blocks: list, seed: int) -> tuple[McEstimate, McEstimate, McEstimate | None]:
+    """The lag-pair estimator: ``E(zeta zeta*)``, ``E(zeta(tau) zeta(0)*)``, each
+    with per-entry standard errors, and the variance of ``zeta* Pi zeta`` (``None``
+    without a weight), from the :func:`_pair_sums` of the ``MC_BLOCKS`` fixed
+    blocks, added in block order; :class:`InvalidArgument` below 100 paths.
+
+    A real Gram ``G`` of ``x`` gives ``sum z w* = G_11 + G_22 + i (G_21 -
+    G_12)`` in its ``n x n`` blocks; with the second moment ``sum |z|^2 |w|^2``,
+    the variance ``second - |mean|^2`` is ``>= 0`` by Cauchy-Schwarz, and only
+    the rounding band below it is clipped.  The quadratic-form variance keeps
+    one value per path: its standard error comes from the fourth central
+    moment."""
+    rows, gram, lagged, second, second_lag, quads = zip(*blocks)
+    paths = sum(rows)
+    if paths < 100:
+        raise InvalidArgument(f"need at least 100 paths, got {paths}")
+
+    def product(g, m):
+        n = len(m)
+        mean = (g[:n, :n] + g[n:, n:] + 1j * (g[n:, :n] - g[:n, n:])) / paths
+        var = np.maximum(m / paths - (mean.real**2 + mean.imag**2), 0.0)
+        return McEstimate(value=mean, stderr=np.sqrt(var / paths), paths=paths, seed=seed)
+
+    if quads[0] is None:
+        variance = None
+    else:
+        vals = np.concatenate(quads)
+        var = vals.var(ddof=1)
+        m4 = ((vals - vals.mean()) ** 4).mean()
+        stderr = np.sqrt(max(m4 - var**2 * (paths - 3) / (paths - 1), 0.0) / paths)
+        variance = McEstimate(value=float(var), stderr=float(stderr), paths=paths, seed=seed)
+    return product(sum(gram), sum(second)), product(sum(lagged), sum(second_lag)), variance
+
+
+def _batch_pairs(batch: SimBatch, lag_steps: int, pi_aug=None) -> list:
+    """:func:`_pair_sums` of the final step against the step ``lag_steps``
+    earlier, over the ``MC_BLOCKS`` fixed blocks of the batch's paths."""
+    x1, x0 = batch.thetas[-1], batch.thetas[-1 - lag_steps]
+    edges = _block_edges(batch.paths)
+    return [_pair_sums(x1[lo:hi], x0[lo:hi], pi_aug) for lo, hi in zip(edges, edges[1:])]
 
 
 def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, McEstimate]:
@@ -320,16 +361,14 @@ def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, Mc
 
     Targets are ``P + i Theta`` and ``e^{tau A}(P + i Theta)`` for
     ``tau = lag_steps * h``; estimated at the final step against the step
-    ``lag_steps`` earlier.
+    ``lag_steps`` earlier, from ``n x n`` sums over each of the ``MC_BLOCKS``
+    fixed blocks of paths that drew them (``np.array_split``'s partition),
+    added in block order.
     """
-    if batch.paths < 100:
-        raise InvalidArgument(f"need at least 100 paths, got {batch.paths}")
     _require_integers(lag_steps=lag_steps)
     if not 0 <= lag_steps <= batch.steps:
         raise InvalidArgument("lag exceeds the simulated horizon")
-    z_now = zeta_view(batch.thetas[-1])
-    z_lag = zeta_view(batch.thetas[-1 - lag_steps])
-    return _product_estimate(z_now, z_now, batch.seed), _product_estimate(z_now, z_lag, batch.seed)
+    return _lag_pair(_batch_pairs(batch, lag_steps), batch.seed)[:2]
 
 
 def classical_quadform_variance(model: OqhoModel, pi) -> float:
@@ -343,18 +382,30 @@ def classical_quadform_variance(model: OqhoModel, pi) -> float:
 
 def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     """Per-sample variance estimate of ``zeta* Pi zeta`` at the final step;
-    validator for :func:`classical_quadform_variance`."""
-    if batch.paths < 100:
-        raise InvalidArgument(f"need at least 100 paths, got {batch.paths}")
+    validator for :func:`classical_quadform_variance`.  Its per-path values
+    are formed over the ``MC_BLOCKS`` fixed blocks of paths
+    (``np.array_split``'s partition) and taken in block order."""
     pi, n = WeightMatrix(pi).pi, batch.thetas.shape[-1] // 2
     if pi.shape != (n, n):
         raise DimensionMismatch(f"Pi must be {n}x{n}, got shape {pi.shape}")
-    vals = _quadform(batch.thetas[-1], np.kron(np.eye(2), pi))
-    var = vals.var(ddof=1)
-    # stderr of a sample variance via the fourth central moment
-    m4 = ((vals - vals.mean()) ** 4).mean()
-    stderr = np.sqrt(max(m4 - var**2 * (batch.paths - 3) / (batch.paths - 1), 0.0) / batch.paths)
-    return McEstimate(value=float(var), stderr=float(stderr), paths=batch.paths, seed=batch.seed)
+    return _lag_pair(_batch_pairs(batch, 0, np.kron(np.eye(2), pi)), batch.seed)[2]
+
+
+def _mc_lag_pair(model: OqhoModel, pi, h: float, steps: int, paths: int, seed: int) -> tuple:
+    """``mc_stationary_stats(batch, steps)`` and ``mc_quadform_variance(batch, pi)``
+    of ``batch = simulate(model, h, steps, paths, seed)``, to the bit, without
+    the batch: each block maps its first and last states to ``x`` as
+    :func:`simulate` does and keeps only their :func:`_pair_sums`, so memory is
+    a worker's chunk buffers per worker and one quadratic-form value per path."""
+    _check_run(paths, steps, seed)
+    pi_aug = np.kron(np.eye(2), model.weight_facts(pi).pi)
+    stepper = AugmentedStepper.build(model, h)
+
+    def pair(lo, hi, chain):  # the first chunk is state 0 alone
+        ends = [np.matmul(states[-1], stepper.frame.T) for _, states, *_ in chain]
+        return _pair_sums(ends[-1], ends[0], pi_aug)
+
+    return _lag_pair(_run_blocks(stepper, steps, paths, seed, pair), seed)
 
 
 def _quadform(states: np.ndarray, pi_aug: np.ndarray, scratch=None, out=None) -> np.ndarray:

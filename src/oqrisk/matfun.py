@@ -78,8 +78,10 @@ def _require_finite(a, name):
 
 def _require_integers(**values) -> None:
     """:class:`InvalidArgument` unless every named value is an integer (a
-    Python or numpy integer); run before a range check compares them."""
-    bad = {name: v for name, v in values.items() if not isinstance(v, numbers.Integral)}
+    Python or numpy integer, not a boolean, which Python counts as one); run
+    before a range check compares them."""
+    bad = {name: v for name, v in values.items()
+           if isinstance(v, bool) or not isinstance(v, numbers.Integral)}
     if bad:
         raise InvalidArgument(f"need integers, got {bad}")
 

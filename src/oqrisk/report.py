@@ -211,12 +211,11 @@ def _deviation_block(model, pi, eps_grid) -> dict:
 
 def _classical_block(model, pi, mc: McSettings) -> dict:
     """Statistics of the lag pair ``(x(0), x(tau))``, ``tau = lag h``: one exact
-    step of ``tau`` from the invariant law (at lag 0, one slice); ``mc.steps``
-    sets only the rate horizon."""
+    step of ``tau`` from the invariant law (at lag 0, one slice), reduced block
+    by block as the paths are drawn; ``mc.steps`` sets only the rate horizon."""
     tau = mc.lag * mc.h
-    batch = classical.simulate(model, tau or mc.h, min(mc.lag, 1), mc.paths, mc.seed)
-    cov0, covlag = classical.mc_stationary_stats(batch, batch.steps)
-    var_mc = classical.mc_quadform_variance(batch, pi)
+    cov0, covlag, var_mc = classical._mc_lag_pair(
+        model, pi, tau or mc.h, min(mc.lag, 1), mc.paths, mc.seed)
     target_lag = model.kernel(tau)
     out = {
         "quadform_var_analytic": classical.classical_quadform_variance(model, pi),

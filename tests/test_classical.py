@@ -21,7 +21,6 @@ from oqrisk.classical import (
     mc_rs_rate,
     mc_stationary_stats,
     simulate,
-    zeta_view,
 )
 from oqrisk.errors import (
     DimensionMismatch,
@@ -236,9 +235,8 @@ class TestSimulate:
 
     def test_stats_match_einsum_oracle(self, paper):
         batch = simulate(paper[0], 0.05, 4, 500, seed=8)
-        z_now = zeta_view(batch.thetas[-1])
-        for est, z_then in zip(mc_stationary_stats(batch, 4),
-                               (z_now, zeta_view(batch.thetas[0]))):
+        z_now, z_lag = (x[:, :4] + 1j * x[:, 4:] for x in batch.thetas[[-1, 0]])
+        for est, z_then in zip(mc_stationary_stats(batch, 4), (z_now, z_lag)):
             samples = np.einsum("pi,pj->pij", z_now, z_then.conj())
             mean = samples.mean(axis=0)
             stderr = np.sqrt((np.abs(samples - mean) ** 2).mean(axis=0) / batch.paths)
@@ -306,6 +304,50 @@ class TestSimulate:
         assert out["covlag_stderr"] == out["cov0_stderr"]
         assert out["covlag_target"] == out["cov0_target"]
 
+    def test_classical_block_is_simulate_on_a_pure_state(self, tiny):
+        # the vacuum mode's chain runs in the 2-dimensional frame of its
+        # support; the block maps each kept state back to x as simulate does
+        mc = report.McSettings(h=0.05, paths=500, seed=3, lag=10)
+        out = report._classical_block(tiny, np.eye(2), mc)
+        batch = simulate(tiny, 10 * 0.05, 1, 500, seed=3)
+        cov0, covlag = mc_stationary_stats(batch, 1)
+        var = mc_quadform_variance(batch, np.eye(2))
+        keys = "cov0_mc", "cov0_stderr", "covlag_mc", "covlag_stderr", "quadform_var_mc"
+        assert [out[key] for key in keys] == [
+            report._cmatrix(cov0.value), report._matrix(cov0.stderr), report._cmatrix(covlag.value),
+            report._matrix(covlag.stderr), {"value": var.value, "stderr": var.stderr}]
+
+    def test_classical_block_worker_count_changes_no_value(self, paper, tiny, monkeypatch):
+        # each block's sums are formed on its worker and added in block order
+        # on the calling thread, on the identity frame and on a pure state's
+        mc = report.McSettings(h=0.05, paths=1001, seed=3, lag=10)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
+                runs.append([report._classical_block(model, pi, mc)
+                             for model, pi in (paper, (tiny, np.eye(2)))])
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+    def test_classical_block_memory_is_the_chunk_buffers(self, paper, monkeypatch):
+        # no (2, paths, 2n) pair: at 200,000 paths the block holds each
+        # worker's chunk buffers (~5 MB a worker here, so the pool is pinned
+        # to two) and one quadratic-form value per path; drawing the pair
+        # whole peaked at 67.1 MiB
+        monkeypatch.setattr(classical, "_mc_workers", lambda: 2)
+        mc = report.McSettings(h=0.05, paths=200_000, seed=1, lag=10, theta=None)
+        tracemalloc.start()
+        try:
+            report._classical_block(*paper, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
         with pytest.raises(InvalidArgument):
@@ -336,7 +378,7 @@ class TestQuadformVariance:
     def test_real_form_matches_complex_form(self, paper):
         model, pi = paper
         states = simulate(model, 0.05, 0, 50, seed=4).thetas[0]
-        z = zeta_view(states)
+        z = states[:, :4] + 1j * states[:, 4:]
         ref = np.einsum("pi,ij,pj->p", z.conj(), pi, z).real
         scale = np.linalg.norm(pi, 2) * (states**2).sum(axis=1).max()
         got = classical._quadform(states, np.kron(np.eye(2), pi))
@@ -1062,10 +1104,3 @@ class TestChainChunks:
         for sim, explicit, certified in runs[1:]:
             assert np.array_equal(sim, runs[0][0])
             assert explicit == runs[0][1] and certified == runs[0][2]
-
-
-def test_zeta_view_roundtrip():
-    states = np.arange(8.0).reshape(2, 4)
-    z = zeta_view(states)
-    assert np.array_equal(z.real, states[:, :2])
-    assert np.array_equal(z.imag, states[:, 2:])

@@ -100,6 +100,9 @@ def _unstable_tiny():
     (lambda m, pi: classical.mc_rs_rate(m, pi, 0.001, 2.0, -5, 1, h=0.05), InvalidArgument),
     (lambda m, pi: classical.simulate(m, 0.05, 2, 10, -1), InvalidArgument),
     (lambda m, pi: classical.simulate(m, 0.05, 2, 0, 1), InvalidArgument),
+    # a boolean is a numbers.Integral, not a count or a seed
+    (lambda m, pi: classical.simulate(m, 0.1, True, 200, 1), InvalidArgument),
+    (lambda m, pi: classical.simulate(m, 0.1, 1, 200, False), InvalidArgument),
     # non-integer orders and counts, refused before a range check compares them
     (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2, 1.0, 9.5), InvalidArgument),
     (lambda m, pi: cumulants.cumulant_finite_td(m, pi, 2.5, 1.0, 9), InvalidArgument),
@@ -144,6 +147,7 @@ def _unstable_tiny():
         "sde-rate-zero-weight-nan-theta", "qef-zero-weight-nan-theta", "qef-nan-theta",
         "quartic-inf-theta", "quartic-negative-theta", "mc-rate-zero-paths",
         "mc-rate-negative-paths", "simulate-negative-seed", "simulate-zero-paths",
+        "simulate-boolean-steps", "simulate-boolean-seed",
         "td-fractional-grid", "td-fractional-order", "rate-fractional-order",
         "table-fractional-order", "td-discretized-fractional-order", "wick-fractional-order",
         "mc-stats-fractional-lag", "bound-curve-2d-grid", "bound-curve-inf-eps",
