@@ -150,7 +150,7 @@ class _RateBlock:
         wh = w.conj().swapaxes(-1, -2)
         sizes = (np.linalg.norm(wh[..., :half, :] @ w[..., :half], axis=(-2, -1))
                  + np.linalg.norm(wh[..., half:, :] @ w[..., half:], axis=(-2, -1)))
-        self.gram = wh @ (facts.pi @ w)
+        self.gram = wh @ (facts.pi @ w.view(float)).view(complex)  # one real product
         self.gram *= 2.0
         self.base = 2.0 * opnorm2(facts.pi) * sizes
         self.f = [self.gram[..., :half, :]]

@@ -2,23 +2,29 @@
 log-determinants, quadrature.
 
 All analysis modules go through these routines so accuracy policies live in
-one place, and this is the one module that imports SciPy.  Conventions:
+one place.  This is the one module that may import SciPy, and it does so
+only inside a function, for a hard case: the default path runs on numpy
+alone.  Conventions:
 
-* Lyapunov equations are solved by the Bartels-Stewart method (Schur forms
-  and a triangular Sylvester solve, O(n^3)) through SciPy, then certified:
-  Hurwitz drift and residual are checked on every call.
-* The stabilising Riccati solution comes from the stable subspace of its
-  Hamiltonian and one Kleinman step, certified by its residual (:func:`_care`).
+* Lyapunov equations are solved in the eigenbasis of the drift, then
+  certified: Hurwitz drift and residual are checked on every call.  A
+  (nearly) defective drift, or a solution that fails its certificate, falls
+  back to SciPy's Bartels-Stewart method (Schur forms and a triangular
+  Sylvester solve, O(n^3)), certified the same way (:func:`lyap_solve`).
+* The stabilising Riccati solution comes from the stable eigenvectors of
+  its Hamiltonian and one Kleinman step, certified by its residual; an
+  ordered Schur form (SciPy) gives the stable subspace when that route
+  fails (:func:`_care`).
 * An exponential moment's ``ln det(I - X)`` is summed from ``log1p`` of
   Cholesky pivots, never from the log of a number near 1, so a small ``X``
   keeps its relative accuracy; a non-positive ``I - X`` is an infinite
   moment, :class:`ThetaOutOfRange` (:func:`_logdet_i_minus`).
-* The matrix exponential delegates to SciPy's scaling-and-squaring Pade-13
-  implementation (backward stable).  The lag ladder ``e^{(a + k h) A}`` of
-  each segment of the tail-bound kernel grid goes through the
-  eigendecomposition when ``A`` is comfortably diagonalizable, with the
-  phases at the segment start ``a`` formed directly, and otherwise steps by
-  one exponential from ``e^{a A}`` (:func:`expm_ladder`).
+* The matrix exponential is scaling and squaring with a Pade approximant of
+  degree 3 to 13 (Higham 2005, backward stable), in numpy.  The lag ladder
+  ``e^{(a + k h) A}`` of each segment of the tail-bound kernel grid goes
+  through the eigendecomposition when ``A`` is comfortably diagonalizable,
+  with the phases at the segment start ``a`` formed directly, and otherwise
+  steps by one exponential from ``e^{a A}`` (:func:`expm_ladder`).
 * Frequency integrals go through one rule on the half line ``lam >= 0``
   (:func:`_frequency_rule`): composite Gauss-Kronrod panels graded toward
   the resonances of the integrand's poles up to an upper end, laid out once
@@ -41,7 +47,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -86,23 +91,81 @@ def _require_integers(**values) -> None:
         raise InvalidArgument(f"need integers, got {bad}")
 
 
+#: Pade degrees of :func:`expm` and the largest 1-norm each one covers to
+#: unit roundoff (Higham 2005, Table 2.3); a larger norm is scaled to the last.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+#: Coefficients ``b_0 .. b_m`` of the degree-``m`` diagonal Pade approximant
+#: of ``e^x``, ``p(x) = sum b_j x^j`` over ``p(-x)``.
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+         1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def _pade(a: np.ndarray, norm: float) -> tuple[np.ndarray, int]:
+    """The lowest-degree Pade approximant of ``e^{a / 2^s}`` that is exact to
+    unit roundoff at 1-norm ``norm``, and the ``s`` it needs: ``(V - U)^-1 (V +
+    U)``, with ``U`` and ``V`` the odd and the even part of its numerator, as
+    ``I + 2 (V - U)^-1 U``, whose rounding is relative to ``e^a - I``.  Degree
+    13 is evaluated from ``A^2``, ``A^4`` and ``A^6`` alone (Higham 2005)."""
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE_THETA[m]:
+            b, powers, s = _PADE_COEFFS[m], [eye, a2], 0
+            for _ in range(m // 2 - 1):
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+            v = sum(b[2 * j] * p for j, p in enumerate(powers))
+            break
+    else:
+        s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13]))))
+        scale = 0.5 ** s
+        a, a2 = scale * a, scale * scale * a2
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        b = _PADE_COEFFS[13]
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 \
+            + b[0] * eye
+    return eye + 2.0 * np.linalg.solve(v - u, u), s
+
+
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(t*a)`` via scaling-and-squaring (Pade 13).
+    """Matrix exponential ``exp(t*a)`` in numpy: scaling and squaring with
+    the lowest Pade degree of 3, 5, 7, 9 and 13 that is exact to unit
+    roundoff at the 1-norm of ``t*a`` (Higham, "The scaling and squaring
+    method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl.
+    26 (2005) 1179-1193), backward stable.  SciPy is not imported.
 
     Raises
     ------
     InvalidArgument
         If ``a`` or ``t`` is not finite.
     NumericalDefect
-        If ``exp(t*a)`` leaves the double-precision range.
+        If ``exp(t*a)`` leaves the double-precision range (no floating-point
+        warning is emitted).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expm expects a square matrix")
     _require_finite(a, "matrix")
     _require_finite(t, "time")
-    with np.errstate(over="ignore"):  # converted to an error below
-        out = scipy.linalg.expm(t * a)
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        a = t * a.astype(np.result_type(a, float))
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+        out, s = _pade(a, norm) if np.isfinite(norm) else (np.full_like(a, np.nan), 0)
+        for _ in range(s):
+            out = out @ out
     if not np.all(np.isfinite(out)):
         raise NumericalDefect("exp(t*A) overflowed double precision")
     return out
@@ -151,9 +214,6 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
     through ``basis = eig_basis(a)`` when it is well conditioned, with the
     phases ``exp((start + k*step) mu)`` of the eigenvalues ``mu`` formed
     directly, and otherwise steps by ``exp(step*a)`` from ``exp(start*a)``.
-    A late ``start`` is never folded into ``right`` as ``exp(start*a)`` on the
-    eigenvector route: Pade ``expm`` of a lightly damped mode is already
-    1e-11 off at ``start = 831``.
     """
     a = np.asarray(a, dtype=float)
     if basis.inverse is not None:
@@ -180,55 +240,74 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
     return np.concatenate(out)
 
 
+def _lyap_defect(a, x, q) -> Optional[str]:
+    """Why ``x`` fails the certificate of ``AX + XA^H + Q = 0`` (a residual
+    above 1e-10 of ``||A|| ||X|| + ||Q||``), or ``None`` if it passes."""
+    res = np.linalg.norm(a @ x + x @ a.conj().T + q)
+    scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
+    return f"Lyapunov residual {res:.3e} exceeds 1e-10 * {scale:.3e}" if res > 1e-10 * scale \
+        else None
+
+
 def lyap_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve the Lyapunov equation ``AX + XA^H + Q = 0`` for a real or complex ``A``.
 
-    Bartels-Stewart (SciPy): Schur reduction of ``A`` and a triangular
-    Sylvester solve, O(n^3) flops.  ``Q`` need not be Hermitian; for
-    Hermitian ``Q`` the solution is Hermitian up to rounding only, so
-    callers that need exact symmetry symmetrize.
+    The numpy route solves in the eigenbasis of one ``np.linalg.eig(A)`` (which
+    also gives the Hurwitz test): with ``A = V diag(mu) V^-1``, ``X = V Y V^H``
+    and ``Y_ij = -(V^-1 Q V^-H)_ij / (mu_i + conj(mu_j))``.  The result is
+    certified by its residual (at most 1e-10 of ``||A|| ||X|| + ||Q||``).  When
+    ``V`` is ill conditioned (``cond(V) >= DIAG_COND``, a (nearly) defective
+    ``A``) or the certificate fails, ``scipy.linalg`` is imported here and
+    Bartels-Stewart (a Schur reduction of ``A`` and a triangular Sylvester
+    solve) gives ``X``, certified the same way.  Both are O(n^3) flops.  ``Q``
+    need not be Hermitian; for Hermitian ``Q`` the solution is Hermitian up to
+    rounding only, so callers that need exact symmetry symmetrize.
 
     Raises
     ------
+    DimensionMismatch
+        Unless ``A`` and ``Q`` are square, of one size and not empty.
     NotHurwitz
         If ``A`` has an eigenvalue with real part above the Hurwitz band (below
-        it every ``lam_i + conj(lam_j)`` is at least 2e-10 from zero).
+        it every ``mu_i + conj(mu_j)`` is at least 2e-10 from zero).
     NumericalDefect
-        If the residual exceeds 1e-10 of ``||A|| ||X|| + ||Q||`` after the solve.
+        If the Bartels-Stewart solution fails the residual certificate too.
     """
     a = np.asarray(a)
     q = np.asarray(q)
-    n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise DimensionMismatch("lyap_solve expects square matrices of equal size")
+    if a.ndim != 2 or a.shape != q.shape or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch("lyap_solve expects non-empty square matrices of equal size")
     _require_finite(a, "A")
     _require_finite(q, "Q")
-    abscissa = np.linalg.eigvals(a).real.max()
+    # a real A with a complex Q solves as its complex cast, to the bit
+    a = a.astype(complex) if np.iscomplexobj(q) else a
+    basis = eig_basis(a)
+    abscissa = basis.values.real.max()
     if abscissa >= HURWITZ_TOL:
         raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not below {HURWITZ_TOL}")
-    a = a.astype(complex) if np.iscomplexobj(q) else a  # SciPy mishandles a real A, complex Q
+    if basis.inverse is not None:
+        v, vi, mu = basis.vectors, basis.inverse, basis.values
+        x = v @ ((vi @ q @ vi.conj().T) / -np.add.outer(mu, mu.conj())) @ v.conj().T
+        x = x if np.iscomplexobj(a) else x.real
+        if _lyap_defect(a, x, q) is None:
+            return x
+    import scipy.linalg  # the fallback: only a hard case loads SciPy
+
     x = scipy.linalg.solve_continuous_lyapunov(a, -q)
-    res = np.linalg.norm(a @ x + x @ a.conj().T + q)
-    scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)
-    if res > 1e-10 * scale:
-        raise NumericalDefect(f"Lyapunov residual {res:.3e} exceeds 1e-10 * {scale:.3e}")
+    defect = _lyap_defect(a, x, q)
+    if defect is not None:
+        raise NumericalDefect(defect)
     return x
 
 
-def _care(ham: np.ndarray) -> np.ndarray:
-    """The stabilising solution ``X`` of ``A'X + XA + Pi + XFX = 0`` from its
-    Hamiltonian ``ham = [[A, F], [-Pi, -A']]`` (Glover & Doyle 1988): the stable
-    subspace of an ordered complex Schur form (Laub 1979), then one Kleinman
-    Newton step, whose Lyapunov solve certifies the closed loop Hurwitz.
-    :class:`NumericalDefect` unless the subspace has dimension n and the
-    residual is at most 1e-12 of its terms' norms."""
+def _care_from(ham: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`_care`'s solution from a basis ``z`` (``2n x n``) of the
+    Hamiltonian's stable subspace: ``X2 X1^-1``, one Kleinman Newton step and
+    the residual certificate."""
     n = len(ham) // 2
     a, f, pi = ham[:n, :n], ham[:n, n:], -ham[n:, :n]
-    _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
-    if dim != n:
-        raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
     # X2 X1^-1; a singular X1 gives no solution and fails the residual test
-    x = np.linalg.lstsq(z[:n, :n].T, z[n:, :n].T, rcond=None)[0].T
+    x = np.linalg.lstsq(z[:n].T, z[n:].T, rcond=None)[0].T
     x = 0.5 * (x + x.conj().T)
     x = x + lyap_solve((a + f @ x).conj().T, a.T @ x + x @ a + pi + x @ f @ x)
     terms = (a.T @ x, x @ a, pi, x @ f @ x)
@@ -236,6 +315,36 @@ def _care(ham: np.ndarray) -> np.ndarray:
     if res > 1e-12 * scale:
         raise NumericalDefect(f"Riccati residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
     return x
+
+
+def _care(ham: np.ndarray) -> np.ndarray:
+    """The stabilising solution ``X`` of ``A'X + XA + Pi + XFX = 0`` from its
+    Hamiltonian ``ham = [[A, F], [-Pi, -A']]`` (Glover & Doyle 1988).
+
+    The numpy route takes the stable subspace from the eigenvectors of one
+    ``np.linalg.eig(ham)`` (:func:`eig_basis`) whose eigenvalues have negative
+    real parts, then one Kleinman Newton step, whose Lyapunov solve certifies
+    the closed loop Hurwitz, and the residual certificate: at most 1e-12 of
+    its terms' norms.  When that route fails (eigenvectors ill conditioned at
+    ``DIAG_COND`` or past it, not n stable eigenvalues, a non-Hurwitz closed
+    loop or a failed certificate), ``scipy.linalg`` is imported here and the
+    subspace comes from an ordered complex Schur form (Laub 1979), certified
+    the same way.  :class:`NumericalDefect` unless that subspace has dimension
+    n and passes the certificate."""
+    n = len(ham) // 2
+    try:
+        basis = eig_basis(ham)
+        stable = basis.values.real < 0.0
+        if basis.inverse is not None and np.count_nonzero(stable) == n:
+            return _care_from(ham, basis.vectors[:, stable])
+    except (np.linalg.LinAlgError, NotHurwitz, NumericalDefect):
+        pass
+    import scipy.linalg  # the fallback: only a hard case loads SciPy
+
+    _, z, dim = scipy.linalg.schur(ham, output="complex", sort="lhp")
+    if dim != n:
+        raise NumericalDefect(f"the Hamiltonian has {dim} stable eigenvalues, not {n}")
+    return _care_from(ham, z[:, :n])
 
 
 @functools.cache
@@ -282,6 +391,8 @@ def opnorm2(k: np.ndarray) -> float:
 
 def _psd_eig(k: np.ndarray):
     k = np.asarray(k)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {k.shape}")
     # the test herm_res > 1e-12 max(1, ||k||) on k / max|k|, whose norms cannot overflow
     big = float(np.abs(k).max(initial=0.0)) or 1.0
     unit = k / big

@@ -239,7 +239,8 @@ class WeightFacts:
         """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)`` stacked over
         the frequencies ``lams``, ``D = G Omega G* = 2 W0 W0*`` from the first
         column half of :meth:`OqhoModel.density_factor` only."""
-        x = self.root @ self.model.density_factor(lams)[..., :self.model.m // 2]
+        w0 = self.model.density_factor(lams)[..., :self.model.m // 2]
+        x = (self.root @ w0.view(float)).view(complex)  # one real product
         return np.linalg.eigvalsh(2.0 * x @ x.conj().swapaxes(-1, -2))
 
     @cached_property

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oqrisk
 
-from conftest import by_blocks, damped_mode, paper_example_model
+from conftest import by_blocks, congruent_n32, damped_mode, paper_example_model
+from oqrisk import model_from_matrices
 from oqrisk.deviations import GRADE_DEPTH, DeviationAnalysis
 from oqrisk.errors import (
     NoConvergence,
@@ -18,9 +20,12 @@ from oqrisk.errors import (
     ThetaOutOfRange,
 )
 from oqrisk.matfun import (
+    DIAG_COND,
     RULE_ORDER,
     _frequency_rule,
     _kronrod,
+    _care,
+    _care_from,
     _legendre,
     _logdet_i_minus,
     _panels,
@@ -34,6 +39,7 @@ from oqrisk.matfun import (
     opnorm2,
     sqrt_psd,
 )
+from oqrisk.model import canonical_ccr
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -48,6 +54,37 @@ def kron_lyap(a, q):
 def random_hurwitz(rng, n):
     a = rng.standard_normal((n, n))
     return a - (np.linalg.eigvals(a).real.max() + rng.uniform(0.2, 2.0)) * np.eye(n)
+
+
+def defective_drift(r2=0.0):
+    """``test_defective_drift``'s model, ``A = [[-0.5, 0], [-1, -0.5]]`` (a
+    defective double eigenvalue) at ``R = diag(1, 0)``; ``R = diag(1, 10^-k)``
+    gives the near-defective drift at ``k``."""
+    return model_from_matrices(canonical_ccr(2).theta, np.diag([1.0, r2]),
+                               np.sqrt(0.5) * np.eye(2))
+
+
+def count_calls(monkeypatch, name):
+    """A list that gains an entry at each call of ``scipy.linalg.<name>``, the
+    SciPy fallbacks ``matfun`` imports lazily, from here on."""
+    calls, func = [], getattr(scipy.linalg, name)
+    monkeypatch.setattr(scipy.linalg, name, lambda *a, **k: calls.append(1) or func(*a, **k))
+    return calls
+
+
+def _n32_step(top):
+    """The n = 32 congruent-oscillator drift and the top rung ``2 / (1 + ||A||)``
+    or the floor ``min(0.02, 0.1 / (1 + ||A||))`` of the certified Monte Carlo step."""
+    a = congruent_n32()[0].a
+    scale = 1.0 + opnorm2(a)
+    return a, (2.0 / scale if top else min(0.02, 0.1 / scale))
+
+
+def _paper_flow_chunk():
+    """``-H`` and one chunk of the paper fixture's continuous-rate flow at theta 0.001."""
+    model, pi = paper_example_model()
+    flow = -model.weight_facts(pi)._hamiltonian(0.001)
+    return flow, 2.0 / np.ceil(2.0 * opnorm2(flow) / 4.0)
 
 
 class TestExpm:
@@ -78,6 +115,31 @@ class TestExpm:
 
         with pytest.raises(NumericalDefect):
             expm(np.diag([1000.0, -1.0]), 1.0)
+
+    @pytest.mark.parametrize("case, tol", [
+        (lambda: (paper_example_model()[0].a, 2.0), 1e-14),
+        (lambda: (paper_example_model()[0].a, 100.0), 2e-13),
+        (lambda: (damped_mode().a, 100.0), 3e-11),
+        (lambda: (damped_mode().a, 831.0), 3e-10),
+        (lambda: (-np.eye(4) + np.eye(4, k=1), 1.0), 1e-15),
+        (lambda: (-np.eye(4) + np.eye(4, k=1), 30.0), 1e-14),
+        (lambda: _n32_step(top=False), 1e-15),
+        (lambda: _n32_step(top=True), 2e-15),
+        (_paper_flow_chunk, 2e-15),
+    ], ids=["paper-2", "paper-100", "damped-100", "damped-831", "jordan4-1", "jordan4-30",
+            "n32-floor-step", "n32-top-step", "paper-flow-chunk"])
+    def test_matches_scipy_on_the_librarys_calls(self, case, tol):
+        # the largest entry error over the largest entry against SciPy's expm,
+        # measured at one BLAS thread and at OpenBLAS's default: 4.0e-15 and
+        # 6.8e-14 (paper fixture, the kernel's lags), 9.8e-12 and 1.2e-10 (the
+        # damped mode; SciPy's own error, 9.7e-12 and 1.2e-10 against a
+        # 40-digit mpmath expm, where this one is 4.0e-14 and 3.3e-13), 1.5e-16
+        # and 1.8e-15 (a 4 x 4 Jordan block), 1.1e-16 and 5.5e-16 (the n = 32
+        # model at the Monte Carlo step's floor and top rung) and 6.5e-16 (a
+        # chunk of the paper fixture's continuous-rate flow, complex)
+        a, t = case()
+        ref = scipy.linalg.expm(t * a)
+        assert np.abs(expm(a, t) - ref).max() <= tol * np.abs(ref).max()
 
     def test_expm_multi_matches_pointwise(self):
         # batched lag ladder against pointwise expm: a diagonalizable drift
@@ -193,6 +255,91 @@ class TestLyap:
             lyap_solve(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(NotHurwitz):
             lyap_solve(np.diag([-1.0, 1e-12]), np.eye(2))
+
+    def test_defective_drift_takes_the_scipy_fallback(self, monkeypatch):
+        # cond(V) is 9e15 at A = [[-0.5, 0], [-1, -0.5]], past DIAG_COND: the
+        # eigenbasis is refused and Bartels-Stewart solves
+        model = defective_drift()
+        assert model.eig.cond >= DIAG_COND
+        a, q = model.a, model.b @ model.b.T
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -q)
+        calls = count_calls(monkeypatch, "solve_continuous_lyapunov")
+        assert np.array_equal(lyap_solve(a, q), ref) and len(calls) == 1
+
+    def test_near_defective_drifts_certify_or_fall_back(self, monkeypatch):
+        # at R = diag(1, 10^-k), cond(V) ~ 10^(k/2) stays below DIAG_COND up to
+        # k = 13, and the eigenbasis solve's error grows like cond(V)^2 eps.
+        # Measured: the eigen route passes its certificate at k = 2..6, 11 and
+        # 13, at most 3.0e-11 off SciPy (k = 6; 1.1e-15 at k = 2, 2.6e-13 at
+        # k = 13), and fails it at k = 7 (residual 1.1e-10), 8, 9, 10 (1.4e-10)
+        # and 12, where Bartels-Stewart solves
+        solve = scipy.linalg.solve_continuous_lyapunov
+        calls = count_calls(monkeypatch, "solve_continuous_lyapunov")
+        fell = set()
+        for k in range(2, 14):
+            model = defective_drift(10.0 ** -k)
+            a, q = model.a, model.b @ model.b.T
+            assert model.eig.cond < DIAG_COND
+            before, x = len(calls), lyap_solve(a, q)
+            ref = solve(a, -q)
+            res = np.linalg.norm(a @ x + x @ a.T + q)
+            assert res <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q))
+            if len(calls) > before:
+                fell.add(k)
+                assert np.array_equal(x, ref)
+            else:
+                assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert {7, 10} <= fell and not fell & {2, 3, 4, 5}
+
+    def test_well_conditioned_drifts_stay_on_numpy(self, monkeypatch):
+        calls = count_calls(monkeypatch, "solve_continuous_lyapunov")
+        rng = np.random.default_rng(14)
+        for n in (2, 8, 32):
+            a = random_hurwitz(rng, n)
+            lyap_solve(a, np.eye(n))
+        model, pi = paper_example_model()
+        lyap_solve(model.a, model.b @ model.b.T)
+        lyap_solve(model.a.T, pi)
+        assert calls == []
+
+
+class TestCare:
+    """The stabilising Riccati solution: stable eigenvectors of ``H``, else an
+    ordered Schur form."""
+
+    @staticmethod
+    def schur_route(ham):
+        z = scipy.linalg.schur(ham, output="complex", sort="lhp")[1]
+        return _care_from(ham, z[:, :len(ham) // 2])
+
+    def test_defective_drift_takes_the_schur_fallback(self, monkeypatch):
+        # at theta = 0, H = [[A, 0], [-Pi, -A']] has A's defective eigenvalue:
+        # its eigenvectors are refused (cond >= DIAG_COND), the ordered Schur
+        # form gives the subspace, and X is the Lyapunov solution Q of
+        # A'Q + QA + Pi = 0
+        facts = defective_drift().weight_facts(np.diag([1.0, 2.0]))
+        ham = facts._hamiltonian(0.0)
+        assert eig_basis(ham).inverse is None
+        ref = self.schur_route(ham)
+        calls = count_calls(monkeypatch, "schur")
+        x = _care(ham)
+        assert len(calls) == 1 and np.array_equal(x, ref)
+        assert np.abs(x - facts.q).max() <= 1e-14 * np.abs(facts.q).max()
+
+    @pytest.mark.parametrize("name", ["defective", "paper"])
+    def test_eigen_route_matches_the_schur_route(self, name, monkeypatch):
+        # below the peak H's eigenvectors are well conditioned (cond 44 to 360
+        # on the defective drift, 120 to 1400 on the paper fixture); measured
+        # against the Schur route: at most 8.8e-17 and 9.3e-15 relative
+        model, pi = (defective_drift(), np.diag([1.0, 2.0])) if name == "defective" \
+            else paper_example_model()
+        facts = model.weight_facts(pi)
+        hams = [facts._hamiltonian(frac / facts.density_peak) for frac in (0.01, 0.3, 0.9, 0.999)]
+        refs = [self.schur_route(ham) for ham in hams]
+        calls = count_calls(monkeypatch, "schur")
+        for ham, ref in zip(hams, refs):
+            assert np.abs(_care(ham) - ref).max() <= 3e-14 * np.abs(ref).max()
+        assert calls == []
 
 
 class TestOpnorm:
@@ -460,6 +607,25 @@ def _per_centre_edges(poles, upper):
             lo += b.size
         picked.append(max(lo - 1, picked[-1] + 1))  # a panel spans at least one step
     return cands[picked]
+
+
+def test_import_and_analyze_leave_scipy_out():
+    # SciPy is a lazy fallback for hard cases: import oqrisk and an analyze of
+    # the paper fixture (the baseline config: perfbench's paper-analyze one at
+    # Monte Carlo seed 7) run on numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(oqrisk.__file__).parents[1]))
+    code = (
+        "import sys, oqrisk\n"
+        "from oqrisk import report\n"
+        "doc = {'theta_list': [0.005, 0.01], 'orders': [2, 3, 4, 6],\n"
+        "       'eps_grid': {'min': 280.0, 'max': 900.0, 'steps': 8},\n"
+        "       'mc': {'h': 0.05, 'steps': 400, 'paths': 20000, 'lag': 10,\n"
+        "              'theta': 0.001, 'seed': 7}}\n"
+        "_, failed = report.analyze(report.parse_config(doc, fixture='paper-example'))\n"
+        "print(failed, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "False []"
 
 
 def test_import_leaves_scipy_integrate_out():

@@ -16,7 +16,7 @@ from conftest import J2
 from oqrisk import classical, cumulants, deviations, gaussian, matfun, model, quartic, report
 from oqrisk.cli import build_parser
 from oqrisk.errors import (ConfigError, DimensionMismatch, InvalidArgument, NotHurwitz, NotPsd,
-                           NotSymmetric, ThetaOutOfRange)
+                           NotSymmetric, NumericalDefect, ThetaOutOfRange)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,6 +135,11 @@ def _unstable_tiny():
     (lambda m, pi: model.CcrMatrix(np.zeros((2, 3))), DimensionMismatch),
     (lambda m, pi: model.WeightMatrix(np.zeros((2, 3))), DimensionMismatch),
     (lambda m, pi: report.parse_config({"orders": 3}, fixture="paper-example"), ConfigError),
+    # empty matrices; an overflow must raise without a floating-point warning
+    # first (a RuntimeWarning is an error under the suite's filters)
+    (lambda m, pi: matfun.lyap_solve(np.zeros((0, 0)), np.zeros((0, 0))), DimensionMismatch),
+    (lambda m, pi: matfun.sqrt_psd(np.zeros((0, 0))), DimensionMismatch),
+    (lambda m, pi: matfun.expm(m.a, -1e3), NumericalDefect),
 ], ids=["negative-horizon", "qcf-vector-shape", "few-grid-points", "lag-past-horizon",
         "nonfinite-theta", "nonfinite-coupling", "nonfinite-matrix", "expm-not-square",
         "lyap-shape", "sqrt-not-hermitian", "kernel-nan-lag", "qcf-nan-time",
@@ -154,7 +159,8 @@ def _unstable_tiny():
         "bound-numeric-array-eps", "bound-numeric-inf-eps", "stepper-negative-step",
         "quadform-variance-few-paths", "td-grid-over-cap", "deviation-not-hurwitz",
         "envelope-not-hurwitz", "density-not-hurwitz", "inv-sqrt-singular", "block-j-odd",
-        "ccr-not-square", "weight-not-square", "config-orders-not-list"])
+        "ccr-not-square", "weight-not-square", "config-orders-not-list", "lyap-empty",
+        "sqrt-empty", "expm-overflow"])
 def test_input_checks_raise_typed_errors(paper, call, expected):
     # the CLI turns an OqriskError into an exit code; a bare ValueError
     # would escape it as a traceback
