@@ -181,20 +181,49 @@ def _support_frame(model: OqhoModel, p_aug: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimBatch:
-    """Simulated trajectories of the augmented state, shape
-    ``(steps + 1, paths, 2n)``."""
+    """Simulated trajectories in the stepper's frame: ``states`` of shape
+    ``(steps + 1, paths, rank)`` in the coordinates ``y = frame' x`` of the
+    ``2n x rank`` ``frame`` (``rank = n`` for a pure state, else ``2n`` and
+    the identity frame).  :attr:`thetas` maps them back to the augmented
+    state."""
 
-    thetas: np.ndarray
+    states: np.ndarray
+    frame: np.ndarray
     h: float
     seed: int
 
     @property
+    def thetas(self) -> np.ndarray:
+        """The augmented states ``x = y frame'``, shape ``(steps + 1, paths,
+        2n)``: the stored ``states`` themselves on the identity frame, else
+        a new array, mapped block by block of paths as :func:`_block_x` maps."""
+        if self.frame.shape[1] == self.frame.shape[0]:
+            return self.states
+        out = np.empty((*self.states.shape[:2], len(self.frame)))
+        edges = _block_edges(self.paths)
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(self.states[:, lo:hi], self.frame.T, out=out[:, lo:hi])
+        return out
+
+    @property
     def steps(self) -> int:
-        return self.thetas.shape[0] - 1
+        return self.states.shape[0] - 1
 
     @property
     def paths(self) -> int:
-        return self.thetas.shape[1]
+        return self.states.shape[1]
+
+
+def _block_x(batch: SimBatch, step: int, lo: int, hi: int) -> np.ndarray:
+    """The augmented states ``states[step, lo:hi] @ frame'`` of the paths
+    ``lo:hi`` at ``step``; the stored states on the identity frame.  A block
+    of paths is one ``(paths, rank) x (rank, 2n)`` product, as in
+    :func:`_mc_lag_pair`, so a state's bits do not depend on which slices
+    are mapped."""
+    states = batch.states[step, lo:hi]
+    if batch.frame.shape[1] == batch.frame.shape[0]:
+        return states
+    return states @ batch.frame.T
 
 
 def _chain(stepper: AugmentedStepper, steps, rng, raw, states, values):
@@ -282,23 +311,25 @@ def simulate(
     the exact one-step recursion in the stepper's frame (``rank`` normals per
     path and step: ``n`` for a pure state, else ``2n``), in ``MC_BLOCKS``
     fixed blocks of paths with one spawned stream each, stepped in chunks of
-    states sized by bytes, and maps each chunk back as ``x = y frame'``; a pure
-    state's paths lie on the support of the invariant law to rounding.  Output
-    is bitwise-deterministic for a fixed seed, whatever the number of CPUs or
-    the chunk size.  Memory is the ``(steps+1) * paths * 2n`` doubles returned
-    and a few chunks per worker; the chain is stationary from step 0, so
-    lagged statistics need only ``steps = lag``.
+    states sized by bytes, and keeps the chain's coordinates ``y`` with the
+    frame; :attr:`SimBatch.thetas` maps them back as ``x = y frame'``, and a
+    pure state's paths lie on the support of the invariant law to rounding.
+    Output is bitwise-deterministic for a fixed seed, whatever the number of
+    CPUs or the chunk size.  Memory is the ``(steps+1) * paths * rank``
+    doubles returned (half of the augmented ``2n`` columns for a pure
+    state) and a few chunks per worker; the chain is stationary from step
+    0, so lagged statistics need only ``steps = lag``.
     """
     _check_run(paths, steps, seed)
-    out = np.empty((steps + 1, paths, 2 * model.n))
     stepper = AugmentedStepper.build(model, h)
+    out = np.empty((steps + 1, paths, len(stepper.p_root)))
 
     def fill(lo, hi, chain):
         for k, states, *_ in chain:
-            np.matmul(states, stepper.frame.T, out=out[k:k + len(states), lo:hi])
+            out[k:k + len(states), lo:hi] = states
 
     _run_blocks(stepper, steps, paths, seed, fill)
-    return SimBatch(thetas=out, h=h, seed=seed)
+    return SimBatch(states=out, frame=stepper.frame, h=h, seed=seed)
 
 
 def _pair_sums(x1: np.ndarray, x0: np.ndarray, pi_aug: np.ndarray | None) -> tuple:
@@ -349,10 +380,14 @@ def _lag_pair(blocks: list, seed: int) -> tuple[McEstimate, McEstimate, McEstima
 
 def _batch_pairs(batch: SimBatch, lag_steps: int, pi_aug=None) -> list:
     """:func:`_pair_sums` of the final step against the step ``lag_steps``
-    earlier, over the ``MC_BLOCKS`` fixed blocks of the batch's paths."""
-    x1, x0 = batch.thetas[-1], batch.thetas[-1 - lag_steps]
-    edges = _block_edges(batch.paths)
-    return [_pair_sums(x1[lo:hi], x0[lo:hi], pi_aug) for lo, hi in zip(edges, edges[1:])]
+    earlier, over the ``MC_BLOCKS`` fixed blocks of the batch's paths: each
+    block maps only those two slices (one at lag 0) to ``x``."""
+    edges, pairs = _block_edges(batch.paths), []
+    for lo, hi in zip(edges, edges[1:]):
+        x1 = _block_x(batch, -1, lo, hi)
+        x0 = x1 if lag_steps == 0 else _block_x(batch, -1 - lag_steps, lo, hi)
+        pairs.append(_pair_sums(x1, x0, pi_aug))
+    return pairs
 
 
 def mc_stationary_stats(batch: SimBatch, lag_steps: int) -> tuple[McEstimate, McEstimate]:
@@ -385,7 +420,7 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
     validator for :func:`classical_quadform_variance`.  Its per-path values
     are formed over the ``MC_BLOCKS`` fixed blocks of paths
     (``np.array_split``'s partition) and taken in block order."""
-    pi, n = WeightMatrix(pi).pi, batch.thetas.shape[-1] // 2
+    pi, n = WeightMatrix(pi).pi, len(batch.frame) // 2
     if pi.shape != (n, n):
         raise DimensionMismatch(f"Pi must be {n}x{n}, got shape {pi.shape}")
     return _lag_pair(_batch_pairs(batch, 0, np.kron(np.eye(2), pi)), batch.seed)[2]
@@ -395,7 +430,7 @@ def _mc_lag_pair(model: OqhoModel, pi, h: float, steps: int, paths: int, seed: i
     """``mc_stationary_stats(batch, steps)`` and ``mc_quadform_variance(batch, pi)``
     of ``batch = simulate(model, h, steps, paths, seed)``, to the bit, without
     the batch: each block maps its first and last states to ``x`` as
-    :func:`simulate` does and keeps only their :func:`_pair_sums`, so memory is
+    :func:`_block_x` does and keeps only their :func:`_pair_sums`, so memory is
     a worker's chunk buffers per worker and one quadratic-form value per path."""
     _check_run(paths, steps, seed)
     pi_aug = np.kron(np.eye(2), model.weight_facts(pi).pi)

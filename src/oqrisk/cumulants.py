@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matfun
 from .errors import DimensionMismatch, InvalidArgument, NumericalDefect
 from .matfun import RULE_BLOCK, RULE_TOL, _require_integers, integrate_frequency, opnorm2
 from .model import OqhoModel
@@ -60,7 +61,7 @@ def _descent_recursion(first: np.ndarray, steps, split=None) -> np.ndarray:
     taken for every stacked entry at once.  With a column ``split`` an
     ascent multiplies only the first ``split`` columns of what it follows
     and a descent only the rest, so ``up`` has ``split`` rows and ``down``
-    the rest (the rate integrand's factor space, :class:`_RateBlock`).
+    the rest (the rate integrand's factor space, :class:`_RateRun`).
     """
     if not steps:
         return first
@@ -133,8 +134,8 @@ def _trace(head, down, split=None):
     return np.sum(head[..., split:] * down[..., :split].swapaxes(-1, -2), axis=(-2, -1))
 
 
-class _RateBlock:
-    """The gamma-summed rate integrand on one block of frequency nodes, order
+class _RateRun:
+    """The gamma-summed rate integrand on one run of frequency nodes, order
     by order on one descent-rank recursion, from the factor ``W = [W0, W1]``
     of :meth:`~oqrisk.model.OqhoModel.density_factor` alone.  It holds the
     Gram ``N = 2 W* Pi W``, the term base ``2 ||Pi|| (||D||_F +
@@ -142,7 +143,8 @@ class _RateBlock:
     ||W1* W1||_F``), the recursion state ``F_k`` (until the last order is
     closed) and the integrand of every order closed so far; every order is
     the one :func:`_gamma_sum` gives on ``N``'s top and bottom rows with the
-    column split at ``m/2``, to the bit."""
+    column split at ``m/2``, to the bit, and a node's values do not depend
+    on the run it is solved in."""
 
     def __init__(self, facts, lams):
         self.half = half = facts.model.m // 2
@@ -177,32 +179,56 @@ class _RateBlock:
 
 #: Bytes of rate state a weight keeps between :func:`cumulant_rate` calls:
 #: the paper fixture's is at most ~0.38 MB (through r = 9; closing r = 10
-#: drops ``F``), n <= 8 fit, and an n = 16 model's Gram alone is ~2 MB.  A
-#: larger state is dropped after its call.  Values never depend on it.
+#: drops ``F``) and the n-sweep's n <= 8 models fit at r = 2 and 4; an
+#: n = 16 model's Grams alone are ~2 MB.  A larger state is dropped run by
+#: run as its columns are read, so a call holds about one run above this
+#: budget.  Values never depend on it.
 RATE_STATE_BYTES = 1 << 20
 
 
+def _run_edges(model, nodes) -> range:
+    """Starts of the runs of ``nodes``: at most ``matfun._STACK_BYTES // (16
+    n m)`` consecutive nodes (at least one), so one run's ``n x m`` complex
+    density factors fit that budget and its Grams, descent state and closed
+    integrands take a few times it."""
+    return range(0, nodes.size, max(1, matfun._STACK_BYTES // (16 * model.n * model.m)))
+
+
+def _rule_blocks(columns):
+    """Regroup the ``(integrand, term size)`` columns of consecutive runs into
+    the consecutive ``RULE_BLOCK`` blocks that
+    :func:`~oqrisk.matfun.integrate_frequency` sums, node for node."""
+    vals = scale = np.empty(0)
+    for more, more_scale in columns:
+        vals, scale = np.concatenate([vals, more]), np.concatenate([scale, more_scale])
+        while vals.size >= RULE_BLOCK:
+            yield vals[:RULE_BLOCK], scale[:RULE_BLOCK]
+            vals, scale = vals[RULE_BLOCK:], scale[RULE_BLOCK:]
+    if vals.size:
+        yield vals, scale
+
+
 def _shared_columns(facts, nodes, r: int) -> list:
-    """Order ``r``'s integrand and term sizes on each ``RULE_BLOCK`` block of
-    the unhalved rule's ``nodes``, from the weight's rate state: its blocks
-    are advanced only by the orders they miss, and kept for the next call
-    while their bytes fit ``RATE_STATE_BYTES``.  Past the budget every block
-    read so far is dropped as soon as its column is, so the call holds one
-    block above the budget at a time.  The state is replaced whole under
-    its lock, and is left empty if a block raises."""
-    state = facts.rate_state
+    """Order ``r``'s integrand and term sizes on each run of the unhalved
+    rule's ``nodes`` (:func:`_run_edges`), from the weight's rate state: its
+    runs are advanced only by the orders they miss, and kept for the next
+    call while their bytes fit ``RATE_STATE_BYTES``.  Past the budget every
+    run read so far is dropped as soon as its column is, so the call holds
+    one run above the budget at a time.  The state is replaced whole under
+    its lock, and is left empty if a run raises."""
+    state, edges = facts.rate_state, _run_edges(facts.model, nodes)
     with state.lock:
-        blocks, state.blocks = state.blocks, None
-        blocks = blocks or [None] * -(-nodes.size // RULE_BLOCK)
+        runs, state.runs = state.runs, None
+        runs = runs or [None] * len(edges)
         out, used = [], 0
-        for i, lo in enumerate(range(0, nodes.size, RULE_BLOCK)):
-            if blocks[i] is None:
-                blocks[i] = _RateBlock(facts, nodes[lo:lo + RULE_BLOCK])
-            out.append(blocks[i].column(r))
-            used += blocks[i].nbytes
+        for i, lo in enumerate(edges):
+            if runs[i] is None:
+                runs[i] = _RateRun(facts, nodes[lo:lo + edges.step])
+            out.append(runs[i].column(r))
+            used += runs[i].nbytes
             if used > RATE_STATE_BYTES:
-                blocks[:i + 1] = [None] * (i + 1)
-        state.blocks = blocks if used <= RATE_STATE_BYTES else None
+                runs[:i + 1] = [None] * (i + 1)
+        state.runs = runs if used <= RATE_STATE_BYTES else None
     return out
 
 
@@ -238,10 +264,12 @@ def cumulant_rate(model: OqhoModel, pi, r: int) -> float:
     top = np.zeros(2)  # largest modulus or term size, largest imaginary part
 
     def blocks(level, nodes):
-        columns = (_shared_columns(facts, nodes, r) if level == 0 else
-                   (_RateBlock(facts, nodes[lo:lo + RULE_BLOCK]).column(r)
-                    for lo in range(0, nodes.size, RULE_BLOCK)))
-        for vals, scale in columns:
+        if level == 0:
+            columns = _shared_columns(facts, nodes, r)
+        else:
+            edges = _run_edges(model, nodes)
+            columns = (_RateRun(facts, nodes[lo:lo + edges.step]).column(r) for lo in edges)
+        for vals, scale in _rule_blocks(columns):
             np.maximum(top, [max(np.abs(vals).max(), scale.max()), np.abs(vals.imag).max()],
                        out=top)
             yield np.stack([vals.real, np.finfo(float).eps / RULE_TOL * scale], axis=-1)

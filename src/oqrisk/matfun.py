@@ -175,8 +175,9 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 #: defective: eigenvalue-based formulas lose accuracy there.
 DIAG_COND = 1e8
 
-#: Bytes of a block of :func:`expm_ladder`'s complex lag matrices.
-_LADDER_BYTES = 1 << 18
+#: Bytes of a block of stacked complex matrices: :func:`expm_ladder`'s lags,
+#: and the density factors of one run of the cumulant rates' nodes.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
     """``reduce(left @ exp((start + k*step)*a) @ right)`` for ``k = 0 ..
     count-1`` (count >= 1), stacked along the first axis.
 
-    Lags are formed in blocks of ``max(1, _LADDER_BYTES // lag bytes)``, a
+    Lags are formed in blocks of ``max(1, _STACK_BYTES // lag bytes)``, a
     lag's bytes those of a complex ``left.rows x right.cols`` matrix, and
     ``reduce`` maps each block to its per-lag result before the next one is
     formed, which bounds peak memory by a few blocks at any ``n``.  Goes
@@ -224,7 +225,7 @@ def expm_ladder(a, basis: EigBasis, step: float, count: int, left, right, reduce
         terms = (lv.T[:, :, None] * wr[:, None, :]).reshape(a.shape[0], -1)
     else:
         estep, prop = expm(a, step), expm(a, start)
-    out, chunk = [], max(1, _LADDER_BYTES // (16 * left.shape[0] * right.shape[1]))
+    out, chunk = [], max(1, _STACK_BYTES // (16 * left.shape[0] * right.shape[1]))
     for lo in range(0, count, chunk):
         lags = np.arange(lo, min(lo + chunk, count))
         if basis.inverse is not None:

@@ -183,10 +183,12 @@ class WeightMatrix:
 @dataclass(eq=False)
 class _RateState:
     """The cumulant rates' node state of one weight: ``None`` or one
-    ``cumulants._RateBlock`` per ``RULE_BLOCK`` block of the unhalved
-    frequency rule, read and replaced under ``lock`` only."""
+    ``cumulants._RateRun`` per run of the unhalved frequency rule's nodes,
+    a run being as many nodes as ``matfun._STACK_BYTES`` of ``n x m``
+    complex density factors hold (``cumulants._run_edges``), read and
+    replaced under ``lock`` only."""
 
-    blocks: list | None = None
+    runs: list | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -237,9 +239,10 @@ class WeightFacts:
 
     def density_eigs(self, lams) -> np.ndarray:
         """Ascending eigenvalues of ``sqrt(Pi) D(lam) sqrt(Pi)`` stacked over
-        the frequencies ``lams``, ``D = G Omega G* = 2 W0 W0*`` from the first
-        column half of :meth:`OqhoModel.density_factor` only."""
-        w0 = self.model.density_factor(lams)[..., :self.model.m // 2]
+        the frequencies ``lams``, ``D = G Omega G* = 2 W0 W0*``, with ``W0 =
+        (i lam - A)^{-1} B U`` solved alone: the first column half of
+        :meth:`OqhoModel.density_factor`, to the bit."""
+        w0 = self.model._resolvent(lams, self.model.b @ self.model.omega_basis)
         x = (self.root @ w0.view(float)).view(complex)  # one real product
         return np.linalg.eigvalsh(2.0 * x @ x.conj().swapaxes(-1, -2))
 
@@ -336,6 +339,14 @@ class OqhoModel:
         one batched solve, :attr:`omega_basis` ``U``.  Its column halves ``W0``,
         ``W1`` factor ``D(lam) = G Omega G* = 2 W0 W0*`` and ``D(-lam)' =
         G conj(Omega) G* = 2 W1 W1*`` (``A``, ``B`` real, ``D`` Hermitian)."""
+        u = self.omega_basis
+        return self._resolvent(lams, self.b @ np.hstack([u, u.conj()]))
+
+    def _resolvent(self, lams, rhs) -> np.ndarray:
+        """``(i lam - A)^{-1} rhs`` stacked over the frequencies ``lams``, one
+        batched solve: :class:`NotHurwitz` unless ``A`` is Hurwitz,
+        :class:`DimensionMismatch` unless ``lams`` is 1-D,
+        :class:`InvalidArgument` unless it is finite."""
         if not self.is_hurwitz:
             raise NotHurwitz(f"spectral density needs a Hurwitz drift; abscissa = "
                              f"{self.spectral_abscissa:.3e}")
@@ -344,9 +355,7 @@ class OqhoModel:
             raise DimensionMismatch(f"need 1-D frequencies, got shape {lams.shape}")
         if not np.all(np.isfinite(lams)):
             raise InvalidArgument("frequencies must be finite")
-        u = self.omega_basis
-        return np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a,
-                               self.b @ np.hstack([u, u.conj()]))
+        return np.linalg.solve(1j * lams[:, None, None] * np.eye(self.n) - self.a, rhs)
 
     def density_pair(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """``(D(lam), D(-lam)')`` stacked over ``lams``: ``2 W0 W0*`` and

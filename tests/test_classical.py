@@ -1056,6 +1056,42 @@ class TestSupportFrame:
             got = simulate(model, 0.05, steps, paths, seed=3).thetas
             assert np.array_equal(got, np.concatenate(blocks, axis=1))
 
+    def test_batch_keeps_the_frame_coordinates(self, pure):
+        # a pure law's batch stores its rank = n frame columns; thetas maps
+        # them back to the 2n augmented ones bit for bit as a chunk-by-chunk
+        # map of the chain (one product per chunk and block of paths) does
+        model = pure[0]
+        steps, paths = 40, 301
+        stepper = AugmentedStepper.build(model, 0.05)
+        want = np.empty((steps + 1, paths, 2 * model.n))
+
+        def fill(lo, hi, chain):
+            for k, states, *_ in chain:
+                np.matmul(states, stepper.frame.T, out=want[k:k + len(states), lo:hi])
+
+        classical._run_blocks(stepper, steps, paths, 3, fill)
+        batch = simulate(model, 0.05, steps, paths, seed=3)
+        assert batch.states.shape == (steps + 1, paths, model.n)
+        assert np.array_equal(batch.frame, stepper.frame)
+        assert (batch.steps, batch.paths) == (steps, paths)
+        assert np.array_equal(batch.thetas, want)
+
+    def test_stats_map_two_slices(self, pure):
+        # the statistics map only the two slices they read to x, block by
+        # block of paths: a few (paths, 2n) slices where the whole batch
+        # mapped back holds 21
+        model, pi = pure
+        batch = simulate(model, 0.05, 20, 4000, seed=8)
+        slice_bytes = batch.paths * 2 * model.n * 8
+        tracemalloc.start()
+        try:
+            mc_stationary_stats(batch, 4)
+            mc_quadform_variance(batch, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * slice_bytes
+
     def test_finite_horizon_rate_matches_dense_oracle(self, pure):
         # the frame recursion against the oracle in full 2n coordinates
         model, pi = pure
@@ -1065,8 +1101,9 @@ class TestSupportFrame:
 
     def test_other_laws_take_the_identity_frame(self, tiny, paper):
         # the paper fixture's mixed law runs the chain in the 2n original
-        # coordinates, where every frame product is exact; B = 0 (P + i Theta
-        # = i Theta is no state) has no law and no stepper
+        # coordinates, where every frame product is exact, and its batch
+        # stores them once as its thetas; B = 0 (P + i Theta = i Theta is
+        # no state) has no law and no stepper
         model = paper[0]
         stepper = AugmentedStepper.build(model, 0.05)
         phi = np.kron(np.eye(2), expm(model.a, 0.05))
@@ -1076,6 +1113,8 @@ class TestSupportFrame:
         assert np.array_equal(stepper.phi_frame, phi)
         assert np.array_equal(stepper.p_frame, p_aug)
         assert np.array_equal(stepper.noise_chol, sqrt_psd(0.5 * (sigma + sigma.T)))
+        batch = simulate(model, 0.05, 5, 64, seed=42)
+        assert batch.states.shape == (6, 64, 8) and batch.thetas is batch.states
         with pytest.raises(NumericalDefect):
             AugmentedStepper.build(dataclasses.replace(tiny, b=np.zeros((2, 2))), 0.05)
 

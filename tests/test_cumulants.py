@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from oqrisk import cumulants, matfun
 from oqrisk.cumulants import (
     _descent_recursion,
     _gamma_sum,
-    _RateBlock,
+    _RateRun,
     cumulant_finite_td,
     cumulant_rate,
     cumulant_td_discretized,
@@ -225,14 +226,14 @@ class TestFactorSpace:
     def test_integrand_matches_full_space(self, case):
         # the cyclic trace of N's blocks is the gamma sum over Pi D, Pi D(-.)',
         # and the term size is the one of the full-space densities, for every
-        # order closed in turn on one block's shared recursion
+        # order closed in turn on one run's shared recursion
         model, pi = FACTOR_CASES[case]()
         norm = np.linalg.norm(pi, 2)
         d0, d1 = self._densities(model, self.LAMS)
         terms = norm * (np.linalg.norm(d0, axis=(-2, -1)) + np.linalg.norm(d1, axis=(-2, -1)))
-        block = _RateBlock(model.weight_facts(pi), self.LAMS)
+        run = _RateRun(model.weight_facts(pi), self.LAMS)
         for r in range(2, 11):
-            got, size = block.column(r)
+            got, size = run.column(r)
             want = _gamma_sum(pi @ d0, pi @ d1, r)
             assert np.all(np.abs(got - want) <= 1e-13 * terms**r)
             assert size == pytest.approx(terms**r, rel=1e-13, abs=0.0)
@@ -390,8 +391,8 @@ CALL_ORDERS = {
 
 
 def _state_bytes(model, pi):
-    blocks = model.weight_facts(pi).rate_state.blocks
-    return None if blocks is None else sum(block.nbytes for block in blocks)
+    runs = model.weight_facts(pi).rate_state.runs
+    return None if runs is None else sum(run.nbytes for run in runs)
 
 
 @pytest.mark.parametrize("case", list(RATE_CASES))
@@ -401,7 +402,7 @@ class TestRateState:
 
     @pytest.mark.parametrize("order", list(CALL_ORDERS))
     def test_call_order(self, case, order, monkeypatch):
-        if case == "n32":  # whose ~30 MB state by r = 10 is kept under a raised budget only
+        if case == "n32":  # whose ~30 MB of runs by r = 10 are kept under a raised budget only
             monkeypatch.setattr(cumulants, "RATE_STATE_BYTES", 1 << 26)
         model, pi = RATE_CASES[case]()
         for r in CALL_ORDERS[order]:
@@ -419,7 +420,8 @@ class TestRateState:
 
     def test_kept_below_the_budget(self, case):
         # through r = 10 the paper fixture's state is ~0.4 MB and kept; the
-        # n = 32 model's Gram alone is ~9 MB, and its state is dropped
+        # n = 32 model's Grams alone are ~9 MB over all its runs, and its
+        # state is dropped
         model, pi = RATE_CASES[case]()
         cumulant_rate(model, pi, 10)
         size = _state_bytes(model, pi)
@@ -476,7 +478,7 @@ def test_halving_level_builds_its_own_state(monkeypatch):
     eps = np.finfo(float).eps / cumulants.RULE_TOL
 
     def own(lams):
-        vals, scale = _RateBlock(model.weight_facts(pi), lams).column(3)
+        vals, scale = _RateRun(model.weight_facts(pi), lams).column(3)
         return np.stack([vals.real, eps * scale], axis=-1)
 
     cumulant_rate(model, pi, 2)  # a state on the unhalved nodes first
@@ -489,8 +491,53 @@ def test_halving_level_builds_its_own_state(monkeypatch):
     got = cumulant_rate(model, pi, 3)
     assert levels == [0, 1]
     assert got == 4.0 / np.pi * integrate_frequency(by_blocks(own), poles)[0]
-    blocks = model.weight_facts(pi).rate_state.blocks
-    assert sum(block.base.size for block in blocks) == 33 * panels
+    runs = model.weight_facts(pi).rate_state.runs
+    assert sum(run.base.size for run in runs) == 33 * panels
+
+
+class TestRateRuns:
+    """The rate state is kept in runs of nodes sized by bytes."""
+
+    @pytest.mark.parametrize("case", ["paper", "n4-m2"])
+    def test_run_length_changes_no_bit(self, case, monkeypatch):
+        # one node per run, the default and one run for every node, each on
+        # a fresh model whose state is kept: the columns regroup into the
+        # same RULE_BLOCK blocks, so every order keeps its pinned bits
+        for budget in (1, matfun._STACK_BYTES, 1 << 40):
+            monkeypatch.setattr(matfun, "_STACK_BYTES", budget)
+            model, pi = RATE_CASES[case]()
+            for r in CALL_ORDERS["shuffled"]:
+                assert cumulant_rate(model, pi, r).hex() == PINNED_RATES[case][r - 2]
+
+    def test_run_length_follows_the_budget(self):
+        # runs of matfun._STACK_BYTES // (16 n m) nodes: 16 at n = m = 32,
+        # and one run for the paper fixture's nodes
+        for case, length in (("n32", 16), ("paper", None)):
+            model, pi = RATE_CASES[case]()
+            cumulant_rate(model, pi, 2)
+            facts = model.weight_facts(pi)
+            poles = model.eig.values
+            nodes = 33 * _resonance_edges(poles, 2.0 * np.abs(poles).max() + 1.0).size
+            edges = cumulants._run_edges(model, np.empty(nodes))
+            if length is None:
+                assert len(edges) == 1 and len(facts.rate_state.runs) == 1
+            else:
+                assert edges.step == length and len(edges) == -(-nodes // length)
+
+    def test_working_set_is_one_run(self):
+        # past RATE_STATE_BYTES the runs are dropped as their columns are
+        # read: r = 10 at n = 32 traces ~5.1 MB, where 256-node blocks that
+        # held their stacks together traced 67 MB
+        model, pi = RATE_CASES["n32"]()
+        model.weight_facts(pi).pi, model.steady  # the model's own facts first
+        tracemalloc.start()
+        try:
+            cumulant_rate(model, pi, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert model.weight_facts(pi).rate_state.runs is None
 
 
 class TestFiniteTimeDomain:

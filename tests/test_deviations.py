@@ -73,8 +73,8 @@ class TestLadderBlocks:
         # the numeric bounds are the same to the bit
         model, pi = paper if case == "paper" else (tiny, np.eye(2))
         runs = []
-        for budget in (1, matfun._LADDER_BYTES):
-            monkeypatch.setattr(matfun, "_LADDER_BYTES", budget)
+        for budget in (1, matfun._STACK_BYTES):
+            monkeypatch.setattr(matfun, "_STACK_BYTES", budget)
             dev = DeviationAnalysis(model, pi)
             f0 = dev.f_infnorm()
             eps = model.n * dev.n0 * np.array([1.1, 1.3, 2.0])
@@ -88,7 +88,7 @@ class TestLadderBlocks:
         # is a few blocks of lags and the grid it keeps, whatever the grid's
         # length.  Below ~1 MiB the frequency table's own blocks (~1.4 MB)
         # set the peak instead.
-        monkeypatch.setattr(matfun, "_LADDER_BYTES", budget)
+        monkeypatch.setattr(matfun, "_STACK_BYTES", budget)
         model, pi = congruent_n32()
         model.eig, model.steady.thin, DeviationAnalysis(model, pi).envelope  # model facts
         dev = DeviationAnalysis(model, pi)

@@ -168,7 +168,7 @@ class TestExpm:
         left = rng.standard_normal((2, 3))
         right = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         # a budget of exactly three complex 2 x 3 lags
-        monkeypatch.setattr(matfun, "_LADDER_BYTES", 3 * 2 * 3 * 16)
+        monkeypatch.setattr(matfun, "_STACK_BYTES", 3 * 2 * 3 * 16)
         sizes = []
         batch = expm_ladder(a, eig_basis(a), 0.2, 8, left=left, right=right,
                             reduce=lambda block: sizes.append(len(block)) or block)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import J2, damped_mode, make_models, random_sym
+from conftest import J2, congruent_n32, damped_mode, make_models, random_sym
 from oqrisk import model as model_module
 from oqrisk import report
 from oqrisk.classical import classical_rs_rate_sde
@@ -152,6 +152,17 @@ class TestDensityPeak:
         assert 132.95716344785 * (1 - 1e-12) <= peak <= 132.95716344785 * (1 + self.GAP)
         top = facts.density_eigs([-2.5261743])[0, -1]
         assert peak / (1 + self.GAP) <= top <= peak
+
+    def test_eigs_solve_the_half_they_read(self, paper):
+        # density_eigs solves (i lam - A) W0 = B U alone: the bits of the
+        # first column half of density_factor's solve for B [U, conj U]
+        lams = np.linspace(-12.0, 12.0, 301)
+        for model, pi in (paper, congruent_n32()):
+            facts = model.weight_facts(pi)
+            w0 = model.density_factor(lams)[..., :model.m // 2]
+            x = (facts.root @ w0.view(float)).view(complex)
+            want = np.linalg.eigvalsh(2.0 * x @ x.conj().swapaxes(-1, -2))
+            assert np.array_equal(facts.density_eigs(lams), want)
 
     def test_damped_mode_peak_at_its_resonance(self):
         model, pi = damped_mode(), np.diag([1.0, 2.0])
