@@ -196,7 +196,7 @@ class SimBatch:
     def thetas(self) -> np.ndarray:
         """The augmented states ``x = y frame'``, shape ``(steps + 1, paths,
         2n)``: the stored ``states`` themselves on the identity frame, else
-        a new array, mapped block by block of paths as :func:`_block_x` maps."""
+        a new array, mapped block by block of paths as :func:`_frame_map` maps."""
         if self.frame.shape[1] == self.frame.shape[0]:
             return self.states
         out = np.empty((*self.states.shape[:2], len(self.frame)))
@@ -214,16 +214,11 @@ class SimBatch:
         return self.states.shape[1]
 
 
-def _block_x(batch: SimBatch, step: int, lo: int, hi: int) -> np.ndarray:
-    """The augmented states ``states[step, lo:hi] @ frame'`` of the paths
-    ``lo:hi`` at ``step``; the stored states on the identity frame.  A block
-    of paths is one ``(paths, rank) x (rank, 2n)`` product, as in
-    :func:`_mc_lag_pair`, so a state's bits do not depend on which slices
-    are mapped."""
-    states = batch.states[step, lo:hi]
-    if batch.frame.shape[1] == batch.frame.shape[0]:
-        return states
-    return states @ batch.frame.T
+def _frame_map(states: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The augmented states ``x = states @ frame'`` of a block of paths, the
+    ``states`` themselves on the identity frame: one product a block, so a
+    state's bits do not depend on which slices are mapped."""
+    return states if frame.shape[1] == frame.shape[0] else states @ frame.T
 
 
 def _chain(stepper: AugmentedStepper, steps, rng, raw, states, values):
@@ -248,8 +243,8 @@ def _chain(stepper: AugmentedStepper, steps, rng, raw, states, values):
 
 
 def _mc_workers() -> int:
-    """Threads for the path blocks: the CPUs this process may run on.  They
-    set the speed only; every value is fixed by the seed and ``MC_BLOCKS``."""
+    """Threads for the path blocks of a chain of two or more steps: the CPUs this
+    process may run on.  They set the speed only; every value is fixed by the seed."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -268,16 +263,18 @@ def _block_edges(paths: int) -> list[int]:
 def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     """``consume(lo, hi, chain)`` for each of ``MC_BLOCKS`` fixed blocks of
     paths (:func:`_block_edges`), in block order.
-    Block ``i`` runs the exact chain of ``stepper`` on its own ``SFC64``
-    stream, the ``i``-th spawn of ``SeedSequence(seed)``, so a value depends
-    on the seed alone.  The blocks run on a thread pool, where numpy's normal
-    draws and BLAS release the GIL.  The stepper (the caller's, with its
-    initial factor) and each worker's chunk buffers are built first, on the
-    calling thread: a chunk holds ``max(1, _CHAIN_BYTES // state bytes)``
-    states of the largest block, whatever ``steps``."""
+    Block ``i`` runs the caller's ``stepper`` on the ``i``-th ``SFC64`` spawn of
+    ``SeedSequence(seed)``, so a value depends on the seed alone.  A chain of
+    at most one step (two draws and a few products a block, less than a
+    thread's start-up and its own malloc arena) or one worker runs on the
+    calling thread; longer chains on a pool of :func:`_mc_workers` threads,
+    where numpy's draws and BLAS release the GIL.  The calling thread builds
+    one set of chunk buffers per thread first (built in a worker's own arena,
+    they cost resident memory), each of ``max(1, _CHAIN_BYTES // state
+    bytes)`` states of the largest block, whatever ``steps``."""
     seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     edges = _block_edges(paths)
-    rank, workers, largest = len(stepper.p_root), _mc_workers(), edges[1]
+    rank, largest, workers = len(stepper.p_root), edges[1], 1 if steps <= 1 else _mc_workers()
     chunk = max(1, _CHAIN_BYTES // (8 * largest * rank))
     shapes = (chunk, largest, rank), (chunk + 1, largest, rank), (chunk, largest)
     sets, local = [[np.empty(shape) for shape in shapes] for _ in range(workers)], threading.local()
@@ -287,6 +284,9 @@ def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
         return consume(edges[i], edges[i + 1], _chain(stepper, steps, rng, *(
             b.ravel()[:b[:, :size].size].reshape(len(b), size, *b.shape[2:]) for b in local.bufs)))
 
+    if workers == 1:
+        local.bufs = sets[0]
+        return [block(i) for i in range(MC_BLOCKS)]
     with ThreadPoolExecutor(workers, initializer=lambda: setattr(local, "bufs", sets.pop())) as pool:
         return list(pool.map(block, range(MC_BLOCKS)))
 
@@ -317,8 +317,8 @@ def simulate(
     Output is bitwise-deterministic for a fixed seed, whatever the number of
     CPUs or the chunk size.  Memory is the ``(steps+1) * paths * rank``
     doubles returned (half of the augmented ``2n`` columns for a pure
-    state) and a few chunks per worker; the chain is stationary from step
-    0, so lagged statistics need only ``steps = lag``.
+    state) and a set of chunk buffers per thread (:func:`_run_blocks`); the
+    chain is stationary from step 0, so lagged statistics need only ``steps = lag``.
     """
     _check_run(paths, steps, seed)
     stepper = AugmentedStepper.build(model, h)
@@ -372,7 +372,7 @@ def _lag_pair(blocks: list, seed: int) -> tuple[McEstimate, McEstimate, McEstima
     else:
         vals = np.concatenate(quads)
         var = vals.var(ddof=1)
-        m4 = ((vals - vals.mean()) ** 4).mean()
+        m4 = np.square(np.square(vals - vals.mean())).mean()  # ** 4 takes the generic pow
         stderr = np.sqrt(max(m4 - var**2 * (paths - 3) / (paths - 1), 0.0) / paths)
         variance = McEstimate(value=float(var), stderr=float(stderr), paths=paths, seed=seed)
     return product(sum(gram), sum(second)), product(sum(lagged), sum(second_lag)), variance
@@ -384,8 +384,8 @@ def _batch_pairs(batch: SimBatch, lag_steps: int, pi_aug=None) -> list:
     block maps only those two slices (one at lag 0) to ``x``."""
     edges, pairs = _block_edges(batch.paths), []
     for lo, hi in zip(edges, edges[1:]):
-        x1 = _block_x(batch, -1, lo, hi)
-        x0 = x1 if lag_steps == 0 else _block_x(batch, -1 - lag_steps, lo, hi)
+        x1 = _frame_map(batch.states[-1, lo:hi], batch.frame)
+        x0 = x1 if lag_steps == 0 else _frame_map(batch.states[-1 - lag_steps, lo:hi], batch.frame)
         pairs.append(_pair_sums(x1, x0, pi_aug))
     return pairs
 
@@ -429,16 +429,16 @@ def mc_quadform_variance(batch: SimBatch, pi) -> McEstimate:
 def _mc_lag_pair(model: OqhoModel, pi, h: float, steps: int, paths: int, seed: int) -> tuple:
     """``mc_stationary_stats(batch, steps)`` and ``mc_quadform_variance(batch, pi)``
     of ``batch = simulate(model, h, steps, paths, seed)``, to the bit, without
-    the batch: each block maps its first and last states to ``x`` as
-    :func:`_block_x` does and keeps only their :func:`_pair_sums`, so memory is
-    a worker's chunk buffers per worker and one quadratic-form value per path."""
+    the batch: each block maps its first and last states by :func:`_frame_map`
+    and keeps their :func:`_pair_sums`, so memory at ``steps <= 1`` is one set of
+    chunk buffers and one quadratic-form value per path, whatever the CPUs."""
     _check_run(paths, steps, seed)
     pi_aug = np.kron(np.eye(2), model.weight_facts(pi).pi)
     stepper = AugmentedStepper.build(model, h)
 
-    def pair(lo, hi, chain):  # the first chunk is state 0 alone
-        ends = [np.matmul(states[-1], stepper.frame.T) for _, states, *_ in chain]
-        return _pair_sums(ends[-1], ends[0], pi_aug)
+    def pair(lo, hi, chain):  # state 0 comes alone, and later chunks overwrite it
+        ends = [states[-1].copy() if k == 0 else states[-1] for k, states, *_ in chain]
+        return _pair_sums(*(_frame_map(x, stepper.frame) for x in (ends[-1], ends[0])), pi_aug)
 
     return _lag_pair(_run_blocks(stepper, steps, paths, seed, pair), seed)
 

@@ -223,15 +223,16 @@ class TestSimulate:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (1, classical.MC_BLOCKS):
+            for workers in (1, 2, classical.MC_BLOCKS):
                 monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
                 runs.append((simulate(model, 0.05, 6, 1001, seed=3).thetas,
                              mc_rs_rate(model, pi, 0.001, 2.0, 1001, seed=3, h=0.05)))
         finally:
             sys.setswitchinterval(interval)
-        (sim_one, est_one), (sim_all, est_all) = runs
-        assert np.array_equal(sim_one, sim_all)
-        assert est_one.value == est_all.value and est_one.stderr == est_all.stderr
+        (sim_one, est_one), *pooled = runs
+        for sim, est in pooled:
+            assert np.array_equal(sim_one, sim)
+            assert est_one.value == est.value and est_one.stderr == est.stderr
 
     def test_stats_match_einsum_oracle(self, paper):
         batch = simulate(paper[0], 0.05, 4, 500, seed=8)
@@ -318,35 +319,58 @@ class TestSimulate:
             report._matrix(covlag.stderr), {"value": var.value, "stderr": var.stderr}]
 
     def test_classical_block_worker_count_changes_no_value(self, paper, tiny, monkeypatch):
-        # each block's sums are formed on its worker and added in block order
-        # on the calling thread, on the identity frame and on a pure state's
+        # the one-step chain runs its blocks on the calling thread at any
+        # worker count, and adds their sums in block order, on the identity
+        # frame and on a pure state's
         mc = report.McSettings(h=0.05, paths=1001, seed=3, lag=10)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (1, 2):
+            for workers in (1, 2, classical.MC_BLOCKS):
                 monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
                 runs.append([report._classical_block(model, pi, mc)
                              for model, pi in (paper, (tiny, np.eye(2)))])
         finally:
             sys.setswitchinterval(interval)
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_classical_block_memory_is_the_chunk_buffers(self, paper, monkeypatch):
-        # no (2, paths, 2n) pair: at 200,000 paths the block holds each
-        # worker's chunk buffers (~5 MB a worker here, so the pool is pinned
-        # to two) and one quadratic-form value per path; drawing the pair
-        # whole peaked at 67.1 MiB
-        monkeypatch.setattr(classical, "_mc_workers", lambda: 2)
+        # no (2, paths, 2n) pair: at 200,000 paths the block holds one set
+        # of chunk buffers (~5 MB here), one block's pair and one
+        # quadratic-form value per path; drawing the pair whole peaked at
+        # 67.1 MiB.  The one-step chain runs on the calling thread, so the
+        # peak does not grow with the worker count (12.4, 20.9 and 69.4 MiB
+        # at 1, 2 and 8 workers when each worker held its own set)
         mc = report.McSettings(h=0.05, paths=200_000, seed=1, lag=10, theta=None)
-        tracemalloc.start()
-        try:
-            report._classical_block(*paper, mc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        report._classical_block(*paper, mc)  # the model's own facts first
+        peaks = []
+        for workers in (1, 2, classical.MC_BLOCKS):
+            monkeypatch.setattr(classical, "_mc_workers", lambda w=workers: w)
+            tracemalloc.start()
+            try:
+                report._classical_block(*paper, mc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 32 * 2**20
+        assert max(peaks) <= 1.05 * min(peaks)
+
+    def test_one_step_chain_starts_no_thread(self, paper, monkeypatch):
+        # a one-step block is two draws and a few products: the lag pair and
+        # a one-step simulate run on the calling thread, a longer chain on
+        # the pool
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("thread pool started")
+
+        monkeypatch.setattr(classical, "_mc_workers", lambda: 2)
+        monkeypatch.setattr(classical, "ThreadPoolExecutor", no_pool)
+        model, pi = paper
+        report._classical_block(model, pi, report.McSettings(h=0.05, paths=500, seed=3, lag=10,
+                                                             theta=None))
+        simulate(model, 0.05, 1, 500, seed=3)
+        with pytest.raises(RuntimeError, match="thread pool started"):
+            simulate(model, 0.05, 2, 500, seed=3)
 
     def test_insufficient_paths(self, tiny):
         batch = simulate(tiny, 0.1, 2, 50, seed=3)
