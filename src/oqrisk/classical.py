@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -262,33 +261,34 @@ def _block_edges(paths: int) -> list[int]:
 
 def _run_blocks(stepper: AugmentedStepper, steps, paths, seed, consume) -> list:
     """``consume(lo, hi, chain)`` for each of ``MC_BLOCKS`` fixed blocks of
-    paths (:func:`_block_edges`), in block order.
-    Block ``i`` runs the caller's ``stepper`` on the ``i``-th ``SFC64`` spawn of
-    ``SeedSequence(seed)``, so a value depends on the seed alone.  A chain of
-    at most one step (two draws and a few products a block, less than a
-    thread's start-up and its own malloc arena) or one worker runs on the
-    calling thread; longer chains on a pool of :func:`_mc_workers` threads,
-    where numpy's draws and BLAS release the GIL.  The calling thread builds
-    one set of chunk buffers per thread first (built in a worker's own arena,
-    they cost resident memory), each of ``max(1, _CHAIN_BYTES // state
-    bytes)`` states of the largest block, whatever ``steps``."""
-    seeds = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
-    edges = _block_edges(paths)
+    paths (:func:`_block_edges`), in block order.  Block ``i`` runs the caller's
+    ``stepper`` on the ``i``-th ``SFC64`` spawn of ``SeedSequence(seed)``, so a value
+    depends on the seed alone.  Worker ``j`` of ``workers`` runs blocks ``j, j +
+    workers, ...`` on one set of chunk buffers built first on the calling thread (in
+    a worker's own malloc arena they cost resident memory), each of ``max(1,
+    _CHAIN_BYTES // state bytes)`` states of the largest block, whatever ``steps``.
+    Longer chains take :func:`_mc_workers` threads, where numpy's draws and BLAS
+    release the GIL; a chain of at most one step is one worker on the calling thread,
+    so its memory does not grow with the CPUs (nor does its time shrink with them)."""
+    seeds, edges = np.random.SeedSequence(seed).spawn(MC_BLOCKS), _block_edges(paths)
     rank, largest, workers = len(stepper.p_root), edges[1], 1 if steps <= 1 else _mc_workers()
     chunk = max(1, _CHAIN_BYTES // (8 * largest * rank))
     shapes = (chunk, largest, rank), (chunk + 1, largest, rank), (chunk, largest)
-    sets, local = [[np.empty(shape) for shape in shapes] for _ in range(workers)], threading.local()
+    sets = [[np.empty(shape) for shape in shapes] for _ in range(workers)]
 
-    def block(i):
+    def block(i, bufs):
         rng, size = np.random.Generator(np.random.SFC64(seeds[i])), edges[i + 1] - edges[i]
         return consume(edges[i], edges[i + 1], _chain(stepper, steps, rng, *(
-            b.ravel()[:b[:, :size].size].reshape(len(b), size, *b.shape[2:]) for b in local.bufs)))
+            b.ravel()[:b[:, :size].size].reshape(len(b), size, *b.shape[2:]) for b in bufs)))
+
+    def run(j, bufs):
+        return [block(i, bufs) for i in range(j, MC_BLOCKS, workers)]
 
     if workers == 1:
-        local.bufs = sets[0]
-        return [block(i) for i in range(MC_BLOCKS)]
-    with ThreadPoolExecutor(workers, initializer=lambda: setattr(local, "bufs", sets.pop())) as pool:
-        return list(pool.map(block, range(MC_BLOCKS)))
+        return run(0, sets[0])
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(run, range(workers), sets))
+    return [parts[i % workers][i // workers] for i in range(MC_BLOCKS)]
 
 
 def _check_run(paths, steps, seed) -> None:
@@ -317,7 +317,7 @@ def simulate(
     Output is bitwise-deterministic for a fixed seed, whatever the number of
     CPUs or the chunk size.  Memory is the ``(steps+1) * paths * rank``
     doubles returned (half of the augmented ``2n`` columns for a pure
-    state) and a set of chunk buffers per thread (:func:`_run_blocks`); the
+    state) and a set of chunk buffers per worker (:func:`_run_blocks`); the
     chain is stationary from step 0, so lagged statistics need only ``steps = lag``.
     """
     _check_run(paths, steps, seed)

@@ -319,10 +319,11 @@ class TestSimulate:
             report._matrix(covlag.stderr), {"value": var.value, "stderr": var.stderr}]
 
     def test_classical_block_worker_count_changes_no_value(self, paper, tiny, monkeypatch):
-        # the one-step chain runs its blocks on the calling thread at any
-        # worker count, and adds their sums in block order, on the identity
-        # frame and on a pure state's
-        mc = report.McSettings(h=0.05, paths=1001, seed=3, lag=10)
+        # the lag pair runs on the calling thread and the rate's chain on the
+        # pool; each adds its blocks in block order, so no value of the block
+        # moves with the worker count, on the identity frame and on a pure
+        # state's
+        mc = report.McSettings(h=0.05, steps=20, paths=1001, seed=3, lag=10, theta=0.001)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -333,7 +334,7 @@ class TestSimulate:
                              for model, pi in (paper, (tiny, np.eye(2)))])
         finally:
             sys.setswitchinterval(interval)
-        assert runs[0] == runs[1] == runs[2]
+        assert "rs_rate" in runs[0][0] and runs[0] == runs[1] == runs[2]
 
     def test_classical_block_memory_is_the_chunk_buffers(self, paper, monkeypatch):
         # no (2, paths, 2n) pair: at 200,000 paths the block holds one set
